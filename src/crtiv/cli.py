@@ -23,6 +23,7 @@ import csv
 import math
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 from . import collapse, iv, mc
@@ -160,6 +161,15 @@ def _parse_binary(text: str, column: str, line: int):
 # --- CSV output --------------------------------------------------------------
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``rows`` under ``header``; floats at 17 significant digits."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, (str, int)) else _machine(v) for v in row])
+
+
 def write_dataset_csv(dataset: TrialDataset, path) -> None:
     """Write a dataset in the ingestion schema (values round-trip exactly)."""
     n_x = len(dataset.records[0].x) if dataset.records else 0
@@ -170,43 +180,39 @@ def write_dataset_csv(dataset: TrialDataset, path) -> None:
         + [f"w_{i + 1}" for i in range(n_w)]
         + [f"x_{i + 1}" for i in range(n_x)]
     )
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for r in dataset.records:
-            w = dataset.covariate_vector(r.cluster_id)
-            writer.writerow(
-                [r.cluster_id, r.z, r.d, _machine(r.y)]
-                + [_machine(v) for v in w]
-                + [_machine(v) for v in r.x]
-            )
+    rows = (
+        [r.cluster_id, str(r.z), str(r.d), r.y, *dataset.covariate_vector(r.cluster_id), *r.x]
+        for r in dataset.records
+    )
+    _write_csv(path, header, rows)
 
 
 def write_truth_sidecars(trial: GeneratedTrial, cluster_path, individual_path) -> None:
     """Write per-cluster complier weights and per-individual classes."""
     cols = trial.dataset.columns()
-    with open(cluster_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["cluster_id", "n", "n_compliers", "psi", "psi_cl"])
-        for i, cid in enumerate(cols.cluster_ids):
-            writer.writerow(
-                [
-                    cid,
-                    int(cols.sizes[i]),
-                    int(trial.n_compliers[i]),
-                    _machine(float(trial.psi[i])),
-                    _machine(float(trial.psi_cl[i])),
-                ]
-            )
-    with open(individual_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["row", "cluster_id", "compliance"])
-        for i, (record, cls) in enumerate(zip(trial.dataset.records, trial.compliance)):
-            writer.writerow([i, record.cluster_id, cls.value])
+    clusters = zip(
+        cols.cluster_ids,
+        cols.sizes.tolist(),
+        trial.n_compliers.tolist(),
+        trial.psi.tolist(),
+        trial.psi_cl.tolist(),
+    )
+    _write_csv(cluster_path, ["cluster_id", "n", "n_compliers", "psi", "psi_cl"], clusters)
+    individuals = (
+        [i, record.cluster_id, cls.value]
+        for i, (record, cls) in enumerate(zip(trial.dataset.records, trial.compliance))
+    )
+    _write_csv(individual_path, ["row", "cluster_id", "compliance"], individuals)
 
 
 # --- scenario files ----------------------------------------------------------
 
+# Scenario keys that are ScenarioConfig fields of the same name, read as plain
+# numbers; an absent key keeps the ScenarioConfig default.
+_NUMERIC_KEYS = tuple(
+    "rho_y rho_x rho_c pi lambda_w lambda_x beta_w beta_x beta_cz beta_0 beta_c "
+    "sigma2_w sigma2_x total_variance".split()
+)
 _SCENARIO_KEYS = {
     "adherence",
     "clusters",
@@ -215,20 +221,7 @@ _SCENARIO_KEYS = {
     "pareto_shape",
     "pareto_scale",
     "pareto_min",
-    "rho_y",
-    "rho_x",
-    "rho_c",
-    "pi",
-    "lambda_w",
-    "lambda_x",
-    "beta_w",
-    "beta_x",
-    "beta_cz",
-    "beta_0",
-    "beta_c",
-    "sigma2_w",
-    "sigma2_x",
-    "total_variance",
+    *_NUMERIC_KEYS,
 }
 
 
@@ -252,15 +245,7 @@ def read_scenario(path) -> ScenarioConfig:
         return float(values.get(key, default))
 
     kind = values.get("sizes", "poisson").lower()
-    if kind == "poisson":
-        sizes = PoissonSizes(mean=number("poisson_mean", 20.0))
-    elif kind == "pareto":
-        sizes = ParetoSizes(
-            shape=number("pareto_shape", 1.8),
-            scale=number("pareto_scale", 9.1),
-            minimum=int(number("pareto_min", 10)),
-        )
-    else:
+    if kind not in ("poisson", "pareto"):
         raise SchemaMismatch(f"{path}: sizes must be poisson or pareto, got {kind!r}")
 
     adherence = values.get("adherence", "cluster").lower()
@@ -272,26 +257,21 @@ def read_scenario(path) -> ScenarioConfig:
         ) from None
 
     try:
+        if kind == "poisson":
+            sizes = PoissonSizes(mean=number("poisson_mean", 20.0))
+        else:
+            sizes = ParetoSizes(
+                shape=number("pareto_shape", 1.8),
+                scale=number("pareto_scale", 9.1),
+                minimum=int(number("pareto_min", 10)),
+            )
         return ScenarioConfig(
             adherence=level,
             n_clusters=int(number("clusters", 50)),
             sizes=sizes,
-            rho_y=number("rho_y", 0.05),
-            rho_x=number("rho_x", 0.05),
-            rho_c=number("rho_c", 0.50),
-            pi=number("pi", 0.60),
-            lambda_w=number("lambda_w", 0.05),
-            lambda_x=number("lambda_x", 0.05),
-            beta_w=number("beta_w", 0.1),
-            beta_x=number("beta_x", 0.1),
-            beta_cz=number("beta_cz", 0.4),
-            beta_0=number("beta_0", 0.0),
-            beta_c=number("beta_c", 0.0),
-            sigma2_w=number("sigma2_w", 0.08),
-            sigma2_x=number("sigma2_x", 0.08),
-            total_variance=number("total_variance", 1.0),
+            **{key: float(values[key]) for key in _NUMERIC_KEYS if key in values},
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: {exc}") from exc
 
 
@@ -310,22 +290,7 @@ def scenario_echo(config: ScenarioConfig, seed: int, replicates: int) -> str:
             f"pareto_scale = {_machine(config.sizes.scale)}",
             f"pareto_min = {config.sizes.minimum}",
         ]
-    for key in (
-        "rho_y",
-        "rho_x",
-        "rho_c",
-        "pi",
-        "lambda_w",
-        "lambda_x",
-        "beta_w",
-        "beta_x",
-        "beta_cz",
-        "beta_0",
-        "beta_c",
-        "sigma2_w",
-        "sigma2_x",
-        "total_variance",
-    ):
+    for key in _NUMERIC_KEYS:
         lines.append(f"{key} = {_machine(getattr(config, key))}")
     lines += [f"# seed = {seed}", f"# replicates = {replicates}"]
     return "\n".join(lines) + "\n"
@@ -337,41 +302,13 @@ _WEIGHT_FLAGS = {"none": Weights.NONE, "cs": Weights.CLUSTER_SIZE, "mv": Weights
 _SE_FLAGS = {"model": SeMode.MODEL_BASED, "hw": SeMode.HUBER_WHITE}
 _DF_FLAGS = {"normal": DfMode.NORMAL_APPROX, "ssdf": DfMode.SMALL_SAMPLE}
 
-_ANALYSIS_FIELDS = [
-    "estimator",
-    "cl_outcome",
-    "adjust_w",
-    "weights",
-    "se_mode",
-    "df_mode",
-    "estimate",
-    "se",
-    "ci_low",
-    "ci_high",
-    "p",
-    "df",
-    "first_stage_f",
-    "n_clusters",
-]
-
 
 def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     """Fit the requested grid: per combination one LATE row and one ITT row."""
     validate(dataset)
-
-    if args.adjust_x:
-        x_columns = _resolve_names(args.adjust_x, args.x_names, "x")
-        if dataset.outcome_kind is OutcomeKind.BINARY:
-            values = collapse.binary_residuals(dataset, x_columns)
-        else:
-            values = collapse.continuous_residuals(dataset, x_columns)
-        summaries = collapse.summaries_from_values(dataset, values)
-        icc_values = values
-        cl_outcome = "adjusted_for_x"
-    else:
-        summaries = collapse.cluster_means(dataset)
-        icc_values = dataset.columns().y
-        cl_outcome = "unadjusted"
+    x_columns = _resolve_names(args.adjust_x, args.x_names, "x") if args.adjust_x else None
+    summaries, icc_values = iv.outcome_summaries(dataset, x_columns)
+    cl_outcome = "adjusted_for_x" if args.adjust_x else "unadjusted"
 
     if args.icc == "auto":
         fixed_icc = None
@@ -393,22 +330,24 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
         }
         summaries = [replace(s, w=filtered.get(s.cluster_id, ())) for s in summaries]
 
+    cells = [
+        (cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w, fixed_icc))
+        for adjust_w, weights, se_mode, df_mode in product(
+            w_levels, weight_levels, se_levels, df_levels
+        )
+    ]
+    outcomes, icc = {cl_outcome: summaries}, {cl_outcome: estimated_icc}
+    fits = {estimator: iv.fit_grid(outcomes, cells, icc, estimator) for estimator in ("late", "itt")}
+    # Validation leaves both arms, so the screening F cannot fail here.
+    first_stage_f = iv.first_stage_f(summaries)
     rows = []
-    for adjust_w in w_levels:
-        for weights in weight_levels:
-            for se_mode in se_levels:
-                for df_mode in df_levels:
-                    options = AnalysisOptions(
-                        weights=weights,
-                        se_mode=se_mode,
-                        df_mode=df_mode,
-                        adjust_w=adjust_w,
-                        icc=fixed_icc,
-                    )
-                    late = iv.tsls(summaries, options, icc=estimated_icc)
-                    assignment = iv.itt(summaries, options, icc=estimated_icc)
-                    rows.append(_row("late", cl_outcome, options, late))
-                    rows.append(_row("itt", cl_outcome, options, assignment))
+    for i, (_, options) in enumerate(cells):
+        for estimator, f_stat in (("late", first_stage_f), ("itt", None)):
+            cell = fits[estimator][i]
+            if isinstance(cell, CrtivError):
+                raise cell
+            fit = iv.late_fit(cell, options, len(summaries), f_stat)
+            rows.append(_row(estimator, cl_outcome, options, fit))
     return rows
 
 
@@ -445,19 +384,6 @@ def _resolve_names(requested: str, available: list[str], prefix: str) -> tuple[i
     return tuple(indices)
 
 
-def _write_rows_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_ANALYSIS_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row[f] if isinstance(row[f], (str, int)) else _machine(row[f])
-                    for f in _ANALYSIS_FIELDS
-                ]
-            )
-
-
 def _format_table(rows: list[dict]) -> str:
     headers = [
         "estimator",
@@ -471,22 +397,26 @@ def _format_table(rows: list[dict]) -> str:
         "p",
         "F(1,J-2)",
     ]
-    body = []
-    for row in rows:
-        body.append(
-            [
-                row["estimator"],
-                row["cl_outcome"],
-                "yes" if row["adjust_w"] else "no",
-                row["weights"],
-                row["se_mode"],
-                row["df_mode"],
-                _pretty(row["estimate"]),
-                f"({_pretty(row['ci_low'])}, {_pretty(row['ci_high'])})",
-                _pretty(row["p"]),
-                "" if math.isnan(row["first_stage_f"]) else _pretty(row["first_stage_f"]),
-            ]
-        )
+    body = [
+        [
+            row["estimator"],
+            row["cl_outcome"],
+            "yes" if row["adjust_w"] else "no",
+            row["weights"],
+            row["se_mode"],
+            row["df_mode"],
+            _pretty(row["estimate"]),
+            f"({_pretty(row['ci_low'])}, {_pretty(row['ci_high'])})",
+            _pretty(row["p"]),
+            "" if math.isnan(row["first_stage_f"]) else _pretty(row["first_stage_f"]),
+        ]
+        for row in rows
+    ]
+    return _aligned(headers, body)
+
+
+def _aligned(headers: list[str], body: list[list[str]]) -> str:
+    """Left-aligned columns under a dashed rule, one line per body row."""
     widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(headers)]
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
@@ -509,7 +439,7 @@ def _cmd_analyze(args) -> int:
     if args.output_dir:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_rows_csv(rows, out / "analysis.csv")
+        _write_csv(out / "analysis.csv", list(rows[0]), (row.values() for row in rows))
         (out / "analysis.txt").write_text(table, encoding="utf-8")
     return 0
 
@@ -534,38 +464,24 @@ _REPORT_FIELDS = [
 
 
 def write_report_csv(report: mc.McReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_REPORT_FIELDS)
-        for key, res in report.variants.items():
-            writer.writerow(
-                [
-                    key.cl_outcome.value,
-                    int(key.adjust_w),
-                    key.weights.value,
-                    key.se_mode.value,
-                    key.df_mode.value,
-                    _machine(res.bias),
-                    _machine(res.mce_bias),
-                    _machine(res.coverage),
-                    _machine(res.mce_coverage),
-                    _machine(res.mean_se),
-                    res.n_fits,
-                    res.n_fit_failures,
-                    report.n_replicates,
-                    report.rejected_weak,
-                    report.attempts,
-                ]
-            )
+    rows = (
+        [
+            key.cl_outcome.value, int(key.adjust_w), key.weights.value, key.se_mode.value,
+            key.df_mode.value, res.bias, res.mce_bias, res.coverage, res.mce_coverage,
+            res.mean_se, res.n_fits, res.n_fit_failures,
+            report.n_replicates, report.rejected_weak, report.attempts,
+        ]
+        for key, res in report.variants.items()
+    )
+    _write_csv(path, _REPORT_FIELDS, rows)
 
 
 def _format_report(report: mc.McReport) -> str:
-    lines = [
+    summary = (
         f"replicates={report.n_replicates}  rejected_weak={report.rejected_weak}  "
         f"attempts={report.attempts}  truth={_pretty(report.truth)}  "
-        f"seed={report.master_seed}",
-        "",
-    ]
+        f"seed={report.master_seed}"
+    )
     header = ["variant", "bias", "mce", "coverage", "mce_cov", "mean_se", "failures"]
     body = [
         [
@@ -579,11 +495,7 @@ def _format_report(report: mc.McReport) -> str:
         ]
         for key, res in report.variants.items()
     ]
-    widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(header)]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in body]
-    return "\n".join(lines) + "\n"
+    return summary + "\n\n" + _aligned(header, body)
 
 
 def _cmd_simulate(args) -> int:

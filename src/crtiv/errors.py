@@ -94,6 +94,10 @@ class BracketFailure(NumericFailure):
     """Root bracketing for the adherence intercept failed."""
 
 
+class ScreenExhausted(NumericFailure):
+    """The weak-instrument screen rejected too many attempts to fill a study."""
+
+
 # --- CSV ingestion ----------------------------------------------------------
 
 class SchemaMismatch(ValidationFailure):

@@ -9,8 +9,14 @@ means exactly.
 Standard errors for the second stage are built from structural residuals,
 i.e. residuals formed with the *actual* adherence fractions rather than the
 first-stage fitted values.  Plugging stage-two OLS residuals into the usual
-formulas understates the variance, which is why :class:`~crtiv.wls.DesignFit`
-covariances are rebuilt here instead of reused.
+formulas understates the variance, so the two-stage fit reads only the
+stage-two ``xtwx_inv`` of its :class:`~crtiv.wls.DesignFit` and builds both
+covariances itself; neither stage's own covariances are ever formed.
+
+:func:`fit_grid` is the one loop over an estimation grid, shared by the
+command line and the Monte Carlo runner.  SE and df mode only post-process a
+fit, so it solves once per (outcome, w-adjust, weights) group and fans each
+solve out to its cells; :func:`tsls` and :func:`itt` are its one-cell case.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.
@@ -20,13 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import collapse, wls
 from .errors import (
     CovariateShapeMismatch,
+    CrtivError,
     EmptyArm,
     MissingIcc,
     WeakDenominator,
@@ -35,6 +43,7 @@ from .errors import (
 from .model import (
     AnalysisOptions,
     ClusterSummary,
+    DfMode,
     LateFit,
     OutcomeKind,
     SeMode,
@@ -70,7 +79,6 @@ def _summary_arrays(summaries: Sequence[ClusterSummary], need_w: bool):
     y = np.array([s.y_bar for s in summaries], dtype=float)
     d = np.array([s.d_bar for s in summaries], dtype=float)
     z = np.array([s.z for s in summaries], dtype=float)
-    sizes = np.array([s.n for s in summaries], dtype=float)
     w_mat = None
     if need_w:
         widths = {len(s.w) for s in summaries}
@@ -79,7 +87,7 @@ def _summary_arrays(summaries: Sequence[ClusterSummary], need_w: bool):
                 "cluster covariates must be present, with equal length, for every cluster"
             )
         w_mat = np.array([s.w for s in summaries], dtype=float)
-    return y, d, z, sizes, w_mat
+    return y, d, z, w_mat
 
 
 def resolve_weights(
@@ -118,30 +126,12 @@ def itt(
     icc: float | None = None,
 ) -> LateFit:
     """Assignment-effect regression of the outcome summary on assignment."""
-    y, _, z, _, w_mat = _summary_arrays(summaries, options.adjust_w)
-    weights = resolve_weights(summaries, options, icc)
-    fit = wls.fit_wls(_design(z, w_mat), y, weights)
-    cov = fit.cov_robust if options.se_mode is SeMode.HUBER_WHITE else fit.cov_model
-    se = math.sqrt(max(0.0, float(cov[1, 1])))
-    estimate = float(fit.coefficients[1])
-    ci_low, ci_high, p_value, df = wls.inference(
-        estimate, se, options.df_mode, len(summaries), fit.n_params
-    )
-    return LateFit(
-        estimate=estimate,
-        se=se,
-        ci=(ci_low, ci_high),
-        p=p_value,
-        df=df,
-        first_stage_f=None,
-        n_clusters=len(summaries),
-        options_used=options,
-    )
+    return late_fit(_fit_cell(summaries, options, icc, "itt"), options, len(summaries))
 
 
 def wald_late(summaries: Sequence[ClusterSummary]) -> float:
     """Ratio of unweighted arm-mean differences of outcome and adherence."""
-    y, d, z, _, _ = _summary_arrays(summaries, need_w=False)
+    y, d, z, _ = _summary_arrays(summaries, need_w=False)
     treated = z == 1.0
     if not treated.any() or treated.all():
         raise EmptyArm("both arms required for the ratio estimator")
@@ -156,7 +146,7 @@ def first_stage_f(summaries: Sequence[ClusterSummary]) -> float:
     """Screening F: squared t-ratio of assignment in the unadjusted,
     unweighted first stage, with model-based SE and (1, J-2) degrees of
     freedom.  Deterministic adherence (zero residuals) returns ``inf``."""
-    _, d, z, _, _ = _summary_arrays(summaries, need_w=False)
+    _, d, z, _ = _summary_arrays(summaries, need_w=False)
     fit = wls.fit_wls(_design(z, None), d)
     gamma_z = float(fit.coefficients[1])
     # Treat residuals at rounding-noise level as identically zero; adherence
@@ -167,10 +157,13 @@ def first_stage_f(summaries: Sequence[ClusterSummary]) -> float:
     return (gamma_z / se) ** 2
 
 
-def _two_stage(summaries, options, icc):
-    y, d, z, _, w_mat = _summary_arrays(summaries, options.adjust_w)
-    weights = resolve_weights(summaries, options, icc)
+def _group_inputs(summaries, options, icc):
+    return *_summary_arrays(summaries, options.adjust_w), resolve_weights(summaries, options, icc)
 
+
+def _two_stage(y, d, z, w_mat, weights):
+    """Both stages for one group: the internals, and the group solve
+    ``(estimate, cov_model, cov_robust, n_params)`` its grid cells share."""
     stage1 = wls.fit_wls(_design(z, w_mat), d, weights)
     gamma = stage1.coefficients
     if abs(float(gamma[1])) < _RELEVANCE_TOL:
@@ -182,15 +175,14 @@ def _two_stage(summaries, options, icc):
     beta = stage2.coefficients
 
     structural = y - _design(d, w_mat) @ beta
-    n_clusters, n_params = len(summaries), stage2.n_params
+    n_clusters, n_params = len(y), stage2.n_params
     sigma2 = (
         float(weights @ structural**2) / (n_clusters - n_params)
         if n_clusters > n_params
         else 0.0
     )
     cov_model = sigma2 * stage2.xtwx_inv
-    rows = fitted_design * (weights * structural)[:, None]
-    cov_robust = stage2.xtwx_inv @ (rows.T @ rows) @ stage2.xtwx_inv
+    cov_robust = wls.sandwich(stage2.xtwx_inv, fitted_design, weights * structural)
 
     internals = TslsInternals(
         gamma0=float(gamma[0]),
@@ -202,7 +194,101 @@ def _two_stage(summaries, options, icc):
         first_stage_fitted=d_hat,
         structural_residuals=structural,
     )
-    return internals, cov_model, cov_robust, n_params
+    return internals, (internals.beta_iv, cov_model, cov_robust, n_params)
+
+
+def _assignment(y, d, z, w_mat, weights):
+    """The assignment-effect regression as a group solve."""
+    fit = wls.fit_wls(_design(z, w_mat), y, weights)
+    return float(fit.coefficients[1]), fit.cov_model, fit.cov_robust, fit.n_params
+
+
+class CellFit(NamedTuple):
+    """One grid cell: estimate, standard error, two-sided 95% critical value,
+    and the parameter count behind the small-sample degrees of freedom."""
+
+    estimate: float
+    se: float
+    crit: float
+    n_params: int
+
+
+@lru_cache(maxsize=None)
+def _critical_value(df_mode: DfMode, n_clusters: int, n_params: int) -> float:
+    crit, _ = wls.critical_value(df_mode, n_clusters, n_params)
+    return crit
+
+
+def fit_grid(
+    outcomes: Mapping[Hashable, Sequence[ClusterSummary]],
+    cells: Sequence[tuple[Hashable, AnalysisOptions]],
+    icc: Mapping[Hashable, float] | None = None,
+    estimator: str = "late",
+) -> list[CellFit | CrtivError]:
+    """Fit every ``(outcome, options)`` cell of an estimation grid.
+
+    ``outcomes`` maps each outcome key to its cluster summaries, ``icc`` to
+    the ICC estimate behind minimum-variance weights (used when
+    ``options.icc`` is unset).  ``estimator`` is ``"late"`` (two-stage least
+    squares) or ``"itt"`` (assignment-effect regression).  The regression
+    runs once per (outcome, w-adjust, weights) group; each cell then picks
+    its covariance and its critical value.
+
+    The result lines up with ``cells``.  A cell whose fit raises a package
+    error holds that error instead, so the caller can raise or count it
+    without losing the other cells.  Other exceptions propagate.
+    """
+    solve = _assignment if estimator == "itt" else lambda *inputs: _two_stage(*inputs)[1]
+    icc = icc or {}
+    groups: dict[tuple, tuple | CrtivError] = {}
+    fits: list[CellFit | CrtivError] = []
+    for outcome, options in cells:
+        summaries = outcomes[outcome]
+        key = (outcome, options.adjust_w, options.weights, options.icc)
+        if key not in groups:
+            try:
+                groups[key] = solve(*_group_inputs(summaries, options, icc.get(outcome)))
+            except CrtivError as exc:
+                groups[key] = exc
+        if isinstance(groups[key], CrtivError):
+            fits.append(groups[key])
+            continue
+        estimate, cov_model, cov_robust, n_params = groups[key]
+        cov = cov_robust if options.se_mode is SeMode.HUBER_WHITE else cov_model
+        se = math.sqrt(max(0.0, float(cov[1, 1])))
+        try:
+            crit = _critical_value(options.df_mode, len(summaries), n_params)
+        except CrtivError as exc:
+            fits.append(exc)
+            continue
+        fits.append(CellFit(estimate, se, crit, n_params))
+    return fits
+
+
+def _fit_cell(summaries, options, icc, estimator) -> CellFit:
+    (fit,) = fit_grid({None: summaries}, [(None, options)], {None: icc}, estimator)
+    if isinstance(fit, CrtivError):
+        raise fit
+    return fit
+
+
+def late_fit(
+    cell: CellFit, options: AnalysisOptions, n_clusters: int, first_stage_f: float | None = None
+) -> LateFit:
+    """Interval and p-value of one grid cell under ``options.df_mode``."""
+    ci_low, ci_high, p_value, df = wls.inference(
+        cell.estimate, cell.se, options.df_mode, n_clusters, cell.n_params
+    )
+    return LateFit(
+        estimate=cell.estimate,
+        se=cell.se,
+        ci=(ci_low, ci_high),
+        p=p_value,
+        df=df,
+        first_stage_f=first_stage_f,
+        n_clusters=n_clusters,
+        options_used=options,
+    )
 
 
 def tsls_system(
@@ -211,7 +297,7 @@ def tsls_system(
     icc: float | None = None,
 ) -> TslsInternals:
     """Coefficients, fitted values, and structural residuals of both stages."""
-    internals, _, _, _ = _two_stage(summaries, options, icc)
+    internals, _ = _two_stage(*_group_inputs(summaries, options, icc))
     return internals
 
 
@@ -220,7 +306,7 @@ def tsls(
     options: AnalysisOptions,
     icc: float | None = None,
 ) -> LateFit:
-    """Two-stage least squares on cluster summaries.
+    """Two-stage least squares on cluster summaries: the one-cell grid.
 
     Stage one regresses the adherence fraction on assignment, stage two the
     outcome summary on the fitted adherence, with identical weights in both
@@ -229,44 +315,31 @@ def tsls(
     ``options.df_mode`` with degrees of freedom ``J - p``, ``p`` counting
     second-stage parameters only.
     """
-    internals, cov_model, cov_robust, n_params = _two_stage(summaries, options, icc)
-    cov = cov_robust if options.se_mode is SeMode.HUBER_WHITE else cov_model
-    se = math.sqrt(max(0.0, float(cov[1, 1])))
-    estimate = internals.beta_iv
-    ci_low, ci_high, p_value, df = wls.inference(
-        estimate, se, options.df_mode, len(summaries), n_params
-    )
-    return LateFit(
-        estimate=estimate,
-        se=se,
-        ci=(ci_low, ci_high),
-        p=p_value,
-        df=df,
-        first_stage_f=first_stage_f(summaries),
-        n_clusters=len(summaries),
-        options_used=options,
-    )
+    cell = _fit_cell(summaries, options, icc, "late")
+    return late_fit(cell, options, len(summaries), first_stage_f(summaries))
+
+
+def outcome_summaries(dataset: TrialDataset, x_columns: Sequence[int] | None):
+    """Summaries of one outcome variant plus the record-level values behind them.
+
+    ``x_columns`` selects individual-level covariates for the adjusted
+    outcome summary; ``None`` keeps the raw means.  The values (raw outcomes
+    or the adjustment residuals) are what the ICC backing minimum-variance
+    weights is estimated from.
+    """
+    if x_columns is None:
+        return collapse.cluster_means(dataset), dataset.columns().y
+    if dataset.outcome_kind is OutcomeKind.BINARY:
+        values = collapse.binary_residuals(dataset, x_columns)
+    else:
+        values = collapse.continuous_residuals(dataset, x_columns)
+    return collapse.summaries_from_values(dataset, values), values
 
 
 def _prepared_inputs(dataset, options, x_columns):
-    """Summaries plus an ICC estimate (when needed) for one dataset fit.
-
-    ``x_columns`` selects individual-level covariates for the adjusted
-    outcome summary; ``None`` keeps the raw means.  The ICC backing
-    minimum-variance weights is re-estimated from whichever outcome variant
-    is analysed: raw outcomes or the individual-level adjustment residuals.
-    """
+    """Summaries plus an ICC estimate (when needed) for one dataset fit."""
     validate(dataset)
-    if x_columns is None:
-        summaries = collapse.cluster_means(dataset)
-        icc_values = dataset.columns().y
-    elif dataset.outcome_kind is OutcomeKind.BINARY:
-        icc_values = collapse.binary_residuals(dataset, x_columns)
-        summaries = collapse.summaries_from_values(dataset, icc_values)
-    else:
-        icc_values = collapse.continuous_residuals(dataset, x_columns)
-        summaries = collapse.summaries_from_values(dataset, icc_values)
-
+    summaries, icc_values = outcome_summaries(dataset, x_columns)
     icc = None
     if options.weights is Weights.MIN_VARIANCE and options.icc is None:
         icc = collapse.anova_icc(icc_values, dataset.columns().codes).rho

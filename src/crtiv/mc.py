@@ -18,15 +18,18 @@ import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import collapse, iv, wls
+from . import collapse, iv
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_weak_instrument
-from .errors import CrtivError
+from .errors import CrtivError, ScreenExhausted
 from .model import AnalysisOptions, DfMode, SeMode, Weights
+
+# Attempts allowed per requested replicate before a study gives up on a
+# scenario whose weak-instrument screen (almost) never passes.
+_MAX_ATTEMPTS_PER_REPLICATE = 1000
 
 
 class ClOutcome(enum.Enum):
@@ -135,12 +138,6 @@ def coverage_and_mce(estimates, ses, crit_values, truth: float) -> tuple[float, 
     return coverage, math.sqrt(0.95 * 0.05 / estimates.size)
 
 
-@lru_cache(maxsize=None)
-def _critical_value(df_mode: DfMode, n_clusters: int, n_params: int) -> float:
-    crit, _ = wls.critical_value(df_mode, n_clusters, n_params)
-    return crit
-
-
 def _replicate_seed(master_seed: int, attempt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(attempt)))
 
@@ -157,41 +154,26 @@ def fit_variants(
     degenerate replicate.
     """
     dataset = trial.dataset
-    summaries = {ClOutcome.UNADJUSTED: collapse.cluster_means(dataset)}
-    icc_values = {ClOutcome.UNADJUSTED: dataset.columns().y}
-    if any(v.cl_outcome is ClOutcome.ADJUSTED_FOR_X for v in variants):
-        residuals = collapse.continuous_residuals(dataset, x_columns)
-        summaries[ClOutcome.ADJUSTED_FOR_X] = collapse.summaries_from_values(
-            dataset, residuals
+    outcomes, icc = {}, {}
+    for cl_outcome in ClOutcome:
+        weights = {v.weights for v in variants if v.cl_outcome is cl_outcome}
+        if not weights:
+            continue
+        adjusted = cl_outcome is ClOutcome.ADJUSTED_FOR_X
+        outcomes[cl_outcome], values = iv.outcome_summaries(
+            dataset, x_columns if adjusted else None
         )
-        icc_values[ClOutcome.ADJUSTED_FOR_X] = residuals
-
-    icc_cache: dict[ClOutcome, float] = {}
-    results: dict[VariantKey, tuple[float, float, float] | None] = {}
-    n_clusters = len(summaries[ClOutcome.UNADJUSTED])
-    for variant in variants:
-        icc = None
-        if variant.weights is Weights.MIN_VARIANCE:
-            if variant.cl_outcome not in icc_cache:
-                icc_cache[variant.cl_outcome] = collapse.anova_icc(
-                    icc_values[variant.cl_outcome], dataset.columns().codes
-                ).rho
-            icc = icc_cache[variant.cl_outcome]
-        options = AnalysisOptions(
-            weights=variant.weights,
-            se_mode=variant.se_mode,
-            df_mode=variant.df_mode,
-            adjust_w=variant.adjust_w,
-        )
-        try:
-            fit = iv.tsls(summaries[variant.cl_outcome], options, icc=icc)
-            crit = _critical_value(
-                variant.df_mode, n_clusters, 3 if variant.adjust_w else 2
-            )
-            results[variant] = (fit.estimate, fit.se, crit)
-        except CrtivError:
-            results[variant] = None
-    return results
+        if Weights.MIN_VARIANCE in weights:
+            icc[cl_outcome] = collapse.anova_icc(values, dataset.columns().codes).rho
+    cells = [
+        (v.cl_outcome, AnalysisOptions(v.weights, v.se_mode, v.df_mode, v.adjust_w))
+        for v in variants
+    ]
+    fits = iv.fit_grid(outcomes, cells, icc)
+    return {
+        v: None if isinstance(fit, CrtivError) else (fit.estimate, fit.se, fit.crit)
+        for v, fit in zip(variants, fits)
+    }
 
 
 def _evaluate_attempt(args):
@@ -214,7 +196,9 @@ def run_study(
 
     Attempts are generated, screened, and fitted in index order; speculative
     attempts evaluated past the last retained index (which parallel execution
-    produces) are discarded uncounted.
+    produces) are discarded uncounted.  A scenario whose screen keeps fewer
+    than ``n_replicates`` datasets in ``1000 * n_replicates`` attempts raises
+    :class:`~crtiv.errors.ScreenExhausted` rather than running on.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
@@ -243,21 +227,28 @@ def run_study(
             else:
                 per_variant[variant].append(row)
 
+    max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
     if threads <= 1:
-        while retained < n_replicates:
+        while retained < n_replicates and attempt < max_attempts:
             consume(_evaluate_attempt((config, master_seed, attempt, variants, x_columns)))
             attempt += 1
     else:
         block = max(4 * threads, 32)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            while retained < n_replicates:
-                indices = range(attempt, attempt + block)
+            while retained < n_replicates and attempt < max_attempts:
+                indices = range(attempt, min(attempt + block, max_attempts))
                 args = [(config, master_seed, i, variants, x_columns) for i in indices]
                 for outcome in pool.map(_evaluate_attempt, args, chunksize=4):
                     attempt += 1
                     consume(outcome)
                     if retained >= n_replicates:
                         break
+
+    if retained < n_replicates:
+        raise ScreenExhausted(
+            f"weak-instrument screen kept {retained} of {attempt} attempts "
+            f"(acceptance rate {retained / attempt:.3g}), {n_replicates} replicates wanted"
+        )
 
     truth = config.beta_cz
     aggregated = {}

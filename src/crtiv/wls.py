@@ -2,18 +2,21 @@
 
 This is the shared regression core for the assignment-effect and two-stage
 fits.  Solves go through a QR factorisation of the sqrt-weight-scaled design;
-rank is judged from the R diagonal at a relative threshold of 1e-10.  Both
-covariance estimates are always computed: the model-based one uses
-``sigma2 = sum(w r^2) / (n - p)`` so results line up with conventional GLS
-output, and the robust one is the plain HC0 sandwich with no small-sample
-residual inflation (small-sample behaviour is handled separately through the
-degrees-of-freedom mode at inference time).
+rank is judged from the R diagonal at a relative threshold of 1e-10.  A fit
+returns coefficients and residuals; its covariance estimates are built from
+the stored R factor the first time a caller reads them, so a fit whose
+covariances nobody reads (a first stage) never forms them.  The model-based
+covariance uses ``sigma2 = sum(w r^2) / (n - p)`` so results line up with
+conventional GLS output, and the robust one is the plain HC0 sandwich with no
+small-sample residual inflation (small-sample behaviour is handled separately
+through the degrees-of-freedom mode at inference time).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,17 +36,37 @@ class DesignFit:
 
     ``cov_model`` is the homoscedastic GLS covariance, ``cov_robust`` the HC0
     sandwich; ``xtwx_inv`` is kept so callers can rebuild covariances from
-    their own residual definitions (the two-stage fit needs this).
+    their own residual definitions (the two-stage fit needs this).  All three
+    are computed from ``r``, the R factor of the sqrt-weight-scaled design,
+    on first access.
     """
 
     coefficients: np.ndarray
-    cov_model: np.ndarray
-    cov_robust: np.ndarray
     residuals: np.ndarray
-    xtwx_inv: np.ndarray
     n_obs: int
     n_params: int
     weights_used: np.ndarray
+    design: np.ndarray
+    r: np.ndarray
+
+    @cached_property
+    def _bread(self) -> np.ndarray:
+        r_inv = solve_triangular(self.r, np.eye(self.n_params))
+        return r_inv @ r_inv.T
+
+    @cached_property
+    def xtwx_inv(self) -> np.ndarray:
+        return _symmetrize(self._bread)
+
+    @cached_property
+    def cov_model(self) -> np.ndarray:
+        n, p = self.n_obs, self.n_params
+        sigma2 = float(self.weights_used @ self.residuals**2) / (n - p) if n > p else 0.0
+        return _symmetrize(sigma2 * self._bread)
+
+    @cached_property
+    def cov_robust(self) -> np.ndarray:
+        return _symmetrize(sandwich(self._bread, self.design, self.weights_used * self.residuals))
 
 
 def fit_wls(design, response, weights=None) -> DesignFit:
@@ -90,25 +113,21 @@ def fit_wls(design, response, weights=None) -> DesignFit:
         raise RankDeficient("design matrix is rank deficient")
 
     coefficients = solve_triangular(r, q.T @ (sqrt_w * response))
-    residuals = response - design @ coefficients
-    r_inv = solve_triangular(r, np.eye(p))
-    xtwx_inv = r_inv @ r_inv.T
-
-    sigma2 = float(weights @ residuals**2) / (n - p) if n > p else 0.0
-    cov_model = sigma2 * xtwx_inv
-    scaled_rows = design * (weights * residuals)[:, None]
-    cov_robust = xtwx_inv @ (scaled_rows.T @ scaled_rows) @ xtwx_inv
-
     return DesignFit(
         coefficients=coefficients,
-        cov_model=_symmetrize(cov_model),
-        cov_robust=_symmetrize(cov_robust),
-        residuals=residuals,
-        xtwx_inv=_symmetrize(xtwx_inv),
+        residuals=response - design @ coefficients,
         n_obs=n,
         n_params=p,
         weights_used=weights,
+        design=design,
+        r=r,
     )
+
+
+def sandwich(bread, design, scores) -> np.ndarray:
+    """``bread @ X'diag(s^2)X @ bread`` for per-row scores ``s`` (unsymmetrised)."""
+    rows = design * scores[:, None]
+    return bread @ (rows.T @ rows) @ bread
 
 
 def _symmetrize(a):

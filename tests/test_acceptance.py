@@ -1,10 +1,13 @@
 """Acceptance suite.
 
 Each test prints one PASS/FAIL line per criterion (run with ``-s`` to see
-them on success).  Criterion 5 is known-red: its documented 40%-below-15
-share contradicts the Pareto(shape 1.8, scale 9.1, floor 10) size
-distribution itself, which puts roughly 57% of sizes below 15 and 40% above;
-the check is asserted as stated rather than weakened.
+them on success).  Criterion 5 is known-red: its 40%-below-15 share
+conflicts with the default Pareto(shape 1.8, scale 9.1, floor 10) sizes that
+``test_dgp.py`` pins, which put roughly 57% of sizes below 15 and 40% above.
+The targets themselves can all be met (shape 2.4, scale 11.7, floor 10 gives
+mean 20.0, minimum 12 and about 40% below 15), so the conflict is between the
+pinned defaults and the target; the check is asserted as stated rather than
+weakened.
 """
 
 import csv

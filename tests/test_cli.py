@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from crtiv import cli
-from crtiv.collapse import cluster_means
+from crtiv.collapse import (
+    anova_icc,
+    cluster_means,
+    continuous_residuals,
+    summaries_from_values,
+)
 from crtiv.dgp import AdherenceLevel, PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
     NonConstantClusterCovariate,
     ParseError,
     SchemaMismatch,
 )
-from crtiv.iv import itt, tsls
+from crtiv.iv import first_stage_f, itt, tsls
 from crtiv.model import AnalysisOptions, DfMode, SeMode, Weights, validate
 
 
@@ -198,6 +203,43 @@ def test_analyze_rows_match_library_calls(tmp_path):
         assert float(row["p"]) == expected.p
 
 
+def test_adjusted_analyze_rows_match_library_calls(tmp_path):
+    trial = generate(ScenarioConfig(n_clusters=20, pi=0.7), seed=37)
+    data = tmp_path / "trial.csv"
+    cli.write_dataset_csv(trial.dataset, data)
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", str(data), "--output-dir", str(out)]
+    assert cli.main(argv + ["--adjust-w", "w_1", "--adjust-x", "x_1"]) == 0
+
+    dataset = validate(cli.ingest_csv(data))
+    residuals = continuous_residuals(dataset, (0,))
+    summaries = summaries_from_values(dataset, residuals)
+    rho = anova_icc(residuals, dataset.columns().codes).rho
+    f_stat = first_stage_f(summaries)
+    rows = read_rows(out / "analysis.csv")
+    assert len(rows) == 48
+    for row in rows:
+        options = AnalysisOptions(
+            weights=Weights(row["weights"]),
+            se_mode=SeMode(row["se_mode"]),
+            df_mode=DfMode(row["df_mode"]),
+            adjust_w=row["adjust_w"] == "1",
+        )
+        fitter = tsls if row["estimator"] == "late" else itt
+        expected = fitter(summaries, options, icc=rho)
+        assert row["cl_outcome"] == "adjusted_for_x"
+        assert float(row["estimate"]) == expected.estimate
+        assert float(row["se"]) == expected.se
+        assert (float(row["ci_low"]), float(row["ci_high"])) == expected.ci
+        assert float(row["p"]) == expected.p
+        assert float(row["df"]) == expected.df
+        if row["estimator"] == "late":
+            assert float(row["first_stage_f"]) == expected.first_stage_f == f_stat
+        else:
+            assert math.isnan(float(row["first_stage_f"]))
+        assert int(row["n_clusters"]) == expected.n_clusters == 20
+
+
 def test_analyze_with_w_and_x_adjustment(tmp_path):
     trial = generate(ScenarioConfig(n_clusters=24, pi=0.7), seed=33)
     data = tmp_path / "trial.csv"
@@ -381,3 +423,14 @@ def test_machine_format_roundtrips():
     values = [0.1, 1e-17, math.pi, -1234.5678901234567, float("inf")]
     for v in values:
         assert float(cli._machine(v)) == v
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("sizes = pareto\npareto_shape = wide\n", "wide"), ("clusters = 1e400\n", "infinity")],
+)
+def test_scenario_bad_numbers_are_schema_errors(tmp_path, text, message):
+    scenario = tmp_path / "scn.txt"
+    scenario.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaMismatch, match=message):
+        cli.read_scenario(scenario)

@@ -2,18 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from crtiv.dgp import AdherenceLevel, PoissonSizes, ScenarioConfig
+from crtiv import collapse, iv, mc, wls
+from crtiv.dgp import (
+    AdherenceLevel,
+    PoissonSizes,
+    ScenarioConfig,
+    generate,
+    screen_weak_instrument,
+)
+from crtiv.errors import CrtivError, DfNonPositive, ScreenExhausted
 from crtiv.mc import (
     ClOutcome,
     VariantKey,
     bias_and_mce,
     coverage_and_mce,
+    fit_variants,
     run_study,
     variant_grid,
 )
-from crtiv.model import DfMode, SeMode, Weights
+from crtiv.model import AnalysisOptions, DfMode, SeMode, Weights
 
 FAST_CONFIG = ScenarioConfig(
     adherence=AdherenceLevel.CLUSTER,
@@ -147,3 +158,114 @@ def test_retained_replicates_all_pass_the_screen():
     assert len(retained) == report.n_replicates
     assert len(f_stats) - len(retained) == report.rejected_weak
     assert min(retained) >= 10.0
+
+
+def test_full_grid_study_same_for_one_and_two_workers():
+    sequential = run_study(FAST_CONFIG, n_replicates=6, master_seed=21)
+    threaded = run_study(FAST_CONFIG, n_replicates=6, master_seed=21, threads=2)
+    assert len(sequential.variants) == 48
+    assert sequential == threaded
+
+
+# A screen that never passes: with adherence this rare no cluster complies,
+# the first stage is flat, and F is 0.
+NEVER_ADHERES = ScenarioConfig(n_clusters=4, sizes=PoissonSizes(5.0), pi=1e-9)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_study_gives_up_when_the_screen_never_passes(monkeypatch, threads):
+    monkeypatch.setattr(mc, "_MAX_ATTEMPTS_PER_REPLICATE", 10)
+    with pytest.raises(ScreenExhausted, match=r"kept 0 of 30 attempts \(acceptance rate 0\)"):
+        run_study(NEVER_ADHERES, n_replicates=3, variants=ONE_VARIANT, threads=threads)
+
+
+def test_simulate_cli_exits_3_when_the_screen_never_passes(monkeypatch, tmp_path, capsys):
+    from crtiv import cli
+
+    monkeypatch.setattr(mc, "_MAX_ATTEMPTS_PER_REPLICATE", 5)
+    scenario = tmp_path / "scn.txt"
+    scenario.write_text("clusters = 4\npoisson_mean = 5\npi = 1e-9\n", encoding="utf-8")
+    argv = ["simulate", "--scenario", str(scenario), "--output-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--replicates", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("crtiv-error kind=numeric type=ScreenExhausted")
+    assert err.count("\n") == 1
+
+
+# --- grid fan-out: every cell equals its own one-cell fit ---------------------
+
+
+def per_cell_fit(trial, variant, x_columns=(0,)):
+    """(estimate, se, critical value) of one variant from ``iv.tsls`` alone."""
+    dataset = trial.dataset
+    if variant.cl_outcome is ClOutcome.UNADJUSTED:
+        values = dataset.columns().y
+        summaries = collapse.cluster_means(dataset)
+    else:
+        values = collapse.continuous_residuals(dataset, x_columns)
+        summaries = collapse.summaries_from_values(dataset, values)
+    icc = collapse.anova_icc(values, dataset.columns().codes).rho
+    options = AnalysisOptions(variant.weights, variant.se_mode, variant.df_mode, variant.adjust_w)
+    try:
+        fit = iv.tsls(summaries, options, icc=icc)
+        crit, _ = wls.critical_value(variant.df_mode, len(summaries), 3 if variant.adjust_w else 2)
+    except CrtivError:
+        return None
+    return fit.estimate, fit.se, crit
+
+
+GRID_CONFIG = ScenarioConfig(n_clusters=10, sizes=PoissonSizes(8.0))
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=SEEDS)
+def test_full_grid_cells_equal_per_cell_tsls(seed):
+    trial = generate(GRID_CONFIG, seed)
+    fits = fit_variants(trial, variant_grid())
+    assert list(fits) == list(variant_grid())
+    for variant, fit in fits.items():
+        assert fit == per_cell_fit(trial, variant), variant.label()
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS)
+def test_variant_subset_gives_the_full_grid_values(seed):
+    trial = generate(GRID_CONFIG, seed)
+    full = fit_variants(trial, variant_grid())
+    subset = [v for v in variant_grid() if v.weights is Weights.MIN_VARIANCE]
+    assert fit_variants(trial, subset) == {v: full[v] for v in subset}
+    reversed_order = subset[::-1]
+    assert fit_variants(trial, reversed_order) == {v: full[v] for v in reversed_order}
+
+
+THREE_CLUSTERS = ScenarioConfig(n_clusters=3, sizes=PoissonSizes(6.0))
+
+
+def no_residual_df(variant):
+    # J=3 clusters leave J - p = 0 degrees of freedom once w enters (p = 3).
+    return variant.adjust_w and variant.df_mode is DfMode.SMALL_SAMPLE
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=SEEDS)
+def test_failures_stay_in_their_own_cells(seed):
+    trial = generate(THREE_CLUSTERS, seed)
+    assume(screen_weak_instrument(trial))
+    fits = fit_variants(trial, variant_grid())
+    summaries = collapse.cluster_means(trial.dataset)
+    for variant, fit in fits.items():
+        assert (fit is None) == no_residual_df(variant), variant.label()
+        assert fit == per_cell_fit(trial, variant)
+        if no_residual_df(variant):
+            options = AnalysisOptions(Weights.NONE, variant.se_mode, variant.df_mode, True)
+            with pytest.raises(DfNonPositive):
+                iv.tsls(summaries, options)
+
+
+def test_failure_counts_follow_the_failing_cells():
+    report = run_study(THREE_CLUSTERS, n_replicates=4, master_seed=8)
+    for variant, result in report.variants.items():
+        expected = 4 if no_residual_df(variant) else 0
+        assert result.n_fit_failures == expected, variant.label()
+        assert result.n_fits == 4 - expected
