@@ -23,8 +23,10 @@ import csv
 import math
 import sys
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
+
+import numpy as np
 
 from . import collapse, iv, mc
 from .dgp import (
@@ -36,6 +38,7 @@ from .dgp import (
     generate,
 )
 from .errors import (
+    CovariateShapeMismatch,
     CrtivError,
     NonConstantClusterCovariate,
     NumericFailure,
@@ -45,13 +48,14 @@ from .errors import (
 )
 from .model import (
     AnalysisOptions,
+    Columns,
     DfMode,
-    IndividualRecord,
     OutcomeKind,
     SeMode,
     TrialDataset,
     Weights,
     validate,
+    whole_to_int,
 )
 
 _REQUIRED_COLUMNS = ("cluster_id", "z", "d", "y")
@@ -82,8 +86,21 @@ def csv_columns(path) -> tuple[list[str], list[str]]:
     )
 
 
+# Data rows are parsed this many at a time: enough for numpy to do the
+# per-cell work, few enough that only one block of raw text is held.
+_BLOCK_ROWS = 4096
+
+
 def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> TrialDataset:
     """Read an individual-level trial CSV into a (not yet validated) dataset.
+
+    Rows are tokenised by :mod:`csv` and converted a block at a time
+    straight into the dataset's columns: each numeric column of a block in
+    one numpy call (which accepts exactly the text ``float`` accepts),
+    cluster ids to integer codes in first-seen order, and the ``w_*``
+    values of each row checked against the first row of its cluster.  A
+    block with any fault is read again cell by cell, so the error reported
+    is the first one in file order, with its line number.
 
     Raises :class:`SchemaMismatch` for header problems,
     :class:`ParseError` (with the file line number) for malformed cells, and
@@ -107,40 +124,102 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
         if len(set(header)) != len(header):
             raise SchemaMismatch(f"{path}: duplicate column names")
 
-        position = {name: header.index(name) for name in header}
         x_names = [c for c in header if c.startswith("x_")]
         w_names = [c for c in header if c.startswith("w_")]
+        # Numeric columns in the order a row's cells are checked.
+        numeric = [(name, header.index(name)) for name in ["z", "d", "y", *x_names, *w_names]]
+        id_position = header.index("cluster_id")
+        n_w = len(w_names)
 
-        records = []
-        covariates: dict[str, tuple[float, ...]] = {}
-        first_seen_line: dict[str, int] = {}
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, found {len(row)}", line=line
+        code_of: dict[str, int] = {}  # cluster id -> code, in first-seen order
+        first_w = np.empty((0, n_w))  # w of each cluster's first row, by code
+        first_line: list[int] = []  # file line of each cluster's first row, by code
+        code_blocks, value_blocks = [], []
+        line = 2  # file line of the block's first row
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            n_known = len(first_line)  # clusters seen in earlier blocks
+            parsed = _bulk_values(block, len(header), id_position, [p for _, p in numeric])
+            if parsed is not None:
+                ids, values = parsed
+                for cid in dict.fromkeys(ids):
+                    code_of.setdefault(cid, len(code_of))
+                codes = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
+                w = values[len(numeric) - n_w :].T
+                seen, first_rows = np.unique(codes, return_index=True)
+                fresh = first_rows[seen >= n_known]
+                if fresh.size:
+                    first_w = np.concatenate([first_w, w[fresh]])
+                    first_line += (line + fresh).tolist()
+                if n_w and (w != first_w[codes]).any():
+                    parsed = None
+            if parsed is None:
+                earlier = zip(code_of, first_w[:n_known].tolist(), first_line[:n_known])
+                _raise_first_fault(
+                    block, line, len(header), id_position, numeric, n_w,
+                    {cid: (tuple(w_first), first) for cid, w_first, first in earlier},
                 )
-            cid = row[position["cluster_id"]]
-            z = _parse_binary(row[position["z"]], "z", line)
-            d = _parse_binary(row[position["d"]], "d", line)
-            y = _parse_float(row[position["y"]], "y", line)
-            x = tuple(_parse_float(row[position[c]], c, line) for c in x_names)
-            w = tuple(_parse_float(row[position[c]], c, line) for c in w_names)
-            if cid in covariates:
-                if covariates[cid] != w:
-                    raise NonConstantClusterCovariate(
-                        f"cluster {cid}: w columns differ between line "
-                        f"{first_seen_line[cid]} and line {line}"
-                    )
-            else:
-                covariates[cid] = w
-                first_seen_line[cid] = line
-            records.append(IndividualRecord(cid, z, d, y, x))
+            code_blocks.append(codes)
+            value_blocks.append(values)
+            line += len(block)
 
-    if not records:
+    if not code_of:
         raise SchemaMismatch(f"{path}: no data rows")
-    return TrialDataset(
-        records=records, cluster_covariates=covariates, outcome_kind=outcome_kind
+    ids = list(code_of)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[order] = np.arange(len(ids))
+    codes = rank[np.concatenate(code_blocks)]
+    values = np.concatenate(value_blocks, axis=1)
+    columns = Columns(
+        cluster_ids=tuple(ids[i] for i in order),
+        codes=codes,
+        z=values[0],
+        d=values[1],
+        y=values[2],
+        x=np.ascontiguousarray(values[3 : 3 + len(x_names)].T),
+        sizes=np.bincount(codes, minlength=len(ids)).astype(np.intp),
     )
+    return TrialDataset(
+        cluster_covariates=dict(zip(ids, map(tuple, first_w.tolist()))),
+        outcome_kind=outcome_kind,
+        columns=columns,
+    )
+
+
+def _bulk_values(block, n_fields: int, id_position: int, positions: list[int]):
+    """The cluster ids of a block and its numeric cells as a (columns x
+    rows) float array, or ``None`` when a row is ragged or a cell is not a
+    finite number."""
+    if set(map(len, block)) != {n_fields}:
+        return None
+    try:
+        values = np.array([[row[p] for row in block] for p in positions], dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return [row[id_position] for row in block], values
+
+
+def _raise_first_fault(block, line, n_fields, id_position, numeric, n_w, known):
+    """Read a faulty block row by row and raise its first fault.
+
+    ``line`` is the file line of the block's first row, ``numeric`` the
+    (name, position) of each numeric column in checking order, and
+    ``known`` maps the clusters of earlier blocks to their first ``w``
+    values and line.
+    """
+    for line, row in enumerate(block, start=line):
+        if len(row) != n_fields:
+            raise ParseError(f"expected {n_fields} fields, found {len(row)}", line=line)
+        values = [_parse_float(row[position], name, line) for name, position in numeric]
+        cid, w = row[id_position], tuple(values[len(values) - n_w :])
+        first_w, first_line = known.setdefault(cid, (w, line))
+        if first_w != w:
+            raise NonConstantClusterCovariate(
+                f"cluster {cid}: w columns differ between line {first_line} and line {line}"
+            )
+    raise AssertionError("a block failed the bulk parse but has no faulty row")
 
 
 def _parse_float(text: str, column: str, line: int) -> float:
@@ -151,11 +230,6 @@ def _parse_float(text: str, column: str, line: int) -> float:
     if not math.isfinite(value):
         raise ParseError(f"column {column!r}: non-finite value {text!r}", line=line)
     return value
-
-
-def _parse_binary(text: str, column: str, line: int):
-    value = _parse_float(text, column, line)
-    return int(value) if value.is_integer() else value
 
 
 # --- CSV output --------------------------------------------------------------
@@ -171,18 +245,35 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_dataset_csv(dataset: TrialDataset, path) -> None:
-    """Write a dataset in the ingestion schema (values round-trip exactly)."""
-    n_x = len(dataset.records[0].x) if dataset.records else 0
-    widths = {len(v) for v in dataset.cluster_covariates.values()}
-    n_w = widths.pop() if len(widths) == 1 else 0
+    """Write a dataset in the ingestion schema (values round-trip exactly).
+
+    Raises :class:`CovariateShapeMismatch`, before writing anything, when
+    the clusters' ``w`` vectors differ in length (a cluster missing from
+    ``cluster_covariates`` has length 0): the schema has one set of ``w_*``
+    columns for every row.
+    """
+    cols = dataset.columns()
+    w = [dataset.covariate_vector(cid) for cid in cols.cluster_ids]
+    widths = sorted({len(v) for v in w})
+    if len(widths) > 1:
+        raise CovariateShapeMismatch(
+            f"cluster covariate vectors have lengths {widths}; the CSV schema needs one length"
+        )
+    n_w = widths[0] if widths else 0
     header = (
         list(_REQUIRED_COLUMNS)
         + [f"w_{i + 1}" for i in range(n_w)]
-        + [f"x_{i + 1}" for i in range(n_x)]
+        + [f"x_{i + 1}" for i in range(cols.x.shape[1])]
     )
     rows = (
-        [r.cluster_id, str(r.z), str(r.d), r.y, *dataset.covariate_vector(r.cluster_id), *r.x]
-        for r in dataset.records
+        [cols.cluster_ids[c], z, d, y, *w[c], *x]
+        for c, z, d, y, x in zip(
+            cols.codes.tolist(),
+            whole_to_int(cols.z),
+            whole_to_int(cols.d),
+            cols.y.tolist(),
+            cols.x.tolist(),
+        )
     )
     _write_csv(path, header, rows)
 
@@ -199,8 +290,8 @@ def write_truth_sidecars(trial: GeneratedTrial, cluster_path, individual_path) -
     )
     _write_csv(cluster_path, ["cluster_id", "n", "n_compliers", "psi", "psi_cl"], clusters)
     individuals = (
-        [i, record.cluster_id, cls.value]
-        for i, (record, cls) in enumerate(zip(trial.dataset.records, trial.compliance))
+        [i, cols.cluster_ids[c], cls.value]
+        for i, (c, cls) in enumerate(zip(cols.codes.tolist(), trial.compliance))
     )
     _write_csv(individual_path, ["row", "cluster_id", "compliance"], individuals)
 
@@ -529,7 +620,7 @@ def _cmd_generate(args) -> int:
         scenario_echo(config, args.seed, 1), encoding="utf-8"
     )
     sys.stdout.write(
-        f"wrote {len(trial.dataset.records)} records in {config.n_clusters} clusters "
+        f"wrote {trial.dataset.n_records} records in {config.n_clusters} clusters "
         f"to {out / 'trial.csv'}\n"
     )
     return 0

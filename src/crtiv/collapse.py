@@ -1,12 +1,13 @@
 """Cluster-level summaries, covariate-adjusted outcomes, and ICC estimation.
 
-The summary step turns individual records into one row per cluster: the mean
-outcome, the fraction receiving active treatment, the cluster size, and any
-cluster-level covariates.  Individual-level covariates cannot enter the
-cluster-level regressions directly, so adjustment happens here instead: a
-single individual-level regression of the outcome on the selected covariates
-(no treatment terms, clustering ignored) is fitted, and the within-cluster
-means of its residuals replace the raw outcome means.  For binary outcomes
+The summary step turns the individual-level columns into one row per
+cluster: the mean outcome, the fraction receiving active treatment, the
+cluster size, and any cluster-level covariates.  Individual-level
+covariates cannot enter the cluster-level regressions directly, so
+adjustment happens here instead: a single individual-level regression of the
+outcome on the selected covariates (no treatment terms, clustering ignored)
+is fitted, and the within-cluster means of its residuals replace the raw
+outcome means.  For binary outcomes
 the regression is logistic and the residual is the observed-minus-predicted
 success count scaled by cluster size.
 
@@ -55,10 +56,13 @@ def cluster_means(dataset: TrialDataset) -> list[ClusterSummary]:
     """Collapse a dataset to unadjusted per-cluster summaries.
 
     Output is ordered lexicographically by cluster id and is invariant to the
-    order of the input records.
+    order of the input records.  The summaries are computed once per
+    dataset; later calls return a copy of the same list.
     """
-    cols = dataset.columns()
-    return _assemble(dataset, cluster_values=_cluster_means_of(cols.y, cols))
+    if dataset._cluster_means is None:
+        cols = dataset.columns()
+        dataset._cluster_means = _assemble(dataset, cluster_values=_cluster_means_of(cols.y, cols))
+    return list(dataset._cluster_means)
 
 
 def summaries_from_values(dataset: TrialDataset, values) -> list[ClusterSummary]:

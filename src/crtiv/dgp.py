@@ -31,11 +31,13 @@ from scipy.special import expit, logit
 
 from . import collapse, iv
 from .errors import BracketFailure, CrtivError
-from .model import ComplianceClass, Columns, IndividualRecord, OutcomeKind, TrialDataset
+from .model import ComplianceClass, Columns, OutcomeKind, TrialDataset
 
 _WEAK_F_THRESHOLD = 10.0
 _QUAD_POINTS = 64
 _CALIBRATION_TOL = 1e-8
+# The latent class of a 0/1 complier flag.
+_CLASS_OF_COMPLIER_FLAG = (ComplianceClass.NEVER_TAKER, ComplianceClass.COMPLIER)
 
 
 class AdherenceLevel(enum.Enum):
@@ -240,20 +242,10 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
 
     width = max(6, len(str(n_clusters - 1)))
     cluster_ids = tuple(f"c{i:0{width}d}" for i in range(n_clusters))
-    id_list = [cluster_ids[c] for c in codes.tolist()]
-    records = [
-        IndividualRecord(cid, zi, di, yi, (xi,))
-        for cid, zi, di, yi, xi in zip(
-            id_list, z.tolist(), d.tolist(), y.tolist(), x.tolist()
-        )
-    ]
     dataset = TrialDataset(
-        records=records,
         cluster_covariates={cid: (float(wj),) for cid, wj in zip(cluster_ids, w_cluster)},
         outcome_kind=OutcomeKind.CONTINUOUS,
-    )
-    dataset._seed_columns(
-        Columns(
+        columns=Columns(
             cluster_ids=cluster_ids,
             codes=codes,
             z=z.astype(float),
@@ -261,7 +253,7 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
             y=np.asarray(y, dtype=float),
             x=x.reshape(-1, 1),
             sizes=sizes,
-        )
+        ),
     )
 
     n_compliers = np.bincount(codes, weights=compliers, minlength=n_clusters)
@@ -274,13 +266,9 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
         psi = np.zeros(n_clusters)
         psi_cl = np.zeros(n_clusters)
 
-    compliance = tuple(
-        ComplianceClass.COMPLIER if c else ComplianceClass.NEVER_TAKER
-        for c in compliers.tolist()
-    )
     return GeneratedTrial(
         dataset=dataset,
-        compliance=compliance,
+        compliance=tuple(map(_CLASS_OF_COMPLIER_FLAG.__getitem__, compliers.tolist())),
         true_population_late=config.beta_cz,
         true_cl_late=config.beta_cz,
         psi=psi,

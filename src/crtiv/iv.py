@@ -16,7 +16,9 @@ covariances itself; neither stage's own covariances are ever formed.
 :func:`fit_grid` is the one loop over an estimation grid, shared by the
 command line and the Monte Carlo runner.  SE and df mode only post-process a
 fit, so it solves once per (outcome, w-adjust, weights) group and fans each
-solve out to its cells; :func:`tsls` and :func:`itt` are its one-cell case.
+solve out to its cells; groups whose first stages have identical inputs
+share one first-stage solve.  :func:`tsls` and :func:`itt` are its one-cell
+case.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.
@@ -161,11 +163,15 @@ def _group_inputs(summaries, options, icc):
     return *_summary_arrays(summaries, options.adjust_w), resolve_weights(summaries, options, icc)
 
 
-def _two_stage(y, d, z, w_mat, weights):
-    """Both stages for one group: the internals, and the group solve
-    ``(estimate, cov_model, cov_robust, n_params)`` its grid cells share."""
-    stage1 = wls.fit_wls(_design(z, w_mat), d, weights)
-    gamma = stage1.coefficients
+def _stage_one(d, z, w_mat, weights) -> np.ndarray:
+    """First-stage coefficients: adherence fraction on assignment (and w)."""
+    return wls.fit_wls(_design(z, w_mat), d, weights).coefficients
+
+
+def _two_stage(y, d, z, w_mat, weights, gamma):
+    """Stage two on the first-stage coefficients ``gamma``: the internals,
+    and the group solve ``(estimate, cov_model, cov_robust, n_params)`` its
+    grid cells share."""
     if abs(float(gamma[1])) < _RELEVANCE_TOL:
         raise WeakDenominator("first-stage assignment coefficient is numerically zero")
     d_hat = _design(z, w_mat) @ gamma
@@ -238,7 +244,18 @@ def fit_grid(
     error holds that error instead, so the caller can raise or count it
     without losing the other cells.  Other exceptions propagate.
     """
-    solve = _assignment if estimator == "itt" else lambda *inputs: _two_stage(*inputs)[1]
+    first_stages: dict[tuple, np.ndarray] = {}
+
+    def late(y, d, z, w_mat, weights):
+        # Stage one never sees the outcome: outcome variants with the same
+        # d, z, w and weights (all but estimated minimum-variance weights)
+        # share one first-stage solve.
+        key = tuple(None if a is None else a.tobytes() for a in (d, z, w_mat, weights))
+        if key not in first_stages:
+            first_stages[key] = _stage_one(d, z, w_mat, weights)
+        return _two_stage(y, d, z, w_mat, weights, first_stages[key])[1]
+
+    solve = _assignment if estimator == "itt" else late
     icc = icc or {}
     groups: dict[tuple, tuple | CrtivError] = {}
     fits: list[CellFit | CrtivError] = []
@@ -297,7 +314,8 @@ def tsls_system(
     icc: float | None = None,
 ) -> TslsInternals:
     """Coefficients, fitted values, and structural residuals of both stages."""
-    internals, _ = _two_stage(*_group_inputs(summaries, options, icc))
+    y, d, z, w_mat, weights = _group_inputs(summaries, options, icc)
+    internals, _ = _two_stage(y, d, z, w_mat, weights, _stage_one(d, z, w_mat, weights))
     return internals
 
 

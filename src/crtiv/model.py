@@ -1,15 +1,20 @@
 """Domain types shared across the package.
 
 Everything here is immutable after construction and safe to share between
-concurrent workers.  A trial is a flat list of individual records grouped by
-an opaque string cluster identifier; all deterministic output orders clusters
-lexicographically by that identifier.
+concurrent workers.  A trial is stored column by column (:class:`Columns`):
+one array each for assignment, treatment received and outcome, a matrix of
+individual-level covariates, and an integer code per record naming its
+cluster.  Clusters are opaque string identifiers, and all deterministic
+output orders them lexicographically (by code point).  Cluster-level
+covariates are a mapping with one entry per cluster.  Individual records
+exist only at the edge of the API, for building or reading a dataset row by
+row.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -63,7 +68,11 @@ class ComplianceClass(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class IndividualRecord:
     """One participant: assignment ``z``, treatment received ``d``, outcome
-    ``y``, and an optional vector of individual-level covariates ``x``."""
+    ``y``, and an optional vector of individual-level covariates ``x``.
+
+    Records are the row-wise view of a :class:`TrialDataset`, for building
+    small datasets by hand and for reading one back.
+    """
 
     cluster_id: str
     z: int
@@ -73,11 +82,13 @@ class IndividualRecord:
 
 
 class Columns(NamedTuple):
-    """Columnar view of a dataset, cached on first use.
+    """The stored form of a trial: one array per individual-level variable.
 
-    ``cluster_ids`` is lexicographically sorted and ``codes`` maps each record
+    ``cluster_ids`` is sorted by code point and ``codes`` maps each record
     to its position in that ordering, so per-cluster reductions are cheap
-    vectorised segment operations.
+    vectorised segment operations.  ``z``, ``d`` and ``y`` are float arrays
+    of length n, ``x`` is an n x k float matrix (k may be 0), and ``sizes``
+    counts the records of each cluster.
     """
 
     cluster_ids: tuple[str, ...]
@@ -89,66 +100,107 @@ class Columns(NamedTuple):
     sizes: np.ndarray
 
 
-@dataclass(frozen=True)
 class TrialDataset:
-    """Individual-level trial data grouped by cluster.
+    """Individual-level trial data grouped by cluster, stored as columns.
 
     Parameters
     ----------
-    records : sequence of IndividualRecord
+    records : sequence of IndividualRecord, converted to columns once; give
+        either this or ``columns``.
     cluster_covariates : mapping from cluster id to a tuple of cluster-level
         covariate values; clusters absent from the mapping carry an empty
         vector.
     outcome_kind : whether ``y`` is continuous or 0/1.
+    columns : the arrays themselves, as the CSV reader and the data
+        generator build them.
+
+    Construction does not check the data; :func:`validate` does.  The
+    dataset is not modified after construction: ``records`` is built from
+    the columns on first use, and the unadjusted cluster summaries are kept
+    by :func:`crtiv.collapse.cluster_means` once computed.
     """
 
-    records: tuple[IndividualRecord, ...]
-    cluster_covariates: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
-    outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(
-            self,
-            "cluster_covariates",
-            {str(k): tuple(float(v) for v in vec) for k, vec in self.cluster_covariates.items()},
-        )
-        object.__setattr__(self, "_columns", None)
+    def __init__(
+        self,
+        records: Sequence[IndividualRecord] | None = None,
+        cluster_covariates: Mapping[str, Sequence[float]] | None = None,
+        outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS,
+        *,
+        columns: Columns | None = None,
+    ):
+        if (records is None) == (columns is None):
+            raise TypeError("TrialDataset needs exactly one of records and columns")
+        # Per-record x lengths of a ragged record list, for validate to report.
+        self._x_widths = None
+        if columns is None:
+            records = tuple(records)
+            columns, self._x_widths = _columns_from_records(records)
+        self._columns = columns
+        self._records = records
+        self._cluster_means = None
+        self.cluster_covariates = {
+            str(k): tuple(float(v) for v in vec) for k, vec in (cluster_covariates or {}).items()
+        }
+        self.outcome_kind = outcome_kind
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return len(self._columns.y)
 
     def columns(self) -> Columns:
-        """Return (and cache) the columnar view of the records."""
-        cached = self._columns
-        if cached is None:
-            cached = _build_columns(self.records)
-            object.__setattr__(self, "_columns", cached)
-        return cached
+        """The stored arrays."""
+        return self._columns
 
-    def _seed_columns(self, columns: Columns) -> None:
-        # Used by the data generator, which already holds the arrays.
-        object.__setattr__(self, "_columns", columns)
+    @property
+    def records(self) -> tuple[IndividualRecord, ...]:
+        """The dataset as records, in record order (built on first use)."""
+        if self._records is None:
+            cols = self._columns
+            self._records = tuple(
+                map(
+                    IndividualRecord,
+                    [cols.cluster_ids[c] for c in cols.codes.tolist()],
+                    whole_to_int(cols.z),
+                    whole_to_int(cols.d),
+                    cols.y.tolist(),
+                    map(tuple, cols.x.tolist()),
+                )
+            )
+        return self._records
 
     def covariate_vector(self, cluster_id: str) -> tuple[float, ...]:
         return self.cluster_covariates.get(cluster_id, ())
 
 
-def _build_columns(records: Sequence[IndividualRecord]) -> Columns:
-    ids = np.array([r.cluster_id for r in records])
-    cluster_ids, codes = np.unique(ids, return_inverse=True)
-    k = len(records[0].x) if records else 0
-    x = np.array([r.x for r in records], dtype=float).reshape(len(records), k)
-    return Columns(
-        cluster_ids=tuple(str(c) for c in cluster_ids),
-        codes=codes.astype(np.intp),
+def whole_to_int(values: np.ndarray) -> list:
+    """``values.tolist()`` with whole numbers as ``int``: 0/1 codes read back
+    and print as ``0`` and ``1``."""
+    return [int(v) if v.is_integer() else v for v in values.tolist()]
+
+
+def _columns_from_records(records: Sequence[IndividualRecord]):
+    ids = [r.cluster_id for r in records]
+    cluster_ids = sorted(set(ids))
+    position = {cid: i for i, cid in enumerate(cluster_ids)}
+    codes = np.array([position[cid] for cid in ids], dtype=np.intp)
+    widths = np.array([len(r.x) for r in records], dtype=np.intp)
+    k = int(widths[0]) if len(records) else 0
+    ragged = bool((widths != k).any())
+    if ragged:
+        # Never read: validate rejects the dataset first.
+        x = np.full((len(records), k), np.nan)
+    else:
+        x = np.array([r.x for r in records], dtype=float).reshape(len(records), k)
+    columns = Columns(
+        cluster_ids=tuple(cluster_ids),
+        codes=codes,
         z=np.array([r.z for r in records], dtype=float),
         d=np.array([r.d for r in records], dtype=float),
         y=np.array([r.y for r in records], dtype=float),
         x=x,
         sizes=np.bincount(codes, minlength=len(cluster_ids)).astype(np.intp),
     )
+    return columns, widths if ragged else None
 
 
 @dataclass(frozen=True)
@@ -222,29 +274,49 @@ def validate(dataset: TrialDataset) -> TrialDataset:
     EmptyArm
         fewer than one cluster in either arm.
     """
-    if not dataset.records:
+    cols = dataset.columns()
+    if not len(cols.y):
         raise EmptyArm("dataset has no records")
 
-    k = len(dataset.records[0].x)
-    for r in dataset.records:
-        if r.z not in (0, 1):
-            raise NonBinaryTreatment(f"assignment z={r.z!r} in cluster {r.cluster_id}")
-        if r.d not in (0, 1):
-            raise NonBinaryTreatment(f"treatment d={r.d!r} in cluster {r.cluster_id}")
-        if len(r.x) != k:
-            raise CovariateShapeMismatch(
-                f"record in cluster {r.cluster_id} has {len(r.x)} covariates, expected {k}"
-            )
-        if dataset.outcome_kind is OutcomeKind.BINARY and r.y not in (0.0, 1.0):
-            raise NonBinaryOutcomeForBinaryKind(
-                f"outcome y={r.y!r} in cluster {r.cluster_id}"
-            )
+    # Per-record checks, in the order they apply to each record; the first
+    # faulty record reports its first failing check.
+    k = cols.x.shape[1]
+    checks = [
+        (
+            (cols.z != 0) & (cols.z != 1),
+            NonBinaryTreatment,
+            lambda r: f"assignment z={r.z!r} in cluster {r.cluster_id}",
+        ),
+        (
+            (cols.d != 0) & (cols.d != 1),
+            NonBinaryTreatment,
+            lambda r: f"treatment d={r.d!r} in cluster {r.cluster_id}",
+        ),
+    ]
+    if dataset._x_widths is not None:
+        checks.append((
+            dataset._x_widths != k,
+            CovariateShapeMismatch,
+            lambda r: f"record in cluster {r.cluster_id} has {len(r.x)} covariates, expected {k}",
+        ))
+    if dataset.outcome_kind is OutcomeKind.BINARY:
+        checks.append((
+            (cols.y != 0) & (cols.y != 1),
+            NonBinaryOutcomeForBinaryKind,
+            lambda r: f"outcome y={r.y!r} in cluster {r.cluster_id}",
+        ))
+    faulty = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        for mask, error, message in checks:
+            if mask[i]:
+                raise error(message(dataset.records[i]))
 
-    cols = dataset.columns()
     z_sums = np.bincount(cols.codes, weights=cols.z, minlength=len(cols.cluster_ids))
-    for cid, total, size in zip(cols.cluster_ids, z_sums, cols.sizes):
-        if total not in (0.0, float(size)):
-            raise MixedAssignmentWithinCluster(f"cluster {cid} mixes z=0 and z=1")
+    mixed = (z_sums != 0) & (z_sums != cols.sizes)
+    if mixed.any():
+        cid = cols.cluster_ids[int(np.argmax(mixed))]
+        raise MixedAssignmentWithinCluster(f"cluster {cid} mixes z=0 and z=1")
 
     cluster_z = (z_sums > 0).astype(int)
     if cluster_z.all() or not cluster_z.any():

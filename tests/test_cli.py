@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtiv import cli
 from crtiv.collapse import (
@@ -13,12 +15,22 @@ from crtiv.collapse import (
 )
 from crtiv.dgp import AdherenceLevel, PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
+    CovariateShapeMismatch,
     NonConstantClusterCovariate,
     ParseError,
     SchemaMismatch,
+    ValidationFailure,
 )
 from crtiv.iv import first_stage_f, itt, tsls
-from crtiv.model import AnalysisOptions, DfMode, SeMode, Weights, validate
+from crtiv.model import (
+    AnalysisOptions,
+    DfMode,
+    IndividualRecord,
+    SeMode,
+    TrialDataset,
+    Weights,
+    validate,
+)
 
 
 def write_csv(path, header, rows):
@@ -434,3 +446,145 @@ def test_scenario_bad_numbers_are_schema_errors(tmp_path, text, message):
     scenario.write_text(text, encoding="utf-8")
     with pytest.raises(SchemaMismatch, match=message):
         cli.read_scenario(scenario)
+
+
+# --- columnar ingest: round trip, error precedence, permutation invariance ---
+
+CLUSTER_IDS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    ids = draw(st.lists(CLUSTER_IDS, min_size=1, max_size=6, unique=True))
+    n_x, n_w = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    covariates = {cid: tuple(draw(st.lists(FINITE, min_size=n_w, max_size=n_w))) for cid in ids}
+    records = []
+    for cid in ids:
+        z = draw(st.integers(0, 1))
+        for _ in range(draw(st.integers(1, 3))):
+            x = tuple(draw(st.lists(FINITE, min_size=n_x, max_size=n_x)))
+            records.append(IndividualRecord(cid, z, draw(st.integers(0, 1)), draw(FINITE), x))
+    return TrialDataset(records=draw(st.permutations(records)), cluster_covariates=covariates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset=datasets())
+def test_write_then_ingest_is_an_exact_round_trip(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("roundtrip") / "trial.csv"
+    cli.write_dataset_csv(dataset, path)
+    back = cli.ingest_csv(path)
+    original, recovered = dataset.columns(), back.columns()
+    assert recovered.cluster_ids == original.cluster_ids
+    for name in ("codes", "z", "d", "y", "x", "sizes"):
+        mine, theirs = getattr(recovered, name), getattr(original, name)
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+    assert back.cluster_covariates == dataset.cluster_covariates
+    assert back.records == dataset.records
+
+
+@pytest.mark.parametrize(
+    "covariates",
+    [{"a": (1.0,)}, {"a": (1.0,), "b": (1.0, 2.0)}],
+    ids=["a cluster without w", "w of different lengths"],
+)
+def test_write_rejects_clusters_with_unequal_w(tmp_path, covariates):
+    dataset = TrialDataset(
+        records=[IndividualRecord("a", 0, 0, 1.0), IndividualRecord("b", 1, 1, 2.0)],
+        cluster_covariates=covariates,
+    )
+    path = tmp_path / "trial.csv"
+    with pytest.raises(CovariateShapeMismatch):
+        cli.write_dataset_csv(dataset, path)
+    assert not path.exists()
+
+
+def many_rows(n, n_clusters=30):
+    """Valid rows with a w and an x column; cluster c has w = c / 10."""
+    return [
+        [f"s{c:02d}", c % 2, c % 2, f"{i / 7:.6f}", f"{c / 10}", f"{(i % 13) / 3:.6f}"]
+        for i in range(n)
+        for c in [i % n_clusters]
+    ]
+
+
+def first_error(tmp_path, rows, header=BASIC_HEADER + ["w_1", "x_1"]):
+    path = tmp_path / "t.csv"
+    write_csv(path, header, rows)
+    with pytest.raises(ValidationFailure) as info:
+        cli.ingest_csv(path)
+    return info.value
+
+
+def test_ingest_fault_after_the_first_block_reports_its_file_line(tmp_path):
+    rows = many_rows(3 * cli._BLOCK_ROWS)
+    line = 2 * cli._BLOCK_ROWS + 123  # header is line 1, data starts on line 2
+    rows[line - 2][3] = "1.2.3"
+    error = first_error(tmp_path, rows)
+    assert isinstance(error, ParseError) and error.line == line
+    assert str(error) == f"line {line}: column 'y': cannot parse '1.2.3'"
+
+
+def test_ingest_covariate_mismatch_beats_a_later_bad_cell(tmp_path):
+    rows = many_rows(3 * cli._BLOCK_ROWS)
+    rows[40][4] = "9.5"  # line 42: cluster s10 (first seen on line 12) changes w
+    rows[2 * cli._BLOCK_ROWS][3] = "oops"
+    error = first_error(tmp_path, rows)
+    assert isinstance(error, NonConstantClusterCovariate)
+    assert str(error) == "cluster s10: w columns differ between line 12 and line 42"
+
+
+def test_ingest_covariate_mismatch_against_an_earlier_block(tmp_path):
+    rows = many_rows(2 * cli._BLOCK_ROWS)
+    late = 30 * (cli._BLOCK_ROWS // 30 + 1)  # a row of cluster s00 in the second block
+    rows[late][4] = "7"
+    error = first_error(tmp_path, rows)
+    assert isinstance(error, NonConstantClusterCovariate)
+    assert str(error) == f"cluster s00: w columns differ between line 2 and line {late + 2}"
+
+
+@pytest.mark.parametrize("ragged_offset", [5, cli._BLOCK_ROWS], ids=["same block", "next block"])
+def test_ingest_bad_cell_beats_a_later_ragged_row(tmp_path, ragged_offset):
+    rows = many_rows(3 * cli._BLOCK_ROWS)
+    bad = cli._BLOCK_ROWS - 10
+    rows[bad][5] = "inf"
+    rows[bad + ragged_offset] = rows[bad + ragged_offset][:4]
+    error = first_error(tmp_path, rows)
+    assert isinstance(error, ParseError) and error.line == bad + 2
+    assert "column 'x_1': non-finite value 'inf'" in str(error)
+
+    rows[bad][5] = "1"  # with the bad cell mended, the ragged row is reported
+    error = first_error(tmp_path, rows)
+    assert isinstance(error, ParseError) and error.line == bad + ragged_offset + 2
+    assert "expected 6 fields, found 4" in str(error)
+
+
+def test_ingest_cells_of_one_row_are_checked_left_to_right(tmp_path):
+    rows = many_rows(10)
+    rows[4][2] = "x"  # d
+    rows[4][1] = "q"  # z, checked first
+    error = first_error(tmp_path, rows)
+    assert error.line == 6 and "column 'z'" in str(error)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_analyze_is_invariant_to_the_order_of_data_rows(tmp_path, seed):
+    trial = generate(ScenarioConfig(n_clusters=24, pi=0.7), seed=seed)
+    data = tmp_path / "trial.csv"
+    cli.write_dataset_csv(trial.dataset, data)
+    header, *body = data.read_text(encoding="utf-8").splitlines(keepends=True)
+    np.random.default_rng(seed).shuffle(body)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(body), encoding="utf-8")
+
+    outputs = []
+    for path in (data, shuffled):
+        out = tmp_path / path.stem
+        # A fixed ICC: the estimated ICC and the x adjustment sum in record
+        # order, so they are invariant only up to rounding.
+        argv = ["analyze", "--input", str(path), "--output-dir", str(out)]
+        assert cli.main(argv + ["--adjust-w", "w_1", "--icc", "0.05"]) == 0
+        outputs.append((out / "analysis.csv").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -269,3 +269,44 @@ def test_failure_counts_follow_the_failing_cells():
         expected = 4 if no_residual_df(variant) else 0
         assert result.n_fit_failures == expected, variant.label()
         assert result.n_fits == 4 - expected
+
+
+# --- work per replicate -------------------------------------------------------
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that counts its calls."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monkeypatch):
+    screens = counting(monkeypatch, mc, "screen_weak_instrument")
+    collapses = counting(monkeypatch, collapse, "_assemble")
+    attempt = next(
+        i for i in range(50)
+        if mc._evaluate_attempt((ScenarioConfig(), 5, i, variant_grid(), (0,))) is not None
+    )
+    screens.clear()
+    collapses.clear()
+    assert mc._evaluate_attempt((ScenarioConfig(), 5, attempt, variant_grid(), (0,))) is not None
+    assert len(screens) == 1
+    # One unadjusted collapse shared by the screen and the grid, one adjusted.
+    assert len(collapses) == 2
+
+
+def test_full_grid_on_a_default_trial_solves_21_regressions(monkeypatch):
+    trial = generate(ScenarioConfig(), 8)
+    calls = counting(monkeypatch, wls, "fit_wls")
+    fits = fit_variants(trial, variant_grid())
+    assert all(fit is not None for fit in fits.values())
+    # One residual fit, then per outcome 2 w-adjust x 3 weights stage-two
+    # fits; stage one is shared between the outcomes for none and cs weights
+    # (4 solves) and not for estimated minimum-variance weights (4 solves).
+    assert len(calls) == 1 + 12 + 4 + 4
