@@ -674,9 +674,17 @@ def main(argv=None) -> int:
         if not 0.0 <= value <= 1.0:
             _fail("validation", "BadFlag", f"--icc must be in [0, 1], got {value}")
             return 2
+    if getattr(args, "replicates", 1) < 1:
+        _fail("validation", "BadFlag", f"--replicates must be at least 1, got {args.replicates}")
+        return 2
+    if getattr(args, "seed", 0) < 0:
+        _fail("validation", "BadFlag", f"--seed must be nonnegative, got {args.seed}")
+        return 2
+    # An unreadable or unwritable path and a file that is not UTF-8 are bad
+    # input as much as a malformed cell is.
     try:
         return args.run(args)
-    except ValidationFailure as exc:
+    except (ValidationFailure, OSError, UnicodeDecodeError) as exc:
         _fail("validation", type(exc).__name__, str(exc))
         return 2
     except (NumericFailure, CrtivError) as exc:

@@ -10,6 +10,13 @@ covariance uses ``sigma2 = sum(w r^2) / (n - p)`` so results line up with
 conventional GLS output, and the robust one is the plain HC0 sandwich with no
 small-sample residual inflation (small-sample behaviour is handled separately
 through the degrees-of-freedom mode at inference time).
+
+Quantiles and tail areas come straight from the :mod:`scipy.special`
+ufuncs that :mod:`scipy.stats` itself calls: ``ndtri`` and ``ndtr`` for the
+standard normal, ``stdtrit`` and ``stdtr`` for Student t, so the numbers
+are those of ``stats.norm`` and ``stats.t`` bit for bit.  Importing
+``scipy.stats`` would cost about a second per process, so no module of the
+package does.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .errors import DfNonPositive, NonPositiveWeight, RankDeficient
 from .model import DfMode
@@ -155,16 +162,21 @@ class InferenceResult(NamedTuple):
 
 
 def critical_value(df_mode: DfMode, n_clusters: int, n_params: int, level: float = 0.95):
-    """Two-sided critical value and the degrees of freedom it is based on."""
+    """Two-sided critical value and the degrees of freedom it is based on.
+
+    The quantile is ``ndtri(q)`` under the normal approximation and
+    ``stdtrit(df, q)`` under the small-sample mode, with ``q = 0.5 + level /
+    2``: the functions behind ``stats.norm.ppf`` and ``stats.t.ppf``.
+    """
     if df_mode is DfMode.NORMAL_APPROX:
-        return float(stats.norm.ppf(0.5 + level / 2.0)), math.inf
+        return float(ndtri(0.5 + level / 2.0)), math.inf
     df = n_clusters - n_params
     if df <= 0:
         raise DfNonPositive(
             f"small-sample inference needs more clusters than parameters "
             f"({n_clusters} clusters, {n_params} parameters)"
         )
-    return float(stats.t.ppf(0.5 + level / 2.0, df)), float(df)
+    return float(stdtrit(df, 0.5 + level / 2.0)), float(df)
 
 
 def inference(
@@ -181,8 +193,10 @@ def inference(
     0.975 quantile (1.959964 to six decimals for ``level=0.95``); under the
     small-sample mode it is the Student-t quantile with ``n_clusters -
     n_params`` degrees of freedom, and the p-value comes from the matching
-    distribution.  A zero standard error degenerates to the point interval
-    with ``p = 0`` for any nonzero coefficient.
+    distribution: ``2 * ndtr(-|t|)`` or ``2 * stdtr(df, -|t|)``, the
+    functions behind ``stats.norm.sf`` and ``stats.t.sf``.  A zero standard
+    error degenerates to the point interval with ``p = 0`` for any nonzero
+    coefficient.
     """
     if se < 0:
         raise ValueError("standard error must be nonnegative")
@@ -191,8 +205,8 @@ def inference(
         return InferenceResult(coef, coef, 0.0 if coef != 0.0 else 1.0, df)
     t_ratio = coef / se
     if df_mode is DfMode.NORMAL_APPROX:
-        p_value = 2.0 * float(stats.norm.sf(abs(t_ratio)))
+        p_value = 2.0 * float(ndtr(-abs(t_ratio)))
     else:
-        p_value = 2.0 * float(stats.t.sf(abs(t_ratio), df))
+        p_value = 2.0 * float(stdtr(df, -abs(t_ratio)))
     half = crit * se
     return InferenceResult(coef - half, coef + half, p_value, df)

@@ -1,5 +1,10 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -588,3 +593,97 @@ def test_analyze_is_invariant_to_the_order_of_data_rows(tmp_path, seed):
         assert cli.main(argv + ["--adjust-w", "w_1", "--icc", "0.05"]) == 0
         outputs.append((out / "analysis.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# --- bad command lines and unreadable files end in one crtiv-error line -----
+
+
+def _bad_input_argv(tmp_path, case):
+    """Set up the files for one bad-input case and return its argv."""
+    scenario = tmp_path / "scn.txt"
+    write_scenario(scenario)
+    simulate = ["simulate", "--scenario", str(scenario), "--output-dir", str(tmp_path / "o")]
+    if case == "zero_replicates":
+        return simulate + ["--replicates", "0"]
+    if case == "negative_replicates":
+        return simulate + ["--replicates", "-3"]
+    if case == "negative_seed":
+        return simulate + ["--replicates", "2", "--seed", "-1"]
+    if case == "missing_input":
+        return ["analyze", "--input", str(tmp_path / "absent.csv")]
+    if case == "missing_scenario":
+        return ["simulate", "--scenario", str(tmp_path / "absent.txt"),
+                "--output-dir", str(tmp_path / "o"), "--replicates", "2"]
+    if case == "input_is_directory":
+        return ["analyze", "--input", str(tmp_path)]
+    if case == "csv_not_utf8":
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"cluster_id,z,d,y\na,0,0,1\n\xe9,1,1,2\n")
+        return ["analyze", "--input", str(data)]
+    if case == "scenario_not_utf8":
+        scenario.write_bytes(b"clusters = 6 # r\xe9sum\xe9\n")
+        return simulate + ["--replicates", "2"]
+    if case == "output_dir_is_a_file":
+        target = tmp_path / "taken"
+        target.write_text("", encoding="utf-8")
+        return ["generate", "--scenario", str(scenario), "--output-dir", str(target)]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case, error_type",
+    [
+        ("zero_replicates", "BadFlag"),
+        ("negative_replicates", "BadFlag"),
+        ("negative_seed", "BadFlag"),
+        ("missing_input", "FileNotFoundError"),
+        ("missing_scenario", "FileNotFoundError"),
+        ("input_is_directory", "IsADirectoryError"),
+        ("csv_not_utf8", "UnicodeDecodeError"),
+        ("scenario_not_utf8", "UnicodeDecodeError"),
+        ("output_dir_is_a_file", "FileExistsError"),
+    ],
+)
+def test_bad_input_ends_in_one_validation_error_line(tmp_path, capsys, case, error_type):
+    argv = _bad_input_argv(tmp_path, case)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"crtiv-error kind=validation type={error_type} msg=")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "o").exists()
+
+
+# Importing scipy.stats costs about a second per process, more than a whole
+# default `simulate`; the package needs none of it.  The check runs in a
+# fresh interpreter because the test modules import scipy.stats themselves.
+_IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+
+def stats_modules():
+    return sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+
+import crtiv, crtiv.cli
+after_import = stats_modules()
+Path("scn.txt").write_text("clusters = 12\\npoisson_mean = 6\\npi = 0.6\\n", encoding="utf-8")
+for argv in (
+    ["generate", "--scenario", "scn.txt", "--output-dir", "gen", "--seed", "1"],
+    ["analyze", "--input", "gen/trial.csv", "--adjust-x", "x_1", "--adjust-w", "w_1"],
+    ["simulate", "--scenario", "scn.txt", "--output-dir", "sim", "--replicates", "2"],
+):
+    assert crtiv.cli.main(argv) == 0, argv
+print(json.dumps([after_import, stats_modules()]))
+"""
+
+
+def test_cli_never_imports_scipy_stats(tmp_path):
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    after_import, after_main = json.loads(done.stdout.splitlines()[-1])
+    assert after_import == [] and after_main == []

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from crtiv.errors import DfNonPositive, NonPositiveWeight, RankDeficient
 from crtiv.model import DfMode
-from crtiv.wls import fit_wls, inference, mv_weights
+from crtiv.wls import critical_value, fit_wls, inference, mv_weights
 
 
 def oracle_wls(design, response, weights):
@@ -166,3 +168,41 @@ def test_interval_widening_at_114_df():
     assert small.ci_low == pytest.approx(-0.009, abs=2e-3)
     assert small.ci_high == pytest.approx(0.308, abs=2e-3)
     assert small.ci_low < normal.ci_low and small.ci_high > normal.ci_high
+
+
+# The quantiles and p-values come from scipy.special; scipy.stats, which
+# calls the same functions, is the oracle and must agree to the last bit.
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+def test_critical_values_equal_scipy_stats_bit_for_bit(level):
+    q = 0.5 + level / 2.0
+    crit, df = critical_value(DfMode.NORMAL_APPROX, 10, 2, level)
+    assert (crit.hex(), df) == (float(stats.norm.ppf(q)).hex(), math.inf)
+    dfs = np.arange(1, 2001)
+    expected = [float(v).hex() for v in stats.t.ppf(q, dfs)]
+    got = []
+    for df in dfs.tolist():
+        crit, crit_df = critical_value(DfMode.SMALL_SAMPLE, df + 3, 3, level)
+        assert crit_df == df
+        got.append(crit.hex())
+    assert got == expected
+
+
+T_RATIOS = [0.0, 5e-324, 1e-8, 1.96, 40.0, 1e300, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("df", [None, 1, 2, 3, 7, 28, 48, 197])
+def test_inference_p_values_equal_scipy_stats_bit_for_bit(df):
+    rng = np.random.default_rng(20)
+    spread = (rng.standard_normal(400) * 10.0 ** rng.uniform(-4, 2, 400)).tolist()
+    mode = DfMode.NORMAL_APPROX if df is None else DfMode.SMALL_SAMPLE
+    n_params = 2
+    n_clusters = 10 if df is None else df + n_params
+    crit = stats.norm.ppf(0.975) if df is None else stats.t.ppf(0.975, df)
+    for t in T_RATIOS + [-t for t in T_RATIOS] + spread:
+        res = inference(t, 1.0, mode, n_clusters, n_params)
+        tail = stats.norm.sf(abs(t)) if df is None else stats.t.sf(abs(t), df)
+        assert res.p_value.hex() == (2.0 * float(tail)).hex(), t
+        assert res.ci_low.hex() == (t - float(crit)).hex(), t
+        assert res.ci_high.hex() == (t + float(crit)).hex(), t
