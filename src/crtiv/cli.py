@@ -22,7 +22,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
 from itertools import islice, product
 from pathlib import Path
 
@@ -415,11 +414,7 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
 
     if args.adjust_w:
         w_columns = _resolve_names(args.adjust_w, args.w_names, "w")
-        filtered = {
-            cid: tuple(vec[i] for i in w_columns)
-            for cid, vec in dataset.cluster_covariates.items()
-        }
-        summaries = [replace(s, w=filtered.get(s.cluster_id, ())) for s in summaries]
+        summaries = summaries._replace(w=summaries.w[:, list(w_columns)])
 
     cells = [
         (cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w, fixed_icc))
@@ -437,7 +432,7 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
             cell = fits[estimator][i]
             if isinstance(cell, CrtivError):
                 raise cell
-            fit = iv.late_fit(cell, options, len(summaries), f_stat)
+            fit = iv.late_fit(cell, options, summaries.n_clusters, f_stat)
             rows.append(_row(estimator, cl_outcome, options, fit))
     return rows
 

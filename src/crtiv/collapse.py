@@ -13,6 +13,14 @@ success count scaled by cluster size.
 
 The treatment summary ``d_bar`` is never adjusted; first-stage regressions
 always see the raw adherence fractions.
+
+Summaries are built in columns (:class:`~crtiv.model.Summaries`) straight
+from the dataset's arrays by :func:`summarise`, which keeps the unadjusted
+ones on the dataset; an adjusted variant shares every column of them except
+``y_bar``.  The lists of :class:`~crtiv.model.ClusterSummary` that
+:func:`cluster_means` and :func:`summaries_from_values` return are the
+row-wise view of those columns at the edge of the API; the estimators and
+the Monte Carlo runner never build them.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .errors import (
     RankDeficientDesign,
     SeparationDetected,
 )
-from .model import ClusterSummary, OutcomeKind, TrialDataset
+from .model import ClusterSummary, OutcomeKind, Summaries, TrialDataset, covariate_matrix
 
 _SCORE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
@@ -56,13 +64,9 @@ def cluster_means(dataset: TrialDataset) -> list[ClusterSummary]:
     """Collapse a dataset to unadjusted per-cluster summaries.
 
     Output is ordered lexicographically by cluster id and is invariant to the
-    order of the input records.  The summaries are computed once per
-    dataset; later calls return a copy of the same list.
+    order of the input records.
     """
-    if dataset._cluster_means is None:
-        cols = dataset.columns()
-        dataset._cluster_means = _assemble(dataset, cluster_values=_cluster_means_of(cols.y, cols))
-    return list(dataset._cluster_means)
+    return _listed(dataset, summarise(dataset))
 
 
 def summaries_from_values(dataset: TrialDataset, values) -> list[ClusterSummary]:
@@ -71,11 +75,64 @@ def summaries_from_values(dataset: TrialDataset, values) -> list[ClusterSummary]
     ``values`` is one number per record, in record order.  Used for adjusted
     outcomes; also handy for custom residual definitions.
     """
+    return _listed(dataset, summarise(dataset, values))
+
+
+def summarise(dataset: TrialDataset, values=None) -> Summaries:
+    """Columnar cluster summaries, ordered by cluster id.
+
+    The outcome column is the cluster mean of ``values`` (one number per
+    record, in record order), or of the outcome itself when ``values`` is
+    ``None``.  The unadjusted summaries are computed once per dataset and
+    kept on it; summaries of other values share all their other columns.
+    """
     cols = dataset.columns()
+    if values is None:
+        if dataset._summaries is None:
+            dataset._summaries = _collapse(dataset, cols.y)
+        return dataset._summaries
     values = np.asarray(values, dtype=float)
     if values.shape != cols.y.shape:
         raise ValueError(f"need one value per record, got shape {values.shape}")
-    return _assemble(dataset, cluster_values=_cluster_means_of(values, cols))
+    return _collapse(dataset, values)
+
+
+def _collapse(dataset, values) -> Summaries:
+    cols = dataset.columns()
+    y_bar = _cluster_means_of(values, cols)
+    if dataset._summaries is not None:
+        return dataset._summaries._replace(y_bar=y_bar)
+    z_sums = np.bincount(cols.codes, weights=cols.z, minlength=len(cols.cluster_ids))
+    return Summaries(
+        ids=cols.cluster_ids,
+        n=cols.sizes,
+        z=(z_sums > 0).astype(float),
+        d_bar=_cluster_means_of(cols.d, cols),
+        y_bar=y_bar,
+        w=covariate_matrix([dataset.covariate_vector(cid) for cid in cols.cluster_ids]),
+    )
+
+
+def _listed(dataset, summaries: Summaries) -> list[ClusterSummary]:
+    """The row-wise view of ``summaries``, each cluster with its own
+    covariate vector."""
+    return [
+        ClusterSummary(
+            cluster_id=cid,
+            n=n,
+            z=int(z),
+            d_bar=d_bar,
+            y_bar=y_bar,
+            w=dataset.covariate_vector(cid),
+        )
+        for cid, n, z, d_bar, y_bar in zip(
+            summaries.ids,
+            summaries.n.tolist(),
+            summaries.z.tolist(),
+            summaries.d_bar.tolist(),
+            summaries.y_bar.tolist(),
+        )
+    ]
 
 
 def _cluster_means_of(values, cols):
@@ -84,25 +141,6 @@ def _cluster_means_of(values, cols):
     order = np.lexsort((values, cols.codes))
     starts = np.searchsorted(cols.codes[order], np.arange(len(cols.cluster_ids)))
     return np.add.reduceat(values[order], starts) / cols.sizes
-
-
-def _assemble(dataset, cluster_values):
-    cols = dataset.columns()
-    d_bar = _cluster_means_of(cols.d, cols)
-    z_sums = np.bincount(cols.codes, weights=cols.z, minlength=len(cols.cluster_ids))
-    return [
-        ClusterSummary(
-            cluster_id=cid,
-            n=int(n),
-            z=int(z_sum > 0),
-            d_bar=float(db),
-            y_bar=float(yb),
-            w=dataset.covariate_vector(cid),
-        )
-        for cid, n, z_sum, db, yb in zip(
-            cols.cluster_ids, cols.sizes, z_sums, d_bar, cluster_values
-        )
-    ]
 
 
 def _adjustment_design(dataset, x_columns, allow_empty):

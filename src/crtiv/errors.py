@@ -74,6 +74,10 @@ class DfNonPositive(NumericFailure):
     """Small-sample inference requested with no residual degrees of freedom."""
 
 
+class NonFiniteValue(NumericFailure):
+    """A regression input or result is infinite or NaN, e.g. after overflow."""
+
+
 # --- estimators -------------------------------------------------------------
 
 class ZeroDenominator(NumericFailure):

@@ -142,6 +142,28 @@ def _replicate_seed(master_seed: int, attempt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(attempt)))
 
 
+class _Grid(tuple):
+    """A tuple of distinct variants with the bookkeeping of their fit done
+    once: the outcome summaries each trial needs, and the positional plan
+    of the grid (:class:`crtiv.iv.GridPlan`).  :func:`run_study` builds one
+    per study; :func:`fit_variants` builds one for any other sequence."""
+
+    def __new__(cls, variants: Iterable[VariantKey]):
+        grid = super().__new__(cls, dict.fromkeys(variants))
+        # Unadjusted first, so the adjusted summaries share its columns.
+        grid.outcomes = tuple(o for o in ClOutcome if any(v.cl_outcome is o for v in grid))
+        grid.needs_icc = tuple(
+            any(v.cl_outcome is o and v.weights is Weights.MIN_VARIANCE for v in grid)
+            for o in grid.outcomes
+        )
+        grid.plan = iv.GridPlan([
+            (grid.outcomes.index(v.cl_outcome),
+             AnalysisOptions(v.weights, v.se_mode, v.df_mode, v.adjust_w))
+            for v in grid
+        ])
+        return grid
+
+
 def fit_variants(
     trial: GeneratedTrial,
     variants: Sequence[VariantKey],
@@ -153,26 +175,20 @@ def fit_variants(
     propagates, since unexpected exceptions indicate a bug rather than a
     degenerate replicate.
     """
+    grid = variants if isinstance(variants, _Grid) else _Grid(variants)
     dataset = trial.dataset
-    outcomes, icc = {}, {}
-    for cl_outcome in ClOutcome:
-        weights = {v.weights for v in variants if v.cl_outcome is cl_outcome}
-        if not weights:
-            continue
+    summaries, icc = [], []
+    for cl_outcome, needs_icc in zip(grid.outcomes, grid.needs_icc):
         adjusted = cl_outcome is ClOutcome.ADJUSTED_FOR_X
-        outcomes[cl_outcome], values = iv.outcome_summaries(
-            dataset, x_columns if adjusted else None
-        )
-        if Weights.MIN_VARIANCE in weights:
-            icc[cl_outcome] = collapse.anova_icc(values, dataset.columns().codes).rho
-    cells = [
-        (v.cl_outcome, AnalysisOptions(v.weights, v.se_mode, v.df_mode, v.adjust_w))
-        for v in variants
-    ]
-    fits = iv.fit_grid(outcomes, cells, icc)
+        outcome, values = iv.outcome_summaries(dataset, x_columns if adjusted else None)
+        summaries.append(outcome)
+        icc.append(collapse.anova_icc(values, dataset.columns().codes).rho if needs_icc else None)
+    # The plan's outcome keys are positions in grid.outcomes.
+    keys = grid.plan.outcomes
+    fits = grid.plan.fit([summaries[k] for k in keys], [icc[k] for k in keys])
     return {
         v: None if isinstance(fit, CrtivError) else (fit.estimate, fit.se, fit.crit)
-        for v, fit in zip(variants, fits)
+        for v, fit in zip(grid, fits)
     }
 
 
@@ -202,15 +218,14 @@ def run_study(
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
-    variants = tuple(variants) if variants is not None else variant_grid()
+    variants = _Grid(variants if variants is not None else variant_grid())
     if not variants:
         raise ValueError("no estimator variants requested")
     x_columns = tuple(int(c) for c in x_columns)
 
-    per_variant: dict[VariantKey, list[tuple[float, float, float]]] = {
-        v: [] for v in variants
-    }
-    failures = {v: 0 for v in variants}
+    # By position: fit_variants returns its rows in the order of variants.
+    per_variant: list[list[tuple[float, float, float]]] = [[] for _ in variants]
+    failures = [0] * len(variants)
     retained = 0
     rejected = 0
     attempt = 0
@@ -221,11 +236,11 @@ def run_study(
             rejected += 1
             return
         retained += 1
-        for variant, row in outcome.items():
+        for i, row in enumerate(outcome.values()):
             if row is None:
-                failures[variant] += 1
+                failures[i] += 1
             else:
-                per_variant[variant].append(row)
+                per_variant[i].append(row)
 
     max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
     if threads <= 1:
@@ -252,8 +267,8 @@ def run_study(
 
     truth = config.beta_cz
     aggregated = {}
-    for variant in variants:
-        rows = per_variant[variant]
+    for i, variant in enumerate(variants):
+        rows = per_variant[i]
         estimates = [r[0] for r in rows]
         ses = np.asarray([r[1] for r in rows])
         crits = [r[2] for r in rows]
@@ -267,7 +282,7 @@ def run_study(
             mce_coverage=mce_coverage,
             mean_se=mean_se,
             n_fits=len(rows),
-            n_fit_failures=failures[variant],
+            n_fit_failures=failures[i],
         )
     return McReport(
         variants=aggregated,

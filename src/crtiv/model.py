@@ -116,8 +116,8 @@ class TrialDataset:
 
     Construction does not check the data; :func:`validate` does.  The
     dataset is not modified after construction: ``records`` is built from
-    the columns on first use, and the unadjusted cluster summaries are kept
-    by :func:`crtiv.collapse.cluster_means` once computed.
+    the columns on first use, and the unadjusted :class:`Summaries` are kept
+    by :func:`crtiv.collapse.summarise` once computed.
     """
 
     def __init__(
@@ -137,7 +137,7 @@ class TrialDataset:
             columns, self._x_widths = _columns_from_records(records)
         self._columns = columns
         self._records = records
-        self._cluster_means = None
+        self._summaries = None
         self.cluster_covariates = {
             str(k): tuple(float(v) for v in vec) for k, vec in (cluster_covariates or {}).items()
         }
@@ -217,6 +217,57 @@ class ClusterSummary:
     d_bar: float
     y_bar: float
     w: tuple[float, ...] = ()
+
+
+class Summaries(NamedTuple):
+    """Cluster summaries stored column by column, one entry per cluster.
+
+    ``n`` holds the cluster sizes, ``z`` the 0/1 assignment as floats,
+    ``d_bar`` and ``y_bar`` the summaries of :class:`ClusterSummary`, and
+    ``w`` the cluster covariates as a J x q matrix (q may be 0), or ``None``
+    when the clusters' covariate vectors differ in length.  This is the form
+    the estimators work on; a list of :class:`ClusterSummary` is its row-wise
+    view at the edge of the API, converted by :meth:`of`.
+
+    Being a tuple, ``len()`` of a ``Summaries`` counts its fields: the
+    number of clusters is :attr:`n_clusters`.
+    """
+
+    ids: tuple[str, ...]
+    n: np.ndarray
+    z: np.ndarray
+    d_bar: np.ndarray
+    y_bar: np.ndarray
+    w: np.ndarray | None
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def of(cls, summaries: Summaries | Sequence[ClusterSummary]) -> Summaries:
+        """``summaries`` in columns: a ``Summaries`` as it is, a sequence of
+        :class:`ClusterSummary` converted."""
+        if isinstance(summaries, Summaries):
+            return summaries
+        summaries = list(summaries)
+        return cls(
+            ids=tuple(s.cluster_id for s in summaries),
+            n=np.array([s.n for s in summaries]),
+            z=np.array([s.z for s in summaries], dtype=float),
+            d_bar=np.array([s.d_bar for s in summaries], dtype=float),
+            y_bar=np.array([s.y_bar for s in summaries], dtype=float),
+            w=covariate_matrix([s.w for s in summaries]),
+        )
+
+
+def covariate_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray | None:
+    """One covariate vector per cluster as a J x q matrix; ``None`` when
+    their lengths differ."""
+    widths = {len(v) for v in vectors}
+    if len(widths) > 1:
+        return None
+    return np.array(vectors, dtype=float).reshape(len(vectors), widths.pop() if widths else 0)
 
 
 @dataclass(frozen=True)

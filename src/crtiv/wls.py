@@ -1,10 +1,27 @@
 """Dense weighted least squares with model-based and sandwich covariance.
 
-This is the shared regression core for the assignment-effect and two-stage
-fits.  Solves go through a QR factorisation of the sqrt-weight-scaled design;
-rank is judged from the R diagonal at a relative threshold of 1e-10.  A fit
-returns coefficients and residuals; its covariance estimates are built from
-the stored R factor the first time a caller reads them, so a fit whose
+This is the one regression core: the covariate adjustment, the screen and
+every fit of the estimation grid go through :func:`solve`.  It takes a batch
+of weighted problems, groups them by design shape, and for each group runs
+one stacked ``np.linalg.qr`` of the sqrt-weight-scaled designs and one
+stacked ``Q^T b`` matmul; each problem is then back-substituted on its own R
+factor.  Rank is judged per problem from its own R diagonal at a relative
+threshold of 1e-10, and any failure (rank, weights, a non-finite factor)
+belongs to that problem alone.  :func:`fit_wls` is the one-problem case
+behind a checked public edge.
+
+The back-substitution calls LAPACK directly:
+``dtrtrs(r.T, b, lower=1, trans=1)`` is exactly the call
+``scipy.linalg.solve_triangular(r, b)`` makes for the C-ordered ``r`` of
+``np.linalg.qr``, without the wrapper's argument handling, so results are
+bit-identical to it.  A stacked QR and a stacked matmul give the bits of the
+per-matrix calls too.  (A numpy back-substitution or an ``einsum`` for
+``Q^T b`` would differ in the last bits.)  ``solve_triangular`` also checked
+that ``r`` and ``b`` are finite; that check is made here explicitly and
+raises :class:`~crtiv.errors.NonFiniteValue`.
+
+A fit returns coefficients and residuals; its covariance estimates are built
+from the stored R factor the first time a caller reads them, so a fit whose
 covariances nobody reads (a first stage) never forms them.  The model-based
 covariance uses ``sigma2 = sum(w r^2) / (n - p)`` so results line up with
 conventional GLS output, and the robust one is the plain HC0 sandwich with no
@@ -24,13 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from .errors import DfNonPositive, NonPositiveWeight, RankDeficient
+from .errors import CrtivError, DfNonPositive, NonFiniteValue, NonPositiveWeight, RankDeficient
 from .model import DfMode
 
 _RANK_RTOL = 1e-10
@@ -58,8 +75,7 @@ class DesignFit:
 
     @cached_property
     def _bread(self) -> np.ndarray:
-        r_inv = solve_triangular(self.r, np.eye(self.n_params))
-        return r_inv @ r_inv.T
+        return bread(self.r)
 
     @cached_property
     def xtwx_inv(self) -> np.ndarray:
@@ -92,12 +108,14 @@ def fit_wls(design, response, weights=None) -> DesignFit:
         its largest entry), or n < p.
     NonPositiveWeight
         any weight at or below 1e-12.
+    NonFiniteValue
+        the scaled design or response is not finite.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
     if design.ndim != 2:
         raise ValueError("design must be a 2-D array")
-    n, p = design.shape
+    n = design.shape[0]
     if response.shape != (n,):
         raise ValueError(f"response shape {response.shape} does not match design rows {n}")
     if weights is None:
@@ -106,20 +124,17 @@ def fit_wls(design, response, weights=None) -> DesignFit:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError("one weight per observation required")
-        if np.any(weights < _MIN_WEIGHT):
-            raise NonPositiveWeight(
-                f"weights must exceed {_MIN_WEIGHT}; minimum was {weights.min()!r}"
-            )
-    if n < p:
-        raise RankDeficient(f"{n} observations cannot identify {p} parameters")
+    return design_fit(design, response, weights)
 
-    sqrt_w = np.sqrt(weights)
-    q, r = np.linalg.qr(sqrt_w[:, None] * design)
-    r_diag = np.abs(np.diag(r))
-    if r_diag.size == 0 or r_diag.min() <= _RANK_RTOL * r_diag.max():
-        raise RankDeficient("design matrix is rank deficient")
 
-    coefficients = solve_triangular(r, q.T @ (sqrt_w * response))
+def design_fit(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> DesignFit:
+    """:func:`fit_wls` on float arrays of matching shapes, unchecked: the
+    one-problem case of :func:`solve`, raising its error."""
+    (solved,) = solve([design], [response], [weights])
+    if isinstance(solved, CrtivError):
+        raise solved
+    coefficients, r = solved
+    n, p = design.shape
     return DesignFit(
         coefficients=coefficients,
         residuals=response - design @ coefficients,
@@ -129,6 +144,72 @@ def fit_wls(design, response, weights=None) -> DesignFit:
         design=design,
         r=r,
     )
+
+
+def solve(
+    designs: Sequence[np.ndarray],
+    responses: Sequence[np.ndarray],
+    weights: Sequence[np.ndarray],
+) -> list[tuple[np.ndarray, np.ndarray] | CrtivError]:
+    """Weighted least squares for a batch of problems: the regression core.
+
+    Problem ``i`` regresses ``responses[i]`` on ``designs[i]`` (an n x p
+    float matrix) with positive ``weights[i]``.  The result lines up with
+    the problems: ``(coefficients, r)``, with ``r`` the R factor of the
+    sqrt-weight-scaled design, or the :class:`NonPositiveWeight`,
+    :class:`RankDeficient` or :class:`NonFiniteValue` error of that problem
+    alone.  Problems sharing a design shape are factored by one stacked QR.
+    """
+    results: list = [None] * len(designs)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, (design, w) in enumerate(zip(designs, weights)):
+        if np.any(w < _MIN_WEIGHT):
+            results[i] = NonPositiveWeight(
+                f"weights must exceed {_MIN_WEIGHT}; minimum was {w.min()!r}"
+            )
+        else:
+            by_shape.setdefault(design.shape, []).append(i)
+    for (n, p), members in by_shape.items():
+        if n < p or p == 0:
+            message = (
+                f"{n} observations cannot identify {p} parameters"
+                if n < p
+                else "design matrix is rank deficient"
+            )
+            for i in members:
+                results[i] = RankDeficient(message)
+            continue
+        sqrt_w = np.sqrt(np.array([weights[i] for i in members]))
+        q, r = np.linalg.qr(sqrt_w[:, :, None] * np.array([designs[i] for i in members]))
+        qtb = q.transpose(0, 2, 1) @ (sqrt_w * np.array([responses[i] for i in members]))[:, :, None]
+        r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        deficient = r_diag.min(axis=1) <= _RANK_RTOL * r_diag.max(axis=1)
+        finite = np.isfinite(r).all(axis=(1, 2)) & np.isfinite(qtb).all(axis=(1, 2))
+        for k, i in enumerate(members):
+            if deficient[k]:
+                results[i] = RankDeficient("design matrix is rank deficient")
+            elif not finite[k]:
+                results[i] = NonFiniteValue("regression inputs are not finite")
+            else:
+                results[i] = (_back_substitute(r[k], qtb[k, :, 0]), r[k])
+    return results
+
+
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_triangular(r, b)`` for a C-ordered upper-triangular ``r`` with
+    a nonzero, finite diagonal: the same LAPACK call, made directly."""
+    return dtrtrs(r.T, b, lower=1, trans=1)[0]
+
+
+def bread(r: np.ndarray) -> np.ndarray:
+    """``(X'WX)^-1`` from the R factor of the scaled design (unsymmetrised)."""
+    r_inv = _back_substitute(r, np.eye(len(r)))
+    return r_inv @ r_inv.T
+
+
+def xtwx_inv(r: np.ndarray) -> np.ndarray:
+    """``(X'WX)^-1`` from the R factor, symmetrised: :attr:`DesignFit.xtwx_inv`."""
+    return _symmetrize(bread(r))
 
 
 def sandwich(bread, design, scores) -> np.ndarray:

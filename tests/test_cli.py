@@ -654,6 +654,47 @@ def test_bad_input_ends_in_one_validation_error_line(tmp_path, capsys, case, err
     assert not (tmp_path / "o").exists()
 
 
+# --- overflow ends in a typed numeric error, not a traceback or an inf SE ----
+
+
+def write_overflow_csv(path, case):
+    """An 8-cluster trial with finite cells whose outcomes overflow later:
+    the cluster sums (``every_row``), the variances
+    (``one_row_per_cluster``), or the between-cluster sum of squares behind
+    the estimated ICC (``by_arm``)."""
+    big = {"every_row": "1e308", "every_row_negative": "-1e308", "one_row_per_cluster": "1e200"}
+    rng = np.random.default_rng(12)
+    rows = []
+    for c in range(8):
+        z = c % 2
+        for i in range(5):
+            if case == "by_arm":
+                y = "1e200" if z else "-1e200"
+            elif i == 0 or case != "one_row_per_cluster":
+                y = big[case]
+            else:
+                y = f"{rng.normal():.6f}"
+            rows.append([f"k{c}", z, z * int(rng.random() < 0.7), y, c / 10])
+    write_csv(path, BASIC_HEADER + ["w_1"], rows)
+
+
+@pytest.mark.parametrize(
+    "case", ["every_row", "every_row_negative", "one_row_per_cluster", "by_arm"]
+)
+@pytest.mark.parametrize("flags", [[], ["--weights", "mv", "--adjust-w", "w_1"]])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflow_ends_in_one_numeric_error_line(tmp_path, capsys, case, flags):
+    data = tmp_path / "overflow.csv"
+    write_overflow_csv(data, case)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["analyze", "--input", str(data), "--output-dir", str(out), *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("crtiv-error kind=numeric type=NonFiniteValue msg=")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (out / "analysis.csv").exists()
+
+
 # Importing scipy.stats costs about a second per process, more than a whole
 # default `simulate`; the package needs none of it.  The check runs in a
 # fresh interpreter because the test modules import scipy.stats themselves.

@@ -3,10 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from crtiv.collapse import cluster_means
-from crtiv.errors import EmptyArm, MissingIcc, WeakDenominator, ZeroDenominator
+from crtiv.collapse import cluster_means, summarise
+from crtiv.dgp import PoissonSizes, ScenarioConfig, generate
+from crtiv.errors import (
+    CrtivError,
+    DfNonPositive,
+    EmptyArm,
+    MissingIcc,
+    RankDeficient,
+    WeakDenominator,
+    ZeroDenominator,
+)
 from crtiv.iv import (
+    fit_grid,
     first_stage_f,
     itt,
     itt_from_dataset,
@@ -20,6 +32,7 @@ from crtiv.model import (
     ClusterSummary,
     DfMode,
     SeMode,
+    Summaries,
     Weights,
     validate,
 )
@@ -354,3 +367,103 @@ def test_dataset_level_wrappers_match_manual_pipeline(make_dataset):
     assignment = itt_from_dataset(ds, options)
     manual_itt = itt(cluster_means(ds), options)
     assert assignment.estimate == manual_itt.estimate
+
+
+# --- columns and lists: the two forms of the summaries fit alike ------------
+
+FULL_GRID = [
+    AnalysisOptions(weights, se_mode, df_mode, adjust_w, icc)
+    for adjust_w in (False, True)
+    for weights in Weights
+    for se_mode in SeMode
+    for df_mode in DfMode
+    for icc in (None, 0.2)
+]
+
+
+def damaged(summaries: Summaries, damage: str) -> Summaries:
+    """``summaries`` with a fault that fails some cells of the grid."""
+    if damage == "constant w":  # collinear with the intercept once w enters
+        return summaries._replace(w=np.ones_like(summaries.w))
+    if damage == "flat adherence":  # no first stage at all
+        return summaries._replace(d_bar=np.full_like(summaries.d_bar, 0.5))
+    return summaries
+
+
+def as_list(summaries: Summaries) -> list[ClusterSummary]:
+    return [
+        ClusterSummary(cid, int(n), int(z), float(d), float(y), tuple(w))
+        for cid, n, z, d, y, w in zip(*summaries)
+    ]
+
+
+def same_cell(a, b):
+    if isinstance(a, CrtivError):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_clusters=st.sampled_from([3, 7, 20]),
+    damage=st.sampled_from(["none", "constant w", "flat adherence"]),
+    estimator=st.sampled_from(["late", "itt"]),
+)
+@example(seed=0, n_clusters=3, damage="none", estimator="late")  # J - p = 0 with w
+@example(seed=0, n_clusters=20, damage="constant w", estimator="late")
+@example(seed=0, n_clusters=20, damage="flat adherence", estimator="late")
+def test_fit_grid_on_columns_equals_fit_grid_on_lists(seed, n_clusters, damage, estimator):
+    trial = generate(ScenarioConfig(n_clusters=n_clusters, sizes=PoissonSizes(8.0)), seed)
+    columns = damaged(summarise(trial.dataset), damage)
+    cells = [("o", options) for options in FULL_GRID]
+    icc = {"o": 0.05}
+    from_columns = fit_grid({"o": columns}, cells, icc, estimator)
+    from_list = fit_grid({"o": as_list(columns)}, cells, icc, estimator)
+    assert len(from_columns) == len(from_list) == len(cells)
+    for (_, options), a, b in zip(cells, from_columns, from_list):
+        assert same_cell(a, b), options
+    # The faults land in the cells they belong to (given both arms).
+    failed = {type(fit) for fit in from_columns if isinstance(fit, CrtivError)}
+    both_arms = 0 < columns.z.sum() < n_clusters
+    if damage == "constant w" and both_arms:
+        assert RankDeficient in failed
+    if damage == "flat adherence" and estimator == "late" and both_arms:
+        assert WeakDenominator in failed
+    if (seed, n_clusters, damage) == (0, 3, "none"):
+        assert DfNonPositive in failed
+    # With J=3 and w, J - p = 0: a small-sample cell fails on its own
+    # wherever its normal-approximation twin has a fit.
+    fits = {options: fit for (_, options), fit in zip(cells, from_columns)}
+    for options, fit in fits.items():
+        twin = fits[replace(options, df_mode=DfMode.NORMAL_APPROX)]
+        if options.df_mode is DfMode.SMALL_SAMPLE and not isinstance(twin, CrtivError):
+            no_df = n_clusters == 3 and options.adjust_w
+            assert isinstance(fit, DfNonPositive) if no_df else fit == twin._replace(crit=fit.crit)
+
+
+def test_small_sample_df_counts_clusters_not_fields():
+    # A Summaries is a tuple of six fields; seven clusters must give J - p.
+    trial = generate(ScenarioConfig(n_clusters=7, sizes=PoissonSizes(8.0)), 4)
+    columns = summarise(trial.dataset)
+    assert len(columns) == 6 and columns.n_clusters == 7
+    for fitter in (tsls, itt):
+        for adjust_w, n_params in ((False, 2), (True, 3)):
+            options = AnalysisOptions(df_mode=DfMode.SMALL_SAMPLE, adjust_w=adjust_w)
+            on_columns = fitter(columns, options)
+            assert on_columns.df == 7 - n_params
+            assert on_columns.n_clusters == 7
+            assert on_columns == fitter(cluster_means(trial.dataset), options)
+
+
+def test_no_summaries_is_an_empty_arm_in_either_form():
+    empty = Summaries((), *(np.empty(0) for _ in range(4)), np.empty((0, 0)))
+    for summaries in ([], empty):
+        for estimate in (
+            lambda: tsls(summaries, AnalysisOptions()),
+            lambda: itt(summaries, AnalysisOptions()),
+            lambda: first_stage_f(summaries),
+            lambda: wald_late(summaries),
+        ):
+            with pytest.raises(EmptyArm):
+                estimate()

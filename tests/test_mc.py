@@ -9,12 +9,13 @@ from scipy import stats
 from crtiv import collapse, iv, mc, wls
 from crtiv.dgp import (
     AdherenceLevel,
+    GeneratedTrial,
     PoissonSizes,
     ScenarioConfig,
     generate,
     screen_weak_instrument,
 )
-from crtiv.errors import CrtivError, DfNonPositive, ScreenExhausted
+from crtiv.errors import CrtivError, DfNonPositive, NonFiniteValue, ScreenExhausted
 from crtiv.mc import (
     ClOutcome,
     VariantKey,
@@ -24,7 +25,14 @@ from crtiv.mc import (
     run_study,
     variant_grid,
 )
-from crtiv.model import AnalysisOptions, DfMode, SeMode, Weights
+from crtiv.model import (
+    AnalysisOptions,
+    ClusterSummary,
+    DfMode,
+    SeMode,
+    TrialDataset,
+    Weights,
+)
 
 FAST_CONFIG = ScenarioConfig(
     adherence=AdherenceLevel.CLUSTER,
@@ -288,7 +296,7 @@ def counting(monkeypatch, module, name):
 
 def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monkeypatch):
     screens = counting(monkeypatch, mc, "screen_weak_instrument")
-    collapses = counting(monkeypatch, collapse, "_assemble")
+    collapses = counting(monkeypatch, collapse, "_collapse")
     attempt = next(
         i for i in range(50)
         if mc._evaluate_attempt((ScenarioConfig(), 5, i, variant_grid(), (0,))) is not None
@@ -303,10 +311,60 @@ def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monk
 
 def test_full_grid_on_a_default_trial_solves_21_regressions(monkeypatch):
     trial = generate(ScenarioConfig(), 8)
-    calls = counting(monkeypatch, wls, "fit_wls")
+    original, batches = wls.solve, []
+
+    def counted(designs, responses, weights):
+        batches.append(len(designs))
+        return original(designs, responses, weights)
+
+    monkeypatch.setattr(wls, "solve", counted)
     fits = fit_variants(trial, variant_grid())
     assert all(fit is not None for fit in fits.values())
     # One residual fit, then per outcome 2 w-adjust x 3 weights stage-two
     # fits; stage one is shared between the outcomes for none and cs weights
     # (4 solves) and not for estimated minimum-variance weights (4 solves).
-    assert len(calls) == 1 + 12 + 4 + 4
+    assert sum(batches) == 1 + 12 + 4 + 4
+
+
+def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
+    trial = generate(ScenarioConfig(), 8)
+    calls = counting(monkeypatch, np.linalg, "qr")
+    fits = fit_variants(trial, variant_grid())
+    assert all(fit is not None for fit in fits.values())
+    # The residual fit, then one stacked factorisation per design shape
+    # (without and with w) for each of the two stages.
+    assert len(calls) == 1 + 2 + 2
+
+
+def test_simulate_path_builds_no_cluster_summary_objects(monkeypatch):
+    built = counting(monkeypatch, ClusterSummary, "__init__")
+    report = run_study(ScenarioConfig(), n_replicates=3, master_seed=5)
+    assert all(r.n_fits == 3 for r in report.variants.values())
+    assert built == []
+
+
+def with_outcome(trial, y):
+    cols = trial.dataset.columns()
+    dataset = TrialDataset(
+        columns=cols._replace(y=y), cluster_covariates=trial.dataset.cluster_covariates
+    )
+    return GeneratedTrial(dataset, (), 0.4, 0.4, trial.psi, trial.psi_cl, trial.n_compliers)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_fits_count_as_fit_failures():
+    trial = generate(ScenarioConfig(), 8)
+    cols = trial.dataset.columns()
+    # One huge outcome per cluster: the summaries stay finite, the variances
+    # overflow, and every cell fails with NonFiniteValue instead of an
+    # infinite SE.
+    y = cols.y.copy()
+    y[np.searchsorted(cols.codes, np.arange(len(cols.cluster_ids)))] = 1e200
+    fits = fit_variants(with_outcome(trial, y), variant_grid())
+    assert list(fits.values()) == [None] * 48
+    # Outcomes near the float maximum overflow the cluster sums themselves.
+    overflowed = with_outcome(trial, np.full_like(cols.y, 1e308)).dataset
+    cells = [(0, AnalysisOptions(icc=0.1)), (0, AnalysisOptions(adjust_w=True))]
+    for estimator in ("late", "itt"):
+        fits = iv.fit_grid({0: collapse.summarise(overflowed)}, cells, estimator=estimator)
+        assert [type(fit) for fit in fits] == [NonFiniteValue, NonFiniteValue]

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
-from crtiv.errors import DfNonPositive, NonPositiveWeight, RankDeficient
+from crtiv.errors import DfNonPositive, NonFiniteValue, NonPositiveWeight, RankDeficient
 from crtiv.model import DfMode
-from crtiv.wls import critical_value, fit_wls, inference, mv_weights
+from crtiv.wls import critical_value, fit_wls, inference, mv_weights, solve
 
 
 def oracle_wls(design, response, weights):
@@ -206,3 +208,75 @@ def test_inference_p_values_equal_scipy_stats_bit_for_bit(df):
         assert res.p_value.hex() == (2.0 * float(tail)).hex(), t
         assert res.ci_low.hex() == (t - float(crit)).hex(), t
         assert res.ci_high.hex() == (t + float(crit)).hex(), t
+
+
+# The regression core calls LAPACK directly and stacks its factorisations;
+# scipy.linalg.solve_triangular and per-matrix numpy calls are the oracles
+# and must agree to the last bit.
+
+
+def scaled_systems(n, p, count, seed):
+    """Seeded sqrt-weight-scaled designs and responses, as the core forms them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        design = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        sqrt_w = np.sqrt(rng.uniform(0.2, 40.0, n))
+        yield sqrt_w[:, None] * design, sqrt_w * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n, p", [(50, 2), (50, 3), (3, 2), (3, 3)])
+def test_direct_dtrtrs_equals_solve_triangular_bit_for_bit(n, p):
+    for a, b in scaled_systems(n, p, 300, seed=100 * n + p):
+        q, r = np.linalg.qr(a)
+        qtb = q.T @ b
+        for rhs in (qtb, np.eye(p)):
+            direct, info = dtrtrs(r.T, rhs, lower=1, trans=1)
+            assert info == 0
+            assert direct.tobytes() == solve_triangular(r, rhs).tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_stacked_qr_and_qtb_equal_the_per_matrix_calls(p):
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        k = int(rng.integers(1, 9))
+        a, b = map(np.array, zip(*scaled_systems(50, p, k, seed=int(rng.integers(2**32)))))
+        q, r = np.linalg.qr(a)
+        qtb = q.transpose(0, 2, 1) @ b[:, :, None]
+        for i in range(k):
+            q_i, r_i = np.linalg.qr(a[i])
+            assert q[i].tobytes() == q_i.tobytes()
+            assert r[i].tobytes() == r_i.tobytes()
+            assert qtb[i, :, 0].tobytes() == (q_i.T @ b[i]).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_solve_keeps_each_problems_failure_to_itself():
+    rng = np.random.default_rng(3)
+    good = [np.column_stack([np.ones(8), rng.normal(size=8)]) for _ in range(3)]
+    collinear = np.column_stack([np.ones(8), np.ones(8)])
+    designs = [good[0], collinear, good[1], np.ones((1, 2)), good[2], good[0]]
+    responses = [rng.normal(size=len(x)) for x in designs]
+    responses[4] = np.full(8, np.inf)
+    weights = [np.ones(len(x)) for x in designs]
+    weights[5] = np.zeros(8)
+    results = solve(designs, responses, weights)
+    errors = [type(res) for res in results[1:2] + results[3:]]
+    assert errors == [RankDeficient, RankDeficient, NonFiniteValue, NonPositiveWeight]
+    for i in (0, 2):
+        coefficients, r = results[i]
+        alone = fit_wls(designs[i], responses[i])
+        assert coefficients.tobytes() == alone.coefficients.tobytes()
+        assert r.tobytes() == alone.r.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_inputs_raise_a_typed_error():
+    design = np.column_stack([np.ones(5), np.arange(5.0)])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NonFiniteValue):
+            fit_wls(design, np.array([1.0, 2.0, bad, 4.0, 5.0]))
+        broken = design.copy()
+        broken[2, 1] = bad
+        with pytest.raises((NonFiniteValue, RankDeficient)):
+            fit_wls(broken, np.arange(5.0))
