@@ -19,12 +19,13 @@ from crtiv import (
     ScenarioConfig,
     SeMode,
     Weights,
-    adjust_continuous,
+    anova_icc,
     cluster_means,
+    continuous_residuals,
     generate,
-    icc_oneway_anova,
     late_from_dataset,
     mv_weights,
+    summaries_from_values,
     tsls,
     validate,
 )
@@ -46,13 +47,14 @@ config = ScenarioConfig(
 )
 trial = generate(config, seed=2024)
 dataset = validate(trial.dataset)
-print(f"true complier effect: {trial.true_population_late}")
+print(f"true complier effect: {config.beta_cz}")
 
 # 2. Outcome ICC by one-way ANOVA, and what it does to the weights: at
 #    rho = 0 minimum-variance weights equal cluster sizes, at rho = 1 they
 #    flatten to one; estimates in between shrink the influence of big
 #    clusters.
-est = icc_oneway_anova(dataset)
+columns = dataset.columns()
+est = anova_icc(columns.y, columns.codes)
 print(f"\noutcome ICC: rho = {est.rho:.3f} "
       f"(between {est.sigma2_between:.3f}, within {est.sigma2_within:.3f})")
 sizes = np.array([s.n for s in cluster_means(dataset)])
@@ -65,7 +67,7 @@ for rho in (0.0, est.rho, 1.0):
 #    effect sizes that is only a percent or so, so expect a small change in
 #    the standard error rather than a dramatic one.
 raw = cluster_means(dataset)
-adjusted = adjust_continuous(dataset, x_columns=(0,))
+adjusted = summaries_from_values(dataset, continuous_residuals(dataset, x_columns=(0,)))
 options = AnalysisOptions(se_mode=SeMode.HUBER_WHITE)
 fit_raw = tsls(raw, options, icc=est.rho)
 fit_adj = tsls(adjusted, options, icc=est.rho)

@@ -8,13 +8,10 @@ Monte Carlo engine for studying their finite-sample behaviour.
 
 from .collapse import (
     IccEstimate,
-    adjust_binary,
-    adjust_continuous,
     anova_icc,
     binary_residuals,
     cluster_means,
     continuous_residuals,
-    icc_oneway_anova,
     summaries_from_values,
 )
 from .dgp import (
@@ -32,7 +29,6 @@ from .iv import (
     TslsInternals,
     first_stage_f,
     itt,
-    itt_from_dataset,
     late_from_dataset,
     tsls,
     tsls_system,
@@ -88,8 +84,6 @@ __all__ = [
     "VariantKey",
     "VariantResult",
     "Weights",
-    "adjust_binary",
-    "adjust_continuous",
     "anova_icc",
     "bias_and_mce",
     "binary_residuals",
@@ -101,10 +95,8 @@ __all__ = [
     "first_stage_f",
     "fit_wls",
     "generate",
-    "icc_oneway_anova",
     "inference",
     "itt",
-    "itt_from_dataset",
     "late_from_dataset",
     "mv_weights",
     "run_study",

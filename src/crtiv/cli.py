@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import collapse, iv, mc
+from . import iv, mc
 from .dgp import (
     AdherenceLevel,
     GeneratedTrial,
@@ -40,7 +40,6 @@ from .errors import (
     CovariateShapeMismatch,
     CrtivError,
     NonConstantClusterCovariate,
-    NumericFailure,
     ParseError,
     SchemaMismatch,
     ValidationFailure,
@@ -397,33 +396,28 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     """Fit the requested grid: per combination one LATE row and one ITT row."""
     validate(dataset)
     x_columns = _resolve_names(args.adjust_x, args.x_names, "x") if args.adjust_x else None
-    summaries, icc_values = iv.outcome_summaries(dataset, x_columns)
     cl_outcome = "adjusted_for_x" if args.adjust_x else "unadjusted"
-
-    if args.icc == "auto":
-        fixed_icc = None
-        estimated_icc = collapse.anova_icc(icc_values, dataset.columns().codes).rho
-    else:
-        fixed_icc = float(args.icc)
-        estimated_icc = None
+    fixed_icc = None if args.icc == "auto" else float(args.icc)
 
     weight_levels = [_WEIGHT_FLAGS[args.weights]] if args.weights else list(_WEIGHT_FLAGS.values())
     se_levels = [_SE_FLAGS[args.se]] if args.se else list(_SE_FLAGS.values())
     df_levels = [_DF_FLAGS[args.df]] if args.df else list(_DF_FLAGS.values())
     w_levels = [False, True] if args.adjust_w else [False]
-
-    if args.adjust_w:
-        w_columns = _resolve_names(args.adjust_w, args.w_names, "w")
-        summaries = summaries._replace(w=summaries.w[:, list(w_columns)])
-
     cells = [
         (cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w, fixed_icc))
         for adjust_w, weights, se_mode, df_mode in product(
             w_levels, weight_levels, se_levels, df_levels
         )
     ]
-    outcomes, icc = {cl_outcome: summaries}, {cl_outcome: estimated_icc}
-    fits = {estimator: iv.fit_grid(outcomes, cells, icc, estimator) for estimator in ("late", "itt")}
+    plan = iv.GridPlan(cells)
+    summaries, icc = iv.outcome_summaries(dataset, x_columns, plan.needs_icc[cl_outcome])
+
+    if args.adjust_w:
+        w_columns = _resolve_names(args.adjust_w, args.w_names, "w")
+        summaries = summaries._replace(w=summaries.w[:, list(w_columns)])
+
+    outcomes, iccs = {cl_outcome: summaries}, {cl_outcome: icc}
+    fits = {estimator: plan.fit(outcomes, iccs, estimator) for estimator in ("late", "itt")}
     # Validation leaves both arms, so the screening F cannot fail here.
     first_stage_f = iv.first_stage_f(summaries)
     rows = []
@@ -682,7 +676,7 @@ def main(argv=None) -> int:
     except (ValidationFailure, OSError, UnicodeDecodeError) as exc:
         _fail("validation", type(exc).__name__, str(exc))
         return 2
-    except (NumericFailure, CrtivError) as exc:
+    except CrtivError as exc:
         _fail("numeric", type(exc).__name__, str(exc))
         return 3
 

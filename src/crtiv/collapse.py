@@ -39,7 +39,7 @@ from .errors import (
     RankDeficientDesign,
     SeparationDetected,
 )
-from .model import ClusterSummary, OutcomeKind, Summaries, TrialDataset, covariate_matrix
+from .model import ClusterSummary, Summaries, TrialDataset, covariate_matrix
 
 _SCORE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
@@ -176,29 +176,6 @@ def binary_residuals(dataset: TrialDataset, x_columns: Sequence[int] = ()) -> np
     return cols.y - expit(design @ coef)
 
 
-def adjust_continuous(dataset: TrialDataset, x_columns: Sequence[int]) -> list[ClusterSummary]:
-    """Summaries with ``y_bar`` replaced by covariate-adjusted residual means.
-
-    Requires a continuous outcome and at least one selected covariate.  The
-    treatment summary is recomputed from the raw data, identical to
-    :func:`cluster_means`.
-    """
-    if dataset.outcome_kind is not OutcomeKind.CONTINUOUS:
-        raise ValueError("adjust_continuous requires a continuous outcome")
-    return summaries_from_values(dataset, continuous_residuals(dataset, x_columns))
-
-
-def adjust_binary(dataset: TrialDataset, x_columns: Sequence[int] = ()) -> list[ClusterSummary]:
-    """Summaries with ``y_bar`` replaced by logistic difference-residuals.
-
-    Each cluster gets ``(observed successes - predicted successes) / n``,
-    treated downstream as a continuous outcome.
-    """
-    if dataset.outcome_kind is not OutcomeKind.BINARY:
-        raise ValueError("adjust_binary requires a binary outcome")
-    return summaries_from_values(dataset, binary_residuals(dataset, x_columns))
-
-
 def _fit_logistic(design, y):
     """Maximum-likelihood logistic coefficients via damped Newton steps.
 
@@ -283,15 +260,3 @@ def anova_icc(values, clusters) -> IccEstimate:
     denom = sigma2_between + sigma2_within
     rho = sigma2_between / denom if denom > 0.0 else 0.0
     return IccEstimate(rho=rho, sigma2_between=sigma2_between, sigma2_within=sigma2_within)
-
-
-def icc_oneway_anova(dataset: TrialDataset, variable: str = "outcome") -> IccEstimate:
-    """ICC of the outcome or of treatment received, pooled across arms."""
-    cols = dataset.columns()
-    if variable == "outcome":
-        values = cols.y
-    elif variable in ("treatment", "treatment_received"):
-        values = cols.d
-    else:
-        raise ValueError(f"unknown variable selector {variable!r}")
-    return anova_icc(values, cols.codes)

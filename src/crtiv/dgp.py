@@ -121,14 +121,13 @@ class GeneratedTrial:
     """A generated dataset plus the latent truth behind it.
 
     ``psi`` weights clusters by complier counts, ``psi_cl`` by complier
-    proportions; both sum to one whenever any complier exists.  With a shared
-    treatment effect the population and cluster-level estimands coincide.
+    proportions; both sum to one whenever any complier exists.  The treatment
+    effect is shared, so the population and cluster-level complier effects
+    both equal the scenario's ``beta_cz``.
     """
 
     dataset: TrialDataset
     compliance: tuple[ComplianceClass, ...]
-    true_population_late: float
-    true_cl_late: float
     psi: np.ndarray
     psi_cl: np.ndarray
     n_compliers: np.ndarray
@@ -269,8 +268,6 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
     return GeneratedTrial(
         dataset=dataset,
         compliance=tuple(map(_CLASS_OF_COMPLIER_FLAG.__getitem__, compliers.tolist())),
-        true_population_late=config.beta_cz,
-        true_cl_late=config.beta_cz,
         psi=psi,
         psi_cl=psi_cl,
         n_compliers=n_compliers.astype(np.intp),

@@ -26,7 +26,10 @@ QR per design shape and stage (:func:`crtiv.wls.solve`).  The bookkeeping
 that depends only on the cells (which group and critical value each cell
 reads) is done once per grid by :class:`GridPlan`, by position, so a Monte
 Carlo study does it once, not once per replicate.  :func:`tsls` and
-:func:`itt` are the grid's one-cell case.
+:func:`itt` are the grid's one-cell case.  From a dataset, the command line,
+the Monte Carlo runner and :func:`late_from_dataset` all reach the grid
+through :func:`outcome_summaries`, which estimates an ICC only where
+``GridPlan.needs_icc`` says a cell reads one.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.
@@ -86,19 +89,6 @@ class TslsInternals:
     beta_w: tuple[float, ...]
     first_stage_fitted: np.ndarray
     structural_residuals: np.ndarray
-
-
-def resolve_weights(
-    summaries: SummariesLike, options: AnalysisOptions, icc: float | None = None
-) -> np.ndarray:
-    """Regression weights for the requested scheme.
-
-    For minimum-variance weights the ICC comes from ``options.icc`` when
-    fixed, otherwise from the ``icc`` argument (an estimate supplied by the
-    caller, e.g. :func:`late_from_dataset`).
-    """
-    rho = options.icc if options.icc is not None else icc
-    return _weights(Summaries.of(summaries).n, options.weights, rho)
 
 
 def _weights(n, scheme: Weights, rho: float | None) -> np.ndarray:
@@ -301,6 +291,10 @@ class GridPlan:
     ICC) groups, notes for each cell its group, SE mode and df mode, and
     keeps the critical values of the cells per cluster count and parameter
     count, so fitting the same grid again does no per-cell lookups by key.
+
+    ``needs_icc`` maps each outcome to whether the fit reads an estimated
+    ICC for it: true when one of its cells has minimum-variance weights and
+    no fixed ICC.
     """
 
     def __init__(self, cells: Sequence[tuple[Hashable, AnalysisOptions]]):
@@ -315,16 +309,22 @@ class GridPlan:
             self.cells.append((g, options.se_mode is SeMode.HUBER_WHITE, options.df_mode))
         self.outcomes = tuple(outcome_of)
         self.groups = tuple(group_of)
+        self.needs_icc = dict.fromkeys(self.outcomes, False)
+        for o, _, scheme, fixed_icc in self.groups:
+            if scheme is Weights.MIN_VARIANCE and fixed_icc is None:
+                self.needs_icc[self.outcomes[o]] = True
         self._critical_values: dict[tuple, tuple] = {}
 
     def fit(
         self,
-        summaries: Sequence[Summaries],
-        icc: Sequence[float | None],
+        summaries: Mapping[Hashable, SummariesLike],
+        icc: Mapping[Hashable, float | None],
         estimator: str = "late",
     ) -> list[CellFit | CrtivError]:
-        """Fit the grid: ``summaries[i]`` and ``icc[i]`` belong to
-        ``self.outcomes[i]``.  See :func:`fit_grid`."""
+        """Fit the grid on the summaries and ICC estimates of its outcomes,
+        both keyed by outcome.  See :func:`fit_grid`."""
+        summaries = [Summaries.of(summaries[k]) for k in self.outcomes]
+        icc = [icc.get(k) for k in self.outcomes]
         inputs, shared = [], {}
         for o, adjust_w, scheme, fixed_icc in self.groups:
             rho = fixed_icc if fixed_icc is not None else icc[o]
@@ -382,13 +382,7 @@ def fit_grid(
     is not finite holds :class:`~crtiv.errors.NonFiniteValue`.  Other
     exceptions propagate.
     """
-    plan = GridPlan(cells)
-    icc = icc or {}
-    return plan.fit(
-        [Summaries.of(outcomes[k]) for k in plan.outcomes],
-        [icc.get(k) for k in plan.outcomes],
-        estimator,
-    )
+    return GridPlan(cells).fit(outcomes, icc or {}, estimator)
 
 
 def itt(
@@ -503,31 +497,26 @@ def tsls(
     return late_fit(cell, options, summaries.n_clusters, first_stage_f(summaries))
 
 
-def outcome_summaries(dataset: TrialDataset, x_columns: Sequence[int] | None):
-    """Columnar summaries of one outcome variant plus the record-level values
-    behind them.
+def outcome_summaries(
+    dataset: TrialDataset, x_columns: Sequence[int] | None, needs_icc: bool
+) -> tuple[Summaries, float | None]:
+    """Columnar summaries of one outcome variant, plus the ICC estimate behind
+    minimum-variance weights when ``needs_icc`` (see :class:`GridPlan`).
 
     ``x_columns`` selects individual-level covariates for the adjusted
-    outcome summary; ``None`` keeps the raw means.  The values (raw outcomes
-    or the adjustment residuals) are what the ICC backing minimum-variance
-    weights is estimated from.
+    outcome summary; ``None`` keeps the raw means.  The ICC is estimated from
+    the values the summaries average: the raw outcomes or the adjustment
+    residuals.
     """
     if x_columns is None:
-        return collapse.summarise(dataset), dataset.columns().y
-    if dataset.outcome_kind is OutcomeKind.BINARY:
-        values = collapse.binary_residuals(dataset, x_columns)
+        summaries, values = collapse.summarise(dataset), dataset.columns().y
     else:
-        values = collapse.continuous_residuals(dataset, x_columns)
-    return collapse.summarise(dataset, values), values
-
-
-def _prepared_inputs(dataset, options, x_columns):
-    """Summaries plus an ICC estimate (when needed) for one dataset fit."""
-    validate(dataset)
-    summaries, icc_values = outcome_summaries(dataset, x_columns)
-    icc = None
-    if options.weights is Weights.MIN_VARIANCE and options.icc is None:
-        icc = collapse.anova_icc(icc_values, dataset.columns().codes).rho
+        if dataset.outcome_kind is OutcomeKind.BINARY:
+            values = collapse.binary_residuals(dataset, x_columns)
+        else:
+            values = collapse.continuous_residuals(dataset, x_columns)
+        summaries = collapse.summarise(dataset, values)
+    icc = collapse.anova_icc(values, dataset.columns().codes).rho if needs_icc else None
     return summaries, icc
 
 
@@ -537,15 +526,7 @@ def late_from_dataset(
     x_columns: Sequence[int] | None = None,
 ) -> LateFit:
     """Validate, collapse, and fit the two-stage estimator in one call."""
-    summaries, icc = _prepared_inputs(dataset, options, x_columns)
+    validate(dataset)
+    needs_icc = GridPlan([(None, options)]).needs_icc[None]
+    summaries, icc = outcome_summaries(dataset, x_columns, needs_icc)
     return tsls(summaries, options, icc=icc)
-
-
-def itt_from_dataset(
-    dataset: TrialDataset,
-    options: AnalysisOptions,
-    x_columns: Sequence[int] | None = None,
-) -> LateFit:
-    """Validate, collapse, and fit the assignment-effect regression."""
-    summaries, icc = _prepared_inputs(dataset, options, x_columns)
-    return itt(summaries, options, icc=icc)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import collapse, iv
+from . import iv
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_weak_instrument
 from .errors import CrtivError, ScreenExhausted
 from .model import AnalysisOptions, DfMode, SeMode, Weights
@@ -152,10 +152,6 @@ class _Grid(tuple):
         grid = super().__new__(cls, dict.fromkeys(variants))
         # Unadjusted first, so the adjusted summaries share its columns.
         grid.outcomes = tuple(o for o in ClOutcome if any(v.cl_outcome is o for v in grid))
-        grid.needs_icc = tuple(
-            any(v.cl_outcome is o and v.weights is Weights.MIN_VARIANCE for v in grid)
-            for o in grid.outcomes
-        )
         grid.plan = iv.GridPlan([
             (grid.outcomes.index(v.cl_outcome),
              AnalysisOptions(v.weights, v.se_mode, v.df_mode, v.adjust_w))
@@ -176,16 +172,14 @@ def fit_variants(
     degenerate replicate.
     """
     grid = variants if isinstance(variants, _Grid) else _Grid(variants)
-    dataset = trial.dataset
-    summaries, icc = [], []
-    for cl_outcome, needs_icc in zip(grid.outcomes, grid.needs_icc):
-        adjusted = cl_outcome is ClOutcome.ADJUSTED_FOR_X
-        outcome, values = iv.outcome_summaries(dataset, x_columns if adjusted else None)
-        summaries.append(outcome)
-        icc.append(collapse.anova_icc(values, dataset.columns().codes).rho if needs_icc else None)
     # The plan's outcome keys are positions in grid.outcomes.
-    keys = grid.plan.outcomes
-    fits = grid.plan.fit([summaries[k] for k in keys], [icc[k] for k in keys])
+    summaries, icc = {}, {}
+    for o, cl_outcome in enumerate(grid.outcomes):
+        adjusted = cl_outcome is ClOutcome.ADJUSTED_FOR_X
+        summaries[o], icc[o] = iv.outcome_summaries(
+            trial.dataset, x_columns if adjusted else None, grid.plan.needs_icc[o]
+        )
+    fits = grid.plan.fit(summaries, icc)
     return {
         v: None if isinstance(fit, CrtivError) else (fit.estimate, fit.se, fit.crit)
         for v, fit in zip(grid, fits)

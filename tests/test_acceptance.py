@@ -18,7 +18,7 @@ import numpy as np
 
 from conftest import build_dataset, random_summaries
 from crtiv import cli
-from crtiv.collapse import adjust_binary, anova_icc
+from crtiv.collapse import anova_icc, binary_residuals, summaries_from_values
 from crtiv.dgp import (
     AdherenceLevel,
     ParetoSizes,
@@ -383,7 +383,7 @@ def test_criterion_7_residual_and_mce_identities():
         for i in range(20)
     }
     dataset = build_dataset(rows, outcome_kind=OutcomeKind.BINARY)
-    intercept_only = adjust_binary(dataset, ())
+    intercept_only = summaries_from_values(dataset, binary_residuals(dataset, ()))
     weighted_sum = abs(sum(s.n * s.y_bar for s in intercept_only))
 
     _, mce = coverage_and_mce(

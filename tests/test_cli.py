@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtiv import cli
+from crtiv import cli, collapse
 from crtiv.collapse import (
     anova_icc,
     cluster_means,
@@ -203,9 +203,8 @@ def test_analyze_rows_match_library_calls(tmp_path):
 
     dataset = validate(cli.ingest_csv(data))
     summaries = cluster_means(dataset)
-    from crtiv.collapse import icc_oneway_anova
-
-    rho = icc_oneway_anova(dataset).rho
+    cols = dataset.columns()
+    rho = anova_icc(cols.y, cols.codes).rho
     rows = read_rows(out / "analysis.csv")
     for row in rows:
         options = AnalysisOptions(
@@ -218,6 +217,27 @@ def test_analyze_rows_match_library_calls(tmp_path):
         assert float(row["estimate"]) == expected.estimate
         assert float(row["se"]) == expected.se
         assert float(row["p"]) == expected.p
+
+
+@pytest.mark.parametrize(
+    "flags, n_estimates",
+    [([], 1), (["--weights", "cs"], 0), (["--icc", "0.1"], 0)],
+)
+def test_analyze_estimates_the_icc_only_when_a_cell_reads_it(
+    tmp_path, monkeypatch, flags, n_estimates
+):
+    trial = generate(ScenarioConfig(n_clusters=20, pi=0.7), seed=31)
+    data = tmp_path / "trial.csv"
+    cli.write_dataset_csv(trial.dataset, data)
+    original, calls = collapse.anova_icc, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(collapse, "anova_icc", counted)
+    assert cli.main(["analyze", "--input", str(data), *flags]) == 0
+    assert len(calls) == n_estimates
 
 
 def test_adjusted_analyze_rows_match_library_calls(tmp_path):

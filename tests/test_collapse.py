@@ -3,13 +3,10 @@ import pytest
 from scipy.special import expit
 
 from crtiv.collapse import (
-    adjust_binary,
-    adjust_continuous,
     anova_icc,
     binary_residuals,
     cluster_means,
     continuous_residuals,
-    icc_oneway_anova,
     summaries_from_values,
 )
 from crtiv.errors import (
@@ -74,15 +71,15 @@ def test_adjust_continuous_rank_deficient(make_dataset):
         {"a": (0, [(0, 1.0, 2.0), (0, 2.0, 2.0)]), "b": (1, [(1, 3.0, 2.0)])}
     )
     with pytest.raises(RankDeficientDesign):
-        adjust_continuous(ds, (0,))
+        summaries_from_values(ds, continuous_residuals(ds, (0,)))
 
 
 def test_adjust_continuous_requires_covariates(make_dataset):
     ds = make_dataset({"a": (0, [(0, 1.0, 0.5)]), "b": (1, [(1, 2.0, 1.5)])})
     with pytest.raises(NoCovariatesSelected):
-        adjust_continuous(ds, ())
+        summaries_from_values(ds, continuous_residuals(ds, ()))
     with pytest.raises(NoCovariatesSelected):
-        adjust_continuous(ds, (3,))
+        summaries_from_values(ds, continuous_residuals(ds, (3,)))
 
 
 def test_zero_coefficient_adjustment_is_intercept_shift(make_dataset):
@@ -96,7 +93,7 @@ def test_zero_coefficient_adjustment_is_intercept_shift(make_dataset):
         }
     )
     validate(ds)
-    adjusted = adjust_continuous(ds, (0,))
+    adjusted = summaries_from_values(ds, continuous_residuals(ds, (0,)))
     grand_mean = np.mean([r.y for r in ds.records])
     for raw, adj in zip(cluster_means(ds), adjusted):
         assert adj.y_bar == pytest.approx(raw.y_bar - grand_mean, abs=1e-12)
@@ -130,7 +127,7 @@ def test_adjustment_matches_hand_normal_equations(make_dataset):
     for cid in ("a", "b", "c"):
         mask = np.array([r.cluster_id == cid for r in ds.records])
         expected[cid] = resid[mask].mean()
-    for s in adjust_continuous(ds, (0,)):
+    for s in summaries_from_values(ds, continuous_residuals(ds, (0,))):
         assert s.y_bar == pytest.approx(expected[s.cluster_id], abs=1e-12)
 
 
@@ -147,7 +144,7 @@ def test_adjusted_residual_means_weighted_to_zero(make_dataset):
         for i in range(8)
     }
     ds = validate(make_dataset(rows))
-    for s in [adjust_continuous(ds, (0,))]:
+    for s in [summaries_from_values(ds, continuous_residuals(ds, (0,)))]:
         total = sum(item.n * item.y_bar for item in s)
         assert abs(total) < 1e-10
 
@@ -162,7 +159,7 @@ def test_binary_intercept_only_score_identity(make_dataset):
         for i in range(6)
     }
     ds = validate(make_dataset(rows, outcome_kind=OutcomeKind.BINARY))
-    summaries = adjust_binary(ds, ())
+    summaries = summaries_from_values(ds, binary_residuals(ds, ()))
     assert abs(sum(s.n * s.y_bar for s in summaries)) < 1e-8
 
 
@@ -179,7 +176,7 @@ def test_binary_intercept_and_covariate_score_identity(make_dataset):
         for i in range(6)
     }
     ds = validate(make_dataset(rows, outcome_kind=OutcomeKind.BINARY))
-    summaries = adjust_binary(ds, (0,))
+    summaries = summaries_from_values(ds, binary_residuals(ds, (0,)))
     assert abs(sum(s.n * s.y_bar for s in summaries)) < 1e-8
 
 
@@ -204,7 +201,7 @@ def test_separation_detected(make_dataset):
         outcome_kind=OutcomeKind.BINARY,
     )
     with pytest.raises(SeparationDetected):
-        adjust_binary(ds, (0,))
+        summaries_from_values(ds, binary_residuals(ds, (0,)))
 
 
 def irls_logistic(design, y, tol=1e-12, max_iter=200):
@@ -244,7 +241,7 @@ def test_binary_adjustment_matches_irls_oracle(make_dataset):
     expected = {
         cid: resid[cols.codes == k].mean() for k, cid in enumerate(cols.cluster_ids)
     }
-    for s in adjust_binary(ds, (0, 1)):
+    for s in summaries_from_values(ds, binary_residuals(ds, (0, 1))):
         assert s.y_bar == pytest.approx(expected[s.cluster_id], abs=1e-10)
     assert np.allclose(binary_residuals(ds, (0, 1)), resid, atol=1e-10)
 
@@ -263,7 +260,7 @@ def test_binary_adjustment_converges_on_moderate_samples(make_dataset):
                 cluster.append((0, float(rng.random() < np.clip(prob, 0.02, 0.98)), x))
             rows[f"c{i}"] = (i % 2, cluster)
         ds = validate(make_dataset(rows, outcome_kind=OutcomeKind.BINARY))
-        summaries = adjust_binary(ds, (0,))
+        summaries = summaries_from_values(ds, binary_residuals(ds, (0,)))
         assert abs(sum(s.n * s.y_bar for s in summaries)) < 1e-8
 
 
@@ -271,7 +268,8 @@ def test_icc_one_when_within_variance_zero(make_dataset):
     ds = make_dataset(
         {"a": (0, [(0, 1.0)] * 3), "b": (1, [(1, 5.0)] * 3), "c": (0, [(0, -2.0)] * 3)}
     )
-    est = icc_oneway_anova(ds)
+    cols = ds.columns()
+    est = anova_icc(cols.y, cols.codes)
     assert est.rho == 1.0
     assert est.sigma2_within == 0.0
 
@@ -320,10 +318,9 @@ def test_icc_treatment_selector(make_dataset):
     ds = make_dataset(
         {"a": (1, [(1, 0.1), (1, 0.4)]), "b": (0, [(0, 0.2), (0, 0.3)])}
     )
-    est = icc_oneway_anova(ds, variable="treatment")
+    cols = ds.columns()
+    est = anova_icc(cols.d, cols.codes)
     assert est.rho == 1.0  # treatment constant within clusters, differs between
-    with pytest.raises(ValueError):
-        icc_oneway_anova(ds, variable="banana")
 
 
 def test_continuous_residuals_shape_check(make_dataset):

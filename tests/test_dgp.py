@@ -76,8 +76,6 @@ def test_psi_weights_sum_to_one_and_truth_is_exact():
     trial = generate(config, seed=7)
     assert trial.psi.sum() == pytest.approx(1.0, abs=1e-12)
     assert trial.psi_cl.sum() == pytest.approx(1.0, abs=1e-12)
-    assert trial.true_population_late == 0.4
-    assert trial.true_cl_late == 0.4
     compliers = sum(c is ComplianceClass.COMPLIER for c in trial.compliance)
     assert compliers == int(trial.n_compliers.sum())
 
@@ -186,8 +184,6 @@ def test_screen_accepts_deterministic_adherence_and_rejects_null():
     null_trial = GeneratedTrial(
         dataset=type(weak.dataset)(records=null_records),
         compliance=weak.compliance,
-        true_population_late=0.4,
-        true_cl_late=0.4,
         psi=weak.psi,
         psi_cl=weak.psi_cl,
         n_compliers=weak.n_compliers,

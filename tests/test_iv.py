@@ -18,11 +18,12 @@ from crtiv.errors import (
     ZeroDenominator,
 )
 from crtiv.iv import (
+    GridPlan,
     fit_grid,
     first_stage_f,
     itt,
-    itt_from_dataset,
     late_from_dataset,
+    outcome_summaries,
     tsls,
     tsls_system,
     wald_late,
@@ -347,6 +348,34 @@ def test_structural_residuals_use_actual_adherence(make_summaries):
     assert not np.allclose(system.structural_residuals, fitted_based, atol=1e-8)
 
 
+def test_tsls_system_is_the_grid_two_stage_fit(make_summaries):
+    rng = np.random.default_rng(16)
+    summaries = make_summaries(rng, n_clusters=24, with_w=True)
+    columns = Summaries.of(summaries)
+    for weights in Weights:
+        for adjust_w in (False, True):
+            icc = 0.2 if weights is Weights.MIN_VARIANCE else None
+            options = AnalysisOptions(weights=weights, adjust_w=adjust_w, icc=icc)
+            system = tsls_system(summaries, options)
+            assert system.beta_iv == tsls(summaries, options).estimate
+            pieces = [np.ones(columns.n_clusters), columns.z]
+            if adjust_w:
+                pieces.append(columns.w)
+            gamma = np.array([system.gamma0, system.gamma_z, *system.gamma_w])
+            assert np.array_equal(system.first_stage_fitted, np.column_stack(pieces) @ gamma)
+
+
+def test_grid_plan_needs_icc_only_for_estimated_mv_weights():
+    plan = GridPlan([
+        ("cs", AnalysisOptions(weights=Weights.CLUSTER_SIZE)),
+        ("fixed", AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.1)),
+        ("fixed", AnalysisOptions()),
+        ("mixed", AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.1)),
+        ("mixed", AnalysisOptions(weights=Weights.MIN_VARIANCE, adjust_w=True)),
+    ])
+    assert plan.needs_icc == {"cs": False, "fixed": False, "mixed": True}
+
+
 def test_dataset_level_wrappers_match_manual_pipeline(make_dataset):
     rng = np.random.default_rng(15)
     rows = {
@@ -364,7 +393,9 @@ def test_dataset_level_wrappers_match_manual_pipeline(make_dataset):
     fit = late_from_dataset(ds, options)
     manual = tsls(cluster_means(ds), options)
     assert fit.estimate == manual.estimate and fit.se == manual.se
-    assignment = itt_from_dataset(ds, options)
+    needs_icc = GridPlan([(None, options)]).needs_icc[None]
+    summaries, icc = outcome_summaries(ds, None, needs_icc)
+    assignment = itt(summaries, options, icc=icc)
     manual_itt = itt(cluster_means(ds), options)
     assert assignment.estimate == manual_itt.estimate
 

@@ -309,6 +309,18 @@ def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monk
     assert len(collapses) == 2
 
 
+def test_grid_without_mv_cells_estimates_no_icc(monkeypatch):
+    trial = generate(ScenarioConfig(), 8)
+    estimates = counting(monkeypatch, collapse, "anova_icc")
+    variants = [v for v in variant_grid() if v.weights is not Weights.MIN_VARIANCE]
+    fits = fit_variants(trial, variants)
+    assert all(fit is not None for fit in fits.values())
+    assert estimates == []
+    fit_variants(trial, variant_grid())
+    # One estimate per outcome: unadjusted and adjusted for x.
+    assert len(estimates) == 2
+
+
 def test_full_grid_on_a_default_trial_solves_21_regressions(monkeypatch):
     trial = generate(ScenarioConfig(), 8)
     original, batches = wls.solve, []
@@ -348,7 +360,7 @@ def with_outcome(trial, y):
     dataset = TrialDataset(
         columns=cols._replace(y=y), cluster_covariates=trial.dataset.cluster_covariates
     )
-    return GeneratedTrial(dataset, (), 0.4, 0.4, trial.psi, trial.psi_cl, trial.n_compliers)
+    return GeneratedTrial(dataset, (), trial.psi, trial.psi_cl, trial.n_compliers)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
