@@ -41,10 +41,12 @@ for i in range(12):
         records.append(IndividualRecord(f"clinic{i:02d}", z, d, float(y)))
 
 dataset = validate(TrialDataset(records=records))
-summaries = cluster_means(dataset)
+summaries = cluster_means(dataset)  # one column per summary, one entry per cluster
 print("per-cluster summaries (id, n, z, treated fraction, mean outcome):")
-for s in summaries:
-    print(f"  {s.cluster_id}  n={s.n:3d}  z={s.z}  d_bar={s.d_bar:.2f}  y_bar={s.y_bar:+.3f}")
+for cid, n, z, d_bar, y_bar in zip(
+    summaries.ids, summaries.n, summaries.z.astype(int), summaries.d_bar, summaries.y_bar
+):
+    print(f"  {cid}  n={n:3d}  z={z}  d_bar={d_bar:.2f}  y_bar={y_bar:+.3f}")
 
 # 2. The instrument screen: the regression of treated fraction on assignment
 #    should have F of at least 10 before an instrumental analysis is trusted.

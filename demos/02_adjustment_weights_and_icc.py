@@ -10,8 +10,6 @@ shows that machinery, the one-way ANOVA ICC estimate, and how the ICC
 drives minimum-variance weights.
 """
 
-import numpy as np
-
 from crtiv import (
     AdherenceLevel,
     AnalysisOptions,
@@ -57,7 +55,7 @@ columns = dataset.columns()
 est = anova_icc(columns.y, columns.codes)
 print(f"\noutcome ICC: rho = {est.rho:.3f} "
       f"(between {est.sigma2_between:.3f}, within {est.sigma2_within:.3f})")
-sizes = np.array([s.n for s in cluster_means(dataset)])
+sizes = cluster_means(dataset).n
 for rho in (0.0, est.rho, 1.0):
     w = mv_weights(sizes, rho)
     print(f"  rho={rho:.3f}: weight range {w.min():6.2f} .. {w.max():6.2f}")

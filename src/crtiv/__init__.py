@@ -46,13 +46,13 @@ from .mc import (
 )
 from .model import (
     AnalysisOptions,
-    ClusterSummary,
     ComplianceClass,
     DfMode,
     IndividualRecord,
     LateFit,
     OutcomeKind,
     SeMode,
+    Summaries,
     TrialDataset,
     Weights,
     validate,
@@ -65,7 +65,6 @@ __all__ = [
     "AdherenceLevel",
     "AnalysisOptions",
     "ClOutcome",
-    "ClusterSummary",
     "ComplianceClass",
     "DesignFit",
     "DfMode",
@@ -79,6 +78,7 @@ __all__ = [
     "PoissonSizes",
     "ScenarioConfig",
     "SeMode",
+    "Summaries",
     "TrialDataset",
     "TslsInternals",
     "VariantKey",

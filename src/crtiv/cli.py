@@ -396,6 +396,7 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     """Fit the requested grid: per combination one LATE row and one ITT row."""
     validate(dataset)
     x_columns = _resolve_names(args.adjust_x, args.x_names, "x") if args.adjust_x else None
+    w_columns = _resolve_names(args.adjust_w, args.w_names, "w") if args.adjust_w else None
     cl_outcome = "adjusted_for_x" if args.adjust_x else "unadjusted"
     fixed_icc = None if args.icc == "auto" else float(args.icc)
 
@@ -412,8 +413,7 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     plan = iv.GridPlan(cells)
     summaries, icc = iv.outcome_summaries(dataset, x_columns, plan.needs_icc[cl_outcome])
 
-    if args.adjust_w:
-        w_columns = _resolve_names(args.adjust_w, args.w_names, "w")
+    if w_columns is not None:
         summaries = summaries._replace(w=summaries.w[:, list(w_columns)])
 
     outcomes, iccs = {cl_outcome: summaries}, {cl_outcome: icc}
@@ -670,9 +670,12 @@ def main(argv=None) -> int:
         _fail("validation", "BadFlag", f"--seed must be nonnegative, got {args.seed}")
         return 2
     # An unreadable or unwritable path and a file that is not UTF-8 are bad
-    # input as much as a malformed cell is.
+    # input as much as a malformed cell is.  numpy's overflow warnings are
+    # silenced: every non-finite estimate, variance or ICC they would herald
+    # ends in a typed NonFiniteValue, so the error line is the one report.
     try:
-        return args.run(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.run(args)
     except (ValidationFailure, OSError, UnicodeDecodeError) as exc:
         _fail("validation", type(exc).__name__, str(exc))
         return 2

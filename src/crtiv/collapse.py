@@ -14,13 +14,10 @@ success count scaled by cluster size.
 The treatment summary ``d_bar`` is never adjusted; first-stage regressions
 always see the raw adherence fractions.
 
-Summaries are built in columns (:class:`~crtiv.model.Summaries`) straight
-from the dataset's arrays by :func:`summarise`, which keeps the unadjusted
-ones on the dataset; an adjusted variant shares every column of them except
-``y_bar``.  The lists of :class:`~crtiv.model.ClusterSummary` that
-:func:`cluster_means` and :func:`summaries_from_values` return are the
-row-wise view of those columns at the edge of the API; the estimators and
-the Monte Carlo runner never build them.
+Summaries are columns (:class:`~crtiv.model.Summaries`) built straight from
+the dataset's arrays.  :func:`cluster_means` computes the unadjusted ones
+once and keeps them on the dataset; :func:`summaries_from_values` gives an
+adjusted variant that shares every column of them except ``y_bar``.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from .errors import (
     RankDeficientDesign,
     SeparationDetected,
 )
-from .model import ClusterSummary, Summaries, TrialDataset, covariate_matrix
+from .model import Summaries, TrialDataset
 
 _SCORE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
@@ -60,39 +57,29 @@ class IccEstimate:
     sigma2_within: float
 
 
-def cluster_means(dataset: TrialDataset) -> list[ClusterSummary]:
+def cluster_means(dataset: TrialDataset) -> Summaries:
     """Collapse a dataset to unadjusted per-cluster summaries.
 
     Output is ordered lexicographically by cluster id and is invariant to the
-    order of the input records.
+    order of the input records.  The summaries are computed once per dataset
+    and kept on it, so every call returns the same arrays: do not modify
+    them.
     """
-    return _listed(dataset, summarise(dataset))
+    if dataset._summaries is None:
+        dataset._summaries = _collapse(dataset, dataset.columns().y)
+    return dataset._summaries
 
 
-def summaries_from_values(dataset: TrialDataset, values) -> list[ClusterSummary]:
+def summaries_from_values(dataset: TrialDataset, values) -> Summaries:
     """Summaries whose outcome column is the cluster mean of ``values``.
 
     ``values`` is one number per record, in record order.  Used for adjusted
-    outcomes; also handy for custom residual definitions.
+    outcomes; also handy for custom residual definitions.  Every other column
+    is that of :func:`cluster_means` (the same arrays once those are
+    computed).
     """
-    return _listed(dataset, summarise(dataset, values))
-
-
-def summarise(dataset: TrialDataset, values=None) -> Summaries:
-    """Columnar cluster summaries, ordered by cluster id.
-
-    The outcome column is the cluster mean of ``values`` (one number per
-    record, in record order), or of the outcome itself when ``values`` is
-    ``None``.  The unadjusted summaries are computed once per dataset and
-    kept on it; summaries of other values share all their other columns.
-    """
-    cols = dataset.columns()
-    if values is None:
-        if dataset._summaries is None:
-            dataset._summaries = _collapse(dataset, cols.y)
-        return dataset._summaries
     values = np.asarray(values, dtype=float)
-    if values.shape != cols.y.shape:
+    if values.shape != dataset.columns().y.shape:
         raise ValueError(f"need one value per record, got shape {values.shape}")
     return _collapse(dataset, values)
 
@@ -109,30 +96,17 @@ def _collapse(dataset, values) -> Summaries:
         z=(z_sums > 0).astype(float),
         d_bar=_cluster_means_of(cols.d, cols),
         y_bar=y_bar,
-        w=covariate_matrix([dataset.covariate_vector(cid) for cid in cols.cluster_ids]),
+        w=_covariate_matrix([dataset.covariate_vector(cid) for cid in cols.cluster_ids]),
     )
 
 
-def _listed(dataset, summaries: Summaries) -> list[ClusterSummary]:
-    """The row-wise view of ``summaries``, each cluster with its own
-    covariate vector."""
-    return [
-        ClusterSummary(
-            cluster_id=cid,
-            n=n,
-            z=int(z),
-            d_bar=d_bar,
-            y_bar=y_bar,
-            w=dataset.covariate_vector(cid),
-        )
-        for cid, n, z, d_bar, y_bar in zip(
-            summaries.ids,
-            summaries.n.tolist(),
-            summaries.z.tolist(),
-            summaries.d_bar.tolist(),
-            summaries.y_bar.tolist(),
-        )
-    ]
+def _covariate_matrix(vectors) -> np.ndarray | None:
+    """One covariate vector per cluster as a J x q matrix; ``None`` when
+    their lengths differ."""
+    widths = {len(v) for v in vectors}
+    if len(widths) > 1:
+        return None
+    return np.array(vectors, dtype=float).reshape(len(vectors), widths.pop() if widths else 0)
 
 
 def _cluster_means_of(values, cols):

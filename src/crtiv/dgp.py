@@ -281,7 +281,7 @@ def screen_weak_instrument(trial: GeneratedTrial) -> bool:
     the screen rather than raising.
     """
     try:
-        f_stat = iv.first_stage_f(collapse.summarise(trial.dataset))
+        f_stat = iv.first_stage_f(collapse.cluster_means(trial.dataset))
     except CrtivError:
         return False
     return f_stat >= _WEAK_F_THRESHOLD

@@ -1,9 +1,7 @@
 """Cluster-level estimators: assignment effect, Wald ratio, two-stage fit.
 
-All three consume the per-cluster summaries produced by :mod:`crtiv.collapse`,
-in its columnar form (:class:`~crtiv.model.Summaries`).  Every public
-function also accepts a list of :class:`~crtiv.model.ClusterSummary`, which
-:meth:`Summaries.of <crtiv.model.Summaries.of>` converts at the edge.  The
+All three consume the per-cluster summaries, the columns of
+:class:`~crtiv.model.Summaries` produced by :mod:`crtiv.collapse`.  The
 two-stage fit regresses the adherence fraction on assignment (plus any
 cluster covariates), then the outcome summary on the fitted adherence; with a
 single binary instrument and no weights this reproduces the Wald ratio of arm
@@ -56,7 +54,6 @@ from .errors import (
 )
 from .model import (
     AnalysisOptions,
-    ClusterSummary,
     DfMode,
     LateFit,
     OutcomeKind,
@@ -68,9 +65,6 @@ from .model import (
 )
 
 _RELEVANCE_TOL = 1e-12
-
-# What every public estimator accepts: columns, or the list form of the API.
-SummariesLike = Summaries | Sequence[ClusterSummary]
 
 
 @dataclass(frozen=True)
@@ -317,13 +311,13 @@ class GridPlan:
 
     def fit(
         self,
-        summaries: Mapping[Hashable, SummariesLike],
+        summaries: Mapping[Hashable, Summaries],
         icc: Mapping[Hashable, float | None],
         estimator: str = "late",
     ) -> list[CellFit | CrtivError]:
         """Fit the grid on the summaries and ICC estimates of its outcomes,
         both keyed by outcome.  See :func:`fit_grid`."""
-        summaries = [Summaries.of(summaries[k]) for k in self.outcomes]
+        summaries = [summaries[k] for k in self.outcomes]
         icc = [icc.get(k) for k in self.outcomes]
         inputs, shared = [], {}
         for o, adjust_w, scheme, fixed_icc in self.groups:
@@ -362,7 +356,7 @@ class GridPlan:
 
 
 def fit_grid(
-    outcomes: Mapping[Hashable, SummariesLike],
+    outcomes: Mapping[Hashable, Summaries],
     cells: Sequence[tuple[Hashable, AnalysisOptions]],
     icc: Mapping[Hashable, float] | None = None,
     estimator: str = "late",
@@ -386,22 +380,20 @@ def fit_grid(
 
 
 def itt(
-    summaries: SummariesLike,
+    summaries: Summaries,
     options: AnalysisOptions,
     icc: float | None = None,
 ) -> LateFit:
     """Assignment-effect regression of the outcome summary on assignment."""
-    summaries = Summaries.of(summaries)
     cell = _fit_cell(summaries, options, icc, "itt")
     return late_fit(cell, options, summaries.n_clusters)
 
 
-def wald_late(summaries: SummariesLike) -> float:
+def wald_late(summaries: Summaries) -> float:
     """Ratio of unweighted arm-mean differences of outcome and adherence."""
-    s = Summaries.of(summaries)
-    if not s.n_clusters:
+    if not summaries.n_clusters:
         raise EmptyArm("no cluster summaries")
-    y, d, treated = s.y_bar, s.d_bar, s.z == 1.0
+    y, d, treated = summaries.y_bar, summaries.d_bar, summaries.z == 1.0
     if not treated.any() or treated.all():
         raise EmptyArm("both arms required for the ratio estimator")
     numerator = float(y[treated].mean() - y[~treated].mean())
@@ -411,14 +403,14 @@ def wald_late(summaries: SummariesLike) -> float:
     return numerator / denominator
 
 
-def first_stage_f(summaries: SummariesLike) -> float:
+def first_stage_f(summaries: Summaries) -> float:
     """Screening F: squared t-ratio of assignment in the unadjusted,
     unweighted first stage, with model-based SE and (1, J-2) degrees of
     freedom.  Deterministic adherence (zero residuals) returns ``inf``."""
-    s = Summaries.of(summaries)
-    if not s.n_clusters:
+    if not summaries.n_clusters:
         raise EmptyArm("no cluster summaries")
-    fit = wls.design_fit(_design(s.z, None), s.d_bar, np.ones(s.n_clusters))
+    design = _design(summaries.z, None)
+    fit = wls.design_fit(design, summaries.d_bar, np.ones(summaries.n_clusters))
     gamma_z = float(fit.coefficients[1])
     # Treat residuals at rounding-noise level as identically zero; adherence
     # fractions live in [0, 1] so an absolute threshold is safe.
@@ -455,13 +447,13 @@ def late_fit(
 
 
 def tsls_system(
-    summaries: SummariesLike,
+    summaries: Summaries,
     options: AnalysisOptions,
     icc: float | None = None,
 ) -> TslsInternals:
     """Coefficients, fitted values, and structural residuals of both stages."""
     rho = options.icc if options.icc is not None else icc
-    inputs = _inputs(Summaries.of(summaries), options.adjust_w, options.weights, rho, {})
+    inputs = _inputs(summaries, options.adjust_w, options.weights, rho, {})
     (fit,) = _two_stages([inputs])
     if isinstance(fit, CrtivError):
         raise fit
@@ -479,7 +471,7 @@ def tsls_system(
 
 
 def tsls(
-    summaries: SummariesLike,
+    summaries: Summaries,
     options: AnalysisOptions,
     icc: float | None = None,
 ) -> LateFit:
@@ -492,7 +484,6 @@ def tsls(
     ``options.df_mode`` with degrees of freedom ``J - p``, ``p`` counting
     second-stage parameters only.
     """
-    summaries = Summaries.of(summaries)
     cell = _fit_cell(summaries, options, icc, "late")
     return late_fit(cell, options, summaries.n_clusters, first_stage_f(summaries))
 
@@ -509,13 +500,13 @@ def outcome_summaries(
     residuals.
     """
     if x_columns is None:
-        summaries, values = collapse.summarise(dataset), dataset.columns().y
+        summaries, values = collapse.cluster_means(dataset), dataset.columns().y
     else:
         if dataset.outcome_kind is OutcomeKind.BINARY:
             values = collapse.binary_residuals(dataset, x_columns)
         else:
             values = collapse.continuous_residuals(dataset, x_columns)
-        summaries = collapse.summarise(dataset, values)
+        summaries = collapse.summaries_from_values(dataset, values)
     icc = collapse.anova_icc(values, dataset.columns().codes).rho if needs_icc else None
     return summaries, icc
 

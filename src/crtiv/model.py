@@ -117,7 +117,7 @@ class TrialDataset:
     Construction does not check the data; :func:`validate` does.  The
     dataset is not modified after construction: ``records`` is built from
     the columns on first use, and the unadjusted :class:`Summaries` are kept
-    by :func:`crtiv.collapse.summarise` once computed.
+    by :func:`crtiv.collapse.cluster_means` once computed.
     """
 
     def __init__(
@@ -203,33 +203,24 @@ def _columns_from_records(records: Sequence[IndividualRecord]):
     return columns, widths if ragged else None
 
 
-@dataclass(frozen=True)
-class ClusterSummary:
-    """Per-cluster summary used by the cluster-level estimators.
-
-    ``y_bar`` is either the raw outcome mean or a covariate-adjusted residual
-    mean; ``d_bar`` is always the raw fraction receiving active treatment.
-    """
-
-    cluster_id: str
-    n: int
-    z: int
-    d_bar: float
-    y_bar: float
-    w: tuple[float, ...] = ()
-
-
 class Summaries(NamedTuple):
-    """Cluster summaries stored column by column, one entry per cluster.
+    """Cluster summaries, one entry per cluster in each column: the form every
+    estimator works on.
 
-    ``n`` holds the cluster sizes, ``z`` the 0/1 assignment as floats,
-    ``d_bar`` and ``y_bar`` the summaries of :class:`ClusterSummary`, and
-    ``w`` the cluster covariates as a J x q matrix (q may be 0), or ``None``
-    when the clusters' covariate vectors differ in length.  This is the form
-    the estimators work on; a list of :class:`ClusterSummary` is its row-wise
-    view at the edge of the API, converted by :meth:`of`.
+    ``ids`` names the clusters, ``n`` holds their sizes, ``z`` the 0/1
+    assignment as floats, ``d_bar`` the fraction receiving active treatment,
+    ``y_bar`` the mean outcome (raw or covariate-adjusted), and ``w`` the
+    cluster covariates as a J x q matrix (q may be 0), or ``None`` when the
+    clusters' covariate vectors differ in length.
+    :func:`crtiv.collapse.cluster_means` builds them from a dataset; for a
+    trial known only at cluster level, build them from arrays::
 
-    Being a tuple, ``len()`` of a ``Summaries`` counts its fields: the
+        Summaries(ids=("a", "b", "c", "d"), n=np.array([12, 7, 20, 9]),
+                  z=np.array([0.0, 0.0, 1.0, 1.0]),
+                  d_bar=np.array([0.0, 0.1, 0.8, 0.6]),
+                  y_bar=np.array([1.2, 0.4, 2.9, 1.7]), w=np.empty((4, 0)))
+
+    Being a tuple, ``len()`` of a ``Summaries`` counts its six fields: the
     number of clusters is :attr:`n_clusters`.
     """
 
@@ -243,31 +234,6 @@ class Summaries(NamedTuple):
     @property
     def n_clusters(self) -> int:
         return len(self.ids)
-
-    @classmethod
-    def of(cls, summaries: Summaries | Sequence[ClusterSummary]) -> Summaries:
-        """``summaries`` in columns: a ``Summaries`` as it is, a sequence of
-        :class:`ClusterSummary` converted."""
-        if isinstance(summaries, Summaries):
-            return summaries
-        summaries = list(summaries)
-        return cls(
-            ids=tuple(s.cluster_id for s in summaries),
-            n=np.array([s.n for s in summaries]),
-            z=np.array([s.z for s in summaries], dtype=float),
-            d_bar=np.array([s.d_bar for s in summaries], dtype=float),
-            y_bar=np.array([s.y_bar for s in summaries], dtype=float),
-            w=covariate_matrix([s.w for s in summaries]),
-        )
-
-
-def covariate_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray | None:
-    """One covariate vector per cluster as a J x q matrix; ``None`` when
-    their lengths differ."""
-    widths = {len(v) for v in vectors}
-    if len(widths) > 1:
-        return None
-    return np.array(vectors, dtype=float).reshape(len(vectors), widths.pop() if widths else 0)
 
 
 @dataclass(frozen=True)
@@ -330,38 +296,49 @@ def validate(dataset: TrialDataset) -> TrialDataset:
         raise EmptyArm("dataset has no records")
 
     # Per-record checks, in the order they apply to each record; the first
-    # faulty record reports its first failing check.
+    # faulty record reports its first failing check, read from its row of
+    # the columns as ``records`` would show it.
     k = cols.x.shape[1]
+
+    def cluster(i):
+        return cols.cluster_ids[cols.codes[i]]
+
+    def whole(values, i):
+        return whole_to_int(values[i : i + 1])[0]
+
     checks = [
         (
             (cols.z != 0) & (cols.z != 1),
             NonBinaryTreatment,
-            lambda r: f"assignment z={r.z!r} in cluster {r.cluster_id}",
+            lambda i: f"assignment z={whole(cols.z, i)!r} in cluster {cluster(i)}",
         ),
         (
             (cols.d != 0) & (cols.d != 1),
             NonBinaryTreatment,
-            lambda r: f"treatment d={r.d!r} in cluster {r.cluster_id}",
+            lambda i: f"treatment d={whole(cols.d, i)!r} in cluster {cluster(i)}",
         ),
     ]
     if dataset._x_widths is not None:
         checks.append((
             dataset._x_widths != k,
             CovariateShapeMismatch,
-            lambda r: f"record in cluster {r.cluster_id} has {len(r.x)} covariates, expected {k}",
+            lambda i: (
+                f"record in cluster {cluster(i)} has {dataset._x_widths[i]} covariates, "
+                f"expected {k}"
+            ),
         ))
     if dataset.outcome_kind is OutcomeKind.BINARY:
         checks.append((
             (cols.y != 0) & (cols.y != 1),
             NonBinaryOutcomeForBinaryKind,
-            lambda r: f"outcome y={r.y!r} in cluster {r.cluster_id}",
+            lambda i: f"outcome y={cols.y[i].item()!r} in cluster {cluster(i)}",
         ))
     faulty = np.logical_or.reduce([mask for mask, _, _ in checks])
     if faulty.any():
         i = int(np.argmax(faulty))
         for mask, error, message in checks:
             if mask[i]:
-                raise error(message(dataset.records[i]))
+                raise error(message(i))
 
     z_sums = np.bincount(cols.codes, weights=cols.z, minlength=len(cols.cluster_ids))
     mixed = (z_sums != 0) & (z_sums != cols.sizes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crtiv.model import ClusterSummary, IndividualRecord, OutcomeKind, TrialDataset
+from crtiv.model import IndividualRecord, OutcomeKind, Summaries, TrialDataset
 
 
 def build_dataset(cluster_rows, outcome_kind=OutcomeKind.CONTINUOUS, covariates=None):
@@ -28,17 +28,14 @@ def random_summaries(rng, n_clusters=None, with_w=False, arm_gap=0.3):
     y = rng.normal(0.0, 1.0, n)
     sizes = rng.integers(2, 80, n)
     w = rng.normal(0.0, 1.0, (n, 1)) if with_w else None
-    return [
-        ClusterSummary(
-            cluster_id=f"c{i:04d}",
-            n=int(sizes[i]),
-            z=int(z[i]),
-            d_bar=float(d[i]),
-            y_bar=float(y[i]),
-            w=(float(w[i, 0]),) if with_w else (),
-        )
-        for i in range(n)
-    ]
+    return Summaries(
+        ids=tuple(f"c{i:04d}" for i in range(n)),
+        n=sizes,
+        z=z.astype(float),
+        d_bar=d,
+        y_bar=y,
+        w=w if with_w else np.empty((n, 0)),
+    )
 
 
 @pytest.fixture

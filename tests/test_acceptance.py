@@ -104,10 +104,10 @@ def _well_posed_instance(rng):
     while True:
         n_clusters = int(rng.integers(10, 25))
         summaries = random_summaries(rng, n_clusters=n_clusters, with_w=True, arm_gap=0.5)
-        sizes = np.array([s.n for s in summaries], dtype=float)
-        d = np.array([s.d_bar for s in summaries])
-        z = np.array([s.z for s in summaries], dtype=float)
-        w_col = np.array([s.w[0] for s in summaries])
+        sizes = summaries.n.astype(float)
+        d = summaries.d_bar
+        z = summaries.z
+        w_col = summaries.w[:, 0]
         x1 = np.column_stack([np.ones(n_clusters), z, w_col])
         gamma = np.linalg.lstsq(
             np.sqrt(sizes)[:, None] * x1, np.sqrt(sizes) * d, rcond=None
@@ -134,11 +134,11 @@ def test_criterion_2_oracle_equality():
         )
 
         summaries = _well_posed_instance(rng)
-        y = np.array([s.y_bar for s in summaries])
-        d = np.array([s.d_bar for s in summaries])
-        z = np.array([s.z for s in summaries], dtype=float)
-        w_col = np.array([s.w[0] for s in summaries])
-        sizes = np.array([s.n for s in summaries], dtype=float)
+        y = summaries.y_bar
+        d = summaries.d_bar
+        z = summaries.z
+        w_col = summaries.w[:, 0]
+        sizes = summaries.n.astype(float)
         for adjust_w in (False, True):
             options = AnalysisOptions(weights=Weights.CLUSTER_SIZE, adjust_w=adjust_w)
             fit_m = tsls(summaries, options)
@@ -384,7 +384,7 @@ def test_criterion_7_residual_and_mce_identities():
     }
     dataset = build_dataset(rows, outcome_kind=OutcomeKind.BINARY)
     intercept_only = summaries_from_values(dataset, binary_residuals(dataset, ()))
-    weighted_sum = abs(sum(s.n * s.y_bar for s in intercept_only))
+    weighted_sum = abs(sum(intercept_only.n * intercept_only.y_bar))
 
     _, mce = coverage_and_mce(
         np.zeros(2500), np.ones(2500), np.full(2500, 2.0), truth=0.0

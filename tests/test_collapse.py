@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from crtiv import collapse
 from crtiv.collapse import (
     anova_icc,
     binary_residuals,
@@ -23,17 +24,17 @@ def test_simple_means(make_dataset):
         {"a": (1, [(1, 1.0), (1, 0.0), (0, 1.0), (0, 0.0)]), "b": (0, [(0, 2.0)])}
     )
     summaries = cluster_means(validate(ds))
-    by_id = {s.cluster_id: s for s in summaries}
-    assert by_id["a"].y_bar == 0.5
-    assert by_id["a"].d_bar == 0.5
-    assert by_id["a"].n == 4
-    assert by_id["b"].y_bar == 2.0
+    a, b = summaries.ids.index("a"), summaries.ids.index("b")
+    assert summaries.y_bar[a] == 0.5
+    assert summaries.d_bar[a] == 0.5
+    assert summaries.n[a] == 4
+    assert summaries.y_bar[b] == 2.0
 
 
 def test_perfect_adherence_dbar_equals_assignment(make_dataset):
     ds = make_dataset({"a": (1, [(1, 0.3), (1, 1.2)]), "b": (0, [(0, 0.1)])})
-    for s in cluster_means(validate(ds)):
-        assert s.d_bar == s.z
+    summaries = cluster_means(validate(ds))
+    assert np.array_equal(summaries.d_bar, summaries.z)
 
 
 def test_means_match_bruteforce_oracle(make_dataset):
@@ -43,12 +44,13 @@ def test_means_match_bruteforce_oracle(make_dataset):
         "q": (1, [(int(rng.integers(0, 2)), float(v)) for v in rng.normal(size=5)]),
     }
     ds = validate(make_dataset(rows))
-    summaries = {s.cluster_id: s for s in cluster_means(ds)}
+    summaries = cluster_means(ds)
     for cid, (_, recs) in rows.items():
         y_sum = sum(r[1] for r in recs)
         d_sum = sum(r[0] for r in recs)
-        assert summaries[cid].y_bar == pytest.approx(y_sum / len(recs), abs=1e-15)
-        assert summaries[cid].d_bar == pytest.approx(d_sum / len(recs), abs=1e-15)
+        k = summaries.ids.index(cid)
+        assert summaries.y_bar[k] == pytest.approx(y_sum / len(recs), abs=1e-15)
+        assert summaries.d_bar[k] == pytest.approx(d_sum / len(recs), abs=1e-15)
 
 
 def test_order_invariance(make_dataset):
@@ -63,7 +65,9 @@ def test_order_invariance(make_dataset):
     shuffled = list(ds.records)
     rng.shuffle(shuffled)
     permuted = cluster_means(TrialDataset(records=shuffled, outcome_kind=ds.outcome_kind))
-    assert base == permuted
+    assert base.ids == permuted.ids
+    for a, b in zip(base[1:], permuted[1:]):
+        assert np.array_equal(a, b)
 
 
 def test_adjust_continuous_rank_deficient(make_dataset):
@@ -95,9 +99,9 @@ def test_zero_coefficient_adjustment_is_intercept_shift(make_dataset):
     validate(ds)
     adjusted = summaries_from_values(ds, continuous_residuals(ds, (0,)))
     grand_mean = np.mean([r.y for r in ds.records])
-    for raw, adj in zip(cluster_means(ds), adjusted):
-        assert adj.y_bar == pytest.approx(raw.y_bar - grand_mean, abs=1e-12)
-        assert adj.d_bar == raw.d_bar
+    raw = cluster_means(ds)
+    assert adjusted.y_bar == pytest.approx(raw.y_bar - grand_mean, abs=1e-12)
+    assert np.array_equal(adjusted.d_bar, raw.d_bar)
     base = tsls(cluster_means(ds), AnalysisOptions())
     shifted = tsls(adjusted, AnalysisOptions())
     assert shifted.estimate == pytest.approx(base.estimate, abs=1e-10)
@@ -127,8 +131,9 @@ def test_adjustment_matches_hand_normal_equations(make_dataset):
     for cid in ("a", "b", "c"):
         mask = np.array([r.cluster_id == cid for r in ds.records])
         expected[cid] = resid[mask].mean()
-    for s in summaries_from_values(ds, continuous_residuals(ds, (0,))):
-        assert s.y_bar == pytest.approx(expected[s.cluster_id], abs=1e-12)
+    summaries = summaries_from_values(ds, continuous_residuals(ds, (0,)))
+    for cid, y_bar in zip(summaries.ids, summaries.y_bar):
+        assert y_bar == pytest.approx(expected[cid], abs=1e-12)
 
 
 def test_adjusted_residual_means_weighted_to_zero(make_dataset):
@@ -144,9 +149,9 @@ def test_adjusted_residual_means_weighted_to_zero(make_dataset):
         for i in range(8)
     }
     ds = validate(make_dataset(rows))
-    for s in [summaries_from_values(ds, continuous_residuals(ds, (0,)))]:
-        total = sum(item.n * item.y_bar for item in s)
-        assert abs(total) < 1e-10
+    s = summaries_from_values(ds, continuous_residuals(ds, (0,)))
+    total = sum(s.n * s.y_bar)
+    assert abs(total) < 1e-10
 
 
 def test_binary_intercept_only_score_identity(make_dataset):
@@ -160,7 +165,7 @@ def test_binary_intercept_only_score_identity(make_dataset):
     }
     ds = validate(make_dataset(rows, outcome_kind=OutcomeKind.BINARY))
     summaries = summaries_from_values(ds, binary_residuals(ds, ()))
-    assert abs(sum(s.n * s.y_bar for s in summaries)) < 1e-8
+    assert abs(sum(summaries.n * summaries.y_bar)) < 1e-8
 
 
 def test_binary_intercept_and_covariate_score_identity(make_dataset):
@@ -177,7 +182,7 @@ def test_binary_intercept_and_covariate_score_identity(make_dataset):
     }
     ds = validate(make_dataset(rows, outcome_kind=OutcomeKind.BINARY))
     summaries = summaries_from_values(ds, binary_residuals(ds, (0,)))
-    assert abs(sum(s.n * s.y_bar for s in summaries)) < 1e-8
+    assert abs(sum(summaries.n * summaries.y_bar)) < 1e-8
 
 
 def test_perfect_prediction_limit_gives_zero_residual_means(make_dataset):
@@ -187,8 +192,7 @@ def test_perfect_prediction_limit_gives_zero_residual_means(make_dataset):
         outcome_kind=OutcomeKind.BINARY,
     )
     y = np.array([r.y for r in ds.records])
-    for s in summaries_from_values(ds, y - y):
-        assert s.y_bar == 0.0
+    assert (summaries_from_values(ds, y - y).y_bar == 0.0).all()
 
 
 def test_separation_detected(make_dataset):
@@ -241,8 +245,9 @@ def test_binary_adjustment_matches_irls_oracle(make_dataset):
     expected = {
         cid: resid[cols.codes == k].mean() for k, cid in enumerate(cols.cluster_ids)
     }
-    for s in summaries_from_values(ds, binary_residuals(ds, (0, 1))):
-        assert s.y_bar == pytest.approx(expected[s.cluster_id], abs=1e-10)
+    summaries = summaries_from_values(ds, binary_residuals(ds, (0, 1)))
+    for cid, y_bar in zip(summaries.ids, summaries.y_bar):
+        assert y_bar == pytest.approx(expected[cid], abs=1e-10)
     assert np.allclose(binary_residuals(ds, (0, 1)), resid, atol=1e-10)
 
 
@@ -261,7 +266,7 @@ def test_binary_adjustment_converges_on_moderate_samples(make_dataset):
             rows[f"c{i}"] = (i % 2, cluster)
         ds = validate(make_dataset(rows, outcome_kind=OutcomeKind.BINARY))
         summaries = summaries_from_values(ds, binary_residuals(ds, (0,)))
-        assert abs(sum(s.n * s.y_bar for s in summaries)) < 1e-8
+        assert abs(sum(summaries.n * summaries.y_bar)) < 1e-8
 
 
 def test_icc_one_when_within_variance_zero(make_dataset):
@@ -329,3 +334,26 @@ def test_continuous_residuals_shape_check(make_dataset):
         summaries_from_values(ds, np.zeros(5))
     res = continuous_residuals(ds, (0,))
     assert res.shape == (2,)
+
+
+def test_summaries_from_values_share_the_unadjusted_columns_and_skip_the_raw_means(
+    make_dataset, monkeypatch
+):
+    ds = make_dataset({"a": (0, [(0, 1.0), (0, 2.0)]), "b": (1, [(1, 3.0), (0, 5.0)])})
+    original, averaged = collapse._cluster_means_of, []
+
+    def counted(values, cols):
+        averaged.append(values)
+        return original(values, cols)
+
+    monkeypatch.setattr(collapse, "_cluster_means_of", counted)
+    values = np.array([0.5, -0.5, 1.5, 2.5])
+    adjusted = summaries_from_values(ds, values)
+    # The values and d, never the raw outcome: no cluster_means pass either.
+    assert len(averaged) == 2 and not any(a is ds.columns().y for a in averaged)
+    assert ds._summaries is None
+    raw = cluster_means(ds)
+    again = summaries_from_values(ds, values)
+    assert np.array_equal(again.y_bar, adjusted.y_bar)
+    for name in ("n", "z", "d_bar", "w"):
+        assert getattr(again, name) is getattr(raw, name)

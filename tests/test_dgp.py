@@ -56,8 +56,8 @@ def test_one_sided_nonadherence():
 
 def test_cluster_level_adherence_gives_binary_dbar():
     trial = generate(ScenarioConfig(adherence=AdherenceLevel.CLUSTER), seed=4)
-    for s in cluster_means(trial.dataset):
-        assert s.d_bar in (0.0, 1.0)
+    for d_bar in cluster_means(trial.dataset).d_bar:
+        assert d_bar in (0.0, 1.0)
 
 
 def test_generation_is_pure_function_of_config_and_seed():
@@ -89,7 +89,7 @@ def test_equal_cluster_sizes_make_both_weightings_coincide():
         pi=0.85,
     )
     trial = generate(config, seed=8)
-    assert set(cluster_means(trial.dataset)[i].n for i in range(40)) == {10}
+    assert set(cluster_means(trial.dataset).n.tolist()) == {10}
     assert np.allclose(trial.psi, trial.psi_cl, atol=1e-12)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crtiv.collapse import cluster_means, summarise
+from crtiv.collapse import cluster_means
 from crtiv.dgp import PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
     CrtivError,
@@ -30,7 +30,6 @@ from crtiv.iv import (
 )
 from crtiv.model import (
     AnalysisOptions,
-    ClusterSummary,
     DfMode,
     SeMode,
     Summaries,
@@ -49,17 +48,14 @@ ALL_OPTION_COMBOS = [
 def summaries_from_arrays(y, d, z, sizes=None, w=None):
     n = len(y)
     sizes = sizes if sizes is not None else [10] * n
-    return [
-        ClusterSummary(
-            cluster_id=f"c{i:03d}",
-            n=int(sizes[i]),
-            z=int(z[i]),
-            d_bar=float(d[i]),
-            y_bar=float(y[i]),
-            w=(float(w[i]),) if w is not None else (),
-        )
-        for i in range(n)
-    ]
+    return Summaries(
+        ids=tuple(f"c{i:03d}" for i in range(n)),
+        n=np.array([int(s) for s in sizes]),
+        z=np.asarray(z, dtype=float),
+        d_bar=np.asarray(d, dtype=float),
+        y_bar=np.asarray(y, dtype=float),
+        w=np.empty((n, 0)) if w is None else np.asarray(w, dtype=float).reshape(n, 1),
+    )
 
 
 def oracle_tsls(y, d, z, weights, w_col=None):
@@ -101,9 +97,9 @@ def test_itt_unweighted_is_arm_mean_difference():
 def test_weighted_itt_matches_normal_equation_oracle(make_summaries):
     rng = np.random.default_rng(22)
     summaries = make_summaries(rng, n_clusters=12)
-    y = np.array([s.y_bar for s in summaries])
-    z = np.array([s.z for s in summaries], dtype=float)
-    w = np.array([s.n for s in summaries], dtype=float)
+    y = summaries.y_bar
+    z = summaries.z
+    w = summaries.n.astype(float)
     design = np.column_stack([np.ones(len(y)), z])
     xtwx_inv = np.linalg.inv(design.T @ (design * w[:, None]))
     beta = xtwx_inv @ design.T @ (w * y)
@@ -117,7 +113,7 @@ def test_weighted_itt_matches_normal_equation_oracle(make_summaries):
 def test_perfect_adherence_itt_equals_tsls_for_every_option_combo(make_summaries):
     rng = np.random.default_rng(2)
     summaries = make_summaries(rng, n_clusters=14)
-    summaries = [replace(s, d_bar=float(s.z)) for s in summaries]
+    summaries = summaries._replace(d_bar=summaries.z.copy())
     for options in ALL_OPTION_COMBOS:
         a = itt(summaries, options)
         b = tsls(summaries, options)
@@ -140,9 +136,9 @@ def test_wald_direct_substitution():
 def test_wald_perfect_adherence_reduces_to_itt_difference(make_summaries):
     rng = np.random.default_rng(3)
     summaries = make_summaries(rng, n_clusters=10)
-    summaries = [replace(s, d_bar=float(s.z)) for s in summaries]
-    y = np.array([s.y_bar for s in summaries])
-    z = np.array([s.z for s in summaries])
+    summaries = summaries._replace(d_bar=summaries.z.copy())
+    y = summaries.y_bar
+    z = summaries.z
     expected = y[z == 1].mean() - y[z == 0].mean()
     assert wald_late(summaries) == pytest.approx(expected, abs=1e-12)
 
@@ -171,11 +167,11 @@ def test_tsls_matches_matrix_oracle_with_and_without_w(make_summaries):
     rng = np.random.default_rng(5)
     for _ in range(50):
         summaries = make_summaries(rng, with_w=True)
-        y = np.array([s.y_bar for s in summaries])
-        d = np.array([s.d_bar for s in summaries])
-        z = np.array([s.z for s in summaries], dtype=float)
-        w_col = np.array([s.w[0] for s in summaries])
-        sizes = np.array([s.n for s in summaries], dtype=float)
+        y = summaries.y_bar
+        d = summaries.d_bar
+        z = summaries.z
+        w_col = summaries.w[:, 0]
+        sizes = summaries.n.astype(float)
 
         for adjust_w, weights in ((False, None), (True, None), (True, sizes)):
             options = AnalysisOptions(
@@ -216,9 +212,9 @@ def test_six_cluster_w_fixture_matches_oracle():
 def test_irrelevant_w_leaves_point_estimate_unchanged(make_summaries):
     rng = np.random.default_rng(6)
     summaries = make_summaries(rng, n_clusters=9)
-    y = np.array([s.y_bar for s in summaries])
-    d = np.array([s.d_bar for s in summaries])
-    z = np.array([s.z for s in summaries], dtype=float)
+    y = summaries.y_bar
+    d = summaries.d_bar
+    z = summaries.z
 
     # Build w orthogonal to the base design and to both residualized outcomes,
     # so its fitted coefficient is zero in each stage.
@@ -233,7 +229,7 @@ def test_irrelevant_w_leaves_point_estimate_unchanged(make_summaries):
     for u in (d_t, y_t - (y_t @ d_t) / (d_t @ d_t) * d_t):
         v = v - (v @ u) / (u @ u) * u
 
-    with_w = [replace(s, w=(float(v[i]),)) for i, s in enumerate(summaries)]
+    with_w = summaries._replace(w=v[:, None])
     plain = tsls(summaries, AnalysisOptions())
     adjusted = tsls(with_w, AnalysisOptions(adjust_w=True))
     system = tsls_system(with_w, AnalysisOptions(adjust_w=True))
@@ -273,8 +269,8 @@ def test_first_stage_f_equals_squared_t_oracle(make_summaries):
     rng = np.random.default_rng(8)
     for _ in range(50):
         summaries = make_summaries(rng)
-        d = np.array([s.d_bar for s in summaries])
-        z = np.array([s.z for s in summaries])
+        d = summaries.d_bar
+        z = summaries.z
         n1, n0 = int((z == 1).sum()), int((z == 0).sum())
         gamma = d[z == 1].mean() - d[z == 0].mean()
         ssr = ((d[z == 1] - d[z == 1].mean()) ** 2).sum() + (
@@ -299,7 +295,7 @@ def test_weight_scale_invariance_of_estimate_and_hw_se(make_summaries):
     # Scaling all weights by a constant: cluster-size weights vs doubled sizes.
     rng = np.random.default_rng(10)
     summaries = make_summaries(rng, n_clusters=11)
-    doubled = [replace(s, n=2 * s.n) for s in summaries]
+    doubled = summaries._replace(n=2 * summaries.n)
     options = AnalysisOptions(weights=Weights.CLUSTER_SIZE, se_mode=SeMode.HUBER_WHITE)
     a = tsls(summaries, options)
     b = tsls(doubled, options)
@@ -311,7 +307,7 @@ def test_affine_outcome_equivariance(make_summaries):
     rng = np.random.default_rng(12)
     summaries = make_summaries(rng, n_clusters=15)
     a, b = 2.5, -1.7
-    mapped = [replace(s, y_bar=a + b * s.y_bar) for s in summaries]
+    mapped = summaries._replace(y_bar=a + b * summaries.y_bar)
     for options in (AnalysisOptions(), AnalysisOptions(se_mode=SeMode.HUBER_WHITE)):
         base = tsls(summaries, options)
         moved = tsls(mapped, options)
@@ -339,8 +335,8 @@ def test_structural_residuals_use_actual_adherence(make_summaries):
     rng = np.random.default_rng(14)
     summaries = make_summaries(rng, n_clusters=10)
     system = tsls_system(summaries, AnalysisOptions())
-    y = np.array([s.y_bar for s in summaries])
-    d = np.array([s.d_bar for s in summaries])
+    y = summaries.y_bar
+    d = summaries.d_bar
     expected = y - system.beta0 - system.beta_iv * d
     assert np.allclose(system.structural_residuals, expected, atol=1e-12)
     # Residuals against the fitted first stage would differ.
@@ -351,16 +347,15 @@ def test_structural_residuals_use_actual_adherence(make_summaries):
 def test_tsls_system_is_the_grid_two_stage_fit(make_summaries):
     rng = np.random.default_rng(16)
     summaries = make_summaries(rng, n_clusters=24, with_w=True)
-    columns = Summaries.of(summaries)
     for weights in Weights:
         for adjust_w in (False, True):
             icc = 0.2 if weights is Weights.MIN_VARIANCE else None
             options = AnalysisOptions(weights=weights, adjust_w=adjust_w, icc=icc)
             system = tsls_system(summaries, options)
             assert system.beta_iv == tsls(summaries, options).estimate
-            pieces = [np.ones(columns.n_clusters), columns.z]
+            pieces = [np.ones(summaries.n_clusters), summaries.z]
             if adjust_w:
-                pieces.append(columns.w)
+                pieces.append(summaries.w)
             gamma = np.array([system.gamma0, system.gamma_z, *system.gamma_w])
             assert np.array_equal(system.first_stage_fitted, np.column_stack(pieces) @ gamma)
 
@@ -400,7 +395,7 @@ def test_dataset_level_wrappers_match_manual_pipeline(make_dataset):
     assert assignment.estimate == manual_itt.estimate
 
 
-# --- columns and lists: the two forms of the summaries fit alike ------------
+# --- the grid: every cell equals its own one-cell fit, faults included -------
 
 FULL_GRID = [
     AnalysisOptions(weights, se_mode, df_mode, adjust_w, icc)
@@ -421,13 +416,6 @@ def damaged(summaries: Summaries, damage: str) -> Summaries:
     return summaries
 
 
-def as_list(summaries: Summaries) -> list[ClusterSummary]:
-    return [
-        ClusterSummary(cid, int(n), int(z), float(d), float(y), tuple(w))
-        for cid, n, z, d, y, w in zip(*summaries)
-    ]
-
-
 def same_cell(a, b):
     if isinstance(a, CrtivError):
         return type(a) is type(b) and str(a) == str(b)
@@ -444,18 +432,18 @@ def same_cell(a, b):
 @example(seed=0, n_clusters=3, damage="none", estimator="late")  # J - p = 0 with w
 @example(seed=0, n_clusters=20, damage="constant w", estimator="late")
 @example(seed=0, n_clusters=20, damage="flat adherence", estimator="late")
-def test_fit_grid_on_columns_equals_fit_grid_on_lists(seed, n_clusters, damage, estimator):
+def test_fit_grid_cells_equal_their_one_cell_fits(seed, n_clusters, damage, estimator):
     trial = generate(ScenarioConfig(n_clusters=n_clusters, sizes=PoissonSizes(8.0)), seed)
-    columns = damaged(summarise(trial.dataset), damage)
+    columns = damaged(cluster_means(trial.dataset), damage)
     cells = [("o", options) for options in FULL_GRID]
     icc = {"o": 0.05}
-    from_columns = fit_grid({"o": columns}, cells, icc, estimator)
-    from_list = fit_grid({"o": as_list(columns)}, cells, icc, estimator)
-    assert len(from_columns) == len(from_list) == len(cells)
-    for (_, options), a, b in zip(cells, from_columns, from_list):
-        assert same_cell(a, b), options
+    from_grid = fit_grid({"o": columns}, cells, icc, estimator)
+    assert len(from_grid) == len(cells)
+    for cell, fit in zip(cells, from_grid):
+        (alone,) = fit_grid({"o": columns}, [cell], icc, estimator)
+        assert same_cell(fit, alone), cell[1]
     # The faults land in the cells they belong to (given both arms).
-    failed = {type(fit) for fit in from_columns if isinstance(fit, CrtivError)}
+    failed = {type(fit) for fit in from_grid if isinstance(fit, CrtivError)}
     both_arms = 0 < columns.z.sum() < n_clusters
     if damage == "constant w" and both_arms:
         assert RankDeficient in failed
@@ -465,7 +453,7 @@ def test_fit_grid_on_columns_equals_fit_grid_on_lists(seed, n_clusters, damage, 
         assert DfNonPositive in failed
     # With J=3 and w, J - p = 0: a small-sample cell fails on its own
     # wherever its normal-approximation twin has a fit.
-    fits = {options: fit for (_, options), fit in zip(cells, from_columns)}
+    fits = {options: fit for (_, options), fit in zip(cells, from_grid)}
     for options, fit in fits.items():
         twin = fits[replace(options, df_mode=DfMode.NORMAL_APPROX)]
         if options.df_mode is DfMode.SMALL_SAMPLE and not isinstance(twin, CrtivError):
@@ -476,7 +464,7 @@ def test_fit_grid_on_columns_equals_fit_grid_on_lists(seed, n_clusters, damage, 
 def test_small_sample_df_counts_clusters_not_fields():
     # A Summaries is a tuple of six fields; seven clusters must give J - p.
     trial = generate(ScenarioConfig(n_clusters=7, sizes=PoissonSizes(8.0)), 4)
-    columns = summarise(trial.dataset)
+    columns = cluster_means(trial.dataset)
     assert len(columns) == 6 and columns.n_clusters == 7
     for fitter in (tsls, itt):
         for adjust_w, n_params in ((False, 2), (True, 3)):
@@ -484,12 +472,13 @@ def test_small_sample_df_counts_clusters_not_fields():
             on_columns = fitter(columns, options)
             assert on_columns.df == 7 - n_params
             assert on_columns.n_clusters == 7
-            assert on_columns == fitter(cluster_means(trial.dataset), options)
 
 
 def test_no_summaries_is_an_empty_arm_in_either_form():
+    # Either form of the covariate column: a J x 0 matrix, or None for
+    # covariate vectors of different lengths.
     empty = Summaries((), *(np.empty(0) for _ in range(4)), np.empty((0, 0)))
-    for summaries in ([], empty):
+    for summaries in (empty, empty._replace(w=None)):
         for estimate in (
             lambda: tsls(summaries, AnalysisOptions()),
             lambda: itt(summaries, AnalysisOptions()),

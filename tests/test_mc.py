@@ -27,7 +27,6 @@ from crtiv.mc import (
 )
 from crtiv.model import (
     AnalysisOptions,
-    ClusterSummary,
     DfMode,
     SeMode,
     TrialDataset,
@@ -216,7 +215,8 @@ def per_cell_fit(trial, variant, x_columns=(0,)):
     options = AnalysisOptions(variant.weights, variant.se_mode, variant.df_mode, variant.adjust_w)
     try:
         fit = iv.tsls(summaries, options, icc=icc)
-        crit, _ = wls.critical_value(variant.df_mode, len(summaries), 3 if variant.adjust_w else 2)
+        n_params = 3 if variant.adjust_w else 2
+        crit, _ = wls.critical_value(variant.df_mode, summaries.n_clusters, n_params)
     except CrtivError:
         return None
     return fit.estimate, fit.se, crit
@@ -348,13 +348,6 @@ def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
     assert len(calls) == 1 + 2 + 2
 
 
-def test_simulate_path_builds_no_cluster_summary_objects(monkeypatch):
-    built = counting(monkeypatch, ClusterSummary, "__init__")
-    report = run_study(ScenarioConfig(), n_replicates=3, master_seed=5)
-    assert all(r.n_fits == 3 for r in report.variants.values())
-    assert built == []
-
-
 def with_outcome(trial, y):
     cols = trial.dataset.columns()
     dataset = TrialDataset(
@@ -378,5 +371,5 @@ def test_overflowing_fits_count_as_fit_failures():
     overflowed = with_outcome(trial, np.full_like(cols.y, 1e308)).dataset
     cells = [(0, AnalysisOptions(icc=0.1)), (0, AnalysisOptions(adjust_w=True))]
     for estimator in ("late", "itt"):
-        fits = iv.fit_grid({0: collapse.summarise(overflowed)}, cells, estimator=estimator)
+        fits = iv.fit_grid({0: collapse.cluster_means(overflowed)}, cells, estimator=estimator)
         assert [type(fit) for fit in fits] == [NonFiniteValue, NonFiniteValue]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from crtiv.errors import (
     ValidationFailure,
 )
 from crtiv.model import (
+    Columns,
     IndividualRecord,
     OutcomeKind,
     TrialDataset,
@@ -156,3 +159,36 @@ def test_records_and_columns_describe_the_same_trial():
         TrialDataset()
     with pytest.raises(TypeError):
         TrialDataset(records=records, columns=cols)
+
+
+@pytest.mark.parametrize(
+    "column, value, kind, message",
+    [
+        ("z", 2.0, OutcomeKind.CONTINUOUS, "assignment z=2 in cluster k2"),
+        ("z", 0.5, OutcomeKind.CONTINUOUS, "assignment z=0.5 in cluster k2"),
+        ("d", 3.0, OutcomeKind.CONTINUOUS, "treatment d=3 in cluster k2"),
+        ("y", 2.0, OutcomeKind.BINARY, "outcome y=2.0 in cluster k2"),
+    ],
+    ids=["z=2", "z=0.5", "d=3", "y=2"],
+)
+def test_validate_reports_a_faulty_row_of_the_columns_without_building_records(
+    column, value, kind, message
+):
+    codes = np.repeat(np.arange(6), 50)
+    z = (codes % 2).astype(float)
+    values = {"z": z, "d": z.copy(), "y": z.copy()}
+    values[column][137] = value  # a record of cluster k2
+    columns = Columns(
+        cluster_ids=tuple(f"k{c}" for c in range(6)),
+        codes=codes,
+        x=np.empty((len(codes), 0)),
+        sizes=np.bincount(codes),
+        **values,
+    )
+    ds = TrialDataset(columns=columns, outcome_kind=kind)
+    with pytest.raises(ValidationFailure, match=f"^{re.escape(message)}$"):
+        validate(ds)
+    assert ds._records is None
+    # The message reads the row as the record view shows it.
+    with pytest.raises(ValidationFailure, match=f"^{re.escape(message)}$"):
+        validate(TrialDataset(records=ds.records, outcome_kind=kind))
