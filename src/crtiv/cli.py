@@ -12,6 +12,14 @@ separated, ``.`` decimal point.  Machine-readable outputs print floats with
 17 significant digits so they round-trip exactly; pretty tables use 3
 decimals.
 
+A plain input file, one without quotes, lone carriage returns or the ASCII
+information separators, has its numeric cells read by numpy's C reader
+(``np.loadtxt``), a block of lines at a time.  A block it cannot read, and
+every block of any other file, falls back to :mod:`csv` with a numpy
+conversion per column, and a block that fails that too is read cell by
+cell for its first error.  The two paths give the same dataset and the
+same errors; :func:`ingest_csv` says why.
+
 Exit codes: 0 success, 2 invalid input, 3 numeric failure.  Errors go to
 stderr as single-line ``key=value`` records.
 """
@@ -22,7 +30,7 @@ import argparse
 import csv
 import math
 import sys
-from itertools import islice, product
+from itertools import islice, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -88,23 +96,40 @@ def csv_columns(path) -> tuple[list[str], list[str]]:
 # per-cell work, few enough that only one block of raw text is held.
 _BLOCK_ROWS = 4096
 
+# Bytes that keep a file off the plain-file parser: a quote can join lines
+# into one row or hide a comma, and the four information separators
+# (0x1c-0x1f) are whitespace that loadtxt strips and ``float`` does not.
+_NOT_PLAIN = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
 
 def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> TrialDataset:
     """Read an individual-level trial CSV into a (not yet validated) dataset.
 
-    Rows are tokenised by :mod:`csv` and converted a block at a time
-    straight into the dataset's columns: each numeric column of a block in
-    one numpy call (which accepts exactly the text ``float`` accepts),
-    cluster ids to integer codes in first-seen order, and the ``w_*``
-    values of each row checked against the first row of its cluster.  A
-    block with any fault is read again cell by cell, so the error reported
-    is the first one in file order, with its line number.
+    Rows are converted a block at a time straight into the dataset's
+    columns: cluster ids to integer codes in first-seen order, and the
+    ``w_*`` values of each row checked against the first row of its
+    cluster.  A plain file (see :func:`_is_plain`; most machine-written
+    files are) has each block read by :func:`numpy.loadtxt`, after a check
+    that every line has one comma fewer than the header has columns.  A
+    block that fails there, and every block of any other file, is
+    tokenised by :mod:`csv` and read one numeric column at a time by numpy.
+    A block that fails that too is read again cell by cell, so the error
+    reported is the first one in file order, with its line number; the
+    plain-file parser itself never reports an error.
+
+    loadtxt reads a cell as ``float`` does, or not at all: both strip the
+    same whitespace, except the information separators 0x1c-0x1f that a
+    plain file cannot hold, and then call ``PyOS_string_to_double``.  What
+    ``float`` reads beyond that, such as ``1_0`` or non-ASCII digits,
+    loadtxt rejects, and the block falls back.  ``comments=None`` keeps it
+    from reading ``1#x`` as 1.
 
     Raises :class:`SchemaMismatch` for header problems,
     :class:`ParseError` (with the file line number) for malformed cells, and
     :class:`NonConstantClusterCovariate` when a ``w_*`` column varies inside
     a cluster.
     """
+    plain = _is_plain(path)
     # utf-8-sig also accepts spreadsheet exports that lead with a BOM
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -126,38 +151,49 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
         w_names = [c for c in header if c.startswith("w_")]
         # Numeric columns in the order a row's cells are checked.
         numeric = [(name, header.index(name)) for name in ["z", "d", "y", *x_names, *w_names]]
+        positions = [p for _, p in numeric]
         id_position = header.index("cluster_id")
         n_w = len(w_names)
 
         code_of: dict[str, int] = {}  # cluster id -> code, in first-seen order
         first_w = np.empty((0, n_w))  # w of each cluster's first row, by code
         first_line: list[int] = []  # file line of each cluster's first row, by code
+
+        def encode(ids, values, n_known: int, line: int):
+            """The codes of a block's rows, its new clusters' first ``w`` and
+            line recorded; ``None`` if a row's ``w`` differs from its
+            cluster's first.  Recording from ``n_known`` on, a block read a
+            second time is recorded once."""
+            nonlocal first_w
+            for cid in dict.fromkeys(ids):
+                code_of.setdefault(cid, len(code_of))
+            codes = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
+            w = values[len(numeric) - n_w :].T
+            seen, first_rows = np.unique(codes, return_index=True)
+            fresh = first_rows[seen >= n_known]
+            first_w = np.concatenate([first_w[:n_known], w[fresh]])
+            first_line[n_known:] = (line + fresh).tolist()
+            return None if n_w and (w != first_w[codes]).any() else codes
+
         code_blocks, value_blocks = [], []
         line = 2  # file line of the block's first row
-        while block := list(islice(reader, _BLOCK_ROWS)):
+        # A plain file's lines are its rows, so its blocks are read as text.
+        while block := list(islice(handle if plain else reader, _BLOCK_ROWS)):
             n_known = len(first_line)  # clusters seen in earlier blocks
-            parsed = _bulk_values(block, len(header), id_position, [p for _, p in numeric])
-            if parsed is not None:
-                ids, values = parsed
-                for cid in dict.fromkeys(ids):
-                    code_of.setdefault(cid, len(code_of))
-                codes = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
-                w = values[len(numeric) - n_w :].T
-                seen, first_rows = np.unique(codes, return_index=True)
-                fresh = first_rows[seen >= n_known]
-                if fresh.size:
-                    first_w = np.concatenate([first_w, w[fresh]])
-                    first_line += (line + fresh).tolist()
-                if n_w and (w != first_w[codes]).any():
-                    parsed = None
-            if parsed is None:
+            parsed = _plain_values(block, len(header), id_position, positions) if plain else None
+            codes = encode(*parsed, n_known, line) if parsed else None
+            if codes is None:
+                rows = list(csv.reader(block)) if plain else block
+                parsed = _bulk_values(rows, len(header), id_position, positions)
+                codes = encode(*parsed, n_known, line) if parsed else None
+            if codes is None:
                 earlier = zip(code_of, first_w[:n_known].tolist(), first_line[:n_known])
                 _raise_first_fault(
-                    block, line, len(header), id_position, numeric, n_w,
+                    rows, line, len(header), id_position, numeric, n_w,
                     {cid: (tuple(w_first), first) for cid, w_first, first in earlier},
                 )
             code_blocks.append(codes)
-            value_blocks.append(values)
+            value_blocks.append(parsed[1])
             line += len(block)
 
     if not code_of:
@@ -182,6 +218,42 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
         outcome_kind=outcome_kind,
         columns=columns,
     )
+
+
+def _is_plain(path) -> bool:
+    """Whether each line of a file is one row to :mod:`csv`, split at every
+    comma, and its cells are whitespace-stripped alike by loadtxt and
+    ``float``: it holds none of ``_NOT_PLAIN`` and no carriage return
+    outside a CRLF line end."""
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            if chunk.endswith(b"\r"):
+                chunk += handle.read(1)  # keep a CRLF line end in one chunk
+            if any(map(chunk.__contains__, _NOT_PLAIN)):
+                return False
+            if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+                return False
+    return True
+
+
+def _plain_values(lines, n_fields: int, id_position: int, positions: list[int]):
+    """:func:`_bulk_values` of a block of lines of a plain file, read by
+    loadtxt: ``None`` when a line is ragged or longer than :mod:`csv` takes
+    a field, or loadtxt does not read every cell as a finite number."""
+    if set(map(str.count, lines, repeat(","))) != {n_fields - 1}:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", usecols=positions, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    ids = [line.split(",", id_position + 1)[id_position] for line in lines]
+    if id_position == n_fields - 1:
+        ids = [cid.rstrip("\r\n") for cid in ids]
+    return ids, np.ascontiguousarray(values.T)  # laid out as _bulk_values lays it
 
 
 def _bulk_values(block, n_fields: int, id_position: int, positions: list[int]):

@@ -393,7 +393,10 @@ def wald_late(summaries: Summaries) -> float:
     """Ratio of unweighted arm-mean differences of outcome and adherence."""
     if not summaries.n_clusters:
         raise EmptyArm("no cluster summaries")
-    y, d, treated = summaries.y_bar, summaries.d_bar, summaries.z == 1.0
+    # As arrays, so that a Summaries built from lists answers, as in tsls.
+    y = np.asarray(summaries.y_bar, dtype=float)
+    d = np.asarray(summaries.d_bar, dtype=float)
+    treated = np.asarray(summaries.z, dtype=float) == 1.0
     if not treated.any() or treated.all():
         raise EmptyArm("both arms required for the ratio estimator")
     numerator = float(y[treated].mean() - y[~treated].mean())

@@ -139,7 +139,7 @@ class TrialDataset:
         self._records = records
         self._summaries = None
         self.cluster_covariates = {
-            str(k): tuple(float(v) for v in vec) for k, vec in (cluster_covariates or {}).items()
+            str(k): tuple(map(float, vec)) for k, vec in (cluster_covariates or {}).items()
         }
         self.outcome_kind = outcome_kind
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crtiv import cli, collapse
@@ -320,9 +320,9 @@ def counting(monkeypatch, module, name):
     """Replace ``module.name`` with a wrapper that records its calls."""
     original, calls = getattr(module, name), []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -620,6 +620,109 @@ def test_ingest_cells_of_one_row_are_checked_left_to_right(tmp_path):
     rows[4][1] = "q"  # z, checked first
     error = first_error(tmp_path, rows)
     assert error.line == 6 and "column 'z'" in str(error)
+
+
+# --- the plain-file parser and the csv path read every file alike ----------
+
+# Cells float() and loadtxt may read differently: underscores, non-ASCII
+# digits, Unicode and separator whitespace, NUL, comments, non-finite and
+# overflowing values, hex, empty cells.
+ODD_CELLS = [
+    "1_0", "\u0661", "\uff11", "\u20031", "1\x85", "\xa0 1", "\x1c1", "1\x1f", "\t1 ",
+    "\x00", "1\x00", "#", "0x10", "", "1 2",
+]
+# Cells loadtxt reads as numbers where a check must still send them to csv.
+BAD_NUMBERS = ["1#x", "nan", "-inf", "1e500"]
+NICE_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "1.5", "-0", "2e-3", " 7", "+4."]),
+    FINITE.map(repr),
+)
+PLAIN_IDS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'),
+    max_size=4,
+)
+
+
+@st.composite
+def trial_files(draw):
+    """The bytes of a trial CSV, mostly plain, with a few faults worked in."""
+    header = draw(st.permutations(["cluster_id", "z", "d", "y", "w_1", "x_1"]))
+    ids = draw(st.lists(PLAIN_IDS, min_size=1, max_size=4, unique=True))
+    w_of = {cid: draw(NICE_CELLS) for cid in ids}
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        cid = draw(st.sampled_from(ids))
+        cells = {"cluster_id": cid, "w_1": w_of[cid]}
+        rows.append([cells[name] if name in cells else draw(NICE_CELLS) for name in header])
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["odd", "bad", "w", "blank", "short", "long"]))
+        if fault in ("odd", "bad") and row:
+            odd = draw(st.sampled_from(ODD_CELLS if fault == "odd" else BAD_NUMBERS))
+            row[draw(st.integers(0, len(row) - 1))] = odd
+        elif fault == "w" and len(row) > header.index("w_1"):
+            row[header.index("w_1")] = draw(NICE_CELLS)
+        elif fault == "blank":
+            row.clear()
+        elif fault == "short":
+            del row[-1:]
+        elif fault == "long":
+            row.append("1")
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+
+
+def ingest_outcome(path):
+    """``ingest_csv``'s columns and covariates, or its error's class and message."""
+    try:
+        dataset = cli.ingest_csv(path)
+    except Exception as exc:  # any difference between the parsers counts
+        return type(exc), str(exc)
+    cols = dataset.columns()
+    arrays = [cols.codes, cols.z, cols.d, cols.y, cols.x, cols.sizes]
+    return (
+        cols.cluster_ids,
+        [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays],
+        dataset.cluster_covariates,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=trial_files(), block_rows=st.sampled_from([1, 3, cli._BLOCK_ROWS]))
+@example(data=b"cluster_id,z,d,y\na,0,0,1#x\n", block_rows=cli._BLOCK_ROWS)
+@example(data=b"cluster_id,z,d,y\na,0,0,nan\n", block_rows=cli._BLOCK_ROWS)
+@example(data=b"cluster_id,z,d,y\r\na,0,0,1,2\r\n", block_rows=cli._BLOCK_ROWS)
+def test_plain_and_csv_parsers_read_a_file_alike(tmp_path_factory, data, block_rows):
+    path = tmp_path_factory.mktemp("parsers") / "trial.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        plain = ingest_outcome(path)
+        patch.setattr(cli, "_plain_values", lambda *args: None)  # defer every block to csv
+        assert ingest_outcome(path) == plain
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_a_plain_file_is_read_without_the_csv_module(tmp_path, monkeypatch, eol):
+    rows = many_rows(3 * cli._BLOCK_ROWS)
+    path = tmp_path / "t.csv"
+    lines = [",".join(BASIC_HEADER + ["w_1", "x_1"])] + [",".join(map(str, r)) for r in rows]
+    path.write_text(eol.join(lines) + eol, encoding="utf-8", newline="")
+    bulk = counting(monkeypatch, cli, "_bulk_values")
+    assert cli.ingest_csv(path).n_records == len(rows)
+    assert bulk == []
+
+
+def test_a_file_with_a_quoted_id_is_read_by_the_csv_module(tmp_path, monkeypatch):
+    rows = many_rows(3 * cli._BLOCK_ROWS)
+    rows[-1][0] = "s, quoted"
+    path = tmp_path / "t.csv"
+    write_csv(path, BASIC_HEADER + ["w_1", "x_1"], rows)
+    loadtxt = counting(monkeypatch, np, "loadtxt")
+    assert "s, quoted" in cli.ingest_csv(path).columns().cluster_ids
+    assert loadtxt == []
 
 
 @pytest.mark.parametrize("seed", [1, 2])

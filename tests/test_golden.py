@@ -21,6 +21,10 @@ GOLDEN = {
     "report.csv": "50eb312216b7b411900826ed1a6d820d3a5b9bee1f30c34ca5378c8fa1959c62",
     # analyze --adjust-x x_1 --adjust-w w_1 on the default scenario's trial for seed 1
     "analysis.csv": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
+    # the same, on that trial with a byte order mark and CRLF line ends
+    "analysis.csv bom crlf": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
+    # the same, on that trial with its first cluster id quoted and holding a comma
+    "analysis.csv quoted id": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
 }
 
 
@@ -49,11 +53,39 @@ def test_simulate_report_is_byte_identical_to_the_recorded_one(tmp_path, default
     assert sha256(out / "report.csv") == GOLDEN["report.csv"]
 
 
-def test_analyze_output_is_byte_identical_to_the_recorded_one(tmp_path, default_scenario):
+def analyze_digest(tmp_path, scenario, edit=None) -> str:
+    """Digest of ``analysis.csv`` for the golden trial, its bytes first
+    passed through ``edit``."""
     gen = tmp_path / "gen"
-    argv = ["generate", "--scenario", str(default_scenario), "--output-dir", str(gen)]
+    argv = ["generate", "--scenario", str(scenario), "--output-dir", str(gen)]
     assert cli.main(argv + ["--seed", "1"]) == 0
+    trial = gen / "trial.csv"
+    if edit is not None:
+        trial.write_bytes(edit(trial.read_bytes()))
     out = tmp_path / "analysis"
-    argv = ["analyze", "--input", str(gen / "trial.csv"), "--output-dir", str(out)]
+    argv = ["analyze", "--input", str(trial), "--output-dir", str(out)]
     assert cli.main(argv + ["--adjust-x", "x_1", "--adjust-w", "w_1"]) == 0
-    assert sha256(out / "analysis.csv") == GOLDEN["analysis.csv"]
+    return sha256(out / "analysis.csv")
+
+
+def test_analyze_output_is_byte_identical_to_the_recorded_one(tmp_path, default_scenario):
+    assert analyze_digest(tmp_path, default_scenario) == GOLDEN["analysis.csv"]
+
+
+def bom_crlf(data: bytes) -> bytes:
+    return b"\xef\xbb\xbf" + data.replace(b"\r\n", b"\n").replace(b"\n", b"\r\n")
+
+
+def quoted_id(data: bytes) -> bytes:
+    """Rename the first data row's cluster to a quoted id holding a comma."""
+    first = data.split(b"\n")[1].split(b",")[0]
+    return data.replace(b"\n" + first + b",", b'\n"' + first + b', quoted",')
+
+
+# The first variant is read by the plain-file parser, the second by csv.
+@pytest.mark.parametrize("variant, edit", [("bom crlf", bom_crlf), ("quoted id", quoted_id)])
+def test_analyze_output_of_an_edited_trial_is_byte_identical_to_the_recorded_one(
+    tmp_path, default_scenario, variant, edit
+):
+    digest = analyze_digest(tmp_path, default_scenario, edit)
+    assert digest == GOLDEN[f"analysis.csv {variant}"]

@@ -133,6 +133,14 @@ def test_wald_direct_substitution():
     assert wald_late(summaries) == pytest.approx(0.7 / 0.6, abs=1e-12)
 
 
+def test_wald_on_summaries_built_from_lists_equals_the_array_built_result():
+    columns = dict(n=[12, 7, 20, 9], z=[0, 0, 1, 1], d_bar=[0.0, 0.1, 0.8, 0.6])
+    columns.update(y_bar=[1.2, 0.4, 2.9, 1.7])
+    listed = Summaries(ids=("a", "b", "c", "d"), w=np.empty((4, 0)), **columns)
+    arrays = listed._replace(**{k: np.array(v, dtype=float) for k, v in columns.items()})
+    assert wald_late(listed) == wald_late(arrays)
+
+
 def test_wald_perfect_adherence_reduces_to_itt_difference(make_summaries):
     rng = np.random.default_rng(3)
     summaries = make_summaries(rng, n_clusters=10)
