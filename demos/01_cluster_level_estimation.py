@@ -13,8 +13,8 @@ import numpy as np
 
 from crtiv import (
     AnalysisOptions,
+    Columns,
     DfMode,
-    IndividualRecord,
     SeMode,
     TrialDataset,
     Weights,
@@ -29,18 +29,22 @@ from crtiv import (
 # 1. Build a toy trial: 12 clusters, 6 per arm.  In the intervention arm,
 #    two thirds of the clusters actually adopt the treatment; control
 #    clusters have no access to it.  Adopting raises the outcome by ~0.5.
+#    A trial is a set of columns with one entry per individual; ``codes``
+#    names each individual's cluster by its position in ``ids``.
 rng = np.random.default_rng(7)
-records = []
+ids = [f"clinic{i:02d}" for i in range(12)]
+codes, z, d, y = [], [], [], []
 for i in range(12):
-    z = 1 if i < 6 else 0
-    adopts = z and (i % 3 != 0)
+    assigned = 1 if i < 6 else 0
+    adopts = assigned and (i % 3 != 0)
     cluster_effect = rng.normal(0.0, 0.25)
     for _ in range(rng.integers(15, 25)):
-        d = int(adopts)
-        y = 0.5 * d + cluster_effect + rng.normal(0.0, 1.0)
-        records.append(IndividualRecord(f"clinic{i:02d}", z, d, float(y)))
+        codes.append(i)
+        z.append(assigned)
+        d.append(int(adopts))
+        y.append(0.5 * int(adopts) + cluster_effect + rng.normal(0.0, 1.0))
 
-dataset = validate(TrialDataset(records=records))
+dataset = validate(TrialDataset(Columns.from_codes(ids, codes, z, d, y)))
 summaries = cluster_means(dataset)  # one column per summary, one entry per cluster
 print("per-cluster summaries (id, n, z, treated fraction, mean outcome):")
 for cid, n, z, d_bar, y_bar in zip(

@@ -46,9 +46,9 @@ from .mc import (
 )
 from .model import (
     AnalysisOptions,
+    Columns,
     ComplianceClass,
     DfMode,
-    IndividualRecord,
     LateFit,
     OutcomeKind,
     SeMode,
@@ -65,12 +65,12 @@ __all__ = [
     "AdherenceLevel",
     "AnalysisOptions",
     "ClOutcome",
+    "Columns",
     "ComplianceClass",
     "DesignFit",
     "DfMode",
     "GeneratedTrial",
     "IccEstimate",
-    "IndividualRecord",
     "LateFit",
     "McReport",
     "OutcomeKind",

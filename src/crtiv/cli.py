@@ -55,6 +55,7 @@ from .errors import (
 from .model import (
     AnalysisOptions,
     Columns,
+    ComplianceClass,
     DfMode,
     OutcomeKind,
     SeMode,
@@ -83,7 +84,7 @@ def _pretty(x: float) -> str:
 def csv_columns(path) -> tuple[list[str], list[str]]:
     """The ``x_*`` and ``w_*`` column names of a trial CSV, in header order."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        header = next(csv.reader(handle), None)
+        header = next(_csv_rows(handle), None)
     if header is None:
         raise SchemaMismatch(f"{path}: empty file")
     return (
@@ -106,8 +107,9 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
     """Read an individual-level trial CSV into a (not yet validated) dataset.
 
     Rows are converted a block at a time straight into the dataset's
-    columns: cluster ids to integer codes in first-seen order, and the
-    ``w_*`` values of each row checked against the first row of its
+    columns: cluster ids to integer codes in first-seen order (which
+    :meth:`Columns.from_codes` puts in code-point order at the end), and
+    the ``w_*`` values of each row checked against the first row of its
     cluster.  A plain file (see :func:`_is_plain`; most machine-written
     files are) has each block read by :func:`numpy.loadtxt`, after a check
     that every line has one comma fewer than the header has columns.  A
@@ -125,14 +127,15 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
     from reading ``1#x`` as 1.
 
     Raises :class:`SchemaMismatch` for header problems,
-    :class:`ParseError` (with the file line number) for malformed cells, and
+    :class:`ParseError` (with the file line number) for malformed or
+    over-long cells, and
     :class:`NonConstantClusterCovariate` when a ``w_*`` column varies inside
     a cluster.
     """
     plain = _is_plain(path)
     # utf-8-sig also accepts spreadsheet exports that lead with a BOM
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle)
         header = next(reader, None)
         if header is None:
             raise SchemaMismatch(f"{path}: empty file")
@@ -183,7 +186,7 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
             parsed = _plain_values(block, len(header), id_position, positions) if plain else None
             codes = encode(*parsed, n_known, line) if parsed else None
             if codes is None:
-                rows = list(csv.reader(block)) if plain else block
+                rows = list(_csv_rows(block, line)) if plain else block
                 parsed = _bulk_values(rows, len(header), id_position, positions)
                 codes = encode(*parsed, n_known, line) if parsed else None
             if codes is None:
@@ -198,26 +201,28 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
 
     if not code_of:
         raise SchemaMismatch(f"{path}: no data rows")
-    ids = list(code_of)
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[order] = np.arange(len(ids))
-    codes = rank[np.concatenate(code_blocks)]
     values = np.concatenate(value_blocks, axis=1)
-    columns = Columns(
-        cluster_ids=tuple(ids[i] for i in order),
-        codes=codes,
-        z=values[0],
-        d=values[1],
-        y=values[2],
-        x=np.ascontiguousarray(values[3 : 3 + len(x_names)].T),
-        sizes=np.bincount(codes, minlength=len(ids)).astype(np.intp),
+    columns = Columns.from_codes(
+        code_of,
+        np.concatenate(code_blocks),
+        *values[:3],
+        np.ascontiguousarray(values[3 : 3 + len(x_names)].T),
     )
     return TrialDataset(
-        cluster_covariates=dict(zip(ids, map(tuple, first_w.tolist()))),
-        outcome_kind=outcome_kind,
-        columns=columns,
+        columns, dict(zip(code_of, map(tuple, first_w.tolist()))), outcome_kind
     )
+
+
+def _csv_rows(lines, first_line: int = 1):
+    """The rows :mod:`csv` reads from ``lines``, whose first is file line
+    ``first_line``; a :class:`csv.Error` (a cell longer than
+    :func:`csv.field_size_limit`) is raised as a :class:`ParseError` at
+    the file line where it occurred."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=first_line - 1 + reader.line_num) from None
 
 
 def _is_plain(path) -> bool:
@@ -348,6 +353,10 @@ def write_dataset_csv(dataset: TrialDataset, path) -> None:
     _write_csv(path, header, rows)
 
 
+# The compliance class named by each 0/1 complier flag.
+_COMPLIANCE_LABELS = (ComplianceClass.NEVER_TAKER.value, ComplianceClass.COMPLIER.value)
+
+
 def write_truth_sidecars(trial: GeneratedTrial, cluster_path, individual_path) -> None:
     """Write per-cluster complier weights and per-individual classes."""
     cols = trial.dataset.columns()
@@ -360,8 +369,8 @@ def write_truth_sidecars(trial: GeneratedTrial, cluster_path, individual_path) -
     )
     _write_csv(cluster_path, ["cluster_id", "n", "n_compliers", "psi", "psi_cl"], clusters)
     individuals = (
-        [i, cols.cluster_ids[c], cls.value]
-        for i, (c, cls) in enumerate(zip(cols.codes.tolist(), trial.compliance))
+        [i, cols.cluster_ids[c], _COMPLIANCE_LABELS[flag]]
+        for i, (c, flag) in enumerate(zip(cols.codes.tolist(), trial.compliance.tolist()))
     )
     _write_csv(individual_path, ["row", "cluster_id", "compliance"], individuals)
 

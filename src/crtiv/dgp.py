@@ -31,13 +31,11 @@ from scipy.special import expit, logit
 
 from . import collapse, iv
 from .errors import BracketFailure, CrtivError
-from .model import ComplianceClass, Columns, OutcomeKind, TrialDataset
+from .model import Columns, OutcomeKind, TrialDataset
 
 _WEAK_F_THRESHOLD = 10.0
 _QUAD_POINTS = 64
 _CALIBRATION_TOL = 1e-8
-# The latent class of a 0/1 complier flag.
-_CLASS_OF_COMPLIER_FLAG = (ComplianceClass.NEVER_TAKER, ComplianceClass.COMPLIER)
 
 
 class AdherenceLevel(enum.Enum):
@@ -120,14 +118,16 @@ class ScenarioConfig:
 class GeneratedTrial:
     """A generated dataset plus the latent truth behind it.
 
-    ``psi`` weights clusters by complier counts, ``psi_cl`` by complier
-    proportions; both sum to one whenever any complier exists.  The treatment
-    effect is shared, so the population and cluster-level complier effects
-    both equal the scenario's ``beta_cz``.
+    ``compliance`` is an ``int8`` array flagging each record, in record
+    order, as a complier (1) or a never-taker (0).  ``psi`` weights clusters
+    by complier counts, ``psi_cl`` by complier proportions; both sum to one
+    whenever any complier exists.  The treatment effect is shared, so the
+    population and cluster-level complier effects both equal the scenario's
+    ``beta_cz``.
     """
 
     dataset: TrialDataset
-    compliance: tuple[ComplianceClass, ...]
+    compliance: np.ndarray
     psi: np.ndarray
     psi_cl: np.ndarray
     n_compliers: np.ndarray
@@ -239,12 +239,12 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
         + epsilon
     )
 
+    # Zero-padded ids are in code-point order already, so the columns are
+    # built as they stand rather than sorted by Columns.from_codes.
     width = max(6, len(str(n_clusters - 1)))
     cluster_ids = tuple(f"c{i:0{width}d}" for i in range(n_clusters))
     dataset = TrialDataset(
-        cluster_covariates={cid: (float(wj),) for cid, wj in zip(cluster_ids, w_cluster)},
-        outcome_kind=OutcomeKind.CONTINUOUS,
-        columns=Columns(
+        Columns(
             cluster_ids=cluster_ids,
             codes=codes,
             z=z.astype(float),
@@ -253,6 +253,8 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
             x=x.reshape(-1, 1),
             sizes=sizes,
         ),
+        {cid: (float(wj),) for cid, wj in zip(cluster_ids, w_cluster)},
+        OutcomeKind.CONTINUOUS,
     )
 
     n_compliers = np.bincount(codes, weights=compliers, minlength=n_clusters)
@@ -267,7 +269,7 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
 
     return GeneratedTrial(
         dataset=dataset,
-        compliance=tuple(map(_CLASS_OF_COMPLIER_FLAG.__getitem__, compliers.tolist())),
+        compliance=compliers.astype(np.int8),
         psi=psi,
         psi_cl=psi_cl,
         n_compliers=n_compliers.astype(np.intp),

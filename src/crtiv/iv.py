@@ -10,11 +10,12 @@ means exactly.
 Standard errors for the second stage are built from structural residuals,
 i.e. residuals formed with the *actual* adherence fractions rather than the
 first-stage fitted values.  Plugging stage-two OLS residuals into the usual
-formulas understates the variance, so the two-stage fit reads only the
-stage-two ``(X'WX)^-1`` and builds both covariances itself; neither stage's
-own covariances are ever formed.
+formulas understates the variance, so the two-stage fit reads both
+covariances from a :class:`~crtiv.wls.DesignFit` of the stage-two design
+and R factor with the structural residuals; neither stage's own
+covariances are ever formed.
 
-:func:`fit_grid` is the one loop over an estimation grid, shared by the
+:meth:`GridPlan.fit` is the one loop over an estimation grid, shared by the
 command line and the Monte Carlo runner.  SE and df mode only post-process a
 fit, so it solves once per (outcome, w-adjust, weights) group and fans each
 solve out to its cells; groups whose first stages have identical inputs
@@ -238,17 +239,10 @@ def _late(inputs: list) -> list:
         if isinstance(fit, CrtivError):
             continue
         inp = inputs[g]
-        structural = _structural_residuals(inp, fit.beta)
-        n_clusters, n_params = fit.fitted_design.shape
-        sigma2 = (
-            float(inp.weights @ structural**2) / (n_clusters - n_params)
-            if n_clusters > n_params
-            else 0.0
-        )
-        xtwx_inv = wls.xtwx_inv(fit.r)
-        cov_model = sigma2 * xtwx_inv
-        cov_robust = wls.sandwich(xtwx_inv, fit.fitted_design, inp.weights * structural)
-        out[g] = (float(fit.beta[1]), cov_model[1, 1], cov_robust[1, 1], n_params)
+        n, p = fit.fitted_design.shape
+        residuals = _structural_residuals(inp, fit.beta)
+        second = wls.DesignFit(fit.beta, residuals, n, p, inp.weights, fit.fitted_design, fit.r)
+        out[g] = (float(fit.beta[1]), second.cov_model[1, 1], second.cov_robust[1, 1], p)
     return out
 
 
@@ -315,8 +309,21 @@ class GridPlan:
         icc: Mapping[Hashable, float | None],
         estimator: str = "late",
     ) -> list[CellFit | CrtivError]:
-        """Fit the grid on the summaries and ICC estimates of its outcomes,
-        both keyed by outcome.  See :func:`fit_grid`."""
+        """Fit every cell of the grid.
+
+        ``summaries`` maps each outcome to its cluster summaries, ``icc`` to
+        the ICC estimate behind minimum-variance weights (used when
+        ``options.icc`` is unset).  ``estimator`` is ``"late"`` (two-stage
+        least squares) or ``"itt"`` (assignment-effect regression).  The
+        regression runs once per (outcome, w-adjust, weights) group; each
+        cell then picks its covariance and its critical value.
+
+        The result lines up with the cells.  A cell whose fit raises a
+        package error holds that error instead, so the caller can raise or
+        count it without losing the other cells; a cell whose estimate or
+        chosen variance is not finite holds
+        :class:`~crtiv.errors.NonFiniteValue`.  Other exceptions propagate.
+        """
         summaries = [summaries[k] for k in self.outcomes]
         icc = [icc.get(k) for k in self.outcomes]
         inputs, shared = [], {}
@@ -353,30 +360,6 @@ class GridPlan:
                 continue
             fits.append(CellFit(estimate, math.sqrt(max(0.0, variance)), crit, n_params))
         return fits
-
-
-def fit_grid(
-    outcomes: Mapping[Hashable, Summaries],
-    cells: Sequence[tuple[Hashable, AnalysisOptions]],
-    icc: Mapping[Hashable, float] | None = None,
-    estimator: str = "late",
-) -> list[CellFit | CrtivError]:
-    """Fit every ``(outcome, options)`` cell of an estimation grid.
-
-    ``outcomes`` maps each outcome key to its cluster summaries, ``icc`` to
-    the ICC estimate behind minimum-variance weights (used when
-    ``options.icc`` is unset).  ``estimator`` is ``"late"`` (two-stage least
-    squares) or ``"itt"`` (assignment-effect regression).  The regression
-    runs once per (outcome, w-adjust, weights) group; each cell then picks
-    its covariance and its critical value.
-
-    The result lines up with ``cells``.  A cell whose fit raises a package
-    error holds that error instead, so the caller can raise or count it
-    without losing the other cells; a cell whose estimate or chosen variance
-    is not finite holds :class:`~crtiv.errors.NonFiniteValue`.  Other
-    exceptions propagate.
-    """
-    return GridPlan(cells).fit(outcomes, icc or {}, estimator)
 
 
 def itt(
@@ -424,7 +407,7 @@ def first_stage_f(summaries: Summaries) -> float:
 
 
 def _fit_cell(summaries, options, icc, estimator) -> CellFit:
-    (fit,) = fit_grid({None: summaries}, [(None, options)], {None: icc}, estimator)
+    (fit,) = GridPlan([(None, options)]).fit({None: summaries}, {None: icc}, estimator)
     if isinstance(fit, CrtivError):
         raise fit
     return fit

@@ -6,9 +6,7 @@ one array each for assignment, treatment received and outcome, a matrix of
 individual-level covariates, and an integer code per record naming its
 cluster.  Clusters are opaque string identifiers, and all deterministic
 output orders them lexicographically (by code point).  Cluster-level
-covariates are a mapping with one entry per cluster.  Individual records
-exist only at the edge of the API, for building or reading a dataset row by
-row.
+covariates are a mapping with one entry per cluster.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    CovariateShapeMismatch,
     EmptyArm,
     MixedAssignmentWithinCluster,
     NonBinaryOutcomeForBinaryKind,
@@ -65,30 +62,18 @@ class ComplianceClass(enum.Enum):
     DEFIER = "defier"
 
 
-@dataclass(frozen=True, slots=True)
-class IndividualRecord:
-    """One participant: assignment ``z``, treatment received ``d``, outcome
-    ``y``, and an optional vector of individual-level covariates ``x``.
-
-    Records are the row-wise view of a :class:`TrialDataset`, for building
-    small datasets by hand and for reading one back.
-    """
-
-    cluster_id: str
-    z: int
-    d: int
-    y: float
-    x: tuple[float, ...] = ()
-
-
 class Columns(NamedTuple):
-    """The stored form of a trial: one array per individual-level variable.
+    """The one form of a trial: one array per individual-level variable.
 
     ``cluster_ids`` is sorted by code point and ``codes`` maps each record
     to its position in that ordering, so per-cluster reductions are cheap
     vectorised segment operations.  ``z``, ``d`` and ``y`` are float arrays
     of length n, ``x`` is an n x k float matrix (k may be 0), and ``sizes``
-    counts the records of each cluster.
+    counts the records of each cluster.  :meth:`from_codes` builds them and
+    decides the cluster order::
+
+        Columns.from_codes(ids=["b", "a"], codes=[0, 1, 0],
+                           z=[1, 0, 1], d=[0, 0, 1], y=[2.5, 1.5, -0.5])
     """
 
     cluster_ids: tuple[str, ...]
@@ -99,44 +84,67 @@ class Columns(NamedTuple):
     x: np.ndarray
     sizes: np.ndarray
 
+    @classmethod
+    def from_codes(cls, ids, codes, z, d, y, x=None) -> Columns:
+        """Columns from per-record values and codes into a table of ids.
+
+        ``ids`` are the distinct cluster ids in any order, and record ``i``
+        belongs to cluster ``ids[codes[i]]``.  ``x`` is an n x k matrix of
+        individual covariates, or ``None`` for none.  The ids are sorted by
+        :func:`sorted`, by code point (``np.unique`` would merge ids that
+        differ only by trailing NULs), and the codes remapped to match.
+
+        Raises :class:`ValueError` for a repeated id, an id that no record
+        names, codes that are not integers or fall outside the id table,
+        and arrays of unequal length.
+        """
+        ids = list(ids)
+        if len(set(ids)) != len(ids):
+            raise ValueError("cluster ids must be distinct")
+        codes = np.asarray(codes)
+        if codes.size and codes.dtype.kind not in "iu":
+            raise ValueError(f"codes must be integers, not {codes.dtype}")
+        codes = codes.astype(np.intp, copy=False)
+        if codes.size and (codes.min() < 0 or codes.max() >= len(ids)):
+            raise ValueError(f"codes must index the {len(ids)} cluster ids")
+        z, d, y = (np.asarray(v, dtype=float) for v in (z, d, y))
+        x = np.empty((len(codes), 0)) if x is None else np.asarray(x, dtype=float)
+        if x.ndim != 2 or not len(codes) == len(z) == len(d) == len(y) == len(x):
+            raise ValueError("codes, z, d, y and the rows of x must have equal lengths")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        rank = np.empty(len(ids), dtype=np.intp)
+        rank[order] = np.arange(len(ids))
+        codes = rank[codes]
+        sizes = np.bincount(codes, minlength=len(ids)).astype(np.intp)
+        if not sizes.all():
+            raise ValueError("every cluster id needs at least one record")
+        return cls(tuple(ids[i] for i in order), codes, z, d, y, x, sizes)
+
 
 class TrialDataset:
     """Individual-level trial data grouped by cluster, stored as columns.
 
     Parameters
     ----------
-    records : sequence of IndividualRecord, converted to columns once; give
-        either this or ``columns``.
+    columns : the trial's :class:`Columns`.
     cluster_covariates : mapping from cluster id to a tuple of cluster-level
         covariate values; clusters absent from the mapping carry an empty
         vector.
     outcome_kind : whether ``y`` is continuous or 0/1.
-    columns : the arrays themselves, as the CSV reader and the data
-        generator build them.
 
     Construction does not check the data; :func:`validate` does.  The
-    dataset is not modified after construction: ``records`` is built from
-    the columns on first use, and the unadjusted :class:`Summaries` are kept
-    by :func:`crtiv.collapse.cluster_means` once computed.
+    dataset is not modified after construction: the unadjusted
+    :class:`Summaries` are kept by :func:`crtiv.collapse.cluster_means` once
+    computed.
     """
 
     def __init__(
         self,
-        records: Sequence[IndividualRecord] | None = None,
+        columns: Columns,
         cluster_covariates: Mapping[str, Sequence[float]] | None = None,
         outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS,
-        *,
-        columns: Columns | None = None,
     ):
-        if (records is None) == (columns is None):
-            raise TypeError("TrialDataset needs exactly one of records and columns")
-        # Per-record x lengths of a ragged record list, for validate to report.
-        self._x_widths = None
-        if columns is None:
-            records = tuple(records)
-            columns, self._x_widths = _columns_from_records(records)
         self._columns = columns
-        self._records = records
         self._summaries = None
         self.cluster_covariates = {
             str(k): tuple(map(float, vec)) for k, vec in (cluster_covariates or {}).items()
@@ -151,23 +159,6 @@ class TrialDataset:
         """The stored arrays."""
         return self._columns
 
-    @property
-    def records(self) -> tuple[IndividualRecord, ...]:
-        """The dataset as records, in record order (built on first use)."""
-        if self._records is None:
-            cols = self._columns
-            self._records = tuple(
-                map(
-                    IndividualRecord,
-                    [cols.cluster_ids[c] for c in cols.codes.tolist()],
-                    whole_to_int(cols.z),
-                    whole_to_int(cols.d),
-                    cols.y.tolist(),
-                    map(tuple, cols.x.tolist()),
-                )
-            )
-        return self._records
-
     def covariate_vector(self, cluster_id: str) -> tuple[float, ...]:
         return self.cluster_covariates.get(cluster_id, ())
 
@@ -176,31 +167,6 @@ def whole_to_int(values: np.ndarray) -> list:
     """``values.tolist()`` with whole numbers as ``int``: 0/1 codes read back
     and print as ``0`` and ``1``."""
     return [int(v) if v.is_integer() else v for v in values.tolist()]
-
-
-def _columns_from_records(records: Sequence[IndividualRecord]):
-    ids = [r.cluster_id for r in records]
-    cluster_ids = sorted(set(ids))
-    position = {cid: i for i, cid in enumerate(cluster_ids)}
-    codes = np.array([position[cid] for cid in ids], dtype=np.intp)
-    widths = np.array([len(r.x) for r in records], dtype=np.intp)
-    k = int(widths[0]) if len(records) else 0
-    ragged = bool((widths != k).any())
-    if ragged:
-        # Never read: validate rejects the dataset first.
-        x = np.full((len(records), k), np.nan)
-    else:
-        x = np.array([r.x for r in records], dtype=float).reshape(len(records), k)
-    columns = Columns(
-        cluster_ids=tuple(cluster_ids),
-        codes=codes,
-        z=np.array([r.z for r in records], dtype=float),
-        d=np.array([r.d for r in records], dtype=float),
-        y=np.array([r.y for r in records], dtype=float),
-        x=x,
-        sizes=np.bincount(codes, minlength=len(cluster_ids)).astype(np.intp),
-    )
-    return columns, widths if ragged else None
 
 
 class Summaries(NamedTuple):
@@ -284,8 +250,6 @@ def validate(dataset: TrialDataset) -> TrialDataset:
         ``z`` or ``d`` outside {0, 1}.
     NonBinaryOutcomeForBinaryKind
         declared-binary outcome with a value outside {0, 1}.
-    CovariateShapeMismatch
-        records carry ``x`` vectors of different lengths.
     MixedAssignmentWithinCluster
         assignment varies within a cluster.
     EmptyArm
@@ -297,8 +261,7 @@ def validate(dataset: TrialDataset) -> TrialDataset:
 
     # Per-record checks, in the order they apply to each record; the first
     # faulty record reports its first failing check, read from its row of
-    # the columns as ``records`` would show it.
-    k = cols.x.shape[1]
+    # the columns.
 
     def cluster(i):
         return cols.cluster_ids[cols.codes[i]]
@@ -318,15 +281,6 @@ def validate(dataset: TrialDataset) -> TrialDataset:
             lambda i: f"treatment d={whole(cols.d, i)!r} in cluster {cluster(i)}",
         ),
     ]
-    if dataset._x_widths is not None:
-        checks.append((
-            dataset._x_widths != k,
-            CovariateShapeMismatch,
-            lambda i: (
-                f"record in cluster {cluster(i)} has {dataset._x_widths[i]} covariates, "
-                f"expected {k}"
-            ),
-        ))
     if dataset.outcome_kind is OutcomeKind.BINARY:
         checks.append((
             (cols.y != 0) & (cols.y != 1),

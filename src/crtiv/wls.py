@@ -59,10 +59,10 @@ class DesignFit:
     """Weighted least squares fit.
 
     ``cov_model`` is the homoscedastic GLS covariance, ``cov_robust`` the HC0
-    sandwich; ``xtwx_inv`` is kept so callers can rebuild covariances from
-    their own residual definitions (the two-stage fit needs this).  All three
-    are computed from ``r``, the R factor of the sqrt-weight-scaled design,
-    on first access.
+    sandwich and ``xtwx_inv`` the bread of both.  All three are computed
+    from ``r``, the R factor of the sqrt-weight-scaled design, on first
+    access, and from ``residuals`` as given: the two-stage fit passes its
+    structural residuals with the stage-two design.
     """
 
     coefficients: np.ndarray
@@ -205,11 +205,6 @@ def bread(r: np.ndarray) -> np.ndarray:
     """``(X'WX)^-1`` from the R factor of the scaled design (unsymmetrised)."""
     r_inv = _back_substitute(r, np.eye(len(r)))
     return r_inv @ r_inv.T
-
-
-def xtwx_inv(r: np.ndarray) -> np.ndarray:
-    """``(X'WX)^-1`` from the R factor, symmetrised: :attr:`DesignFit.xtwx_inv`."""
-    return _symmetrize(bread(r))
 
 
 def sandwich(bread, design, scores) -> np.ndarray:

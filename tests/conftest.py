@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
 
-from crtiv.model import IndividualRecord, OutcomeKind, Summaries, TrialDataset
+from crtiv.model import Columns, OutcomeKind, Summaries, TrialDataset
 
 
 def build_dataset(cluster_rows, outcome_kind=OutcomeKind.CONTINUOUS, covariates=None):
     """cluster_rows: {cluster_id: (z, [(d, y, *x), ...])}."""
-    records = []
-    for cid, (z, rows) in cluster_rows.items():
-        for row in rows:
-            d, y, *x = row
-            records.append(IndividualRecord(cid, z, d, y, tuple(x)))
-    return TrialDataset(
-        records=records,
-        cluster_covariates=covariates or {},
-        outcome_kind=outcome_kind,
-    )
+    codes, z, rows = [], [], []
+    for code, (cluster_z, cluster) in enumerate(cluster_rows.values()):
+        codes += [code] * len(cluster)
+        z += [cluster_z] * len(cluster)
+        rows += cluster
+    d, y, x = [r[0] for r in rows], [r[1] for r in rows], [r[2:] for r in rows]
+    columns = Columns.from_codes(cluster_rows, codes, z, d, y, x if rows else None)
+    return TrialDataset(columns, covariates, outcome_kind)
+
+
+def rows_of(dataset):
+    """The dataset's records as ``(cluster_id, z, d, y, x)`` tuples."""
+    cols = dataset.columns()
+    ids = [cols.cluster_ids[c] for c in cols.codes.tolist()]
+    x = map(tuple, cols.x.tolist())
+    return list(zip(ids, cols.z.tolist(), cols.d.tolist(), cols.y.tolist(), x))
 
 
 def random_summaries(rng, n_clusters=None, with_w=False, arm_gap=0.3):

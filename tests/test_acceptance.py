@@ -31,9 +31,8 @@ from crtiv.iv import tsls, wald_late
 from crtiv.mc import ClOutcome, VariantKey, coverage_and_mce, run_study
 from crtiv.model import (
     AnalysisOptions,
-    ComplianceClass,
+    Columns,
     DfMode,
-    IndividualRecord,
     OutcomeKind,
     SeMode,
     TrialDataset,
@@ -200,7 +199,7 @@ def test_criterion_4_dgp_calibration():
         ScenarioConfig(n_clusters=50_000, sizes=PoissonSizes(20.0), **base), seed=41
     )
     n = len(big.compliance)
-    fraction = sum(c is ComplianceClass.COMPLIER for c in big.compliance) / n
+    fraction = int(big.compliance.sum()) / n
     frac_ok = abs(fraction - 0.85) < 0.005 and n >= 900_000
 
     icc_ok = True
@@ -404,7 +403,7 @@ def test_criterion_7_residual_and_mce_identities():
 
 def _synthetic_trial_116(tmp_path, perfect_adherence: bool):
     rng = np.random.default_rng(1160 + int(perfect_adherence))
-    records = []
+    codes, records = [], []
     covariates = {}
     for i in range(116):
         cid = f"gp{i:03d}"
@@ -418,10 +417,11 @@ def _synthetic_trial_116(tmp_path, perfect_adherence: bool):
             age = float(rng.normal(50.0, 10.0))
             p_y = 0.35 + 0.1 * d + 0.002 * (age - 50.0)
             y = float(rng.random() < min(max(p_y, 0.01), 0.99))
-            records.append(IndividualRecord(cid, z, d, y, (age,)))
-    dataset = TrialDataset(
-        records=records, cluster_covariates=covariates, outcome_kind=OutcomeKind.BINARY
-    )
+            codes.append(i)
+            records.append((z, d, y, (age,)))
+    z, d, y, x = zip(*records)
+    columns = Columns.from_codes(covariates, codes, z, d, y, x)
+    dataset = TrialDataset(columns, covariates, OutcomeKind.BINARY)
     path = tmp_path / ("perfect.csv" if perfect_adherence else "trial.csv")
     cli.write_dataset_csv(dataset, path)
     return path

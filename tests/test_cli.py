@@ -29,8 +29,8 @@ from crtiv.errors import (
 from crtiv.iv import first_stage_f, itt, tsls
 from crtiv.model import (
     AnalysisOptions,
+    Columns,
     DfMode,
-    IndividualRecord,
     SeMode,
     TrialDataset,
     Weights,
@@ -515,12 +515,13 @@ def datasets(draw):
     n_x, n_w = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     covariates = {cid: tuple(draw(st.lists(FINITE, min_size=n_w, max_size=n_w))) for cid in ids}
     records = []
-    for cid in ids:
+    for code in range(len(ids)):
         z = draw(st.integers(0, 1))
         for _ in range(draw(st.integers(1, 3))):
             x = tuple(draw(st.lists(FINITE, min_size=n_x, max_size=n_x)))
-            records.append(IndividualRecord(cid, z, draw(st.integers(0, 1)), draw(FINITE), x))
-    return TrialDataset(records=draw(st.permutations(records)), cluster_covariates=covariates)
+            records.append((code, z, draw(st.integers(0, 1)), draw(FINITE), x))
+    codes, z, d, y, x = zip(*draw(st.permutations(records)))
+    return TrialDataset(Columns.from_codes(ids, codes, z, d, y, x), covariates)
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,7 +536,6 @@ def test_write_then_ingest_is_an_exact_round_trip(tmp_path_factory, dataset):
         mine, theirs = getattr(recovered, name), getattr(original, name)
         assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
     assert back.cluster_covariates == dataset.cluster_covariates
-    assert back.records == dataset.records
 
 
 @pytest.mark.parametrize(
@@ -543,11 +543,8 @@ def test_write_then_ingest_is_an_exact_round_trip(tmp_path_factory, dataset):
     [{"a": (1.0,)}, {"a": (1.0,), "b": (1.0, 2.0)}],
     ids=["a cluster without w", "w of different lengths"],
 )
-def test_write_rejects_clusters_with_unequal_w(tmp_path, covariates):
-    dataset = TrialDataset(
-        records=[IndividualRecord("a", 0, 0, 1.0), IndividualRecord("b", 1, 1, 2.0)],
-        cluster_covariates=covariates,
-    )
+def test_write_rejects_clusters_with_unequal_w(tmp_path, make_dataset, covariates):
+    dataset = make_dataset({"a": (0, [(0, 1.0)]), "b": (1, [(1, 2.0)])}, covariates=covariates)
     path = tmp_path / "trial.csv"
     with pytest.raises(CovariateShapeMismatch):
         cli.write_dataset_csv(dataset, path)
@@ -801,6 +798,30 @@ def test_bad_input_ends_in_one_validation_error_line(tmp_path, capsys, case, err
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"crtiv-error kind=validation type={error_type} msg=")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", [1, 3, 4500])
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_an_overlong_cell_ends_in_one_parse_error_line(tmp_path, capsys, quote, line):
+    # csv takes cells of at most csv.field_size_limit() characters (131,072).
+    cell = quote + "c" * 140_000 + quote
+    rows = [f"k{i % 7},{i % 7 % 2},0,{i}\n" for i in range(2, 5001)]
+    if line == 1:
+        header = f"cluster_id,z,d,y,x_{cell}\n"
+        rows = [row.replace("\n", ",0\n") for row in rows]
+    else:
+        header = "cluster_id,z,d,y\n"
+        rows[line - 2] = f"{cell},1,1,2\n"
+    data = tmp_path / "long.csv"
+    data.write_text(header + "".join(rows), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["analyze", "--input", str(data), "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f'crtiv-error kind=validation type=ParseError msg="line {line}: field larger than'
+    )
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "o").exists()
 

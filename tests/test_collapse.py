@@ -16,7 +16,7 @@ from crtiv.errors import (
     SeparationDetected,
 )
 from crtiv.iv import tsls
-from crtiv.model import AnalysisOptions, OutcomeKind, TrialDataset, validate
+from crtiv.model import AnalysisOptions, Columns, OutcomeKind, TrialDataset, validate
 
 
 def test_simple_means(make_dataset):
@@ -62,9 +62,12 @@ def test_order_invariance(make_dataset):
         }
     )
     base = cluster_means(ds)
-    shuffled = list(ds.records)
-    rng.shuffle(shuffled)
-    permuted = cluster_means(TrialDataset(records=shuffled, outcome_kind=ds.outcome_kind))
+    cols = ds.columns()
+    order = rng.permutation(ds.n_records)
+    shuffled = Columns.from_codes(
+        cols.cluster_ids, *(v[order] for v in (cols.codes, cols.z, cols.d, cols.y, cols.x))
+    )
+    permuted = cluster_means(TrialDataset(shuffled, outcome_kind=ds.outcome_kind))
     assert base.ids == permuted.ids
     for a, b in zip(base[1:], permuted[1:]):
         assert np.array_equal(a, b)
@@ -98,7 +101,7 @@ def test_zero_coefficient_adjustment_is_intercept_shift(make_dataset):
     )
     validate(ds)
     adjusted = summaries_from_values(ds, continuous_residuals(ds, (0,)))
-    grand_mean = np.mean([r.y for r in ds.records])
+    grand_mean = np.mean(ds.columns().y)
     raw = cluster_means(ds)
     assert adjusted.y_bar == pytest.approx(raw.y_bar - grand_mean, abs=1e-12)
     assert np.array_equal(adjusted.d_bar, raw.d_bar)
@@ -117,8 +120,8 @@ def test_adjustment_matches_hand_normal_equations(make_dataset):
         }
     )
     validate(ds)
-    y = np.array([r.y for r in ds.records])
-    x = np.array([r.x[0] for r in ds.records])
+    cols = ds.columns()
+    y, x = cols.y, cols.x[:, 0]
     n = len(y)
     # 2x2 normal equations solved by hand (Cramer's rule).
     sx, sxx, sy, sxy = x.sum(), (x * x).sum(), y.sum(), (x * y).sum()
@@ -129,7 +132,7 @@ def test_adjustment_matches_hand_normal_equations(make_dataset):
 
     expected = {}
     for cid in ("a", "b", "c"):
-        mask = np.array([r.cluster_id == cid for r in ds.records])
+        mask = cols.codes == cols.cluster_ids.index(cid)
         expected[cid] = resid[mask].mean()
     summaries = summaries_from_values(ds, continuous_residuals(ds, (0,)))
     for cid, y_bar in zip(summaries.ids, summaries.y_bar):
@@ -191,7 +194,7 @@ def test_perfect_prediction_limit_gives_zero_residual_means(make_dataset):
         {"a": (0, [(0, 1.0), (0, 0.0)]), "b": (1, [(1, 1.0)])},
         outcome_kind=OutcomeKind.BINARY,
     )
-    y = np.array([r.y for r in ds.records])
+    y = ds.columns().y
     assert (summaries_from_values(ds, y - y).y_bar == 0.0).all()
 
 
@@ -236,12 +239,11 @@ def test_binary_adjustment_matches_irls_oracle(make_dataset):
         rows[f"c{i}"] = (i % 2, cluster)
     ds = validate(make_dataset(rows, outcome_kind=OutcomeKind.BINARY))
 
-    y = np.array([r.y for r in ds.records])
-    x = np.array([r.x for r in ds.records])
+    cols = ds.columns()
+    y, x = cols.y, cols.x
     design = np.column_stack([np.ones(len(y)), x])
     beta = irls_logistic(design, y)
     resid = y - expit(design @ beta)
-    cols = ds.columns()
     expected = {
         cid: resid[cols.codes == k].mean() for k, cid in enumerate(cols.cluster_ids)
     }

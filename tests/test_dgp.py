@@ -15,7 +15,9 @@ from crtiv.dgp import (
     generate,
     screen_weak_instrument,
 )
-from crtiv.model import ComplianceClass
+from crtiv.model import TrialDataset
+
+from conftest import rows_of
 
 
 def test_poisson_sizes_mean_and_positivity():
@@ -49,9 +51,11 @@ def test_pareto_sizes_floor_mean_and_tail():
 def test_one_sided_nonadherence():
     for level in AdherenceLevel:
         trial = generate(ScenarioConfig(adherence=level), seed=3)
-        for record in trial.dataset.records:
-            if record.z == 0:
-                assert record.d == 0
+        cols = trial.dataset.columns()
+        assert not cols.d[cols.z == 0].any()
+        # The complier flags are in record order: treated compliers take it.
+        treated = cols.z == 1
+        assert np.array_equal(cols.d[treated], trial.compliance[treated])
 
 
 def test_cluster_level_adherence_gives_binary_dbar():
@@ -64,11 +68,11 @@ def test_generation_is_pure_function_of_config_and_seed():
     config = ScenarioConfig(adherence=AdherenceLevel.INDIVIDUAL, pi=0.85)
     a = generate(config, seed=5)
     b = generate(config, seed=5)
-    assert a.dataset.records == b.dataset.records
-    assert a.compliance == b.compliance
+    assert rows_of(a.dataset) == rows_of(b.dataset)
+    assert np.array_equal(a.compliance, b.compliance)
     assert np.array_equal(a.psi, b.psi)
     c = generate(config, seed=6)
-    assert a.dataset.records != c.dataset.records
+    assert rows_of(a.dataset) != rows_of(c.dataset)
 
 
 def test_psi_weights_sum_to_one_and_truth_is_exact():
@@ -76,8 +80,9 @@ def test_psi_weights_sum_to_one_and_truth_is_exact():
     trial = generate(config, seed=7)
     assert trial.psi.sum() == pytest.approx(1.0, abs=1e-12)
     assert trial.psi_cl.sum() == pytest.approx(1.0, abs=1e-12)
-    compliers = sum(c is ComplianceClass.COMPLIER for c in trial.compliance)
-    assert compliers == int(trial.n_compliers.sum())
+    assert trial.compliance.dtype == np.int8
+    assert set(np.unique(trial.compliance).tolist()) == {0, 1}
+    assert int(trial.compliance.sum()) == int(trial.n_compliers.sum())
 
 
 def test_equal_cluster_sizes_make_both_weightings_coincide():
@@ -177,12 +182,9 @@ def test_screen_accepts_deterministic_adherence_and_rejects_null():
 
     weak = generate(ScenarioConfig(), seed=14)
     # Shuffle adherence against assignment: rebuild with d independent of z.
-    records = [r for r in weak.dataset.records]
-    null_records = [
-        type(r)(r.cluster_id, r.z, 0, r.y, r.x) for r in records
-    ]
+    cols = weak.dataset.columns()
     null_trial = GeneratedTrial(
-        dataset=type(weak.dataset)(records=null_records),
+        dataset=TrialDataset(cols._replace(d=np.zeros_like(cols.d))),
         compliance=weak.compliance,
         psi=weak.psi,
         psi_cl=weak.psi_cl,

@@ -1,7 +1,7 @@
 """Golden outputs: the reproducibility contract, byte for byte.
 
-For a given seed ``report.csv`` and ``analysis.csv`` must not change by a
-single byte unless a change to the numbers is intended and stated.  The
+For a given seed ``report.csv``, ``analysis.csv`` and the files of
+``generate`` must not change by a single byte unless a change to the numbers is intended and stated.  The
 digests below were recorded with the numpy and scipy versions named next to
 them; other versions may legitimately round differently, so the test skips
 there, saying why, instead of failing.
@@ -25,6 +25,10 @@ GOLDEN = {
     "analysis.csv bom crlf": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
     # the same, on that trial with its first cluster id quoted and holding a comma
     "analysis.csv quoted id": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
+    # generate, default scenario, seed 1
+    "trial.csv": "abb6b2321d35b8d0d2c23e01d8d586af47293975df04c8576edfa7979bd22f53",
+    "truth_clusters.csv": "8d4d452b6dc0f6e25ad15a4462e6a71af74b5b982a512b9fa444b9216f43e7a6",
+    "truth_individuals.csv": "27de0b55d9d7355b1e83b5b70fa619cad83a207dd92db604317f38ad80da824e",
 }
 
 
@@ -51,6 +55,14 @@ def test_simulate_report_is_byte_identical_to_the_recorded_one(tmp_path, default
     argv = ["simulate", "--scenario", str(default_scenario), "--output-dir", str(out)]
     assert cli.main(argv + ["--replicates", "40", "--seed", "1", "--threads", "1"]) == 0
     assert sha256(out / "report.csv") == GOLDEN["report.csv"]
+
+
+def test_generate_outputs_are_byte_identical_to_the_recorded_ones(tmp_path, default_scenario):
+    out = tmp_path / "gen"
+    argv = ["generate", "--scenario", str(default_scenario), "--output-dir", str(out)]
+    assert cli.main(argv + ["--seed", "1"]) == 0
+    names = ("trial.csv", "truth_clusters.csv", "truth_individuals.csv")
+    assert {name: sha256(out / name) for name in names} == {name: GOLDEN[name] for name in names}
 
 
 def analyze_digest(tmp_path, scenario, edit=None) -> str:

@@ -19,7 +19,6 @@ from crtiv.errors import (
 )
 from crtiv.iv import (
     GridPlan,
-    fit_grid,
     first_stage_f,
     itt,
     late_from_dataset,
@@ -440,15 +439,15 @@ def same_cell(a, b):
 @example(seed=0, n_clusters=3, damage="none", estimator="late")  # J - p = 0 with w
 @example(seed=0, n_clusters=20, damage="constant w", estimator="late")
 @example(seed=0, n_clusters=20, damage="flat adherence", estimator="late")
-def test_fit_grid_cells_equal_their_one_cell_fits(seed, n_clusters, damage, estimator):
+def test_grid_cells_equal_their_one_cell_fits(seed, n_clusters, damage, estimator):
     trial = generate(ScenarioConfig(n_clusters=n_clusters, sizes=PoissonSizes(8.0)), seed)
     columns = damaged(cluster_means(trial.dataset), damage)
     cells = [("o", options) for options in FULL_GRID]
     icc = {"o": 0.05}
-    from_grid = fit_grid({"o": columns}, cells, icc, estimator)
+    from_grid = GridPlan(cells).fit({"o": columns}, icc, estimator)
     assert len(from_grid) == len(cells)
     for cell, fit in zip(cells, from_grid):
-        (alone,) = fit_grid({"o": columns}, [cell], icc, estimator)
+        (alone,) = GridPlan([cell]).fit({"o": columns}, icc, estimator)
         assert same_cell(fit, alone), cell[1]
     # The faults land in the cells they belong to (given both arms).
     failed = {type(fit) for fit in from_grid if isinstance(fit, CrtivError)}

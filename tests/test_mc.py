@@ -353,7 +353,7 @@ def with_outcome(trial, y):
     dataset = TrialDataset(
         columns=cols._replace(y=y), cluster_covariates=trial.dataset.cluster_covariates
     )
-    return GeneratedTrial(dataset, (), trial.psi, trial.psi_cl, trial.n_compliers)
+    return GeneratedTrial(dataset, trial.compliance, trial.psi, trial.psi_cl, trial.n_compliers)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -371,5 +371,5 @@ def test_overflowing_fits_count_as_fit_failures():
     overflowed = with_outcome(trial, np.full_like(cols.y, 1e308)).dataset
     cells = [(0, AnalysisOptions(icc=0.1)), (0, AnalysisOptions(adjust_w=True))]
     for estimator in ("late", "itt"):
-        fits = iv.fit_grid({0: collapse.cluster_means(overflowed)}, cells, estimator=estimator)
+        fits = iv.GridPlan(cells).fit({0: collapse.cluster_means(overflowed)}, {}, estimator)
         assert [type(fit) for fit in fits] == [NonFiniteValue, NonFiniteValue]

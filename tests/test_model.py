@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crtiv.errors import (
-    CovariateShapeMismatch,
     EmptyArm,
     MixedAssignmentWithinCluster,
     NonBinaryOutcomeForBinaryKind,
@@ -13,21 +12,23 @@ from crtiv.errors import (
 )
 from crtiv.model import (
     Columns,
-    IndividualRecord,
     OutcomeKind,
     TrialDataset,
     validate,
 )
 
 
+def dataset_of(rows, kind=OutcomeKind.CONTINUOUS):
+    """A dataset of ``(cluster_id, z, d, y, *x)`` rows, in row order."""
+    ids = list(dict.fromkeys(row[0] for row in rows))
+    codes = [ids.index(row[0]) for row in rows]
+    z, d, y = ([row[i] for row in rows] for i in (1, 2, 3))
+    x = [row[4:] for row in rows] if rows else None
+    return TrialDataset(Columns.from_codes(ids, codes, z, d, y, x), outcome_kind=kind)
+
+
 def test_mixed_assignment_within_cluster_rejected():
-    ds = TrialDataset(
-        records=[
-            IndividualRecord("a", 0, 0, 1.0),
-            IndividualRecord("a", 1, 1, 2.0),
-            IndividualRecord("b", 1, 1, 0.5),
-        ]
-    )
+    ds = dataset_of([("a", 0, 0, 1.0), ("a", 1, 1, 2.0), ("b", 1, 1, 0.5)])
     with pytest.raises(MixedAssignmentWithinCluster):
         validate(ds)
 
@@ -37,7 +38,7 @@ def test_single_arm_rejected(make_dataset):
     with pytest.raises(EmptyArm):
         validate(ds)
     with pytest.raises(EmptyArm):
-        validate(TrialDataset(records=[]))
+        validate(dataset_of([]))
 
 
 def test_well_formed_dataset_returned_unchanged(make_dataset):
@@ -57,9 +58,7 @@ def test_non_binary_treatment_rejected(make_dataset):
     ds = make_dataset({"a": (0, [(2, 1.0)]), "b": (1, [(1, 2.0)])})
     with pytest.raises(NonBinaryTreatment):
         validate(ds)
-    bad_z = TrialDataset(
-        records=[IndividualRecord("a", 3, 0, 1.0), IndividualRecord("b", 0, 0, 1.0)]
-    )
+    bad_z = dataset_of([("a", 3, 0, 1.0), ("b", 0, 0, 1.0)])
     with pytest.raises(NonBinaryTreatment):
         validate(bad_z)
 
@@ -79,14 +78,9 @@ def test_binary_kind_requires_binary_outcome(make_dataset):
 
 
 def test_covariate_length_mismatch_rejected():
-    ds = TrialDataset(
-        records=[
-            IndividualRecord("a", 0, 0, 1.0, (1.0,)),
-            IndividualRecord("b", 1, 1, 2.0, (1.0, 2.0)),
-        ]
-    )
-    with pytest.raises(CovariateShapeMismatch):
-        validate(ds)
+    # x is an n x k matrix, so a ragged one is refused when it is built.
+    with pytest.raises(ValueError):
+        dataset_of([("a", 0, 0, 1.0, 1.0), ("b", 1, 1, 2.0, 1.0, 2.0)])
 
 
 def test_cluster_index_partitions_records(make_dataset):
@@ -102,63 +96,79 @@ def test_cluster_index_partitions_records(make_dataset):
     assert list(cols.cluster_ids) == sorted(cols.cluster_ids)
 
 
-def test_records_coerced_to_tuple(make_dataset):
-    ds = make_dataset({"a": (0, [(0, 1.0)]), "b": (1, [(1, 2.0)])})
-    assert isinstance(ds.records, tuple)
-
-
 def test_validate_reports_the_first_faulty_record_and_its_first_check():
-    def first_error(records, kind=OutcomeKind.BINARY):
+    def first_error(rows, kind=OutcomeKind.BINARY):
         with pytest.raises(ValidationFailure) as info:
-            validate(TrialDataset(records=records, outcome_kind=kind))
+            validate(dataset_of(rows, kind))
         return type(info.value), str(info.value)
 
-    fine = IndividualRecord("a", 0, 0, 1.0, (0.5,))
-    # Within one record: z, then d, then the x length, then a binary y.
-    assert first_error([fine, IndividualRecord("b", 3, 2, 0.5, (1.0, 2.0))]) == (
+    fine = ("a", 0, 0, 1.0, 0.5)
+    # Within one record: z, then d, then a binary y.
+    assert first_error([fine, ("b", 3, 2, 0.5, 1.0)]) == (
         NonBinaryTreatment, "assignment z=3 in cluster b")
-    assert first_error([fine, IndividualRecord("b", 1, 2, 0.5, (1.0, 2.0))]) == (
+    assert first_error([fine, ("b", 1, 2, 0.5, 1.0)]) == (
         NonBinaryTreatment, "treatment d=2 in cluster b")
-    assert first_error([fine, IndividualRecord("b", 1, 1, 0.5, (1.0, 2.0))]) == (
-        CovariateShapeMismatch, "record in cluster b has 2 covariates, expected 1")
-    assert first_error([fine, IndividualRecord("b", 1, 1, 0.5, (1.0,))]) == (
+    assert first_error([fine, ("b", 1, 1, 0.5, 1.0)]) == (
         NonBinaryOutcomeForBinaryKind, "outcome y=0.5 in cluster b")
     # Across records, record order wins over check order.
-    assert first_error(
-        [fine, IndividualRecord("c", 0, 0, 0.25, (1.0,)), IndividualRecord("b", 7, 0, 1.0, (1.0,))]
-    ) == (NonBinaryOutcomeForBinaryKind, "outcome y=0.25 in cluster c")
+    assert first_error([fine, ("c", 0, 0, 0.25, 1.0), ("b", 7, 0, 1.0, 1.0)]) == (
+        NonBinaryOutcomeForBinaryKind, "outcome y=0.25 in cluster c")
     # Record checks come before mixed assignment, which comes before empty arms.
-    both_arms = [IndividualRecord("c", 1, 0, 1.0, (1.0,)), IndividualRecord("b", 0, 0, 1.0, (1.0,))]
-    assert first_error([fine, *both_arms, IndividualRecord("d", 0, 0.5, 1.0, (1.0,))]) == (
+    both_arms = [("c", 1, 0, 1.0, 1.0), ("b", 0, 0, 1.0, 1.0)]
+    assert first_error([fine, *both_arms, ("d", 0, 0.5, 1.0, 1.0)]) == (
         NonBinaryTreatment, "treatment d=0.5 in cluster d")
-    assert first_error([fine, *both_arms, IndividualRecord("b", 1, 0, 1.0, (1.0,))]) == (
+    assert first_error([fine, *both_arms, ("b", 1, 0, 1.0, 1.0)]) == (
         MixedAssignmentWithinCluster, "cluster b mixes z=0 and z=1")
-    assert first_error([fine, IndividualRecord("b", 0, 0, 1.0, (1.0,))]) == (
+    assert first_error([fine, ("b", 0, 0, 1.0, 1.0)]) == (
         EmptyArm, "both trial arms must contain at least one cluster")
 
 
-def test_records_and_columns_describe_the_same_trial():
-    records = [
-        IndividualRecord("b", 1, 0, 2.5, (1.0, -1.0)),
-        IndividualRecord("a", 0, 0, 1.5, (0.0, 2.0)),
-        IndividualRecord("b", 1, 1, -0.5, (3.0, 4.0)),
-    ]
-    ds = TrialDataset(records=records, cluster_covariates={"a": (1,), "b": (2,)})
-    cols = ds.columns()
-    assert cols.cluster_ids == ("a", "b")
-    assert cols.codes.tolist() == [1, 0, 1]
-    assert cols.sizes.tolist() == [1, 2]
-    assert cols.x.tolist() == [[1.0, -1.0], [0.0, 2.0], [3.0, 4.0]]
+def test_from_codes_sorts_the_clusters_and_remaps_the_codes():
+    columns = Columns.from_codes(
+        ids=["b", "a"],
+        codes=[0, 1, 0],
+        z=[1, 0, 1],
+        d=[0, 0, 1],
+        y=[2.5, 1.5, -0.5],
+        x=[(1.0, -1.0), (0.0, 2.0), (3.0, 4.0)],
+    )
+    assert columns.cluster_ids == ("a", "b")
+    assert columns.codes.tolist() == [1, 0, 1]
+    assert columns.sizes.tolist() == [1, 2]
+    assert columns.z.dtype == float and columns.z.tolist() == [1.0, 0.0, 1.0]
+    assert columns.x.tolist() == [[1.0, -1.0], [0.0, 2.0], [3.0, 4.0]]
+    assert Columns.from_codes(["a"], [0], [0], [0], [1.0]).x.shape == (1, 0)
+
+    ds = TrialDataset(columns, cluster_covariates={"a": (1,), "b": (2,)})
+    assert ds.columns() is columns
+    assert ds.n_records == 3
     assert ds.cluster_covariates == {"a": (1.0,), "b": (2.0,)}
 
-    rebuilt = TrialDataset(columns=cols, cluster_covariates=ds.cluster_covariates)
-    assert rebuilt.columns() is cols
-    assert rebuilt.records == tuple(records)
-    assert rebuilt.n_records == 3
-    with pytest.raises(TypeError):
-        TrialDataset()
-    with pytest.raises(TypeError):
-        TrialDataset(records=records, columns=cols)
+    # Code-point order, with ids that np.unique would merge kept apart.
+    ids = ["b", "a\x00", "a", "B", "é"]
+    columns = Columns.from_codes(ids, range(5), [0] * 5, [0] * 5, [0.0] * 5)
+    assert columns.cluster_ids == ("B", "a", "a\x00", "b", "é")
+    assert [columns.cluster_ids[c] for c in columns.codes] == ids
+
+
+@pytest.mark.parametrize(
+    "ids, codes, y, message",
+    [
+        (["a", "a"], [0, 1], [1.0, 2.0], "distinct"),
+        (["a", "b", "c"], [0, 1], [1.0, 2.0], "at least one record"),
+        (["a", "b"], [0, 2], [1.0, 2.0], "index"),
+        (["a", "b"], [-1, 1], [1.0, 2.0], "index"),
+        (["a", "b"], [0.0, 1.0], [1.0, 2.0], "integers"),
+        (["a", "b"], [0, 1], [1.0, 2.0, 3.0], "equal lengths"),
+    ],
+    ids=[
+        "repeated id", "unused id", "code past the end", "negative code", "float codes",
+        "unequal lengths",
+    ],
+)
+def test_from_codes_rejects_inconsistent_columns(ids, codes, y, message):
+    with pytest.raises(ValueError, match=message):
+        Columns.from_codes(ids, codes, [0, 1], [0, 1], y)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +198,7 @@ def test_validate_reports_a_faulty_row_of_the_columns_without_building_records(
     ds = TrialDataset(columns=columns, outcome_kind=kind)
     with pytest.raises(ValidationFailure, match=f"^{re.escape(message)}$"):
         validate(ds)
-    assert ds._records is None
-    # The message reads the row as the record view shows it.
+    # The same message when the cluster ids are given in reverse.
+    reverse = Columns.from_codes(columns.cluster_ids[::-1], 5 - codes, **values)
     with pytest.raises(ValidationFailure, match=f"^{re.escape(message)}$"):
-        validate(TrialDataset(records=ds.records, outcome_kind=kind))
+        validate(TrialDataset(reverse, outcome_kind=kind))
