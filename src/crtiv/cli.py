@@ -45,7 +45,6 @@ from .dgp import (
     generate,
 )
 from .errors import (
-    CovariateShapeMismatch,
     CrtivError,
     NonConstantClusterCovariate,
     ParseError,
@@ -84,7 +83,7 @@ def _pretty(x: float) -> str:
 def csv_columns(path) -> tuple[list[str], list[str]]:
     """The ``x_*`` and ``w_*`` column names of a trial CSV, in header order."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        header = next(_csv_rows(handle), None)
+        _, header = next(_csv_rows(handle), (1, None))
     if header is None:
         raise SchemaMismatch(f"{path}: empty file")
     return (
@@ -136,7 +135,7 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
     # utf-8-sig also accepts spreadsheet exports that lead with a BOM
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = _csv_rows(handle)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None:
             raise SchemaMismatch(f"{path}: empty file")
         for required in _REQUIRED_COLUMNS:
@@ -162,11 +161,11 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
         first_w = np.empty((0, n_w))  # w of each cluster's first row, by code
         first_line: list[int] = []  # file line of each cluster's first row, by code
 
-        def encode(ids, values, n_known: int, line: int):
+        def encode(ids, values, n_known: int, lines):
             """The codes of a block's rows, its new clusters' first ``w`` and
-            line recorded; ``None`` if a row's ``w`` differs from its
-            cluster's first.  Recording from ``n_known`` on, a block read a
-            second time is recorded once."""
+            line recorded, given the file line of each row; ``None`` if a
+            row's ``w`` differs from its cluster's first.  Recording from
+            ``n_known`` on, a block read a second time is recorded once."""
             nonlocal first_w
             for cid in dict.fromkeys(ids):
                 code_of.setdefault(cid, len(code_of))
@@ -175,24 +174,25 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
             seen, first_rows = np.unique(codes, return_index=True)
             fresh = first_rows[seen >= n_known]
             first_w = np.concatenate([first_w[:n_known], w[fresh]])
-            first_line[n_known:] = (line + fresh).tolist()
+            first_line[n_known:] = [lines[i] for i in fresh.tolist()]
             return None if n_w and (w != first_w[codes]).any() else codes
 
         code_blocks, value_blocks = [], []
-        line = 2  # file line of the block's first row
-        # A plain file's lines are its rows, so its blocks are read as text.
+        line = 2  # file line of a plain block's first row
+        # A plain file's lines are its rows, so its blocks are read as text;
+        # any other file's blocks are (file line, row) pairs.
         while block := list(islice(handle if plain else reader, _BLOCK_ROWS)):
             n_known = len(first_line)  # clusters seen in earlier blocks
             parsed = _plain_values(block, len(header), id_position, positions) if plain else None
-            codes = encode(*parsed, n_known, line) if parsed else None
+            codes = encode(*parsed, n_known, range(line, line + len(block))) if parsed else None
             if codes is None:
-                rows = list(_csv_rows(block, line)) if plain else block
+                lines, rows = zip(*(_csv_rows(block, line) if plain else block))
                 parsed = _bulk_values(rows, len(header), id_position, positions)
-                codes = encode(*parsed, n_known, line) if parsed else None
+                codes = encode(*parsed, n_known, lines) if parsed else None
             if codes is None:
                 earlier = zip(code_of, first_w[:n_known].tolist(), first_line[:n_known])
                 _raise_first_fault(
-                    rows, line, len(header), id_position, numeric, n_w,
+                    rows, lines, len(header), id_position, numeric, n_w,
                     {cid: (tuple(w_first), first) for cid, w_first, first in earlier},
                 )
             code_blocks.append(codes)
@@ -207,22 +207,26 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
         np.concatenate(code_blocks),
         *values[:3],
         np.ascontiguousarray(values[3 : 3 + len(x_names)].T),
+        first_w,
     )
-    return TrialDataset(
-        columns, dict(zip(code_of, map(tuple, first_w.tolist()))), outcome_kind
-    )
+    return TrialDataset(columns, outcome_kind)
 
 
 def _csv_rows(lines, first_line: int = 1):
     """The rows :mod:`csv` reads from ``lines``, whose first is file line
-    ``first_line``; a :class:`csv.Error` (a cell longer than
-    :func:`csv.field_size_limit`) is raised as a :class:`ParseError` at
-    the file line where it occurred."""
+    ``first_line``, each as a pair (file line where the row starts, row):
+    a quoted cell can hold line breaks, so a row can span lines.  A
+    :class:`csv.Error` (a cell longer than :func:`csv.field_size_limit`)
+    is raised as a :class:`ParseError` at the file line where it
+    occurred."""
     reader = csv.reader(lines)
+    offset = first_line - 1  # file lines before the first of ``lines``
     try:
-        yield from reader
+        for row in reader:
+            yield first_line, row
+            first_line = offset + reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(str(exc), line=first_line - 1 + reader.line_num) from None
+        raise ParseError(str(exc), line=offset + reader.line_num) from None
 
 
 def _is_plain(path) -> bool:
@@ -276,15 +280,15 @@ def _bulk_values(block, n_fields: int, id_position: int, positions: list[int]):
     return [row[id_position] for row in block], values
 
 
-def _raise_first_fault(block, line, n_fields, id_position, numeric, n_w, known):
+def _raise_first_fault(block, lines, n_fields, id_position, numeric, n_w, known):
     """Read a faulty block row by row and raise its first fault.
 
-    ``line`` is the file line of the block's first row, ``numeric`` the
+    ``lines`` holds the file line where each row starts, ``numeric`` the
     (name, position) of each numeric column in checking order, and
     ``known`` maps the clusters of earlier blocks to their first ``w``
     values and line.
     """
-    for line, row in enumerate(block, start=line):
+    for line, row in zip(lines, block):
         if len(row) != n_fields:
             raise ParseError(f"expected {n_fields} fields, found {len(row)}", line=line)
         values = [_parse_float(row[position], name, line) for name, position in numeric]
@@ -320,24 +324,12 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_dataset_csv(dataset: TrialDataset, path) -> None:
-    """Write a dataset in the ingestion schema (values round-trip exactly).
-
-    Raises :class:`CovariateShapeMismatch`, before writing anything, when
-    the clusters' ``w`` vectors differ in length (a cluster missing from
-    ``cluster_covariates`` has length 0): the schema has one set of ``w_*``
-    columns for every row.
-    """
+    """Write a dataset in the ingestion schema (values round-trip exactly)."""
     cols = dataset.columns()
-    w = [dataset.covariate_vector(cid) for cid in cols.cluster_ids]
-    widths = sorted({len(v) for v in w})
-    if len(widths) > 1:
-        raise CovariateShapeMismatch(
-            f"cluster covariate vectors have lengths {widths}; the CSV schema needs one length"
-        )
-    n_w = widths[0] if widths else 0
+    w = cols.w.tolist()
     header = (
         list(_REQUIRED_COLUMNS)
-        + [f"w_{i + 1}" for i in range(n_w)]
+        + [f"w_{i + 1}" for i in range(cols.w.shape[1])]
         + [f"x_{i + 1}" for i in range(cols.x.shape[1])]
     )
     rows = (
@@ -746,6 +738,9 @@ def main(argv=None) -> int:
             return 2
     if getattr(args, "replicates", 1) < 1:
         _fail("validation", "BadFlag", f"--replicates must be at least 1, got {args.replicates}")
+        return 2
+    if getattr(args, "threads", 1) < 1:
+        _fail("validation", "BadFlag", f"--threads must be at least 1, got {args.threads}")
         return 2
     if getattr(args, "seed", 0) < 0:
         _fail("validation", "BadFlag", f"--seed must be nonnegative, got {args.seed}")

@@ -96,17 +96,8 @@ def _collapse(dataset, values) -> Summaries:
         z=(z_sums > 0).astype(float),
         d_bar=_cluster_means_of(cols.d, cols),
         y_bar=y_bar,
-        w=_covariate_matrix([dataset.covariate_vector(cid) for cid in cols.cluster_ids]),
+        w=cols.w,
     )
-
-
-def _covariate_matrix(vectors) -> np.ndarray | None:
-    """One covariate vector per cluster as a J x q matrix; ``None`` when
-    their lengths differ."""
-    widths = {len(v) for v in vectors}
-    if len(widths) > 1:
-        return None
-    return np.array(vectors, dtype=float).reshape(len(vectors), widths.pop() if widths else 0)
 
 
 def _cluster_means_of(values, cols):

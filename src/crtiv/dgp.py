@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +37,11 @@ from .model import Columns, OutcomeKind, TrialDataset
 _WEAK_F_THRESHOLD = 10.0
 _QUAD_POINTS = 64
 _CALIBRATION_TOL = 1e-8
+# Zero truncation redraws every zero size until none is left.  At a mean of
+# at least 1 a draw is zero with probability at most 1/e, so J clusters
+# take about ln(J) rounds; a mean near 0 takes about 1/mean rounds, and a
+# mean of 0 never ends.
+_MIN_POISSON_MEAN = 1.0
 
 
 class AdherenceLevel(enum.Enum):
@@ -90,8 +96,23 @@ class ScenarioConfig:
     total_variance: float = 1.0
 
     def __post_init__(self):
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        values += [(f"sizes.{f.name}", getattr(self.sizes, f.name)) for f in fields(self.sizes)]
+        for name, value in values:
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_clusters < 2:
             raise ValueError("need at least 2 clusters")
+        if isinstance(self.sizes, PoissonSizes):
+            if not self.sizes.mean >= _MIN_POISSON_MEAN:
+                raise ValueError(
+                    f"poisson mean must be at least {_MIN_POISSON_MEAN}, got {self.sizes.mean}"
+                )
+        elif not (self.sizes.shape > 0 and self.sizes.scale > 0 and self.sizes.minimum >= 1):
+            raise ValueError(
+                "pareto sizes need a positive shape and scale and a minimum of at least 1, "
+                f"got {self.sizes}"
+            )
         if not 0.0 < self.pi < 1.0:
             raise ValueError(f"pi must be in (0, 1), got {self.pi}")
         for name in ("rho_y", "rho_x", "rho_c"):
@@ -100,6 +121,12 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
         if self.sigma2_w < 0 or self.sigma2_x < 0 or self.total_variance <= 0:
             raise ValueError("variances must be nonnegative, total variance positive")
+        try:
+            sd = _linear_predictor_sd(self)
+        except OverflowError:
+            sd = math.inf
+        if not math.isfinite(sd):
+            raise ValueError("the variance of the adherence linear predictor overflows")
 
     @property
     def zeta_variance(self) -> float:
@@ -252,8 +279,8 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
             y=np.asarray(y, dtype=float),
             x=x.reshape(-1, 1),
             sizes=sizes,
+            w=w_cluster.reshape(-1, 1),
         ),
-        {cid: (float(wj),) for cid, wj in zip(cluster_ids, w_cluster)},
         OutcomeKind.CONTINUOUS,
     )
 

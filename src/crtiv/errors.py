@@ -39,7 +39,7 @@ class NonBinaryOutcomeForBinaryKind(ValidationFailure):
 
 
 class CovariateShapeMismatch(ValidationFailure):
-    """Individual or cluster covariate vectors have inconsistent lengths."""
+    """Adjustment for cluster covariates requested where there are none."""
 
 
 # --- covariate adjustment ---------------------------------------------------

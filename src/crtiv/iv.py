@@ -134,10 +134,8 @@ def _inputs(summaries: Summaries, adjust_w: bool, scheme: Weights, rho, shared: 
         raise EmptyArm("no cluster summaries")
     w_mat = None
     if adjust_w:
-        if summaries.w is None or not summaries.w.shape[1]:
-            raise CovariateShapeMismatch(
-                "cluster covariates must be present, with equal length, for every cluster"
-            )
+        if not summaries.w.shape[1]:
+            raise CovariateShapeMismatch("adjusting for w needs at least one cluster covariate")
         w_mat = summaries.w
     if scheme is not Weights.MIN_VARIANCE:
         rho = None

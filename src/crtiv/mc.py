@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -206,9 +207,12 @@ def run_study(
 
     Attempts are generated, screened, and fitted in index order; speculative
     attempts evaluated past the last retained index (which parallel execution
-    produces) are discarded uncounted.  A scenario whose screen keeps fewer
-    than ``n_replicates`` datasets in ``1000 * n_replicates`` attempts raises
-    :class:`~crtiv.errors.ScreenExhausted` rather than running on.
+    produces) are discarded uncounted.  ``threads`` worker processes run
+    the attempts, capped at ``os.cpu_count()``; with one, they run in this
+    process.  The report is the same for any count.  A scenario whose screen
+    keeps fewer than ``n_replicates`` datasets in ``1000 * n_replicates``
+    attempts raises :class:`~crtiv.errors.ScreenExhausted` rather than
+    running on.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
@@ -237,13 +241,14 @@ def run_study(
                 per_variant[i].append(row)
 
     max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
-    if threads <= 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1:
         while retained < n_replicates and attempt < max_attempts:
             consume(_evaluate_attempt((config, master_seed, attempt, variants, x_columns)))
             attempt += 1
     else:
-        block = max(4 * threads, 32)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        block = max(4 * workers, 32)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             while retained < n_replicates and attempt < max_attempts:
                 indices = range(attempt, min(attempt + block, max_attempts))
                 args = [(config, master_seed, i, variants, x_columns) for i in indices]

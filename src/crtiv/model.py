@@ -6,14 +6,14 @@ one array each for assignment, treatment received and outcome, a matrix of
 individual-level covariates, and an integer code per record naming its
 cluster.  Clusters are opaque string identifiers, and all deterministic
 output orders them lexicographically (by code point).  Cluster-level
-covariates are a mapping with one entry per cluster.
+covariates are a matrix with one row per cluster, in that order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,12 +68,15 @@ class Columns(NamedTuple):
     ``cluster_ids`` is sorted by code point and ``codes`` maps each record
     to its position in that ordering, so per-cluster reductions are cheap
     vectorised segment operations.  ``z``, ``d`` and ``y`` are float arrays
-    of length n, ``x`` is an n x k float matrix (k may be 0), and ``sizes``
-    counts the records of each cluster.  :meth:`from_codes` builds them and
-    decides the cluster order::
+    of length n, ``x`` is an n x k float matrix (k may be 0), ``sizes``
+    counts the records of each cluster, and ``w`` is a J x q float matrix
+    of cluster-level covariates (q may be 0) whose rows follow
+    ``cluster_ids``.  :meth:`from_codes` builds them and decides the
+    cluster order::
 
         Columns.from_codes(ids=["b", "a"], codes=[0, 1, 0],
-                           z=[1, 0, 1], d=[0, 0, 1], y=[2.5, 1.5, -0.5])
+                           z=[1, 0, 1], d=[0, 0, 1], y=[2.5, 1.5, -0.5],
+                           w=[[0.3], [-0.1]])
     """
 
     cluster_ids: tuple[str, ...]
@@ -83,20 +86,24 @@ class Columns(NamedTuple):
     y: np.ndarray
     x: np.ndarray
     sizes: np.ndarray
+    w: np.ndarray
 
     @classmethod
-    def from_codes(cls, ids, codes, z, d, y, x=None) -> Columns:
+    def from_codes(cls, ids, codes, z, d, y, x=None, w=None) -> Columns:
         """Columns from per-record values and codes into a table of ids.
 
         ``ids`` are the distinct cluster ids in any order, and record ``i``
         belongs to cluster ``ids[codes[i]]``.  ``x`` is an n x k matrix of
-        individual covariates, or ``None`` for none.  The ids are sorted by
-        :func:`sorted`, by code point (``np.unique`` would merge ids that
-        differ only by trailing NULs), and the codes remapped to match.
+        individual covariates, or ``None`` for none; ``w`` is a J x q
+        matrix of cluster covariates whose row ``j`` belongs to ``ids[j]``,
+        or ``None`` for none.  The ids are sorted by :func:`sorted`, by code
+        point (``np.unique`` would merge ids that differ only by trailing
+        NULs), and the codes and the rows of ``w`` reordered to match.
 
         Raises :class:`ValueError` for a repeated id, an id that no record
         names, codes that are not integers or fall outside the id table,
-        and arrays of unequal length.
+        arrays of unequal length, and a ``w`` that is not a matrix with one
+        row per id.
         """
         ids = list(ids)
         if len(set(ids)) != len(ids):
@@ -111,6 +118,9 @@ class Columns(NamedTuple):
         x = np.empty((len(codes), 0)) if x is None else np.asarray(x, dtype=float)
         if x.ndim != 2 or not len(codes) == len(z) == len(d) == len(y) == len(x):
             raise ValueError("codes, z, d, y and the rows of x must have equal lengths")
+        w = np.empty((len(ids), 0)) if w is None else np.asarray(w, dtype=float)
+        if w.ndim != 2 or len(w) != len(ids):
+            raise ValueError(f"w must be a matrix with one row for each of the {len(ids)} ids")
         order = sorted(range(len(ids)), key=ids.__getitem__)
         rank = np.empty(len(ids), dtype=np.intp)
         rank[order] = np.arange(len(ids))
@@ -118,7 +128,7 @@ class Columns(NamedTuple):
         sizes = np.bincount(codes, minlength=len(ids)).astype(np.intp)
         if not sizes.all():
             raise ValueError("every cluster id needs at least one record")
-        return cls(tuple(ids[i] for i in order), codes, z, d, y, x, sizes)
+        return cls(tuple(ids[i] for i in order), codes, z, d, y, x, sizes, w[order])
 
 
 class TrialDataset:
@@ -126,10 +136,7 @@ class TrialDataset:
 
     Parameters
     ----------
-    columns : the trial's :class:`Columns`.
-    cluster_covariates : mapping from cluster id to a tuple of cluster-level
-        covariate values; clusters absent from the mapping carry an empty
-        vector.
+    columns : the trial's :class:`Columns`, cluster covariates included.
     outcome_kind : whether ``y`` is continuous or 0/1.
 
     Construction does not check the data; :func:`validate` does.  The
@@ -138,17 +145,9 @@ class TrialDataset:
     computed.
     """
 
-    def __init__(
-        self,
-        columns: Columns,
-        cluster_covariates: Mapping[str, Sequence[float]] | None = None,
-        outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS,
-    ):
+    def __init__(self, columns: Columns, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS):
         self._columns = columns
         self._summaries = None
-        self.cluster_covariates = {
-            str(k): tuple(map(float, vec)) for k, vec in (cluster_covariates or {}).items()
-        }
         self.outcome_kind = outcome_kind
 
     @property
@@ -158,9 +157,6 @@ class TrialDataset:
     def columns(self) -> Columns:
         """The stored arrays."""
         return self._columns
-
-    def covariate_vector(self, cluster_id: str) -> tuple[float, ...]:
-        return self.cluster_covariates.get(cluster_id, ())
 
 
 def whole_to_int(values: np.ndarray) -> list:
@@ -176,10 +172,10 @@ class Summaries(NamedTuple):
     ``ids`` names the clusters, ``n`` holds their sizes, ``z`` the 0/1
     assignment as floats, ``d_bar`` the fraction receiving active treatment,
     ``y_bar`` the mean outcome (raw or covariate-adjusted), and ``w`` the
-    cluster covariates as a J x q matrix (q may be 0), or ``None`` when the
-    clusters' covariate vectors differ in length.
-    :func:`crtiv.collapse.cluster_means` builds them from a dataset; for a
-    trial known only at cluster level, build them from arrays::
+    cluster covariates as a J x q matrix (q may be 0).
+    :func:`crtiv.collapse.cluster_means` builds them from a dataset, whose
+    ``w`` they share; for a trial known only at cluster level, build them
+    from arrays::
 
         Summaries(ids=("a", "b", "c", "d"), n=np.array([12, 7, 20, 9]),
                   z=np.array([0.0, 0.0, 1.0, 1.0]),
@@ -195,7 +191,7 @@ class Summaries(NamedTuple):
     z: np.ndarray
     d_bar: np.ndarray
     y_bar: np.ndarray
-    w: np.ndarray | None
+    w: np.ndarray
 
     @property
     def n_clusters(self) -> int:

@@ -4,7 +4,7 @@ import pytest
 from crtiv.model import Columns, OutcomeKind, Summaries, TrialDataset
 
 
-def build_dataset(cluster_rows, outcome_kind=OutcomeKind.CONTINUOUS, covariates=None):
+def build_dataset(cluster_rows, outcome_kind=OutcomeKind.CONTINUOUS):
     """cluster_rows: {cluster_id: (z, [(d, y, *x), ...])}."""
     codes, z, rows = [], [], []
     for code, (cluster_z, cluster) in enumerate(cluster_rows.values()):
@@ -13,7 +13,7 @@ def build_dataset(cluster_rows, outcome_kind=OutcomeKind.CONTINUOUS, covariates=
         rows += cluster
     d, y, x = [r[0] for r in rows], [r[1] for r in rows], [r[2:] for r in rows]
     columns = Columns.from_codes(cluster_rows, codes, z, d, y, x if rows else None)
-    return TrialDataset(columns, covariates, outcome_kind)
+    return TrialDataset(columns, outcome_kind)
 
 
 def rows_of(dataset):

@@ -420,8 +420,8 @@ def _synthetic_trial_116(tmp_path, perfect_adherence: bool):
             codes.append(i)
             records.append((z, d, y, (age,)))
     z, d, y, x = zip(*records)
-    columns = Columns.from_codes(covariates, codes, z, d, y, x)
-    dataset = TrialDataset(columns, covariates, OutcomeKind.BINARY)
+    columns = Columns.from_codes(covariates, codes, z, d, y, x, list(covariates.values()))
+    dataset = TrialDataset(columns, OutcomeKind.BINARY)
     path = tmp_path / ("perfect.csv" if perfect_adherence else "trial.csv")
     cli.write_dataset_csv(dataset, path)
     return path

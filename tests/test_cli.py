@@ -20,7 +20,6 @@ from crtiv.collapse import (
 )
 from crtiv.dgp import AdherenceLevel, PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
-    CovariateShapeMismatch,
     NonConstantClusterCovariate,
     ParseError,
     SchemaMismatch,
@@ -492,7 +491,20 @@ def test_machine_format_roundtrips():
 
 @pytest.mark.parametrize(
     "text, message",
-    [("sizes = pareto\npareto_shape = wide\n", "wide"), ("clusters = 1e400\n", "infinity")],
+    [
+        ("sizes = pareto\npareto_shape = wide\n", "wide"),
+        ("clusters = 1e400\n", "infinity"),
+        # Each of these hung or ended in a traceback before it was checked.
+        ("poisson_mean = 0\n", "poisson mean must be at least 1"),
+        ("poisson_mean = nan\n", "must be finite"),
+        ("poisson_mean = -3\n", "poisson mean must be at least 1"),
+        ("sizes = pareto\npareto_shape = 0\n", "positive shape"),
+        ("sizes = pareto\npareto_min = 0\npareto_scale = 0.01\n", "minimum of at least 1"),
+        ("lambda_w = 1e308\n", "overflows"),
+        ("lambda_w = 1e154\nsigma2_w = 10\n", "overflows"),
+        ("sigma2_w = nan\n", "sigma2_w must be finite"),
+        ("beta_cz = inf\n", "beta_cz must be finite"),
+    ],
 )
 def test_scenario_bad_numbers_are_schema_errors(tmp_path, text, message):
     scenario = tmp_path / "scn.txt"
@@ -513,7 +525,8 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def datasets(draw):
     ids = draw(st.lists(CLUSTER_IDS, min_size=1, max_size=6, unique=True))
     n_x, n_w = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    covariates = {cid: tuple(draw(st.lists(FINITE, min_size=n_w, max_size=n_w))) for cid in ids}
+    w = [draw(st.lists(FINITE, min_size=n_w, max_size=n_w)) for _ in ids]
+    w = np.reshape(w, (len(ids), n_w))
     records = []
     for code in range(len(ids)):
         z = draw(st.integers(0, 1))
@@ -521,7 +534,7 @@ def datasets(draw):
             x = tuple(draw(st.lists(FINITE, min_size=n_x, max_size=n_x)))
             records.append((code, z, draw(st.integers(0, 1)), draw(FINITE), x))
     codes, z, d, y, x = zip(*draw(st.permutations(records)))
-    return TrialDataset(Columns.from_codes(ids, codes, z, d, y, x), covariates)
+    return TrialDataset(Columns.from_codes(ids, codes, z, d, y, x, w))
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,20 +548,9 @@ def test_write_then_ingest_is_an_exact_round_trip(tmp_path_factory, dataset):
     for name in ("codes", "z", "d", "y", "x", "sizes"):
         mine, theirs = getattr(recovered, name), getattr(original, name)
         assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
-    assert back.cluster_covariates == dataset.cluster_covariates
-
-
-@pytest.mark.parametrize(
-    "covariates",
-    [{"a": (1.0,)}, {"a": (1.0,), "b": (1.0, 2.0)}],
-    ids=["a cluster without w", "w of different lengths"],
-)
-def test_write_rejects_clusters_with_unequal_w(tmp_path, make_dataset, covariates):
-    dataset = make_dataset({"a": (0, [(0, 1.0)]), "b": (1, [(1, 2.0)])}, covariates=covariates)
-    path = tmp_path / "trial.csv"
-    with pytest.raises(CovariateShapeMismatch):
-        cli.write_dataset_csv(dataset, path)
-    assert not path.exists()
+    mine, theirs = recovered.w, original.w
+    assert (mine.dtype, mine.shape, mine.strides) == (theirs.dtype, theirs.shape, theirs.strides)
+    assert mine.tobytes() == theirs.tobytes()
 
 
 def many_rows(n, n_clusters=30):
@@ -619,6 +621,24 @@ def test_ingest_cells_of_one_row_are_checked_left_to_right(tmp_path):
     assert error.line == 6 and "column 'z'" in str(error)
 
 
+@pytest.mark.parametrize("block_rows", [1, cli._BLOCK_ROWS], ids=["row blocks", "one block"])
+def test_ingest_error_lines_count_file_lines_past_a_quoted_line_break(
+    tmp_path, monkeypatch, block_rows
+):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    bad_y = tmp_path / "y.csv"  # the quoted id spans lines 2-3
+    bad_y.write_text('cluster_id,z,d,y\n"a\nb",0,0,1\nc,1,1,x\n', encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 4: column 'y': cannot parse 'x'$"):
+        cli.ingest_csv(bad_y)
+
+    bad_w = tmp_path / "w.csv"  # rows on lines 2, 3-4 and 5-6
+    bad_w.write_text(
+        'cluster_id,z,d,y,w_1\nc,1,1,1,2\n"a\nb",0,0,1,5\n"a\nb",0,0,1,6\n', encoding="utf-8"
+    )
+    with pytest.raises(NonConstantClusterCovariate, match="between line 3 and line 5$"):
+        cli.ingest_csv(bad_w)
+
+
 # --- the plain-file parser and the csv path read every file alike ----------
 
 # Cells float() and loadtxt may read differently: underscores, non-ASCII
@@ -672,18 +692,14 @@ def trial_files(draw):
 
 
 def ingest_outcome(path):
-    """``ingest_csv``'s columns and covariates, or its error's class and message."""
+    """``ingest_csv``'s columns, or its error's class and message."""
     try:
         dataset = cli.ingest_csv(path)
     except Exception as exc:  # any difference between the parsers counts
         return type(exc), str(exc)
     cols = dataset.columns()
-    arrays = [cols.codes, cols.z, cols.d, cols.y, cols.x, cols.sizes]
-    return (
-        cols.cluster_ids,
-        [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays],
-        dataset.cluster_covariates,
-    )
+    arrays = [cols.codes, cols.z, cols.d, cols.y, cols.x, cols.sizes, cols.w]
+    return cols.cluster_ids, [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays]
 
 
 @settings(max_examples=300, deadline=None)
@@ -755,6 +771,10 @@ def _bad_input_argv(tmp_path, case):
         return simulate + ["--replicates", "0"]
     if case == "negative_replicates":
         return simulate + ["--replicates", "-3"]
+    if case == "zero_threads":
+        return simulate + ["--replicates", "2", "--threads", "0"]
+    if case == "negative_threads":
+        return simulate + ["--replicates", "2", "--threads", "-4"]
     if case == "negative_seed":
         return simulate + ["--replicates", "2", "--seed", "-1"]
     if case == "missing_input":
@@ -783,6 +803,8 @@ def _bad_input_argv(tmp_path, case):
     [
         ("zero_replicates", "BadFlag"),
         ("negative_replicates", "BadFlag"),
+        ("zero_threads", "BadFlag"),
+        ("negative_threads", "BadFlag"),
         ("negative_seed", "BadFlag"),
         ("missing_input", "FileNotFoundError"),
         ("missing_scenario", "FileNotFoundError"),

@@ -132,8 +132,8 @@ def test_covariate_variance_decomposition():
     x = cols.x[:, 0]
     assert x.var() == pytest.approx(0.08, abs=0.005)
     assert anova_icc(x, cols.codes).rho == pytest.approx(0.05, abs=0.02)
-    w_values = np.array([v[0] for v in trial.dataset.cluster_covariates.values()])
-    assert w_values.var() == pytest.approx(0.08, abs=0.01)
+    assert cols.w.shape == (5_000, 1)
+    assert cols.w[:, 0].var() == pytest.approx(0.08, abs=0.01)
 
 
 def test_calibration_closed_form_without_spread():

@@ -25,6 +25,10 @@ GOLDEN = {
     "analysis.csv bom crlf": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
     # the same, on that trial with its first cluster id quoted and holding a comma
     "analysis.csv quoted id": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
+    # the same, on that trial with its last cluster's rows moved to the top:
+    # cluster order then differs from first-seen order, and the x adjustment,
+    # a fit over rows, sees them in a new order
+    "analysis.csv last cluster first": "003fb79ea52b1a8663be02a607c567124654e73907bd56b6693dc46f11ff7474",
     # generate, default scenario, seed 1
     "trial.csv": "abb6b2321d35b8d0d2c23e01d8d586af47293975df04c8576edfa7979bd22f53",
     "truth_clusters.csv": "8d4d452b6dc0f6e25ad15a4462e6a71af74b5b982a512b9fa444b9216f43e7a6",
@@ -94,8 +98,19 @@ def quoted_id(data: bytes) -> bytes:
     return data.replace(b"\n" + first + b",", b'\n"' + first + b', quoted",')
 
 
-# The first variant is read by the plain-file parser, the second by csv.
-@pytest.mark.parametrize("variant, edit", [("bom crlf", bom_crlf), ("quoted id", quoted_id)])
+def last_cluster_first(data: bytes) -> bytes:
+    """Move every row of the last cluster to the top, keeping their order."""
+    header, *rows = data.splitlines(keepends=True)
+    last = rows[-1].split(b",")[0] + b","
+    moved = [row for row in rows if row.startswith(last)]
+    return header + b"".join(moved + [row for row in rows if not row.startswith(last)])
+
+
+# The quoted-id variant is read by csv, the others by the plain-file parser.
+@pytest.mark.parametrize(
+    "variant, edit",
+    [("bom crlf", bom_crlf), ("quoted id", quoted_id), ("last cluster first", last_cluster_first)],
+)
 def test_analyze_output_of_an_edited_trial_is_byte_identical_to_the_recorded_one(
     tmp_path, default_scenario, variant, edit
 ):

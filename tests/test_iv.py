@@ -481,16 +481,13 @@ def test_small_sample_df_counts_clusters_not_fields():
             assert on_columns.n_clusters == 7
 
 
-def test_no_summaries_is_an_empty_arm_in_either_form():
-    # Either form of the covariate column: a J x 0 matrix, or None for
-    # covariate vectors of different lengths.
-    empty = Summaries((), *(np.empty(0) for _ in range(4)), np.empty((0, 0)))
-    for summaries in (empty, empty._replace(w=None)):
-        for estimate in (
-            lambda: tsls(summaries, AnalysisOptions()),
-            lambda: itt(summaries, AnalysisOptions()),
-            lambda: first_stage_f(summaries),
-            lambda: wald_late(summaries),
-        ):
-            with pytest.raises(EmptyArm):
-                estimate()
+def test_no_summaries_is_an_empty_arm():
+    summaries = Summaries((), *(np.empty(0) for _ in range(4)), np.empty((0, 0)))
+    for estimate in (
+        lambda: tsls(summaries, AnalysisOptions()),
+        lambda: itt(summaries, AnalysisOptions()),
+        lambda: first_stage_f(summaries),
+        lambda: wald_late(summaries),
+    ):
+        with pytest.raises(EmptyArm):
+            estimate()

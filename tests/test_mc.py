@@ -174,6 +174,42 @@ def test_full_grid_study_same_for_one_and_two_workers():
     assert sequential == threaded
 
 
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    created = []
+
+    class SerialPool:
+        """Records the worker count asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    serial = run_study(FAST_CONFIG, n_replicates=4, variants=ONE_VARIANT, master_seed=9)
+    assert created == []
+    for threads, workers in [(2, 2), (3, 3), (1000, 3)]:
+        pooled = run_study(
+            FAST_CONFIG, n_replicates=4, variants=ONE_VARIANT, master_seed=9, threads=threads
+        )
+        assert created.pop() == workers and not created
+        assert pooled == serial
+
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)  # count unknown: run serially
+    unknown = run_study(
+        FAST_CONFIG, n_replicates=4, variants=ONE_VARIANT, master_seed=9, threads=8
+    )
+    assert unknown == serial and created == []
+
+
 # A screen that never passes: with adherence this rare no cluster complies,
 # the first stage is flat, and F is 0.
 NEVER_ADHERES = ScenarioConfig(n_clusters=4, sizes=PoissonSizes(5.0), pi=1e-9)
@@ -350,9 +386,7 @@ def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
 
 def with_outcome(trial, y):
     cols = trial.dataset.columns()
-    dataset = TrialDataset(
-        columns=cols._replace(y=y), cluster_covariates=trial.dataset.cluster_covariates
-    )
+    dataset = TrialDataset(cols._replace(y=y))
     return GeneratedTrial(dataset, trial.compliance, trial.psi, trial.psi_cl, trial.n_compliers)
 
 

@@ -131,24 +131,40 @@ def test_from_codes_sorts_the_clusters_and_remaps_the_codes():
         d=[0, 0, 1],
         y=[2.5, 1.5, -0.5],
         x=[(1.0, -1.0), (0.0, 2.0), (3.0, 4.0)],
+        w=[(2, 20), (1, 10)],
     )
     assert columns.cluster_ids == ("a", "b")
     assert columns.codes.tolist() == [1, 0, 1]
     assert columns.sizes.tolist() == [1, 2]
     assert columns.z.dtype == float and columns.z.tolist() == [1.0, 0.0, 1.0]
     assert columns.x.tolist() == [[1.0, -1.0], [0.0, 2.0], [3.0, 4.0]]
-    assert Columns.from_codes(["a"], [0], [0], [0], [1.0]).x.shape == (1, 0)
+    # The rows of w follow the sorted ids.
+    assert columns.w.dtype == float and columns.w.tolist() == [[1.0, 10.0], [2.0, 20.0]]
+    bare = Columns.from_codes(["a"], [0], [0], [0], [1.0])
+    assert bare.x.shape == (1, 0) and bare.w.shape == (1, 0)
 
-    ds = TrialDataset(columns, cluster_covariates={"a": (1,), "b": (2,)})
+    ds = TrialDataset(columns)
     assert ds.columns() is columns
     assert ds.n_records == 3
-    assert ds.cluster_covariates == {"a": (1.0,), "b": (2.0,)}
 
     # Code-point order, with ids that np.unique would merge kept apart.
     ids = ["b", "a\x00", "a", "B", "é"]
     columns = Columns.from_codes(ids, range(5), [0] * 5, [0] * 5, [0.0] * 5)
     assert columns.cluster_ids == ("B", "a", "a\x00", "b", "é")
     assert [columns.cluster_ids[c] for c in columns.codes] == ids
+    w = [[i] for i in range(5)]  # each id's position in ids
+    columns = Columns.from_codes(ids, range(5), [0] * 5, [0] * 5, [0.0] * 5, w=w)
+    assert [ids[int(i)] for i in columns.w[:, 0]] == list(columns.cluster_ids)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [[[1.0]], [[1.0], [2.0], [3.0]], [1.0, 2.0], [[[1.0]], [[2.0]]]],
+    ids=["too few rows", "too many rows", "1-d", "3-d"],
+)
+def test_from_codes_rejects_w_without_one_row_per_id(w):
+    with pytest.raises(ValueError, match="one row for each of the 2 ids"):
+        Columns.from_codes(["a", "b"], [0, 1], [0, 1], [0, 1], [1.0, 2.0], w=w)
 
 
 @pytest.mark.parametrize(
@@ -193,6 +209,7 @@ def test_validate_reports_a_faulty_row_of_the_columns_without_building_records(
         codes=codes,
         x=np.empty((len(codes), 0)),
         sizes=np.bincount(codes),
+        w=np.empty((6, 0)),
         **values,
     )
     ds = TrialDataset(columns=columns, outcome_kind=kind)
