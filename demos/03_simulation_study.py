@@ -13,6 +13,7 @@ import time
 
 from crtiv import (
     AdherenceLevel,
+    AnalysisOptions,
     ClOutcome,
     DfMode,
     PoissonSizes,
@@ -37,7 +38,7 @@ config = ScenarioConfig(
 
 # 2. Two estimator variants that differ only in the degrees-of-freedom rule.
 variants = tuple(
-    VariantKey(ClOutcome.UNADJUSTED, False, Weights.NONE, SeMode.HUBER_WHITE, df_mode)
+    VariantKey(ClOutcome.UNADJUSTED, AnalysisOptions(Weights.NONE, SeMode.HUBER_WHITE, df_mode))
     for df_mode in DfMode
 )
 

@@ -35,9 +35,7 @@ from .iv import (
     wald_late,
 )
 from .mc import (
-    ClOutcome,
     McReport,
-    VariantKey,
     VariantResult,
     bias_and_mce,
     coverage_and_mce,
@@ -46,6 +44,7 @@ from .mc import (
 )
 from .model import (
     AnalysisOptions,
+    ClOutcome,
     Columns,
     ComplianceClass,
     DfMode,
@@ -54,6 +53,7 @@ from .model import (
     SeMode,
     Summaries,
     TrialDataset,
+    VariantKey,
     Weights,
     validate,
 )

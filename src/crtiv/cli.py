@@ -53,12 +53,14 @@ from .errors import (
 )
 from .model import (
     AnalysisOptions,
+    ClOutcome,
     Columns,
     ComplianceClass,
     DfMode,
     OutcomeKind,
     SeMode,
     TrialDataset,
+    VariantKey,
     Weights,
     validate,
     whole_to_int,
@@ -406,6 +408,12 @@ def read_scenario(path) -> ScenarioConfig:
     def number(key: str, default: float) -> float:
         return float(values.get(key, default))
 
+    def count(key: str, default: int) -> int:
+        value = number(key, default)
+        if int(value) != value:
+            raise SchemaMismatch(f"{path}: {key} must be a whole number, got {values[key]!r}")
+        return int(value)
+
     kind = values.get("sizes", "poisson").lower()
     if kind not in ("poisson", "pareto"):
         raise SchemaMismatch(f"{path}: sizes must be poisson or pareto, got {kind!r}")
@@ -425,11 +433,11 @@ def read_scenario(path) -> ScenarioConfig:
             sizes = ParetoSizes(
                 shape=number("pareto_shape", 1.8),
                 scale=number("pareto_scale", 9.1),
-                minimum=int(number("pareto_min", 10)),
+                minimum=count("pareto_min", 10),
             )
         return ScenarioConfig(
             adherence=level,
-            n_clusters=int(number("clusters", 50)),
+            n_clusters=count("clusters", 50),
             sizes=sizes,
             **{key: float(values[key]) for key in _NUMERIC_KEYS if key in values},
         )
@@ -470,31 +478,29 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     validate(dataset)
     x_columns = _resolve_names(args.adjust_x, args.x_names, "x") if args.adjust_x else None
     w_columns = _resolve_names(args.adjust_w, args.w_names, "w") if args.adjust_w else None
-    cl_outcome = "adjusted_for_x" if args.adjust_x else "unadjusted"
+    cl_outcome = ClOutcome.ADJUSTED_FOR_X if args.adjust_x else ClOutcome.UNADJUSTED
     fixed_icc = None if args.icc == "auto" else float(args.icc)
 
     weight_levels = [_WEIGHT_FLAGS[args.weights]] if args.weights else list(_WEIGHT_FLAGS.values())
     se_levels = [_SE_FLAGS[args.se]] if args.se else list(_SE_FLAGS.values())
     df_levels = [_DF_FLAGS[args.df]] if args.df else list(_DF_FLAGS.values())
     w_levels = [False, True] if args.adjust_w else [False]
-    cells = [
-        (cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w, fixed_icc))
+    plan = iv.GridPlan(
+        VariantKey(cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w, fixed_icc))
         for adjust_w, weights, se_mode, df_mode in product(
             w_levels, weight_levels, se_levels, df_levels
         )
-    ]
-    plan = iv.GridPlan(cells)
-    summaries, icc = iv.outcome_summaries(dataset, x_columns, plan.needs_icc[cl_outcome])
-
+    )
+    outcomes, icc = plan.summarise(dataset, x_columns)
+    summaries = outcomes[cl_outcome]
     if w_columns is not None:
-        summaries = summaries._replace(w=summaries.w[:, list(w_columns)])
+        summaries = outcomes[cl_outcome] = summaries._replace(w=summaries.w[:, list(w_columns)])
 
-    outcomes, iccs = {cl_outcome: summaries}, {cl_outcome: icc}
-    fits = {estimator: plan.fit(outcomes, iccs, estimator) for estimator in ("late", "itt")}
+    fits = {estimator: plan.fit(outcomes, icc, estimator) for estimator in ("late", "itt")}
     # Validation leaves both arms, so the screening F cannot fail here.
     first_stage_f = iv.first_stage_f(summaries)
     rows = []
-    for i, (_, options) in enumerate(cells):
+    for i, (_, options) in enumerate(plan.cells):
         for estimator, f_stat in (("late", first_stage_f), ("itt", None)):
             cell = fits[estimator][i]
             if isinstance(cell, CrtivError):
@@ -507,7 +513,7 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
 def _row(estimator, cl_outcome, options, fit) -> dict:
     return {
         "estimator": estimator,
-        "cl_outcome": cl_outcome,
+        "cl_outcome": cl_outcome.value,
         "adjust_w": int(options.adjust_w),
         "weights": options.weights.value,
         "se_mode": options.se_mode.value,
@@ -619,12 +625,12 @@ _REPORT_FIELDS = [
 def write_report_csv(report: mc.McReport, path) -> None:
     rows = (
         [
-            key.cl_outcome.value, int(key.adjust_w), key.weights.value, key.se_mode.value,
-            key.df_mode.value, res.bias, res.mce_bias, res.coverage, res.mce_coverage,
-            res.mean_se, res.n_fits, res.n_fit_failures,
+            cl_outcome.value, int(options.adjust_w), options.weights.value,
+            options.se_mode.value, options.df_mode.value, res.bias, res.mce_bias,
+            res.coverage, res.mce_coverage, res.mean_se, res.n_fits, res.n_fit_failures,
             report.n_replicates, report.rejected_weak, report.attempts,
         ]
-        for key, res in report.variants.items()
+        for (cl_outcome, options), res in report.variants.items()
     )
     _write_csv(path, _REPORT_FIELDS, rows)
 
@@ -757,6 +763,9 @@ def main(argv=None) -> int:
         return 2
     except CrtivError as exc:
         _fail("numeric", type(exc).__name__, str(exc))
+        return 3
+    except MemoryError as exc:  # numpy raises a private subclass
+        _fail("numeric", "MemoryError", str(exc) or "out of memory")
         return 3
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import collapse, iv
-from .errors import BracketFailure, CrtivError
+from .errors import BracketFailure, ClusterSizesTooLarge, CrtivError
 from .model import Columns, OutcomeKind, TrialDataset
 
 _WEAK_F_THRESHOLD = 10.0
@@ -42,6 +42,9 @@ _CALIBRATION_TOL = 1e-8
 # take about ln(J) rounds; a mean near 0 takes about 1/mean rounds, and a
 # mean of 0 never ends.
 _MIN_POISSON_MEAN = 1.0
+# A generated trial holds fewer records than this: generate keeps about a
+# dozen arrays of one entry per record, about 10 GB at the cap.
+_MAX_RECORDS = 10**8
 
 
 class AdherenceLevel(enum.Enum):
@@ -161,7 +164,8 @@ class GeneratedTrial:
 
 
 def draw_cluster_sizes(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw one size per cluster from the configured distribution."""
+    """Draw one size per cluster from the configured distribution; raise
+    :class:`~crtiv.errors.ClusterSizesTooLarge` if they total 10**8 or more."""
     dist = config.sizes
     if isinstance(dist, PoissonSizes):
         sizes = rng.poisson(dist.mean, config.n_clusters)
@@ -170,9 +174,17 @@ def draw_cluster_sizes(config: ScenarioConfig, rng: np.random.Generator) -> np.n
             if not zeros.any():
                 break
             sizes[zeros] = rng.poisson(dist.mean, int(zeros.sum()))
-        return sizes.astype(np.intp)
-    raw = (rng.pareto(dist.shape, config.n_clusters) + 1.0) * dist.scale
-    return np.maximum(dist.minimum, np.rint(raw)).astype(np.intp)
+    else:
+        raw = (rng.pareto(dist.shape, config.n_clusters) + 1.0) * dist.scale
+        sizes = np.maximum(dist.minimum, np.rint(raw))
+    # Summed as floats: an int64 total can overflow; an infinite size fails.
+    total = float(sizes.sum(dtype=float))
+    if not total < _MAX_RECORDS:
+        raise ClusterSizesTooLarge(
+            f"the drawn cluster sizes total {total:.3g} records; "
+            f"a generated trial holds fewer than {_MAX_RECORDS:.0e}"
+        )
+    return sizes.astype(np.intp)
 
 
 def _linear_predictor_sd(config: ScenarioConfig) -> float:

@@ -102,6 +102,10 @@ class ScreenExhausted(NumericFailure):
     """The weak-instrument screen rejected too many attempts to fill a study."""
 
 
+class ClusterSizesTooLarge(ValidationFailure):
+    """Drawn cluster sizes total more records than a generated trial holds."""
+
+
 # --- CSV ingestion ----------------------------------------------------------
 
 class SchemaMismatch(ValidationFailure):

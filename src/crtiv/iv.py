@@ -22,13 +22,13 @@ solve out to its cells; groups whose first stages have identical inputs
 share one first-stage solve.  All first stages go to the regression core as
 one batch and all second stages as another, so a full grid takes one stacked
 QR per design shape and stage (:func:`crtiv.wls.solve`).  The bookkeeping
-that depends only on the cells (which group and critical value each cell
-reads) is done once per grid by :class:`GridPlan`, by position, so a Monte
-Carlo study does it once, not once per replicate.  :func:`tsls` and
+that depends only on the cells (which group each cell reads) is done once
+per grid by :class:`GridPlan`, by position, so a Monte Carlo study does it
+once, not once per replicate.  :func:`tsls` and
 :func:`itt` are the grid's one-cell case.  From a dataset, the command line,
 the Monte Carlo runner and :func:`late_from_dataset` all reach the grid
-through :func:`outcome_summaries`, which estimates an ICC only where
-``GridPlan.needs_icc`` says a cell reads one.
+through :meth:`GridPlan.summarise`, which estimates an ICC only where a
+cell reads one.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .errors import (
 )
 from .model import (
     AnalysisOptions,
+    ClOutcome,
     DfMode,
     LateFit,
     OutcomeKind,
@@ -260,46 +261,65 @@ def _critical_value(df_mode: DfMode, n_clusters: int, n_params: int) -> float:
     return crit
 
 
-def _cell_critical_value(df_mode: DfMode, dims) -> float | CrtivError | None:
-    if dims is None:
-        return None
-    try:
-        return _critical_value(df_mode, *dims)
-    except CrtivError as exc:
-        return exc
-
-
 class GridPlan:
     """The bookkeeping of an estimation grid that depends only on its cells.
 
-    ``cells`` is a sequence of ``(outcome, options)``.  The plan numbers the
-    distinct outcomes and the distinct (outcome, w-adjust, weights, fixed
-    ICC) groups, notes for each cell its group, SE mode and df mode, and
-    keeps the critical values of the cells per cluster count and parameter
-    count, so fitting the same grid again does no per-cell lookups by key.
+    ``cells`` is a sequence of ``(outcome, options)`` pairs, such as
+    :class:`~crtiv.model.VariantKey`; the plan keeps the distinct ones, in
+    order, as ``cells``.  It numbers the distinct (outcome, w-adjust,
+    weights, fixed ICC) groups and notes for each cell its group, SE mode
+    and df mode, so fitting the same grid again does no per-cell lookups by
+    key.
 
     ``needs_icc`` maps each outcome to whether the fit reads an estimated
     ICC for it: true when one of its cells has minimum-variance weights and
     no fixed ICC.
     """
 
-    def __init__(self, cells: Sequence[tuple[Hashable, AnalysisOptions]]):
-        outcome_of: dict = {}
+    def __init__(self, cells: Iterable[tuple[Hashable, AnalysisOptions]]):
+        self.cells = tuple(dict.fromkeys(cells))
         group_of: dict = {}
-        self.cells: list[tuple[int, bool, DfMode]] = []
-        for outcome, options in cells:
-            o = outcome_of.setdefault(outcome, len(outcome_of))
-            g = group_of.setdefault(
-                (o, options.adjust_w, options.weights, options.icc), len(group_of)
-            )
-            self.cells.append((g, options.se_mode is SeMode.HUBER_WHITE, options.df_mode))
-        self.outcomes = tuple(outcome_of)
+        self._slots: list[tuple[int, bool, DfMode]] = []
+        self.needs_icc: dict[Hashable, bool] = {}
+        for outcome, options in self.cells:
+            group = (outcome, options.adjust_w, options.weights, options.icc)
+            g = group_of.setdefault(group, len(group_of))
+            self._slots.append((g, options.se_mode is SeMode.HUBER_WHITE, options.df_mode))
+            estimated = options.weights is Weights.MIN_VARIANCE and options.icc is None
+            self.needs_icc[outcome] = self.needs_icc.get(outcome, False) or estimated
         self.groups = tuple(group_of)
-        self.needs_icc = dict.fromkeys(self.outcomes, False)
-        for o, _, scheme, fixed_icc in self.groups:
-            if scheme is Weights.MIN_VARIANCE and fixed_icc is None:
-                self.needs_icc[self.outcomes[o]] = True
-        self._critical_values: dict[tuple, tuple] = {}
+
+    def summarise(
+        self, dataset: TrialDataset, x_columns: Sequence[int] | None = None
+    ) -> tuple[dict[ClOutcome, Summaries], dict[ClOutcome, float | None]]:
+        """The summaries of each outcome of the grid, and the ICC estimate
+        behind its minimum-variance weights: the two mappings :meth:`fit`
+        takes.
+
+        The outcomes are :class:`~crtiv.model.ClOutcome` members;
+        ``x_columns`` selects the individual-level covariates of the
+        adjusted one.  The unadjusted summaries are computed first, so the
+        adjusted ones share their columns.  An ICC is estimated only for an
+        outcome whose cells read one (``needs_icc``), from the values its
+        summaries average: the raw outcomes or the adjustment residuals.
+        """
+        summaries, icc = {}, {}
+        cols = dataset.columns()
+        for outcome in ClOutcome:
+            if outcome not in self.needs_icc:
+                continue
+            if outcome is ClOutcome.UNADJUSTED:
+                summaries[outcome], values = collapse.cluster_means(dataset), cols.y
+            else:
+                if dataset.outcome_kind is OutcomeKind.BINARY:
+                    values = collapse.binary_residuals(dataset, x_columns)
+                else:
+                    values = collapse.continuous_residuals(dataset, x_columns)
+                summaries[outcome] = collapse.summaries_from_values(dataset, values)
+            icc[outcome] = None
+            if self.needs_icc[outcome]:
+                icc[outcome] = collapse.anova_icc(values, cols.codes).rho
+        return summaries, icc
 
     def fit(
         self,
@@ -322,36 +342,28 @@ class GridPlan:
         chosen variance is not finite holds
         :class:`~crtiv.errors.NonFiniteValue`.  Other exceptions propagate.
         """
-        summaries = [summaries[k] for k in self.outcomes]
-        icc = [icc.get(k) for k in self.outcomes]
         inputs, shared = [], {}
-        for o, adjust_w, scheme, fixed_icc in self.groups:
-            rho = fixed_icc if fixed_icc is not None else icc[o]
+        for outcome, adjust_w, scheme, fixed_icc in self.groups:
+            rho = fixed_icc if fixed_icc is not None else icc.get(outcome)
             try:
-                inputs.append(_inputs(summaries[o], adjust_w, scheme, rho, shared))
+                inputs.append(_inputs(summaries[outcome], adjust_w, scheme, rho, shared))
             except CrtivError as exc:
                 inputs.append(exc)
         groups = (_assignment if estimator == "itt" else _late)(inputs)
-
-        dims = tuple(
-            None if isinstance(fit, CrtivError) else (summaries[group[0]].n_clusters, fit[3])
-            for group, fit in zip(self.groups, groups)
-        )
-        crits = self._critical_values.get(dims)
-        if crits is None:
-            crits = tuple(_cell_critical_value(df, dims[g]) for g, _, df in self.cells)
-            self._critical_values[dims] = crits
+        n_clusters = [summaries[outcome].n_clusters for outcome, *_ in self.groups]
 
         fits: list[CellFit | CrtivError] = []
-        for (g, robust, _), crit in zip(self.cells, crits):
+        for g, robust, df_mode in self._slots:
             fit = groups[g]
             if isinstance(fit, CrtivError):
                 fits.append(fit)
                 continue
-            if isinstance(crit, CrtivError):
-                fits.append(crit)
-                continue
             estimate, var_model, var_robust, n_params = fit
+            try:
+                crit = _critical_value(df_mode, n_clusters[g], n_params)
+            except CrtivError as exc:
+                fits.append(exc)
+                continue
             variance = float(var_robust if robust else var_model)
             if not (math.isfinite(estimate) and math.isfinite(variance)):
                 fits.append(NonFiniteValue("estimate or its variance is not finite"))
@@ -472,36 +484,14 @@ def tsls(
     return late_fit(cell, options, summaries.n_clusters, first_stage_f(summaries))
 
 
-def outcome_summaries(
-    dataset: TrialDataset, x_columns: Sequence[int] | None, needs_icc: bool
-) -> tuple[Summaries, float | None]:
-    """Columnar summaries of one outcome variant, plus the ICC estimate behind
-    minimum-variance weights when ``needs_icc`` (see :class:`GridPlan`).
-
-    ``x_columns`` selects individual-level covariates for the adjusted
-    outcome summary; ``None`` keeps the raw means.  The ICC is estimated from
-    the values the summaries average: the raw outcomes or the adjustment
-    residuals.
-    """
-    if x_columns is None:
-        summaries, values = collapse.cluster_means(dataset), dataset.columns().y
-    else:
-        if dataset.outcome_kind is OutcomeKind.BINARY:
-            values = collapse.binary_residuals(dataset, x_columns)
-        else:
-            values = collapse.continuous_residuals(dataset, x_columns)
-        summaries = collapse.summaries_from_values(dataset, values)
-    icc = collapse.anova_icc(values, dataset.columns().codes).rho if needs_icc else None
-    return summaries, icc
-
-
 def late_from_dataset(
     dataset: TrialDataset,
     options: AnalysisOptions,
     x_columns: Sequence[int] | None = None,
 ) -> LateFit:
-    """Validate, collapse, and fit the two-stage estimator in one call."""
+    """Validate, collapse, and fit the two-stage estimator in one call,
+    on the outcome adjusted for ``x_columns`` unless they are ``None``."""
     validate(dataset)
-    needs_icc = GridPlan([(None, options)]).needs_icc[None]
-    summaries, icc = outcome_summaries(dataset, x_columns, needs_icc)
-    return tsls(summaries, options, icc=icc)
+    outcome = ClOutcome.UNADJUSTED if x_columns is None else ClOutcome.ADJUSTED_FOR_X
+    summaries, icc = GridPlan([(outcome, options)]).summarise(dataset, x_columns)
+    return tsls(summaries[outcome], options, icc=icc[outcome])

@@ -14,58 +14,32 @@ order.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import iv
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_weak_instrument
 from .errors import CrtivError, ScreenExhausted
-from .model import AnalysisOptions, DfMode, SeMode, Weights
+from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, VariantKey, Weights
 
 # Attempts allowed per requested replicate before a study gives up on a
 # scenario whose weak-instrument screen (almost) never passes.
 _MAX_ATTEMPTS_PER_REPLICATE = 1000
 
-
-class ClOutcome(enum.Enum):
-    """Which outcome summary enters the second stage."""
-
-    UNADJUSTED = "unadjusted"
-    ADJUSTED_FOR_X = "adjusted_for_x"
-
-
-@dataclass(frozen=True)
-class VariantKey:
-    """One cell of the estimation grid (2 x 2 x 3 x 2 x 2 = 48 cells)."""
-
-    cl_outcome: ClOutcome
-    adjust_w: bool
-    weights: Weights
-    se_mode: SeMode
-    df_mode: DfMode
-
-    def label(self) -> str:
-        return "/".join(
-            (
-                self.cl_outcome.value,
-                "w-adj" if self.adjust_w else "w-none",
-                self.weights.value,
-                self.se_mode.value,
-                self.df_mode.value,
-            )
-        )
+# The generator writes one individual-level covariate, and the adjusted
+# outcome is adjusted for it.
+_X_COLUMNS = (0,)
 
 
 def variant_grid() -> tuple[VariantKey, ...]:
     """The full grid in canonical order."""
     return tuple(
-        VariantKey(cl_outcome, adjust_w, weights, se_mode, df_mode)
+        VariantKey(cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w))
         for cl_outcome in ClOutcome
         for adjust_w in (False, True)
         for weights in Weights
@@ -143,56 +117,32 @@ def _replicate_seed(master_seed: int, attempt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(attempt)))
 
 
-class _Grid(tuple):
-    """A tuple of distinct variants with the bookkeeping of their fit done
-    once: the outcome summaries each trial needs, and the positional plan
-    of the grid (:class:`crtiv.iv.GridPlan`).  :func:`run_study` builds one
-    per study; :func:`fit_variants` builds one for any other sequence."""
-
-    def __new__(cls, variants: Iterable[VariantKey]):
-        grid = super().__new__(cls, dict.fromkeys(variants))
-        # Unadjusted first, so the adjusted summaries share its columns.
-        grid.outcomes = tuple(o for o in ClOutcome if any(v.cl_outcome is o for v in grid))
-        grid.plan = iv.GridPlan([
-            (grid.outcomes.index(v.cl_outcome),
-             AnalysisOptions(v.weights, v.se_mode, v.df_mode, v.adjust_w))
-            for v in grid
-        ])
-        return grid
-
-
 def fit_variants(
     trial: GeneratedTrial,
-    variants: Sequence[VariantKey],
-    x_columns: Sequence[int] = (0,),
+    variants: Iterable[VariantKey] | iv.GridPlan,
 ) -> dict[VariantKey, tuple[float, float, float] | None]:
-    """Fit each variant on one trial: (estimate, se, critical value) per key.
+    """Fit each distinct variant on one trial: (estimate, se, critical
+    value) per key, in the order of ``variants``.
 
-    A variant that raises a package error maps to ``None``; anything else
-    propagates, since unexpected exceptions indicate a bug rather than a
-    degenerate replicate.
+    ``variants`` may be a :class:`crtiv.iv.GridPlan` of them, so a study
+    plans its grid once.  A variant that raises a package error maps to
+    ``None``; anything else propagates, since unexpected exceptions
+    indicate a bug rather than a degenerate replicate.
     """
-    grid = variants if isinstance(variants, _Grid) else _Grid(variants)
-    # The plan's outcome keys are positions in grid.outcomes.
-    summaries, icc = {}, {}
-    for o, cl_outcome in enumerate(grid.outcomes):
-        adjusted = cl_outcome is ClOutcome.ADJUSTED_FOR_X
-        summaries[o], icc[o] = iv.outcome_summaries(
-            trial.dataset, x_columns if adjusted else None, grid.plan.needs_icc[o]
-        )
-    fits = grid.plan.fit(summaries, icc)
+    plan = variants if isinstance(variants, iv.GridPlan) else iv.GridPlan(variants)
+    fits = plan.fit(*plan.summarise(trial.dataset, _X_COLUMNS))
     return {
         v: None if isinstance(fit, CrtivError) else (fit.estimate, fit.se, fit.crit)
-        for v, fit in zip(grid, fits)
+        for v, fit in zip(plan.cells, fits)
     }
 
 
 def _evaluate_attempt(args):
-    config, master_seed, attempt, variants, x_columns = args
+    config, master_seed, attempt, plan = args
     trial = generate(config, _replicate_seed(master_seed, attempt))
     if not screen_weak_instrument(trial):
         return None
-    return fit_variants(trial, variants, x_columns)
+    return fit_variants(trial, plan)
 
 
 def run_study(
@@ -201,7 +151,6 @@ def run_study(
     variants: Iterable[VariantKey] | None = None,
     master_seed: int = 0,
     threads: int = 1,
-    x_columns: Sequence[int] = (0,),
 ) -> McReport:
     """Run one scenario until ``n_replicates`` datasets pass the screen.
 
@@ -216,10 +165,10 @@ def run_study(
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
-    variants = _Grid(variants if variants is not None else variant_grid())
+    plan = iv.GridPlan(variants if variants is not None else variant_grid())
+    variants = plan.cells
     if not variants:
         raise ValueError("no estimator variants requested")
-    x_columns = tuple(int(c) for c in x_columns)
 
     # By position: fit_variants returns its rows in the order of variants.
     per_variant: list[list[tuple[float, float, float]]] = [[] for _ in variants]
@@ -244,14 +193,14 @@ def run_study(
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
         while retained < n_replicates and attempt < max_attempts:
-            consume(_evaluate_attempt((config, master_seed, attempt, variants, x_columns)))
+            consume(_evaluate_attempt((config, master_seed, attempt, plan)))
             attempt += 1
     else:
         block = max(4 * workers, 32)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             while retained < n_replicates and attempt < max_attempts:
                 indices = range(attempt, min(attempt + block, max_attempts))
-                args = [(config, master_seed, i, variants, x_columns) for i in indices]
+                args = [(config, master_seed, i, plan) for i in indices]
                 for outcome in pool.map(_evaluate_attempt, args, chunksize=4):
                     attempt += 1
                     consume(outcome)

@@ -48,6 +48,13 @@ class DfMode(enum.Enum):
     SMALL_SAMPLE = "ssdf"
 
 
+class ClOutcome(enum.Enum):
+    """Which outcome summary enters the second stage."""
+
+    UNADJUSTED = "unadjusted"
+    ADJUSTED_FOR_X = "adjusted_for_x"
+
+
 class ComplianceClass(enum.Enum):
     """Latent adherence type defined by potential treatment received.
 
@@ -200,7 +207,9 @@ class Summaries(NamedTuple):
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """One cell of the estimation grid.
+    """How one outcome summary is fitted: weights, SE mode, df mode and
+    cluster-covariate adjustment (a cell of the grid is a
+    :class:`VariantKey`).
 
     ``icc`` fixes the intra-cluster correlation used by minimum-variance
     weights; leave it ``None`` to have the caller estimate it from the data
@@ -216,6 +225,26 @@ class AnalysisOptions:
     def __post_init__(self):
         if self.icc is not None and not 0.0 <= self.icc <= 1.0:
             raise ValueError(f"fixed icc must be in [0, 1], got {self.icc}")
+
+
+class VariantKey(NamedTuple):
+    """One cell of the estimation grid: an outcome summary and the options
+    it is fitted with.  The full grid has 2 x 2 x 3 x 2 x 2 = 48 cells."""
+
+    cl_outcome: ClOutcome
+    options: AnalysisOptions
+
+    def label(self) -> str:
+        options = self.options
+        return "/".join(
+            (
+                self.cl_outcome.value,
+                "w-adj" if options.adjust_w else "w-none",
+                options.weights.value,
+                options.se_mode.value,
+                options.df_mode.value,
+            )
+        )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Dense weighted least squares with model-based and sandwich covariance.
 
-This is the one regression core: the covariate adjustment, the screen and
-every fit of the estimation grid go through :func:`solve`.  It takes a batch
-of weighted problems, groups them by design shape, and for each group runs
-one stacked ``np.linalg.qr`` of the sqrt-weight-scaled designs and one
+This is the one least-squares core: the continuous covariate adjustment,
+the screen and every fit of the estimation grid go through :func:`solve`.
+(The binary adjustment's logistic fit, ``collapse._fit_logistic``, uses
+``np.linalg.matrix_rank`` and ``np.linalg.solve``.)  :func:`solve` takes a
+batch of weighted problems, groups them by design shape, and for each group
+runs one stacked ``np.linalg.qr`` of the sqrt-weight-scaled designs and one
 stacked ``Q^T b`` matmul; each problem is then back-substituted on its own R
 factor.  Rank is judged per problem from its own R diagonal at a relative
 threshold of 1e-10, and any failure (rank, weights, a non-finite factor)

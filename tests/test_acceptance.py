@@ -248,7 +248,7 @@ def test_criterion_5_pareto_size_targets():
 
 
 def _variant(weights, se_mode, df_mode):
-    return VariantKey(ClOutcome.UNADJUSTED, False, weights, se_mode, df_mode)
+    return VariantKey(ClOutcome.UNADJUSTED, AnalysisOptions(weights, se_mode, df_mode))
 
 
 def test_criterion_6a_bias_and_coverage_at_moderate_clusters():

@@ -504,6 +504,10 @@ def test_machine_format_roundtrips():
         ("lambda_w = 1e154\nsigma2_w = 10\n", "overflows"),
         ("sigma2_w = nan\n", "sigma2_w must be finite"),
         ("beta_cz = inf\n", "beta_cz must be finite"),
+        # Counts were truncated: 2.7 clusters ran 2.
+        ("clusters = 2.7\n", "clusters must be a whole number, got '2.7'"),
+        ("clusters = 5e-1\n", "clusters must be a whole number"),
+        ("sizes = pareto\npareto_min = 10.5\n", "pareto_min must be a whole number"),
     ],
 )
 def test_scenario_bad_numbers_are_schema_errors(tmp_path, text, message):
@@ -511,6 +515,44 @@ def test_scenario_bad_numbers_are_schema_errors(tmp_path, text, message):
     scenario.write_text(text, encoding="utf-8")
     with pytest.raises(SchemaMismatch, match=message):
         cli.read_scenario(scenario)
+
+
+@pytest.mark.parametrize("command", ["simulate", "generate"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "poisson_mean = 1e12\n",  # asked numpy for 364 TiB
+        "poisson_mean = 1e17\n",  # "array is too big"
+        "poisson_mean = 1e18\n",  # the int64 total overflowed
+        "sizes = pareto\npareto_shape = 1e-6\n",  # infinite sizes
+    ],
+)
+def test_huge_cluster_sizes_end_in_one_error_line(tmp_path, capsys, command, text):
+    scenario = tmp_path / "scn.txt"
+    scenario.write_text(text, encoding="utf-8")
+    argv = [command, "--scenario", str(scenario), "--output-dir", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--replicates", "2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crtiv-error kind=validation type=ClusterSizesTooLarge")
+    assert err.count("\n") == 1
+
+
+def test_running_out_of_memory_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 364. TiB for an array")
+
+    monkeypatch.setattr(cli.mc, "run_study", exhausted)
+    scenario = tmp_path / "scn.txt"
+    scenario.write_text("", encoding="utf-8")
+    argv = ["simulate", "--scenario", str(scenario), "--output-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--replicates", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        'crtiv-error kind=numeric type=MemoryError '
+        'msg="Unable to allocate 364. TiB for an array"\n'
+    )
 
 
 # --- columnar ingest: round trip, error precedence, permutation invariance ---

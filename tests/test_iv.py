@@ -22,13 +22,13 @@ from crtiv.iv import (
     first_stage_f,
     itt,
     late_from_dataset,
-    outcome_summaries,
     tsls,
     tsls_system,
     wald_late,
 )
 from crtiv.model import (
     AnalysisOptions,
+    ClOutcome,
     DfMode,
     SeMode,
     Summaries,
@@ -367,15 +367,28 @@ def test_tsls_system_is_the_grid_two_stage_fit(make_summaries):
             assert np.array_equal(system.first_stage_fitted, np.column_stack(pieces) @ gamma)
 
 
+UNADJUSTED, ADJUSTED = ClOutcome
+
+
 def test_grid_plan_needs_icc_only_for_estimated_mv_weights():
-    plan = GridPlan([
-        ("cs", AnalysisOptions(weights=Weights.CLUSTER_SIZE)),
-        ("fixed", AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.1)),
-        ("fixed", AnalysisOptions()),
-        ("mixed", AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.1)),
-        ("mixed", AnalysisOptions(weights=Weights.MIN_VARIANCE, adjust_w=True)),
-    ])
-    assert plan.needs_icc == {"cs": False, "fixed": False, "mixed": True}
+    dataset = generate(ScenarioConfig(n_clusters=10), 3).dataset
+    fixed_mv = AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.1)
+    estimated_mv = AnalysisOptions(weights=Weights.MIN_VARIANCE, adjust_w=True)
+    for cells, estimated in [
+        (
+            [
+                (UNADJUSTED, AnalysisOptions(weights=Weights.CLUSTER_SIZE)),
+                (ADJUSTED, fixed_mv),
+                (ADJUSTED, AnalysisOptions()),
+            ],
+            set(),
+        ),
+        ([(UNADJUSTED, fixed_mv), (ADJUSTED, fixed_mv), (ADJUSTED, estimated_mv)], {ADJUSTED}),
+        ([(ADJUSTED, estimated_mv)], {ADJUSTED}),
+    ]:
+        summaries, icc = GridPlan(cells).summarise(dataset, (0,))
+        assert set(summaries) == set(icc) == {outcome for outcome, _ in cells}
+        assert {outcome for outcome, rho in icc.items() if rho is not None} == estimated
 
 
 def test_dataset_level_wrappers_match_manual_pipeline(make_dataset):
@@ -395,9 +408,8 @@ def test_dataset_level_wrappers_match_manual_pipeline(make_dataset):
     fit = late_from_dataset(ds, options)
     manual = tsls(cluster_means(ds), options)
     assert fit.estimate == manual.estimate and fit.se == manual.se
-    needs_icc = GridPlan([(None, options)]).needs_icc[None]
-    summaries, icc = outcome_summaries(ds, None, needs_icc)
-    assignment = itt(summaries, options, icc=icc)
+    summaries, icc = GridPlan([(UNADJUSTED, options)]).summarise(ds)
+    assignment = itt(summaries[UNADJUSTED], options, icc=icc[UNADJUSTED])
     manual_itt = itt(cluster_means(ds), options)
     assert assignment.estimate == manual_itt.estimate
 

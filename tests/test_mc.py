@@ -42,7 +42,10 @@ FAST_CONFIG = ScenarioConfig(
 )
 
 ONE_VARIANT = (
-    VariantKey(ClOutcome.UNADJUSTED, False, Weights.NONE, SeMode.HUBER_WHITE, DfMode.SMALL_SAMPLE),
+    VariantKey(
+        ClOutcome.UNADJUSTED,
+        AnalysisOptions(Weights.NONE, SeMode.HUBER_WHITE, DfMode.SMALL_SAMPLE),
+    ),
 )
 
 
@@ -238,21 +241,21 @@ def test_simulate_cli_exits_3_when_the_screen_never_passes(monkeypatch, tmp_path
 # --- grid fan-out: every cell equals its own one-cell fit ---------------------
 
 
-def per_cell_fit(trial, variant, x_columns=(0,)):
+def per_cell_fit(trial, variant):
     """(estimate, se, critical value) of one variant from ``iv.tsls`` alone."""
     dataset = trial.dataset
     if variant.cl_outcome is ClOutcome.UNADJUSTED:
         values = dataset.columns().y
         summaries = collapse.cluster_means(dataset)
     else:
-        values = collapse.continuous_residuals(dataset, x_columns)
+        values = collapse.continuous_residuals(dataset, (0,))
         summaries = collapse.summaries_from_values(dataset, values)
     icc = collapse.anova_icc(values, dataset.columns().codes).rho
-    options = AnalysisOptions(variant.weights, variant.se_mode, variant.df_mode, variant.adjust_w)
+    options = variant.options
     try:
         fit = iv.tsls(summaries, options, icc=icc)
-        n_params = 3 if variant.adjust_w else 2
-        crit, _ = wls.critical_value(variant.df_mode, summaries.n_clusters, n_params)
+        n_params = 3 if options.adjust_w else 2
+        crit, _ = wls.critical_value(options.df_mode, summaries.n_clusters, n_params)
     except CrtivError:
         return None
     return fit.estimate, fit.se, crit
@@ -277,7 +280,7 @@ def test_full_grid_cells_equal_per_cell_tsls(seed):
 def test_variant_subset_gives_the_full_grid_values(seed):
     trial = generate(GRID_CONFIG, seed)
     full = fit_variants(trial, variant_grid())
-    subset = [v for v in variant_grid() if v.weights is Weights.MIN_VARIANCE]
+    subset = [v for v in variant_grid() if v.options.weights is Weights.MIN_VARIANCE]
     assert fit_variants(trial, subset) == {v: full[v] for v in subset}
     reversed_order = subset[::-1]
     assert fit_variants(trial, reversed_order) == {v: full[v] for v in reversed_order}
@@ -288,7 +291,7 @@ THREE_CLUSTERS = ScenarioConfig(n_clusters=3, sizes=PoissonSizes(6.0))
 
 def no_residual_df(variant):
     # J=3 clusters leave J - p = 0 degrees of freedom once w enters (p = 3).
-    return variant.adjust_w and variant.df_mode is DfMode.SMALL_SAMPLE
+    return variant.options.adjust_w and variant.options.df_mode is DfMode.SMALL_SAMPLE
 
 
 @settings(max_examples=15, deadline=None)
@@ -302,7 +305,9 @@ def test_failures_stay_in_their_own_cells(seed):
         assert (fit is None) == no_residual_df(variant), variant.label()
         assert fit == per_cell_fit(trial, variant)
         if no_residual_df(variant):
-            options = AnalysisOptions(Weights.NONE, variant.se_mode, variant.df_mode, True)
+            options = AnalysisOptions(
+                Weights.NONE, variant.options.se_mode, variant.options.df_mode, True
+            )
             with pytest.raises(DfNonPositive):
                 iv.tsls(summaries, options)
 
@@ -313,6 +318,24 @@ def test_failure_counts_follow_the_failing_cells():
         expected = 4 if no_residual_df(variant) else 0
         assert result.n_fit_failures == expected, variant.label()
         assert result.n_fits == 4 - expected
+
+
+@pytest.mark.parametrize("n_replicates", [1, 5])
+@pytest.mark.parametrize("n_clusters", [2, 3])
+def test_a_nan_in_the_report_sits_next_to_its_explanation(n_clusters, n_replicates):
+    # With two or three clusters many cells have no residual degrees of
+    # freedom; their report rows hold nan, explained by n_fits.
+    config = ScenarioConfig(n_clusters=n_clusters, sizes=PoissonSizes(6.0))
+    report = run_study(config, n_replicates=n_replicates, master_seed=2)
+    assert any(result.n_fits == 0 for result in report.variants.values())
+    for variant, result in report.variants.items():
+        assert result.n_fits + result.n_fit_failures == n_replicates
+        unfitted = result.n_fits == 0
+        assert math.isnan(result.bias) == unfitted, variant.label()
+        assert math.isnan(result.coverage) == unfitted, variant.label()
+        assert math.isnan(result.mce_coverage) == unfitted, variant.label()
+        assert math.isnan(result.mean_se) == unfitted, variant.label()
+        assert math.isnan(result.mce_bias) == (result.n_fits < 2), variant.label()
 
 
 # --- work per replicate -------------------------------------------------------
@@ -330,16 +353,33 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def test_simulate_fits_the_grid_once_per_retained_replicate(monkeypatch, tmp_path):
+    # The benchmark sees the grid as the mc.fit_variants span of a one-worker
+    # simulate run, so each retained replicate must pass through it once.
+    from crtiv import cli
+
+    fits = counting(monkeypatch, mc, "fit_variants")
+    scenario = tmp_path / "scn.txt"
+    scenario.write_text("clusters = 8\npoisson_mean = 5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", str(scenario), "--output-dir", str(out)]
+    assert cli.main(argv + ["--replicates", "5", "--seed", "2"]) == 0
+    report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
+    header, first = report[0].split(","), report[1].split(",")
+    assert int(first[header.index("rejected_weak")]) > 0
+    assert len(fits) == int(first[header.index("n_replicates")]) == 5
+
+
 def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monkeypatch):
     screens = counting(monkeypatch, mc, "screen_weak_instrument")
     collapses = counting(monkeypatch, collapse, "_collapse")
     attempt = next(
         i for i in range(50)
-        if mc._evaluate_attempt((ScenarioConfig(), 5, i, variant_grid(), (0,))) is not None
+        if mc._evaluate_attempt((ScenarioConfig(), 5, i, variant_grid())) is not None
     )
     screens.clear()
     collapses.clear()
-    assert mc._evaluate_attempt((ScenarioConfig(), 5, attempt, variant_grid(), (0,))) is not None
+    assert mc._evaluate_attempt((ScenarioConfig(), 5, attempt, variant_grid())) is not None
     assert len(screens) == 1
     # One unadjusted collapse shared by the screen and the grid, one adjusted.
     assert len(collapses) == 2
@@ -348,7 +388,7 @@ def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monk
 def test_grid_without_mv_cells_estimates_no_icc(monkeypatch):
     trial = generate(ScenarioConfig(), 8)
     estimates = counting(monkeypatch, collapse, "anova_icc")
-    variants = [v for v in variant_grid() if v.weights is not Weights.MIN_VARIANCE]
+    variants = [v for v in variant_grid() if v.options.weights is not Weights.MIN_VARIANCE]
     fits = fit_variants(trial, variants)
     assert all(fit is not None for fit in fits.values())
     assert estimates == []
