@@ -539,6 +539,8 @@ def _resolve_names(requested: str, available: list[str], prefix: str) -> tuple[i
             raise SchemaMismatch(
                 f"column {name!r} not in the file ({prefix}_* columns: {available})"
             )
+        if available.index(name) in indices:
+            raise SchemaMismatch(f"column {name!r} repeated in --adjust-{prefix}")
         indices.append(available.index(name))
     return tuple(indices)
 

@@ -145,7 +145,9 @@ def _fit_logistic(design, y):
     """Maximum-likelihood logistic coefficients via damped Newton steps.
 
     Converges when the largest absolute score falls below 1e-10; declares
-    separation when any coefficient exceeds 30 on the logit scale.
+    separation when any coefficient exceeds 30 on the logit scale.  The one
+    fit outside the regression core, for the measured reasons given in
+    :mod:`crtiv.wls`.
     """
     n, p = design.shape
     if np.linalg.matrix_rank(design, tol=1e-10 * max(1.0, float(np.abs(design).max()))) < p:

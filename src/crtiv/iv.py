@@ -152,33 +152,32 @@ def _once(shared: dict, key, build, *args):
     return shared[key]
 
 
+def _estimate(fit: wls.DesignFit) -> tuple:
+    """``(estimate, model-based variance, robust variance, n_params)`` of the
+    second coefficient of ``fit``: what a group hands its cells."""
+    n_params = fit.design.shape[1]
+    return float(fit.coefficients[1]), fit.cov_model[1, 1], fit.cov_robust[1, 1], n_params
+
+
 def _assignment(inputs: list) -> list:
-    """The assignment-effect regression of each group: ``(estimate,
-    model-based variance, robust variance, n_params)`` or the group's error."""
+    """The assignment-effect regression of each group: its :func:`_estimate`
+    or the group's error."""
     out = list(inputs)
     ok = [g for g, inp in enumerate(inputs) if not isinstance(inp, CrtivError)]
-    designs = [inputs[g].assignment_design for g in ok]
     solved = wls.solve(
-        designs, [inputs[g].summaries.y_bar for g in ok], [inputs[g].weights for g in ok]
+        [inputs[g].assignment_design for g in ok],
+        [inputs[g].summaries.y_bar for g in ok],
+        [inputs[g].weights for g in ok],
     )
-    for g, design, res in zip(ok, designs, solved):
-        if isinstance(res, CrtivError):
-            out[g] = res
-            continue
-        coefficients, r = res
-        y, weights = inputs[g].summaries.y_bar, inputs[g].weights
-        n, p = design.shape
-        fit = wls.DesignFit(coefficients, y - design @ coefficients, n, p, weights, design, r)
-        out[g] = (float(coefficients[1]), fit.cov_model[1, 1], fit.cov_robust[1, 1], p)
+    for g, fit in zip(ok, solved):
+        out[g] = fit if isinstance(fit, CrtivError) else _estimate(fit)
     return out
 
 
 class _TwoStage(NamedTuple):
     gamma: np.ndarray
     d_hat: np.ndarray
-    fitted_design: np.ndarray
-    beta: np.ndarray
-    r: np.ndarray
+    second: wls.DesignFit
 
 
 def _two_stages(inputs: list) -> list:
@@ -208,7 +207,7 @@ def _two_stages(inputs: list) -> list:
         if isinstance(first[k], CrtivError):
             out[g] = first[k]
             continue
-        gamma = first[k][0]
+        gamma = first[k].coefficients
         if abs(float(gamma[1])) < _RELEVANCE_TOL:
             out[g] = WeakDenominator("first-stage assignment coefficient is numerically zero")
             continue
@@ -221,8 +220,8 @@ def _two_stages(inputs: list) -> list:
         [inputs[g].summaries.y_bar for g, _, _, _ in second],
         [inputs[g].weights for g, _, _, _ in second],
     )
-    for (g, gamma, d_hat, fitted_design), res in zip(second, solved):
-        out[g] = res if isinstance(res, CrtivError) else _TwoStage(gamma, d_hat, fitted_design, *res)
+    for (g, gamma, d_hat, _), fit in zip(second, solved):
+        out[g] = fit if isinstance(fit, CrtivError) else _TwoStage(gamma, d_hat, fit)
     return out
 
 
@@ -231,17 +230,19 @@ def _structural_residuals(inp: _Inputs, beta) -> np.ndarray:
 
 
 def _late(inputs: list) -> list:
-    """The two-stage estimate of each group: ``(estimate, model-based
-    variance, robust variance, n_params)`` or the group's error."""
+    """The two-stage estimate of each group: its :func:`_estimate` or the
+    group's error.  The estimate's variances come from the stage-two fit
+    with its residuals replaced by the structural ones."""
     out = _two_stages(inputs)
     for g, fit in enumerate(out):
         if isinstance(fit, CrtivError):
             continue
-        inp = inputs[g]
-        n, p = fit.fitted_design.shape
-        residuals = _structural_residuals(inp, fit.beta)
-        second = wls.DesignFit(fit.beta, residuals, n, p, inp.weights, fit.fitted_design, fit.r)
-        out[g] = (float(fit.beta[1]), second.cov_model[1, 1], second.cov_robust[1, 1], p)
+        second = fit.second
+        residuals = _structural_residuals(inputs[g], second.coefficients)
+        structural = wls.DesignFit(
+            second.coefficients, residuals, second.weights_used, second.design, second.r
+        )
+        out[g] = _estimate(structural)
     return out
 
 
@@ -405,8 +406,11 @@ def first_stage_f(summaries: Summaries) -> float:
     freedom.  Deterministic adherence (zero residuals) returns ``inf``."""
     if not summaries.n_clusters:
         raise EmptyArm("no cluster summaries")
-    design = _design(summaries.z, None)
-    fit = wls.design_fit(design, summaries.d_bar, np.ones(summaries.n_clusters))
+    (fit,) = wls.solve(
+        [_design(summaries.z, None)], [summaries.d_bar], [np.ones(summaries.n_clusters)]
+    )
+    if isinstance(fit, CrtivError):
+        raise fit
     gamma_z = float(fit.coefficients[1])
     # Treat residuals at rounding-noise level as identically zero; adherence
     # fractions live in [0, 1] so an absolute threshold is safe.
@@ -453,7 +457,7 @@ def tsls_system(
     (fit,) = _two_stages([inputs])
     if isinstance(fit, CrtivError):
         raise fit
-    gamma, beta = fit.gamma, fit.beta
+    gamma, beta = fit.gamma, fit.second.coefficients
     return TslsInternals(
         gamma0=float(gamma[0]),
         gamma_z=float(gamma[1]),

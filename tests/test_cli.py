@@ -362,6 +362,18 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     assert "kind=numeric" in capsys.readouterr().err
 
 
+def test_two_clusters_end_in_one_df_error_line_under_either_df_mode(tmp_path, capsys):
+    # J = p = 2 fits exactly: a standard error of 0 or rounding noise is no answer.
+    data = tmp_path / "two.csv"
+    write_csv(data, BASIC_HEADER, [["a", 0, 0, 1.0], ["a", 0, 0, 1.4], ["b", 1, 1, 2.0]])
+    for df in ("normal", "ssdf"):
+        capsys.readouterr()
+        assert cli.main(["analyze", "--input", str(data), "--df", df]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("crtiv-error kind=numeric type=DfNonPositive msg=")
+        assert err.count("\n") == 1
+
+
 def test_icc_flag_validation(tmp_path):
     data = tmp_path / "t.csv"
     make_perfect_adherence_file(data)
@@ -837,6 +849,11 @@ def _bad_input_argv(tmp_path, case):
         target = tmp_path / "taken"
         target.write_text("", encoding="utf-8")
         return ["generate", "--scenario", str(scenario), "--output-dir", str(target)]
+    if case in ("repeated_x", "repeated_w"):
+        data = tmp_path / "trial.csv"
+        cli.write_dataset_csv(generate(ScenarioConfig(n_clusters=12), seed=5).dataset, data)
+        prefix = case[-1]
+        return ["analyze", "--input", str(data), f"--adjust-{prefix}", f"{prefix}_1, {prefix}_1"]
     raise AssertionError(case)
 
 
@@ -854,6 +871,8 @@ def _bad_input_argv(tmp_path, case):
         ("csv_not_utf8", "UnicodeDecodeError"),
         ("scenario_not_utf8", "UnicodeDecodeError"),
         ("output_dir_is_a_file", "FileExistsError"),
+        ("repeated_x", "SchemaMismatch"),
+        ("repeated_w", "SchemaMismatch"),
     ],
 )
 def test_bad_input_ends_in_one_validation_error_line(tmp_path, capsys, case, error_type):

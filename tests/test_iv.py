@@ -470,14 +470,17 @@ def test_grid_cells_equal_their_one_cell_fits(seed, n_clusters, damage, estimato
         assert WeakDenominator in failed
     if (seed, n_clusters, damage) == (0, 3, "none"):
         assert DfNonPositive in failed
-    # With J=3 and w, J - p = 0: a small-sample cell fails on its own
-    # wherever its normal-approximation twin has a fit.
+    # A small-sample cell equals its normal-approximation twin but for the
+    # critical value.  With J=3 and w, J - p = 0, and the cell fails in
+    # either df mode.
     fits = {options: fit for (_, options), fit in zip(cells, from_grid)}
     for options, fit in fits.items():
         twin = fits[replace(options, df_mode=DfMode.NORMAL_APPROX)]
+        no_df = n_clusters == 3 and options.adjust_w
         if options.df_mode is DfMode.SMALL_SAMPLE and not isinstance(twin, CrtivError):
-            no_df = n_clusters == 3 and options.adjust_w
             assert isinstance(fit, DfNonPositive) if no_df else fit == twin._replace(crit=fit.crit)
+        if options.df_mode is DfMode.SMALL_SAMPLE and isinstance(fit, DfNonPositive):
+            assert no_df and isinstance(twin, DfNonPositive)
 
 
 def test_small_sample_df_counts_clusters_not_fields():

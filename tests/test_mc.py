@@ -290,8 +290,9 @@ THREE_CLUSTERS = ScenarioConfig(n_clusters=3, sizes=PoissonSizes(6.0))
 
 
 def no_residual_df(variant):
-    # J=3 clusters leave J - p = 0 degrees of freedom once w enters (p = 3).
-    return variant.options.adjust_w and variant.options.df_mode is DfMode.SMALL_SAMPLE
+    # J=3 clusters leave J - p = 0 degrees of freedom once w enters (p = 3),
+    # and J <= p fails in either df mode.
+    return variant.options.adjust_w
 
 
 @settings(max_examples=15, deadline=None)

@@ -157,6 +157,15 @@ def test_df_nonpositive_under_small_sample():
         inference(0.1, 0.1, DfMode.SMALL_SAMPLE, 2, 2)
 
 
+def test_no_residual_df_fails_under_either_df_mode():
+    # J <= p leaves zero residuals, so no standard error to build an interval on.
+    for mode in DfMode:
+        for n_clusters in (1, 2):
+            with pytest.raises(DfNonPositive):
+                critical_value(mode, n_clusters, 2)
+    assert critical_value(DfMode.NORMAL_APPROX, 3, 2)[1] == math.inf
+
+
 def test_interval_widening_at_114_df():
     # Risk-difference point estimate with a normal 95% CI of (-0.006, 0.305);
     # t(114) inference should widen it to roughly (-0.009, 0.308).
@@ -264,10 +273,12 @@ def test_solve_keeps_each_problems_failure_to_itself():
     errors = [type(res) for res in results[1:2] + results[3:]]
     assert errors == [RankDeficient, RankDeficient, NonFiniteValue, NonPositiveWeight]
     for i in (0, 2):
-        coefficients, r = results[i]
+        fit = results[i]
         alone = fit_wls(designs[i], responses[i])
-        assert coefficients.tobytes() == alone.coefficients.tobytes()
-        assert r.tobytes() == alone.r.tobytes()
+        assert fit.coefficients.tobytes() == alone.coefficients.tobytes()
+        assert fit.r.tobytes() == alone.r.tobytes()
+        residuals = responses[i] - designs[i] @ fit.coefficients
+        assert fit.residuals.tobytes() == residuals.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
