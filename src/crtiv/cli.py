@@ -30,6 +30,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import fields
 from itertools import islice, product, repeat
 from pathlib import Path
 
@@ -371,12 +372,9 @@ def write_truth_sidecars(trial: GeneratedTrial, cluster_path, individual_path) -
 
 # --- scenario files ----------------------------------------------------------
 
-# Scenario keys that are ScenarioConfig fields of the same name, read as plain
-# numbers; an absent key keeps the ScenarioConfig default.
-_NUMERIC_KEYS = tuple(
-    "rho_y rho_x rho_c pi lambda_w lambda_x beta_w beta_x beta_cz beta_0 beta_c "
-    "sigma2_w sigma2_x total_variance".split()
-)
+# Scenario keys that are the float fields of ScenarioConfig, in field order,
+# read as plain numbers; an absent key keeps the ScenarioConfig default.
+_NUMERIC_KEYS = tuple(f.name for f in fields(ScenarioConfig) if isinstance(f.default, float))
 _SCENARIO_KEYS = {
     "adherence",
     "clusters",
@@ -414,11 +412,12 @@ def read_scenario(path) -> ScenarioConfig:
             raise SchemaMismatch(f"{path}: {key} must be a whole number, got {values[key]!r}")
         return int(value)
 
+    default, pareto = ScenarioConfig(), ParetoSizes()
     kind = values.get("sizes", "poisson").lower()
     if kind not in ("poisson", "pareto"):
         raise SchemaMismatch(f"{path}: sizes must be poisson or pareto, got {kind!r}")
 
-    adherence = values.get("adherence", "cluster").lower()
+    adherence = values.get("adherence", default.adherence.value).lower()
     try:
         level = AdherenceLevel(adherence)
     except ValueError:
@@ -428,16 +427,16 @@ def read_scenario(path) -> ScenarioConfig:
 
     try:
         if kind == "poisson":
-            sizes = PoissonSizes(mean=number("poisson_mean", 20.0))
+            sizes = PoissonSizes(mean=number("poisson_mean", PoissonSizes().mean))
         else:
             sizes = ParetoSizes(
-                shape=number("pareto_shape", 1.8),
-                scale=number("pareto_scale", 9.1),
-                minimum=count("pareto_min", 10),
+                shape=number("pareto_shape", pareto.shape),
+                scale=number("pareto_scale", pareto.scale),
+                minimum=count("pareto_min", pareto.minimum),
             )
         return ScenarioConfig(
             adherence=level,
-            n_clusters=count("clusters", 50),
+            n_clusters=count("clusters", default.n_clusters),
             sizes=sizes,
             **{key: float(values[key]) for key in _NUMERIC_KEYS if key in values},
         )
@@ -476,15 +475,19 @@ _DF_FLAGS = {"normal": DfMode.NORMAL_APPROX, "ssdf": DfMode.SMALL_SAMPLE}
 def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     """Fit the requested grid: per combination one LATE row and one ITT row."""
     validate(dataset)
-    x_columns = _resolve_names(args.adjust_x, args.x_names, "x") if args.adjust_x else None
-    w_columns = _resolve_names(args.adjust_w, args.w_names, "w") if args.adjust_w else None
-    cl_outcome = ClOutcome.ADJUSTED_FOR_X if args.adjust_x else ClOutcome.UNADJUSTED
+    # An empty flag value is a request without names, not an absent flag.
+    x_columns = w_columns = None
+    if args.adjust_x is not None:
+        x_columns = _resolve_names(args.adjust_x, args.x_names, "x")
+    if args.adjust_w is not None:
+        w_columns = _resolve_names(args.adjust_w, args.w_names, "w")
+    cl_outcome = ClOutcome.UNADJUSTED if x_columns is None else ClOutcome.ADJUSTED_FOR_X
     fixed_icc = None if args.icc == "auto" else float(args.icc)
 
     weight_levels = [_WEIGHT_FLAGS[args.weights]] if args.weights else list(_WEIGHT_FLAGS.values())
     se_levels = [_SE_FLAGS[args.se]] if args.se else list(_SE_FLAGS.values())
     df_levels = [_DF_FLAGS[args.df]] if args.df else list(_DF_FLAGS.values())
-    w_levels = [False, True] if args.adjust_w else [False]
+    w_levels = [False] if w_columns is None else [False, True]
     plan = iv.GridPlan(
         VariantKey(cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w, fixed_icc))
         for adjust_w, weights, se_mode, df_mode in product(

@@ -82,7 +82,7 @@ class ScenarioConfig:
 
     adherence: AdherenceLevel = AdherenceLevel.CLUSTER
     n_clusters: int = 50
-    sizes: PoissonSizes | ParetoSizes = PoissonSizes(20.0)
+    sizes: PoissonSizes | ParetoSizes = PoissonSizes()
     rho_y: float = 0.05
     rho_x: float = 0.05
     rho_c: float = 0.50

@@ -341,7 +341,9 @@ class GridPlan:
         package error holds that error instead, so the caller can raise or
         count it without losing the other cells; a cell whose estimate or
         chosen variance is not finite holds
-        :class:`~crtiv.errors.NonFiniteValue`.  Other exceptions propagate.
+        :class:`~crtiv.errors.NonFiniteValue`.  A held error carries no
+        traceback, so a study that keeps it does not keep this call's frame
+        and arrays alive.  Other exceptions propagate.
         """
         inputs, shared = [], {}
         for outcome, adjust_w, scheme, fixed_icc in self.groups:
@@ -349,7 +351,7 @@ class GridPlan:
             try:
                 inputs.append(_inputs(summaries[outcome], adjust_w, scheme, rho, shared))
             except CrtivError as exc:
-                inputs.append(exc)
+                inputs.append(exc.with_traceback(None))
         groups = (_assignment if estimator == "itt" else _late)(inputs)
         n_clusters = [summaries[outcome].n_clusters for outcome, *_ in self.groups]
 
@@ -363,7 +365,7 @@ class GridPlan:
             try:
                 crit = _critical_value(df_mode, n_clusters[g], n_params)
             except CrtivError as exc:
-                fits.append(exc)
+                fits.append(exc.with_traceback(None))
                 continue
             variance = float(var_robust if robust else var_model)
             if not (math.isfinite(estimate) and math.isfinite(variance)):

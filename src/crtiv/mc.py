@@ -7,16 +7,19 @@ empirical bias and 95% interval coverage with their Monte Carlo errors.
 
 Replicates are seeded independently from (master_seed, attempt_index), and a
 rejected attempt still consumes its index, so results are bit-identical for a
-given master seed regardless of thread count or scheduling.  Aggregations
-sort their inputs before reducing, so they are also invariant to replicate
-order.
+given master seed regardless of thread count or scheduling; a task is just
+its attempt index.  A retained replicate yields one list of cell fits (or
+errors) in grid order, and cell ``i`` is aggregated from position ``i`` of
+each list, sorting its inputs first, so that is invariant to replicate order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -120,25 +123,21 @@ def _replicate_seed(master_seed: int, attempt: int) -> np.random.SeedSequence:
 def fit_variants(
     trial: GeneratedTrial,
     variants: Iterable[VariantKey] | iv.GridPlan,
-) -> dict[VariantKey, tuple[float, float, float] | None]:
-    """Fit each distinct variant on one trial: (estimate, se, critical
-    value) per key, in the order of ``variants``.
+) -> list[iv.CellFit | CrtivError]:
+    """Fit each distinct variant on one trial, in the order of the plan's
+    ``cells``: a :class:`crtiv.iv.CellFit` per variant, or the package error
+    its fit raised.
 
     ``variants`` may be a :class:`crtiv.iv.GridPlan` of them, so a study
-    plans its grid once.  A variant that raises a package error maps to
-    ``None``; anything else propagates, since unexpected exceptions
-    indicate a bug rather than a degenerate replicate.
+    plans its grid once.  Any other exception propagates, since it
+    indicates a bug rather than a degenerate replicate.
     """
     plan = variants if isinstance(variants, iv.GridPlan) else iv.GridPlan(variants)
-    fits = plan.fit(*plan.summarise(trial.dataset, _X_COLUMNS))
-    return {
-        v: None if isinstance(fit, CrtivError) else (fit.estimate, fit.se, fit.crit)
-        for v, fit in zip(plan.cells, fits)
-    }
+    return plan.fit(*plan.summarise(trial.dataset, _X_COLUMNS))
 
 
-def _evaluate_attempt(args):
-    config, master_seed, attempt, plan = args
+def _evaluate_attempt(config, master_seed, plan, attempt):
+    """The grid fits of one attempt, or ``None`` if the screen rejects it."""
     trial = generate(config, _replicate_seed(master_seed, attempt))
     if not screen_weak_instrument(trial):
         return None
@@ -154,14 +153,15 @@ def run_study(
 ) -> McReport:
     """Run one scenario until ``n_replicates`` datasets pass the screen.
 
-    Attempts are generated, screened, and fitted in index order; speculative
-    attempts evaluated past the last retained index (which parallel execution
-    produces) are discarded uncounted.  ``threads`` worker processes run
-    the attempts, capped at ``os.cpu_count()``; with one, they run in this
-    process.  The report is the same for any count.  A scenario whose screen
-    keeps fewer than ``n_replicates`` datasets in ``1000 * n_replicates``
-    attempts raises :class:`~crtiv.errors.ScreenExhausted` rather than
-    running on.
+    Attempts are mapped in blocks of consecutive indices and consumed in
+    index order; attempts a worker pool evaluated past the last retained
+    index are discarded uncounted.  ``threads`` worker processes run the
+    attempts, capped at ``os.cpu_count()``; with one, the builtin ``map``
+    runs them lazily in this process.  The report is the same for any count,
+    and a variant's ``n_fit_failures`` counts the replicates whose cell
+    holds an error.  A scenario whose screen keeps fewer than
+    ``n_replicates`` datasets in ``1000 * n_replicates`` attempts raises
+    :class:`~crtiv.errors.ScreenExhausted` rather than running on.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
@@ -170,44 +170,25 @@ def run_study(
     if not variants:
         raise ValueError("no estimator variants requested")
 
-    # By position: fit_variants returns its rows in the order of variants.
-    per_variant: list[list[tuple[float, float, float]]] = [[] for _ in variants]
-    failures = [0] * len(variants)
-    retained = 0
-    rejected = 0
+    # One list of cell fits per retained replicate, in the order of variants.
+    replicates: list[list[iv.CellFit | CrtivError]] = []
     attempt = 0
-
-    def consume(outcome) -> None:
-        nonlocal retained, rejected
-        if outcome is None:
-            rejected += 1
-            return
-        retained += 1
-        for i, row in enumerate(outcome.values()):
-            if row is None:
-                failures[i] += 1
-            else:
-                per_variant[i].append(row)
-
     max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
     workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1:
-        while retained < n_replicates and attempt < max_attempts:
-            consume(_evaluate_attempt((config, master_seed, attempt, plan)))
-            attempt += 1
-    else:
-        block = max(4 * workers, 32)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            while retained < n_replicates and attempt < max_attempts:
-                indices = range(attempt, min(attempt + block, max_attempts))
-                args = [(config, master_seed, i, plan) for i in indices]
-                for outcome in pool.map(_evaluate_attempt, args, chunksize=4):
-                    attempt += 1
-                    consume(outcome)
-                    if retained >= n_replicates:
+    block = max(4 * workers, 32)
+    evaluate = functools.partial(_evaluate_attempt, config, master_seed, plan)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else functools.partial(pool.map, chunksize=4)
+        while len(replicates) < n_replicates and attempt < max_attempts:
+            indices = range(attempt, min(attempt + block, max_attempts))
+            for fits in mapper(evaluate, indices):
+                attempt += 1
+                if fits is not None:
+                    replicates.append(fits)
+                    if len(replicates) == n_replicates:
                         break
 
-    if retained < n_replicates:
+    if (retained := len(replicates)) < n_replicates:
         raise ScreenExhausted(
             f"weak-instrument screen kept {retained} of {attempt} attempts "
             f"(acceptance rate {retained / attempt:.3g}), {n_replicates} replicates wanted"
@@ -216,10 +197,10 @@ def run_study(
     truth = config.beta_cz
     aggregated = {}
     for i, variant in enumerate(variants):
-        rows = per_variant[i]
-        estimates = [r[0] for r in rows]
-        ses = np.asarray([r[1] for r in rows])
-        crits = [r[2] for r in rows]
+        rows = [fits[i] for fits in replicates if not isinstance(fits[i], CrtivError)]
+        estimates = [r.estimate for r in rows]
+        ses = np.asarray([r.se for r in rows])
+        crits = [r.crit for r in rows]
         bias, mce_bias = bias_and_mce(estimates, truth)
         coverage, mce_coverage = coverage_and_mce(estimates, ses, crits, truth)
         mean_se = float(np.sort(ses).mean()) if len(rows) else math.nan
@@ -230,13 +211,13 @@ def run_study(
             mce_coverage=mce_coverage,
             mean_se=mean_se,
             n_fits=len(rows),
-            n_fit_failures=failures[i],
+            n_fit_failures=n_replicates - len(rows),
         )
     return McReport(
         variants=aggregated,
         n_replicates=n_replicates,
-        rejected_weak=rejected,
-        attempts=rejected + n_replicates,
+        rejected_weak=attempt - retained,
+        attempts=attempt,
         truth=truth,
         master_seed=int(master_seed),
     )

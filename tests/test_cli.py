@@ -18,7 +18,7 @@ from crtiv.collapse import (
     continuous_residuals,
     summaries_from_values,
 )
-from crtiv.dgp import AdherenceLevel, PoissonSizes, ScenarioConfig, generate
+from crtiv.dgp import AdherenceLevel, ParetoSizes, PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
     NonConstantClusterCovariate,
     ParseError,
@@ -495,6 +495,19 @@ def test_scenario_defaults_and_comments(tmp_path):
     assert config.adherence is AdherenceLevel.CLUSTER
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", ScenarioConfig()),
+        ("sizes = pareto\n", ScenarioConfig(sizes=ParetoSizes())),
+    ],
+)
+def test_an_absent_scenario_key_reads_as_its_dataclass_default(tmp_path, text, expected):
+    path = tmp_path / "scn.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.read_scenario(path) == expected
+
+
 def test_machine_format_roundtrips():
     values = [0.1, 1e-17, math.pi, -1234.5678901234567, float("inf")]
     for v in values:
@@ -849,11 +862,12 @@ def _bad_input_argv(tmp_path, case):
         target = tmp_path / "taken"
         target.write_text("", encoding="utf-8")
         return ["generate", "--scenario", str(scenario), "--output-dir", str(target)]
-    if case in ("repeated_x", "repeated_w"):
+    if case in ("repeated_x", "repeated_w", "empty_x", "empty_w"):
         data = tmp_path / "trial.csv"
         cli.write_dataset_csv(generate(ScenarioConfig(n_clusters=12), seed=5).dataset, data)
         prefix = case[-1]
-        return ["analyze", "--input", str(data), f"--adjust-{prefix}", f"{prefix}_1, {prefix}_1"]
+        names = "" if case.startswith("empty") else f"{prefix}_1, {prefix}_1"
+        return ["analyze", "--input", str(data), f"--adjust-{prefix}", names]
     raise AssertionError(case)
 
 
@@ -873,6 +887,9 @@ def _bad_input_argv(tmp_path, case):
         ("output_dir_is_a_file", "FileExistsError"),
         ("repeated_x", "SchemaMismatch"),
         ("repeated_w", "SchemaMismatch"),
+        # An empty value names no column; it is not an absent flag.
+        ("empty_x", "SchemaMismatch"),
+        ("empty_w", "SchemaMismatch"),
     ],
 )
 def test_bad_input_ends_in_one_validation_error_line(tmp_path, capsys, case, error_type):

@@ -17,7 +17,7 @@ from crtiv import cli
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 GOLDEN = {
-    # simulate, default scenario, seed 1, 40 replicates, one worker
+    # simulate, default scenario, seed 1, 40 replicates, one or two workers
     "report.csv": "50eb312216b7b411900826ed1a6d820d3a5b9bee1f30c34ca5378c8fa1959c62",
     # analyze --adjust-x x_1 --adjust-w w_1 on the default scenario's trial for seed 1
     "analysis.csv": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
@@ -54,10 +54,14 @@ def default_scenario(tmp_path):
     return scenario
 
 
-def test_simulate_report_is_byte_identical_to_the_recorded_one(tmp_path, default_scenario):
+# The same digest on the worker pool: the report does not depend on --threads.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_report_is_byte_identical_to_the_recorded_one(
+    tmp_path, default_scenario, threads
+):
     out = tmp_path / "sim"
     argv = ["simulate", "--scenario", str(default_scenario), "--output-dir", str(out)]
-    assert cli.main(argv + ["--replicates", "40", "--seed", "1", "--threads", "1"]) == 0
+    assert cli.main(argv + ["--replicates", "40", "--seed", "1", "--threads", threads]) == 0
     assert sha256(out / "report.csv") == GOLDEN["report.csv"]
 
 

@@ -178,10 +178,11 @@ def test_full_grid_study_same_for_one_and_two_workers():
 
 
 def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
-    created = []
+    created, tasks = [], []
 
     class SerialPool:
-        """Records the worker count asked for and maps in this process."""
+        """Records the worker count asked for and the tasks it maps, and maps
+        in this process."""
 
         def __init__(self, max_workers):
             created.append(max_workers)
@@ -193,6 +194,8 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, args, chunksize=1):
+            args = list(args)
+            tasks.extend(args)
             return map(fn, args)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
@@ -205,6 +208,9 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
         )
         assert created.pop() == workers and not created
         assert pooled == serial
+    # Each task is a bare attempt index; the scenario and grid ride with the
+    # mapped function.
+    assert tasks and all(type(task) is int for task in tasks)
 
     monkeypatch.setattr(mc.os, "cpu_count", lambda: None)  # count unknown: run serially
     unknown = run_study(
@@ -261,6 +267,11 @@ def per_cell_fit(trial, variant):
     return fit.estimate, fit.se, crit
 
 
+def values_of(fit):
+    """(estimate, se, critical value) of a grid cell, or None if it failed."""
+    return None if isinstance(fit, CrtivError) else (fit.estimate, fit.se, fit.crit)
+
+
 GRID_CONFIG = ScenarioConfig(n_clusters=10, sizes=PoissonSizes(8.0))
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -270,20 +281,19 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 def test_full_grid_cells_equal_per_cell_tsls(seed):
     trial = generate(GRID_CONFIG, seed)
     fits = fit_variants(trial, variant_grid())
-    assert list(fits) == list(variant_grid())
-    for variant, fit in fits.items():
-        assert fit == per_cell_fit(trial, variant), variant.label()
+    assert len(fits) == len(variant_grid())
+    for variant, fit in zip(variant_grid(), fits):
+        assert values_of(fit) == per_cell_fit(trial, variant), variant.label()
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=SEEDS)
 def test_variant_subset_gives_the_full_grid_values(seed):
     trial = generate(GRID_CONFIG, seed)
-    full = fit_variants(trial, variant_grid())
+    full = dict(zip(variant_grid(), map(values_of, fit_variants(trial, variant_grid()))))
     subset = [v for v in variant_grid() if v.options.weights is Weights.MIN_VARIANCE]
-    assert fit_variants(trial, subset) == {v: full[v] for v in subset}
-    reversed_order = subset[::-1]
-    assert fit_variants(trial, reversed_order) == {v: full[v] for v in reversed_order}
+    for variants in (subset, subset[::-1]):
+        assert list(map(values_of, fit_variants(trial, variants))) == [full[v] for v in variants]
 
 
 THREE_CLUSTERS = ScenarioConfig(n_clusters=3, sizes=PoissonSizes(6.0))
@@ -302,9 +312,11 @@ def test_failures_stay_in_their_own_cells(seed):
     assume(screen_weak_instrument(trial))
     fits = fit_variants(trial, variant_grid())
     summaries = collapse.cluster_means(trial.dataset)
-    for variant, fit in fits.items():
-        assert (fit is None) == no_residual_df(variant), variant.label()
-        assert fit == per_cell_fit(trial, variant)
+    for variant, fit in zip(variant_grid(), fits):
+        assert isinstance(fit, CrtivError) == no_residual_df(variant), variant.label()
+        assert values_of(fit) == per_cell_fit(trial, variant)
+        # A study keeps the error; its traceback would keep the fit's frame.
+        assert getattr(fit, "__traceback__", None) is None
         if no_residual_df(variant):
             options = AnalysisOptions(
                 Weights.NONE, variant.options.se_mode, variant.options.df_mode, True
@@ -376,11 +388,11 @@ def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monk
     collapses = counting(monkeypatch, collapse, "_collapse")
     attempt = next(
         i for i in range(50)
-        if mc._evaluate_attempt((ScenarioConfig(), 5, i, variant_grid())) is not None
+        if mc._evaluate_attempt(ScenarioConfig(), 5, variant_grid(), i) is not None
     )
     screens.clear()
     collapses.clear()
-    assert mc._evaluate_attempt((ScenarioConfig(), 5, attempt, variant_grid())) is not None
+    assert mc._evaluate_attempt(ScenarioConfig(), 5, variant_grid(), attempt) is not None
     assert len(screens) == 1
     # One unadjusted collapse shared by the screen and the grid, one adjusted.
     assert len(collapses) == 2
@@ -391,7 +403,7 @@ def test_grid_without_mv_cells_estimates_no_icc(monkeypatch):
     estimates = counting(monkeypatch, collapse, "anova_icc")
     variants = [v for v in variant_grid() if v.options.weights is not Weights.MIN_VARIANCE]
     fits = fit_variants(trial, variants)
-    assert all(fit is not None for fit in fits.values())
+    assert not any(isinstance(fit, CrtivError) for fit in fits)
     assert estimates == []
     fit_variants(trial, variant_grid())
     # One estimate per outcome: unadjusted and adjusted for x.
@@ -408,7 +420,7 @@ def test_full_grid_on_a_default_trial_solves_21_regressions(monkeypatch):
 
     monkeypatch.setattr(wls, "solve", counted)
     fits = fit_variants(trial, variant_grid())
-    assert all(fit is not None for fit in fits.values())
+    assert not any(isinstance(fit, CrtivError) for fit in fits)
     # One residual fit, then per outcome 2 w-adjust x 3 weights stage-two
     # fits; stage one is shared between the outcomes for none and cs weights
     # (4 solves) and not for estimated minimum-variance weights (4 solves).
@@ -419,7 +431,7 @@ def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
     trial = generate(ScenarioConfig(), 8)
     calls = counting(monkeypatch, np.linalg, "qr")
     fits = fit_variants(trial, variant_grid())
-    assert all(fit is not None for fit in fits.values())
+    assert not any(isinstance(fit, CrtivError) for fit in fits)
     # The residual fit, then one stacked factorisation per design shape
     # (without and with w) for each of the two stages.
     assert len(calls) == 1 + 2 + 2
@@ -441,7 +453,7 @@ def test_overflowing_fits_count_as_fit_failures():
     y = cols.y.copy()
     y[np.searchsorted(cols.codes, np.arange(len(cols.cluster_ids)))] = 1e200
     fits = fit_variants(with_outcome(trial, y), variant_grid())
-    assert list(fits.values()) == [None] * 48
+    assert [type(fit) for fit in fits] == [NonFiniteValue] * 48
     # Outcomes near the float maximum overflow the cluster sums themselves.
     overflowed = with_outcome(trial, np.full_like(cols.y, 1e308)).dataset
     cells = [(0, AnalysisOptions(icc=0.1)), (0, AnalysisOptions(adjust_w=True))]
