@@ -26,12 +26,10 @@ from .dgp import (
     screen_weak_instrument,
 )
 from .iv import (
-    TslsInternals,
     first_stage_f,
     itt,
     late_from_dataset,
     tsls,
-    tsls_system,
     wald_late,
 )
 from .mc import (
@@ -80,7 +78,6 @@ __all__ = [
     "SeMode",
     "Summaries",
     "TrialDataset",
-    "TslsInternals",
     "VariantKey",
     "VariantResult",
     "Weights",
@@ -103,7 +100,6 @@ __all__ = [
     "screen_weak_instrument",
     "summaries_from_values",
     "tsls",
-    "tsls_system",
     "validate",
     "variant_grid",
     "wald_late",

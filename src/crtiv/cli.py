@@ -608,36 +608,28 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-_REPORT_FIELDS = [
-    "cl_outcome",
-    "adjust_w",
-    "weights",
-    "se_mode",
-    "df_mode",
-    "bias",
-    "mce_bias",
-    "coverage",
-    "mce_coverage",
-    "mean_se",
-    "n_fits",
-    "n_fit_failures",
-    "n_replicates",
-    "rejected_weak",
-    "attempts",
-]
-
-
 def write_report_csv(report: mc.McReport, path) -> None:
-    rows = (
-        [
-            cl_outcome.value, int(options.adjust_w), options.weights.value,
-            options.se_mode.value, options.df_mode.value, res.bias, res.mce_bias,
-            res.coverage, res.mce_coverage, res.mean_se, res.n_fits, res.n_fit_failures,
-            report.n_replicates, report.rejected_weak, report.attempts,
-        ]
+    rows = [
+        {
+            "cl_outcome": cl_outcome.value,
+            "adjust_w": int(options.adjust_w),
+            "weights": options.weights.value,
+            "se_mode": options.se_mode.value,
+            "df_mode": options.df_mode.value,
+            "bias": res.bias,
+            "mce_bias": res.mce_bias,
+            "coverage": res.coverage,
+            "mce_coverage": res.mce_coverage,
+            "mean_se": res.mean_se,
+            "n_fits": res.n_fits,
+            "n_fit_failures": res.n_fit_failures,
+            "n_replicates": report.n_replicates,
+            "rejected_weak": report.rejected_weak,
+            "attempts": report.attempts,
+        }
         for (cl_outcome, options), res in report.variants.items()
-    )
-    _write_csv(path, _REPORT_FIELDS, rows)
+    ]
+    _write_csv(path, list(rows[0]), (row.values() for row in rows))
 
 
 def _format_report(report: mc.McReport) -> str:

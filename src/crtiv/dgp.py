@@ -165,9 +165,21 @@ class GeneratedTrial:
 
 def draw_cluster_sizes(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw one size per cluster from the configured distribution; raise
-    :class:`~crtiv.errors.ClusterSizesTooLarge` if they total 10**8 or more."""
+    :class:`~crtiv.errors.ClusterSizesTooLarge` if they total 10**8 or more.
+
+    A cluster count or a Poisson mean that alone reaches the cap raises
+    before any draw: every cluster holds at least one record."""
     dist = config.sizes
+    limit = f"a generated trial holds fewer than {_MAX_RECORDS:.0e}"
+    if config.n_clusters >= _MAX_RECORDS:
+        raise ClusterSizesTooLarge(
+            f"{config.n_clusters:.3g} clusters hold at least as many records; {limit}"
+        )
     if isinstance(dist, PoissonSizes):
+        if dist.mean >= _MAX_RECORDS:
+            raise ClusterSizesTooLarge(
+                f"a poisson mean of {dist.mean:.3g} records per cluster; {limit}"
+            )
         sizes = rng.poisson(dist.mean, config.n_clusters)
         while True:
             zeros = sizes == 0
@@ -180,10 +192,7 @@ def draw_cluster_sizes(config: ScenarioConfig, rng: np.random.Generator) -> np.n
     # Summed as floats: an int64 total can overflow; an infinite size fails.
     total = float(sizes.sum(dtype=float))
     if not total < _MAX_RECORDS:
-        raise ClusterSizesTooLarge(
-            f"the drawn cluster sizes total {total:.3g} records; "
-            f"a generated trial holds fewer than {_MAX_RECORDS:.0e}"
-        )
+        raise ClusterSizesTooLarge(f"the drawn cluster sizes total {total:.3g} records; {limit}")
     return sizes.astype(np.intp)
 
 

@@ -13,7 +13,8 @@ first-stage fitted values.  Plugging stage-two OLS residuals into the usual
 formulas understates the variance, so the two-stage fit reads both
 covariances from a :class:`~crtiv.wls.DesignFit` of the stage-two design
 and R factor with the structural residuals; neither stage's own
-covariances are ever formed.
+covariances are ever formed.  ``_late`` is the one two-stage path: it runs
+both stages and forms the structural residuals of every group of a grid.
 
 :meth:`GridPlan.fit` is the one loop over an estimation grid, shared by the
 command line and the Monte Carlo runner.  SE and df mode only post-process a
@@ -37,7 +38,6 @@ when the analysis itself is adjusted or weighted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -67,24 +67,6 @@ from .model import (
 )
 
 _RELEVANCE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TslsInternals:
-    """Both stages of the two-stage system, for inspection and testing.
-
-    ``structural_residuals`` are computed with the actual adherence
-    fractions, never the first-stage fitted values.
-    """
-
-    gamma0: float
-    gamma_z: float
-    gamma_w: tuple[float, ...]
-    beta0: float
-    beta_iv: float
-    beta_w: tuple[float, ...]
-    first_stage_fitted: np.ndarray
-    structural_residuals: np.ndarray
 
 
 def _weights(n, scheme: Weights, rho: float | None) -> np.ndarray:
@@ -174,18 +156,15 @@ def _assignment(inputs: list) -> list:
     return out
 
 
-class _TwoStage(NamedTuple):
-    gamma: np.ndarray
-    d_hat: np.ndarray
-    second: wls.DesignFit
-
-
-def _two_stages(inputs: list) -> list:
-    """Both stages of each group: a :class:`_TwoStage` or the group's error.
+def _late(inputs: list) -> list:
+    """The two-stage estimate of each group: its :func:`_estimate` or the
+    group's error.
 
     Groups with equal first-stage inputs share one first-stage solve; the
-    first stages go to the regression core as one batch, the second stages
-    as another.
+    first stages go to the regression core as one batch and, after the
+    relevance check, the second stages as another.  Each estimate's
+    variances come from the stage-two design and R factor with the
+    structural residuals, formed with the actual adherence fractions.
     """
     out = list(inputs)
     ok = [g for g, inp in enumerate(inputs) if not isinstance(inp, CrtivError)]
@@ -200,10 +179,9 @@ def _two_stages(inputs: list) -> list:
             weights.append(inp.weights)
     first = wls.solve(designs, responses, weights)
 
-    second = []
+    second, fitted_designs = [], []
     for g in ok:
-        inp = inputs[g]
-        k = problem_of[inp.stage_one_key]
+        k = problem_of[inputs[g].stage_one_key]
         if isinstance(first[k], CrtivError):
             out[g] = first[k]
             continue
@@ -211,38 +189,22 @@ def _two_stages(inputs: list) -> list:
         if abs(float(gamma[1])) < _RELEVANCE_TOL:
             out[g] = WeakDenominator("first-stage assignment coefficient is numerically zero")
             continue
-        d_hat = designs[k] @ gamma
         fitted_design = designs[k].copy()
-        fitted_design[:, 1] = d_hat
-        second.append((g, gamma, d_hat, fitted_design))
+        fitted_design[:, 1] = designs[k] @ gamma
+        second.append(g)
+        fitted_designs.append(fitted_design)
     solved = wls.solve(
-        [x for _, _, _, x in second],
-        [inputs[g].summaries.y_bar for g, _, _, _ in second],
-        [inputs[g].weights for g, _, _, _ in second],
+        fitted_designs,
+        [inputs[g].summaries.y_bar for g in second],
+        [inputs[g].weights for g in second],
     )
-    for (g, gamma, d_hat, _), fit in zip(second, solved):
-        out[g] = fit if isinstance(fit, CrtivError) else _TwoStage(gamma, d_hat, fit)
-    return out
-
-
-def _structural_residuals(inp: _Inputs, beta) -> np.ndarray:
-    return inp.summaries.y_bar - inp.received_design @ beta
-
-
-def _late(inputs: list) -> list:
-    """The two-stage estimate of each group: its :func:`_estimate` or the
-    group's error.  The estimate's variances come from the stage-two fit
-    with its residuals replaced by the structural ones."""
-    out = _two_stages(inputs)
-    for g, fit in enumerate(out):
+    for g, fit in zip(second, solved):
         if isinstance(fit, CrtivError):
+            out[g] = fit
             continue
-        second = fit.second
-        residuals = _structural_residuals(inputs[g], second.coefficients)
-        structural = wls.DesignFit(
-            second.coefficients, residuals, second.weights_used, second.design, second.r
-        )
-        out[g] = _estimate(structural)
+        beta = fit.coefficients
+        residuals = inputs[g].summaries.y_bar - inputs[g].received_design @ beta
+        out[g] = _estimate(wls.DesignFit(beta, residuals, fit.weights_used, fit.design, fit.r))
     return out
 
 
@@ -444,31 +406,6 @@ def late_fit(
         df=df,
         first_stage_f=first_stage_f,
         n_clusters=n_clusters,
-        options_used=options,
-    )
-
-
-def tsls_system(
-    summaries: Summaries,
-    options: AnalysisOptions,
-    icc: float | None = None,
-) -> TslsInternals:
-    """Coefficients, fitted values, and structural residuals of both stages."""
-    rho = options.icc if options.icc is not None else icc
-    inputs = _inputs(summaries, options.adjust_w, options.weights, rho, {})
-    (fit,) = _two_stages([inputs])
-    if isinstance(fit, CrtivError):
-        raise fit
-    gamma, beta = fit.gamma, fit.second.coefficients
-    return TslsInternals(
-        gamma0=float(gamma[0]),
-        gamma_z=float(gamma[1]),
-        gamma_w=tuple(float(g) for g in gamma[2:]),
-        beta0=float(beta[0]),
-        beta_iv=float(beta[1]),
-        beta_w=tuple(float(b) for b in beta[2:]),
-        first_stage_fitted=fit.d_hat,
-        structural_residuals=_structural_residuals(inputs, beta),
     )
 
 

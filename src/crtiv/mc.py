@@ -9,8 +9,9 @@ Replicates are seeded independently from (master_seed, attempt_index), and a
 rejected attempt still consumes its index, so results are bit-identical for a
 given master seed regardless of thread count or scheduling; a task is just
 its attempt index.  A retained replicate yields one list of cell fits (or
-errors) in grid order, and cell ``i`` is aggregated from position ``i`` of
-each list, sorting its inputs first, so that is invariant to replicate order.
+errors) in grid order; the study keeps each fit, or only its error's class,
+and cell ``i`` is aggregated from position ``i`` of each list, sorting its
+inputs first, so that is invariant to replicate order.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def run_study(
     attempts, capped at ``os.cpu_count()``; with one, the builtin ``map``
     runs them lazily in this process.  The report is the same for any count,
     and a variant's ``n_fit_failures`` counts the replicates whose cell
-    holds an error.  A scenario whose screen keeps fewer than
+    failed.  A scenario whose screen keeps fewer than
     ``n_replicates`` datasets in ``1000 * n_replicates`` attempts raises
     :class:`~crtiv.errors.ScreenExhausted` rather than running on.
     """
@@ -170,8 +171,9 @@ def run_study(
     if not variants:
         raise ValueError("no estimator variants requested")
 
-    # One list of cell fits per retained replicate, in the order of variants.
-    replicates: list[list[iv.CellFit | CrtivError]] = []
+    # One list per retained replicate, in the order of variants: each cell's
+    # fit, or the class of its error (an error object costs far more).
+    replicates: list[list[iv.CellFit | type[CrtivError]]] = []
     attempt = 0
     max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
     workers = min(threads, os.cpu_count() or 1)
@@ -184,7 +186,7 @@ def run_study(
             for fits in mapper(evaluate, indices):
                 attempt += 1
                 if fits is not None:
-                    replicates.append(fits)
+                    replicates.append([f if isinstance(f, iv.CellFit) else type(f) for f in fits])
                     if len(replicates) == n_replicates:
                         break
 
@@ -197,7 +199,7 @@ def run_study(
     truth = config.beta_cz
     aggregated = {}
     for i, variant in enumerate(variants):
-        rows = [fits[i] for fits in replicates if not isinstance(fits[i], CrtivError)]
+        rows = [fits[i] for fits in replicates if isinstance(fits[i], iv.CellFit)]
         estimates = [r.estimate for r in rows]
         ses = np.asarray([r.se for r in rows])
         crits = [r.crit for r in rows]

@@ -263,7 +263,6 @@ class LateFit:
     df: float
     first_stage_f: float | None
     n_clusters: int
-    options_used: AnalysisOptions
 
 
 def validate(dataset: TrialDataset) -> TrialDataset:

@@ -550,6 +550,8 @@ def test_scenario_bad_numbers_are_schema_errors(tmp_path, text, message):
         "poisson_mean = 1e17\n",  # "array is too big"
         "poisson_mean = 1e18\n",  # the int64 total overflowed
         "sizes = pareto\npareto_shape = 1e-6\n",  # infinite sizes
+        "clusters = 1e20\n",  # "Maximum allowed dimension exceeded"
+        "poisson_mean = 1e19\n",  # "lam value too large"
     ],
 )
 def test_huge_cluster_sizes_end_in_one_error_line(tmp_path, capsys, command, text):

@@ -23,7 +23,6 @@ from crtiv.iv import (
     itt,
     late_from_dataset,
     tsls,
-    tsls_system,
     wald_late,
 )
 from crtiv.model import (
@@ -239,9 +238,6 @@ def test_irrelevant_w_leaves_point_estimate_unchanged(make_summaries):
     with_w = summaries._replace(w=v[:, None])
     plain = tsls(summaries, AnalysisOptions())
     adjusted = tsls(with_w, AnalysisOptions(adjust_w=True))
-    system = tsls_system(with_w, AnalysisOptions(adjust_w=True))
-    assert abs(system.gamma_w[0]) < 1e-10
-    assert abs(system.beta_w[0]) < 1e-10
     assert adjusted.estimate == pytest.approx(plain.estimate, abs=1e-10)
 
 
@@ -341,30 +337,25 @@ def test_mv_without_icc_raises(make_summaries):
 def test_structural_residuals_use_actual_adherence(make_summaries):
     rng = np.random.default_rng(14)
     summaries = make_summaries(rng, n_clusters=10)
-    system = tsls_system(summaries, AnalysisOptions())
-    y = summaries.y_bar
-    d = summaries.d_bar
-    expected = y - system.beta0 - system.beta_iv * d
-    assert np.allclose(system.structural_residuals, expected, atol=1e-12)
-    # Residuals against the fitted first stage would differ.
-    fitted_based = y - system.beta0 - system.beta_iv * system.first_stage_fitted
-    assert not np.allclose(system.structural_residuals, fitted_based, atol=1e-8)
+    y, d, z = summaries.y_bar, summaries.d_bar, summaries.z
+    ones = np.ones(len(y))
+    gamma = np.linalg.lstsq(np.column_stack([ones, z]), d, rcond=None)[0]
+    x_hat = np.column_stack([ones, gamma[0] + gamma[1] * z])
+    xtx_inv = np.linalg.inv(x_hat.T @ x_hat)
+    beta = xtx_inv @ x_hat.T @ y
 
+    def ses(resid):
+        model = math.sqrt(resid @ resid / (len(y) - 2) * xtx_inv[1, 1])
+        robust = math.sqrt((xtx_inv @ (x_hat.T * resid**2) @ x_hat @ xtx_inv)[1, 1])
+        return model, robust
 
-def test_tsls_system_is_the_grid_two_stage_fit(make_summaries):
-    rng = np.random.default_rng(16)
-    summaries = make_summaries(rng, n_clusters=24, with_w=True)
-    for weights in Weights:
-        for adjust_w in (False, True):
-            icc = 0.2 if weights is Weights.MIN_VARIANCE else None
-            options = AnalysisOptions(weights=weights, adjust_w=adjust_w, icc=icc)
-            system = tsls_system(summaries, options)
-            assert system.beta_iv == tsls(summaries, options).estimate
-            pieces = [np.ones(summaries.n_clusters), summaries.z]
-            if adjust_w:
-                pieces.append(summaries.w)
-            gamma = np.array([system.gamma0, system.gamma_z, *system.gamma_w])
-            assert np.array_equal(system.first_stage_fitted, np.column_stack(pieces) @ gamma)
+    structural = ses(y - np.column_stack([ones, d]) @ beta)
+    stage_two = ses(y - x_hat @ beta)
+    fitted = [tsls(summaries, AnalysisOptions(se_mode=mode)).se for mode in SeMode]
+    assert fitted == pytest.approx(structural, abs=1e-12)
+    # Residuals against the fitted first stage would give other SEs.
+    for se, other in zip(fitted, stage_two):
+        assert se != pytest.approx(other, abs=1e-8)
 
 
 UNADJUSTED, ADJUSTED = ClOutcome
