@@ -691,8 +691,15 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for :func:`main` to report; subparsers share the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crtiv",
         description="Complier-effect estimation for cluster randomised trials",
     )
@@ -729,7 +736,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        _fail("validation", "BadFlag", str(exc))
+        return 2
     if getattr(args, "icc", None) not in (None, "auto"):
         try:
             value = float(args.icc)

@@ -15,9 +15,10 @@ The treatment summary ``d_bar`` is never adjusted; first-stage regressions
 always see the raw adherence fractions.
 
 Summaries are columns (:class:`~crtiv.model.Summaries`) built straight from
-the dataset's arrays.  :func:`cluster_means` computes the unadjusted ones
-once and keeps them on the dataset; :func:`summaries_from_values` gives an
-adjusted variant that shares every column of them except ``y_bar``.
+the dataset's arrays, and every collapse is a pure function of its
+arguments.  :func:`cluster_means` computes the unadjusted ones on each call;
+:func:`summaries_from_values` gives an adjusted variant, which shares every
+column except ``y_bar`` with the unadjusted summaries it is handed.
 """
 
 from __future__ import annotations
@@ -61,34 +62,33 @@ def cluster_means(dataset: TrialDataset) -> Summaries:
     """Collapse a dataset to unadjusted per-cluster summaries.
 
     Output is ordered lexicographically by cluster id and is invariant to the
-    order of the input records.  The summaries are computed once per dataset
-    and kept on it, so every call returns the same arrays: do not modify
-    them.
+    order of the input records.  Each call collapses afresh; ``n`` and ``w``
+    are the dataset's own arrays, so do not modify them.
     """
-    if dataset._summaries is None:
-        dataset._summaries = _collapse(dataset, dataset.columns().y)
-    return dataset._summaries
+    return _collapse(dataset, dataset.columns().y)
 
 
-def summaries_from_values(dataset: TrialDataset, values) -> Summaries:
+def summaries_from_values(
+    dataset: TrialDataset, values, unadjusted: Summaries | None = None
+) -> Summaries:
     """Summaries whose outcome column is the cluster mean of ``values``.
 
     ``values`` is one number per record, in record order.  Used for adjusted
     outcomes; also handy for custom residual definitions.  Every other column
-    is that of :func:`cluster_means` (the same arrays once those are
-    computed).
+    is that of :func:`cluster_means`: the very arrays of ``unadjusted``, the
+    dataset's unadjusted summaries, when given, and otherwise formed here.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != dataset.columns().y.shape:
         raise ValueError(f"need one value per record, got shape {values.shape}")
-    return _collapse(dataset, values)
+    return _collapse(dataset, values, unadjusted)
 
 
-def _collapse(dataset, values) -> Summaries:
+def _collapse(dataset, values, unadjusted=None) -> Summaries:
     cols = dataset.columns()
     y_bar = _cluster_means_of(values, cols)
-    if dataset._summaries is not None:
-        return dataset._summaries._replace(y_bar=y_bar)
+    if unadjusted is not None:
+        return unadjusted._replace(y_bar=y_bar)
     z_sums = np.bincount(cols.codes, weights=cols.z, minlength=len(cols.cluster_ids))
     return Summaries(
         ids=cols.cluster_ids,

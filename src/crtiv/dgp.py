@@ -30,9 +30,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit, logit
 
-from . import collapse, iv
+from . import iv
 from .errors import BracketFailure, ClusterSizesTooLarge, CrtivError
-from .model import Columns, OutcomeKind, TrialDataset
+from .model import Columns, OutcomeKind, Summaries, TrialDataset
 
 _WEAK_F_THRESHOLD = 10.0
 _QUAD_POINTS = 64
@@ -324,14 +324,14 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
     )
 
 
-def screen_weak_instrument(trial: GeneratedTrial) -> bool:
-    """True when the unadjusted first-stage F statistic reaches 10.
+def screen_weak_instrument(summaries: Summaries) -> bool:
+    """True when the first-stage F of a trial's unadjusted summaries reaches 10.
 
     Degenerate trials (single-arm assignment draw, constant adherence) fail
     the screen rather than raising.
     """
     try:
-        f_stat = iv.first_stage_f(collapse.cluster_means(trial.dataset))
+        f_stat = iv.first_stage_f(summaries)
     except CrtivError:
         return False
     return f_stat >= _WEAK_F_THRESHOLD

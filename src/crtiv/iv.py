@@ -25,11 +25,11 @@ one batch and all second stages as another, so a full grid takes one stacked
 QR per design shape and stage (:func:`crtiv.wls.solve`).  The bookkeeping
 that depends only on the cells (which group each cell reads) is done once
 per grid by :class:`GridPlan`, by position, so a Monte Carlo study does it
-once, not once per replicate.  :func:`tsls` and
-:func:`itt` are the grid's one-cell case.  From a dataset, the command line,
-the Monte Carlo runner and :func:`late_from_dataset` all reach the grid
-through :meth:`GridPlan.summarise`, which estimates an ICC only where a
-cell reads one.
+once, not once per replicate.  :func:`tsls` and :func:`itt` are the grid's
+one-cell case.  From a dataset, the command line, the Monte Carlo runner
+and :func:`late_from_dataset` all reach the grid through
+:meth:`GridPlan.summarise`, which estimates an ICC only where a cell reads
+one and reuses the unadjusted summaries a caller hands it.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.
@@ -117,14 +117,17 @@ def _inputs(summaries: Summaries, adjust_w: bool, scheme: Weights, rho, shared: 
         raise EmptyArm("no cluster summaries")
     w_mat = None
     if adjust_w:
-        if not summaries.w.shape[1]:
+        w_mat = np.asarray(summaries.w, dtype=float)  # summaries.w itself if float
+        if w_mat.ndim != 2 or len(w_mat) != summaries.n_clusters:
+            raise CovariateShapeMismatch(f"w of shape {w_mat.shape} is not one row per cluster")
+        if not w_mat.shape[1]:
             raise CovariateShapeMismatch("adjusting for w needs at least one cluster covariate")
-        w_mat = summaries.w
     if scheme is not Weights.MIN_VARIANCE:
         rho = None
+    w_id = id(summaries.w if adjust_w else None)  # outlives the fit, unlike a copy
     weights = _once(shared, (id(scheme), id(summaries.n), rho), _weights, summaries.n, scheme, rho)
-    x_z = _once(shared, (id(summaries.z), id(w_mat)), _design, summaries.z, w_mat)
-    x_d = _once(shared, (id(summaries.d_bar), id(w_mat)), _design, summaries.d_bar, w_mat)
+    x_z = _once(shared, (id(summaries.z), w_id), _design, summaries.z, w_mat)
+    x_d = _once(shared, (id(summaries.d_bar), w_id), _design, summaries.d_bar, w_mat)
     return _Inputs(summaries, weights, x_z, x_d, (id(x_z), id(summaries.d_bar), id(weights)))
 
 
@@ -253,7 +256,10 @@ class GridPlan:
         self.groups = tuple(group_of)
 
     def summarise(
-        self, dataset: TrialDataset, x_columns: Sequence[int] | None = None
+        self,
+        dataset: TrialDataset,
+        x_columns: Sequence[int] | None = None,
+        unadjusted: Summaries | None = None,
     ) -> tuple[dict[ClOutcome, Summaries], dict[ClOutcome, float | None]]:
         """The summaries of each outcome of the grid, and the ICC estimate
         behind its minimum-variance weights: the two mappings :meth:`fit`
@@ -261,10 +267,11 @@ class GridPlan:
 
         The outcomes are :class:`~crtiv.model.ClOutcome` members;
         ``x_columns`` selects the individual-level covariates of the
-        adjusted one.  The unadjusted summaries are computed first, so the
-        adjusted ones share their columns.  An ICC is estimated only for an
-        outcome whose cells read one (``needs_icc``), from the values its
-        summaries average: the raw outcomes or the adjustment residuals.
+        adjusted one.  ``unadjusted`` are the dataset's unadjusted summaries
+        if the caller has them, and are otherwise collapsed here if read; the
+        adjusted summaries share their columns.  An ICC is estimated only
+        for an outcome whose cells read one (``needs_icc``), from the values
+        its summaries average: the raw outcomes or the adjustment residuals.
         """
         summaries, icc = {}, {}
         cols = dataset.columns()
@@ -272,13 +279,15 @@ class GridPlan:
             if outcome not in self.needs_icc:
                 continue
             if outcome is ClOutcome.UNADJUSTED:
-                summaries[outcome], values = collapse.cluster_means(dataset), cols.y
+                if unadjusted is None:
+                    unadjusted = collapse.cluster_means(dataset)
+                summaries[outcome], values = unadjusted, cols.y
             else:
                 if dataset.outcome_kind is OutcomeKind.BINARY:
                     values = collapse.binary_residuals(dataset, x_columns)
                 else:
                     values = collapse.continuous_residuals(dataset, x_columns)
-                summaries[outcome] = collapse.summaries_from_values(dataset, values)
+                summaries[outcome] = collapse.summaries_from_values(dataset, values, unadjusted)
             icc[outcome] = None
             if self.needs_icc[outcome]:
                 icc[outcome] = collapse.anova_icc(values, cols.codes).rho

@@ -26,10 +26,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import iv
+from . import collapse, iv
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_weak_instrument
 from .errors import CrtivError, ScreenExhausted
-from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, VariantKey, Weights
+from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, Summaries, VariantKey, Weights
 
 # Attempts allowed per requested replicate before a study gives up on a
 # scenario whose weak-instrument screen (almost) never passes.
@@ -124,25 +124,28 @@ def _replicate_seed(master_seed: int, attempt: int) -> np.random.SeedSequence:
 def fit_variants(
     trial: GeneratedTrial,
     variants: Iterable[VariantKey] | iv.GridPlan,
+    unadjusted: Summaries | None = None,
 ) -> list[iv.CellFit | CrtivError]:
     """Fit each distinct variant on one trial, in the order of the plan's
     ``cells``: a :class:`crtiv.iv.CellFit` per variant, or the package error
     its fit raised.
 
     ``variants`` may be a :class:`crtiv.iv.GridPlan` of them, so a study
-    plans its grid once.  Any other exception propagates, since it
-    indicates a bug rather than a degenerate replicate.
+    plans its grid once, and ``unadjusted`` the trial's unadjusted summaries,
+    so its screen's collapse is reused.  Any other exception propagates,
+    since it indicates a bug rather than a degenerate replicate.
     """
     plan = variants if isinstance(variants, iv.GridPlan) else iv.GridPlan(variants)
-    return plan.fit(*plan.summarise(trial.dataset, _X_COLUMNS))
+    return plan.fit(*plan.summarise(trial.dataset, _X_COLUMNS, unadjusted))
 
 
 def _evaluate_attempt(config, master_seed, plan, attempt):
     """The grid fits of one attempt, or ``None`` if the screen rejects it."""
     trial = generate(config, _replicate_seed(master_seed, attempt))
-    if not screen_weak_instrument(trial):
+    unadjusted = collapse.cluster_means(trial.dataset)
+    if not screen_weak_instrument(unadjusted):
         return None
-    return fit_variants(trial, plan)
+    return fit_variants(trial, plan, unadjusted)
 
 
 def run_study(

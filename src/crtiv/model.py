@@ -1,12 +1,12 @@
 """Domain types shared across the package.
 
-Everything here is immutable after construction and safe to share between
-concurrent workers.  A trial is stored column by column (:class:`Columns`):
-one array each for assignment, treatment received and outcome, a matrix of
-individual-level covariates, and an integer code per record naming its
-cluster.  Clusters are opaque string identifiers, and all deterministic
-output orders them lexicographically (by code point).  Cluster-level
-covariates are a matrix with one row per cluster, in that order.
+Everything here, a :class:`TrialDataset` included, is immutable after
+construction and safe to share between concurrent workers.  A trial is
+stored column by column (:class:`Columns`): one array each for assignment,
+treatment received and outcome, a matrix of individual-level covariates,
+and an integer code per record naming its cluster.  Clusters are opaque
+string identifiers, ordered by code point in all deterministic output.
+Cluster-level covariates are a matrix with one row per cluster, in that order.
 """
 
 from __future__ import annotations
@@ -146,15 +146,16 @@ class TrialDataset:
     columns : the trial's :class:`Columns`, cluster covariates included.
     outcome_kind : whether ``y`` is continuous or 0/1.
 
-    Construction does not check the data; :func:`validate` does.  The
-    dataset is not modified after construction: the unadjusted
-    :class:`Summaries` are kept by :func:`crtiv.collapse.cluster_means` once
-    computed.
+    Construction does not check the data; :func:`validate` does.  A dataset
+    holds its columns and outcome kind and nothing else: it keeps no
+    summaries, so collapsing it (:mod:`crtiv.collapse`) never depends on
+    earlier calls, and it takes no new attributes.
     """
+
+    __slots__ = ("_columns", "outcome_kind")
 
     def __init__(self, columns: Columns, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS):
         self._columns = columns
-        self._summaries = None
         self.outcome_kind = outcome_kind
 
     @property

@@ -838,6 +838,12 @@ def _bad_input_argv(tmp_path, case):
     simulate = ["simulate", "--scenario", str(scenario), "--output-dir", str(tmp_path / "o")]
     if case == "zero_replicates":
         return simulate + ["--replicates", "0"]
+    if case == "replicates_not_an_integer":
+        return simulate + ["--replicates", "1e3"]
+    if case == "unknown_weights":
+        return ["analyze", "--input", str(tmp_path / "absent.csv"), "--weights", "bogus"]
+    if case == "no_subcommand":
+        return []
     if case == "negative_replicates":
         return simulate + ["--replicates", "-3"]
     if case == "zero_threads":
@@ -877,6 +883,10 @@ def _bad_input_argv(tmp_path, case):
     "case, error_type",
     [
         ("zero_replicates", "BadFlag"),
+        # argparse's own usage errors end in the same line.
+        ("replicates_not_an_integer", "BadFlag"),
+        ("unknown_weights", "BadFlag"),
+        ("no_subcommand", "BadFlag"),
         ("negative_replicates", "BadFlag"),
         ("zero_threads", "BadFlag"),
         ("negative_threads", "BadFlag"),
@@ -902,6 +912,15 @@ def test_bad_input_ends_in_one_validation_error_line(tmp_path, capsys, case, err
     assert err.startswith(f"crtiv-error kind=validation type={error_type} msg=")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_still_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: crtiv") and captured.err == ""
 
 
 @pytest.mark.parametrize("line", [1, 3, 4500])

@@ -353,9 +353,22 @@ def test_summaries_from_values_share_the_unadjusted_columns_and_skip_the_raw_mea
     adjusted = summaries_from_values(ds, values)
     # The values and d, never the raw outcome: no cluster_means pass either.
     assert len(averaged) == 2 and not any(a is ds.columns().y for a in averaged)
-    assert ds._summaries is None
     raw = cluster_means(ds)
-    again = summaries_from_values(ds, values)
+    averaged.clear()
+    again = summaries_from_values(ds, values, raw)
+    # Handed the unadjusted summaries, it averages the values alone.
+    assert len(averaged) == 1 and averaged[0] is not ds.columns().y
     assert np.array_equal(again.y_bar, adjusted.y_bar)
     for name in ("n", "z", "d_bar", "w"):
         assert getattr(again, name) is getattr(raw, name)
+
+
+def test_cluster_means_does_not_depend_on_earlier_calls(make_dataset):
+    ds = make_dataset({"a": (0, [(0, 1.0), (0, 2.0)]), "b": (1, [(1, 3.0), (0, 5.0)])})
+    raw = cluster_means(ds)
+    adjusted = summaries_from_values(ds, np.array([0.5, -0.5, 1.5, 2.5]))
+    adjusted.d_bar[0] = 0.123
+    # Edited summaries of one call are not what a later call returns.
+    later = cluster_means(ds)
+    assert later.d_bar.tolist() == raw.d_bar.tolist() == [0.0, 0.5]
+    assert later.d_bar is not raw.d_bar

@@ -6,7 +6,6 @@ import pytest
 from crtiv.collapse import anova_icc, cluster_means
 from crtiv.dgp import (
     AdherenceLevel,
-    GeneratedTrial,
     ParetoSizes,
     PoissonSizes,
     ScenarioConfig,
@@ -178,19 +177,13 @@ def test_screen_accepts_deterministic_adherence_and_rejects_null():
         ScenarioConfig(adherence=AdherenceLevel.CLUSTER, pi=0.999999, lambda_w=0.0),
         seed=13,
     )
-    assert screen_weak_instrument(strong)
+    assert screen_weak_instrument(cluster_means(strong.dataset))
 
     weak = generate(ScenarioConfig(), seed=14)
     # Shuffle adherence against assignment: rebuild with d independent of z.
     cols = weak.dataset.columns()
-    null_trial = GeneratedTrial(
-        dataset=TrialDataset(cols._replace(d=np.zeros_like(cols.d))),
-        compliance=weak.compliance,
-        psi=weak.psi,
-        psi_cl=weak.psi_cl,
-        n_compliers=weak.n_compliers,
-    )
-    assert not screen_weak_instrument(null_trial)
+    null_dataset = TrialDataset(cols._replace(d=np.zeros_like(cols.d)))
+    assert not screen_weak_instrument(cluster_means(null_dataset))
 
 
 def test_config_validation():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from crtiv.collapse import cluster_means
 from crtiv.dgp import PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
+    CovariateShapeMismatch,
     CrtivError,
     DfNonPositive,
     EmptyArm,
@@ -133,10 +134,28 @@ def test_wald_direct_substitution():
 
 def test_wald_on_summaries_built_from_lists_equals_the_array_built_result():
     columns = dict(n=[12, 7, 20, 9], z=[0, 0, 1, 1], d_bar=[0.0, 0.1, 0.8, 0.6])
-    columns.update(y_bar=[1.2, 0.4, 2.9, 1.7])
-    listed = Summaries(ids=("a", "b", "c", "d"), w=np.empty((4, 0)), **columns)
+    columns.update(y_bar=[1.2, 0.4, 2.9, 1.7], w=[[0.3], [-0.1], [0.5], [0.2]])
+    listed = Summaries(ids=("a", "b", "c", "d"), **columns)
     arrays = listed._replace(**{k: np.array(v, dtype=float) for k, v in columns.items()})
     assert wald_late(listed) == wald_late(arrays)
+    for fitter in (tsls, itt):
+        for adjust_w in (False, True):
+            options = AnalysisOptions(adjust_w=adjust_w)
+            assert fitter(listed, options) == fitter(arrays, options)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [np.ones(5), np.ones((4, 1)), [[1.0, 2.0]] * 4],
+    ids=["one-dimensional", "four-rows-as-array", "four-rows-as-lists"],
+)
+@pytest.mark.parametrize("fitter", [tsls, itt])
+def test_a_w_without_one_row_per_cluster_is_a_covariate_shape_mismatch(make_summaries, fitter, w):
+    summaries = make_summaries(np.random.default_rng(3), n_clusters=5)._replace(w=w)
+    with pytest.raises(CovariateShapeMismatch, match="not one row per cluster"):
+        fitter(summaries, AnalysisOptions(adjust_w=True))
+    # Without w adjustment the covariates are never read.
+    assert math.isfinite(fitter(summaries, AnalysisOptions()).estimate)
 
 
 def test_wald_perfect_adherence_reduces_to_itt_difference(make_summaries):

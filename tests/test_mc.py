@@ -309,9 +309,9 @@ def no_residual_df(variant):
 @given(seed=SEEDS)
 def test_failures_stay_in_their_own_cells(seed):
     trial = generate(THREE_CLUSTERS, seed)
-    assume(screen_weak_instrument(trial))
-    fits = fit_variants(trial, variant_grid())
     summaries = collapse.cluster_means(trial.dataset)
+    assume(screen_weak_instrument(summaries))
+    fits = fit_variants(trial, variant_grid())
     for variant, fit in zip(variant_grid(), fits):
         assert isinstance(fit, CrtivError) == no_residual_df(variant), variant.label()
         assert values_of(fit) == per_cell_fit(trial, variant)
@@ -398,6 +398,16 @@ def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monk
     assert len(collapses) == 2
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_the_screens_summaries_give_the_grid_what_it_collapses_itself(seed):
+    dataset = generate(ScenarioConfig(), seed).dataset
+    plan = iv.GridPlan(variant_grid())
+    own = plan.fit(*plan.summarise(dataset, (0,)))
+    handed = plan.fit(*plan.summarise(dataset, (0,), collapse.cluster_means(dataset)))
+    assert [values_of(fit) for fit in handed] == [values_of(fit) for fit in own]
+    assert [type(fit) for fit in handed] == [type(fit) for fit in own]
+
+
 def test_grid_without_mv_cells_estimates_no_icc(monkeypatch):
     trial = generate(ScenarioConfig(), 8)
     estimates = counting(monkeypatch, collapse, "anova_icc")
@@ -460,3 +470,37 @@ def test_overflowing_fits_count_as_fit_failures():
     for estimator in ("late", "itt"):
         fits = iv.GridPlan(cells).fit({0: collapse.cluster_means(overflowed)}, {}, estimator)
         assert [type(fit) for fit in fits] == [NonFiniteValue, NonFiniteValue]
+
+
+# --- an affine map of the outcome maps every cell of the grid ----------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=SEEDS,
+    exponent=st.floats(min_value=-3.0, max_value=3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    shift=st.floats(min_value=-10.0, max_value=10.0),
+)
+def test_an_affine_map_of_the_outcome_maps_every_cell(seed, exponent, sign, shift):
+    # Two-stage least squares and the assignment-effect regression are linear
+    # in the outcome, and the ANOVA ICC behind minimum-variance weights is
+    # affine invariant, so y -> a*y + b maps each estimate to a*beta and each
+    # SE to |a|*SE.  |b| <= 10*|a| keeps the cancellation in the means small.
+    a = sign * 10.0**exponent
+    b = shift * abs(a)
+    dataset = generate(ScenarioConfig(n_clusters=12), seed).dataset
+    cols = dataset.columns()
+    mapped = TrialDataset(cols._replace(y=a * cols.y + b))
+    plan = iv.GridPlan(variant_grid())
+    for estimator in ("late", "itt"):
+        before = plan.fit(*plan.summarise(dataset, (0,)), estimator)
+        after = plan.fit(*plan.summarise(mapped, (0,)), estimator)
+        for variant, old, new in zip(plan.cells, before, after):
+            if isinstance(old, CrtivError):
+                assert type(new) is type(old), variant.label()
+                continue
+            tolerance = 1e-9 * abs(a) * max(abs(old.estimate), old.se)
+            assert abs(new.estimate - a * old.estimate) <= tolerance, variant.label()
+            assert abs(new.se - abs(a) * old.se) <= tolerance, variant.label()
+            assert (new.crit, new.n_params) == (old.crit, old.n_params), variant.label()

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,3 +221,25 @@ def test_validate_reports_a_faulty_row_of_the_columns_without_building_records(
     reverse = Columns.from_codes(columns.cluster_ids[::-1], 5 - codes, **values)
     with pytest.raises(ValidationFailure, match=f"^{re.escape(message)}$"):
         validate(TrialDataset(reverse, outcome_kind=kind))
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crtiv"
+
+
+def test_only_model_reads_the_private_attributes_of_a_dataset():
+    # Parsed, not imported: a dataset's internals, and the summaries cache it
+    # once had, are no other module's business.
+    private = {"_columns", "_summaries"}
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                readers.add((path.stem, node.attr))
+    assert {module for module, _ in readers} <= {"model"}
+
+
+def test_a_dataset_takes_no_new_attributes(make_dataset):
+    ds = make_dataset({"a": (0, [(0, 1.0)]), "b": (1, [(1, 2.0)])})
+    with pytest.raises(AttributeError):
+        ds.summaries = None
+    assert not hasattr(ds, "__dict__")
