@@ -1,4 +1,4 @@
-"""Command line front end and CSV input/output.
+r"""Command line front end and CSV input/output.
 
 Three subcommands: ``analyze`` ingests an individual-level trial CSV and
 emits the estimate grid, ``simulate`` runs a Monte Carlo study from a
@@ -20,8 +20,13 @@ conversion per column, and a block that fails that too is read cell by
 cell for its first error.  The two paths give the same dataset and the
 same errors; :func:`ingest_csv` says why.
 
-Exit codes: 0 success, 2 invalid input, 3 numeric failure.  Errors go to
-stderr as single-line ``key=value`` records.
+Exit codes: 0 success, 2 invalid input, 3 numeric failure.  An error goes
+to stderr as one line, ``crtiv-error kind=K type=T msg="M"``: ``K`` is
+``validation`` or ``numeric``, ``T`` the error's class name, and ``M`` the
+message with ``\`` written as ``\\``, ``"`` as ``\"`` and each line break as a
+space.  So every such line matches
+``^crtiv-error kind=\w+ type=\w+ msg="((?:[^"\\]|\\.)*)"$``, and dropping the
+backslash before each escaped character gives the message back.
 """
 
 from __future__ import annotations
@@ -778,7 +783,8 @@ def main(argv=None) -> int:
 
 
 def _fail(kind: str, type_name: str, message: str) -> None:
-    message = message.replace("\n", " ")
+    message = message.replace("\\", "\\\\").replace('"', '\\"')
+    message = message.replace("\r", " ").replace("\n", " ")
     sys.stderr.write(f'crtiv-error kind={kind} type={type_name} msg="{message}"\n')
 
 

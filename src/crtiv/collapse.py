@@ -61,9 +61,10 @@ class IccEstimate:
 def cluster_means(dataset: TrialDataset) -> Summaries:
     """Collapse a dataset to unadjusted per-cluster summaries.
 
-    Output is ordered lexicographically by cluster id and is invariant to the
-    order of the input records.  Each call collapses afresh; ``n`` and ``w``
-    are the dataset's own arrays, so do not modify them.
+    Output is ordered lexicographically by cluster id and, for a dataset
+    that passes ``validate`` (0/1 ``d``), bit-identical under any order of
+    the input records.  Each call collapses afresh; ``n`` and ``w`` are the
+    dataset's own arrays, so do not modify them.
     """
     return _collapse(dataset, dataset.columns().y)
 
@@ -90,11 +91,13 @@ def _collapse(dataset, values, unadjusted=None) -> Summaries:
     if unadjusted is not None:
         return unadjusted._replace(y_bar=y_bar)
     z_sums = np.bincount(cols.codes, weights=cols.z, minlength=len(cols.cluster_ids))
+    # d is 0/1, so its sums are exact in any order and need no sort.
+    d_sums = np.bincount(cols.codes, weights=cols.d, minlength=len(cols.cluster_ids))
     return Summaries(
         ids=cols.cluster_ids,
         n=cols.sizes,
         z=(z_sums > 0).astype(float),
-        d_bar=_cluster_means_of(cols.d, cols),
+        d_bar=d_sums / cols.sizes,
         y_bar=y_bar,
         w=cols.w,
     )

@@ -19,10 +19,9 @@ both stages and forms the structural residuals of every group of a grid.
 :meth:`GridPlan.fit` is the one loop over an estimation grid, shared by the
 command line and the Monte Carlo runner.  SE and df mode only post-process a
 fit, so it solves once per (outcome, w-adjust, weights) group and fans each
-solve out to its cells; groups whose first stages have identical inputs
-share one first-stage solve.  All first stages go to the regression core as
-one batch and all second stages as another, so a full grid takes one stacked
-QR per design shape and stage (:func:`crtiv.wls.solve`).  The bookkeeping
+solve out to its cells.  All first stages go to the regression core as one
+batch and all second stages as another, so a full grid takes one stacked QR
+per design shape and stage (:func:`crtiv.wls.solve`).  The bookkeeping
 that depends only on the cells (which group each cell reads) is done once
 per grid by :class:`GridPlan`, by position, so a Monte Carlo study does it
 once, not once per replicate.  :func:`tsls` and :func:`itt` are the grid's
@@ -101,8 +100,6 @@ class _Inputs(NamedTuple):
     # structural residuals.
     assignment_design: np.ndarray
     received_design: np.ndarray
-    # Equal keys mean equal first-stage inputs (d, z, w and weights).
-    stage_one_key: tuple
 
 
 def _inputs(summaries: Summaries, adjust_w: bool, scheme: Weights, rho, shared: dict) -> _Inputs:
@@ -111,7 +108,7 @@ def _inputs(summaries: Summaries, adjust_w: bool, scheme: Weights, rho, shared: 
     ``shared`` holds the weights and designs built so far in one fit, keyed
     by the identity of what they are built from: outcome variants of one
     dataset share their ``n``, ``z``, ``d_bar`` and ``w`` arrays, so each
-    is built once, and equal first-stage inputs have equal identities.
+    is built once.
     """
     if not summaries.n_clusters:
         raise EmptyArm("no cluster summaries")
@@ -128,7 +125,7 @@ def _inputs(summaries: Summaries, adjust_w: bool, scheme: Weights, rho, shared: 
     weights = _once(shared, (id(scheme), id(summaries.n), rho), _weights, summaries.n, scheme, rho)
     x_z = _once(shared, (id(summaries.z), w_id), _design, summaries.z, w_mat)
     x_d = _once(shared, (id(summaries.d_bar), w_id), _design, summaries.d_bar, w_mat)
-    return _Inputs(summaries, weights, x_z, x_d, (id(x_z), id(summaries.d_bar), id(weights)))
+    return _Inputs(summaries, weights, x_z, x_d)
 
 
 def _once(shared: dict, key, build, *args):
@@ -163,37 +160,29 @@ def _late(inputs: list) -> list:
     """The two-stage estimate of each group: its :func:`_estimate` or the
     group's error.
 
-    Groups with equal first-stage inputs share one first-stage solve; the
-    first stages go to the regression core as one batch and, after the
-    relevance check, the second stages as another.  Each estimate's
-    variances come from the stage-two design and R factor with the
-    structural residuals, formed with the actual adherence fractions.
+    Every group's first stage goes to the regression core as one batch and,
+    after each group's relevance check, every second stage as another.  Each
+    estimate's variances come from the stage-two design and R factor with
+    the structural residuals, formed with the actual adherence fractions.
     """
     out = list(inputs)
     ok = [g for g, inp in enumerate(inputs) if not isinstance(inp, CrtivError)]
-    problem_of: dict[tuple, int] = {}
-    designs, responses, weights = [], [], []
-    for g in ok:
-        inp = inputs[g]
-        if inp.stage_one_key not in problem_of:
-            problem_of[inp.stage_one_key] = len(designs)
-            designs.append(inp.assignment_design)
-            responses.append(inp.summaries.d_bar)
-            weights.append(inp.weights)
-    first = wls.solve(designs, responses, weights)
+    first = wls.solve(
+        [inputs[g].assignment_design for g in ok],
+        [inputs[g].summaries.d_bar for g in ok],
+        [inputs[g].weights for g in ok],
+    )
 
     second, fitted_designs = [], []
-    for g in ok:
-        k = problem_of[inputs[g].stage_one_key]
-        if isinstance(first[k], CrtivError):
-            out[g] = first[k]
+    for g, fit in zip(ok, first):
+        if isinstance(fit, CrtivError):
+            out[g] = fit
             continue
-        gamma = first[k].coefficients
-        if abs(float(gamma[1])) < _RELEVANCE_TOL:
+        if abs(float(fit.coefficients[1])) < _RELEVANCE_TOL:
             out[g] = WeakDenominator("first-stage assignment coefficient is numerically zero")
             continue
-        fitted_design = designs[k].copy()
-        fitted_design[:, 1] = designs[k] @ gamma
+        fitted_design = fit.design.copy()
+        fitted_design[:, 1] = fit.design @ fit.coefficients
         second.append(g)
         fitted_designs.append(fitted_design)
     solved = wls.solve(
@@ -316,6 +305,8 @@ class GridPlan:
         traceback, so a study that keeps it does not keep this call's frame
         and arrays alive.  Other exceptions propagate.
         """
+        if estimator not in ("late", "itt"):
+            raise ValueError(f"estimator must be 'late' or 'itt', got {estimator!r}")
         inputs, shared = [], {}
         for outcome, adjust_w, scheme, fixed_icc in self.groups:
             rho = fixed_icc if fixed_icc is not None else icc.get(outcome)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -912,6 +913,33 @@ def test_bad_input_ends_in_one_validation_error_line(tmp_path, capsys, case, err
     assert err.startswith(f"crtiv-error kind=validation type={error_type} msg=")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "o").exists()
+
+
+ERROR_LINE = re.compile(r'^crtiv-error kind=\w+ type=\w+ msg="((?:[^"\\]|\\.)*)"\n$')
+
+
+@pytest.mark.parametrize("flag", ["--input", "--weights"])
+def test_a_quote_or_backslash_in_a_message_is_escaped(tmp_path, capsys, flag):
+    value = 'a"b\\c'
+    if flag == "--input":
+        value = str(tmp_path / value)
+        argv, expected = ["analyze", "--input", value], "[Errno 2] No such file or directory: "
+    else:
+        argv = ["analyze", "--input", "trial.csv", "--weights", value]
+        expected = "argument --weights: invalid choice: "
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    match = ERROR_LINE.match(capsys.readouterr().err)
+    assert match
+    message = re.sub(r"\\(.)", r"\1", match.group(1))
+    assert message.startswith(expected + repr(value))
+
+
+def test_line_breaks_in_a_message_become_spaces(capsys):
+    cli._fail("numeric", "NonFiniteValue", "x = 1.5 in\rcluster c\n")
+    assert capsys.readouterr().err == (
+        'crtiv-error kind=numeric type=NonFiniteValue msg="x = 1.5 in cluster c "\n'
+    )
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])

@@ -351,8 +351,9 @@ def test_summaries_from_values_share_the_unadjusted_columns_and_skip_the_raw_mea
     monkeypatch.setattr(collapse, "_cluster_means_of", counted)
     values = np.array([0.5, -0.5, 1.5, 2.5])
     adjusted = summaries_from_values(ds, values)
-    # The values and d, never the raw outcome: no cluster_means pass either.
-    assert len(averaged) == 2 and not any(a is ds.columns().y for a in averaged)
+    # The values alone (d_bar is a bincount), never the raw outcome: no
+    # cluster_means pass either.
+    assert len(averaged) == 1 and averaged[0] is not ds.columns().y
     raw = cluster_means(ds)
     averaged.clear()
     again = summaries_from_values(ds, values, raw)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_summaries
+from crtiv import wls
 from crtiv.collapse import cluster_means
 from crtiv.dgp import PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
@@ -186,6 +188,48 @@ def test_just_identified_tsls_equals_wald(make_summaries):
         summaries = make_summaries(rng)
         fit = tsls(summaries, AnalysisOptions())
         assert abs(fit.estimate - wald_late(summaries)) < 1e-10
+
+
+WALD_WEIGHTS = {
+    "none": (AnalysisOptions(), lambda n: np.ones(len(n))),
+    "cs": (AnalysisOptions(weights=Weights.CLUSTER_SIZE), lambda n: n.astype(float)),
+    "mv": (
+        AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.05),
+        lambda n: wls.mv_weights(n, 0.05),
+    ),
+}
+
+
+def arm_mean_gap(values, z, weights):
+    treated = z == 1.0
+    return np.average(values[treated], weights=weights[treated]) - np.average(
+        values[~treated], weights=weights[~treated]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_two_stage_fit_is_the_weighted_wald_ratio(seed):
+    # With one binary instrument and no covariates, the two-stage estimate is
+    # the ratio of the weighted arm-mean gaps of outcome and adherence, and
+    # the assignment effect is the outcome gap (Imbens & Angrist 1994).
+    summaries = random_summaries(np.random.default_rng(seed))
+    plan = GridPlan([("o", options) for options, _ in WALD_WEIGHTS.values()])
+    late = plan.fit({"o": summaries}, {}, "late")
+    assignment = plan.fit({"o": summaries}, {}, "itt")
+    for (name, (_, weights_of)), two_stage, effect in zip(WALD_WEIGHTS.items(), late, assignment):
+        weights = weights_of(summaries.n)
+        gap_y = arm_mean_gap(summaries.y_bar, summaries.z, weights)
+        gap_d = arm_mean_gap(summaries.d_bar, summaries.z, weights)
+        assert abs(two_stage.estimate - gap_y / gap_d) * abs(gap_d) <= 1e-10, name
+        assert abs(effect.estimate - gap_y) <= 1e-12, name
+
+
+@pytest.mark.parametrize("estimator", ["ITT", "LATE", "wald", ""])
+def test_grid_fit_takes_only_late_or_itt(estimator):
+    summaries = random_summaries(np.random.default_rng(2))
+    with pytest.raises(ValueError, match="'late' or 'itt'"):
+        GridPlan([("o", AnalysisOptions())]).fit({"o": summaries}, {}, estimator)
 
 
 def test_tsls_matches_matrix_oracle_with_and_without_w(make_summaries):

@@ -15,7 +15,13 @@ from crtiv.dgp import (
     generate,
     screen_weak_instrument,
 )
-from crtiv.errors import CrtivError, DfNonPositive, NonFiniteValue, ScreenExhausted
+from crtiv.errors import (
+    CrtivError,
+    DfNonPositive,
+    NonFiniteValue,
+    ScreenExhausted,
+    WeakDenominator,
+)
 from crtiv.mc import (
     ClOutcome,
     VariantKey,
@@ -420,7 +426,7 @@ def test_grid_without_mv_cells_estimates_no_icc(monkeypatch):
     assert len(estimates) == 2
 
 
-def test_full_grid_on_a_default_trial_solves_21_regressions(monkeypatch):
+def test_full_grid_on_a_default_trial_solves_25_regressions(monkeypatch):
     trial = generate(ScenarioConfig(), 8)
     original, batches = wls.solve, []
 
@@ -431,10 +437,9 @@ def test_full_grid_on_a_default_trial_solves_21_regressions(monkeypatch):
     monkeypatch.setattr(wls, "solve", counted)
     fits = fit_variants(trial, variant_grid())
     assert not any(isinstance(fit, CrtivError) for fit in fits)
-    # One residual fit, then per outcome 2 w-adjust x 3 weights stage-two
-    # fits; stage one is shared between the outcomes for none and cs weights
-    # (4 solves) and not for estimated minimum-variance weights (4 solves).
-    assert sum(batches) == 1 + 12 + 4 + 4
+    # One residual fit, then one first stage and one second stage per
+    # (outcome, w-adjust, weights) group: 2 outcomes x 2 x 3 = 12 groups.
+    assert sum(batches) == 1 + 12 + 12
 
 
 def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
@@ -445,6 +450,29 @@ def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
     # The residual fit, then one stacked factorisation per design shape
     # (without and with w) for each of the two stages.
     assert len(calls) == 1 + 2 + 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cells_do_not_depend_on_which_arrays_the_outcomes_share(seed):
+    dataset = generate(ScenarioConfig(), seed).dataset
+    plan = iv.GridPlan(variant_grid())
+    summaries, icc = plan.summarise(dataset, (0,))
+    unadjusted, adjusted = summaries.values()
+    assert adjusted.d_bar is unadjusted.d_bar and adjusted.n is unadjusted.n
+    # A flat adherence fraction, shared too, fails every two-stage cell.
+    flat_d = np.full_like(unadjusted.d_bar, 0.5)
+    flat = {outcome: s._replace(d_bar=flat_d) for outcome, s in summaries.items()}
+    for shared in (summaries, flat):
+        copies = {
+            outcome: s._replace(n=s.n.copy(), z=s.z.copy(), d_bar=s.d_bar.copy(), w=s.w.copy())
+            for outcome, s in shared.items()
+        }
+        for estimator in ("late", "itt"):
+            fits = plan.fit(shared, icc, estimator)
+            fits_of_copies = plan.fit(copies, icc, estimator)
+            assert list(map(values_of, fits_of_copies)) == list(map(values_of, fits))
+            assert list(map(type, fits_of_copies)) == list(map(type, fits))
+    assert all(isinstance(fit, WeakDenominator) for fit in plan.fit(flat, icc, "late"))
 
 
 def with_outcome(trial, y):
