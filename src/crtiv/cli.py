@@ -35,6 +35,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from itertools import islice, product, repeat
 from pathlib import Path
@@ -377,25 +378,30 @@ def write_truth_sidecars(trial: GeneratedTrial, cluster_path, individual_path) -
 
 # --- scenario files ----------------------------------------------------------
 
-# Scenario keys that are the float fields of ScenarioConfig, in field order,
-# read as plain numbers; an absent key keeps the ScenarioConfig default.
+# The scenario schema: each size kind's type and the fields its keys set,
+# plus the float fields of ScenarioConfig as keys of their own names.  A
+# key is a count when its field's default is an int.
+_SIZE_KEYS = {
+    "poisson": (PoissonSizes, {"poisson_mean": "mean"}),
+    "pareto": (
+        ParetoSizes,
+        {"pareto_shape": "shape", "pareto_scale": "scale", "pareto_min": "minimum"},
+    ),
+}
 _NUMERIC_KEYS = tuple(f.name for f in fields(ScenarioConfig) if isinstance(f.default, float))
-_SCENARIO_KEYS = {
-    "adherence",
-    "clusters",
-    "sizes",
-    "poisson_mean",
-    "pareto_shape",
-    "pareto_scale",
-    "pareto_min",
-    *_NUMERIC_KEYS,
+# Every key, mapped to the size kind it belongs to (None for any kind).
+_SCENARIO_KEYS = dict.fromkeys(["adherence", "clusters", "sizes", *_NUMERIC_KEYS]) | {
+    key: kind for kind, (_, keys) in _SIZE_KEYS.items() for key in keys
 }
 
 
 def read_scenario(path) -> ScenarioConfig:
-    """Parse a flat ``key = value`` scenario file (``#`` starts a comment)."""
+    """Parse a flat ``key = value`` scenario file (``#`` starts a comment).
+
+    A key may be given once, a size key only under its own ``sizes``, and
+    an absent key keeps its ScenarioConfig default."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # skips a leading BOM
         for line_no, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -406,66 +412,54 @@ def read_scenario(path) -> ScenarioConfig:
             key, value = key.strip(), value.strip()
             if key not in _SCENARIO_KEYS:
                 raise SchemaMismatch(f"{path}: unknown scenario key {key!r}")
+            if key in values:
+                raise SchemaMismatch(f"{path}: {key} is given again on line {line_no}")
             values[key] = value
 
-    def number(key: str, default: float) -> float:
-        return float(values.get(key, default))
-
-    def count(key: str, default: int) -> int:
-        value = number(key, default)
-        if int(value) != value:
-            raise SchemaMismatch(f"{path}: {key} must be a whole number, got {values[key]!r}")
+    def number(key: str, default):
+        text = values.get(key)
+        if text is None or not isinstance(default, int):
+            return default if text is None else float(text)
+        with suppress(ValueError):
+            return int(text)  # exact past 2**53, where a float is not
+        if int(value := float(text)) != value:
+            raise SchemaMismatch(f"{path}: {key} must be a whole number, got {text!r}")
         return int(value)
 
-    default, pareto = ScenarioConfig(), ParetoSizes()
+    default = ScenarioConfig()
     kind = values.get("sizes", "poisson").lower()
-    if kind not in ("poisson", "pareto"):
+    if kind not in _SIZE_KEYS:
         raise SchemaMismatch(f"{path}: sizes must be poisson or pareto, got {kind!r}")
+    for key in values:
+        if _SCENARIO_KEYS[key] not in (None, kind):
+            raise SchemaMismatch(f"{path}: {key} does not apply to sizes = {kind}")
 
     adherence = values.get("adherence", default.adherence.value).lower()
-    try:
-        level = AdherenceLevel(adherence)
-    except ValueError:
-        raise SchemaMismatch(
-            f"{path}: adherence must be cluster or individual, got {adherence!r}"
-        ) from None
+    if adherence not in {level.value for level in AdherenceLevel}:
+        raise SchemaMismatch(f"{path}: adherence must be cluster or individual, got {adherence!r}")
 
+    size_type, size_fields = _SIZE_KEYS[kind]
     try:
-        if kind == "poisson":
-            sizes = PoissonSizes(mean=number("poisson_mean", PoissonSizes().mean))
-        else:
-            sizes = ParetoSizes(
-                shape=number("pareto_shape", pareto.shape),
-                scale=number("pareto_scale", pareto.scale),
-                minimum=count("pareto_min", pareto.minimum),
-            )
+        sizes = {f: number(key, getattr(size_type(), f)) for key, f in size_fields.items()}
         return ScenarioConfig(
-            adherence=level,
-            n_clusters=count("clusters", default.n_clusters),
-            sizes=sizes,
-            **{key: float(values[key]) for key in _NUMERIC_KEYS if key in values},
+            adherence=AdherenceLevel(adherence),
+            sizes=size_type(**sizes),
+            n_clusters=number("clusters", default.n_clusters),
+            **{key: number(key, getattr(default, key)) for key in _NUMERIC_KEYS},
         )
     except (ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: {exc}") from exc
 
 
 def scenario_echo(config: ScenarioConfig, seed: int, replicates: int) -> str:
-    """Resolved configuration in the scenario-file syntax, for provenance."""
-    lines = [
-        f"adherence = {config.adherence.value}",
-        f"clusters = {config.n_clusters}",
-    ]
-    if isinstance(config.sizes, PoissonSizes):
-        lines += ["sizes = poisson", f"poisson_mean = {_machine(config.sizes.mean)}"]
-    else:
-        lines += [
-            "sizes = pareto",
-            f"pareto_shape = {_machine(config.sizes.shape)}",
-            f"pareto_scale = {_machine(config.sizes.scale)}",
-            f"pareto_min = {config.sizes.minimum}",
-        ]
-    for key in _NUMERIC_KEYS:
-        lines.append(f"{key} = {_machine(getattr(config, key))}")
+    """Resolved configuration in the scenario-file syntax, for provenance;
+    counts print as integers, so they read back exactly at any size."""
+    kind = next(k for k, (t, _) in _SIZE_KEYS.items() if isinstance(config.sizes, t))
+    pairs = [("clusters", config.n_clusters), ("sizes", kind)]
+    pairs += [(key, getattr(config.sizes, f)) for key, f in _SIZE_KEYS[kind][1].items()]
+    pairs += [(key, getattr(config, key)) for key in _NUMERIC_KEYS]
+    lines = [f"adherence = {config.adherence.value}"]
+    lines += [f"{k} = {v if isinstance(v, (int, str)) else _machine(v)}" for k, v in pairs]
     lines += [f"# seed = {seed}", f"# replicates = {replicates}"]
     return "\n".join(lines) + "\n"
 

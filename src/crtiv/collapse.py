@@ -196,27 +196,32 @@ def _log_likelihood(design, y, beta):
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
-def anova_icc(values, clusters) -> IccEstimate:
+def anova_icc(values, codes) -> IccEstimate:
     """One-way ANOVA moment estimator of the intra-cluster correlation.
 
     Parameters
     ----------
     values : array of individual-level measurements.
-    clusters : parallel array of cluster labels.
+    codes : parallel array of cluster indices 0..J-1, each used, as in
+        ``Columns.codes``; other codes, or J < 2, raise :class:`ValueError`.
 
     The between-cluster variance component is ``(MSB - MSW) / n0`` with
     ``n0 = (N - sum(n_j^2)/N) / (J - 1)``, truncated at zero; ``rho`` is the
     between share of the total.  Identical values everywhere give ``rho = 0``.
     """
     values = np.asarray(values, dtype=float)
-    _, codes = np.unique(np.asarray(clusters), return_inverse=True)
-    n_clusters = int(codes.max()) + 1 if codes.size else 0
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, not {codes.dtype}")
+    sizes = np.bincount(codes).astype(float)
+    n_clusters = len(sizes)
     if n_clusters < 2:
         raise ValueError("ICC estimation needs at least 2 clusters")
+    if not sizes.all():
+        raise ValueError(f"codes must use every cluster index 0..{n_clusters - 1}")
 
-    sizes = np.bincount(codes, minlength=n_clusters).astype(float)
     total = float(sizes.sum())
-    means = np.bincount(codes, weights=values, minlength=n_clusters) / sizes
+    means = np.bincount(codes, weights=values) / sizes
     grand = float(values.mean())
 
     ss_between = float(sizes @ (means - grand) ** 2)

@@ -543,6 +543,108 @@ def test_scenario_bad_numbers_are_schema_errors(tmp_path, text, message):
         cli.read_scenario(scenario)
 
 
+# --- one scenario schema: round trip, stray and repeated keys, the README --
+
+
+COUNTS = st.integers(2, 10**18)
+
+
+@st.composite
+def scenario_configs(draw):
+    """Valid configs of either size kind and adherence level, with whole
+    counts up to 10**18, past where a float holds every integer."""
+    sizes = draw(
+        st.one_of(
+            st.builds(PoissonSizes, mean=st.floats(1.0, 1e12)),
+            st.builds(
+                ParetoSizes,
+                shape=st.floats(1e-3, 1e3),
+                scale=st.floats(1e-3, 1e3),
+                minimum=COUNTS,
+            ),
+        )
+    )
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    any_float = st.floats(-1e6, 1e6)
+    return ScenarioConfig(
+        adherence=draw(st.sampled_from(AdherenceLevel)),
+        n_clusters=draw(COUNTS),
+        sizes=sizes,
+        rho_y=draw(unit),
+        rho_x=draw(unit),
+        rho_c=draw(unit),
+        pi=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        lambda_w=draw(st.floats(-10.0, 10.0)),
+        lambda_x=draw(st.floats(-10.0, 10.0)),
+        beta_w=draw(any_float),
+        beta_x=draw(any_float),
+        beta_cz=draw(any_float),
+        beta_0=draw(any_float),
+        beta_c=draw(any_float),
+        sigma2_w=draw(st.floats(0.0, 10.0)),
+        sigma2_x=draw(st.floats(0.0, 10.0)),
+        total_variance=draw(st.floats(1e-6, 1e6)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=scenario_configs())
+@example(config=ScenarioConfig(n_clusters=10**17 + 1, sizes=ParetoSizes(minimum=10**18 - 1)))
+def test_a_scenario_echo_reads_back_as_its_config(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("echo") / "scenario_echo.txt"
+    path.write_text(cli.scenario_echo(config, seed=3, replicates=7), encoding="utf-8")
+    assert cli.read_scenario(path) == config
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sizes = poisson\npareto_shape = 2.4\n", "pareto_shape does not apply to sizes = poisson"),
+        ("sizes = pareto\npoisson_mean = 30\n", "poisson_mean does not apply to sizes = pareto"),
+        # Poisson is the default kind: a Pareto key alone used to run Poisson(20).
+        ("pareto_min = 12\nclusters = 8\n", "pareto_min does not apply to sizes = poisson"),
+        ("clusters = 8\n# a comment\nclusters = 9\n", "clusters is given again on line 3"),
+        ("pi = 0.5\nrho_y = 0.1\npi = 0.5\n", "pi is given again on line 3"),
+    ],
+)
+def test_stray_and_repeated_scenario_keys_are_schema_errors(tmp_path, capsys, text, message):
+    scenario = tmp_path / "s.txt"
+    scenario.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaMismatch) as info:
+        cli.read_scenario(scenario)
+    assert str(info.value) == f"{scenario}: {message}"
+    argv = ["generate", "--scenario", str(scenario), "--output-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f'crtiv-error kind=validation type=SchemaMismatch msg="{scenario}: {message}"\n'
+    )
+
+
+def test_a_scenario_led_by_a_byte_order_mark_reads_as_without_it(tmp_path):
+    body = "adherence = individual\nsizes = pareto\npareto_min = 12\nclusters = 9\n"
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(body.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    assert cli.read_scenario(bom) == cli.read_scenario(plain) != ScenarioConfig()
+    bom.write_bytes(b"\xef\xbb\xbfclusters = 6 # r\xe9sum\xe9\n")
+    with pytest.raises(UnicodeDecodeError):
+        cli.read_scenario(bom)
+
+
+def test_the_readme_table_lists_every_scenario_key_with_its_kind_and_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `[\w.]+` \| `([^`]+)` \| (\w+) \|$", readme, re.M)
+    assert sorted(key for key, _, _ in rows) == sorted(cli._SCENARIO_KEYS)
+    echoed = {}  # each key's default, as the echo of a default config prints it
+    for sizes in (ParetoSizes(), PoissonSizes()):
+        for line in cli.scenario_echo(ScenarioConfig(sizes=sizes), 0, 1).splitlines():
+            key, _, value = line.partition(" = ")
+            echoed[key] = value
+    for key, default, kind in rows:
+        assert kind == (cli._SCENARIO_KEYS[key] or "any"), key
+        assert default == echoed[key] or float(default) == float(echoed[key]), key
+
+
 @pytest.mark.parametrize("command", ["simulate", "generate"])
 @pytest.mark.parametrize(
     "text",

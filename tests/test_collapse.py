@@ -330,6 +330,22 @@ def test_icc_treatment_selector(make_dataset):
     assert est.rho == 1.0  # treatment constant within clusters, differs between
 
 
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        # cluster labels, which the ICC used to renumber itself
+        ([5, 5, 9, 9], "every cluster index 0..9"),
+        ([0, 0, 2, 2], "every cluster index 0..2"),
+        ([0.0, 0.0, 1.0, 1.0], "codes must be integers, not float64"),
+        (["a", "a", "b", "b"], "codes must be integers"),
+        ([0, 0, 0, 0], "at least 2 clusters"),
+    ],
+)
+def test_icc_takes_cluster_indices_not_labels(codes, message):
+    with pytest.raises(ValueError, match=message):
+        anova_icc([1.0, 2.0, 3.0, 5.0], np.array(codes))
+
+
 def test_continuous_residuals_shape_check(make_dataset):
     ds = make_dataset({"a": (0, [(0, 1.0, 0.1)]), "b": (1, [(1, 2.0, 0.2)])})
     with pytest.raises(ValueError):
