@@ -105,8 +105,12 @@ def _collapse(dataset, values, unadjusted=None) -> Summaries:
 
 def _cluster_means_of(values, cols):
     # Sum each cluster in sorted-value order so the means are bit-identical
-    # under any permutation of the input records.
-    order = np.lexsort((values, cols.codes))
+    # under any permutation of the input records: sort the values, then
+    # stably by cluster.  That is the order of lexsort((values, codes)) up
+    # to ties, which are equal values (0.0 and -0.0 add to the same bits
+    # in either order), at about half its cost.
+    order = np.argsort(values)
+    order = order[np.argsort(cols.codes[order], kind="stable")]
     starts = np.searchsorted(cols.codes[order], np.arange(len(cols.cluster_ids)))
     return np.add.reduceat(values[order], starts) / cols.sizes
 

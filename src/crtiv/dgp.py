@@ -240,6 +240,15 @@ def calibrate_lambda0(config: ScenarioConfig) -> float:
     return _calibrated_intercept(config.pi, _linear_predictor_sd(config))
 
 
+@lru_cache(maxsize=16)
+def _cluster_ids(n_clusters: int) -> tuple[str, ...]:
+    """``c000000``, ``c000001``, ...: zero-padded ids are in code-point
+    order already, so a trial's columns are built as they stand rather than
+    sorted by ``Columns.from_codes``."""
+    width = max(6, len(str(n_clusters - 1)))
+    return tuple(f"c{i:0{width}d}" for i in range(n_clusters))
+
+
 def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
     """Generate one trial.
 
@@ -287,13 +296,9 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
         + epsilon
     )
 
-    # Zero-padded ids are in code-point order already, so the columns are
-    # built as they stand rather than sorted by Columns.from_codes.
-    width = max(6, len(str(n_clusters - 1)))
-    cluster_ids = tuple(f"c{i:0{width}d}" for i in range(n_clusters))
     dataset = TrialDataset(
         Columns(
-            cluster_ids=cluster_ids,
+            cluster_ids=_cluster_ids(n_clusters),
             codes=codes,
             z=z.astype(float),
             d=d.astype(float),

@@ -11,22 +11,26 @@ Standard errors for the second stage are built from structural residuals,
 i.e. residuals formed with the *actual* adherence fractions rather than the
 first-stage fitted values.  Plugging stage-two OLS residuals into the usual
 formulas understates the variance, so the two-stage fit reads both
-covariances from a :class:`~crtiv.wls.DesignFit` of the stage-two design
-and R factor with the structural residuals; neither stage's own
+covariances from a :class:`~crtiv.wls.DesignFit` of the stage-two designs
+and R factors with the structural residuals; neither stage's own
 covariances are ever formed.  ``_late`` is the one two-stage path: it runs
 both stages and forms the structural residuals of every group of a grid.
 
-:meth:`GridPlan.fit` is the one loop over an estimation grid, shared by the
-command line and the Monte Carlo runner.  SE and df mode only post-process a
-fit, so it solves once per (outcome, w-adjust, weights) group and fans each
-solve out to its cells.  All first stages go to the regression core as one
-batch and all second stages as another, so a full grid takes one stacked QR
-per design shape and stage (:func:`crtiv.wls.solve`).  The bookkeeping
-that depends only on the cells (which group each cell reads) is done once
-per grid by :class:`GridPlan`, by position, so a Monte Carlo study does it
-once, not once per replicate.  :func:`tsls` and :func:`itt` are the grid's
-one-cell case.  From a dataset, the command line, the Monte Carlo runner
-and :func:`late_from_dataset` all reach the grid through
+:meth:`GridPlan.fit_block` is the one loop over an estimation grid, shared
+by the command line and the Monte Carlo runner, and fits a block of items
+(trials) at once; :meth:`GridPlan.fit` is its one-item case.  SE and df
+mode only post-process a fit, so it solves once per (item, outcome,
+w-adjust, weights) group and fans each solve out to its cells.  All first
+stages of a block go to the regression core as one batch and all second
+stages as another, so a block takes one stacked QR per design shape and
+stage (:func:`crtiv.wls.solve`), and every group's variances are read at
+once per stack.  Stacked numpy and LAPACK calls give each problem the bits
+of its own call, so a block fit equals its one-item fits bit for bit.  The
+bookkeeping that depends only on the cells (which group each cell reads)
+is done once per grid by :class:`GridPlan`, by position, so a Monte Carlo
+study does it once, not once per replicate.  :func:`tsls` and :func:`itt`
+are the grid's one-cell case.  From a dataset, the command line, the Monte
+Carlo runner and :func:`late_from_dataset` all reach the grid through
 :meth:`GridPlan.summarise`, which estimates an ICC only where a cell reads
 one and reuses the unadjusted summaries a caller hands it.
 
@@ -69,9 +73,9 @@ _RELEVANCE_TOL = 1e-12
 
 
 def _weights(n, scheme: Weights, rho: float | None) -> np.ndarray:
-    sizes = np.asarray(n, dtype=float)
     if scheme is Weights.NONE:
-        return np.ones(len(sizes))
+        return np.ones(len(n))
+    sizes = np.asarray(n, dtype=float)
     if scheme is Weights.CLUSTER_SIZE:
         return sizes
     if rho is None:
@@ -84,96 +88,99 @@ def _weights(n, scheme: Weights, rho: float | None) -> np.ndarray:
     return wls.mv_weights(sizes, rho)
 
 
-def _design(z_or_d: np.ndarray, w_mat) -> np.ndarray:
-    pieces = [np.ones(len(z_or_d)), z_or_d]
+def _design(first: np.ndarray, w_mat) -> np.ndarray:
+    """``[1, first, w]``, or ``[1, first]`` without cluster covariates."""
+    design = np.empty((len(first), 2 if w_mat is None else 2 + w_mat.shape[1]))
+    design[:, 0] = 1.0
+    design[:, 1] = first
     if w_mat is not None:
-        pieces.append(w_mat)
-    return np.column_stack(pieces)
+        design[:, 2:] = w_mat
+    return design
 
 
-class _Inputs(NamedTuple):
-    """What one (outcome, w-adjust, weights) group regresses."""
+class _Problem(NamedTuple):
+    """What one (outcome, w-adjust, weights) group of one item regresses:
+    its summaries, its weights and the first-stage design ``[1, z, w]``."""
 
     summaries: Summaries
     weights: np.ndarray
-    # [1, z, w] and [1, d, w]: the first-stage design, and the design of the
-    # structural residuals.
-    assignment_design: np.ndarray
-    received_design: np.ndarray
+    design: np.ndarray
 
 
-def _inputs(summaries: Summaries, adjust_w: bool, scheme: Weights, rho, shared: dict) -> _Inputs:
-    """The inputs of one group.
-
-    ``shared`` holds the weights and designs built so far in one fit, keyed
-    by the identity of what they are built from: outcome variants of one
-    dataset share their ``n``, ``z``, ``d_bar`` and ``w`` arrays, so each
-    is built once.
-    """
+def _problem(summaries: Summaries, adjust_w: bool, scheme: Weights, rho) -> _Problem:
     if not summaries.n_clusters:
         raise EmptyArm("no cluster summaries")
     w_mat = None
     if adjust_w:
-        w_mat = np.asarray(summaries.w, dtype=float)  # summaries.w itself if float
+        w_mat = np.asarray(summaries.w, dtype=float)
         if w_mat.ndim != 2 or len(w_mat) != summaries.n_clusters:
             raise CovariateShapeMismatch(f"w of shape {w_mat.shape} is not one row per cluster")
         if not w_mat.shape[1]:
             raise CovariateShapeMismatch("adjusting for w needs at least one cluster covariate")
     if scheme is not Weights.MIN_VARIANCE:
         rho = None
-    w_id = id(summaries.w if adjust_w else None)  # outlives the fit, unlike a copy
-    weights = _once(shared, (id(scheme), id(summaries.n), rho), _weights, summaries.n, scheme, rho)
-    x_z = _once(shared, (id(summaries.z), w_id), _design, summaries.z, w_mat)
-    x_d = _once(shared, (id(summaries.d_bar), w_id), _design, summaries.d_bar, w_mat)
-    return _Inputs(summaries, weights, x_z, x_d)
+    return _Problem(summaries, _weights(summaries.n, scheme, rho), _design(summaries.z, w_mat))
 
 
-def _once(shared: dict, key, build, *args):
-    if key not in shared:
-        shared[key] = build(*args)
-    return shared[key]
+def _by_stack(groups: list, solved: list, out: list) -> dict:
+    """The groups of each stack of ``solved`` in row order; a group whose
+    problem failed gets its error in ``out`` instead."""
+    stacks: dict[wls.DesignFit, list[int]] = {}
+    for g, fit in zip(groups, solved):
+        if isinstance(fit, CrtivError):
+            out[g] = fit
+        else:
+            stacks.setdefault(fit.stack, []).append(g)
+    return stacks
 
 
-def _estimate(fit: wls.DesignFit) -> tuple:
-    """``(estimate, model-based variance, robust variance, n_params)`` of the
-    second coefficient of ``fit``: what a group hands its cells."""
-    n_params = fit.design.shape[1]
-    return float(fit.coefficients[1]), fit.cov_model[1, 1], fit.cov_robust[1, 1], n_params
+def _read(stack: wls.DesignFit, groups: list, out: list) -> None:
+    """Give each group of ``stack`` (one per row) the ``(estimate,
+    model-based variance, robust variance, n_params)`` of its second
+    coefficient: what a group hands its cells."""
+    cov_model, cov_robust = stack.covariances()
+    n_params = stack.design.shape[2]
+    for row, g in enumerate(groups):
+        estimate = float(stack.coefficients[row, 1])
+        out[g] = (estimate, cov_model[row, 1, 1], cov_robust[row, 1, 1], n_params)
 
 
-def _assignment(inputs: list) -> list:
-    """The assignment-effect regression of each group: its :func:`_estimate`
-    or the group's error."""
-    out = list(inputs)
-    ok = [g for g, inp in enumerate(inputs) if not isinstance(inp, CrtivError)]
+def _assignment(problems: list) -> list:
+    """The assignment-effect regression of each group: its estimate and
+    variances (see :func:`_read`) or the group's error."""
+    out = list(problems)
+    ok = [g for g, pr in enumerate(problems) if not isinstance(pr, CrtivError)]
     solved = wls.solve(
-        [inputs[g].assignment_design for g in ok],
-        [inputs[g].summaries.y_bar for g in ok],
-        [inputs[g].weights for g in ok],
+        [problems[g].design for g in ok],
+        [problems[g].summaries.y_bar for g in ok],
+        [problems[g].weights for g in ok],
     )
-    for g, fit in zip(ok, solved):
-        out[g] = fit if isinstance(fit, CrtivError) else _estimate(fit)
+    for stack, groups in _by_stack(ok, solved, out).items():
+        _read(stack, groups, out)
     return out
 
 
-def _late(inputs: list) -> list:
-    """The two-stage estimate of each group: its :func:`_estimate` or the
-    group's error.
+def _late(problems: list) -> list:
+    """The two-stage estimate of each group: its estimate and variances
+    (see :func:`_read`) or the group's error.
 
     Every group's first stage goes to the regression core as one batch and,
-    after each group's relevance check, every second stage as another.  Each
-    estimate's variances come from the stage-two design and R factor with
-    the structural residuals, formed with the actual adherence fractions.
+    after each group's relevance check, every second stage as another.  The
+    fitted adherence is one stacked product per first-stage stack, and the
+    structural residuals, formed with the actual adherence fractions, one
+    per second-stage stack, which then gives every group's variances.
     """
-    out = list(inputs)
-    ok = [g for g, inp in enumerate(inputs) if not isinstance(inp, CrtivError)]
+    out = list(problems)
+    ok = [g for g, pr in enumerate(problems) if not isinstance(pr, CrtivError)]
     first = wls.solve(
-        [inputs[g].assignment_design for g in ok],
-        [inputs[g].summaries.d_bar for g in ok],
-        [inputs[g].weights for g in ok],
+        [problems[g].design for g in ok],
+        [problems[g].summaries.d_bar for g in ok],
+        [problems[g].weights for g in ok],
     )
 
-    second, fitted_designs = [], []
+    # [1, d_hat, w] of every row of a first-stage stack.
+    fitted_designs: dict[wls.DesignFit, np.ndarray] = {}
+    second, designs = [], []
     for g, fit in zip(ok, first):
         if isinstance(fit, CrtivError):
             out[g] = fit
@@ -181,22 +188,28 @@ def _late(inputs: list) -> list:
         if abs(float(fit.coefficients[1])) < _RELEVANCE_TOL:
             out[g] = WeakDenominator("first-stage assignment coefficient is numerically zero")
             continue
-        fitted_design = fit.design.copy()
-        fitted_design[:, 1] = fit.design @ fit.coefficients
+        stack = fit.stack
+        if stack not in fitted_designs:
+            fitted = stack.design.copy()
+            fitted[:, :, 1] = (stack.design @ stack.coefficients[:, :, None])[:, :, 0]
+            fitted_designs[stack] = fitted
         second.append(g)
-        fitted_designs.append(fitted_design)
+        designs.append(fitted_designs[stack][fit.row])
     solved = wls.solve(
-        fitted_designs,
-        [inputs[g].summaries.y_bar for g in second],
-        [inputs[g].weights for g in second],
+        designs,
+        [problems[g].summaries.y_bar for g in second],
+        [problems[g].weights for g in second],
     )
-    for g, fit in zip(second, solved):
-        if isinstance(fit, CrtivError):
-            out[g] = fit
-            continue
-        beta = fit.coefficients
-        residuals = inputs[g].summaries.y_bar - inputs[g].received_design @ beta
-        out[g] = _estimate(wls.DesignFit(beta, residuals, fit.weights_used, fit.design, fit.r))
+    for stack, groups in _by_stack(second, solved, out).items():
+        # [1, d, w]: the stage-two design with the actual adherence fractions.
+        received = stack.design.copy()
+        received[:, :, 1] = [problems[g].summaries.d_bar for g in groups]
+        y_bar = np.array([problems[g].summaries.y_bar for g in groups])
+        residuals = y_bar - (received @ stack.coefficients[:, :, None])[:, :, 0]
+        structural = wls.DesignFit(
+            stack.coefficients, residuals, stack.weights_used, stack.design, stack.r
+        )
+        _read(structural, groups, out)
     return out
 
 
@@ -288,7 +301,7 @@ class GridPlan:
         icc: Mapping[Hashable, float | None],
         estimator: str = "late",
     ) -> list[CellFit | CrtivError]:
-        """Fit every cell of the grid.
+        """Fit every cell of the grid: the one-item case of :meth:`fit_block`.
 
         ``summaries`` maps each outcome to its cluster summaries, ``icc`` to
         the ICC estimate behind minimum-variance weights (used when
@@ -305,18 +318,42 @@ class GridPlan:
         traceback, so a study that keeps it does not keep this call's frame
         and arrays alive.  Other exceptions propagate.
         """
+        (fits,) = self.fit_block([(summaries, icc)], estimator)
+        return fits
+
+    def fit_block(
+        self,
+        items: Sequence[tuple[Mapping[Hashable, Summaries], Mapping[Hashable, float | None]]],
+        estimator: str = "late",
+    ) -> list[list[CellFit | CrtivError]]:
+        """Fit every cell of the grid on each item of a block in one pass.
+
+        Each item is a ``(summaries, icc)`` pair as :meth:`fit` takes, and
+        the result holds :meth:`fit`'s list for each item, bit for bit: the
+        groups of all items go to the regression core together, so each
+        stage takes one stacked QR per design shape for the whole block, and
+        a failure stays in its own item and cell.
+        """
         if estimator not in ("late", "itt"):
             raise ValueError(f"estimator must be 'late' or 'itt', got {estimator!r}")
-        inputs, shared = [], {}
-        for outcome, adjust_w, scheme, fixed_icc in self.groups:
-            rho = fixed_icc if fixed_icc is not None else icc.get(outcome)
-            try:
-                inputs.append(_inputs(summaries[outcome], adjust_w, scheme, rho, shared))
-            except CrtivError as exc:
-                inputs.append(exc.with_traceback(None))
-        groups = (_assignment if estimator == "itt" else _late)(inputs)
-        n_clusters = [summaries[outcome].n_clusters for outcome, *_ in self.groups]
+        problems: list = []
+        for summaries, icc in items:
+            for outcome, adjust_w, scheme, fixed_icc in self.groups:
+                rho = fixed_icc if fixed_icc is not None else icc.get(outcome)
+                try:
+                    problems.append(_problem(summaries[outcome], adjust_w, scheme, rho))
+                except CrtivError as exc:
+                    problems.append(exc.with_traceback(None))
+        estimates = (_assignment if estimator == "itt" else _late)(problems)
+        size = len(self.groups)
+        return [
+            self._cells(estimates[i * size : (i + 1) * size], summaries)
+            for i, (summaries, _) in enumerate(items)
+        ]
 
+    def _cells(self, groups: list, summaries: Mapping) -> list[CellFit | CrtivError]:
+        """The cells of one item from the estimates of its groups."""
+        n_clusters = [summaries[outcome].n_clusters for outcome, *_ in self.groups]
         fits: list[CellFit | CrtivError] = []
         for g, robust, df_mode in self._slots:
             fit = groups[g]

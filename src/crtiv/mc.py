@@ -6,12 +6,17 @@ requested estimator variant on each retained dataset, and aggregates
 empirical bias and 95% interval coverage with their Monte Carlo errors.
 
 Replicates are seeded independently from (master_seed, attempt_index), and a
-rejected attempt still consumes its index, so results are bit-identical for a
-given master seed regardless of thread count or scheduling; a task is just
-its attempt index.  A retained replicate yields one list of cell fits (or
-errors) in grid order; the study keeps each fit, or only its error's class,
-and cell ``i`` is aggregated from position ``i`` of each list, sorting its
-inputs first, so that is invariant to replicate order.
+rejected attempt still consumes its index.  The unit of work is a block of
+consecutive attempts: each attempt is generated, collapsed, screened and
+summarised on its own, and the block's retained replicates are fitted in
+one stacked pass through the grid (:meth:`crtiv.iv.GridPlan.fit_block`),
+which gives each replicate the bits of its own fit.  So results are
+bit-identical for a given master seed regardless of block size, thread
+count or scheduling; a task is just a range of attempt indices.  A retained
+replicate yields one list of cell fits (or errors) in grid order; the study
+keeps each fit, or only its error's class, and cell ``i`` is aggregated from
+position ``i`` of each list, sorting its inputs first, so that is invariant
+to replicate order.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, Summaries, Varian
 # Attempts allowed per requested replicate before a study gives up on a
 # scenario whose weak-instrument screen (almost) never passes.
 _MAX_ATTEMPTS_PER_REPLICATE = 1000
+
+# Attempts per block: a block's retained replicates are fitted in one
+# stacked pass through the grid, whose per-problem overhead this amortises.
+_BLOCK = 32
 
 # The generator writes one individual-level covariate, and the adjusted
 # outcome is adjusted for it.
@@ -128,7 +137,7 @@ def fit_variants(
 ) -> list[iv.CellFit | CrtivError]:
     """Fit each distinct variant on one trial, in the order of the plan's
     ``cells``: a :class:`crtiv.iv.CellFit` per variant, or the package error
-    its fit raised.
+    its fit raised.  The one-trial case of a study's block fit.
 
     ``variants`` may be a :class:`crtiv.iv.GridPlan` of them, so a study
     plans its grid once, and ``unadjusted`` the trial's unadjusted summaries,
@@ -136,16 +145,30 @@ def fit_variants(
     since it indicates a bug rather than a degenerate replicate.
     """
     plan = variants if isinstance(variants, iv.GridPlan) else iv.GridPlan(variants)
-    return plan.fit(*plan.summarise(trial.dataset, _X_COLUMNS, unadjusted))
+    (fits,) = plan.fit_block([plan.summarise(trial.dataset, _X_COLUMNS, unadjusted)])
+    return fits
 
 
-def _evaluate_attempt(config, master_seed, plan, attempt):
-    """The grid fits of one attempt, or ``None`` if the screen rejects it."""
-    trial = generate(config, _replicate_seed(master_seed, attempt))
-    unadjusted = collapse.cluster_means(trial.dataset)
-    if not screen_weak_instrument(unadjusted):
-        return None
-    return fit_variants(trial, plan, unadjusted)
+def _evaluate_block(config, master_seed, plan, attempts: range) -> list:
+    """The grid fits of each attempt of a block, ``None`` for one the screen
+    rejects, with each failed cell's error reduced to its class.
+
+    Each attempt is generated, collapsed, screened and summarised on its
+    own; the retained ones are fitted together by one
+    :meth:`crtiv.iv.GridPlan.fit_block`.
+    """
+    items, retained = [], []
+    for attempt in attempts:
+        trial = generate(config, _replicate_seed(master_seed, attempt))
+        unadjusted = collapse.cluster_means(trial.dataset)
+        retained.append(screen_weak_instrument(unadjusted))
+        if retained[-1]:
+            items.append(plan.summarise(trial.dataset, _X_COLUMNS, unadjusted))
+    fitted = iter(plan.fit_block(items))
+    return [
+        [f if isinstance(f, iv.CellFit) else type(f) for f in next(fitted)] if kept else None
+        for kept in retained
+    ]
 
 
 def run_study(
@@ -157,15 +180,17 @@ def run_study(
 ) -> McReport:
     """Run one scenario until ``n_replicates`` datasets pass the screen.
 
-    Attempts are mapped in blocks of consecutive indices and consumed in
-    index order; attempts a worker pool evaluated past the last retained
-    index are discarded uncounted.  ``threads`` worker processes run the
-    attempts, capped at ``os.cpu_count()``; with one, the builtin ``map``
-    runs them lazily in this process.  The report is the same for any count,
-    and a variant's ``n_fit_failures`` counts the replicates whose cell
-    failed.  A scenario whose screen keeps fewer than
-    ``n_replicates`` datasets in ``1000 * n_replicates`` attempts raises
-    :class:`~crtiv.errors.ScreenExhausted` rather than running on.
+    Attempts are evaluated in blocks of consecutive indices (at most
+    ``_BLOCK``) and consumed in index order.  ``threads`` worker processes
+    run the blocks, capped at ``os.cpu_count()``; with one, each block runs
+    in this process and holds no more attempts than replicates are still
+    needed, so no attempt past the last retained one is generated.  Attempts
+    a worker pool evaluated past the last retained index are discarded
+    uncounted.  The report is the same for any count, and a variant's
+    ``n_fit_failures`` counts the replicates whose cell failed.  A scenario
+    whose screen keeps fewer than ``n_replicates`` datasets in ``1000 *
+    n_replicates`` attempts raises :class:`~crtiv.errors.ScreenExhausted`
+    rather than running on.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
@@ -180,16 +205,22 @@ def run_study(
     attempt = 0
     max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
     workers = min(threads, os.cpu_count() or 1)
-    block = max(4 * workers, 32)
-    evaluate = functools.partial(_evaluate_attempt, config, master_seed, plan)
+    evaluate = functools.partial(_evaluate_block, config, master_seed, plan)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        mapper = map if pool is None else functools.partial(pool.map, chunksize=4)
+        mapper = map if pool is None else pool.map
         while len(replicates) < n_replicates and attempt < max_attempts:
-            indices = range(attempt, min(attempt + block, max_attempts))
-            for fits in mapper(evaluate, indices):
+            # One block per worker, of at most _BLOCK attempts; together
+            # they hold no more attempts than replicates are still needed,
+            # rounded up to a multiple of the workers, so in this process
+            # no attempt past the last retained one is made.
+            needed = n_replicates - len(replicates)
+            size = min(_BLOCK, -(-needed // workers))
+            end = min(attempt + workers * size, max_attempts)
+            blocks = [range(a, min(a + size, end)) for a in range(attempt, end, size)]
+            for fits in (result for block in mapper(evaluate, blocks) for result in block):
                 attempt += 1
                 if fits is not None:
-                    replicates.append([f if isinstance(f, iv.CellFit) else type(f) for f in fits])
+                    replicates.append(fits)
                     if len(replicates) == n_replicates:
                         break
 

@@ -1,15 +1,17 @@
 """Dense weighted least squares with model-based and sandwich covariance.
 
 This is the one least-squares core: the continuous covariate adjustment,
-the screen and every fit of the estimation grid go through :func:`solve`,
-which returns one :class:`DesignFit` per problem.  :func:`solve` takes a
-batch of weighted problems, groups them by design shape, and for each group
-runs one stacked ``np.linalg.qr`` of the sqrt-weight-scaled designs and one
-stacked ``Q^T b`` matmul; each problem is then back-substituted on its own R
-factor.  Rank is judged per problem from its own R diagonal at a relative
-threshold of 1e-10, and any failure (rank, weights, a non-finite factor)
-belongs to that problem alone.  :func:`fit_wls` is the one-problem case
-behind a checked public edge.
+the screen and every fit of the estimation grid go through :func:`solve`.
+:func:`solve` takes a batch of weighted problems, groups them by design
+shape, and for each group runs one stacked ``np.linalg.qr`` of the
+sqrt-weight-scaled designs and one stacked ``Q^T b`` matmul; each problem is
+then back-substituted on its own R factor, and the residuals of the group
+are one stacked matmul.  The fits of a group are one :class:`DesignFit`,
+its arrays stacked along a first, problem axis, and each problem gets its
+row of it as a :class:`ProblemFit`.  Rank is judged per problem from its
+own R diagonal at a relative threshold of 1e-10, and any failure (rank,
+weights, a non-finite factor) belongs to that problem alone.
+:func:`fit_wls` is the one-problem case behind a checked public edge.
 
 The one fit outside the core is the logistic fit of the binary covariate
 adjustment, ``collapse._fit_logistic``, which forms and solves its p x p
@@ -27,18 +29,24 @@ The back-substitution calls LAPACK directly:
 ``scipy.linalg.solve_triangular(r, b)`` makes for the C-ordered ``r`` of
 ``np.linalg.qr``, without the wrapper's argument handling, so results are
 bit-identical to it.  A stacked QR and a stacked matmul give the bits of the
-per-matrix calls too.  (A numpy back-substitution or an ``einsum`` for
-``Q^T b`` would differ in the last bits.)  ``solve_triangular`` also checked
+per-matrix calls too, so a problem's fit does not depend on which problems
+share its batch.  (A numpy back-substitution or an ``einsum`` for ``Q^T b``
+would differ in the last bits.)  ``solve_triangular`` also checked
 that ``r`` and ``b`` are finite; that check is made here explicitly and
 raises :class:`~crtiv.errors.NonFiniteValue`.
 
-A fit holds coefficients and residuals; its covariance estimates are built
-from the stored R factor the first time a caller reads them, so a fit whose
-covariances nobody reads (a first stage) never forms them.  The model-based
-covariance uses ``sigma2 = sum(w r^2) / (n - p)`` so results line up with
-conventional GLS output, and the robust one is the plain HC0 sandwich with no
-small-sample residual inflation (small-sample behaviour is handled separately
-through the degrees-of-freedom mode at inference time).
+A fit holds coefficients, residuals and R factors; its covariances are
+formed only when a caller asks, by :meth:`DesignFit.covariances`, for every
+problem of the stack at once with stacked matmuls (the bread ``R^-1
+R^-T``, ``sum(w r^2)`` and the sandwich), after one back-substitution per
+problem for ``R^-1``.  So a fit whose covariances nobody reads (a first
+stage) never forms them.  The model-based covariance uses ``sigma2 = sum(w
+r^2) / (n - p)`` so results line up with conventional GLS output, and the
+robust one is the plain HC0 sandwich with no small-sample residual
+inflation (small-sample behaviour is handled separately through the
+degrees-of-freedom mode at inference time).  Both are symmetrised as ``(c +
+c') / 2``, so a diagonal entry past half the float maximum overflows to
+``inf`` rather than passing as a finite number.
 
 Quantiles and tail areas come straight from the :mod:`scipy.special`
 ufuncs that :mod:`scipy.stats` itself calls: ``ndtri`` and ``ndtr`` for the
@@ -52,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -66,17 +73,19 @@ _RANK_RTOL = 1e-10
 _MIN_WEIGHT = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignFit:
-    """One weighted least squares fit: what :func:`solve` returns per problem.
+    """Weighted least squares fits of a stack of problems sharing one design
+    shape: what :func:`solve` returns for each shape.
 
-    ``residuals`` are ``response - design @ coefficients``, ``r`` is the R
-    factor of the sqrt-weight-scaled design, and the observation and
-    parameter counts are ``design.shape``.  ``cov_model`` is the
-    homoscedastic GLS covariance and ``cov_robust`` the HC0 sandwich.  Both
-    are built from ``r`` on first access, and from ``residuals`` as stored:
-    the two-stage fit builds its own ``DesignFit`` of the stage-two design
-    and R factor with the structural residuals.
+    Every array holds the problems along its first axis: ``coefficients``
+    is k x p, ``residuals`` and ``weights_used`` are k x n, ``design`` is
+    k x n x p, and ``r`` holds the R factors of the sqrt-weight-scaled
+    designs, k x p x p.  ``residuals`` are ``response - design @
+    coefficients`` as :func:`solve` forms them; the two-stage fit builds its
+    own stack of the stage-two designs and R factors with the structural
+    residuals.  :meth:`covariances` reads every problem's covariances at
+    once.
     """
 
     coefficients: np.ndarray
@@ -85,25 +94,64 @@ class DesignFit:
     design: np.ndarray
     r: np.ndarray
 
-    @cached_property
-    def _bread(self) -> np.ndarray:
-        # (X'WX)^-1 from the R factor, unsymmetrised.
-        r_inv = _back_substitute(self.r, np.eye(len(self.r)))
-        return r_inv @ r_inv.T
+    def covariances(self, robust: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """The model-based and the HC0 covariance of every problem, each
+        k x p x p and symmetrised as ``(c + c') / 2``; ``None`` for the HC0
+        one unless ``robust``."""
+        k, n, p = self.design.shape
+        # (X'WX)^-1 from each R factor; one back-substitution per problem.
+        eye = np.eye(p)
+        r_inv = np.array([_back_substitute(r, eye) for r in self.r])
+        bread = r_inv @ r_inv.transpose(0, 2, 1)
+        w, res = self.weights_used, self.residuals
+        if n > p:
+            sigma2 = (w[:, None, :] @ (res**2)[:, :, None])[:, 0, 0] / (n - p)
+        else:
+            sigma2 = np.zeros(k)
+        model = sigma2[:, None, None] * bread
+        model = (model + model.transpose(0, 2, 1)) / 2.0
+        if not robust:
+            return model, None
+        rows = self.design * (w * res)[:, :, None]
+        sandwich = (bread @ (rows.transpose(0, 2, 1) @ rows)) @ bread
+        return model, (sandwich + sandwich.transpose(0, 2, 1)) / 2.0
 
-    @cached_property
+
+class ProblemFit(NamedTuple):
+    """One problem's fit: row ``row`` of the stack ``stack``.
+
+    What :func:`solve` returns per problem and :func:`fit_wls` for its one
+    problem: the coefficients, residuals and R factor of that problem, and
+    its model-based (``cov_model``) and HC0 (``cov_robust``) covariance,
+    formed for the whole stack on each access.  Its weights and design are
+    row ``row`` of the stack's.
+    """
+
+    stack: DesignFit
+    row: int
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.stack.coefficients[self.row]
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return self.stack.residuals[self.row]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.stack.r[self.row]
+
+    @property
     def cov_model(self) -> np.ndarray:
-        n, p = self.design.shape
-        sigma2 = float(self.weights_used @ self.residuals**2) / (n - p) if n > p else 0.0
-        return _symmetrize(sigma2 * self._bread)
+        return self.stack.covariances(robust=False)[0][self.row]
 
-    @cached_property
+    @property
     def cov_robust(self) -> np.ndarray:
-        rows = self.design * (self.weights_used * self.residuals)[:, None]
-        return _symmetrize(self._bread @ (rows.T @ rows) @ self._bread)
+        return self.stack.covariances()[1][self.row]
 
 
-def fit_wls(design, response, weights=None) -> DesignFit:
+def fit_wls(design, response, weights=None) -> ProblemFit:
     """Fit ``response ~ design`` by weighted least squares.
 
     Parameters
@@ -145,26 +193,34 @@ def solve(
     designs: Sequence[np.ndarray],
     responses: Sequence[np.ndarray],
     weights: Sequence[np.ndarray],
-) -> list[DesignFit | CrtivError]:
+) -> list[ProblemFit | CrtivError]:
     """Weighted least squares for a batch of problems: the regression core.
 
     Problem ``i`` regresses ``responses[i]`` on ``designs[i]`` (an n x p
     float matrix) with positive ``weights[i]``.  The result lines up with
-    the problems: the :class:`DesignFit` of that problem, or its
+    the problems: the :class:`ProblemFit` of that problem, a row of the
+    :class:`DesignFit` of its design shape, or its
     :class:`NonPositiveWeight`, :class:`RankDeficient` or
     :class:`NonFiniteValue` error alone.  Problems sharing a design shape
-    are factored by one stacked QR.
+    are factored by one stacked QR, and the stack of a shape holds its
+    fitted problems in the order given.
     """
     results: list = [None] * len(designs)
     by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, (design, w) in enumerate(zip(designs, weights)):
-        if (w < _MIN_WEIGHT).any():
-            results[i] = NonPositiveWeight(
-                f"weights must exceed {_MIN_WEIGHT}; minimum was {w.min()!r}"
-            )
-        else:
-            by_shape.setdefault(design.shape, []).append(i)
+    for i, design in enumerate(designs):
+        by_shape.setdefault(design.shape, []).append(i)
     for (n, p), members in by_shape.items():
+        w = np.array([weights[i] for i in members])
+        light = (w < _MIN_WEIGHT).any(axis=1)
+        if light.any():
+            for k in np.flatnonzero(light).tolist():
+                results[members[k]] = NonPositiveWeight(
+                    f"weights must exceed {_MIN_WEIGHT}; minimum was {w[k].min()!r}"
+                )
+            members = [i for i, bad in zip(members, light.tolist()) if not bad]
+            w = w[~light]
+        if not members:
+            continue
         if n < p or p == 0:
             message = (
                 f"{n} observations cannot identify {p} parameters"
@@ -174,21 +230,31 @@ def solve(
             for i in members:
                 results[i] = RankDeficient(message)
             continue
-        sqrt_w = np.sqrt(np.array([weights[i] for i in members]))
-        q, r = np.linalg.qr(sqrt_w[:, :, None] * np.array([designs[i] for i in members]))
-        qtb = q.transpose(0, 2, 1) @ (sqrt_w * np.array([responses[i] for i in members]))[:, :, None]
+        x = np.array([designs[i] for i in members])
+        y = np.array([responses[i] for i in members])
+        sqrt_w = np.sqrt(w)
+        q, r = np.linalg.qr(sqrt_w[:, :, None] * x)
+        qtb = q.transpose(0, 2, 1) @ (sqrt_w * y)[:, :, None]
         r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
         deficient = r_diag.min(axis=1) <= _RANK_RTOL * r_diag.max(axis=1)
         finite = np.isfinite(r).all(axis=(1, 2)) & np.isfinite(qtb).all(axis=(1, 2))
-        for k, i in enumerate(members):
-            if deficient[k]:
-                results[i] = RankDeficient("design matrix is rank deficient")
-            elif not finite[k]:
-                results[i] = NonFiniteValue("regression inputs are not finite")
-            else:
-                coefficients = _back_substitute(r[k], qtb[k, :, 0])
-                residuals = responses[i] - designs[i] @ coefficients
-                results[i] = DesignFit(coefficients, residuals, weights[i], designs[i], r[k])
+        fitted = ~deficient & finite
+        if not fitted.all():
+            for k in np.flatnonzero(~fitted).tolist():
+                results[members[k]] = (
+                    RankDeficient("design matrix is rank deficient")
+                    if deficient[k]
+                    else NonFiniteValue("regression inputs are not finite")
+                )
+            if not fitted.any():
+                continue
+            members = [i for i, ok in zip(members, fitted.tolist()) if ok]
+            x, y, w, r, qtb = x[fitted], y[fitted], w[fitted], r[fitted], qtb[fitted]
+        coefficients = np.array([_back_substitute(r_k, b[:, 0]) for r_k, b in zip(r, qtb)])
+        residuals = y - (x @ coefficients[:, :, None])[:, :, 0]
+        stack = DesignFit(coefficients, residuals, w, x, r)
+        for row, i in enumerate(members):
+            results[i] = ProblemFit(stack, row)
     return results
 
 
@@ -196,10 +262,6 @@ def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``solve_triangular(r, b)`` for a C-ordered upper-triangular ``r`` with
     a nonzero, finite diagonal: the same LAPACK call, made directly."""
     return dtrtrs(r.T, b, lower=1, trans=1)[0]
-
-
-def _symmetrize(a):
-    return (a + a.T) / 2.0
 
 
 def mv_weights(cluster_sizes, rho: float) -> np.ndarray:
@@ -210,7 +272,7 @@ def mv_weights(cluster_sizes, rho: float) -> np.ndarray:
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     sizes = np.asarray(cluster_sizes, dtype=float)
-    if np.any(sizes < 1):
+    if (sizes < 1).any():
         raise ValueError("cluster sizes must be positive")
     return sizes / (1.0 + rho * (sizes - 1.0))
 

@@ -389,3 +389,40 @@ def test_cluster_means_does_not_depend_on_earlier_calls(make_dataset):
     later = cluster_means(ds)
     assert later.d_bar.tolist() == raw.d_bar.tolist() == [0.0, 0.5]
     assert later.d_bar is not raw.d_bar
+
+
+def lexsorted_means(values, cols):
+    """Cluster means summed in ``lexsort((values, codes))`` order."""
+    order = np.lexsort((values, cols.codes))
+    starts = np.searchsorted(cols.codes[order], np.arange(len(cols.cluster_ids)))
+    return np.add.reduceat(values[order], starts) / cols.sizes
+
+
+def shuffled(dataset, rng):
+    cols = dataset.columns()
+    perm = rng.permutation(len(cols.codes))
+    return TrialDataset(
+        cols._replace(
+            codes=cols.codes[perm], z=cols.z[perm], d=cols.d[perm], y=cols.y[perm], x=cols.x[perm]
+        )
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_means_equal_the_lexsort_order_bit_for_bit(seed):
+    from crtiv.dgp import ScenarioConfig, generate
+
+    rng = np.random.default_rng(seed)
+    dataset = generate(ScenarioConfig(), seed).dataset
+    cols = dataset.columns()
+    # Values with many ties: repeated values and zeros of both signs in
+    # every cluster, next to negative and positive ones.
+    ties = rng.choice([-0.0, 0.0, 0.1, -2.5, 1e-300, 3.0], size=len(cols.y))
+    for ds in (dataset, shuffled(dataset, rng), shuffled(dataset, rng)):
+        cols = ds.columns()
+        for values in (cols.y, continuous_residuals(ds, (0,)), ties):
+            expected = lexsorted_means(values, cols)
+            assert collapse._cluster_means_of(values, cols).tobytes() == expected.tobytes()
+    zeros = TrialDataset(cols._replace(y=np.where(rng.random(len(cols.y)) < 0.5, -0.0, 0.0)))
+    means = cluster_means(zeros).y_bar
+    assert means.tobytes() == lexsorted_means(zeros.columns().y, cols).tobytes()

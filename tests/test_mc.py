@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -214,9 +216,9 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
         )
         assert created.pop() == workers and not created
         assert pooled == serial
-    # Each task is a bare attempt index; the scenario and grid ride with the
-    # mapped function.
-    assert tasks and all(type(task) is int for task in tasks)
+    # Each task is a block of consecutive attempt indices; the scenario and
+    # grid ride with the mapped function.
+    assert tasks and all(type(task) is range and task.step == 1 for task in tasks)
 
     monkeypatch.setattr(mc.os, "cpu_count", lambda: None)  # count unknown: run serially
     unknown = run_study(
@@ -372,12 +374,25 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def counting_block_fits(monkeypatch):
+    """Record the items of each ``GridPlan.fit_block`` call."""
+    original, blocks = iv.GridPlan.fit_block, []
+
+    def counted(self, items, estimator="late"):
+        blocks.append(len(items))
+        return original(self, items, estimator)
+
+    monkeypatch.setattr(iv.GridPlan, "fit_block", counted)
+    return blocks
+
+
 def test_simulate_fits_the_grid_once_per_retained_replicate(monkeypatch, tmp_path):
-    # The benchmark sees the grid as the mc.fit_variants span of a one-worker
-    # simulate run, so each retained replicate must pass through it once.
+    # A one-worker simulate run fits the retained replicates of each block of
+    # attempts in one block fit, so each retained replicate is one item of
+    # one GridPlan.fit_block call.
     from crtiv import cli
 
-    fits = counting(monkeypatch, mc, "fit_variants")
+    blocks = counting_block_fits(monkeypatch)
     scenario = tmp_path / "scn.txt"
     scenario.write_text("clusters = 8\npoisson_mean = 5\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -386,22 +401,24 @@ def test_simulate_fits_the_grid_once_per_retained_replicate(monkeypatch, tmp_pat
     report = (out / "report.csv").read_text(encoding="utf-8").splitlines()
     header, first = report[0].split(","), report[1].split(",")
     assert int(first[header.index("rejected_weak")]) > 0
-    assert len(fits) == int(first[header.index("n_replicates")]) == 5
+    assert sum(blocks) == int(first[header.index("n_replicates")]) == 5
+
+
+SMALL_TRIALS = ScenarioConfig(n_clusters=8, sizes=PoissonSizes(5.0))
 
 
 def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monkeypatch):
     screens = counting(monkeypatch, mc, "screen_weak_instrument")
     collapses = counting(monkeypatch, collapse, "_collapse")
-    attempt = next(
-        i for i in range(50)
-        if mc._evaluate_attempt(ScenarioConfig(), 5, variant_grid(), i) is not None
-    )
-    screens.clear()
-    collapses.clear()
-    assert mc._evaluate_attempt(ScenarioConfig(), 5, variant_grid(), attempt) is not None
-    assert len(screens) == 1
-    # One unadjusted collapse shared by the screen and the grid, one adjusted.
-    assert len(collapses) == 2
+    plan = iv.GridPlan(variant_grid())
+    # Attempts 7, 12 and 14 of this scenario pass the screen.
+    fits = mc._evaluate_block(SMALL_TRIALS, 5, plan, range(5, 15))
+    kept = [a for a, f in zip(range(5, 15), fits) if f is not None]
+    assert kept == [7, 12, 14]
+    assert len(screens) == 10
+    # Per attempt one unadjusted collapse, shared by the screen and the grid;
+    # per retained attempt one adjusted.
+    assert len(collapses) == 10 + 3
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -426,8 +443,14 @@ def test_grid_without_mv_cells_estimates_no_icc(monkeypatch):
     assert len(estimates) == 2
 
 
+def summarised(plan, trials):
+    """The block fit's items of ``trials``."""
+    return [plan.summarise(trial.dataset, (0,)) for trial in trials]
+
+
 def test_full_grid_on_a_default_trial_solves_25_regressions(monkeypatch):
-    trial = generate(ScenarioConfig(), 8)
+    trials = [generate(ScenarioConfig(), seed) for seed in range(8, 13)]
+    plan = iv.GridPlan(variant_grid())
     original, batches = wls.solve, []
 
     def counted(designs, responses, weights):
@@ -435,21 +458,32 @@ def test_full_grid_on_a_default_trial_solves_25_regressions(monkeypatch):
         return original(designs, responses, weights)
 
     monkeypatch.setattr(wls, "solve", counted)
-    fits = fit_variants(trial, variant_grid())
+    fits = fit_variants(trials[0], variant_grid())
     assert not any(isinstance(fit, CrtivError) for fit in fits)
     # One residual fit, then one first stage and one second stage per
     # (outcome, w-adjust, weights) group: 2 outcomes x 2 x 3 = 12 groups.
-    assert sum(batches) == 1 + 12 + 12
+    assert batches == [1, 12, 12]
+    items = summarised(plan, trials)
+    batches.clear()
+    # A block sends the groups of all its trials in the same two batches.
+    assert all(not isinstance(f, CrtivError) for fits in plan.fit_block(items) for f in fits)
+    assert batches == [12 * 5, 12 * 5]
 
 
 def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
-    trial = generate(ScenarioConfig(), 8)
+    trials = [generate(ScenarioConfig(), seed) for seed in range(8, 13)]
+    plan = iv.GridPlan(variant_grid())
     calls = counting(monkeypatch, np.linalg, "qr")
-    fits = fit_variants(trial, variant_grid())
+    fits = fit_variants(trials[0], variant_grid())
     assert not any(isinstance(fit, CrtivError) for fit in fits)
     # The residual fit, then one stacked factorisation per design shape
     # (without and with w) for each of the two stages.
     assert len(calls) == 1 + 2 + 2
+    items = summarised(plan, trials)
+    calls.clear()
+    # A block of five trials sharing J: still one per design shape and stage.
+    plan.fit_block(items)
+    assert len(calls) == 2 + 2
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -532,3 +566,96 @@ def test_an_affine_map_of_the_outcome_maps_every_cell(seed, exponent, sign, shif
             assert abs(new.estimate - a * old.estimate) <= tolerance, variant.label()
             assert abs(new.se - abs(a) * old.se) <= tolerance, variant.label()
             assert (new.crit, new.n_params) == (old.crit, old.n_params), variant.label()
+
+
+# --- blocks of attempts --------------------------------------------------------
+
+# How each item of a block is made: as generated, or broken so that cells
+# fail.  J = 3 leaves the w-adjusted cells no residual degrees of freedom, a
+# flat adherence fraction fails every two-stage cell, and one huge outcome
+# per cluster overflows every variance.
+BLOCK_ITEMS = ("plain", "three_clusters", "flat_d", "overflow")
+
+
+@functools.cache
+def screened_seeds(config):
+    """Seeds of the first 16 trials of ``config`` that pass the screen."""
+    seeds = (s for s in range(1000) if screen_weak_instrument(generate_summaries(config, s)))
+    return list(itertools.islice(seeds, 16))
+
+
+def generate_summaries(config, seed):
+    return collapse.cluster_means(generate(config, seed).dataset)
+
+
+def block_item(plan, kind, index):
+    config = THREE_CLUSTERS if kind == "three_clusters" else GRID_CONFIG
+    trial = generate(config, screened_seeds(config)[index])
+    if kind == "overflow":
+        cols = trial.dataset.columns()
+        y = cols.y.copy()
+        y[np.searchsorted(cols.codes, np.arange(len(cols.cluster_ids)))] = 1e200
+        trial = with_outcome(trial, y)
+    summaries, icc = plan.summarise(trial.dataset, (0,))
+    if kind == "flat_d":
+        flat = np.full(config.n_clusters, 0.5)
+        summaries = {outcome: s._replace(d_bar=flat) for outcome, s in summaries.items()}
+    return summaries, icc
+
+
+def expected_failure(kind, variant, estimator):
+    """The error class a cell of an item of this kind holds, or None."""
+    if kind == "three_clusters" and no_residual_df(variant):
+        return DfNonPositive
+    if kind == "flat_d" and estimator == "late":
+        return WeakDenominator
+    if kind == "overflow":
+        return NonFiniteValue
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@settings(max_examples=20, deadline=None)
+@given(
+    block=st.lists(
+        st.tuples(st.sampled_from(BLOCK_ITEMS), st.integers(0, 15)), min_size=1, max_size=8
+    ),
+    estimator=st.sampled_from(["late", "itt"]),
+)
+def test_a_block_fit_equals_its_one_item_fits_bit_for_bit(block, estimator):
+    plan = iv.GridPlan(variant_grid())
+    items = [block_item(plan, kind, index) for kind, index in block]
+    together = plan.fit_block(items, estimator)
+    assert len(together) == len(items)
+    for (kind, _), item, fits in zip(block, items, together):
+        alone = plan.fit(*item, estimator)
+        assert [values_of(f) for f in fits] == [values_of(f) for f in alone], kind
+        # Each failure stays in its own item and cell.
+        expected = [expected_failure(kind, v, estimator) or iv.CellFit for v in plan.cells]
+        assert [type(f) for f in fits] == [type(f) for f in alone] == expected, kind
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_report_is_byte_identical_for_any_block_size(monkeypatch, tmp_path, threads):
+    from crtiv import cli
+
+    scenario = tmp_path / "scn.txt"
+    scenario.write_text("clusters = 8\npoisson_mean = 5\n", encoding="utf-8")
+    reports = set()
+    for block in (1, 5, 32):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        out = tmp_path / f"out{block}"
+        argv = ["simulate", "--scenario", str(scenario), "--output-dir", str(out)]
+        argv += ["--replicates", "12", "--seed", "4", "--threads", str(threads)]
+        assert cli.main(argv) == 0
+        reports.add((out / "report.csv").read_bytes())
+    assert len(reports) == 1
+
+
+@pytest.mark.parametrize("block", [1, 3, 32])
+def test_one_worker_generates_no_attempt_it_does_not_count(monkeypatch, block):
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    generated = counting(monkeypatch, mc, "generate")
+    report = run_study(FAST_CONFIG, n_replicates=8, variants=ONE_VARIANT, master_seed=5)
+    assert report.rejected_weak > 0
+    assert len(generated) == report.attempts
