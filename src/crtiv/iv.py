@@ -18,19 +18,21 @@ both stages and forms the structural residuals of every group of a grid.
 
 :meth:`GridPlan.fit_block` is the one loop over an estimation grid, shared
 by the command line and the Monte Carlo runner, and fits a block of items
-(trials) at once; :meth:`GridPlan.fit` is its one-item case.  SE and df
-mode only post-process a fit, so it solves once per (item, outcome,
-w-adjust, weights) group and fans each solve out to its cells.  All first
-stages of a block go to the regression core as one batch and all second
-stages as another, so a block takes one stacked QR per design shape and
-stage (:func:`crtiv.wls.solve`), and every group's variances are read at
-once per stack.  Stacked numpy and LAPACK calls give each problem the bits
-of its own call, so a block fit equals its one-item fits bit for bit.  The
-bookkeeping that depends only on the cells (which group each cell reads)
-is done once per grid by :class:`GridPlan`, by position, so a Monte Carlo
-study does it once, not once per replicate.  :func:`tsls` and :func:`itt`
-are the grid's one-cell case.  From a dataset, the command line, the Monte
-Carlo runner and :func:`late_from_dataset` all reach the grid through
+(trials) at once; :meth:`GridPlan.fit` is its one-item case.  SE and df mode
+only post-process a fit, so it solves once per (item, outcome, w-adjust,
+weights) group and fans each solve out to its cells.  All first stages of a
+block go to the regression core as one batch and all second stages as
+another, so a block takes one stacked QR per design shape and stage
+(:func:`crtiv.wls.solve`), which hands back each stack with the batch
+positions of its rows.  So the fitted designs, the structural residuals and
+every group's variances are read at once per stack, never per group.  Stacked
+numpy and LAPACK calls give each problem the bits of its own call, so a
+block fit equals its one-item fits bit for bit.  The bookkeeping that depends
+only on the cells (which group each cell reads) is done once per grid by
+:class:`GridPlan`, by position, so a Monte Carlo study does it once, not
+once per replicate.  :func:`tsls` and :func:`itt` are the grid's one-cell
+case.  From a dataset, the command line, the Monte Carlo runner and
+:func:`late_from_dataset` all reach the grid through
 :meth:`GridPlan.summarise`, which estimates an ICC only where a cell reads
 one and reuses the unadjusted summaries a caller hands it.
 
@@ -52,6 +54,7 @@ from .errors import (
     CrtivError,
     EmptyArm,
     MissingIcc,
+    NoCovariatesSelected,
     NonFiniteValue,
     WeakDenominator,
     ZeroDenominator,
@@ -107,13 +110,23 @@ class _Problem(NamedTuple):
     design: np.ndarray
 
 
-def _problem(summaries: Summaries, adjust_w: bool, scheme: Weights, rho) -> _Problem:
+def _checked(summaries: Summaries) -> int:
+    """The number of clusters of ``summaries``, once there is one and each
+    column an estimator reads has one entry per cluster."""
     if not summaries.n_clusters:
         raise EmptyArm("no cluster summaries")
+    for name in ("n", "z", "d_bar", "y_bar"):
+        if (shape := np.shape(getattr(summaries, name))) != (summaries.n_clusters,):
+            raise ValueError(f"summaries column {name} has shape {shape}, not one per cluster")
+    return summaries.n_clusters
+
+
+def _problem(summaries: Summaries, adjust_w: bool, scheme: Weights, rho) -> _Problem:
+    n_clusters = _checked(summaries)
     w_mat = None
     if adjust_w:
         w_mat = np.asarray(summaries.w, dtype=float)
-        if w_mat.ndim != 2 or len(w_mat) != summaries.n_clusters:
+        if w_mat.ndim != 2 or len(w_mat) != n_clusters:
             raise CovariateShapeMismatch(f"w of shape {w_mat.shape} is not one row per cluster")
         if not w_mat.shape[1]:
             raise CovariateShapeMismatch("adjusting for w needs at least one cluster covariate")
@@ -122,16 +135,15 @@ def _problem(summaries: Summaries, adjust_w: bool, scheme: Weights, rho) -> _Pro
     return _Problem(summaries, _weights(summaries.n, scheme, rho), _design(summaries.z, w_mat))
 
 
-def _by_stack(groups: list, solved: list, out: list) -> dict:
-    """The groups of each stack of ``solved`` in row order; a group whose
-    problem failed gets its error in ``out`` instead."""
-    stacks: dict[wls.DesignFit, list[int]] = {}
-    for g, fit in zip(groups, solved):
-        if isinstance(fit, CrtivError):
-            out[g] = fit
-        else:
-            stacks.setdefault(fit.stack, []).append(g)
-    return stacks
+def _solve(problems: list, groups: list, designs: list, responses: list, out: list) -> list:
+    """Solve the problems of ``groups`` in one batch with their weights: each
+    failed group gets its error in ``out``, and each stack comes back as a
+    ``(groups, fit)`` pair with its groups in row order."""
+    stacks, errors = wls.solve(designs, responses, [problems[g].weights for g in groups])
+    for g, error in zip(groups, errors):
+        if error is not None:
+            out[g] = error
+    return [([groups[m] for m in members], fit) for members, fit in stacks]
 
 
 def _read(stack: wls.DesignFit, groups: list, out: list) -> None:
@@ -150,12 +162,9 @@ def _assignment(problems: list) -> list:
     variances (see :func:`_read`) or the group's error."""
     out = list(problems)
     ok = [g for g, pr in enumerate(problems) if not isinstance(pr, CrtivError)]
-    solved = wls.solve(
-        [problems[g].design for g in ok],
-        [problems[g].summaries.y_bar for g in ok],
-        [problems[g].weights for g in ok],
-    )
-    for stack, groups in _by_stack(ok, solved, out).items():
+    designs = [problems[g].design for g in ok]
+    y_bar = [problems[g].summaries.y_bar for g in ok]
+    for groups, stack in _solve(problems, ok, designs, y_bar, out):
         _read(stack, groups, out)
     return out
 
@@ -172,40 +181,25 @@ def _late(problems: list) -> list:
     """
     out = list(problems)
     ok = [g for g, pr in enumerate(problems) if not isinstance(pr, CrtivError)]
-    first = wls.solve(
-        [problems[g].design for g in ok],
-        [problems[g].summaries.d_bar for g in ok],
-        [problems[g].weights for g in ok],
-    )
-
-    # [1, d_hat, w] of every row of a first-stage stack.
-    fitted_designs: dict[wls.DesignFit, np.ndarray] = {}
+    d_bar = [problems[g].summaries.d_bar for g in ok]
     second, designs = [], []
-    for g, fit in zip(ok, first):
-        if isinstance(fit, CrtivError):
-            out[g] = fit
-            continue
-        if abs(float(fit.coefficients[1])) < _RELEVANCE_TOL:
-            out[g] = WeakDenominator("first-stage assignment coefficient is numerically zero")
-            continue
-        stack = fit.stack
-        if stack not in fitted_designs:
-            fitted = stack.design.copy()
-            fitted[:, :, 1] = (stack.design @ stack.coefficients[:, :, None])[:, :, 0]
-            fitted_designs[stack] = fitted
-        second.append(g)
-        designs.append(fitted_designs[stack][fit.row])
-    solved = wls.solve(
-        designs,
-        [problems[g].summaries.y_bar for g in second],
-        [problems[g].weights for g in second],
-    )
-    for stack, groups in _by_stack(second, solved, out).items():
+    for groups, stack in _solve(problems, ok, [problems[g].design for g in ok], d_bar, out):
+        # [1, d_hat, w] of every row of the stack.
+        fitted = stack.design.copy()
+        fitted[:, :, 1] = (stack.design @ stack.coefficients[:, :, None])[:, :, 0]
+        for row, g in enumerate(groups):
+            if abs(float(stack.coefficients[row, 1])) < _RELEVANCE_TOL:
+                out[g] = WeakDenominator("first-stage assignment coefficient is numerically zero")
+            else:
+                second.append(g)
+                designs.append(fitted[row])
+    y_bar = [problems[g].summaries.y_bar for g in second]
+    for groups, stack in _solve(problems, second, designs, y_bar, out):
         # [1, d, w]: the stage-two design with the actual adherence fractions.
         received = stack.design.copy()
         received[:, :, 1] = [problems[g].summaries.d_bar for g in groups]
-        y_bar = np.array([problems[g].summaries.y_bar for g in groups])
-        residuals = y_bar - (received @ stack.coefficients[:, :, None])[:, :, 0]
+        y = np.array([problems[g].summaries.y_bar for g in groups])
+        residuals = y - (received @ stack.coefficients[:, :, None])[:, :, 0]
         structural = wls.DesignFit(
             stack.coefficients, residuals, stack.weights_used, stack.design, stack.r
         )
@@ -274,7 +268,11 @@ class GridPlan:
         adjusted summaries share their columns.  An ICC is estimated only
         for an outcome whose cells read one (``needs_icc``), from the values
         its summaries average: the raw outcomes or the adjustment residuals.
+        A grid with adjusted cells and no ``x_columns`` raises
+        :class:`~crtiv.errors.NoCovariatesSelected`.
         """
+        if ClOutcome.ADJUSTED_FOR_X in self.needs_icc and x_columns is None:
+            raise NoCovariatesSelected("covariate-adjusted cells need x_columns")
         summaries, icc = {}, {}
         cols = dataset.columns()
         for outcome in ClOutcome:
@@ -386,8 +384,7 @@ def itt(
 
 def wald_late(summaries: Summaries) -> float:
     """Ratio of unweighted arm-mean differences of outcome and adherence."""
-    if not summaries.n_clusters:
-        raise EmptyArm("no cluster summaries")
+    _checked(summaries)
     # As arrays, so that a Summaries built from lists answers, as in tsls.
     y = np.asarray(summaries.y_bar, dtype=float)
     d = np.asarray(summaries.d_bar, dtype=float)
@@ -405,19 +402,19 @@ def first_stage_f(summaries: Summaries) -> float:
     """Screening F: squared t-ratio of assignment in the unadjusted,
     unweighted first stage, with model-based SE and (1, J-2) degrees of
     freedom.  Deterministic adherence (zero residuals) returns ``inf``."""
-    if not summaries.n_clusters:
-        raise EmptyArm("no cluster summaries")
-    (fit,) = wls.solve(
-        [_design(summaries.z, None)], [summaries.d_bar], [np.ones(summaries.n_clusters)]
+    n_clusters = _checked(summaries)
+    stacks, (error,) = wls.solve(
+        [_design(summaries.z, None)], [summaries.d_bar], [np.ones(n_clusters)]
     )
-    if isinstance(fit, CrtivError):
-        raise fit
-    gamma_z = float(fit.coefficients[1])
+    if error is not None:
+        raise error
+    ((_, fit),) = stacks
+    gamma_z = float(fit.coefficients[0, 1])
     # Treat residuals at rounding-noise level as identically zero; adherence
     # fractions live in [0, 1] so an absolute threshold is safe.
-    if float(np.max(np.abs(fit.residuals), initial=0.0)) <= 1e-12:
+    if float(np.max(np.abs(fit.residuals[0]), initial=0.0)) <= 1e-12:
         return math.inf if abs(gamma_z) > _RELEVANCE_TOL else 0.0
-    se = math.sqrt(float(fit.cov_model[1, 1]))
+    se = math.sqrt(float(fit.covariances(robust=False)[0][0, 1, 1]))
     return (gamma_z / se) ** 2
 
 

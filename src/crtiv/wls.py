@@ -6,12 +6,12 @@ the screen and every fit of the estimation grid go through :func:`solve`.
 shape, and for each group runs one stacked ``np.linalg.qr`` of the
 sqrt-weight-scaled designs and one stacked ``Q^T b`` matmul; each problem is
 then back-substituted on its own R factor, and the residuals of the group
-are one stacked matmul.  The fits of a group are one :class:`DesignFit`,
-its arrays stacked along a first, problem axis, and each problem gets its
-row of it as a :class:`ProblemFit`.  Rank is judged per problem from its
-own R diagonal at a relative threshold of 1e-10, and any failure (rank,
-weights, a non-finite factor) belongs to that problem alone.
-:func:`fit_wls` is the one-problem case behind a checked public edge.
+are one stacked matmul.  The fits of a group come back as one
+:class:`DesignFit`, its arrays stacked along a first, problem axis, with the
+batch positions of its rows, so a caller reads rows per stack.  Rank is
+judged per problem from its own R diagonal at a relative threshold of 1e-10,
+and any failure (rank, weights, a non-finite factor) belongs to that problem
+alone.  :func:`fit_wls` is the one-problem case behind a checked public edge.
 
 The one fit outside the core is the logistic fit of the binary covariate
 adjustment, ``collapse._fit_logistic``, which forms and solves its p x p
@@ -118,37 +118,32 @@ class DesignFit:
 
 
 class ProblemFit(NamedTuple):
-    """One problem's fit: row ``row`` of the stack ``stack``.
-
-    What :func:`solve` returns per problem and :func:`fit_wls` for its one
-    problem: the coefficients, residuals and R factor of that problem, and
-    its model-based (``cov_model``) and HC0 (``cov_robust``) covariance,
-    formed for the whole stack on each access.  Its weights and design are
-    row ``row`` of the stack's.
-    """
+    """The fit :func:`fit_wls` returns: its one-problem stack ``stack``, read
+    as that problem's coefficients, residuals and R factor, and its
+    model-based (``cov_model``) and HC0 (``cov_robust``) covariance, formed
+    on each access."""
 
     stack: DesignFit
-    row: int
 
     @property
     def coefficients(self) -> np.ndarray:
-        return self.stack.coefficients[self.row]
+        return self.stack.coefficients[0]
 
     @property
     def residuals(self) -> np.ndarray:
-        return self.stack.residuals[self.row]
+        return self.stack.residuals[0]
 
     @property
     def r(self) -> np.ndarray:
-        return self.stack.r[self.row]
+        return self.stack.r[0]
 
     @property
     def cov_model(self) -> np.ndarray:
-        return self.stack.covariances(robust=False)[0][self.row]
+        return self.stack.covariances(robust=False)[0][0]
 
     @property
     def cov_robust(self) -> np.ndarray:
-        return self.stack.covariances()[1][self.row]
+        return self.stack.covariances()[1][0]
 
 
 def fit_wls(design, response, weights=None) -> ProblemFit:
@@ -183,29 +178,30 @@ def fit_wls(design, response, weights=None) -> ProblemFit:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError("one weight per observation required")
-    (fit,) = solve([design], [response], [weights])
-    if isinstance(fit, CrtivError):
-        raise fit
-    return fit
+    stacks, (error,) = solve([design], [response], [weights])
+    if error is not None:
+        raise error
+    return ProblemFit(stacks[0][1])
 
 
 def solve(
     designs: Sequence[np.ndarray],
     responses: Sequence[np.ndarray],
     weights: Sequence[np.ndarray],
-) -> list[ProblemFit | CrtivError]:
+) -> tuple[list[tuple[list[int], DesignFit]], list[CrtivError | None]]:
     """Weighted least squares for a batch of problems: the regression core.
 
     Problem ``i`` regresses ``responses[i]`` on ``designs[i]`` (an n x p
-    float matrix) with positive ``weights[i]``.  The result lines up with
-    the problems: the :class:`ProblemFit` of that problem, a row of the
-    :class:`DesignFit` of its design shape, or its
-    :class:`NonPositiveWeight`, :class:`RankDeficient` or
-    :class:`NonFiniteValue` error alone.  Problems sharing a design shape
-    are factored by one stacked QR, and the stack of a shape holds its
-    fitted problems in the order given.
+    float matrix) with positive ``weights[i]``.  Returns ``(stacks,
+    errors)``.  ``stacks`` holds a ``(members, fit)`` pair per design shape
+    with a fitted problem: ``fit`` is the :class:`DesignFit` of those
+    problems, factored by one stacked QR, and ``members`` the batch
+    positions of its rows, in the order given.  ``errors[i]`` is problem
+    ``i``'s :class:`NonPositiveWeight`, :class:`RankDeficient` or
+    :class:`NonFiniteValue`, which belongs to it alone, or ``None``.
     """
-    results: list = [None] * len(designs)
+    errors: list[CrtivError | None] = [None] * len(designs)
+    stacks: list[tuple[list[int], DesignFit]] = []
     by_shape: dict[tuple[int, int], list[int]] = {}
     for i, design in enumerate(designs):
         by_shape.setdefault(design.shape, []).append(i)
@@ -214,7 +210,7 @@ def solve(
         light = (w < _MIN_WEIGHT).any(axis=1)
         if light.any():
             for k in np.flatnonzero(light).tolist():
-                results[members[k]] = NonPositiveWeight(
+                errors[members[k]] = NonPositiveWeight(
                     f"weights must exceed {_MIN_WEIGHT}; minimum was {w[k].min()!r}"
                 )
             members = [i for i, bad in zip(members, light.tolist()) if not bad]
@@ -228,7 +224,7 @@ def solve(
                 else "design matrix is rank deficient"
             )
             for i in members:
-                results[i] = RankDeficient(message)
+                errors[i] = RankDeficient(message)
             continue
         x = np.array([designs[i] for i in members])
         y = np.array([responses[i] for i in members])
@@ -241,7 +237,7 @@ def solve(
         fitted = ~deficient & finite
         if not fitted.all():
             for k in np.flatnonzero(~fitted).tolist():
-                results[members[k]] = (
+                errors[members[k]] = (
                     RankDeficient("design matrix is rank deficient")
                     if deficient[k]
                     else NonFiniteValue("regression inputs are not finite")
@@ -252,10 +248,8 @@ def solve(
             x, y, w, r, qtb = x[fitted], y[fitted], w[fitted], r[fitted], qtb[fitted]
         coefficients = np.array([_back_substitute(r_k, b[:, 0]) for r_k, b in zip(r, qtb)])
         residuals = y - (x @ coefficients[:, :, None])[:, :, 0]
-        stack = DesignFit(coefficients, residuals, w, x, r)
-        for row, i in enumerate(members):
-            results[i] = ProblemFit(stack, row)
-    return results
+        stacks.append((members, DesignFit(coefficients, residuals, w, x, r)))
+    return stacks, errors
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Every least-squares fit goes through ``wls.solve``.  So linear algebra
 (``np.linalg``, ``scipy.linalg`` and LAPACK) is called only in ``wls`` and
-in ``collapse._fit_logistic``, the one stated exception, and a
+in ``collapse._fit_logistic``, the one stated exception, a
 ``DesignFit`` is built only by ``wls.solve`` and by the two-stage fit's
-structural-residual fit (``iv._late``).  The source is parsed, not imported.
+structural-residual fit (``iv._late``), and a per-problem ``ProblemFit``
+view only by ``wls.fit_wls``, so the grid reads whole stacks.  The source
+is parsed, not imported.
 """
 
 import ast
@@ -29,12 +31,13 @@ def _is_linalg(name):
 
 
 class _Sites(ast.NodeVisitor):
-    """Records ``(module, enclosing function)`` of each linear-algebra use
-    and each ``DesignFit(...)`` call."""
+    """Records ``(module, enclosing function)`` of each linear-algebra use,
+    each ``DesignFit(...)`` call and each ``ProblemFit(...)`` call."""
 
     def __init__(self, module):
         self.module, self.scope = module, []
-        self.linalg, self.design_fits, self.lapack_names = set(), set(), set()
+        self.linalg, self.lapack_names = set(), set()
+        self.calls = {"DesignFit": set(), "ProblemFit": set()}
 
     def _site(self):
         return (self.module, ".".join(self.scope))
@@ -66,25 +69,25 @@ class _Sites(ast.NodeVisitor):
         func = node.func
         if isinstance(func, ast.Name) and func.id in self.lapack_names:
             self.linalg.add(self._site())
-        if (isinstance(func, ast.Name) and func.id == "DesignFit") or (
-            isinstance(func, ast.Attribute) and func.attr == "DesignFit"
-        ):
-            self.design_fits.add(self._site())
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in self.calls:
+            self.calls[name].add(self._site())
         self.generic_visit(node)
 
 
 def package_sites():
-    linalg, design_fits = set(), set()
+    linalg, design_fits, problem_fits = set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         sites = _Sites(path.stem)
         sites.visit(ast.parse(path.read_text(encoding="utf-8")))
         linalg |= sites.linalg
-        design_fits |= sites.design_fits
-    return linalg, design_fits
+        design_fits |= sites.calls["DesignFit"]
+        problem_fits |= sites.calls["ProblemFit"]
+    return linalg, design_fits, problem_fits
 
 
 def test_linear_algebra_is_called_only_in_the_core_and_the_logistic_fit():
-    linalg, _ = package_sites()
+    linalg, _, _ = package_sites()
     outside = {site for site in linalg if site[0] != "wls"}
     assert outside == {("collapse", "_fit_logistic")}
     # The core itself is seen: its imports, its QR and its LAPACK call.
@@ -92,5 +95,10 @@ def test_linear_algebra_is_called_only_in_the_core_and_the_logistic_fit():
 
 
 def test_fits_are_built_only_by_the_core_and_the_structural_residual_fit():
-    _, design_fits = package_sites()
+    _, design_fits, _ = package_sites()
     assert design_fits == {("wls", "solve"), ("iv", "_late")}
+
+
+def test_per_problem_views_are_built_only_by_the_one_problem_fit():
+    _, _, problem_fits = package_sites()
+    assert problem_fits == {("wls", "fit_wls")}

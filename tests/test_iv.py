@@ -560,3 +560,23 @@ def test_no_summaries_is_an_empty_arm():
     ):
         with pytest.raises(EmptyArm):
             estimate()
+
+
+ENTRY_POINTS = {
+    "tsls": lambda summaries: tsls(summaries, AnalysisOptions()).estimate,
+    "itt": lambda summaries: itt(summaries, AnalysisOptions()).estimate,
+    "first_stage_f": first_stage_f,
+    "wald_late": wald_late,
+}
+
+
+@pytest.mark.parametrize("column", ["n", "z", "d_bar", "y_bar"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_column_without_one_entry_per_cluster_is_named(make_summaries, entry, column):
+    summaries = make_summaries(np.random.default_rng(6), n_clusters=50)
+    values = getattr(summaries, column)
+    for ragged in (values[:-1], list(values[:-1]), np.reshape(values, (-1, 1))):
+        with pytest.raises(ValueError, match=f"summaries column {column} has shape"):
+            ENTRY_POINTS[entry](summaries._replace(**{column: ragged}))
+    # One entry per cluster answers, as a list too.
+    assert math.isfinite(ENTRY_POINTS[entry](summaries._replace(**{column: list(values)})))

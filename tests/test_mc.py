@@ -20,6 +20,7 @@ from crtiv.dgp import (
 from crtiv.errors import (
     CrtivError,
     DfNonPositive,
+    NoCovariatesSelected,
     NonFiniteValue,
     ScreenExhausted,
     WeakDenominator,
@@ -36,6 +37,7 @@ from crtiv.mc import (
 from crtiv.model import (
     AnalysisOptions,
     DfMode,
+    OutcomeKind,
     SeMode,
     TrialDataset,
     Weights,
@@ -419,6 +421,21 @@ def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monk
     # Per attempt one unadjusted collapse, shared by the screen and the grid;
     # per retained attempt one adjusted.
     assert len(collapses) == 10 + 3
+
+
+@pytest.mark.parametrize("kind", list(OutcomeKind))
+def test_an_adjusted_grid_without_covariates_is_a_typed_error(kind):
+    cols = generate(ScenarioConfig(), 2).dataset.columns()
+    if kind is OutcomeKind.BINARY:
+        cols = cols._replace(y=(cols.y > 0).astype(float))
+    dataset = TrialDataset(cols, kind)
+    plan = iv.GridPlan(variant_grid())
+    with pytest.raises(NoCovariatesSelected, match="need x_columns"):
+        plan.summarise(dataset)
+    # The unadjusted cells alone need no covariates.
+    unadjusted = [v for v in variant_grid() if v.cl_outcome is ClOutcome.UNADJUSTED]
+    summaries, _ = iv.GridPlan(unadjusted).summarise(dataset)
+    assert set(summaries) == {ClOutcome.UNADJUSTED}
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -269,16 +269,24 @@ def test_solve_keeps_each_problems_failure_to_itself():
     responses[4] = np.full(8, np.inf)
     weights = [np.ones(len(x)) for x in designs]
     weights[5] = np.zeros(8)
-    results = solve(designs, responses, weights)
-    errors = [type(res) for res in results[1:2] + results[3:]]
-    assert errors == [RankDeficient, RankDeficient, NonFiniteValue, NonPositiveWeight]
-    for i in (0, 2):
-        fit = results[i]
-        alone = fit_wls(designs[i], responses[i])
-        assert fit.coefficients.tobytes() == alone.coefficients.tobytes()
-        assert fit.r.tobytes() == alone.r.tobytes()
-        residuals = responses[i] - designs[i] @ fit.coefficients
-        assert fit.residuals.tobytes() == residuals.tobytes()
+    stacks, errors = solve(designs, responses, weights)
+    assert [type(err) for err in errors[1:2] + errors[3:]] == [
+        RankDeficient,
+        RankDeficient,
+        NonFiniteValue,
+        NonPositiveWeight,
+    ]
+    # The stacks hold exactly the fitted problems, each in input order.
+    members = [i for rows, _ in stacks for i in rows]
+    assert sorted(members) == [i for i, err in enumerate(errors) if err is None] == [0, 2]
+    assert all(rows == sorted(rows) for rows, _ in stacks)
+    for rows, stack in stacks:
+        for row, i in enumerate(rows):
+            alone = fit_wls(designs[i], responses[i])
+            assert stack.coefficients[row].tobytes() == alone.coefficients.tobytes()
+            assert stack.r[row].tobytes() == alone.r.tobytes()
+            residuals = responses[i] - designs[i] @ stack.coefficients[row]
+            assert stack.residuals[row].tobytes() == residuals.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
