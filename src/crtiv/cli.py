@@ -89,18 +89,6 @@ def _pretty(x: float) -> str:
 # --- CSV ingestion -----------------------------------------------------------
 
 
-def csv_columns(path) -> tuple[list[str], list[str]]:
-    """The ``x_*`` and ``w_*`` column names of a trial CSV, in header order."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        _, header = next(_csv_rows(handle), (1, None))
-    if header is None:
-        raise SchemaMismatch(f"{path}: empty file")
-    return (
-        [c for c in header if c.startswith("x_")],
-        [c for c in header if c.startswith("w_")],
-    )
-
-
 # Data rows are parsed this many at a time: enough for numpy to do the
 # per-cell work, few enough that only one block of raw text is held.
 _BLOCK_ROWS = 4096
@@ -111,8 +99,13 @@ _BLOCK_ROWS = 4096
 _NOT_PLAIN = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> TrialDataset:
+def ingest_csv(
+    path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS
+) -> tuple[TrialDataset, list[str], list[str]]:
     """Read an individual-level trial CSV into a (not yet validated) dataset.
+
+    Returns the dataset and the file's ``x_*`` and ``w_*`` column names,
+    each in header order, as the dataset's ``x`` and ``w`` columns are.
 
     Rows are converted a block at a time straight into the dataset's
     columns: cluster ids to integer codes in first-seen order (which
@@ -218,7 +211,7 @@ def ingest_csv(path, outcome_kind: OutcomeKind = OutcomeKind.CONTINUOUS) -> Tria
         np.ascontiguousarray(values[3 : 3 + len(x_names)].T),
         first_w,
     )
-    return TrialDataset(columns, outcome_kind)
+    return TrialDataset(columns, outcome_kind), x_names, w_names
 
 
 def _csv_rows(lines, first_line: int = 1):
@@ -594,8 +587,7 @@ def _aligned(headers: list[str], body: list[list[str]]) -> str:
 
 def _cmd_analyze(args) -> int:
     outcome_kind = OutcomeKind(args.outcome_type)
-    dataset = ingest_csv(args.input, outcome_kind)
-    args.x_names, args.w_names = csv_columns(args.input)
+    dataset, args.x_names, args.w_names = ingest_csv(args.input, outcome_kind)
     rows = _analysis_rows(dataset, args)
     table = _format_table(rows)
     sys.stdout.write(table)

@@ -149,18 +149,35 @@ class GeneratedTrial:
     """A generated dataset plus the latent truth behind it.
 
     ``compliance`` is an ``int8`` array flagging each record, in record
-    order, as a complier (1) or a never-taker (0).  ``psi`` weights clusters
-    by complier counts, ``psi_cl`` by complier proportions; both sum to one
-    whenever any complier exists.  The treatment effect is shared, so the
-    population and cluster-level complier effects both equal the scenario's
-    ``beta_cz``.
+    order, as a complier (1) or a never-taker (0).  The rest is derived from
+    it on access: ``n_compliers`` per cluster, and the cluster weights
+    ``psi`` by complier counts and ``psi_cl`` by complier proportions, which
+    sum to one when any complier exists and are all zero when none does.
+    The treatment effect is shared, so the population and cluster-level
+    complier effects both equal the scenario's ``beta_cz``.
     """
 
     dataset: TrialDataset
     compliance: np.ndarray
-    psi: np.ndarray
-    psi_cl: np.ndarray
-    n_compliers: np.ndarray
+
+    @property
+    def n_compliers(self) -> np.ndarray:
+        return self._counts().astype(np.intp)
+
+    @property
+    def psi(self) -> np.ndarray:
+        counts = self._counts()
+        return counts / float(counts.sum()) if counts.any() else counts
+
+    @property
+    def psi_cl(self) -> np.ndarray:
+        proportions = self._counts() / self.dataset.columns().sizes
+        return proportions / proportions.sum() if proportions.any() else proportions
+
+    def _counts(self) -> np.ndarray:
+        """Each cluster's compliers, as exact float counts."""
+        cols = self.dataset.columns()
+        return np.bincount(cols.codes, weights=self.compliance, minlength=len(cols.sizes))
 
 
 def draw_cluster_sizes(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -310,23 +327,7 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
         OutcomeKind.CONTINUOUS,
     )
 
-    n_compliers = np.bincount(codes, weights=compliers, minlength=n_clusters)
-    total_compliers = float(n_compliers.sum())
-    if total_compliers > 0:
-        psi = n_compliers / total_compliers
-        proportions = n_compliers / sizes
-        psi_cl = proportions / proportions.sum()
-    else:
-        psi = np.zeros(n_clusters)
-        psi_cl = np.zeros(n_clusters)
-
-    return GeneratedTrial(
-        dataset=dataset,
-        compliance=compliers.astype(np.int8),
-        psi=psi,
-        psi_cl=psi_cl,
-        n_compliers=n_compliers.astype(np.intp),
-    )
+    return GeneratedTrial(dataset, compliers.astype(np.int8))
 
 
 def screen_weak_instrument(summaries: Summaries) -> bool:

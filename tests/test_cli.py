@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import math
@@ -60,7 +61,7 @@ def test_ingest_minimal_file(tmp_path):
         BASIC_HEADER,
         [["a", 0, 0, 1.5], ["a", 0, 0, 2.5], ["b", 1, 1, 0.5], ["b", 1, 0, 1.0]],
     )
-    ds = cli.ingest_csv(path)
+    ds, _, _ = cli.ingest_csv(path)
     assert len(ds.columns().cluster_ids) == 2
     assert ds.n_records == 4
     validate(ds)
@@ -78,8 +79,17 @@ def test_ingest_accepts_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     body = "cluster_id,z,d,y\na,0,0,1.5\nb,1,1,0.5\n"
     path.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
-    ds = cli.ingest_csv(path)
+    ds, x_names, w_names = cli.ingest_csv(path)
     assert len(ds.columns().cluster_ids) == 2
+    assert x_names == w_names == []
+
+    # the x_* and w_* names come back in header order, interleaved or not
+    body = "x_b,cluster_id,w_2,z,x_a,d,w_1,y\n3,a,1,0,4,0,2,1.5\n5,b,6,1,7,1,8,0.5\n"
+    path.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    ds, x_names, w_names = cli.ingest_csv(path)
+    assert (x_names, w_names) == (["x_b", "x_a"], ["w_2", "w_1"])
+    cols = ds.columns()
+    assert cols.x.tolist() == [[3, 4], [5, 7]] and cols.w.tolist() == [[1, 2], [6, 8]]
 
 
 def test_ingest_rejects_varying_cluster_covariate(tmp_path):
@@ -123,7 +133,7 @@ def test_roundtrip_generated_trial(tmp_path):
     trial = generate(ScenarioConfig(n_clusters=15, sizes=PoissonSizes(8.0)), seed=21)
     path = tmp_path / "trial.csv"
     cli.write_dataset_csv(trial.dataset, path)
-    back = cli.ingest_csv(path)
+    back, _, _ = cli.ingest_csv(path)
     original = cluster_means(validate(trial.dataset))
     recovered = cluster_means(validate(back))
     # 17-digit output round-trips exactly
@@ -204,7 +214,7 @@ def test_analyze_rows_match_library_calls(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["analyze", "--input", str(data), "--output-dir", str(out)]) == 0
 
-    dataset = validate(cli.ingest_csv(data))
+    dataset = validate(cli.ingest_csv(data)[0])
     summaries = cluster_means(dataset)
     cols = dataset.columns()
     rho = anova_icc(cols.y, cols.codes).rho
@@ -251,7 +261,7 @@ def test_adjusted_analyze_rows_match_library_calls(tmp_path):
     argv = ["analyze", "--input", str(data), "--output-dir", str(out)]
     assert cli.main(argv + ["--adjust-w", "w_1", "--adjust-x", "x_1"]) == 0
 
-    dataset = validate(cli.ingest_csv(data))
+    dataset = validate(cli.ingest_csv(data)[0])
     residuals = continuous_residuals(dataset, (0,))
     summaries = summaries_from_values(dataset, residuals)
     rho = anova_icc(residuals, dataset.columns().codes).rho
@@ -326,6 +336,15 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_analyze_opens_its_input_once_to_scan_and_once_to_read(tmp_path, monkeypatch):
+    trial = generate(ScenarioConfig(n_clusters=20, pi=0.7), seed=31)
+    data = tmp_path / "trial.csv"
+    cli.write_dataset_csv(trial.dataset, data)
+    opened = counting(monkeypatch, builtins, "open")
+    assert cli.main(["analyze", "--input", str(data), "--adjust-x", "x_1"]) == 0
+    assert [str(args[0]) for args in opened].count(str(data)) == 2
 
 
 def test_a_bad_adjust_w_name_fails_before_any_adjustment(tmp_path, monkeypatch, capsys):
@@ -714,7 +733,7 @@ def datasets(draw):
 def test_write_then_ingest_is_an_exact_round_trip(tmp_path_factory, dataset):
     path = tmp_path_factory.mktemp("roundtrip") / "trial.csv"
     cli.write_dataset_csv(dataset, path)
-    back = cli.ingest_csv(path)
+    back, _, _ = cli.ingest_csv(path)
     original, recovered = dataset.columns(), back.columns()
     assert recovered.cluster_ids == original.cluster_ids
     for name in ("codes", "z", "d", "y", "x", "sizes"):
@@ -866,7 +885,7 @@ def trial_files(draw):
 def ingest_outcome(path):
     """``ingest_csv``'s columns, or its error's class and message."""
     try:
-        dataset = cli.ingest_csv(path)
+        dataset, _, _ = cli.ingest_csv(path)
     except Exception as exc:  # any difference between the parsers counts
         return type(exc), str(exc)
     cols = dataset.columns()
@@ -896,7 +915,7 @@ def test_a_plain_file_is_read_without_the_csv_module(tmp_path, monkeypatch, eol)
     lines = [",".join(BASIC_HEADER + ["w_1", "x_1"])] + [",".join(map(str, r)) for r in rows]
     path.write_text(eol.join(lines) + eol, encoding="utf-8", newline="")
     bulk = counting(monkeypatch, cli, "_bulk_values")
-    assert cli.ingest_csv(path).n_records == len(rows)
+    assert cli.ingest_csv(path)[0].n_records == len(rows)
     assert bulk == []
 
 
@@ -906,7 +925,7 @@ def test_a_file_with_a_quoted_id_is_read_by_the_csv_module(tmp_path, monkeypatch
     path = tmp_path / "t.csv"
     write_csv(path, BASIC_HEADER + ["w_1", "x_1"], rows)
     loadtxt = counting(monkeypatch, np, "loadtxt")
-    assert "s, quoted" in cli.ingest_csv(path).columns().cluster_ids
+    assert "s, quoted" in cli.ingest_csv(path)[0].columns().cluster_ids
     assert loadtxt == []
 
 

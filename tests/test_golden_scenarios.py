@@ -1,0 +1,61 @@
+"""Golden ``generate`` outputs past the default scenario, byte for byte.
+
+``test_golden.py`` pins the default scenario; these pin individual-level
+adherence with Pareto sizes, and a trial in which no one complies, whose
+complier weights are all zero.  Recorded, and skipped on other versions,
+as there.
+"""
+
+import hashlib
+
+import numpy
+import pytest
+import scipy
+
+from crtiv import cli
+
+RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+NAMES = ("trial.csv", "truth_clusters.csv", "truth_individuals.csv")
+# generate --seed 1 on each scenario: the digests of NAMES, in order
+GOLDEN = {
+    "adherence = individual\nsizes = pareto\nclusters = 30\n": (
+        "69a0f7f886609fd562189718804521bb352d3e10a605bf28c8fbba082a7bb3c1",
+        "88b0231afcb4183def4f9966c4467c4058803564f5627e03b37845bfbad34ba7",
+        "11f99e74e77f115b548b7154ca349c3027e39bf9c05241e1e49b3087c1cade2f",
+    ),
+    "clusters = 4\npi = 0.01\n": (
+        "fcfefb1d9a2d94c3dbcf240d2b1e0218c4cefa6c2a33a181963a4a96ee0230c6",
+        "cd107938ead59c5024d78d1b906ab0eee312e0ca8a892bf8f730cbf390e11a45",
+        "943eb279f4f8eb98a51725038da28c2a3f4cb03fab635780f029e568cd8add76",
+    ),
+}
+
+
+@pytest.fixture(autouse=True)
+def recorded_versions():
+    running = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    if running != RECORDED_WITH:
+        pytest.skip(f"digests recorded with {RECORDED_WITH}, running {running}")
+
+
+def generated(tmp_path, scenario_text):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(scenario_text, encoding="utf-8")
+    out = tmp_path / "gen"
+    argv = ["generate", "--scenario", str(scenario), "--output-dir", str(out), "--seed", "1"]
+    assert cli.main(argv) == 0
+    return out
+
+
+@pytest.mark.parametrize("scenario_text", GOLDEN, ids=["individual pareto", "no complier"])
+def test_generate_outputs_are_byte_identical_to_the_recorded_ones(tmp_path, scenario_text):
+    out = generated(tmp_path, scenario_text)
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in NAMES)
+    assert digests == GOLDEN[scenario_text]
+
+
+def test_a_trial_without_compliers_has_zero_weights(tmp_path):
+    out = generated(tmp_path, "clusters = 4\npi = 0.01\n")
+    rows = (out / "truth_clusters.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "cluster_id,n,n_compliers,psi,psi_cl"
+    assert [row.split(",")[2:] for row in rows[1:]] == [["0", "0", "0"]] * 4

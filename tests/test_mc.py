@@ -529,7 +529,7 @@ def test_cells_do_not_depend_on_which_arrays_the_outcomes_share(seed):
 def with_outcome(trial, y):
     cols = trial.dataset.columns()
     dataset = TrialDataset(cols._replace(y=y))
-    return GeneratedTrial(dataset, trial.compliance, trial.psi, trial.psi_cl, trial.n_compliers)
+    return GeneratedTrial(dataset, trial.compliance)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
