@@ -12,13 +12,14 @@ separated, ``.`` decimal point.  Machine-readable outputs print floats with
 17 significant digits so they round-trip exactly; pretty tables use 3
 decimals.
 
-A plain input file, one without quotes, lone carriage returns or the ASCII
+The input is read in one pass, so it may be a pipe or a FIFO.  A plain
+block of lines, one without quotes, lone carriage returns or the ASCII
 information separators, has its numeric cells read by numpy's C reader
-(``np.loadtxt``), a block of lines at a time.  A block it cannot read, and
-every block of any other file, falls back to :mod:`csv` with a numpy
-conversion per column, and a block that fails that too is read cell by
-cell for its first error.  The two paths give the same dataset and the
-same errors; :func:`ingest_csv` says why.
+(``np.loadtxt``).  A block it cannot read, and every block from the first
+one that is not plain on, falls back to :mod:`csv` with a numpy conversion
+per column, and a block that fails that too is read cell by cell for its
+first error.  The two paths give the same dataset and the same errors;
+:func:`ingest_csv` says why.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure.  An error goes
 to stderr as one line, ``crtiv-error kind=K type=T msg="M"``: ``K`` is
@@ -37,7 +38,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import fields
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +94,10 @@ def _pretty(x: float) -> str:
 # per-cell work, few enough that only one block of raw text is held.
 _BLOCK_ROWS = 4096
 
-# Bytes that keep a file off the plain-file parser: a quote can join lines
-# into one row or hide a comma, and the four information separators
+# Characters that keep a block off the plain-file parser: a quote can join
+# lines into one row or hide a comma, and the four information separators
 # (0x1c-0x1f) are whitespace that loadtxt strips and ``float`` does not.
-_NOT_PLAIN = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def ingest_csv(
@@ -111,14 +112,15 @@ def ingest_csv(
     columns: cluster ids to integer codes in first-seen order (which
     :meth:`Columns.from_codes` puts in code-point order at the end), and
     the ``w_*`` values of each row checked against the first row of its
-    cluster.  A plain file (see :func:`_is_plain`; most machine-written
-    files are) has each block read by :func:`numpy.loadtxt`, after a check
-    that every line has one comma fewer than the header has columns.  A
-    block that fails there, and every block of any other file, is
-    tokenised by :mod:`csv` and read one numeric column at a time by numpy.
-    A block that fails that too is read again cell by cell, so the error
-    reported is the first one in file order, with its line number; the
-    plain-file parser itself never reports an error.
+    cluster.  The file is read in one pass, a block of lines at a time.  A
+    plain block (see :func:`_is_plain`) is read by :func:`numpy.loadtxt`,
+    after a check that every line has one comma fewer than the header has
+    columns.  A block that fails there is tokenised by :mod:`csv`, and so
+    is the rest of the file from the first block that is not plain (or
+    from a header line that is not): a quoted cell can span lines, so the
+    switch is one-way.  csv rows are read one numeric column at a time by
+    numpy, and a block that fails that too is read again cell by cell, so
+    the error reported is the first in file order, with its line number.
 
     loadtxt reads a cell as ``float`` does, or not at all: both strip the
     same whitespace, except the information separators 0x1c-0x1f that a
@@ -133,10 +135,11 @@ def ingest_csv(
     :class:`NonConstantClusterCovariate` when a ``w_*`` column varies inside
     a cluster.
     """
-    plain = _is_plain(path)
     # utf-8-sig also accepts spreadsheet exports that lead with a BOM
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = _csv_rows(handle)
+        head = list(islice(handle, 1))  # the header line, if any
+        plain = _is_plain("".join(head))
+        reader = _csv_rows(head if plain else chain(head, handle))
         _, header = next(reader, (1, None))
         if header is None:
             raise SchemaMismatch(f"{path}: empty file")
@@ -181,9 +184,12 @@ def ingest_csv(
 
         code_blocks, value_blocks = [], []
         line = 2  # file line of a plain block's first row
-        # A plain file's lines are its rows, so its blocks are read as text;
-        # any other file's blocks are (file line, row) pairs.
+        # A plain block is lines of text; a csv block is (file line, row) pairs.
         while block := list(islice(handle if plain else reader, _BLOCK_ROWS)):
+            if plain and not _is_plain("".join(block)):
+                plain = False  # for good: a quoted cell can run on past the block
+                reader = _csv_rows(chain(block, handle), line)
+                block = list(islice(reader, _BLOCK_ROWS))
             n_known = len(first_line)  # clusters seen in earlier blocks
             parsed = _plain_values(block, len(header), id_position, positions) if plain else None
             codes = encode(*parsed, n_known, range(line, line + len(block))) if parsed else None
@@ -231,20 +237,14 @@ def _csv_rows(lines, first_line: int = 1):
         raise ParseError(str(exc), line=offset + reader.line_num) from None
 
 
-def _is_plain(path) -> bool:
-    """Whether each line of a file is one row to :mod:`csv`, split at every
-    comma, and its cells are whitespace-stripped alike by loadtxt and
-    ``float``: it holds none of ``_NOT_PLAIN`` and no carriage return
-    outside a CRLF line end."""
-    with open(path, "rb") as handle:
-        while chunk := handle.read(1 << 20):
-            if chunk.endswith(b"\r"):
-                chunk += handle.read(1)  # keep a CRLF line end in one chunk
-            if any(map(chunk.__contains__, _NOT_PLAIN)):
-                return False
-            if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
-                return False
-    return True
+def _is_plain(text: str) -> bool:
+    """Whether each line of ``text``, whole lines of a text handle (which
+    keeps a CRLF end in one line), is one row to :mod:`csv`, split at every
+    comma, with cells that loadtxt and ``float`` strip alike: it holds none
+    of ``_NOT_PLAIN`` and no carriage return outside a CRLF line end."""
+    if any(map(text.__contains__, _NOT_PLAIN)):
+        return False
+    return "\r" not in text or text.count("\r") == text.count("\r\n")
 
 
 def _plain_values(lines, n_fields: int, id_position: int, positions: list[int]):

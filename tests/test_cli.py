@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -338,13 +339,60 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_analyze_opens_its_input_once_to_scan_and_once_to_read(tmp_path, monkeypatch):
+def test_analyze_opens_its_input_once(tmp_path, monkeypatch):
     trial = generate(ScenarioConfig(n_clusters=20, pi=0.7), seed=31)
     data = tmp_path / "trial.csv"
     cli.write_dataset_csv(trial.dataset, data)
     opened = counting(monkeypatch, builtins, "open")
     assert cli.main(["analyze", "--input", str(data), "--adjust-x", "x_1"]) == 0
-    assert [str(args[0]) for args in opened].count(str(data)) == 2
+    assert [str(args[0]) for args in opened].count(str(data)) == 1
+
+
+def analysis_from_a_process(out, source, stdin=None) -> bytes:
+    """``analysis.csv`` of ``crtiv analyze --input source`` run in a fresh
+    process, which a hang fails by the timeout."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["analyze", "--input", source, "--output-dir", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "crtiv.cli", *argv],
+        env=env, input=stdin, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return (out / "analysis.csv").read_bytes()
+
+
+@pytest.fixture
+def trial_and_analysis(tmp_path):
+    """A trial CSV larger than a pipe's buffer, and its ``analysis.csv``."""
+    data = tmp_path / "trial.csv"
+    cli.write_dataset_csv(generate(ScenarioConfig(n_clusters=60), seed=32).dataset, data)
+    assert cli.main(["analyze", "--input", str(data), "--output-dir", str(tmp_path / "file")]) == 0
+    return data.read_bytes(), (tmp_path / "file" / "analysis.csv").read_bytes()
+
+
+def test_analyze_reads_a_fifo_as_it_reads_a_file(tmp_path, trial_and_analysis):
+    data, expected = trial_and_analysis
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        assert analysis_from_a_process(tmp_path / "out", str(fifo)) == expected
+    finally:  # a reader that never opened the FIFO leaves the writer waiting in open
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_analyze_reads_standard_input_as_it_reads_a_file(tmp_path, trial_and_analysis):
+    data, expected = trial_and_analysis
+    assert analysis_from_a_process(tmp_path / "out", "/dev/stdin", stdin=data) == expected
 
 
 def test_a_bad_adjust_w_name_fails_before_any_adjustment(tmp_path, monkeypatch, capsys):
@@ -853,7 +901,9 @@ PLAIN_IDS = st.text(
 
 @st.composite
 def trial_files(draw):
-    """The bytes of a trial CSV, mostly plain, with a few faults worked in."""
+    """The bytes of a trial CSV, mostly plain, with a few faults worked in:
+    among them a quoted id and a lone carriage return, either of which
+    sends the rest of the file to csv from its block on."""
     header = draw(st.permutations(["cluster_id", "z", "d", "y", "w_1", "x_1"]))
     ids = draw(st.lists(PLAIN_IDS, min_size=1, max_size=4, unique=True))
     w_of = {cid: draw(NICE_CELLS) for cid in ids}
@@ -864,7 +914,9 @@ def trial_files(draw):
         rows.append([cells[name] if name in cells else draw(NICE_CELLS) for name in header])
     for _ in range(draw(st.integers(0, 2))):
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        fault = draw(st.sampled_from(["odd", "bad", "w", "blank", "short", "long"]))
+        fault = draw(
+            st.sampled_from(["odd", "bad", "w", "blank", "short", "long", "quote", "cr"])
+        )
         if fault in ("odd", "bad") and row:
             odd = draw(st.sampled_from(ODD_CELLS if fault == "odd" else BAD_NUMBERS))
             row[draw(st.integers(0, len(row) - 1))] = odd
@@ -876,6 +928,11 @@ def trial_files(draw):
             del row[-1:]
         elif fault == "long":
             row.append("1")
+        elif fault == "quote" and len(row) > header.index("cluster_id"):
+            at = header.index("cluster_id")  # the id gains a comma, a line break or a quote
+            row[at] = '"' + row[at] + draw(st.sampled_from([",", "\n", '""'])) + '"'
+        elif fault == "cr" and row:
+            row[draw(st.integers(0, len(row) - 1))] += "\r"
     lines = [",".join(header)] + [",".join(row) for row in rows]
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
@@ -908,6 +965,22 @@ def test_plain_and_csv_parsers_read_a_file_alike(tmp_path_factory, data, block_r
         assert ingest_outcome(path) == plain
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=trial_files(), block_rows=st.sampled_from([1, 3, cli._BLOCK_ROWS]))
+@example(data=b'cluster_id,z,d,y\na,0,0,1\n"b\nc",1,1,2\n', block_rows=1)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\r\rc,1,1,3\n", block_rows=1)
+def test_routing_each_block_by_its_text_reads_a_file_as_csv_alone_does(
+    tmp_path_factory, data, block_rows
+):
+    path = tmp_path_factory.mktemp("routing") / "trial.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        routed = ingest_outcome(path)
+        patch.setattr(cli, "_is_plain", lambda text: False)  # the whole file through csv
+        assert ingest_outcome(path) == routed
+
+
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
 def test_a_plain_file_is_read_without_the_csv_module(tmp_path, monkeypatch, eol):
     rows = many_rows(3 * cli._BLOCK_ROWS)
@@ -919,14 +992,14 @@ def test_a_plain_file_is_read_without_the_csv_module(tmp_path, monkeypatch, eol)
     assert bulk == []
 
 
-def test_a_file_with_a_quoted_id_is_read_by_the_csv_module(tmp_path, monkeypatch):
+def test_loadtxt_reads_only_the_blocks_before_the_first_quoted_row(tmp_path, monkeypatch):
     rows = many_rows(3 * cli._BLOCK_ROWS)
     rows[-1][0] = "s, quoted"
     path = tmp_path / "t.csv"
     write_csv(path, BASIC_HEADER + ["w_1", "x_1"], rows)
     loadtxt = counting(monkeypatch, np, "loadtxt")
     assert "s, quoted" in cli.ingest_csv(path)[0].columns().cluster_ids
-    assert loadtxt == []
+    assert len(loadtxt) == 2
 
 
 @pytest.mark.parametrize("seed", [1, 2])

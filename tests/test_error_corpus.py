@@ -63,6 +63,14 @@ def quoted(text: str) -> str:
     return f'{header}\n"{cid}",{cells}\n{rest}'
 
 
+def bad_byte(text: str, line: int) -> bytes:
+    """``text`` in UTF-8 with the byte 0xff, which UTF-8 never uses, at
+    the end of file ``line``."""
+    lines = text.encode("utf-8").split(b"\n")
+    lines[line - 1] += b"\xff"
+    return b"\n".join(lines)
+
+
 SMALL = trial(60)  # 30 clusters of 2 rows, both arms, valid
 
 
@@ -102,6 +110,11 @@ def validation(kind: str, message: str) -> str:
 
 def numeric(kind: str, message: str) -> str:
     return f'crtiv-error kind=numeric type={kind} msg="{message}"'
+
+
+def not_utf8(position: int) -> str:
+    message = f"'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte"
+    return validation("UnicodeDecodeError", message)
 
 
 def bad_flag(message: str) -> str:
@@ -214,6 +227,19 @@ CASES: dict[str, Case] = {
         'cluster_id,z,d,y\n"a\nb",0,0,1\nc,1,1,x\n', 2,
         parse_error(4, "column 'y': cannot parse 'x'"),
     ),
+    # --- not UTF-8: the position counts from the start of the 8 KiB chunk
+    # being decoded, and line 300 starts 9193 bytes in ---
+    **{
+        f"not UTF-8 {where}, {reader}": analyze(
+            bad_byte(edit(trial(400)), line), 2, not_utf8(position)
+        )
+        for where, line, positions in [
+            ("in the header", 1, (24, 24)),
+            ("on the first data line", 2, (54, 56)),
+            ("past the first 8 KiB", 300, (1031, 1033)),
+        ]
+        for (reader, edit), position in zip([("plain", str), ("quoted", quoted)], positions)
+    },
     # --- --adjust-x and --adjust-w names ---
     **{
         f"--adjust-{prefix} {fault}": analyze(SMALL, 2, schema(message), f"--adjust-{prefix}", names)
@@ -229,6 +255,12 @@ CASES: dict[str, Case] = {
     "overflowing outcome": analyze(
         "cluster_id,z,d,y\n" + "".join(f"k{c},{c % 2},{c % 2},1e308\n" for c in range(8)), 3,
         numeric("NonFiniteValue", "regression inputs are not finite"),
+    ),
+    "collinear logistic design": analyze(
+        "cluster_id,z,d,y,x_1,x_2\n"
+        + "".join(f"k{c},{c % 2},{c % 2},{c // 2 % 2},{c / 2},{c / 2}\n" for c in range(12)),
+        3, numeric("RankDeficientDesign", "logistic design is collinear"),
+        "--outcome-type", "binary", "--adjust-x", "x_1,x_2",
     ),
     # --- scenario files ---
     **{
@@ -274,6 +306,13 @@ CASES: dict[str, Case] = {
         ),
         "--replicates", "1",
     ),
+    **{
+        f"adherence out of reach, {command.__name__}": command(
+            "lambda_w = 1000\nsigma2_w = 1\n", 3,
+            numeric("BracketFailure", "adherence probability 0.6 unreachable"), *flags,
+        )
+        for command, flags in [(generate, ()), (simulate, ("--replicates", "1"))]
+    },
     **{
         f"simulate, {name}": simulate(
             text, 2, validation("ClusterSizesTooLarge", message), "--replicates", "2"

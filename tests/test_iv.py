@@ -160,6 +160,16 @@ def test_a_w_without_one_row_per_cluster_is_a_covariate_shape_mismatch(make_summ
     assert math.isfinite(fitter(summaries, AnalysisOptions()).estimate)
 
 
+@pytest.mark.parametrize("fitter", [tsls, itt])
+def test_adjusting_for_no_cluster_covariate_is_a_covariate_shape_mismatch(make_summaries, fitter):
+    summaries = make_summaries(np.random.default_rng(3), n_clusters=5)
+    assert summaries.w.shape == (5, 0)
+    with pytest.raises(
+        CovariateShapeMismatch, match="^adjusting for w needs at least one cluster covariate$"
+    ):
+        fitter(summaries, AnalysisOptions(adjust_w=True))
+
+
 def test_wald_perfect_adherence_reduces_to_itt_difference(make_summaries):
     rng = np.random.default_rng(3)
     summaries = make_summaries(rng, n_clusters=10)

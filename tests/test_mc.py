@@ -122,6 +122,16 @@ def test_coverage_length_mismatch_rejected():
         coverage_and_mce([0.1], [0.1, 0.2], [2.0, 2.0], 0.0)
 
 
+@pytest.mark.parametrize(
+    "n_replicates, variants, message",
+    [(0, None, "need at least one replicate"), (2, [], "no estimator variants requested")],
+    ids=["no replicates", "empty grid"],
+)
+def test_run_study_refuses_an_empty_study(n_replicates, variants, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_study(FAST_CONFIG, n_replicates, variants)
+
+
 def test_run_study_deterministic_for_fixed_seed():
     a = run_study(FAST_CONFIG, n_replicates=6, variants=ONE_VARIANT, master_seed=42)
     b = run_study(FAST_CONFIG, n_replicates=6, variants=ONE_VARIANT, master_seed=42)

@@ -13,6 +13,7 @@ from crtiv.errors import (
     ValidationFailure,
 )
 from crtiv.model import (
+    AnalysisOptions,
     Columns,
     OutcomeKind,
     TrialDataset,
@@ -27,6 +28,12 @@ def dataset_of(rows, kind=OutcomeKind.CONTINUOUS):
     z, d, y = ([row[i] for row in rows] for i in (1, 2, 3))
     x = [row[4:] for row in rows] if rows else None
     return TrialDataset(Columns.from_codes(ids, codes, z, d, y, x), outcome_kind=kind)
+
+
+@pytest.mark.parametrize("icc", [1.5, -0.1])
+def test_a_fixed_icc_outside_the_unit_interval_is_refused(icc):
+    with pytest.raises(ValueError, match=rf"^fixed icc must be in \[0, 1\], got {icc}$"):
+        AnalysisOptions(icc=icc)
 
 
 def test_mixed_assignment_within_cluster_rejected():

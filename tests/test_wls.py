@@ -116,6 +116,22 @@ def test_nonpositive_weights_rejected():
             fit_wls(design, y, np.array([1.0, 1.0, 1.0, bad]))
 
 
+def test_fit_wls_refuses_inputs_of_the_wrong_shape():
+    design = np.column_stack([np.ones(4), np.arange(4.0)])
+    y = np.arange(4.0)
+    with pytest.raises(ValueError, match="^design must be a 2-D array$"):
+        fit_wls(np.ones(4), y)
+    with pytest.raises(ValueError, match=r"^response shape \(3,\) does not match design rows 4$"):
+        fit_wls(design, y[:3])
+    with pytest.raises(ValueError, match="^one weight per observation required$"):
+        fit_wls(design, y, np.ones(3))
+
+
+def test_inference_refuses_a_negative_standard_error():
+    with pytest.raises(ValueError, match="^standard error must be nonnegative$"):
+        inference(0.5, -1e-9, DfMode.NORMAL_APPROX, 10, 2)
+
+
 def test_mv_weights_formula_and_limits():
     sizes = np.arange(1, 10_001)
     assert np.array_equal(mv_weights(sizes, 0.0), sizes.astype(float))
