@@ -13,8 +13,8 @@ separated, ``.`` decimal point.  Machine-readable outputs print floats with
 decimals.
 
 The input is read in one pass, so it may be a pipe or a FIFO.  A plain
-block of lines, one without quotes, lone carriage returns or the ASCII
-information separators, has its numeric cells read by numpy's C reader
+block of lines, one without quotes or the ASCII information separators,
+has its numeric cells read by numpy's C reader
 (``np.loadtxt``).  A block it cannot read, and every block from the first
 one that is not plain on, falls back to :mod:`csv` with a numpy conversion
 per column, and a block that fails that too is read cell by cell for its
@@ -238,13 +238,16 @@ def _csv_rows(lines, first_line: int = 1):
 
 
 def _is_plain(text: str) -> bool:
-    """Whether each line of ``text``, whole lines of a text handle (which
-    keeps a CRLF end in one line), is one row to :mod:`csv`, split at every
-    comma, with cells that loadtxt and ``float`` strip alike: it holds none
-    of ``_NOT_PLAIN`` and no carriage return outside a CRLF line end."""
-    if any(map(text.__contains__, _NOT_PLAIN)):
-        return False
-    return "\r" not in text or text.count("\r") == text.count("\r\n")
+    """Whether each line of ``text``, whole lines of a text handle, is one
+    row to :mod:`csv`, split at every comma, with cells that loadtxt and
+    ``float`` strip alike: it holds none of ``_NOT_PLAIN``.
+
+    A carriage return needs no check.  The text handle ends a line at every
+    one (keeping a CRLF end in one line), so it can stand only at the end of
+    a line, where loadtxt, ``float`` and :mod:`csv` all drop it, and the
+    last column's ids are stripped of it; a line of a lone CR is ragged and
+    goes to :mod:`csv` with its block."""
+    return not any(map(text.__contains__, _NOT_PLAIN))
 
 
 def _plain_values(lines, n_fields: int, id_position: int, positions: list[int]):

@@ -26,6 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit, logit
@@ -330,14 +331,22 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
     return GeneratedTrial(dataset, compliers.astype(np.int8))
 
 
-def screen_weak_instrument(summaries: Summaries) -> bool:
-    """True when the first-stage F of a trial's unadjusted summaries reaches 10.
+def screen_block(block: Sequence[Summaries]) -> list[bool]:
+    """Whether each trial of ``block``, by its unadjusted summaries, passes
+    the weak-instrument screen: its first-stage F reaches 10.  The block's
+    first stages are one solve (:func:`crtiv.iv.first_stage_fs`).
 
     Degenerate trials (single-arm assignment draw, constant adherence) fail
     the screen rather than raising.
     """
-    try:
-        f_stat = iv.first_stage_f(summaries)
-    except CrtivError:
-        return False
-    return f_stat >= _WEAK_F_THRESHOLD
+    return [
+        not isinstance(f_stat, CrtivError) and f_stat >= _WEAK_F_THRESHOLD
+        for f_stat in iv.first_stage_fs(block)
+    ]
+
+
+def screen_weak_instrument(summaries: Summaries) -> bool:
+    """True when the first-stage F of a trial's unadjusted summaries reaches
+    10: the one-trial case of :func:`screen_block`."""
+    (passed,) = screen_block([summaries])
+    return passed

@@ -20,30 +20,36 @@ both stages and forms the structural residuals of every group of a grid.
 by the command line and the Monte Carlo runner, and fits a block of items
 (trials) at once; :meth:`GridPlan.fit` is its one-item case.  SE and df mode
 only post-process a fit, so it solves once per (item, outcome, w-adjust,
-weights) group and fans each solve out to its cells.  All first stages of a
-block go to the regression core as one batch and all second stages as
-another, so a block takes one stacked QR per design shape and stage
-(:func:`crtiv.wls.solve`), which hands back each stack with the batch
-positions of its rows.  So the fitted designs, the structural residuals and
-every group's variances are read at once per stack, never per group.  Stacked
-numpy and LAPACK calls give each problem the bits of its own call, so a
-block fit equals its one-item fits bit for bit.  The bookkeeping that depends
-only on the cells (which group each cell reads) is done once per grid by
-:class:`GridPlan`, by position, so a Monte Carlo study does it once, not
-once per replicate.  :func:`tsls` and :func:`itt` are the grid's one-cell
-case.  From a dataset, the command line, the Monte Carlo runner and
+weights) group, a problem, and fans each solve out to its cells.  A block's
+problems are built as arrays: each item's summaries are checked once per
+outcome, its ``[1, z]`` and ``[1, z, w]`` designs are built once and shared
+by its groups, the weights are one (problems x J) table per weighting, and
+the problems of one design shape are gathered from these into one stack.
+All first stages of a block go to the regression core as one batch and all
+second stages as another, so a block takes one stacked QR per design shape
+and stage (:func:`crtiv.wls.solve`).  So the fitted designs, the structural
+residuals and every problem's variances are read at once per stack, into
+(items x groups) arrays.  The cells are one gather of those arrays through
+the plan's per-cell group, SE mode and df mode, with critical values from
+one (df mode x parameter count) table per cluster count, and come back as a
+:class:`GridFit` of (items x cells) arrays, each failed cell holding the
+index of its package error.  Stacked numpy and LAPACK calls give each
+problem the bits of its own call, so a block fit equals its one-item fits
+bit for bit.  :func:`tsls` and :func:`itt` are the grid's one-cell case.
+From a dataset, the command line, the Monte Carlo runner and
 :func:`late_from_dataset` all reach the grid through
 :meth:`GridPlan.summarise`, which estimates an ICC only where a cell reads
 one and reuses the unadjusted summaries a caller hands it.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
-when the analysis itself is adjusted or weighted.
+when the analysis itself is adjusted or weighted.  :func:`first_stage_fs`
+screens a block of trials with one solve, a stack per cluster count, and
+:func:`first_stage_f` is its one-trial case.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -52,6 +58,7 @@ from . import collapse, wls
 from .errors import (
     CovariateShapeMismatch,
     CrtivError,
+    DfNonPositive,
     EmptyArm,
     MissingIcc,
     NoCovariatesSelected,
@@ -73,138 +80,154 @@ from .model import (
 )
 
 _RELEVANCE_TOL = 1e-12
+_DF_MODES = tuple(DfMode)
 
 
-def _weights(n, scheme: Weights, rho: float | None) -> np.ndarray:
-    if scheme is Weights.NONE:
-        return np.ones(len(n))
-    sizes = np.asarray(n, dtype=float)
-    if scheme is Weights.CLUSTER_SIZE:
-        return sizes
-    if rho is None:
-        raise MissingIcc(
-            "minimum-variance weights need an ICC: fix one in AnalysisOptions.icc "
-            "or pass an estimate"
-        )
-    if not math.isfinite(rho):  # an estimate from overflowed outcomes
-        raise NonFiniteValue(f"ICC estimate is not finite: {rho}")
-    return wls.mv_weights(sizes, rho)
-
-
-def _design(first: np.ndarray, w_mat) -> np.ndarray:
-    """``[1, first, w]``, or ``[1, first]`` without cluster covariates."""
-    design = np.empty((len(first), 2 if w_mat is None else 2 + w_mat.shape[1]))
-    design[:, 0] = 1.0
-    design[:, 1] = first
-    if w_mat is not None:
-        design[:, 2:] = w_mat
+def _design(first: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """``[1, first, w]`` of each row of ``first`` (rows x J), with ``w``
+    rows x J x q, or ``[1, first]`` without it."""
+    design = np.empty((*first.shape, 2 if w is None else 2 + w.shape[-1]))
+    design[..., 0] = 1.0
+    design[..., 1] = first
+    if w is not None:
+        design[..., 2:] = w
     return design
-
-
-class _Problem(NamedTuple):
-    """What one (outcome, w-adjust, weights) group of one item regresses:
-    its summaries, its weights and the first-stage design ``[1, z, w]``."""
-
-    summaries: Summaries
-    weights: np.ndarray
-    design: np.ndarray
 
 
 def _checked(summaries: Summaries) -> int:
     """The number of clusters of ``summaries``, once there is one and each
     column an estimator reads has one entry per cluster."""
-    if not summaries.n_clusters:
+    if not (n_clusters := summaries.n_clusters):
         raise EmptyArm("no cluster summaries")
     for name in ("n", "z", "d_bar", "y_bar"):
-        if (shape := np.shape(getattr(summaries, name))) != (summaries.n_clusters,):
+        if (shape := np.shape(getattr(summaries, name))) != (n_clusters,):
             raise ValueError(f"summaries column {name} has shape {shape}, not one per cluster")
-    return summaries.n_clusters
+    return n_clusters
 
 
-def _problem(summaries: Summaries, adjust_w: bool, scheme: Weights, rho) -> _Problem:
-    n_clusters = _checked(summaries)
-    w_mat = None
-    if adjust_w:
-        w_mat = np.asarray(summaries.w, dtype=float)
-        if w_mat.ndim != 2 or len(w_mat) != n_clusters:
-            raise CovariateShapeMismatch(f"w of shape {w_mat.shape} is not one row per cluster")
-        if not w_mat.shape[1]:
-            raise CovariateShapeMismatch("adjusting for w needs at least one cluster covariate")
-    if scheme is not Weights.MIN_VARIANCE:
-        rho = None
-    return _Problem(summaries, _weights(summaries.n, scheme, rho), _design(summaries.z, w_mat))
+def _cluster_covariates(summaries: Summaries, n_clusters: int) -> np.ndarray:
+    """``summaries.w`` as the J x q matrix (q > 0) the w-adjusted cells read."""
+    w_mat = np.asarray(summaries.w, dtype=float)
+    if w_mat.ndim != 2 or len(w_mat) != n_clusters:
+        raise CovariateShapeMismatch(f"w of shape {w_mat.shape} is not one row per cluster")
+    if not w_mat.shape[1]:
+        raise CovariateShapeMismatch("adjusting for w needs at least one cluster covariate")
+    return w_mat
 
 
-def _solve(problems: list, groups: list, designs: list, responses: list, out: list) -> list:
-    """Solve the problems of ``groups`` in one batch with their weights: each
-    failed group gets its error in ``out``, and each stack comes back as a
-    ``(groups, fit)`` pair with its groups in row order."""
-    stacks, errors = wls.solve(designs, responses, [problems[g].weights for g in groups])
-    for g, error in zip(groups, errors):
-        if error is not None:
-            out[g] = error
-    return [([groups[m] for m in members], fit) for members, fit in stacks]
+def _weights(n: np.ndarray, scheme: Weights, rhos: list) -> tuple[np.ndarray, dict]:
+    """The weights of each row of the sizes ``n`` (rows x J) under
+    ``scheme``, reading the ICC of each row in ``rhos`` for minimum-variance
+    weights, and the error of each row that has none, by row."""
+    if scheme is Weights.NONE:
+        return np.ones(n.shape), {}
+    if scheme is Weights.CLUSTER_SIZE:
+        return n, {}
+    errors: dict[int, CrtivError] = {}
+    for row, rho in enumerate(rhos):
+        if rho is None:
+            errors[row] = MissingIcc(
+                "minimum-variance weights need an ICC: fix one in AnalysisOptions.icc "
+                "or pass an estimate"
+            )
+        elif not math.isfinite(rho):  # an estimate from overflowed outcomes
+            errors[row] = NonFiniteValue(f"ICC estimate is not finite: {rho}")
+    weights = np.ones(n.shape)
+    ok = [row for row in range(len(rhos)) if row not in errors]
+    if ok:
+        weights[ok] = wls.mv_weights(n[ok], np.array([rhos[row] for row in ok])[:, None])
+    return weights, errors
 
 
-def _read(stack: wls.DesignFit, groups: list, out: list) -> None:
-    """Give each group of ``stack`` (one per row) the ``(estimate,
-    model-based variance, robust variance, n_params)`` of its second
-    coefficient: what a group hands its cells."""
-    cov_model, cov_robust = stack.covariances()
-    n_params = stack.design.shape[2]
-    for row, g in enumerate(groups):
-        estimate = float(stack.coefficients[row, 1])
-        out[g] = (estimate, cov_model[row, 1, 1], cov_robust[row, 1, 1], n_params)
+class _Stack(NamedTuple):
+    """Problems of one design shape: ``problems`` numbers each row ``item *
+    groups + group``, ``design`` is rows x J x p, and ``d_bar``, ``y_bar``
+    and ``weights`` are rows x J."""
+
+    problems: np.ndarray
+    design: np.ndarray
+    d_bar: np.ndarray
+    y_bar: np.ndarray
+    weights: np.ndarray
 
 
-def _assignment(problems: list) -> list:
-    """The assignment-effect regression of each group: its estimate and
-    variances (see :func:`_read`) or the group's error."""
-    out = list(problems)
-    ok = [g for g, pr in enumerate(problems) if not isinstance(pr, CrtivError)]
-    designs = [problems[g].design for g in ok]
-    y_bar = [problems[g].summaries.y_bar for g in ok]
-    for groups, stack in _solve(problems, ok, designs, y_bar, out):
-        _read(stack, groups, out)
-    return out
+class _Results:
+    """What each (item, group) problem of a block hands its cells, as
+    (items x groups) arrays addressed by problem number: the estimate, both
+    variances of the second coefficient, the parameter and cluster counts,
+    and ``code``, nonzero for a failed problem, indexing its error in
+    ``errors``."""
+
+    def __init__(self, n_items: int, n_groups: int):
+        shape = (n_items, n_groups)
+        self.estimate = np.full(shape, np.nan)
+        self.var_model = np.full(shape, np.nan)
+        self.var_robust = np.full(shape, np.nan)
+        self.n_params = np.zeros(shape, dtype=np.intp)
+        self.n_clusters = np.zeros(shape, dtype=np.intp)
+        self.code = np.zeros(shape, dtype=np.intp)
+        self.errors: list[CrtivError | None] = [None]
+
+    def fail(self, problems, error: CrtivError) -> None:
+        self.code.flat[problems] = len(self.errors)
+        self.errors.append(error)
+
+    def read(self, problems: np.ndarray, fit: wls.DesignFit) -> None:
+        cov_model, cov_robust = fit.covariances()
+        self.estimate.flat[problems] = fit.coefficients[:, 1]
+        self.var_model.flat[problems] = cov_model[:, 1, 1]
+        self.var_robust.flat[problems] = cov_robust[:, 1, 1]
+        self.n_params.flat[problems] = fit.design.shape[2]
 
 
-def _late(problems: list) -> list:
-    """The two-stage estimate of each group: its estimate and variances
-    (see :func:`_read`) or the group's error.
+def _solve(stacks: list[_Stack], responses: list, results: _Results):
+    """Solve ``stacks`` against ``responses`` (one per stack) in one batch:
+    each failed problem's error goes to ``results``, and each stack with a
+    fitted problem comes back as ``(stack, rows, fit)``."""
+    solved = wls.solve([s.design for s in stacks], responses, [s.weights for s in stacks])
+    for stack, (rows, fit, errors) in zip(stacks, solved):
+        for row, error in errors.items():
+            results.fail(stack.problems[row], error)
+        if fit is not None:
+            yield stack, rows, fit
 
-    Every group's first stage goes to the regression core as one batch and,
-    after each group's relevance check, every second stage as another.  The
+
+def _assignment(stacks: list[_Stack], results: _Results) -> None:
+    """The assignment-effect regression of every problem, into ``results``."""
+    for stack, rows, fit in _solve(stacks, [s.y_bar for s in stacks], results):
+        results.read(stack.problems[rows], fit)
+
+
+def _late(stacks: list[_Stack], results: _Results) -> None:
+    """The two-stage estimate of every problem, into ``results``.
+
+    Every first stage goes to the regression core as one batch and, after
+    each problem's relevance check, every second stage as another.  The
     fitted adherence is one stacked product per first-stage stack, and the
     structural residuals, formed with the actual adherence fractions, one
-    per second-stage stack, which then gives every group's variances.
+    per second-stage stack, which then gives every problem's variances.
     """
-    out = list(problems)
-    ok = [g for g, pr in enumerate(problems) if not isinstance(pr, CrtivError)]
-    d_bar = [problems[g].summaries.d_bar for g in ok]
-    second, designs = [], []
-    for groups, stack in _solve(problems, ok, [problems[g].design for g in ok], d_bar, out):
-        # [1, d_hat, w] of every row of the stack.
-        fitted = stack.design.copy()
-        fitted[:, :, 1] = (stack.design @ stack.coefficients[:, :, None])[:, :, 0]
-        for row, g in enumerate(groups):
-            if abs(float(stack.coefficients[row, 1])) < _RELEVANCE_TOL:
-                out[g] = WeakDenominator("first-stage assignment coefficient is numerically zero")
-            else:
-                second.append(g)
-                designs.append(fitted[row])
-    y_bar = [problems[g].summaries.y_bar for g in second]
-    for groups, stack in _solve(problems, second, designs, y_bar, out):
-        # [1, d, w]: the stage-two design with the actual adherence fractions.
-        received = stack.design.copy()
-        received[:, :, 1] = [problems[g].summaries.d_bar for g in groups]
-        y = np.array([problems[g].summaries.y_bar for g in groups])
-        residuals = y - (received @ stack.coefficients[:, :, None])[:, :, 0]
-        structural = wls.DesignFit(
-            stack.coefficients, residuals, stack.weights_used, stack.design, stack.r
+    second = []
+    for stack, rows, fit in _solve(stacks, [s.d_bar for s in stacks], results):
+        weak = np.abs(fit.coefficients[:, 1]) < _RELEVANCE_TOL
+        if weak.any():
+            message = "first-stage assignment coefficient is numerically zero"
+            results.fail(stack.problems[rows[weak]], WeakDenominator(message))
+        design, coefficients, kept = fit.design[~weak], fit.coefficients[~weak], rows[~weak]
+        # [1, d_hat, w] of every relevant row.
+        fitted = design.copy()
+        fitted[:, :, 1] = (design @ coefficients[:, :, None])[:, :, 0]
+        weights = fit.weights_used[~weak]
+        second.append(
+            _Stack(stack.problems[kept], fitted, stack.d_bar[kept], stack.y_bar[kept], weights)
         )
-        _read(structural, groups, out)
-    return out
+    for stack, rows, fit in _solve(second, [s.y_bar for s in second], results):
+        # [1, d, w]: the stage-two design with the actual adherence fractions.
+        received = fit.design.copy()
+        received[:, :, 1] = stack.d_bar[rows]
+        residuals = stack.y_bar[rows] - (received @ fit.coefficients[:, :, None])[:, :, 0]
+        structural = wls.DesignFit(fit.coefficients, residuals, fit.weights_used, fit.design, fit.r)
+        results.read(stack.problems[rows], structural)
 
 
 class CellFit(NamedTuple):
@@ -217,10 +240,45 @@ class CellFit(NamedTuple):
     n_params: int
 
 
-@lru_cache(maxsize=None)
-def _critical_value(df_mode: DfMode, n_clusters: int, n_params: int) -> float:
-    crit, _ = wls.critical_value(df_mode, n_clusters, n_params)
-    return crit
+def _critical_values(n_clusters: int, n_params: int) -> tuple[np.ndarray, list[list]]:
+    """The two-sided critical value for ``n_clusters`` clusters under each df
+    mode (rows, in :class:`~crtiv.model.DfMode` order) and each parameter
+    count up to ``n_params`` (columns), as :func:`crtiv.wls.critical_value`
+    gives it: a float table, ``nan`` where that raises, and a table of what
+    it raised, ``None`` elsewhere."""
+    crit = np.full((len(_DF_MODES), n_params + 1), np.nan)
+    errors: list[list] = [[None] * (n_params + 1) for _ in _DF_MODES]
+    for m, df_mode in enumerate(_DF_MODES):
+        for p in range(n_params + 1):
+            try:
+                crit[m, p] = wls.critical_value(df_mode, n_clusters, p)[0]
+            except DfNonPositive as exc:
+                errors[m][p] = exc.with_traceback(None)
+    return crit, errors
+
+
+class GridFit:
+    """The cells of a grid on each item of a block, as (items x cells)
+    arrays: ``estimate``, ``se`` and ``crit`` (``nan`` in a failed cell),
+    ``n_params`` (0 in a failed cell), and ``error``, 0 in a fitted cell and
+    otherwise the position of the cell's package error in ``errors``.
+
+    Indexing by item gives that item's cells as :meth:`GridPlan.fit`
+    returns them, a :class:`CellFit` per fitted cell and the error of each
+    failed one, and iterating gives every item's.
+    """
+
+    def __init__(self, estimate, se, crit, n_params, error, errors: tuple):
+        self.estimate, self.se, self.crit, self.n_params = estimate, se, crit, n_params
+        self.error, self.errors = error, errors
+
+    def __len__(self) -> int:
+        return len(self.error)
+
+    def __getitem__(self, item: int) -> list[CellFit | CrtivError]:
+        columns = (self.estimate, self.se, self.crit, self.n_params)
+        cells = zip(self.error[item].tolist(), *(c[item].tolist() for c in columns))
+        return [self.errors[code] if code else CellFit(*fit) for code, *fit in cells]
 
 
 class GridPlan:
@@ -230,8 +288,8 @@ class GridPlan:
     :class:`~crtiv.model.VariantKey`; the plan keeps the distinct ones, in
     order, as ``cells``.  It numbers the distinct (outcome, w-adjust,
     weights, fixed ICC) groups and notes for each cell its group, SE mode
-    and df mode, so fitting the same grid again does no per-cell lookups by
-    key.
+    and df mode as arrays, so fitting the same grid again gathers the cells
+    of every item at once and does no per-cell lookups by key.
 
     ``needs_icc`` maps each outcome to whether the fit reads an estimated
     ICC for it: true when one of its cells has minimum-variance weights and
@@ -241,15 +299,33 @@ class GridPlan:
     def __init__(self, cells: Iterable[tuple[Hashable, AnalysisOptions]]):
         self.cells = tuple(dict.fromkeys(cells))
         group_of: dict = {}
-        self._slots: list[tuple[int, bool, DfMode]] = []
+        slots = []
         self.needs_icc: dict[Hashable, bool] = {}
         for outcome, options in self.cells:
             group = (outcome, options.adjust_w, options.weights, options.icc)
             g = group_of.setdefault(group, len(group_of))
-            self._slots.append((g, options.se_mode is SeMode.HUBER_WHITE, options.df_mode))
+            robust = options.se_mode is SeMode.HUBER_WHITE
+            slots.append((g, robust, _DF_MODES.index(options.df_mode)))
             estimated = options.weights is Weights.MIN_VARIANCE and options.icc is None
             self.needs_icc[outcome] = self.needs_icc.get(outcome, False) or estimated
         self.groups = tuple(group_of)
+        # Each cell's group, whether it reads the robust variance, and its
+        # df mode's row of the critical-value table.
+        groups, robust, modes = zip(*slots) if slots else ((), (), ())
+        self._slots = (
+            np.array(groups, dtype=np.intp),
+            np.array(robust, dtype=bool),
+            np.array(modes, dtype=np.intp),
+        )
+        # The groups of each outcome, and those of them adjusted for w.
+        self._outcome_groups: dict[Hashable, np.ndarray] = {}
+        self._w_groups: dict[Hashable, np.ndarray] = {}
+        for outcome in self.needs_icc:
+            groups = [g for g, group in enumerate(self.groups) if group[0] == outcome]
+            self._outcome_groups[outcome] = np.array(groups, dtype=np.intp)
+            self._w_groups[outcome] = np.array(
+                [g for g in groups if self.groups[g][1]], dtype=np.intp
+            )
 
     def summarise(
         self,
@@ -316,60 +392,149 @@ class GridPlan:
         traceback, so a study that keeps it does not keep this call's frame
         and arrays alive.  Other exceptions propagate.
         """
-        (fits,) = self.fit_block([(summaries, icc)], estimator)
-        return fits
+        return self.fit_block([(summaries, icc)], estimator)[0]
 
     def fit_block(
         self,
         items: Sequence[tuple[Mapping[Hashable, Summaries], Mapping[Hashable, float | None]]],
         estimator: str = "late",
-    ) -> list[list[CellFit | CrtivError]]:
+    ) -> GridFit:
         """Fit every cell of the grid on each item of a block in one pass.
 
         Each item is a ``(summaries, icc)`` pair as :meth:`fit` takes, and
-        the result holds :meth:`fit`'s list for each item, bit for bit: the
-        groups of all items go to the regression core together, so each
-        stage takes one stacked QR per design shape for the whole block, and
-        a failure stays in its own item and cell.
+        item ``i`` of the result is :meth:`fit`'s list for it, bit for bit.
+        The problems of all items are built as stacked arrays, one stack per
+        design shape, and go to the regression core together, so each stage
+        takes one stacked QR per design shape for the whole block; a failure
+        stays in its own item and cell.
         """
         if estimator not in ("late", "itt"):
             raise ValueError(f"estimator must be 'late' or 'itt', got {estimator!r}")
-        problems: list = []
-        for summaries, icc in items:
-            for outcome, adjust_w, scheme, fixed_icc in self.groups:
-                rho = fixed_icc if fixed_icc is not None else icc.get(outcome)
+        n_groups = len(self.groups)
+        results = _Results(len(items), n_groups)
+        # One source per (item, outcome) whose summaries pass their checks,
+        # by cluster count and count of cluster covariates (0 when its
+        # w-adjusted groups, if any, failed theirs).
+        sources: dict[tuple[int, int], list] = {}
+        for k, (summaries, _) in enumerate(items):
+            for outcome, groups in self._outcome_groups.items():
                 try:
-                    problems.append(_problem(summaries[outcome], adjust_w, scheme, rho))
+                    n_clusters = _checked(source := summaries[outcome])
                 except CrtivError as exc:
-                    problems.append(exc.with_traceback(None))
-        estimates = (_assignment if estimator == "itt" else _late)(problems)
-        size = len(self.groups)
-        return [
-            self._cells(estimates[i * size : (i + 1) * size], summaries)
-            for i, (summaries, _) in enumerate(items)
+                    results.fail(k * n_groups + groups, exc.with_traceback(None))
+                    continue
+                w_mat = None
+                if len(w_groups := self._w_groups[outcome]):
+                    try:
+                        w_mat = _cluster_covariates(source, n_clusters)
+                    except CrtivError as exc:
+                        results.fail(k * n_groups + w_groups, exc.with_traceback(None))
+                width = 0 if w_mat is None else w_mat.shape[1]
+                sources.setdefault((n_clusters, width), []).append((k, outcome, source, w_mat))
+        by_shape: dict[tuple[int, int], list[_Stack]] = {}
+        for same in sources.values():
+            for stack in self._problems(same, items, results):
+                by_shape.setdefault(stack.design.shape[1:], []).append(stack)
+        stacks = [
+            parts[0] if len(parts) == 1 else _Stack(*map(np.concatenate, zip(*parts)))
+            for parts in by_shape.values()
         ]
+        (_assignment if estimator == "itt" else _late)(stacks, results)
+        return self._cells(results)
 
-    def _cells(self, groups: list, summaries: Mapping) -> list[CellFit | CrtivError]:
-        """The cells of one item from the estimates of its groups."""
-        n_clusters = [summaries[outcome].n_clusters for outcome, *_ in self.groups]
-        fits: list[CellFit | CrtivError] = []
-        for g, robust, df_mode in self._slots:
-            fit = groups[g]
-            if isinstance(fit, CrtivError):
-                fits.append(fit)
-                continue
-            estimate, var_model, var_robust, n_params = fit
-            try:
-                crit = _critical_value(df_mode, n_clusters[g], n_params)
-            except CrtivError as exc:
-                fits.append(exc.with_traceback(None))
-                continue
-            variance = float(var_robust if robust else var_model)
-            if not (math.isfinite(estimate) and math.isfinite(variance)):
-                fits.append(NonFiniteValue("estimate or its variance is not finite"))
-                continue
-            fits.append(CellFit(estimate, math.sqrt(max(0.0, variance)), crit, n_params))
-        return fits
+    def _problems(self, sources: list, items: Sequence, results: _Results):
+        """The stage-one problems of ``sources``, the ``(item, outcome,
+        summaries, w)`` of the block with one cluster count and one count of
+        cluster covariates: a :class:`_Stack` without and one with ``w``,
+        gathered from the ``[1, z]`` and ``[1, z, w]`` designs of the
+        sources, which all their groups share, and from one weights table
+        per outcome and weighting.  A problem whose weights cannot be formed
+        gets its error in ``results``."""
+        n_groups = len(self.groups)
+        item = np.array([k for k, *_ in sources])
+        n, z, d_bar, y_bar = (
+            np.array([getattr(s, column) for _, _, s, _ in sources], dtype=float)
+            for column in ("n", "z", "d_bar", "y_bar")
+        )
+        designs = {False: _design(z)}
+        if sources[0][3] is not None:
+            designs[True] = _design(z, np.array([w_mat for *_, w_mat in sources]))
+        at_of: dict[Hashable, list[int]] = {}
+        for row, (_, outcome, *_) in enumerate(sources):
+            at_of.setdefault(outcome, []).append(row)
+        weight_tables: list[np.ndarray] = []
+        picks: dict[bool, list] = {adjust_w: [] for adjust_w in designs}
+        for outcome, at in at_of.items():
+            at = np.array(at)
+            results.n_clusters[item[at][:, None], self._outcome_groups[outcome]] = z.shape[1]
+            weighted: dict = {}  # (scheme, ICC) -> first row in the weights, errors by row
+            for g in self._outcome_groups[outcome].tolist():
+                _, adjust_w, scheme, fixed_icc = self.groups[g]
+                if adjust_w not in designs:
+                    continue  # each of these problems failed its w check
+                key = (scheme, fixed_icc if scheme is Weights.MIN_VARIANCE else None)
+                if key not in weighted:
+                    rhos = []
+                    if scheme is Weights.MIN_VARIANCE:
+                        rhos = [
+                            fixed_icc if fixed_icc is not None else items[k][1].get(outcome)
+                            for k in item[at].tolist()
+                        ]
+                    weights, failed = _weights(n[at], scheme, rhos)
+                    weighted[key] = (sum(map(len, weight_tables)), failed)
+                    weight_tables.append(weights)
+                start, failed = weighted[key]
+                rows = np.arange(len(at))
+                if failed:
+                    for row, error in failed.items():
+                        results.fail(item[at[row]] * n_groups + g, error)
+                    rows = np.setdiff1d(rows, list(failed))
+                picks[adjust_w].append((item[at[rows]] * n_groups + g, at[rows], start + rows))
+        weights = np.concatenate(weight_tables) if weight_tables else None
+        for adjust_w, parts in picks.items():
+            if parts:
+                problems, rows, weight_rows = map(np.concatenate, zip(*parts))
+                design = designs[adjust_w][rows]
+                yield _Stack(problems, design, d_bar[rows], y_bar[rows], weights[weight_rows])
+
+    def _cells(self, results: _Results) -> GridFit:
+        """Every cell of every item from the results of its group: one
+        gather per column, critical values from one table per cluster
+        count, and each failed cell's error."""
+        groups, robust, modes = self._slots
+        error = results.code[:, groups]
+        estimate = results.estimate[:, groups]
+        variance = np.where(robust, results.var_robust[:, groups], results.var_model[:, groups])
+        n_params = results.n_params[:, groups]
+        n_clusters = results.n_clusters[:, groups]
+        errors = results.errors
+        crit = np.full(error.shape, np.nan)
+        modes = np.broadcast_to(modes, error.shape)
+        for size in np.unique(n_clusters[error == 0]).tolist():
+            here = (error == 0) & (n_clusters == size)
+            table, raised = _critical_values(size, int(n_params[here].max()))
+            crit[here] = table[modes[here], n_params[here]]
+            codes: dict = {}  # one error per (df mode, parameter count)
+            for k, c in zip(*np.nonzero(here & np.isnan(crit))):
+                key = (modes[k, c], n_params[k, c])
+                if key not in codes:
+                    codes[key] = len(errors)
+                    errors.append(raised[key[0]][key[1]])
+                error[k, c] = codes[key]
+        overflow = (error == 0) & ~(np.isfinite(estimate) & np.isfinite(variance))
+        if overflow.any():
+            error[overflow] = len(errors)
+            errors.append(NonFiniteValue("estimate or its variance is not finite"))
+        fitted = error == 0
+        se = np.sqrt(np.where(variance > 0.0, variance, 0.0))
+        return GridFit(
+            np.where(fitted, estimate, np.nan),
+            np.where(fitted, se, np.nan),
+            np.where(fitted, crit, np.nan),
+            np.where(fitted, n_params, 0),
+            error,
+            tuple(errors),
+        )
 
 
 def itt(
@@ -398,24 +563,53 @@ def wald_late(summaries: Summaries) -> float:
     return numerator / denominator
 
 
+def first_stage_fs(block: Sequence[Summaries]) -> list[float | CrtivError]:
+    """The screening F of each summaries of ``block``, as
+    :func:`first_stage_f` gives it, or the package error its first stage
+    raised.  The first stages of the block are one
+    :func:`crtiv.wls.solve`, a stack per cluster count, and its covariances
+    one stacked pass per stack."""
+    out: list[float | CrtivError] = [math.nan] * len(block)
+    members: dict[int, list[int]] = {}
+    for i, summaries in enumerate(block):
+        try:
+            members.setdefault(_checked(summaries), []).append(i)
+        except CrtivError as exc:
+            out[i] = exc.with_traceback(None)
+    z = [np.array([block[i].z for i in m], dtype=float) for m in members.values()]
+    solved = wls.solve(
+        [_design(z_rows) for z_rows in z],
+        [np.array([block[i].d_bar for i in m], dtype=float) for m in members.values()],
+        [np.ones(z_rows.shape) for z_rows in z],
+    )
+    for m, (rows, fit, errors) in zip(members.values(), solved):
+        for row, error in errors.items():
+            out[m[row]] = error
+        if fit is None:
+            continue
+        # Treat residuals at rounding-noise level as identically zero;
+        # adherence fractions live in [0, 1] so an absolute threshold is safe.
+        exact = np.max(np.abs(fit.residuals), axis=1, initial=0.0) <= 1e-12
+        variance = fit.covariances(robust=False)[0][:, 1, 1]
+        for row, gamma_z, flat, var in zip(
+            rows.tolist(), fit.coefficients[:, 1].tolist(), exact.tolist(), variance.tolist()
+        ):
+            if flat:
+                out[m[row]] = math.inf if abs(gamma_z) > _RELEVANCE_TOL else 0.0
+            else:
+                out[m[row]] = (gamma_z / math.sqrt(var)) ** 2
+    return out
+
+
 def first_stage_f(summaries: Summaries) -> float:
     """Screening F: squared t-ratio of assignment in the unadjusted,
     unweighted first stage, with model-based SE and (1, J-2) degrees of
-    freedom.  Deterministic adherence (zero residuals) returns ``inf``."""
-    n_clusters = _checked(summaries)
-    stacks, (error,) = wls.solve(
-        [_design(summaries.z, None)], [summaries.d_bar], [np.ones(n_clusters)]
-    )
-    if error is not None:
-        raise error
-    ((_, fit),) = stacks
-    gamma_z = float(fit.coefficients[0, 1])
-    # Treat residuals at rounding-noise level as identically zero; adherence
-    # fractions live in [0, 1] so an absolute threshold is safe.
-    if float(np.max(np.abs(fit.residuals[0]), initial=0.0)) <= 1e-12:
-        return math.inf if abs(gamma_z) > _RELEVANCE_TOL else 0.0
-    se = math.sqrt(float(fit.covariances(robust=False)[0][0, 1, 1]))
-    return (gamma_z / se) ** 2
+    freedom.  Deterministic adherence (zero residuals) returns ``inf``.
+    The one-trial case of :func:`first_stage_fs`."""
+    (f_stat,) = first_stage_fs([summaries])
+    if isinstance(f_stat, CrtivError):
+        raise f_stat
+    return f_stat
 
 
 def _fit_cell(summaries, options, icc, estimator) -> CellFit:

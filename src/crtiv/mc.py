@@ -7,16 +7,18 @@ empirical bias and 95% interval coverage with their Monte Carlo errors.
 
 Replicates are seeded independently from (master_seed, attempt_index), and a
 rejected attempt still consumes its index.  The unit of work is a block of
-consecutive attempts: each attempt is generated, collapsed, screened and
-summarised on its own, and the block's retained replicates are fitted in
-one stacked pass through the grid (:meth:`crtiv.iv.GridPlan.fit_block`),
-which gives each replicate the bits of its own fit.  So results are
-bit-identical for a given master seed regardless of block size, thread
-count or scheduling; a task is just a range of attempt indices.  A retained
-replicate yields one list of cell fits (or errors) in grid order; the study
-keeps each fit, or only its error's class, and cell ``i`` is aggregated from
-position ``i`` of each list, sorting its inputs first, so that is invariant
-to replicate order.
+consecutive attempts: each attempt is generated and collapsed on its own,
+the block's screens are one stacked first-stage solve
+(:func:`crtiv.dgp.screen_block`), and the retained replicates are summarised
+and fitted in one stacked pass through the grid
+(:meth:`crtiv.iv.GridPlan.fit_block`).  Both give each attempt the bits of
+its own call, so results are bit-identical for a given master seed
+regardless of block size, thread count or scheduling; a task is just a
+range of attempt indices.  A block hands back which attempts it kept and
+the (replicates x cells) arrays of estimate, SE, critical value and whether
+each cell was fitted; cell ``i`` is aggregated from column ``i`` of the
+study's rows, sorting its inputs first, so that is invariant to replicate
+order.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import collapse, iv
-from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_weak_instrument
+from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_block
 from .errors import CrtivError, ScreenExhausted
 from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, Summaries, VariantKey, Weights
 
@@ -145,30 +147,30 @@ def fit_variants(
     since it indicates a bug rather than a degenerate replicate.
     """
     plan = variants if isinstance(variants, iv.GridPlan) else iv.GridPlan(variants)
-    (fits,) = plan.fit_block([plan.summarise(trial.dataset, _X_COLUMNS, unadjusted)])
-    return fits
+    return plan.fit_block([plan.summarise(trial.dataset, _X_COLUMNS, unadjusted)])[0]
 
 
-def _evaluate_block(config, master_seed, plan, attempts: range) -> list:
-    """The grid fits of each attempt of a block, ``None`` for one the screen
-    rejects, with each failed cell's error reduced to its class.
+def _evaluate_block(config, master_seed, plan, attempts: range) -> tuple[list[bool], tuple]:
+    """Which attempts of a block the screen keeps, and the cells of the kept
+    ones: their (replicates x cells) estimate, SE, critical value and
+    whether each cell was fitted.
 
-    Each attempt is generated, collapsed, screened and summarised on its
-    own; the retained ones are fitted together by one
+    Each attempt is generated and collapsed on its own; the block's screens
+    are one :func:`crtiv.dgp.screen_block`, and the kept attempts are
+    summarised and then fitted together by one
     :meth:`crtiv.iv.GridPlan.fit_block`.
     """
-    items, retained = [], []
-    for attempt in attempts:
-        trial = generate(config, _replicate_seed(master_seed, attempt))
-        unadjusted = collapse.cluster_means(trial.dataset)
-        retained.append(screen_weak_instrument(unadjusted))
-        if retained[-1]:
-            items.append(plan.summarise(trial.dataset, _X_COLUMNS, unadjusted))
-    fitted = iter(plan.fit_block(items))
-    return [
-        [f if isinstance(f, iv.CellFit) else type(f) for f in next(fitted)] if kept else None
-        for kept in retained
-    ]
+    trials = [generate(config, _replicate_seed(master_seed, attempt)) for attempt in attempts]
+    unadjusted = [collapse.cluster_means(trial.dataset) for trial in trials]
+    retained = screen_block(unadjusted)
+    fit = plan.fit_block(
+        [
+            plan.summarise(trial.dataset, _X_COLUMNS, summaries)
+            for trial, summaries, kept in zip(trials, unadjusted, retained)
+            if kept
+        ]
+    )
+    return retained, (fit.estimate, fit.se, fit.crit, fit.error == 0)
 
 
 def run_study(
@@ -199,55 +201,59 @@ def run_study(
     if not variants:
         raise ValueError("no estimator variants requested")
 
-    # One list per retained replicate, in the order of variants: each cell's
-    # fit, or the class of its error (an error object costs far more).
-    replicates: list[list[iv.CellFit | type[CrtivError]]] = []
-    attempt = 0
+    # The cells of the counted replicates of each block, as (estimate, SE,
+    # critical value, fitted) arrays of (replicates x cells).
+    blocks_kept: list[tuple] = []
+    retained = attempt = 0
     max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
     workers = min(threads, os.cpu_count() or 1)
     evaluate = functools.partial(_evaluate_block, config, master_seed, plan)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        while len(replicates) < n_replicates and attempt < max_attempts:
+        while retained < n_replicates and attempt < max_attempts:
             # One block per worker, of at most _BLOCK attempts; together
             # they hold no more attempts than replicates are still needed,
             # rounded up to a multiple of the workers, so in this process
             # no attempt past the last retained one is made.
-            needed = n_replicates - len(replicates)
+            needed = n_replicates - retained
             size = min(_BLOCK, -(-needed // workers))
             end = min(attempt + workers * size, max_attempts)
             blocks = [range(a, min(a + size, end)) for a in range(attempt, end, size)]
-            for fits in (result for block in mapper(evaluate, blocks) for result in block):
-                attempt += 1
-                if fits is not None:
-                    replicates.append(fits)
-                    if len(replicates) == n_replicates:
+            for kept, cells in mapper(evaluate, blocks):
+                counted = 0
+                for passed in kept:
+                    if retained == n_replicates:
                         break
+                    attempt += 1
+                    counted += passed
+                    retained += passed
+                blocks_kept.append(tuple(column[:counted] for column in cells))
+                if retained == n_replicates:
+                    break
 
-    if (retained := len(replicates)) < n_replicates:
+    if retained < n_replicates:
         raise ScreenExhausted(
             f"weak-instrument screen kept {retained} of {attempt} attempts "
             f"(acceptance rate {retained / attempt:.3g}), {n_replicates} replicates wanted"
         )
 
     truth = config.beta_cz
+    estimate, se, crit, fitted = (np.concatenate(column) for column in zip(*blocks_kept))
     aggregated = {}
     for i, variant in enumerate(variants):
-        rows = [fits[i] for fits in replicates if isinstance(fits[i], iv.CellFit)]
-        estimates = [r.estimate for r in rows]
-        ses = np.asarray([r.se for r in rows])
-        crits = [r.crit for r in rows]
+        rows = fitted[:, i]
+        estimates, ses, crits = estimate[rows, i], se[rows, i], crit[rows, i]
         bias, mce_bias = bias_and_mce(estimates, truth)
         coverage, mce_coverage = coverage_and_mce(estimates, ses, crits, truth)
-        mean_se = float(np.sort(ses).mean()) if len(rows) else math.nan
+        n_fits = len(estimates)
         aggregated[variant] = VariantResult(
             bias=bias,
             mce_bias=mce_bias,
             coverage=coverage,
             mce_coverage=mce_coverage,
-            mean_se=mean_se,
-            n_fits=len(rows),
-            n_fit_failures=n_replicates - len(rows),
+            mean_se=float(np.sort(ses).mean()) if n_fits else math.nan,
+            n_fits=n_fits,
+            n_fit_failures=n_replicates - n_fits,
         )
     return McReport(
         variants=aggregated,

@@ -2,16 +2,19 @@
 
 This is the one least-squares core: the continuous covariate adjustment,
 the screen and every fit of the estimation grid go through :func:`solve`.
-:func:`solve` takes a batch of weighted problems, groups them by design
-shape, and for each group runs one stacked ``np.linalg.qr`` of the
-sqrt-weight-scaled designs and one stacked ``Q^T b`` matmul; each problem is
-then back-substituted on its own R factor, and the residuals of the group
-are one stacked matmul.  The fits of a group come back as one
-:class:`DesignFit`, its arrays stacked along a first, problem axis, with the
-batch positions of its rows, so a caller reads rows per stack.  Rank is
-judged per problem from its own R diagonal at a relative threshold of 1e-10,
-and any failure (rank, weights, a non-finite factor) belongs to that problem
-alone.  :func:`fit_wls` is the one-problem case behind a checked public edge.
+:func:`solve` takes a batch of stacks of weighted problems, one design shape
+per stack, as arrays with a first, problem axis, and for each stack runs one
+stacked ``np.linalg.qr`` of the sqrt-weight-scaled designs and one stacked
+``Q^T b`` matmul; each problem is then back-substituted on its own R factor,
+and the residuals of the stack are one stacked matmul.  The fitted problems
+of a stack come back as one :class:`DesignFit` with their positions in the
+stack, so a caller reads rows per stack.  The caller builds the stacks: a
+list of per-problem arrays would cost one copy per problem to restack (about
+0.4 ms for 384 small problems, 2-vCPU host), more than the grid's Python
+around them.  Rank is judged per problem from its own R diagonal at a
+relative threshold of 1e-10, and any failure (rank, weights, a non-finite
+factor) belongs to that problem alone.  :func:`fit_wls` is the one-problem
+case behind a checked public edge.
 
 The one fit outside the core is the logistic fit of the binary covariate
 adjustment, ``collapse._fit_logistic``, which forms and solves its p x p
@@ -178,56 +181,61 @@ def fit_wls(design, response, weights=None) -> ProblemFit:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError("one weight per observation required")
-    stacks, (error,) = solve([design], [response], [weights])
-    if error is not None:
-        raise error
-    return ProblemFit(stacks[0][1])
+    ((_, fit, errors),) = solve([design[None]], [response[None]], [weights[None]])
+    if errors:
+        raise errors[0]
+    return ProblemFit(fit)
+
+
+class Solved(NamedTuple):
+    """What :func:`solve` returns for one stack of problems: ``rows``, the
+    positions of the fitted problems in the stack, in order; ``fit``, their
+    :class:`DesignFit` row by row (``None`` when no problem was fitted); and
+    ``errors``, the error of each other problem by its position."""
+
+    rows: np.ndarray
+    fit: DesignFit | None
+    errors: dict[int, CrtivError]
 
 
 def solve(
     designs: Sequence[np.ndarray],
     responses: Sequence[np.ndarray],
     weights: Sequence[np.ndarray],
-) -> tuple[list[tuple[list[int], DesignFit]], list[CrtivError | None]]:
-    """Weighted least squares for a batch of problems: the regression core.
+) -> list[Solved]:
+    """Weighted least squares for a batch of stacks of problems: the
+    regression core.
 
-    Problem ``i`` regresses ``responses[i]`` on ``designs[i]`` (an n x p
-    float matrix) with positive ``weights[i]``.  Returns ``(stacks,
-    errors)``.  ``stacks`` holds a ``(members, fit)`` pair per design shape
-    with a fitted problem: ``fit`` is the :class:`DesignFit` of those
-    problems, factored by one stacked QR, and ``members`` the batch
-    positions of its rows, in the order given.  ``errors[i]`` is problem
-    ``i``'s :class:`NonPositiveWeight`, :class:`RankDeficient` or
-    :class:`NonFiniteValue`, which belongs to it alone, or ``None``.
+    Each stack holds problems of one design shape along a first axis:
+    ``designs[s]`` is k x n x p, ``responses[s]`` and the positive
+    ``weights[s]`` are k x n, and row ``i`` regresses ``responses[s][i]`` on
+    ``designs[s][i]``.  Returns one :class:`Solved` per stack, factored by
+    one stacked QR.  A problem's :class:`NonPositiveWeight`,
+    :class:`RankDeficient` or :class:`NonFiniteValue` belongs to it alone.
     """
-    errors: list[CrtivError | None] = [None] * len(designs)
-    stacks: list[tuple[list[int], DesignFit]] = []
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, design in enumerate(designs):
-        by_shape.setdefault(design.shape, []).append(i)
-    for (n, p), members in by_shape.items():
-        w = np.array([weights[i] for i in members])
+    out = []
+    for x, y, w in zip(designs, responses, weights):
+        errors: dict[int, CrtivError] = {}
+        k, n, p = x.shape
+        rows = np.arange(k)
         light = (w < _MIN_WEIGHT).any(axis=1)
         if light.any():
-            for k in np.flatnonzero(light).tolist():
-                errors[members[k]] = NonPositiveWeight(
-                    f"weights must exceed {_MIN_WEIGHT}; minimum was {w[k].min()!r}"
+            for i in np.flatnonzero(light).tolist():
+                errors[i] = NonPositiveWeight(
+                    f"weights must exceed {_MIN_WEIGHT}; minimum was {w[i].min()!r}"
                 )
-            members = [i for i, bad in zip(members, light.tolist()) if not bad]
-            w = w[~light]
-        if not members:
-            continue
-        if n < p or p == 0:
+            rows, x, y, w = rows[~light], x[~light], y[~light], w[~light]
+        if len(rows) and (n < p or p == 0):
             message = (
                 f"{n} observations cannot identify {p} parameters"
                 if n < p
                 else "design matrix is rank deficient"
             )
-            for i in members:
-                errors[i] = RankDeficient(message)
+            errors.update((i, RankDeficient(message)) for i in rows.tolist())
+            rows = rows[:0]
+        if not len(rows):
+            out.append(Solved(rows, None, errors))
             continue
-        x = np.array([designs[i] for i in members])
-        y = np.array([responses[i] for i in members])
         sqrt_w = np.sqrt(w)
         q, r = np.linalg.qr(sqrt_w[:, :, None] * x)
         qtb = q.transpose(0, 2, 1) @ (sqrt_w * y)[:, :, None]
@@ -236,20 +244,20 @@ def solve(
         finite = np.isfinite(r).all(axis=(1, 2)) & np.isfinite(qtb).all(axis=(1, 2))
         fitted = ~deficient & finite
         if not fitted.all():
-            for k in np.flatnonzero(~fitted).tolist():
-                errors[members[k]] = (
+            for j in np.flatnonzero(~fitted).tolist():
+                errors[int(rows[j])] = (
                     RankDeficient("design matrix is rank deficient")
-                    if deficient[k]
+                    if deficient[j]
                     else NonFiniteValue("regression inputs are not finite")
                 )
-            if not fitted.any():
-                continue
-            members = [i for i, ok in zip(members, fitted.tolist()) if ok]
-            x, y, w, r, qtb = x[fitted], y[fitted], w[fitted], r[fitted], qtb[fitted]
+            rows, x, y, w, r, qtb = (a[fitted] for a in (rows, x, y, w, r, qtb))
+        if not len(rows):
+            out.append(Solved(rows, None, errors))
+            continue
         coefficients = np.array([_back_substitute(r_k, b[:, 0]) for r_k, b in zip(r, qtb)])
         residuals = y - (x @ coefficients[:, :, None])[:, :, 0]
-        stacks.append((members, DesignFit(coefficients, residuals, w, x, r)))
-    return stacks, errors
+        out.append(Solved(rows, DesignFit(coefficients, residuals, w, x, r), errors))
+    return out
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,13 +266,17 @@ def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dtrtrs(r.T, b, lower=1, trans=1)[0]
 
 
-def mv_weights(cluster_sizes, rho: float) -> np.ndarray:
+def mv_weights(cluster_sizes, rho) -> np.ndarray:
     """Minimum-variance weights ``n / (1 + rho * (n - 1))``.
 
-    Exactly the cluster sizes at ``rho = 0`` and exactly one at ``rho = 1``.
+    ``rho`` is one ICC, or an array of them that broadcasts against the
+    sizes, such as a column holding the ICC of each row of a stack of
+    sizes.  Exactly the cluster sizes at ``rho = 0`` and exactly one at
+    ``rho = 1``.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    for value in np.ravel(rho).tolist():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"rho must be in [0, 1], got {value}")
     sizes = np.asarray(cluster_sizes, dtype=float)
     if (sizes < 1).any():
         raise ValueError("cluster sizes must be positive")

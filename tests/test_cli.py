@@ -969,6 +969,12 @@ def test_plain_and_csv_parsers_read_a_file_alike(tmp_path_factory, data, block_r
 @given(data=trial_files(), block_rows=st.sampled_from([1, 3, cli._BLOCK_ROWS]))
 @example(data=b'cluster_id,z,d,y\na,0,0,1\n"b\nc",1,1,2\n', block_rows=1)
 @example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\r\rc,1,1,3\n", block_rows=1)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\rb,1,1,2\n", block_rows=1)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\rb,1,1,2\r", block_rows=3)
+@example(data=b"z,d,y,cluster_id\r0,0,1,a\r1,1,2,b\r", block_rows=1)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\r\r", block_rows=3)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1\r,1,2\n", block_rows=1)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1\r,1,2\n", block_rows=3)
 def test_routing_each_block_by_its_text_reads_a_file_as_csv_alone_does(
     tmp_path_factory, data, block_rows
 ):

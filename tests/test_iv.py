@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_summaries
-from crtiv import wls
+from crtiv import iv, wls
 from crtiv.collapse import cluster_means
 from crtiv.dgp import PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
@@ -590,3 +590,24 @@ def test_a_column_without_one_entry_per_cluster_is_named(make_summaries, entry, 
             ENTRY_POINTS[entry](summaries._replace(**{column: ragged}))
     # One entry per cluster answers, as a list too.
     assert math.isfinite(ENTRY_POINTS[entry](summaries._replace(**{column: list(values)})))
+
+
+def test_the_critical_value_table_equals_each_call_bit_for_bit():
+    # The grid reads its critical values from one (df mode x parameter
+    # count) table per cluster count; each entry is wls.critical_value's.
+    for n_clusters in range(2, 201):
+        table, raised = iv._critical_values(n_clusters, 4)
+        for m, df_mode in enumerate(DfMode):
+            for n_params in range(2, 5):
+                entry, error = table[m, n_params], raised[m][n_params]
+                if n_clusters <= n_params:
+                    with pytest.raises(DfNonPositive) as expected:
+                        wls.critical_value(df_mode, n_clusters, n_params)
+                    assert math.isnan(entry)
+                    assert type(error) is DfNonPositive
+                    assert str(error) == str(expected.value)
+                    assert error.__traceback__ is None
+                else:
+                    crit, _ = wls.critical_value(df_mode, n_clusters, n_params)
+                    assert entry.tobytes() == np.float64(crit).tobytes()
+                    assert error is None

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from crtiv import collapse, iv, mc, wls
+from crtiv import collapse, dgp, iv, mc, wls
 from crtiv.dgp import (
     AdherenceLevel,
     GeneratedTrial,
@@ -22,6 +22,7 @@ from crtiv.errors import (
     DfNonPositive,
     NoCovariatesSelected,
     NonFiniteValue,
+    RankDeficient,
     ScreenExhausted,
     WeakDenominator,
 )
@@ -419,15 +420,28 @@ def test_simulate_fits_the_grid_once_per_retained_replicate(monkeypatch, tmp_pat
 SMALL_TRIALS = ScenarioConfig(n_clusters=8, sizes=PoissonSizes(5.0))
 
 
+def recording(monkeypatch, module, name, record):
+    """Replace ``module.name`` with a wrapper that appends ``record(*args)``."""
+    original, records = getattr(module, name), []
+
+    def recorded(*args, **kwargs):
+        records.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return records
+
+
 def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monkeypatch):
-    screens = counting(monkeypatch, mc, "screen_weak_instrument")
+    # The screens of a block are one call, over all of its attempts.
+    screens = recording(monkeypatch, iv, "first_stage_fs", len)
     collapses = counting(monkeypatch, collapse, "_collapse")
     plan = iv.GridPlan(variant_grid())
     # Attempts 7, 12 and 14 of this scenario pass the screen.
-    fits = mc._evaluate_block(SMALL_TRIALS, 5, plan, range(5, 15))
-    kept = [a for a, f in zip(range(5, 15), fits) if f is not None]
+    retained, _ = mc._evaluate_block(SMALL_TRIALS, 5, plan, range(5, 15))
+    kept = [a for a, passed in zip(range(5, 15), retained) if passed]
     assert kept == [7, 12, 14]
-    assert len(screens) == 10
+    assert screens == [10]
     # Per attempt one unadjusted collapse, shared by the screen and the grid;
     # per retained attempt one adjusted.
     assert len(collapses) == 10 + 3
@@ -481,7 +495,7 @@ def test_full_grid_on_a_default_trial_solves_25_regressions(monkeypatch):
     original, batches = wls.solve, []
 
     def counted(designs, responses, weights):
-        batches.append(len(designs))
+        batches.append(sum(map(len, designs)))  # problems, over the batch's stacks
         return original(designs, responses, weights)
 
     monkeypatch.setattr(wls, "solve", counted)
@@ -660,6 +674,74 @@ def test_a_block_fit_equals_its_one_item_fits_bit_for_bit(block, estimator):
         # Each failure stays in its own item and cell.
         expected = [expected_failure(kind, v, estimator) or iv.CellFit for v in plan.cells]
         assert [type(f) for f in fits] == [type(f) for f in alone] == expected, kind
+
+
+# How each attempt of a screened block is made: as generated, with a
+# single-arm assignment draw (a rank-deficient first stage), with a flat
+# adherence fraction (F = 0), or with every cluster's adherence equal to its
+# assignment (F = inf); "twelve" draws from a scenario of another J.
+SCREEN_ITEMS = ("plain", "twelve", "one_arm", "flat", "all_compliers")
+
+
+def screen_item(kind, seed):
+    config = ScenarioConfig(n_clusters=12) if kind == "twelve" else GRID_CONFIG
+    summaries = generate_summaries(config, seed)
+    if kind == "one_arm":
+        return summaries._replace(z=np.ones_like(summaries.z))
+    if kind == "flat":
+        return summaries._replace(d_bar=np.full_like(summaries.d_bar, 0.5))
+    if kind == "all_compliers":
+        return summaries._replace(d_bar=summaries.z.copy())
+    return summaries
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    block=st.lists(
+        st.tuples(st.sampled_from(SCREEN_ITEMS), st.integers(0, 40)), min_size=1, max_size=12
+    )
+)
+def test_a_block_screen_equals_each_attempts_screen_alone(block):
+    summaries = [screen_item(kind, seed) for kind, seed in block]
+    together = iv.first_stage_fs(summaries)
+    passed = dgp.screen_block(summaries)
+    assert len(together) == len(passed) == len(block)
+    for (kind, _), item, f_stat, kept in zip(block, summaries, together, passed):
+        assert kept is dgp.screen_weak_instrument(item)
+        try:
+            alone = iv.first_stage_f(item)
+        except CrtivError as exc:
+            alone = exc
+        if kind == "one_arm":
+            assert type(alone) is RankDeficient
+        if isinstance(alone, CrtivError):
+            # Rejected through its error, which the block keeps in its place.
+            assert type(f_stat) is type(alone) and str(f_stat) == str(alone)
+            assert not kept
+            continue
+        assert np.float64(f_stat).tobytes() == np.float64(alone).tobytes(), kind
+        assert kept is (alone >= 10.0)
+        if kind == "flat":
+            assert f_stat == 0.0
+        if kind == "all_compliers":
+            assert f_stat == math.inf
+
+
+def test_a_simulate_block_makes_one_screen_solve_and_two_grid_solves(monkeypatch):
+    # Each wls.solve call is recorded by the problems it holds.  A block's
+    # screens are one call, its grid one per stage, and the only other call
+    # is each retained replicate's residual fit for the x-adjusted outcome.
+    solves = recording(monkeypatch, wls, "solve", lambda designs, *_: sum(map(len, designs)))
+    plan = iv.GridPlan(variant_grid())
+    retained, cells = mc._evaluate_block(ScenarioConfig(), 1, plan, range(mc._BLOCK))
+    kept = sum(retained)
+    assert kept > 0 and all(fitted.all() for fitted in cells[3])
+    assert solves == [mc._BLOCK] + [1] * kept + [12 * kept, 12 * kept]
+    # So a study makes three solves per block and one per replicate.
+    blocks = counting_block_fits(monkeypatch)
+    solves.clear()
+    report = run_study(ScenarioConfig(), 40, master_seed=502)
+    assert len(solves) == 3 * len(blocks) + report.n_replicates
 
 
 @pytest.mark.parametrize("threads", [1, 2])

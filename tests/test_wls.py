@@ -280,29 +280,28 @@ def test_solve_keeps_each_problems_failure_to_itself():
     rng = np.random.default_rng(3)
     good = [np.column_stack([np.ones(8), rng.normal(size=8)]) for _ in range(3)]
     collinear = np.column_stack([np.ones(8), np.ones(8)])
-    designs = [good[0], collinear, good[1], np.ones((1, 2)), good[2], good[0]]
-    responses = [rng.normal(size=len(x)) for x in designs]
-    responses[4] = np.full(8, np.inf)
-    weights = [np.ones(len(x)) for x in designs]
-    weights[5] = np.zeros(8)
-    stacks, errors = solve(designs, responses, weights)
-    assert [type(err) for err in errors[1:2] + errors[3:]] == [
-        RankDeficient,
-        RankDeficient,
-        NonFiniteValue,
-        NonPositiveWeight,
+    # A stack of five 8 x 2 problems and a stack of one 1 x 2 problem.
+    designs = [np.array([good[0], collinear, good[1], good[2], good[0]]), np.ones((1, 1, 2))]
+    responses = [rng.normal(size=x.shape[:2]) for x in designs]
+    responses[0][3] = np.inf
+    weights = [np.ones(x.shape[:2]) for x in designs]
+    weights[0][4] = 0.0
+    solved = solve(designs, responses, weights)
+    errors = [{row: type(err) for row, err in s.errors.items()} for s in solved]
+    assert errors == [
+        {1: RankDeficient, 3: NonFiniteValue, 4: NonPositiveWeight},
+        {0: RankDeficient},
     ]
-    # The stacks hold exactly the fitted problems, each in input order.
-    members = [i for rows, _ in stacks for i in rows]
-    assert sorted(members) == [i for i, err in enumerate(errors) if err is None] == [0, 2]
-    assert all(rows == sorted(rows) for rows, _ in stacks)
-    for rows, stack in stacks:
-        for row, i in enumerate(rows):
-            alone = fit_wls(designs[i], responses[i])
-            assert stack.coefficients[row].tobytes() == alone.coefficients.tobytes()
-            assert stack.r[row].tobytes() == alone.r.tobytes()
-            residuals = responses[i] - designs[i] @ stack.coefficients[row]
-            assert stack.residuals[row].tobytes() == residuals.tobytes()
+    # Each stack's fit holds exactly its fitted problems, in input order.
+    assert [s.rows.tolist() for s in solved] == [[0, 2], []]
+    assert solved[1].fit is None
+    rows, stack, _ = solved[0]
+    for row, i in enumerate(rows.tolist()):
+        alone = fit_wls(designs[0][i], responses[0][i])
+        assert stack.coefficients[row].tobytes() == alone.coefficients.tobytes()
+        assert stack.r[row].tobytes() == alone.r.tobytes()
+        residuals = responses[0][i] - designs[0][i] @ stack.coefficients[row]
+        assert stack.residuals[row].tobytes() == residuals.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
