@@ -22,24 +22,24 @@ by the command line and the Monte Carlo runner, and fits a block of items
 only post-process a fit, so it solves once per (item, outcome, w-adjust,
 weights) group, a problem, and fans each solve out to its cells.  A block's
 problems are built as arrays: each item's summaries are checked once per
-outcome, its ``[1, z]`` and ``[1, z, w]`` designs are built once and shared
-by its groups, the weights are one (problems x J) table per weighting, and
-the problems of one design shape are gathered from these into one stack.
-All first stages of a block go to the regression core as one batch and all
-second stages as another, so a block takes one stacked QR per design shape
-and stage (:func:`crtiv.wls.solve`).  So the fitted designs, the structural
-residuals and every problem's variances are read at once per stack, into
-(items x groups) arrays.  The cells are one gather of those arrays through
-the plan's per-cell group, SE mode and df mode, with critical values from
-one (df mode x parameter count) table per cluster count, and come back as a
-:class:`GridFit` of (items x cells) arrays, each failed cell holding the
-index of its package error.  Stacked numpy and LAPACK calls give each
-problem the bits of its own call, so a block fit equals its one-item fits
-bit for bit.  :func:`tsls` and :func:`itt` are the grid's one-cell case.
-From a dataset, the command line, the Monte Carlo runner and
-:func:`late_from_dataset` all reach the grid through
-:meth:`GridPlan.summarise`, which estimates an ICC only where a cell reads
-one and reuses the unadjusted summaries a caller hands it.
+outcome, and the items of one outcome and cluster count share one ``[1, z]``
+and one ``[1, z, w]`` design.  Each group of the outcome is a stack of rows
+of one of these with its own weights, and the stacks of one design shape are
+concatenated into one.  All first stages of a block go to the regression
+core as one batch and all second stages as another, so a block takes one
+stacked QR per design shape and stage (:func:`crtiv.wls.solve`).  So the
+fitted designs, the structural residuals and every problem's variances are
+read at once per stack, into (items x groups) arrays.  The cells are one
+gather of those arrays through the plan's per-cell group, SE mode and df
+mode, with one critical value per distinct (df mode, cluster count,
+parameter count), and come back as a :class:`GridFit` of (items x cells)
+arrays, each failed cell holding the index of its package error.  Stacked
+numpy and LAPACK calls give each problem the bits of its own call, so a
+block fit equals its one-item fits bit for bit.  :func:`tsls` and
+:func:`itt` are the grid's one-cell case.  From a dataset, the command line,
+the Monte Carlo runner and :func:`late_from_dataset` all reach the grid
+through :meth:`GridPlan.summarise`, which estimates an ICC only where a cell
+reads one and reuses the unadjusted summaries a caller hands it.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.  :func:`first_stage_fs`
@@ -154,9 +154,9 @@ class _Stack(NamedTuple):
 class _Results:
     """What each (item, group) problem of a block hands its cells, as
     (items x groups) arrays addressed by problem number: the estimate, both
-    variances of the second coefficient, the parameter and cluster counts,
-    and ``code``, nonzero for a failed problem, indexing its error in
-    ``errors``."""
+    variances of the second coefficient, the cluster and parameter counts of
+    the fitted design, and ``code``, nonzero for a failed problem, indexing
+    its error in ``errors``."""
 
     def __init__(self, n_items: int, n_groups: int):
         shape = (n_items, n_groups)
@@ -177,6 +177,7 @@ class _Results:
         self.estimate.flat[problems] = fit.coefficients[:, 1]
         self.var_model.flat[problems] = cov_model[:, 1, 1]
         self.var_robust.flat[problems] = cov_robust[:, 1, 1]
+        self.n_clusters.flat[problems] = fit.design.shape[1]
         self.n_params.flat[problems] = fit.design.shape[2]
 
 
@@ -240,23 +241,6 @@ class CellFit(NamedTuple):
     n_params: int
 
 
-def _critical_values(n_clusters: int, n_params: int) -> tuple[np.ndarray, list[list]]:
-    """The two-sided critical value for ``n_clusters`` clusters under each df
-    mode (rows, in :class:`~crtiv.model.DfMode` order) and each parameter
-    count up to ``n_params`` (columns), as :func:`crtiv.wls.critical_value`
-    gives it: a float table, ``nan`` where that raises, and a table of what
-    it raised, ``None`` elsewhere."""
-    crit = np.full((len(_DF_MODES), n_params + 1), np.nan)
-    errors: list[list] = [[None] * (n_params + 1) for _ in _DF_MODES]
-    for m, df_mode in enumerate(_DF_MODES):
-        for p in range(n_params + 1):
-            try:
-                crit[m, p] = wls.critical_value(df_mode, n_clusters, p)[0]
-            except DfNonPositive as exc:
-                errors[m][p] = exc.with_traceback(None)
-    return crit, errors
-
-
 class GridFit:
     """The cells of a grid on each item of a block, as (items x cells)
     arrays: ``estimate``, ``se`` and ``crit`` (``nan`` in a failed cell),
@@ -309,8 +293,8 @@ class GridPlan:
             estimated = options.weights is Weights.MIN_VARIANCE and options.icc is None
             self.needs_icc[outcome] = self.needs_icc.get(outcome, False) or estimated
         self.groups = tuple(group_of)
-        # Each cell's group, whether it reads the robust variance, and its
-        # df mode's row of the critical-value table.
+        # Each cell's group, whether it reads the robust variance, and the
+        # position of its df mode in DfMode.
         groups, robust, modes = zip(*slots) if slots else ((), (), ())
         self._slots = (
             np.array(groups, dtype=np.intp),
@@ -413,9 +397,9 @@ class GridPlan:
         n_groups = len(self.groups)
         results = _Results(len(items), n_groups)
         # One source per (item, outcome) whose summaries pass their checks,
-        # by cluster count and count of cluster covariates (0 when its
-        # w-adjusted groups, if any, failed theirs).
-        sources: dict[tuple[int, int], list] = {}
+        # by outcome, cluster count and count of cluster covariates (0 when
+        # its w-adjusted groups, if any, failed theirs).
+        sources: dict[tuple[Hashable, int, int], list] = {}
         for k, (summaries, _) in enumerate(items):
             for outcome, groups in self._outcome_groups.items():
                 try:
@@ -430,10 +414,10 @@ class GridPlan:
                     except CrtivError as exc:
                         results.fail(k * n_groups + w_groups, exc.with_traceback(None))
                 width = 0 if w_mat is None else w_mat.shape[1]
-                sources.setdefault((n_clusters, width), []).append((k, outcome, source, w_mat))
+                sources.setdefault((outcome, n_clusters, width), []).append((k, source, w_mat))
         by_shape: dict[tuple[int, int], list[_Stack]] = {}
-        for same in sources.values():
-            for stack in self._problems(same, items, results):
+        for (outcome, *_), same in sources.items():
+            for stack in self._problems(outcome, same, items, results):
                 by_shape.setdefault(stack.design.shape[1:], []).append(stack)
         stacks = [
             parts[0] if len(parts) == 1 else _Stack(*map(np.concatenate, zip(*parts)))
@@ -442,85 +426,70 @@ class GridPlan:
         (_assignment if estimator == "itt" else _late)(stacks, results)
         return self._cells(results)
 
-    def _problems(self, sources: list, items: Sequence, results: _Results):
-        """The stage-one problems of ``sources``, the ``(item, outcome,
+    def _problems(self, outcome: Hashable, sources: list, items: Sequence, results: _Results):
+        """The stage-one problems of ``outcome`` on ``sources``, the ``(item,
         summaries, w)`` of the block with one cluster count and one count of
-        cluster covariates: a :class:`_Stack` without and one with ``w``,
-        gathered from the ``[1, z]`` and ``[1, z, w]`` designs of the
-        sources, which all their groups share, and from one weights table
-        per outcome and weighting.  A problem whose weights cannot be formed
-        gets its error in ``results``."""
+        cluster covariates: a :class:`_Stack` per group of the outcome, on
+        the ``[1, z]`` or ``[1, z, w]`` design of the sources, which all the
+        groups share, with the group's weights.  A problem whose weights
+        cannot be formed gets its error in ``results`` and no row."""
         n_groups = len(self.groups)
         item = np.array([k for k, *_ in sources])
         n, z, d_bar, y_bar = (
-            np.array([getattr(s, column) for _, _, s, _ in sources], dtype=float)
+            np.array([getattr(s, column) for _, s, _ in sources], dtype=float)
             for column in ("n", "z", "d_bar", "y_bar")
         )
         designs = {False: _design(z)}
-        if sources[0][3] is not None:
+        if sources[0][2] is not None:
             designs[True] = _design(z, np.array([w_mat for *_, w_mat in sources]))
-        at_of: dict[Hashable, list[int]] = {}
-        for row, (_, outcome, *_) in enumerate(sources):
-            at_of.setdefault(outcome, []).append(row)
-        weight_tables: list[np.ndarray] = []
-        picks: dict[bool, list] = {adjust_w: [] for adjust_w in designs}
-        for outcome, at in at_of.items():
-            at = np.array(at)
-            results.n_clusters[item[at][:, None], self._outcome_groups[outcome]] = z.shape[1]
-            weighted: dict = {}  # (scheme, ICC) -> first row in the weights, errors by row
-            for g in self._outcome_groups[outcome].tolist():
-                _, adjust_w, scheme, fixed_icc = self.groups[g]
-                if adjust_w not in designs:
-                    continue  # each of these problems failed its w check
-                key = (scheme, fixed_icc if scheme is Weights.MIN_VARIANCE else None)
-                if key not in weighted:
-                    rhos = []
-                    if scheme is Weights.MIN_VARIANCE:
-                        rhos = [
-                            fixed_icc if fixed_icc is not None else items[k][1].get(outcome)
-                            for k in item[at].tolist()
-                        ]
-                    weights, failed = _weights(n[at], scheme, rhos)
-                    weighted[key] = (sum(map(len, weight_tables)), failed)
-                    weight_tables.append(weights)
-                start, failed = weighted[key]
-                rows = np.arange(len(at))
-                if failed:
-                    for row, error in failed.items():
-                        results.fail(item[at[row]] * n_groups + g, error)
-                    rows = np.setdiff1d(rows, list(failed))
-                picks[adjust_w].append((item[at[rows]] * n_groups + g, at[rows], start + rows))
-        weights = np.concatenate(weight_tables) if weight_tables else None
-        for adjust_w, parts in picks.items():
-            if parts:
-                problems, rows, weight_rows = map(np.concatenate, zip(*parts))
-                design = designs[adjust_w][rows]
-                yield _Stack(problems, design, d_bar[rows], y_bar[rows], weights[weight_rows])
+        for g in self._outcome_groups[outcome].tolist():
+            _, adjust_w, scheme, fixed_icc = self.groups[g]
+            if adjust_w not in designs:
+                continue  # each of these problems failed its w check
+            rhos = []
+            if scheme is Weights.MIN_VARIANCE:
+                rhos = [
+                    fixed_icc if fixed_icc is not None else items[k][1].get(outcome)
+                    for k in item.tolist()
+                ]
+            weights, failed = _weights(n, scheme, rhos)
+            rows = slice(None)
+            if failed:
+                for row, error in failed.items():
+                    results.fail(item[row] * n_groups + g, error)
+                rows = np.setdiff1d(np.arange(len(item)), list(failed))
+            design = designs[adjust_w][rows]
+            yield _Stack(item[rows] * n_groups + g, design, d_bar[rows], y_bar[rows], weights[rows])
 
     def _cells(self, results: _Results) -> GridFit:
         """Every cell of every item from the results of its group: one
-        gather per column, critical values from one table per cluster
-        count, and each failed cell's error."""
+        gather per column, one :func:`crtiv.wls.critical_value` call per
+        distinct (df mode, cluster count, parameter count) of the fitted
+        cells, and each failed cell's error."""
         groups, robust, modes = self._slots
         error = results.code[:, groups]
         estimate = results.estimate[:, groups]
         variance = np.where(robust, results.var_robust[:, groups], results.var_model[:, groups])
         n_params = results.n_params[:, groups]
-        n_clusters = results.n_clusters[:, groups]
         errors = results.errors
+        # Each cell's (cluster count, parameter count, df mode) as one integer.
+        span = int(n_params.max(initial=0)) + 1
+        key = (results.n_clusters[:, groups] * span + n_params) * len(_DF_MODES) + modes
+        fitted = error == 0
+        distinct, at = np.unique(key[fitted], return_inverse=True)
+        values = np.full(len(distinct), np.nan)
+        codes = np.zeros(len(distinct), dtype=np.intp)
+        for i, code in enumerate(distinct.tolist()):
+            rest, mode = divmod(code, len(_DF_MODES))
+            n_clusters, p = divmod(rest, span)
+            try:
+                values[i] = wls.critical_value(_DF_MODES[mode], n_clusters, p)[0]
+            except DfNonPositive as exc:
+                codes[i] = len(errors)
+                errors.append(exc.with_traceback(None))
+        error[fitted] = codes[at]
         crit = np.full(error.shape, np.nan)
-        modes = np.broadcast_to(modes, error.shape)
-        for size in np.unique(n_clusters[error == 0]).tolist():
-            here = (error == 0) & (n_clusters == size)
-            table, raised = _critical_values(size, int(n_params[here].max()))
-            crit[here] = table[modes[here], n_params[here]]
-            codes: dict = {}  # one error per (df mode, parameter count)
-            for k, c in zip(*np.nonzero(here & np.isnan(crit))):
-                key = (modes[k, c], n_params[k, c])
-                if key not in codes:
-                    codes[key] = len(errors)
-                    errors.append(raised[key[0]][key[1]])
-                error[k, c] = codes[key]
+        crit[fitted] = values[at]
         overflow = (error == 0) & ~(np.isfinite(estimate) & np.isfinite(variance))
         if overflow.any():
             error[overflow] = len(errors)
@@ -590,6 +559,8 @@ def first_stage_fs(block: Sequence[Summaries]) -> list[float | CrtivError]:
         # Treat residuals at rounding-noise level as identically zero;
         # adherence fractions live in [0, 1] so an absolute threshold is safe.
         exact = np.max(np.abs(fit.residuals), axis=1, initial=0.0) <= 1e-12
+        # With no residual degrees of freedom (J = 2) the fit is exact too.
+        exact |= fit.design.shape[1] <= fit.design.shape[2]
         variance = fit.covariances(robust=False)[0][:, 1, 1]
         for row, gamma_z, flat, var in zip(
             rows.tolist(), fit.coefficients[:, 1].tolist(), exact.tolist(), variance.tolist()
@@ -604,8 +575,9 @@ def first_stage_fs(block: Sequence[Summaries]) -> list[float | CrtivError]:
 def first_stage_f(summaries: Summaries) -> float:
     """Screening F: squared t-ratio of assignment in the unadjusted,
     unweighted first stage, with model-based SE and (1, J-2) degrees of
-    freedom.  Deterministic adherence (zero residuals) returns ``inf``.
-    The one-trial case of :func:`first_stage_fs`."""
+    freedom.  An exact fit, from deterministic adherence (zero residuals)
+    or from J = 2, returns ``inf``, or 0 when the slope is flat.  The
+    one-trial case of :func:`first_stage_fs`."""
     (f_stat,) = first_stage_fs([summaries])
     if isinstance(f_stat, CrtivError):
         raise f_stat

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_summaries
-from crtiv import iv, wls
+from crtiv import dgp, iv, wls
 from crtiv.collapse import cluster_means
 from crtiv.dgp import PoissonSizes, ScenarioConfig, generate
 from crtiv.errors import (
@@ -593,21 +593,60 @@ def test_a_column_without_one_entry_per_cluster_is_named(make_summaries, entry, 
 
 
 def test_the_critical_value_table_equals_each_call_bit_for_bit():
-    # The grid reads its critical values from one (df mode x parameter
-    # count) table per cluster count; each entry is wls.critical_value's.
+    # Each fitted cell of a block reads the critical value of its (df mode,
+    # cluster count, parameter count) as wls.critical_value gives it, and a
+    # cell with as many clusters as parameters holds the error it raises.
+    # Summaries with 0, 1 and 2 cluster covariates give 2 to 4 parameters.
+    plan = GridPlan(
+        ("o", AnalysisOptions(df_mode=df_mode, adjust_w=adjust_w))
+        for adjust_w in (False, True)
+        for df_mode in DfMode
+    )
+    rng = np.random.default_rng(17)
+    shapes, items = [], []
     for n_clusters in range(2, 201):
-        table, raised = iv._critical_values(n_clusters, 4)
-        for m, df_mode in enumerate(DfMode):
-            for n_params in range(2, 5):
-                entry, error = table[m, n_params], raised[m][n_params]
-                if n_clusters <= n_params:
+        z = np.arange(n_clusters) % 2.0
+        for width in (0, 1, 2):
+            summaries = Summaries(
+                ids=tuple(f"c{i:03d}" for i in range(n_clusters)),
+                n=rng.integers(2, 80, n_clusters),
+                z=z,
+                d_bar=0.2 + 0.5 * z + rng.uniform(0.0, 0.2, n_clusters),
+                y_bar=rng.normal(0.0, 1.0, n_clusters),
+                w=rng.normal(0.0, 1.0, (n_clusters, width)),
+            )
+            shapes.append((n_clusters, width))
+            items.append(({"o": summaries}, {"o": None}))
+    for estimator in ("late", "itt"):
+        fit = plan.fit_block(items, estimator)
+        for k, (n_clusters, width) in enumerate(shapes):
+            for c, (_, options) in enumerate(plan.cells):
+                cell = fit[k][c]
+                if options.adjust_w and not width:
+                    assert type(cell) is CovariateShapeMismatch
+                    continue
+                n_params = 2 + width if options.adjust_w else 2
+                if n_clusters < n_params:
+                    assert type(cell) is RankDeficient
+                elif n_clusters == n_params:
                     with pytest.raises(DfNonPositive) as expected:
-                        wls.critical_value(df_mode, n_clusters, n_params)
-                    assert math.isnan(entry)
-                    assert type(error) is DfNonPositive
-                    assert str(error) == str(expected.value)
-                    assert error.__traceback__ is None
+                        wls.critical_value(options.df_mode, n_clusters, n_params)
+                    assert type(cell) is DfNonPositive
+                    assert str(cell) == str(expected.value)
+                    assert cell.__traceback__ is None
                 else:
-                    crit, _ = wls.critical_value(df_mode, n_clusters, n_params)
-                    assert entry.tobytes() == np.float64(crit).tobytes()
-                    assert error is None
+                    crit, _ = wls.critical_value(options.df_mode, n_clusters, n_params)
+                    assert cell.n_params == n_params
+                    assert fit.crit[k, c].tobytes() == np.float64(crit).tobytes()
+
+
+def test_a_first_stage_without_residual_df_is_an_exact_fit():
+    # J = 2 leaves no residual degrees of freedom, so the model variance is
+    # 0 even where rounding leaves residuals above the exact-fit tolerance.
+    z = np.array([0, 1])
+    steep = summaries_from_arrays(np.zeros(2), [0.3, 1e6], z)
+    flat = summaries_from_arrays(np.zeros(2), [0.3, 0.3], z)
+    assert first_stage_f(steep) == math.inf
+    assert first_stage_f(flat) == 0.0
+    assert iv.first_stage_fs([steep, flat]) == [math.inf, 0.0]
+    assert dgp.screen_block([steep, flat]) == [True, False]

@@ -20,6 +20,7 @@ from crtiv.dgp import (
 from crtiv.errors import (
     CrtivError,
     DfNonPositive,
+    MissingIcc,
     NoCovariatesSelected,
     NonFiniteValue,
     RankDeficient,
@@ -674,6 +675,48 @@ def test_a_block_fit_equals_its_one_item_fits_bit_for_bit(block, estimator):
         # Each failure stays in its own item and cell.
         expected = [expected_failure(kind, v, estimator) or iv.CellFit for v in plan.cells]
         assert [type(f) for f in fits] == [type(f) for f in alone] == expected, kind
+
+
+def described(fit):
+    """A grid cell's values, or the class and message of its error."""
+    return (type(fit), str(fit)) if isinstance(fit, CrtivError) else values_of(fit)
+
+
+# The ICC an item hands its estimated minimum-variance cells: as estimated,
+# missing, or not finite, for both outcomes or for one.
+ICC_KINDS = {
+    "estimated": lambda icc: icc,
+    "none": lambda icc: dict.fromkeys(icc),
+    "nan": lambda icc: dict.fromkeys(icc, math.nan),
+    "one_inf": lambda icc: {**icc, ClOutcome.ADJUSTED_FOR_X: math.inf},
+}
+
+
+@pytest.mark.parametrize("estimator", ["late", "itt"])
+def test_a_weight_failure_stays_in_its_own_item_of_a_block(estimator):
+    fixed = tuple(
+        VariantKey(outcome, AnalysisOptions(Weights.MIN_VARIANCE, adjust_w=adjust_w, icc=0.05))
+        for outcome in ClOutcome
+        for adjust_w in (False, True)
+    )
+    plan = iv.GridPlan(variant_grid() + fixed)
+    kinds = ["estimated", "none", "estimated", "nan", "one_inf", "none", "estimated"]
+    items = []
+    for index, kind in enumerate(kinds):
+        summaries, icc = block_item(plan, "plain", index)
+        items.append((summaries, ICC_KINDS[kind](icc)))
+    together = plan.fit_block(items, estimator)
+    for kind, (summaries, icc), fits in zip(kinds, items, together):
+        alone = plan.fit(summaries, icc, estimator)
+        assert [described(f) for f in fits] == [described(f) for f in alone], kind
+        for (outcome, options), fit in zip(plan.cells, fits):
+            expected = iv.CellFit
+            if options.weights is Weights.MIN_VARIANCE and options.icc is None:
+                if icc[outcome] is None:
+                    expected = MissingIcc
+                elif not math.isfinite(icc[outcome]):
+                    expected = NonFiniteValue
+            assert type(fit) is expected, (kind, outcome, options)
 
 
 # How each attempt of a screened block is made: as generated, with a
