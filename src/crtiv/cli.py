@@ -82,8 +82,6 @@ def _machine(x: float) -> str:
 
 
 def _pretty(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
     return f"{x:.3f}"
 
 

@@ -30,10 +30,10 @@ core as one batch and all second stages as another, so a block takes one
 stacked QR per design shape and stage (:func:`crtiv.wls.solve`).  So the
 fitted designs, the structural residuals and every problem's variances are
 read at once per stack, into (items x groups) arrays.  The cells are one
-gather of those arrays through the plan's per-cell group, SE mode and df
-mode, with one critical value per distinct (df mode, cluster count,
-parameter count), and come back as a :class:`GridFit` of (items x cells)
-arrays, each failed cell holding the index of its package error.  Stacked
+gather of those arrays through the plan's per-cell group and SE mode, and
+come back as a :class:`GridFit` of (items x cells) arrays, each failed cell
+holding the index of its package error.  Critical values are formed where
+intervals are, by :func:`late_fit` and the Monte Carlo runner.  Stacked
 numpy and LAPACK calls give each problem the bits of its own call, so a
 block fit equals its one-item fits bit for bit.  :func:`tsls` and
 :func:`itt` are the grid's one-cell case.  From a dataset, the command line,
@@ -58,7 +58,6 @@ from . import collapse, wls
 from .errors import (
     CovariateShapeMismatch,
     CrtivError,
-    DfNonPositive,
     EmptyArm,
     MissingIcc,
     NoCovariatesSelected,
@@ -69,7 +68,6 @@ from .errors import (
 from .model import (
     AnalysisOptions,
     ClOutcome,
-    DfMode,
     LateFit,
     OutcomeKind,
     SeMode,
@@ -80,7 +78,6 @@ from .model import (
 )
 
 _RELEVANCE_TOL = 1e-12
-_DF_MODES = tuple(DfMode)
 
 
 def _design(first: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -154,9 +151,9 @@ class _Stack(NamedTuple):
 class _Results:
     """What each (item, group) problem of a block hands its cells, as
     (items x groups) arrays addressed by problem number: the estimate, both
-    variances of the second coefficient, the cluster and parameter counts of
-    the fitted design, and ``code``, nonzero for a failed problem, indexing
-    its error in ``errors``."""
+    variances of the second coefficient, the parameter count of the fitted
+    design, and ``code``, nonzero for a failed problem, indexing its error
+    in ``errors``."""
 
     def __init__(self, n_items: int, n_groups: int):
         shape = (n_items, n_groups)
@@ -164,7 +161,6 @@ class _Results:
         self.var_model = np.full(shape, np.nan)
         self.var_robust = np.full(shape, np.nan)
         self.n_params = np.zeros(shape, dtype=np.intp)
-        self.n_clusters = np.zeros(shape, dtype=np.intp)
         self.code = np.zeros(shape, dtype=np.intp)
         self.errors: list[CrtivError | None] = [None]
 
@@ -177,7 +173,6 @@ class _Results:
         self.estimate.flat[problems] = fit.coefficients[:, 1]
         self.var_model.flat[problems] = cov_model[:, 1, 1]
         self.var_robust.flat[problems] = cov_robust[:, 1, 1]
-        self.n_clusters.flat[problems] = fit.design.shape[1]
         self.n_params.flat[problems] = fit.design.shape[2]
 
 
@@ -232,35 +227,34 @@ def _late(stacks: list[_Stack], results: _Results) -> None:
 
 
 class CellFit(NamedTuple):
-    """One grid cell: estimate, standard error, two-sided 95% critical value,
-    and the parameter count behind the small-sample degrees of freedom."""
+    """One grid cell: estimate, standard error, and the parameter count
+    behind the small-sample degrees of freedom."""
 
     estimate: float
     se: float
-    crit: float
     n_params: int
 
 
 class GridFit:
     """The cells of a grid on each item of a block, as (items x cells)
-    arrays: ``estimate``, ``se`` and ``crit`` (``nan`` in a failed cell),
-    ``n_params`` (0 in a failed cell), and ``error``, 0 in a fitted cell and
-    otherwise the position of the cell's package error in ``errors``.
+    arrays: ``estimate`` and ``se`` (``nan`` in a failed cell), ``n_params``
+    (0 in a failed cell), and ``error``, 0 in a fitted cell and otherwise
+    the position of the cell's package error in ``errors``.
 
     Indexing by item gives that item's cells as :meth:`GridPlan.fit`
     returns them, a :class:`CellFit` per fitted cell and the error of each
     failed one, and iterating gives every item's.
     """
 
-    def __init__(self, estimate, se, crit, n_params, error, errors: tuple):
-        self.estimate, self.se, self.crit, self.n_params = estimate, se, crit, n_params
+    def __init__(self, estimate, se, n_params, error, errors: tuple):
+        self.estimate, self.se, self.n_params = estimate, se, n_params
         self.error, self.errors = error, errors
 
     def __len__(self) -> int:
         return len(self.error)
 
     def __getitem__(self, item: int) -> list[CellFit | CrtivError]:
-        columns = (self.estimate, self.se, self.crit, self.n_params)
+        columns = (self.estimate, self.se, self.n_params)
         cells = zip(self.error[item].tolist(), *(c[item].tolist() for c in columns))
         return [self.errors[code] if code else CellFit(*fit) for code, *fit in cells]
 
@@ -271,9 +265,9 @@ class GridPlan:
     ``cells`` is a sequence of ``(outcome, options)`` pairs, such as
     :class:`~crtiv.model.VariantKey`; the plan keeps the distinct ones, in
     order, as ``cells``.  It numbers the distinct (outcome, w-adjust,
-    weights, fixed ICC) groups and notes for each cell its group, SE mode
-    and df mode as arrays, so fitting the same grid again gathers the cells
-    of every item at once and does no per-cell lookups by key.
+    weights, fixed ICC) groups and notes for each cell its group and SE mode
+    as arrays, so fitting the same grid again gathers the cells of every
+    item at once and does no per-cell lookups by key.
 
     ``needs_icc`` maps each outcome to whether the fit reads an estimated
     ICC for it: true when one of its cells has minimum-variance weights and
@@ -288,19 +282,13 @@ class GridPlan:
         for outcome, options in self.cells:
             group = (outcome, options.adjust_w, options.weights, options.icc)
             g = group_of.setdefault(group, len(group_of))
-            robust = options.se_mode is SeMode.HUBER_WHITE
-            slots.append((g, robust, _DF_MODES.index(options.df_mode)))
+            slots.append((g, options.se_mode is SeMode.HUBER_WHITE))
             estimated = options.weights is Weights.MIN_VARIANCE and options.icc is None
             self.needs_icc[outcome] = self.needs_icc.get(outcome, False) or estimated
         self.groups = tuple(group_of)
-        # Each cell's group, whether it reads the robust variance, and the
-        # position of its df mode in DfMode.
-        groups, robust, modes = zip(*slots) if slots else ((), (), ())
-        self._slots = (
-            np.array(groups, dtype=np.intp),
-            np.array(robust, dtype=bool),
-            np.array(modes, dtype=np.intp),
-        )
+        # Each cell's group, and whether it reads the robust variance.
+        groups, robust = zip(*slots) if slots else ((), ())
+        self._slots = (np.array(groups, dtype=np.intp), np.array(robust, dtype=bool))
         # The groups of each outcome, and those of them adjusted for w.
         self._outcome_groups: dict[Hashable, np.ndarray] = {}
         self._w_groups: dict[Hashable, np.ndarray] = {}
@@ -366,7 +354,8 @@ class GridPlan:
         ``options.icc`` is unset).  ``estimator`` is ``"late"`` (two-stage
         least squares) or ``"itt"`` (assignment-effect regression).  The
         regression runs once per (outcome, w-adjust, weights) group; each
-        cell then picks its covariance and its critical value.
+        cell then picks its covariance; its df mode is read only where its
+        interval is formed (:func:`late_fit`).
 
         The result lines up with the cells.  A cell whose fit raises a
         package error holds that error instead, so the caller can raise or
@@ -463,33 +452,12 @@ class GridPlan:
 
     def _cells(self, results: _Results) -> GridFit:
         """Every cell of every item from the results of its group: one
-        gather per column, one :func:`crtiv.wls.critical_value` call per
-        distinct (df mode, cluster count, parameter count) of the fitted
-        cells, and each failed cell's error."""
-        groups, robust, modes = self._slots
+        gather per column, and each failed cell's error."""
+        groups, robust = self._slots
         error = results.code[:, groups]
         estimate = results.estimate[:, groups]
         variance = np.where(robust, results.var_robust[:, groups], results.var_model[:, groups])
-        n_params = results.n_params[:, groups]
         errors = results.errors
-        # Each cell's (cluster count, parameter count, df mode) as one integer.
-        span = int(n_params.max(initial=0)) + 1
-        key = (results.n_clusters[:, groups] * span + n_params) * len(_DF_MODES) + modes
-        fitted = error == 0
-        distinct, at = np.unique(key[fitted], return_inverse=True)
-        values = np.full(len(distinct), np.nan)
-        codes = np.zeros(len(distinct), dtype=np.intp)
-        for i, code in enumerate(distinct.tolist()):
-            rest, mode = divmod(code, len(_DF_MODES))
-            n_clusters, p = divmod(rest, span)
-            try:
-                values[i] = wls.critical_value(_DF_MODES[mode], n_clusters, p)[0]
-            except DfNonPositive as exc:
-                codes[i] = len(errors)
-                errors.append(exc.with_traceback(None))
-        error[fitted] = codes[at]
-        crit = np.full(error.shape, np.nan)
-        crit[fitted] = values[at]
         overflow = (error == 0) & ~(np.isfinite(estimate) & np.isfinite(variance))
         if overflow.any():
             error[overflow] = len(errors)
@@ -499,8 +467,7 @@ class GridPlan:
         return GridFit(
             np.where(fitted, estimate, np.nan),
             np.where(fitted, se, np.nan),
-            np.where(fitted, crit, np.nan),
-            np.where(fitted, n_params, 0),
+            np.where(fitted, results.n_params[:, groups], 0),
             error,
             tuple(errors),
         )
@@ -594,7 +561,8 @@ def _fit_cell(summaries, options, icc, estimator) -> CellFit:
 def late_fit(
     cell: CellFit, options: AnalysisOptions, n_clusters: int, first_stage_f: float | None = None
 ) -> LateFit:
-    """Interval and p-value of one grid cell under ``options.df_mode``."""
+    """Interval and p-value of one grid cell under ``options.df_mode``;
+    :class:`~crtiv.errors.DfNonPositive` if ``n_clusters <= cell.n_params``."""
     ci_low, ci_high, p_value, df = wls.inference(
         cell.estimate, cell.se, options.df_mode, n_clusters, cell.n_params
     )

@@ -15,27 +15,31 @@ and fitted in one stacked pass through the grid
 its own call, so results are bit-identical for a given master seed
 regardless of block size, thread count or scheduling; a task is just a
 range of attempt indices.  A block hands back which attempts it kept and
-the (replicates x cells) arrays of estimate, SE, critical value and whether
+the (replicates x cells) arrays of estimate, SE, parameter count and whether
 each cell was fitted; cell ``i`` is aggregated from column ``i`` of the
 study's rows, sorting its inputs first, so that is invariant to replicate
-order.
+order.  Its critical values are formed there too, and a cell with no
+residual degrees of freedom counts as a failed fit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import collapse, iv
+from . import collapse, iv, wls
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_block
-from .errors import CrtivError, ScreenExhausted
+from .errors import CrtivError, DfNonPositive, ScreenExhausted
 from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, Summaries, VariantKey, Weights
 
 # Attempts allowed per requested replicate before a study gives up on a
@@ -49,6 +53,13 @@ _BLOCK = 32
 # The generator writes one individual-level covariate, and the adjusted
 # outcome is adjusted for it.
 _X_COLUMNS = (0,)
+
+# The OpenBLAS that the numpy and scipy wheels bundle, as (package, library
+# file in <package>.libs, the call that sets its thread count).
+_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_-*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
 
 
 def variant_grid() -> tuple[VariantKey, ...]:
@@ -150,9 +161,18 @@ def fit_variants(
     return plan.fit_block([plan.summarise(trial.dataset, _X_COLUMNS, unadjusted)])[0]
 
 
+def _one_blas_thread() -> None:
+    """One thread in each library of ``_OPENBLAS`` that is there, so that
+    pool workers do not oversubscribe the CPUs with BLAS threads."""
+    for package, pattern, setter in _OPENBLAS:
+        site = Path(importlib.import_module(package).__file__).parent.parent
+        for library in (site / f"{package}.libs").glob(pattern):
+            getattr(ctypes.CDLL(str(library)), setter, lambda threads: None)(1)
+
+
 def _evaluate_block(config, master_seed, plan, attempts: range) -> tuple[list[bool], tuple]:
     """Which attempts of a block the screen keeps, and the cells of the kept
-    ones: their (replicates x cells) estimate, SE, critical value and
+    ones: their (replicates x cells) estimate, SE, parameter count and
     whether each cell was fitted.
 
     Each attempt is generated and collapsed on its own; the block's screens
@@ -170,7 +190,7 @@ def _evaluate_block(config, master_seed, plan, attempts: range) -> tuple[list[bo
             if kept
         ]
     )
-    return retained, (fit.estimate, fit.se, fit.crit, fit.error == 0)
+    return retained, (fit.estimate, fit.se, fit.n_params, fit.error == 0)
 
 
 def run_study(
@@ -184,15 +204,16 @@ def run_study(
 
     Attempts are evaluated in blocks of consecutive indices (at most
     ``_BLOCK``) and consumed in index order.  ``threads`` worker processes
-    run the blocks, capped at ``os.cpu_count()``; with one, each block runs
+    run the blocks, capped at ``os.cpu_count()``, each with one BLAS thread
+    (:func:`_one_blas_thread`); with one, each block runs
     in this process and holds no more attempts than replicates are still
     needed, so no attempt past the last retained one is generated.  Attempts
     a worker pool evaluated past the last retained index are discarded
     uncounted.  The report is the same for any count, and a variant's
-    ``n_fit_failures`` counts the replicates whose cell failed.  A scenario
-    whose screen keeps fewer than ``n_replicates`` datasets in ``1000 *
-    n_replicates`` attempts raises :class:`~crtiv.errors.ScreenExhausted`
-    rather than running on.
+    ``n_fit_failures`` counts the replicates whose cell failed or has no
+    residual degrees of freedom.  A scenario whose screen keeps fewer than
+    ``n_replicates`` datasets in ``1000 * n_replicates`` attempts raises
+    :class:`~crtiv.errors.ScreenExhausted` rather than running on.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
@@ -202,13 +223,14 @@ def run_study(
         raise ValueError("no estimator variants requested")
 
     # The cells of the counted replicates of each block, as (estimate, SE,
-    # critical value, fitted) arrays of (replicates x cells).
+    # parameter count, fitted) arrays of (replicates x cells).
     blocks_kept: list[tuple] = []
     retained = attempt = 0
     max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
     workers = min(threads, os.cpu_count() or 1)
     evaluate = functools.partial(_evaluate_block, config, master_seed, plan)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool = ProcessPoolExecutor(workers, initializer=_one_blas_thread) if workers > 1 else None
+    with pool or nullcontext():
         mapper = map if pool is None else pool.map
         while retained < n_replicates and attempt < max_attempts:
             # One block per worker, of at most _BLOCK attempts; together
@@ -238,11 +260,22 @@ def run_study(
         )
 
     truth = config.beta_cz
-    estimate, se, crit, fitted = (np.concatenate(column) for column in zip(*blocks_kept))
+    estimate, se, n_params, fitted = (np.concatenate(column) for column in zip(*blocks_kept))
+    # One critical value per (df mode, parameter count), as every trial has
+    # config.n_clusters clusters; nan, a failed fit, without residual df.
+    values: dict[tuple[DfMode, int], float] = {}
     aggregated = {}
     for i, variant in enumerate(variants):
-        rows = fitted[:, i]
-        estimates, ses, crits = estimate[rows, i], se[rows, i], crit[rows, i]
+        crit = np.full(len(estimate), np.nan)
+        for p in np.unique(n_params[fitted[:, i], i]).tolist():
+            if (key := (variant[1].df_mode, p)) not in values:
+                try:
+                    values[key] = wls.critical_value(key[0], config.n_clusters, p)[0]
+                except DfNonPositive:
+                    values[key] = math.nan
+            crit[fitted[:, i] & (n_params[:, i] == p)] = values[key]
+        rows = ~np.isnan(crit)
+        estimates, ses, crits = estimate[rows, i], se[rows, i], crit[rows]
         bias, mce_bias = bias_and_mce(estimates, truth)
         coverage, mce_coverage = coverage_and_mce(estimates, ses, crits, truth)
         n_fits = len(estimates)

@@ -582,6 +582,11 @@ def test_machine_format_roundtrips():
         assert float(cli._machine(v)) == v
 
 
+def test_pretty_format_keeps_the_sign_of_an_infinity():
+    values = [math.inf, -math.inf, math.nan, -0.0004, 2.0]
+    assert [cli._pretty(v) for v in values] == ["inf", "-inf", "nan", "-0.000", "2.000"]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -256,6 +256,23 @@ CASES: dict[str, Case] = {
         "cluster_id,z,d,y\n" + "".join(f"k{c},{c % 2},{c % 2},1e308\n" for c in range(8)), 3,
         numeric("NonFiniteValue", "regression inputs are not finite"),
     ),
+    # A fit with as many parameters as clusters leaves no residual df.
+    "two clusters": analyze(
+        "cluster_id,z,d,y\na,0,0,1.0\na,0,0,1.4\nb,1,1,2.0\n", 3,
+        numeric("DfNonPositive", "normal-approximation inference needs more clusters than "
+                "parameters (2 clusters, 2 parameters)"),
+    ),
+    "three clusters, --adjust-w": analyze(
+        "cluster_id,z,d,y,w_1\na,0,0,1.0,0.5\na,0,0,1.4,0.5\nb,1,1,2.0,1\nc,1,0,3.0,2\n", 3,
+        numeric("DfNonPositive", "normal-approximation inference needs more clusters than "
+                "parameters (3 clusters, 3 parameters)"),
+        "--adjust-w", "w_1",
+    ),
+    # The first cell overflows as well, and its fit fails before its interval.
+    "two clusters, overflowing outcome": analyze(
+        "cluster_id,z,d,y\na,0,0,-1e308\nb,1,1,1e308\n", 3,
+        numeric("NonFiniteValue", "estimate or its variance is not finite"),
+    ),
     "collinear logistic design": analyze(
         "cluster_id,z,d,y,x_1,x_2\n"
         + "".join(f"k{c},{c % 2},{c % 2},{c // 2 % 2},{c / 2},{c / 2}\n" for c in range(12)),

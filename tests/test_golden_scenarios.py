@@ -1,9 +1,11 @@
-"""Golden ``generate`` outputs past the default scenario, byte for byte.
+"""Golden outputs past the default scenario, byte for byte.
 
-``test_golden.py`` pins the default scenario; these pin individual-level
-adherence with Pareto sizes, and a trial in which no one complies, whose
-complier weights are all zero.  Recorded, and skipped on other versions,
-as there.
+``test_golden.py`` pins the default scenario.  These pin ``generate`` with
+individual-level adherence and Pareto sizes, and a trial in which no one
+complies, whose complier weights are all zero; and ``simulate`` reports in
+which cells fail on every replicate: at two clusters every variant, and at
+three the w-adjusted ones, which have no residual degrees of freedom.
+Recorded, and skipped on other versions, as there.
 """
 
 import hashlib
@@ -27,6 +29,18 @@ GOLDEN = {
         "fcfefb1d9a2d94c3dbcf240d2b1e0218c4cefa6c2a33a181963a4a96ee0230c6",
         "cd107938ead59c5024d78d1b906ab0eee312e0ca8a892bf8f730cbf390e11a45",
         "943eb279f4f8eb98a51725038da28c2a3f4cb03fab635780f029e568cd8add76",
+    ),
+}
+# simulate --replicates 50 --seed 8 on each scenario: the digests of
+# report.csv and report.txt
+REPORTS = {
+    "clusters = 2\n": (
+        "bf85d9d13306deb67c4b82a2bbc3a1ae46c958c000b909cb90443829e3c86e22",
+        "bd627347d90ee08d75762644ca08ab3b260eb69db26d3256ba8f2744625f3086",
+    ),
+    "clusters = 3\n": (
+        "53ef7c3df5a133ed5063858c28009235e24b060a1f8b12d018716bb2e674bc6a",
+        "053ad77ea0861d705fbf6e865cd270cb92b5036852abcf4d329d4db83157e778",
     ),
 }
 
@@ -59,3 +73,19 @@ def test_a_trial_without_compliers_has_zero_weights(tmp_path):
     rows = (out / "truth_clusters.csv").read_text(encoding="utf-8").splitlines()
     assert rows[0] == "cluster_id,n,n_compliers,psi,psi_cl"
     assert [row.split(",")[2:] for row in rows[1:]] == [["0", "0", "0"]] * 4
+
+
+@pytest.mark.parametrize("scenario_text", REPORTS, ids=["2 clusters", "3 clusters"])
+def test_simulate_reports_with_failing_cells_are_byte_identical_to_the_recorded_ones(
+    tmp_path, scenario_text
+):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(scenario_text, encoding="utf-8")
+    out = tmp_path / "sim"
+    argv = ["simulate", "--scenario", str(scenario), "--output-dir", str(out)]
+    assert cli.main(argv + ["--replicates", "50", "--seed", "8"]) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("report.csv", "report.txt")
+    )
+    assert digests == REPORTS[scenario_text]

@@ -532,19 +532,22 @@ def test_grid_cells_equal_their_one_cell_fits(seed, n_clusters, damage, estimato
         assert RankDeficient in failed
     if damage == "flat adherence" and estimator == "late" and both_arms:
         assert WeakDenominator in failed
-    if (seed, n_clusters, damage) == (0, 3, "none"):
-        assert DfNonPositive in failed
-    # A small-sample cell equals its normal-approximation twin but for the
-    # critical value.  With J=3 and w, J - p = 0, and the cell fails in
-    # either df mode.
+    # The df mode does not enter the fit: a small-sample cell equals its
+    # normal-approximation twin.  With J=3 and w, J - p = 0: the cell is
+    # fitted, and forming its interval fails in either df mode.
     fits = {options: fit for (_, options), fit in zip(cells, from_grid)}
     for options, fit in fits.items():
-        twin = fits[replace(options, df_mode=DfMode.NORMAL_APPROX)]
-        no_df = n_clusters == 3 and options.adjust_w
-        if options.df_mode is DfMode.SMALL_SAMPLE and not isinstance(twin, CrtivError):
-            assert isinstance(fit, DfNonPositive) if no_df else fit == twin._replace(crit=fit.crit)
-        if options.df_mode is DfMode.SMALL_SAMPLE and isinstance(fit, DfNonPositive):
-            assert no_df and isinstance(twin, DfNonPositive)
+        assert same_cell(fit, fits[replace(options, df_mode=DfMode.NORMAL_APPROX)]), options
+        if isinstance(fit, CrtivError):
+            continue
+        assert fit.n_params == (3 if options.adjust_w else 2)
+        if n_clusters == 3 and options.adjust_w:
+            with pytest.raises(DfNonPositive):
+                iv.late_fit(fit, options, n_clusters)
+        else:
+            assert iv.late_fit(fit, options, n_clusters).estimate == fit.estimate
+    if (seed, n_clusters, damage) == (0, 3, "none"):
+        assert not failed
 
 
 def test_small_sample_df_counts_clusters_not_fields():
@@ -592,11 +595,13 @@ def test_a_column_without_one_entry_per_cluster_is_named(make_summaries, entry, 
     assert math.isfinite(ENTRY_POINTS[entry](summaries._replace(**{column: list(values)})))
 
 
-def test_the_critical_value_table_equals_each_call_bit_for_bit():
-    # Each fitted cell of a block reads the critical value of its (df mode,
-    # cluster count, parameter count) as wls.critical_value gives it, and a
-    # cell with as many clusters as parameters holds the error it raises.
-    # Summaries with 0, 1 and 2 cluster covariates give 2 to 4 parameters.
+def test_an_interval_reads_the_critical_value_of_its_cell_bit_for_bit():
+    # Each fitted cell of a block holds the parameter count of its design,
+    # and late_fit forms its interval with the critical value of its (df
+    # mode, cluster count, parameter count) as wls.critical_value gives it.
+    # A cell with as many clusters as parameters is fitted, and forming its
+    # interval raises the error wls.critical_value raises.  Summaries with
+    # 0, 1 and 2 cluster covariates give 2 to 4 parameters.
     plan = GridPlan(
         ("o", AnalysisOptions(df_mode=df_mode, adjust_w=adjust_w))
         for adjust_w in (False, True)
@@ -624,20 +629,26 @@ def test_the_critical_value_table_equals_each_call_bit_for_bit():
                 cell = fit[k][c]
                 if options.adjust_w and not width:
                     assert type(cell) is CovariateShapeMismatch
+                    assert cell.__traceback__ is None
                     continue
                 n_params = 2 + width if options.adjust_w else 2
                 if n_clusters < n_params:
                     assert type(cell) is RankDeficient
-                elif n_clusters == n_params:
+                    assert cell.__traceback__ is None
+                    continue
+                assert cell.n_params == fit.n_params[k, c] == n_params
+                if n_clusters == n_params:
                     with pytest.raises(DfNonPositive) as expected:
                         wls.critical_value(options.df_mode, n_clusters, n_params)
-                    assert type(cell) is DfNonPositive
-                    assert str(cell) == str(expected.value)
-                    assert cell.__traceback__ is None
+                    with pytest.raises(DfNonPositive) as raised:
+                        iv.late_fit(cell, options, n_clusters)
+                    assert str(raised.value) == str(expected.value)
                 else:
-                    crit, _ = wls.critical_value(options.df_mode, n_clusters, n_params)
-                    assert cell.n_params == n_params
-                    assert fit.crit[k, c].tobytes() == np.float64(crit).tobytes()
+                    crit, df = wls.critical_value(options.df_mode, n_clusters, n_params)
+                    reported = iv.late_fit(cell, options, n_clusters)
+                    half = crit * cell.se
+                    assert reported.ci == (cell.estimate - half, cell.estimate + half)
+                    assert reported.df == df
 
 
 def test_a_first_stage_without_residual_df_is_an_exact_fit():

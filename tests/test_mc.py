@@ -1,6 +1,10 @@
+import ctypes
 import functools
+import importlib
 import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,9 +208,10 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
 
     class SerialPool:
         """Records the worker count asked for and the tasks it maps, and maps
-        in this process."""
+        in this process; each worker would start with one BLAS thread."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is mc._one_blas_thread
             created.append(max_workers)
 
         def __enter__(self):
@@ -239,6 +244,38 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
         FAST_CONFIG, n_replicates=4, variants=ONE_VARIANT, master_seed=9, threads=8
     )
     assert unknown == serial and created == []
+
+
+def blas_threads():
+    """The thread count of each bundled OpenBLAS that ``mc._OPENBLAS`` names."""
+    counts = []
+    for package, pattern, setter in mc._OPENBLAS:
+        site = Path(importlib.import_module(package).__file__).parent.parent
+        for library in sorted((site / f"{package}.libs").glob(pattern)):
+            counts.append(getattr(ctypes.CDLL(str(library)), setter.replace("_set_", "_get_"))())
+    return counts
+
+
+def test_each_worker_runs_one_blas_thread():
+    # Without it each worker keeps OpenBLAS's own thread pool, and two
+    # workers oversubscribe the CPUs of a small host.
+    counts = blas_threads()
+    if not counts:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    with ProcessPoolExecutor(1, initializer=mc._one_blas_thread) as pool:
+        assert pool.submit(blas_threads).result() == [1] * len(counts)
+
+
+def test_the_blas_thread_setting_skips_what_is_absent(monkeypatch):
+    # A library that is not bundled, or one without the call, is skipped.
+    absent = (
+        ("numpy", "libno_such_blas-*.so", "no_such_call"),
+        ("crtiv", "*.so", "no_such_call"),
+        ("numpy", "libscipy_openblas64_-*.so", "no_such_call"),
+        ("scipy", "libgfortran-*.so*", "no_such_call"),
+    )
+    monkeypatch.setattr(mc, "_OPENBLAS", absent)
+    assert mc._one_blas_thread() is None
 
 
 # A screen that never passes: with adherence this rare no cluster complies,
@@ -290,8 +327,20 @@ def per_cell_fit(trial, variant):
 
 
 def values_of(fit):
-    """(estimate, se, critical value) of a grid cell, or None if it failed."""
-    return None if isinstance(fit, CrtivError) else (fit.estimate, fit.se, fit.crit)
+    """(estimate, se, parameter count) of a grid cell, or None if it failed."""
+    return None if isinstance(fit, CrtivError) else (fit.estimate, fit.se, fit.n_params)
+
+
+def reported(fit, variant, n_clusters):
+    """(estimate, se, critical value) of a grid cell as a study scores it,
+    or None if it failed or has no residual degrees of freedom."""
+    if isinstance(fit, CrtivError):
+        return None
+    try:
+        crit, _ = wls.critical_value(variant.options.df_mode, n_clusters, fit.n_params)
+    except DfNonPositive:
+        return None
+    return fit.estimate, fit.se, crit
 
 
 GRID_CONFIG = ScenarioConfig(n_clusters=10, sizes=PoissonSizes(8.0))
@@ -305,7 +354,8 @@ def test_full_grid_cells_equal_per_cell_tsls(seed):
     fits = fit_variants(trial, variant_grid())
     assert len(fits) == len(variant_grid())
     for variant, fit in zip(variant_grid(), fits):
-        assert values_of(fit) == per_cell_fit(trial, variant), variant.label()
+        expected = per_cell_fit(trial, variant)
+        assert reported(fit, variant, GRID_CONFIG.n_clusters) == expected, variant.label()
 
 
 @settings(max_examples=10, deadline=None)
@@ -335,11 +385,13 @@ def test_failures_stay_in_their_own_cells(seed):
     assume(screen_weak_instrument(summaries))
     fits = fit_variants(trial, variant_grid())
     for variant, fit in zip(variant_grid(), fits):
-        assert isinstance(fit, CrtivError) == no_residual_df(variant), variant.label()
-        assert values_of(fit) == per_cell_fit(trial, variant)
-        # A study keeps the error; its traceback would keep the fit's frame.
-        assert getattr(fit, "__traceback__", None) is None
+        # Every cell is fitted; one without residual df fails only where
+        # its interval is formed.
+        assert fit.n_params == (3 if no_residual_df(variant) else 2), variant.label()
+        assert reported(fit, variant, 3) == per_cell_fit(trial, variant)
         if no_residual_df(variant):
+            with pytest.raises(DfNonPositive):
+                iv.late_fit(fit, variant.options, 3)
             options = AnalysisOptions(
                 Weights.NONE, variant.options.se_mode, variant.options.df_mode, True
             )
@@ -353,6 +405,35 @@ def test_failure_counts_follow_the_failing_cells():
         expected = 4 if no_residual_df(variant) else 0
         assert result.n_fit_failures == expected, variant.label()
         assert result.n_fits == 4 - expected
+
+
+@pytest.mark.parametrize("n_clusters", [2, 3, 4, 11, 200])
+def test_a_study_scores_each_cell_with_the_critical_value_of_its_df(monkeypatch, n_clusters):
+    # A study forms the critical values of its fitted cells from the
+    # scenario's cluster count and each cell's parameter count, bit for bit
+    # as wls.critical_value gives them, and counts a cell with as many
+    # clusters as parameters as a failed fit.
+    scored = recording(monkeypatch, mc, "coverage_and_mce", lambda *args: args[2])
+    config = ScenarioConfig(n_clusters=n_clusters, sizes=PoissonSizes(6.0))
+    report = run_study(config, n_replicates=3, master_seed=3)
+    for variant, crits in zip(variant_grid(), scored):
+        result = report.variants[variant]
+        n_params = 3 if variant.options.adjust_w else 2
+        if n_clusters <= n_params:
+            with pytest.raises(DfNonPositive):
+                wls.critical_value(variant.options.df_mode, n_clusters, n_params)
+            assert (result.n_fits, result.n_fit_failures, len(crits)) == (0, 3, 0)
+            continue
+        crit, _ = wls.critical_value(variant.options.df_mode, n_clusters, n_params)
+        assert result.n_fits == len(crits) == 3, variant.label()
+        assert crits.tobytes() == np.full(3, crit).tobytes(), variant.label()
+
+
+def test_a_default_study_forms_each_critical_value_once(monkeypatch):
+    # One call per (df mode, parameter count): 2 df modes x 2 or 3 parameters.
+    calls = counting(monkeypatch, wls, "critical_value")
+    run_study(ScenarioConfig(), 40, master_seed=502)
+    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("n_replicates", [1, 5])
@@ -607,15 +688,16 @@ def test_an_affine_map_of_the_outcome_maps_every_cell(seed, exponent, sign, shif
             tolerance = 1e-9 * abs(a) * max(abs(old.estimate), old.se)
             assert abs(new.estimate - a * old.estimate) <= tolerance, variant.label()
             assert abs(new.se - abs(a) * old.se) <= tolerance, variant.label()
-            assert (new.crit, new.n_params) == (old.crit, old.n_params), variant.label()
+            assert new.n_params == old.n_params, variant.label()
 
 
 # --- blocks of attempts --------------------------------------------------------
 
 # How each item of a block is made: as generated, or broken so that cells
-# fail.  J = 3 leaves the w-adjusted cells no residual degrees of freedom, a
-# flat adherence fraction fails every two-stage cell, and one huge outcome
-# per cluster overflows every variance.
+# fail.  J = 3 leaves the w-adjusted cells no residual degrees of freedom
+# (they are fitted, and fail where their intervals are formed), a flat
+# adherence fraction fails every two-stage cell, and one huge outcome per
+# cluster overflows every variance.
 BLOCK_ITEMS = ("plain", "three_clusters", "flat_d", "overflow")
 
 
@@ -647,8 +729,6 @@ def block_item(plan, kind, index):
 
 def expected_failure(kind, variant, estimator):
     """The error class a cell of an item of this kind holds, or None."""
-    if kind == "three_clusters" and no_residual_df(variant):
-        return DfNonPositive
     if kind == "flat_d" and estimator == "late":
         return WeakDenominator
     if kind == "overflow":
@@ -672,9 +752,14 @@ def test_a_block_fit_equals_its_one_item_fits_bit_for_bit(block, estimator):
     for (kind, _), item, fits in zip(block, items, together):
         alone = plan.fit(*item, estimator)
         assert [values_of(f) for f in fits] == [values_of(f) for f in alone], kind
-        # Each failure stays in its own item and cell.
+        # Each failure stays in its own item and cell, and a held error has
+        # no traceback, which would keep the fit's frame alive.
         expected = [expected_failure(kind, v, estimator) or iv.CellFit for v in plan.cells]
         assert [type(f) for f in fits] == [type(f) for f in alone] == expected, kind
+        assert all(f.__traceback__ is None for f in fits if isinstance(f, CrtivError))
+        if kind == "three_clusters":
+            n_params = [3 if no_residual_df(v) else 2 for v in plan.cells]
+            assert [f.n_params for f in fits] == n_params
 
 
 def described(fit):
