@@ -21,25 +21,26 @@ by the command line and the Monte Carlo runner, and fits a block of items
 (trials) at once; :meth:`GridPlan.fit` is its one-item case.  SE and df mode
 only post-process a fit, so it solves once per (item, outcome, w-adjust,
 weights) group, a problem, and fans each solve out to its cells.  A block's
-problems are built as arrays: each item's summaries are checked once per
-outcome, and the items of one outcome and cluster count share one ``[1, z]``
-and one ``[1, z, w]`` design.  Each group of the outcome is a stack of rows
-of one of these with its own weights, and the stacks of one design shape are
-concatenated into one.  All first stages of a block go to the regression
-core as one batch and all second stages as another, so a block takes one
-stacked QR per design shape and stage (:func:`crtiv.wls.solve`).  So the
-fitted designs, the structural residuals and every problem's variances are
-read at once per stack, into (items x groups) arrays.  The cells are one
-gather of those arrays through the plan's per-cell group and SE mode, and
-come back as a :class:`GridFit` of (items x cells) arrays, each failed cell
-holding the index of its package error.  Critical values are formed where
-intervals are, by :func:`late_fit` and the Monte Carlo runner.  Stacked
-numpy and LAPACK calls give each problem the bits of its own call, so a
-block fit equals its one-item fits bit for bit.  :func:`tsls` and
-:func:`itt` are the grid's one-cell case.  From a dataset, the command line,
-the Monte Carlo runner and :func:`late_from_dataset` all reach the grid
-through :meth:`GridPlan.summarise`, which estimates an ICC only where a cell
-reads one and reuses the unadjusted summaries a caller hands it.
+problems are built as arrays: each failure of an item short of a fit (its
+summaries, ICC or cluster covariates) is decided once per (item, outcome)
+before any stack is built, and the items of one outcome and cluster count
+share one ``[1, z]`` and one ``[1, z, w]`` design.  Each group of the
+outcome is a stack of rows of one of these with its own weights, and the
+stacks of one design shape are concatenated into one.  All first stages of a
+block go to the regression core as one batch and all second stages as
+another, so a block takes one stacked QR per design shape and stage
+(:func:`crtiv.wls.solve`).  So the fitted designs, the structural residuals
+and every problem's variances are read at once per stack, into (items x
+groups) arrays.  The cells are one gather of those arrays through the plan's
+per-cell group and SE mode, and come back as a :class:`GridFit` of (items x
+cells) arrays, each failed cell holding the index of its package error.
+Critical values are formed where intervals are, by :func:`late_fit` and the
+Monte Carlo runner.  Stacked numpy and LAPACK calls give each problem the
+bits of its own call, so a block fit equals its one-item fits bit for bit.
+:func:`tsls` and :func:`itt` are the grid's one-cell case.  From a dataset,
+the command line, the Monte Carlo runner and :func:`late_from_dataset` all
+reach the grid through :meth:`GridPlan.summarise`, which estimates an ICC
+only where a cell reads one and reuses a caller's unadjusted summaries.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.  :func:`first_stage_fs`
@@ -112,28 +113,16 @@ def _cluster_covariates(summaries: Summaries, n_clusters: int) -> np.ndarray:
     return w_mat
 
 
-def _weights(n: np.ndarray, scheme: Weights, rhos: list) -> tuple[np.ndarray, dict]:
-    """The weights of each row of the sizes ``n`` (rows x J) under
-    ``scheme``, reading the ICC of each row in ``rhos`` for minimum-variance
-    weights, and the error of each row that has none, by row."""
-    if scheme is Weights.NONE:
-        return np.ones(n.shape), {}
-    if scheme is Weights.CLUSTER_SIZE:
-        return n, {}
-    errors: dict[int, CrtivError] = {}
-    for row, rho in enumerate(rhos):
-        if rho is None:
-            errors[row] = MissingIcc(
-                "minimum-variance weights need an ICC: fix one in AnalysisOptions.icc "
-                "or pass an estimate"
-            )
-        elif not math.isfinite(rho):  # an estimate from overflowed outcomes
-            errors[row] = NonFiniteValue(f"ICC estimate is not finite: {rho}")
-    weights = np.ones(n.shape)
-    ok = [row for row in range(len(rhos)) if row not in errors]
-    if ok:
-        weights[ok] = wls.mv_weights(n[ok], np.array([rhos[row] for row in ok])[:, None])
-    return weights, errors
+def _estimated_icc(rho: float | None) -> float:
+    """``rho``, once it is an ICC estimate minimum-variance weights can read."""
+    if rho is None:
+        raise MissingIcc(
+            "minimum-variance weights need an ICC: fix one in AnalysisOptions.icc "
+            "or pass an estimate"
+        )
+    if not math.isfinite(rho):  # an estimate from overflowed outcomes
+        raise NonFiniteValue(f"ICC estimate is not finite: {rho}")
+    return rho
 
 
 class _Stack(NamedTuple):
@@ -272,32 +261,35 @@ class GridPlan:
     ``needs_icc`` maps each outcome to whether the fit reads an estimated
     ICC for it: true when one of its cells has minimum-variance weights and
     no fixed ICC.
+
+    Each failure of an item short of a fit is decided once per (item,
+    outcome), before any stack is built: a failed check of its summaries,
+    ICC or cluster covariates fails just the groups that read them, so each
+    group's stack holds every row of its design.
     """
 
     def __init__(self, cells: Iterable[tuple[Hashable, AnalysisOptions]]):
         self.cells = tuple(dict.fromkeys(cells))
         group_of: dict = {}
         slots = []
-        self.needs_icc: dict[Hashable, bool] = {}
         for outcome, options in self.cells:
             group = (outcome, options.adjust_w, options.weights, options.icc)
             g = group_of.setdefault(group, len(group_of))
             slots.append((g, options.se_mode is SeMode.HUBER_WHITE))
-            estimated = options.weights is Weights.MIN_VARIANCE and options.icc is None
-            self.needs_icc[outcome] = self.needs_icc.get(outcome, False) or estimated
         self.groups = tuple(group_of)
         # Each cell's group, and whether it reads the robust variance.
         groups, robust = zip(*slots) if slots else ((), ())
         self._slots = (np.array(groups, dtype=np.intp), np.array(robust, dtype=bool))
-        # The groups of each outcome, and those of them adjusted for w.
-        self._outcome_groups: dict[Hashable, np.ndarray] = {}
-        self._w_groups: dict[Hashable, np.ndarray] = {}
-        for outcome in self.needs_icc:
-            groups = [g for g, group in enumerate(self.groups) if group[0] == outcome]
-            self._outcome_groups[outcome] = np.array(groups, dtype=np.intp)
-            self._w_groups[outcome] = np.array(
-                [g for g in groups if self.groups[g][1]], dtype=np.intp
-            )
+        # The groups of each outcome, those of them adjusted for w, and those
+        # with minimum-variance weights from an estimated ICC.
+        self._outcome_groups, self._w_groups, self._icc_groups = {}, {}, {}
+        for outcome in dict.fromkeys(outcome for outcome, *_ in self.groups):
+            groups = [(g, *group[1:]) for g, group in enumerate(self.groups) if group[0] == outcome]
+            self._outcome_groups[outcome] = np.array([g for g, *_ in groups], dtype=np.intp)
+            self._w_groups[outcome] = np.array([g for g, w, *_ in groups if w], dtype=np.intp)
+            estimated = [g for g, _, *weights in groups if weights == [Weights.MIN_VARIANCE, None]]
+            self._icc_groups[outcome] = np.array(estimated, dtype=np.intp)
+        self.needs_icc = {outcome: len(g) > 0 for outcome, g in self._icc_groups.items()}
 
     def summarise(
         self,
@@ -386,69 +378,71 @@ class GridPlan:
         n_groups = len(self.groups)
         results = _Results(len(items), n_groups)
         # One source per (item, outcome) whose summaries pass their checks,
-        # by outcome, cluster count and count of cluster covariates (0 when
-        # its w-adjusted groups, if any, failed theirs).
-        sources: dict[tuple[Hashable, int, int], list] = {}
-        for k, (summaries, _) in enumerate(items):
+        # by outcome, cluster count, count of cluster covariates (0 if its
+        # w-adjusted groups failed theirs) and whether it has an ICC (not if
+        # the groups that read one failed theirs).  The w check, run last, wins.
+        sources: dict[tuple[Hashable, int, int, bool], list] = {}
+        for k, (summaries, icc) in enumerate(items):
             for outcome, groups in self._outcome_groups.items():
                 try:
                     n_clusters = _checked(source := summaries[outcome])
                 except CrtivError as exc:
                     results.fail(k * n_groups + groups, exc.with_traceback(None))
                     continue
-                w_mat = None
+                rho = w_mat = None
+                if len(icc_groups := self._icc_groups[outcome]):
+                    try:
+                        rho = _estimated_icc(icc.get(outcome))
+                    except CrtivError as exc:
+                        results.fail(k * n_groups + icc_groups, exc.with_traceback(None))
                 if len(w_groups := self._w_groups[outcome]):
                     try:
                         w_mat = _cluster_covariates(source, n_clusters)
                     except CrtivError as exc:
                         results.fail(k * n_groups + w_groups, exc.with_traceback(None))
                 width = 0 if w_mat is None else w_mat.shape[1]
-                sources.setdefault((outcome, n_clusters, width), []).append((k, source, w_mat))
+                key = (outcome, n_clusters, width, rho is not None)
+                sources.setdefault(key, []).append((k, source, w_mat, rho))
         by_shape: dict[tuple[int, int], list[_Stack]] = {}
         for (outcome, *_), same in sources.items():
-            for stack in self._problems(outcome, same, items, results):
+            for stack in self._problems(outcome, same):
                 by_shape.setdefault(stack.design.shape[1:], []).append(stack)
         stacks = [
             parts[0] if len(parts) == 1 else _Stack(*map(np.concatenate, zip(*parts)))
             for parts in by_shape.values()
         ]
-        (_assignment if estimator == "itt" else _late)(stacks, results)
+        # Every non-finite value here ends in a typed error, in solve or _cells.
+        with np.errstate(over="ignore", invalid="ignore"):
+            (_assignment if estimator == "itt" else _late)(stacks, results)
         return self._cells(results)
 
-    def _problems(self, outcome: Hashable, sources: list, items: Sequence, results: _Results):
+    def _problems(self, outcome: Hashable, sources: list):
         """The stage-one problems of ``outcome`` on ``sources``, the ``(item,
-        summaries, w)`` of the block with one cluster count and one count of
-        cluster covariates: a :class:`_Stack` per group of the outcome, on
-        the ``[1, z]`` or ``[1, z, w]`` design of the sources, which all the
-        groups share, with the group's weights.  A problem whose weights
-        cannot be formed gets its error in ``results`` and no row."""
-        n_groups = len(self.groups)
-        item = np.array([k for k, *_ in sources])
+        summaries, w, ICC)`` of the block with one cluster count, one count
+        of cluster covariates and an ICC for all or none: a :class:`_Stack`
+        per group of the outcome that they can fit, on the ``[1, z]`` or
+        ``[1, z, w]`` design of the sources, which all the groups share, with
+        the group's weights."""
+        offset = np.array([k for k, *_ in sources]) * len(self.groups)
         n, z, d_bar, y_bar = (
-            np.array([getattr(s, column) for _, s, _ in sources], dtype=float)
+            np.array([getattr(s, column) for _, s, *_ in sources], dtype=float)
             for column in ("n", "z", "d_bar", "y_bar")
         )
         designs = {False: _design(z)}
         if sources[0][2] is not None:
-            designs[True] = _design(z, np.array([w_mat for *_, w_mat in sources]))
+            designs[True] = _design(z, np.array([w_mat for _, _, w_mat, _ in sources]))
+        rho = None if sources[0][3] is None else np.array([icc for *_, icc in sources])[:, None]
         for g in self._outcome_groups[outcome].tolist():
             _, adjust_w, scheme, fixed_icc = self.groups[g]
             if adjust_w not in designs:
                 continue  # each of these problems failed its w check
-            rhos = []
-            if scheme is Weights.MIN_VARIANCE:
-                rhos = [
-                    fixed_icc if fixed_icc is not None else items[k][1].get(outcome)
-                    for k in item.tolist()
-                ]
-            weights, failed = _weights(n, scheme, rhos)
-            rows = slice(None)
-            if failed:
-                for row, error in failed.items():
-                    results.fail(item[row] * n_groups + g, error)
-                rows = np.setdiff1d(np.arange(len(item)), list(failed))
-            design = designs[adjust_w][rows]
-            yield _Stack(item[rows] * n_groups + g, design, d_bar[rows], y_bar[rows], weights[rows])
+            if scheme is not Weights.MIN_VARIANCE:
+                weights = n if scheme is Weights.CLUSTER_SIZE else np.ones(n.shape)
+            elif (icc := rho if fixed_icc is None else fixed_icc) is None:
+                continue  # each of these problems failed its ICC check
+            else:
+                weights = wls.mv_weights(n, icc)
+            yield _Stack(offset + g, designs[adjust_w], d_bar, y_bar, weights)
 
     def _cells(self, results: _Results) -> GridFit:
         """Every cell of every item from the results of its group: one
@@ -492,11 +486,15 @@ def wald_late(summaries: Summaries) -> float:
     treated = np.asarray(summaries.z, dtype=float) == 1.0
     if not treated.any() or treated.all():
         raise EmptyArm("both arms required for the ratio estimator")
-    numerator = float(y[treated].mean() - y[~treated].mean())
-    denominator = float(d[treated].mean() - d[~treated].mean())
-    if abs(denominator) < _RELEVANCE_TOL:
-        raise ZeroDenominator("arm means of treatment received coincide")
-    return numerator / denominator
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in NonFiniteValue
+        numerator = float(y[treated].mean() - y[~treated].mean())
+        denominator = float(d[treated].mean() - d[~treated].mean())
+        if abs(denominator) < _RELEVANCE_TOL:
+            raise ZeroDenominator("arm means of treatment received coincide")
+        ratio = numerator / denominator
+    if not math.isfinite(ratio):
+        raise NonFiniteValue(f"Wald ratio is not finite: {ratio}")
+    return ratio
 
 
 def first_stage_fs(block: Sequence[Summaries]) -> list[float | CrtivError]:

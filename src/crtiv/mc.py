@@ -40,7 +40,7 @@ import numpy as np
 from . import collapse, iv, wls
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_block
 from .errors import CrtivError, DfNonPositive, ScreenExhausted
-from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, Summaries, VariantKey, Weights
+from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, VariantKey, Weights
 
 # Attempts allowed per requested replicate before a study gives up on a
 # scenario whose weak-instrument screen (almost) never passes.
@@ -144,21 +144,16 @@ def _replicate_seed(master_seed: int, attempt: int) -> np.random.SeedSequence:
 
 
 def fit_variants(
-    trial: GeneratedTrial,
-    variants: Iterable[VariantKey] | iv.GridPlan,
-    unadjusted: Summaries | None = None,
+    trial: GeneratedTrial, variants: Iterable[VariantKey]
 ) -> list[iv.CellFit | CrtivError]:
-    """Fit each distinct variant on one trial, in the order of the plan's
-    ``cells``: a :class:`crtiv.iv.CellFit` per variant, or the package error
-    its fit raised.  The one-trial case of a study's block fit.
-
-    ``variants`` may be a :class:`crtiv.iv.GridPlan` of them, so a study
-    plans its grid once, and ``unadjusted`` the trial's unadjusted summaries,
-    so its screen's collapse is reused.  Any other exception propagates,
-    since it indicates a bug rather than a degenerate replicate.
+    """Fit each distinct variant on one trial, in the order of their first
+    appearance: a :class:`crtiv.iv.CellFit` per variant, or the package
+    error its fit raised.  The one-trial case of a study's block fit.  Any
+    other exception propagates, since it indicates a bug rather than a
+    degenerate replicate.
     """
-    plan = variants if isinstance(variants, iv.GridPlan) else iv.GridPlan(variants)
-    return plan.fit_block([plan.summarise(trial.dataset, _X_COLUMNS, unadjusted)])[0]
+    plan = iv.GridPlan(variants)
+    return plan.fit(*plan.summarise(trial.dataset, _X_COLUMNS))
 
 
 def _one_blas_thread() -> None:
@@ -203,10 +198,10 @@ def run_study(
     """Run one scenario until ``n_replicates`` datasets pass the screen.
 
     Attempts are evaluated in blocks of consecutive indices (at most
-    ``_BLOCK``) and consumed in index order.  ``threads`` worker processes
-    run the blocks, capped at ``os.cpu_count()``, each with one BLAS thread
-    (:func:`_one_blas_thread`); with one, each block runs
-    in this process and holds no more attempts than replicates are still
+    ``_BLOCK``) and consumed in index order.  ``threads`` (at least one)
+    worker processes run the blocks, capped at ``os.cpu_count()``, each
+    with one BLAS thread (:func:`_one_blas_thread`); with one, each block
+    runs in this process and holds no more attempts than replicates are still
     needed, so no attempt past the last retained one is generated.  Attempts
     a worker pool evaluated past the last retained index are discarded
     uncounted.  The report is the same for any count, and a variant's
@@ -217,6 +212,8 @@ def run_study(
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got {threads}")
     plan = iv.GridPlan(variants if variants is not None else variant_grid())
     variants = plan.cells
     if not variants:

@@ -5,8 +5,10 @@ Every least-squares fit goes through ``wls.solve``.  So linear algebra
 in ``collapse._fit_logistic``, the one stated exception, a
 ``DesignFit`` is built only by ``wls.solve`` and by the two-stage fit's
 structural-residual fit (``iv._late``), and a per-problem ``ProblemFit``
-view only by ``wls.fit_wls``, so the grid reads whole stacks.  The source
-is parsed, not imported.
+view only by ``wls.fit_wls``, so the grid reads whole stacks.  Floating
+point errors are silenced only at the ``np.errstate`` sites listed here,
+each of which ends every non-finite value in a typed error.  The source is
+parsed, not imported.
 """
 
 import ast
@@ -31,13 +33,14 @@ def _is_linalg(name):
 
 
 class _Sites(ast.NodeVisitor):
-    """Records ``(module, enclosing function)`` of each linear-algebra use,
-    each ``DesignFit(...)`` call and each ``ProblemFit(...)`` call."""
+    """Records ``(module, enclosing function)`` of each linear-algebra use
+    and each ``DesignFit(...)``, ``ProblemFit(...)`` and ``errstate(...)``
+    call."""
 
     def __init__(self, module):
         self.module, self.scope = module, []
         self.linalg, self.lapack_names = set(), set()
-        self.calls = {"DesignFit": set(), "ProblemFit": set()}
+        self.calls = {"DesignFit": set(), "ProblemFit": set(), "errstate": set()}
 
     def _site(self):
         return (self.module, ".".join(self.scope))
@@ -76,18 +79,19 @@ class _Sites(ast.NodeVisitor):
 
 
 def package_sites():
-    linalg, design_fits, problem_fits = set(), set(), set()
+    linalg, design_fits, problem_fits, errstates = set(), set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         sites = _Sites(path.stem)
         sites.visit(ast.parse(path.read_text(encoding="utf-8")))
         linalg |= sites.linalg
         design_fits |= sites.calls["DesignFit"]
         problem_fits |= sites.calls["ProblemFit"]
-    return linalg, design_fits, problem_fits
+        errstates |= sites.calls["errstate"]
+    return linalg, design_fits, problem_fits, errstates
 
 
 def test_linear_algebra_is_called_only_in_the_core_and_the_logistic_fit():
-    linalg, _, _ = package_sites()
+    linalg, *_ = package_sites()
     outside = {site for site in linalg if site[0] != "wls"}
     assert outside == {("collapse", "_fit_logistic")}
     # The core itself is seen: its imports, its QR and its LAPACK call.
@@ -95,10 +99,15 @@ def test_linear_algebra_is_called_only_in_the_core_and_the_logistic_fit():
 
 
 def test_fits_are_built_only_by_the_core_and_the_structural_residual_fit():
-    _, design_fits, _ = package_sites()
+    _, design_fits, *_ = package_sites()
     assert design_fits == {("wls", "solve"), ("iv", "_late")}
 
 
 def test_per_problem_views_are_built_only_by_the_one_problem_fit():
-    _, _, problem_fits = package_sites()
+    _, _, problem_fits, _ = package_sites()
     assert problem_fits == {("wls", "fit_wls")}
+
+
+def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors():
+    *_, errstates = package_sites()
+    assert errstates == {("cli", "main"), ("iv", "GridPlan.fit_block"), ("iv", "wald_late")}

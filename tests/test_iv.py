@@ -16,6 +16,7 @@ from crtiv.errors import (
     DfNonPositive,
     EmptyArm,
     MissingIcc,
+    NonFiniteValue,
     RankDeficient,
     WeakDenominator,
     ZeroDenominator,
@@ -190,6 +191,26 @@ def test_wald_zero_denominator():
         wald_late(summaries)
     with pytest.raises(EmptyArm):
         wald_late(summaries_from_arrays(np.ones(2), np.ones(2), np.array([1, 1])))
+
+
+# The J = 2 trial whose outcome means overflow every difference and
+# regression of them.  Under filterwarnings = error, a RuntimeWarning on the
+# way to a typed error fails the tests that use it.
+OVERFLOWING = summaries_from_arrays([-1e308, 1e308], [0.0, 1.0], [0, 1], sizes=[1, 1])
+
+
+def test_an_overflowing_wald_ratio_is_a_typed_error():
+    with pytest.raises(NonFiniteValue, match="^Wald ratio is not finite: inf$"):
+        wald_late(OVERFLOWING)
+
+
+@pytest.mark.parametrize("estimator", ["late", "itt"])
+def test_an_overflowing_grid_holds_typed_errors_without_a_warning(estimator):
+    plan = GridPlan([(0, AnalysisOptions(w, se)) for w in Weights for se in SeMode])
+    (fits,) = plan.fit_block([({0: OVERFLOWING}, {0: 0.1})], estimator)
+    assert [type(fit) for fit in fits] == [NonFiniteValue] * len(plan.cells)
+    with pytest.raises(NonFiniteValue, match="^estimate or its variance is not finite$"):
+        (tsls if estimator == "late" else itt)(OVERFLOWING, AnalysisOptions())
 
 
 def test_just_identified_tsls_equals_wald(make_summaries):

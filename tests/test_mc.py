@@ -22,6 +22,7 @@ from crtiv.dgp import (
     screen_weak_instrument,
 )
 from crtiv.errors import (
+    CovariateShapeMismatch,
     CrtivError,
     DfNonPositive,
     MissingIcc,
@@ -136,6 +137,14 @@ def test_coverage_length_mismatch_rejected():
 def test_run_study_refuses_an_empty_study(n_replicates, variants, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_study(FAST_CONFIG, n_replicates, variants)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_study_refuses_fewer_than_one_thread(threads):
+    # Zero divided the block size by zero workers; a negative count looped
+    # over an empty range of blocks forever.
+    with pytest.raises(ValueError, match=f"^need at least one thread, got {threads}$"):
+        run_study(FAST_CONFIG, 2, ONE_VARIANT, threads=threads)
 
 
 def test_run_study_deterministic_for_fixed_seed():
@@ -768,12 +777,14 @@ def described(fit):
 
 
 # The ICC an item hands its estimated minimum-variance cells: as estimated,
-# missing, or not finite, for both outcomes or for one.
+# missing, or not finite, for both outcomes or for one.  "none_without_w"
+# also has summaries with no cluster covariates.
 ICC_KINDS = {
     "estimated": lambda icc: icc,
     "none": lambda icc: dict.fromkeys(icc),
     "nan": lambda icc: dict.fromkeys(icc, math.nan),
     "one_inf": lambda icc: {**icc, ClOutcome.ADJUSTED_FOR_X: math.inf},
+    "none_without_w": lambda icc: dict.fromkeys(icc),
 }
 
 
@@ -785,10 +796,14 @@ def test_a_weight_failure_stays_in_its_own_item_of_a_block(estimator):
         for adjust_w in (False, True)
     )
     plan = iv.GridPlan(variant_grid() + fixed)
-    kinds = ["estimated", "none", "estimated", "nan", "one_inf", "none", "estimated"]
+    kinds = [
+        "estimated", "none", "estimated", "nan", "one_inf", "none", "estimated", "none_without_w"
+    ]
     items = []
     for index, kind in enumerate(kinds):
         summaries, icc = block_item(plan, "plain", index)
+        if kind == "none_without_w":
+            summaries = {o: s._replace(w=np.empty((len(s.ids), 0))) for o, s in summaries.items()}
         items.append((summaries, ICC_KINDS[kind](icc)))
     together = plan.fit_block(items, estimator)
     for kind, (summaries, icc), fits in zip(kinds, items, together):
@@ -796,7 +811,10 @@ def test_a_weight_failure_stays_in_its_own_item_of_a_block(estimator):
         assert [described(f) for f in fits] == [described(f) for f in alone], kind
         for (outcome, options), fit in zip(plan.cells, fits):
             expected = iv.CellFit
-            if options.weights is Weights.MIN_VARIANCE and options.icc is None:
+            if options.adjust_w and kind == "none_without_w":
+                # The w check's error wins over the ICC check's.
+                expected = CovariateShapeMismatch
+            elif options.weights is Weights.MIN_VARIANCE and options.icc is None:
                 if icc[outcome] is None:
                     expected = MissingIcc
                 elif not math.isfinite(icc[outcome]):
