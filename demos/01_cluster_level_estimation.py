@@ -75,10 +75,8 @@ print("\nestimate and CI across the options grid:")
 for weights in Weights:
     for se_mode in SeMode:
         for df_mode in DfMode:
-            opts = AnalysisOptions(
-                weights=weights, se_mode=se_mode, df_mode=df_mode, icc=0.1
-            )
-            fit = tsls(summaries, opts)
+            opts = AnalysisOptions(weights=weights, se_mode=se_mode, df_mode=df_mode)
+            fit = tsls(summaries, opts, icc=0.1)  # a fixed ICC for the mv weights
             print(
                 f"  {weights.value:4s} {se_mode.value:5s} {df_mode.value:6s}"
                 f"  {fit.estimate:+.3f}  ({fit.ci[0]:+.3f}, {fit.ci[1]:+.3f})"

@@ -482,12 +482,12 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     df_levels = [_DF_FLAGS[args.df]] if args.df else list(_DF_FLAGS.values())
     w_levels = [False] if w_columns is None else [False, True]
     plan = iv.GridPlan(
-        VariantKey(cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w, fixed_icc))
+        VariantKey(cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w))
         for adjust_w, weights, se_mode, df_mode in product(
             w_levels, weight_levels, se_levels, df_levels
         )
     )
-    outcomes, icc = plan.summarise(dataset, x_columns)
+    outcomes, icc = plan.summarise(dataset, x_columns, icc=fixed_icc)
     summaries = outcomes[cl_outcome]
     if w_columns is not None:
         summaries = outcomes[cl_outcome] = summaries._replace(w=summaries.w[:, list(w_columns)])

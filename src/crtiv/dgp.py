@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import iv
-from .errors import BracketFailure, ClusterSizesTooLarge, CrtivError
+from .errors import BracketFailure, ClusterSizesTooLarge, CrtivError, NonFiniteValue
 from .model import Columns, OutcomeKind, Summaries, TrialDataset
 
 _WEAK_F_THRESHOLD = 10.0
@@ -272,7 +272,8 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
 
     ``seed`` is anything ``np.random.default_rng`` accepts (int or
     SeedSequence).  Draw order is fixed, so the output is a pure function of
-    (config, seed).
+    (config, seed).  Outcomes that overflow raise
+    :class:`~crtiv.errors.NonFiniteValue`.
     """
     rng = np.random.default_rng(seed)
     n_clusters = config.n_clusters
@@ -304,15 +305,18 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
     epsilon = rng.normal(
         0.0, math.sqrt((1.0 - config.rho_y) * config.total_variance), total
     )
-    y = (
-        config.beta_0
-        + config.beta_c * compliers
-        + config.beta_cz * compliers * z
-        + config.beta_w * w
-        + config.beta_x * x
-        + upsilon[codes]
-        + epsilon
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in NonFiniteValue
+        y = (
+            config.beta_0
+            + config.beta_c * compliers
+            + config.beta_cz * compliers * z
+            + config.beta_w * w
+            + config.beta_x * x
+            + upsilon[codes]
+            + epsilon
+        )
+    if not np.isfinite(y).all():
+        raise NonFiniteValue("generated outcomes are not finite")
 
     dataset = TrialDataset(
         Columns(

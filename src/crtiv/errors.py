@@ -89,7 +89,7 @@ class WeakDenominator(NumericFailure):
 
 
 class MissingIcc(ValidationFailure):
-    """Minimum-variance weights requested but no ICC value is resolvable."""
+    """Minimum-variance weights requested but no ICC in [0, 1] is given."""
 
 
 # --- data generation --------------------------------------------------------

@@ -40,7 +40,7 @@ bits of its own call, so a block fit equals its one-item fits bit for bit.
 :func:`tsls` and :func:`itt` are the grid's one-cell case.  From a dataset,
 the command line, the Monte Carlo runner and :func:`late_from_dataset` all
 reach the grid through :meth:`GridPlan.summarise`, which estimates an ICC
-only where a cell reads one and reuses a caller's unadjusted summaries.
+only where a cell reads one and none is fixed, and reuses a caller's summaries.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.  :func:`first_stage_fs`
@@ -113,15 +113,14 @@ def _cluster_covariates(summaries: Summaries, n_clusters: int) -> np.ndarray:
     return w_mat
 
 
-def _estimated_icc(rho: float | None) -> float:
-    """``rho``, once it is an ICC estimate minimum-variance weights can read."""
+def _usable_icc(rho: float | None) -> float:
+    """``rho``, once minimum-variance weights can read it: the one ICC check."""
     if rho is None:
-        raise MissingIcc(
-            "minimum-variance weights need an ICC: fix one in AnalysisOptions.icc "
-            "or pass an estimate"
-        )
+        raise MissingIcc("minimum-variance weights need an ICC: pass an estimate or a fixed value")
     if not math.isfinite(rho):  # an estimate from overflowed outcomes
-        raise NonFiniteValue(f"ICC estimate is not finite: {rho}")
+        raise NonFiniteValue(f"ICC is not finite: {rho}")
+    if not 0.0 <= rho <= 1.0:
+        raise MissingIcc(f"ICC must be in [0, 1], got {rho}")
     return rho
 
 
@@ -254,13 +253,12 @@ class GridPlan:
     ``cells`` is a sequence of ``(outcome, options)`` pairs, such as
     :class:`~crtiv.model.VariantKey`; the plan keeps the distinct ones, in
     order, as ``cells``.  It numbers the distinct (outcome, w-adjust,
-    weights, fixed ICC) groups and notes for each cell its group and SE mode
-    as arrays, so fitting the same grid again gathers the cells of every
-    item at once and does no per-cell lookups by key.
+    weights) groups and notes for each cell its group and SE mode as
+    arrays, so fitting the same grid again gathers the cells of every item
+    at once and does no per-cell lookups by key.
 
-    ``needs_icc`` maps each outcome to whether the fit reads an estimated
-    ICC for it: true when one of its cells has minimum-variance weights and
-    no fixed ICC.
+    ``needs_icc`` maps each outcome to whether the fit reads an ICC for it:
+    true when one of its cells has minimum-variance weights.
 
     Each failure of an item short of a fit is decided once per (item,
     outcome), before any stack is built: a failed check of its summaries,
@@ -273,7 +271,7 @@ class GridPlan:
         group_of: dict = {}
         slots = []
         for outcome, options in self.cells:
-            group = (outcome, options.adjust_w, options.weights, options.icc)
+            group = (outcome, options.adjust_w, options.weights)
             g = group_of.setdefault(group, len(group_of))
             slots.append((g, options.se_mode is SeMode.HUBER_WHITE))
         self.groups = tuple(group_of)
@@ -281,14 +279,14 @@ class GridPlan:
         groups, robust = zip(*slots) if slots else ((), ())
         self._slots = (np.array(groups, dtype=np.intp), np.array(robust, dtype=bool))
         # The groups of each outcome, those of them adjusted for w, and those
-        # with minimum-variance weights from an estimated ICC.
+        # with minimum-variance weights, which read the outcome's ICC.
         self._outcome_groups, self._w_groups, self._icc_groups = {}, {}, {}
         for outcome in dict.fromkeys(outcome for outcome, *_ in self.groups):
             groups = [(g, *group[1:]) for g, group in enumerate(self.groups) if group[0] == outcome]
             self._outcome_groups[outcome] = np.array([g for g, *_ in groups], dtype=np.intp)
             self._w_groups[outcome] = np.array([g for g, w, *_ in groups if w], dtype=np.intp)
-            estimated = [g for g, _, *weights in groups if weights == [Weights.MIN_VARIANCE, None]]
-            self._icc_groups[outcome] = np.array(estimated, dtype=np.intp)
+            mv = [g for g, _, weights in groups if weights is Weights.MIN_VARIANCE]
+            self._icc_groups[outcome] = np.array(mv, dtype=np.intp)
         self.needs_icc = {outcome: len(g) > 0 for outcome, g in self._icc_groups.items()}
 
     def summarise(
@@ -296,24 +294,25 @@ class GridPlan:
         dataset: TrialDataset,
         x_columns: Sequence[int] | None = None,
         unadjusted: Summaries | None = None,
+        icc: float | None = None,
     ) -> tuple[dict[ClOutcome, Summaries], dict[ClOutcome, float | None]]:
-        """The summaries of each outcome of the grid, and the ICC estimate
-        behind its minimum-variance weights: the two mappings :meth:`fit`
-        takes.
+        """The summaries of each outcome of the grid, and the ICC behind its
+        minimum-variance weights: the two mappings :meth:`fit` takes.
 
         The outcomes are :class:`~crtiv.model.ClOutcome` members;
         ``x_columns`` selects the individual-level covariates of the
         adjusted one.  ``unadjusted`` are the dataset's unadjusted summaries
         if the caller has them, and are otherwise collapsed here if read; the
-        adjusted summaries share their columns.  An ICC is estimated only
-        for an outcome whose cells read one (``needs_icc``), from the values
-        its summaries average: the raw outcomes or the adjustment residuals.
+        adjusted summaries share their columns.  A number ``icc`` becomes
+        every outcome's ICC; otherwise one is estimated for each outcome
+        whose cells read one (``needs_icc``), from the values its summaries
+        average: the raw outcomes or the adjustment residuals.
         A grid with adjusted cells and no ``x_columns`` raises
         :class:`~crtiv.errors.NoCovariatesSelected`.
         """
         if ClOutcome.ADJUSTED_FOR_X in self.needs_icc and x_columns is None:
             raise NoCovariatesSelected("covariate-adjusted cells need x_columns")
-        summaries, icc = {}, {}
+        summaries, rho = {}, {}
         cols = dataset.columns()
         for outcome in ClOutcome:
             if outcome not in self.needs_icc:
@@ -328,10 +327,10 @@ class GridPlan:
                 else:
                     values = collapse.continuous_residuals(dataset, x_columns)
                 summaries[outcome] = collapse.summaries_from_values(dataset, values, unadjusted)
-            icc[outcome] = None
-            if self.needs_icc[outcome]:
-                icc[outcome] = collapse.anova_icc(values, cols.codes).rho
-        return summaries, icc
+            rho[outcome] = icc
+            if icc is None and self.needs_icc[outcome]:
+                rho[outcome] = collapse.anova_icc(values, cols.codes).rho
+        return summaries, rho
 
     def fit(
         self,
@@ -342,12 +341,12 @@ class GridPlan:
         """Fit every cell of the grid: the one-item case of :meth:`fit_block`.
 
         ``summaries`` maps each outcome to its cluster summaries, ``icc`` to
-        the ICC estimate behind minimum-variance weights (used when
-        ``options.icc`` is unset).  ``estimator`` is ``"late"`` (two-stage
-        least squares) or ``"itt"`` (assignment-effect regression).  The
-        regression runs once per (outcome, w-adjust, weights) group; each
-        cell then picks its covariance; its df mode is read only where its
-        interval is formed (:func:`late_fit`).
+        the ICC its minimum-variance weights read, estimated or fixed.
+        ``estimator`` is ``"late"`` (two-stage least squares) or ``"itt"``
+        (assignment-effect regression).  The regression runs once per
+        (outcome, w-adjust, weights) group; each cell then picks its
+        covariance; its df mode is read only where its interval is formed
+        (:func:`late_fit`).
 
         The result lines up with the cells.  A cell whose fit raises a
         package error holds that error instead, so the caller can raise or
@@ -392,7 +391,7 @@ class GridPlan:
                 rho = w_mat = None
                 if len(icc_groups := self._icc_groups[outcome]):
                     try:
-                        rho = _estimated_icc(icc.get(outcome))
+                        rho = _usable_icc(icc.get(outcome))
                     except CrtivError as exc:
                         results.fail(k * n_groups + icc_groups, exc.with_traceback(None))
                 if len(w_groups := self._w_groups[outcome]):
@@ -433,15 +432,15 @@ class GridPlan:
             designs[True] = _design(z, np.array([w_mat for _, _, w_mat, _ in sources]))
         rho = None if sources[0][3] is None else np.array([icc for *_, icc in sources])[:, None]
         for g in self._outcome_groups[outcome].tolist():
-            _, adjust_w, scheme, fixed_icc = self.groups[g]
+            _, adjust_w, scheme = self.groups[g]
             if adjust_w not in designs:
                 continue  # each of these problems failed its w check
             if scheme is not Weights.MIN_VARIANCE:
                 weights = n if scheme is Weights.CLUSTER_SIZE else np.ones(n.shape)
-            elif (icc := rho if fixed_icc is None else fixed_icc) is None:
+            elif rho is None:
                 continue  # each of these problems failed its ICC check
             else:
-                weights = wls.mv_weights(n, icc)
+                weights = wls.mv_weights(n, rho)
             yield _Stack(offset + g, designs[adjust_w], d_bar, y_bar, weights)
 
     def _cells(self, results: _Results) -> GridFit:
@@ -587,7 +586,7 @@ def tsls(
     stages and cluster covariates in both when ``options.adjust_w``.  The
     reported SE follows ``options.se_mode``; interval and p-value follow
     ``options.df_mode`` with degrees of freedom ``J - p``, ``p`` counting
-    second-stage parameters only.
+    second-stage parameters only; minimum-variance weights read ``icc``.
     """
     cell = _fit_cell(summaries, options, icc, "late")
     return late_fit(cell, options, summaries.n_clusters, first_stage_f(summaries))

@@ -212,20 +212,16 @@ class AnalysisOptions:
     cluster-covariate adjustment (a cell of the grid is a
     :class:`VariantKey`).
 
-    ``icc`` fixes the intra-cluster correlation used by minimum-variance
-    weights; leave it ``None`` to have the caller estimate it from the data
-    being analysed.
+    The ICC behind minimum-variance weights belongs to the trial and
+    outcome, not to a cell: :func:`crtiv.iv.tsls` and :func:`crtiv.iv.itt`
+    take it as ``icc``, and :meth:`crtiv.iv.GridPlan.summarise` estimates it
+    or fixes it for every outcome.
     """
 
     weights: Weights = Weights.NONE
     se_mode: SeMode = SeMode.MODEL_BASED
     df_mode: DfMode = DfMode.NORMAL_APPROX
     adjust_w: bool = False
-    icc: float | None = None
-
-    def __post_init__(self):
-        if self.icc is not None and not 0.0 <= self.icc <= 1.0:
-            raise ValueError(f"fixed icc must be in [0, 1], got {self.icc}")
 
 
 class VariantKey(NamedTuple):

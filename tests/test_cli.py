@@ -254,6 +254,28 @@ def test_analyze_estimates_the_icc_only_when_a_cell_reads_it(
     assert len(calls) == n_estimates
 
 
+@pytest.mark.parametrize("flags", [[], ["--adjust-x", "x_1", "--adjust-w", "w_1"]])
+def test_a_fixed_icc_is_every_cells_and_none_is_estimated(tmp_path, monkeypatch, flags):
+    trial = generate(ScenarioConfig(n_clusters=20, pi=0.7), seed=31)
+    data = tmp_path / "trial.csv"
+    cli.write_dataset_csv(trial.dataset, data)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--input", str(data), "--output-dir", str(out), *flags]) == 0
+    estimated = read_rows(out / "analysis.csv")
+
+    def refused(*args):
+        raise AssertionError("a fixed ICC is not estimated")
+
+    monkeypatch.setattr(collapse, "anova_icc", refused)
+    argv = ["analyze", "--input", str(data), "--output-dir", str(out), "--icc", "0.1", *flags]
+    assert cli.main(argv) == 0
+    fixed = read_rows(out / "analysis.csv")
+    assert len(fixed) == len(estimated) == 24 * (1 if not flags else 2)
+    for row, other in zip(fixed, estimated):
+        # Only the minimum-variance rows read the ICC.
+        assert (row == other) is (row["weights"] != "mv"), row
+
+
 def test_adjusted_analyze_rows_match_library_calls(tmp_path):
     trial = generate(ScenarioConfig(n_clusters=20, pi=0.7), seed=37)
     data = tmp_path / "trial.csv"

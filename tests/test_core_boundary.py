@@ -110,4 +110,6 @@ def test_per_problem_views_are_built_only_by_the_one_problem_fit():
 
 def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors():
     *_, errstates = package_sites()
-    assert errstates == {("cli", "main"), ("iv", "GridPlan.fit_block"), ("iv", "wald_late")}
+    assert errstates == {
+        ("cli", "main"), ("dgp", "generate"), ("iv", "GridPlan.fit_block"), ("iv", "wald_late")
+    }

@@ -331,6 +331,18 @@ CASES: dict[str, Case] = {
         for command, flags in [(generate, ()), (simulate, ("--replicates", "1"))]
     },
     **{
+        f"overflowing generated outcome, {command.__name__}": command(
+            "beta_0 = 1e308\nbeta_c = 1e308\nbeta_cz = 1e308\n", 3,
+            numeric("NonFiniteValue", "generated outcomes are not finite"), *flags,
+        )
+        for command, flags in [(generate, ()), (simulate, ("--replicates", "5"))]
+    },
+    # Finite outcomes whose x-adjustment regression overflows stop the study.
+    "simulate, overflowing x-adjustment": simulate(
+        "beta_0 = 1e308\n", 3, numeric("NonFiniteValue", "regression inputs are not finite"),
+        "--replicates", "5",
+    ),
+    **{
         f"simulate, {name}": simulate(
             text, 2, validation("ClusterSizesTooLarge", message), "--replicates", "2"
         )

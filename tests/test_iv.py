@@ -40,7 +40,7 @@ from crtiv.model import (
 )
 
 ALL_OPTION_COMBOS = [
-    AnalysisOptions(weights=w, se_mode=s, df_mode=d, icc=0.3 if w is Weights.MIN_VARIANCE else None)
+    AnalysisOptions(weights=w, se_mode=s, df_mode=d)
     for w in Weights
     for s in SeMode
     for d in DfMode
@@ -117,8 +117,8 @@ def test_perfect_adherence_itt_equals_tsls_for_every_option_combo(make_summaries
     summaries = make_summaries(rng, n_clusters=14)
     summaries = summaries._replace(d_bar=summaries.z.copy())
     for options in ALL_OPTION_COMBOS:
-        a = itt(summaries, options)
-        b = tsls(summaries, options)
+        a = itt(summaries, options, icc=0.3)
+        b = tsls(summaries, options, icc=0.3)
         assert b.estimate == pytest.approx(a.estimate, abs=1e-10)
         assert b.se == pytest.approx(a.se, abs=1e-10)
         assert b.ci[0] == pytest.approx(a.ci[0], abs=1e-10)
@@ -225,7 +225,7 @@ WALD_WEIGHTS = {
     "none": (AnalysisOptions(), lambda n: np.ones(len(n))),
     "cs": (AnalysisOptions(weights=Weights.CLUSTER_SIZE), lambda n: n.astype(float)),
     "mv": (
-        AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.05),
+        AnalysisOptions(weights=Weights.MIN_VARIANCE),
         lambda n: wls.mv_weights(n, 0.05),
     ),
 }
@@ -246,8 +246,8 @@ def test_two_stage_fit_is_the_weighted_wald_ratio(seed):
     # the assignment effect is the outcome gap (Imbens & Angrist 1994).
     summaries = random_summaries(np.random.default_rng(seed))
     plan = GridPlan([("o", options) for options, _ in WALD_WEIGHTS.values()])
-    late = plan.fit({"o": summaries}, {}, "late")
-    assignment = plan.fit({"o": summaries}, {}, "itt")
+    late = plan.fit({"o": summaries}, {"o": 0.05}, "late")
+    assignment = plan.fit({"o": summaries}, {"o": 0.05}, "itt")
     for (name, (_, weights_of)), two_stage, effect in zip(WALD_WEIGHTS.items(), late, assignment):
         weights = weights_of(summaries.n)
         gap_y = arm_mean_gap(summaries.y_bar, summaries.z, weights)
@@ -381,10 +381,10 @@ def test_mv_weight_limits_reproduce_cs_and_unweighted(make_summaries):
     rng = np.random.default_rng(9)
     summaries = make_summaries(rng, n_clusters=12)
     cs = tsls(summaries, AnalysisOptions(weights=Weights.CLUSTER_SIZE))
-    mv0 = tsls(summaries, AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.0))
+    mv0 = tsls(summaries, AnalysisOptions(weights=Weights.MIN_VARIANCE), icc=0.0)
     assert mv0.estimate == cs.estimate and mv0.se == cs.se
     plain = tsls(summaries, AnalysisOptions())
-    mv1 = tsls(summaries, AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=1.0))
+    mv1 = tsls(summaries, AnalysisOptions(weights=Weights.MIN_VARIANCE), icc=1.0)
     assert mv1.estimate == plain.estimate and mv1.se == plain.se
 
 
@@ -428,6 +428,16 @@ def test_mv_without_icc_raises(make_summaries):
         tsls(summaries, AnalysisOptions(weights=Weights.MIN_VARIANCE))
 
 
+@pytest.mark.parametrize("icc", [1.5, -0.1])
+def test_a_fixed_icc_outside_the_unit_interval_is_refused(make_summaries, icc):
+    summaries = make_summaries(np.random.default_rng(13))
+    for fitter in (tsls, itt):
+        with pytest.raises(MissingIcc, match=rf"^ICC must be in \[0, 1\], got {icc}$"):
+            fitter(summaries, AnalysisOptions(weights=Weights.MIN_VARIANCE), icc=icc)
+        # Cells without minimum-variance weights never read it.
+        assert fitter(summaries, AnalysisOptions(), icc=icc) == fitter(summaries, AnalysisOptions())
+
+
 def test_structural_residuals_use_actual_adherence(make_summaries):
     rng = np.random.default_rng(14)
     summaries = make_summaries(rng, n_clusters=10)
@@ -457,23 +467,23 @@ UNADJUSTED, ADJUSTED = ClOutcome
 
 def test_grid_plan_needs_icc_only_for_estimated_mv_weights():
     dataset = generate(ScenarioConfig(n_clusters=10), 3).dataset
-    fixed_mv = AnalysisOptions(weights=Weights.MIN_VARIANCE, icc=0.1)
-    estimated_mv = AnalysisOptions(weights=Weights.MIN_VARIANCE, adjust_w=True)
+    cs = AnalysisOptions(weights=Weights.CLUSTER_SIZE)
+    mv = AnalysisOptions(weights=Weights.MIN_VARIANCE)
+    mv_w = AnalysisOptions(weights=Weights.MIN_VARIANCE, adjust_w=True)
     for cells, estimated in [
-        (
-            [
-                (UNADJUSTED, AnalysisOptions(weights=Weights.CLUSTER_SIZE)),
-                (ADJUSTED, fixed_mv),
-                (ADJUSTED, AnalysisOptions()),
-            ],
-            set(),
-        ),
-        ([(UNADJUSTED, fixed_mv), (ADJUSTED, fixed_mv), (ADJUSTED, estimated_mv)], {ADJUSTED}),
-        ([(ADJUSTED, estimated_mv)], {ADJUSTED}),
+        ([(UNADJUSTED, cs), (ADJUSTED, AnalysisOptions())], set()),
+        ([(UNADJUSTED, cs), (ADJUSTED, mv), (ADJUSTED, mv_w)], {ADJUSTED}),
+        ([(ADJUSTED, mv_w)], {ADJUSTED}),
     ]:
-        summaries, icc = GridPlan(cells).summarise(dataset, (0,))
+        plan = GridPlan(cells)
+        assert {outcome for outcome, needed in plan.needs_icc.items() if needed} == estimated
+        summaries, icc = plan.summarise(dataset, (0,))
         assert set(summaries) == set(icc) == {outcome for outcome, _ in cells}
         assert {outcome for outcome, rho in icc.items() if rho is not None} == estimated
+        # A fixed ICC becomes every outcome's.
+        fixed_summaries, fixed = plan.summarise(dataset, (0,), icc=0.1)
+        assert fixed == dict.fromkeys(icc, 0.1)
+        assert fixed_summaries.keys() == summaries.keys()
 
 
 def test_dataset_level_wrappers_match_manual_pipeline(make_dataset):
@@ -502,12 +512,11 @@ def test_dataset_level_wrappers_match_manual_pipeline(make_dataset):
 # --- the grid: every cell equals its own one-cell fit, faults included -------
 
 FULL_GRID = [
-    AnalysisOptions(weights, se_mode, df_mode, adjust_w, icc)
+    AnalysisOptions(weights, se_mode, df_mode, adjust_w)
     for adjust_w in (False, True)
     for weights in Weights
     for se_mode in SeMode
     for df_mode in DfMode
-    for icc in (None, 0.2)
 ]
 
 
@@ -532,15 +541,16 @@ def same_cell(a, b):
     n_clusters=st.sampled_from([3, 7, 20]),
     damage=st.sampled_from(["none", "constant w", "flat adherence"]),
     estimator=st.sampled_from(["late", "itt"]),
+    rho=st.sampled_from([0.05, 0.2]),
 )
-@example(seed=0, n_clusters=3, damage="none", estimator="late")  # J - p = 0 with w
-@example(seed=0, n_clusters=20, damage="constant w", estimator="late")
-@example(seed=0, n_clusters=20, damage="flat adherence", estimator="late")
-def test_grid_cells_equal_their_one_cell_fits(seed, n_clusters, damage, estimator):
+@example(seed=0, n_clusters=3, damage="none", estimator="late", rho=0.05)  # J - p = 0 with w
+@example(seed=0, n_clusters=20, damage="constant w", estimator="late", rho=0.05)
+@example(seed=0, n_clusters=20, damage="flat adherence", estimator="late", rho=0.2)
+def test_grid_cells_equal_their_one_cell_fits(seed, n_clusters, damage, estimator, rho):
     trial = generate(ScenarioConfig(n_clusters=n_clusters, sizes=PoissonSizes(8.0)), seed)
     columns = damaged(cluster_means(trial.dataset), damage)
     cells = [("o", options) for options in FULL_GRID]
-    icc = {"o": 0.05}
+    icc = {"o": rho}
     from_grid = GridPlan(cells).fit({"o": columns}, icc, estimator)
     assert len(from_grid) == len(cells)
     for cell, fit in zip(cells, from_grid):

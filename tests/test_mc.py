@@ -660,7 +660,7 @@ def test_overflowing_fits_count_as_fit_failures():
     assert [type(fit) for fit in fits] == [NonFiniteValue] * 48
     # Outcomes near the float maximum overflow the cluster sums themselves.
     overflowed = with_outcome(trial, np.full_like(cols.y, 1e308)).dataset
-    cells = [(0, AnalysisOptions(icc=0.1)), (0, AnalysisOptions(adjust_w=True))]
+    cells = [(0, AnalysisOptions()), (0, AnalysisOptions(adjust_w=True))]
     for estimator in ("late", "itt"):
         fits = iv.GridPlan(cells).fit({0: collapse.cluster_means(overflowed)}, {}, estimator)
         assert [type(fit) for fit in fits] == [NonFiniteValue, NonFiniteValue]
@@ -776,28 +776,25 @@ def described(fit):
     return (type(fit), str(fit)) if isinstance(fit, CrtivError) else values_of(fit)
 
 
-# The ICC an item hands its estimated minimum-variance cells: as estimated,
-# missing, or not finite, for both outcomes or for one.  "none_without_w"
-# also has summaries with no cluster covariates.
+# The ICC an item hands its minimum-variance cells: as estimated, missing,
+# not finite, or outside [0, 1], for both outcomes or for one.
+# "none_without_w" also has summaries with no cluster covariates.
 ICC_KINDS = {
     "estimated": lambda icc: icc,
     "none": lambda icc: dict.fromkeys(icc),
     "nan": lambda icc: dict.fromkeys(icc, math.nan),
     "one_inf": lambda icc: {**icc, ClOutcome.ADJUSTED_FOR_X: math.inf},
+    "one_below_zero": lambda icc: {**icc, ClOutcome.UNADJUSTED: -0.1},
     "none_without_w": lambda icc: dict.fromkeys(icc),
 }
 
 
 @pytest.mark.parametrize("estimator", ["late", "itt"])
 def test_a_weight_failure_stays_in_its_own_item_of_a_block(estimator):
-    fixed = tuple(
-        VariantKey(outcome, AnalysisOptions(Weights.MIN_VARIANCE, adjust_w=adjust_w, icc=0.05))
-        for outcome in ClOutcome
-        for adjust_w in (False, True)
-    )
-    plan = iv.GridPlan(variant_grid() + fixed)
+    plan = iv.GridPlan(variant_grid())
     kinds = [
-        "estimated", "none", "estimated", "nan", "one_inf", "none", "estimated", "none_without_w"
+        "estimated", "none", "estimated", "nan", "one_inf", "none", "estimated", "one_below_zero",
+        "none_without_w",
     ]
     items = []
     for index, kind in enumerate(kinds):
@@ -814,12 +811,30 @@ def test_a_weight_failure_stays_in_its_own_item_of_a_block(estimator):
             if options.adjust_w and kind == "none_without_w":
                 # The w check's error wins over the ICC check's.
                 expected = CovariateShapeMismatch
-            elif options.weights is Weights.MIN_VARIANCE and options.icc is None:
-                if icc[outcome] is None:
-                    expected = MissingIcc
-                elif not math.isfinite(icc[outcome]):
+            elif options.weights is Weights.MIN_VARIANCE:
+                rho = icc[outcome]
+                if rho is not None and not math.isfinite(rho):
                     expected = NonFiniteValue
+                elif rho is None or not 0.0 <= rho <= 1.0:
+                    expected = MissingIcc
             assert type(fit) is expected, (kind, outcome, options)
+
+
+@pytest.mark.parametrize("estimator", ["late", "itt"])
+def test_an_icc_outside_the_unit_interval_fails_only_its_own_items_mv_cells(estimator):
+    plan = iv.GridPlan(variant_grid())
+    first, (summaries, estimated) = (block_item(plan, "plain", index) for index in range(2))
+    second = (summaries, dict.fromkeys(estimated, 1.5))
+    together = plan.fit_block([first, second], estimator)
+    for item, fits in zip((first, second), together):
+        alone = plan.fit(*item, estimator)
+        assert [described(f) for f in fits] == [described(f) for f in alone]
+    with_estimate = plan.fit(summaries, estimated, estimator)
+    for (_, options), fit, fit_with_estimate in zip(plan.cells, together[1], with_estimate):
+        if options.weights is Weights.MIN_VARIANCE:
+            assert described(fit) == (MissingIcc, "ICC must be in [0, 1], got 1.5")
+        else:
+            assert isinstance(fit, iv.CellFit) and fit == fit_with_estimate
 
 
 # How each attempt of a screened block is made: as generated, with a
