@@ -3,7 +3,10 @@ r"""Command line front end and CSV input/output.
 Three subcommands: ``analyze`` ingests an individual-level trial CSV and
 emits the estimate grid, ``simulate`` runs a Monte Carlo study from a
 scenario file, ``generate`` writes one synthetic trial with its latent-truth
-sidecars.
+sidecars.  This module reads files, parses flags and writes outputs: the
+grid's cells and order come from :func:`crtiv.mc.variant_grid`, the flag
+spellings from the :mod:`crtiv.model` enums, and floating-point handling
+from the numeric modules, so a command runs as a library call does.
 
 Input CSV schema: a header row with ``cluster_id`` (string), ``z`` and ``d``
 (0/1), ``y`` (number), plus optional ``w_*`` cluster-level columns (constant
@@ -37,8 +40,8 @@ import csv
 import math
 import sys
 from contextlib import suppress
-from dataclasses import fields
-from itertools import chain, islice, product, repeat
+from dataclasses import asdict, fields
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +63,6 @@ from .errors import (
     ValidationFailure,
 )
 from .model import (
-    AnalysisOptions,
     ClOutcome,
     Columns,
     ComplianceClass,
@@ -68,7 +70,6 @@ from .model import (
     OutcomeKind,
     SeMode,
     TrialDataset,
-    VariantKey,
     Weights,
     validate,
     whole_to_int,
@@ -460,32 +461,23 @@ def scenario_echo(config: ScenarioConfig, seed: int, replicates: int) -> str:
 
 # --- analyze -----------------------------------------------------------------
 
-_WEIGHT_FLAGS = {"none": Weights.NONE, "cs": Weights.CLUSTER_SIZE, "mv": Weights.MIN_VARIANCE}
-_SE_FLAGS = {"model": SeMode.MODEL_BASED, "hw": SeMode.HUBER_WHITE}
-_DF_FLAGS = {"normal": DfMode.NORMAL_APPROX, "ssdf": DfMode.SMALL_SAMPLE}
-
-
 def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     """Fit the requested grid: per combination one LATE row and one ITT row."""
     validate(dataset)
     # An empty flag value is a request without names, not an absent flag.
-    x_columns = w_columns = None
-    if args.adjust_x is not None:
-        x_columns = _resolve_names(args.adjust_x, args.x_names, "x")
-    if args.adjust_w is not None:
-        w_columns = _resolve_names(args.adjust_w, args.w_names, "w")
+    x_columns = None if args.adjust_x is None else _resolve_names(args.adjust_x, args.x_names, "x")
+    w_columns = None if args.adjust_w is None else _resolve_names(args.adjust_w, args.w_names, "w")
     cl_outcome = ClOutcome.UNADJUSTED if x_columns is None else ClOutcome.ADJUSTED_FOR_X
     fixed_icc = None if args.icc == "auto" else float(args.icc)
 
-    weight_levels = [_WEIGHT_FLAGS[args.weights]] if args.weights else list(_WEIGHT_FLAGS.values())
-    se_levels = [_SE_FLAGS[args.se]] if args.se else list(_SE_FLAGS.values())
-    df_levels = [_DF_FLAGS[args.df]] if args.df else list(_DF_FLAGS.values())
-    w_levels = [False] if w_columns is None else [False, True]
+    # The cells of the grid, in its order, at the level each given flag names.
+    flags = {"weights": args.weights, "se_mode": args.se, "df_mode": args.df}
     plan = iv.GridPlan(
-        VariantKey(cl_outcome, AnalysisOptions(weights, se_mode, df_mode, adjust_w))
-        for adjust_w, weights, se_mode, df_mode in product(
-            w_levels, weight_levels, se_levels, df_levels
-        )
+        key
+        for key in mc.variant_grid()
+        if key.cl_outcome is cl_outcome
+        and (w_columns is not None or not key.options.adjust_w)
+        and all(flag in (None, getattr(key.options, name).value) for name, flag in flags.items())
     )
     outcomes, icc = plan.summarise(dataset, x_columns, icc=fixed_icc)
     summaries = outcomes[cl_outcome]
@@ -496,24 +488,29 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     # Validation leaves both arms, so the screening F cannot fail here.
     first_stage_f = iv.first_stage_f(summaries)
     rows = []
-    for i, (_, options) in enumerate(plan.cells):
+    for i, key in enumerate(plan.cells):
         for estimator, f_stat in (("late", first_stage_f), ("itt", None)):
             cell = fits[estimator][i]
             if isinstance(cell, CrtivError):
                 raise cell
-            fit = iv.late_fit(cell, options, summaries.n_clusters, f_stat)
-            rows.append(_row(estimator, cl_outcome, options, fit))
+            fit = iv.late_fit(cell, key.options, summaries.n_clusters, f_stat)
+            rows.append(_row(estimator, key, fit))
     return rows
 
 
-def _row(estimator, cl_outcome, options, fit) -> dict:
+def _cell_columns(cl_outcome: ClOutcome, options) -> dict:
+    """The five columns that name a grid cell in analysis.csv and report.csv."""
     return {
-        "estimator": estimator,
         "cl_outcome": cl_outcome.value,
         "adjust_w": int(options.adjust_w),
-        "weights": options.weights.value,
-        "se_mode": options.se_mode.value,
-        "df_mode": options.df_mode.value,
+        **{name: getattr(options, name).value for name in ("weights", "se_mode", "df_mode")},
+    }
+
+
+def _row(estimator, key, fit) -> dict:
+    return {
+        "estimator": estimator,
+        **_cell_columns(*key),
         "estimate": fit.estimate,
         "se": fit.se,
         "ci_low": fit.ci[0],
@@ -543,16 +540,7 @@ def _resolve_names(requested: str, available: list[str], prefix: str) -> tuple[i
 
 def _format_table(rows: list[dict]) -> str:
     headers = [
-        "estimator",
-        "outcome",
-        "w",
-        "weights",
-        "se",
-        "df",
-        "estimate",
-        "ci",
-        "p",
-        "F(1,J-2)",
+        "estimator", "outcome", "w", "weights", "se", "df", "estimate", "ci", "p", "F(1,J-2)"
     ]
     body = [
         [
@@ -587,8 +575,7 @@ def _aligned(headers: list[str], body: list[list[str]]) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    outcome_kind = OutcomeKind(args.outcome_type)
-    dataset, args.x_names, args.w_names = ingest_csv(args.input, outcome_kind)
+    dataset, args.x_names, args.w_names = ingest_csv(args.input, OutcomeKind(args.outcome_type))
     rows = _analysis_rows(dataset, args)
     table = _format_table(rows)
     sys.stdout.write(table)
@@ -603,23 +590,13 @@ def _cmd_analyze(args) -> int:
 def write_report_csv(report: mc.McReport, path) -> None:
     rows = [
         {
-            "cl_outcome": cl_outcome.value,
-            "adjust_w": int(options.adjust_w),
-            "weights": options.weights.value,
-            "se_mode": options.se_mode.value,
-            "df_mode": options.df_mode.value,
-            "bias": res.bias,
-            "mce_bias": res.mce_bias,
-            "coverage": res.coverage,
-            "mce_coverage": res.mce_coverage,
-            "mean_se": res.mean_se,
-            "n_fits": res.n_fits,
-            "n_fit_failures": res.n_fit_failures,
+            **_cell_columns(*key),
+            **asdict(res),
             "n_replicates": report.n_replicates,
             "rejected_weak": report.rejected_weak,
             "attempts": report.attempts,
         }
-        for (cl_outcome, options), res in report.variants.items()
+        for key, res in report.variants.items()
     ]
     _write_csv(path, list(rows[0]), (row.values() for row in rows))
 
@@ -701,11 +678,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--input", required=True)
     analyze.add_argument("--output-dir", default=None)
     analyze.add_argument(
-        "--outcome-type", choices=["continuous", "binary"], default="continuous"
+        "--outcome-type", choices=[kind.value for kind in OutcomeKind], default="continuous"
     )
-    analyze.add_argument("--weights", choices=sorted(_WEIGHT_FLAGS), default=None)
-    analyze.add_argument("--se", choices=sorted(_SE_FLAGS), default=None)
-    analyze.add_argument("--df", choices=sorted(_DF_FLAGS), default=None)
+    analyze.add_argument("--weights", choices=sorted(m.value for m in Weights), default=None)
+    analyze.add_argument("--se", choices=sorted(m.value for m in SeMode), default=None)
+    analyze.add_argument("--df", choices=sorted(m.value for m in DfMode), default=None)
     analyze.add_argument("--adjust-w", default=None, metavar="COLS")
     analyze.add_argument("--adjust-x", default=None, metavar="COLS")
     analyze.add_argument("--icc", default="auto")
@@ -752,12 +729,11 @@ def main(argv=None) -> int:
         _fail("validation", "BadFlag", f"--seed must be nonnegative, got {args.seed}")
         return 2
     # An unreadable or unwritable path and a file that is not UTF-8 are bad
-    # input as much as a malformed cell is.  numpy's overflow warnings are
-    # silenced: every non-finite estimate, variance or ICC they would herald
-    # ends in a typed NonFiniteValue, so the error line is the one report.
+    # input as much as a malformed cell is.  The command runs in numpy's own
+    # floating-point configuration, as a library caller does: the numeric
+    # layers silence an overflow only where it ends in a typed error.
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.run(args)
+        return args.run(args)
     except (ValidationFailure, OSError, UnicodeDecodeError) as exc:
         _fail("validation", type(exc).__name__, str(exc))
         return 2

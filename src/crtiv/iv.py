@@ -289,6 +289,9 @@ class GridPlan:
             self._icc_groups[outcome] = np.array(mv, dtype=np.intp)
         self.needs_icc = {outcome: len(g) > 0 for outcome, g in self._icc_groups.items()}
 
+    # An overflowed cluster mean ends in the grid's NonFiniteValue, an ICC in
+    # _usable_icc's and a covariate adjustment in that of wls.solve.
+    @np.errstate(over="ignore", invalid="ignore")
     def summarise(
         self,
         dataset: TrialDataset,
@@ -308,7 +311,9 @@ class GridPlan:
         whose cells read one (``needs_icc``), from the values its summaries
         average: the raw outcomes or the adjustment residuals.
         A grid with adjusted cells and no ``x_columns`` raises
-        :class:`~crtiv.errors.NoCovariatesSelected`.
+        :class:`~crtiv.errors.NoCovariatesSelected`.  It runs without numpy's
+        overflow warnings: every value an overflow spoils here ends in a
+        :class:`~crtiv.errors.NonFiniteValue`, raised or held by a cell.
         """
         if ClOutcome.ADJUSTED_FOR_X in self.needs_icc and x_columns is None:
             raise NoCovariatesSelected("covariate-adjusted cells need x_columns")
@@ -501,7 +506,8 @@ def first_stage_fs(block: Sequence[Summaries]) -> list[float | CrtivError]:
     :func:`first_stage_f` gives it, or the package error its first stage
     raised.  The first stages of the block are one
     :func:`crtiv.wls.solve`, a stack per cluster count, and its covariances
-    one stacked pass per stack."""
+    one stacked pass per stack; a variance that overflows is that item's
+    :class:`~crtiv.errors.NonFiniteValue`, and raises no warning."""
     out: list[float | CrtivError] = [math.nan] * len(block)
     members: dict[int, list[int]] = {}
     for i, summaries in enumerate(block):
@@ -525,14 +531,20 @@ def first_stage_fs(block: Sequence[Summaries]) -> list[float | CrtivError]:
         exact = np.max(np.abs(fit.residuals), axis=1, initial=0.0) <= 1e-12
         # With no residual degrees of freedom (J = 2) the fit is exact too.
         exact |= fit.design.shape[1] <= fit.design.shape[2]
-        variance = fit.covariances(robust=False)[0][:, 1, 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: NonFiniteValue below
+            variance = fit.covariances(robust=False)[0][:, 1, 1]
         for row, gamma_z, flat, var in zip(
             rows.tolist(), fit.coefficients[:, 1].tolist(), exact.tolist(), variance.tolist()
         ):
             if flat:
                 out[m[row]] = math.inf if abs(gamma_z) > _RELEVANCE_TOL else 0.0
+            elif not math.isfinite(var):
+                out[m[row]] = NonFiniteValue(f"first-stage variance is not finite: {var}")
             else:
-                out[m[row]] = (gamma_z / math.sqrt(var)) ** 2
+                try:
+                    out[m[row]] = (gamma_z / math.sqrt(var)) ** 2
+                except OverflowError:  # an F past the largest float reads as an exact fit's
+                    out[m[row]] = math.inf
     return out
 
 
@@ -540,8 +552,10 @@ def first_stage_f(summaries: Summaries) -> float:
     """Screening F: squared t-ratio of assignment in the unadjusted,
     unweighted first stage, with model-based SE and (1, J-2) degrees of
     freedom.  An exact fit, from deterministic adherence (zero residuals)
-    or from J = 2, returns ``inf``, or 0 when the slope is flat.  The
-    one-trial case of :func:`first_stage_fs`."""
+    or from J = 2, returns ``inf``, or 0 when the slope is flat; an F past
+    the largest float is ``inf`` too, and a variance that overflows raises
+    :class:`~crtiv.errors.NonFiniteValue`.  The one-trial case of
+    :func:`first_stage_fs`."""
     (f_stat,) = first_stage_fs([summaries])
     if isinstance(f_stat, CrtivError):
         raise f_stat

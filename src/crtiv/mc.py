@@ -107,8 +107,10 @@ def bias_and_mce(estimates, truth: float) -> tuple[float, float]:
 
     Bias is the mean estimate minus the truth; the MCE is the sample standard
     deviation of the estimates over ``sqrt(L)`` (``nan`` for fewer than two
-    estimates).  Inputs are sorted before reduction so any permutation of the
-    same replicates gives bit-identical output.
+    estimates).  Where the sum of squared deviations overflows, the MCE is
+    their :func:`math.hypot` over ``sqrt(L * (L - 1))``, which stays finite.
+    Inputs are sorted before reduction so any permutation of the same
+    replicates gives bit-identical output.
     """
     values = np.sort(np.asarray(estimates, dtype=float))
     if values.size == 0:
@@ -116,8 +118,12 @@ def bias_and_mce(estimates, truth: float) -> tuple[float, float]:
     mean = float(values.mean())
     if values.size < 2:
         return mean - truth, math.nan
-    mce = math.sqrt(float(((values - mean) ** 2).sum()) / (values.size * (values.size - 1)))
-    return mean - truth, mce
+    pairs = values.size * (values.size - 1)
+    with np.errstate(over="ignore"):  # an overflowed sum takes the finite hypot below
+        squares = float(((values - mean) ** 2).sum())
+    if math.isfinite(squares):
+        return mean - truth, math.sqrt(squares / pairs)
+    return mean - truth, math.hypot(*(values - mean).tolist()) / math.sqrt(pairs)
 
 
 def coverage_and_mce(estimates, ses, crit_values, truth: float) -> tuple[float, float]:
@@ -176,7 +182,9 @@ def _evaluate_block(config, master_seed, plan, attempts: range) -> tuple[list[bo
     :meth:`crtiv.iv.GridPlan.fit_block`.
     """
     trials = [generate(config, _replicate_seed(master_seed, attempt)) for attempt in attempts]
-    unadjusted = [collapse.cluster_means(trial.dataset) for trial in trials]
+    # An overflowed cluster mean ends in the grid's NonFiniteValue.
+    with np.errstate(over="ignore", invalid="ignore"):
+        unadjusted = [collapse.cluster_means(trial.dataset) for trial in trials]
     retained = screen_block(unadjusted)
     fit = plan.fit_block(
         [

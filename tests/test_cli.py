@@ -1244,6 +1244,30 @@ def test_overflow_ends_in_one_numeric_error_line(tmp_path, capsys, case, flags):
     assert not (out / "analysis.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_reports_overflow_in_one_configuration_at_any_thread_count(tmp_path, threads):
+    # A fresh process, and at two threads its workers, run outside the
+    # suite's warning filter: stderr holds the error line or nothing.
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    failed = 'crtiv-error kind=numeric type=NonFiniteValue msg="regression inputs are not finite"\n'
+    for beta_0, code, err in [("1e307", 0, ""), ("1e308", 3, failed)]:
+        scenario = tmp_path / f"{beta_0}.txt"
+        scenario.write_text(f"clusters = 12\nbeta_0 = {beta_0}\n", encoding="utf-8")
+        out = tmp_path / beta_0
+        argv = ["simulate", "--scenario", str(scenario), "--output-dir", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "crtiv.cli", *argv, "--replicates", "20", "--threads", threads],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (code, err)
+    # The overflowing outcomes fail some fits; the Monte Carlo errors of the
+    # others stay finite.
+    rows = read_rows(tmp_path / "1e307" / "report.csv")
+    assert all(math.isfinite(float(row["mce_bias"])) for row in rows if int(row["n_fits"]) > 1)
+    assert any(int(row["n_fit_failures"]) for row in rows)
+
+
 # Importing scipy.stats costs about a second per process, more than a whole
 # default `simulate`; the package needs none of it.  The check runs in a
 # fresh interpreter because the test modules import scipy.stats themselves.

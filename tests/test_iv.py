@@ -33,6 +33,7 @@ from crtiv.model import (
     AnalysisOptions,
     ClOutcome,
     DfMode,
+    LateFit,
     SeMode,
     Summaries,
     Weights,
@@ -692,3 +693,74 @@ def test_a_first_stage_without_residual_df_is_an_exact_fit():
     assert first_stage_f(flat) == 0.0
     assert iv.first_stage_fs([steep, flat]) == [math.inf, 0.0]
     assert dgp.screen_block([steep, flat]) == [True, False]
+
+
+def test_a_first_stage_variance_that_overflows_is_a_typed_error():
+    # Adherence fractions past any real trial's: the slope is finite, and
+    # the residual sum of squares behind its variance overflows.
+    summaries = summaries_from_arrays(
+        np.zeros(6), [0.0, 1e200, 1e-3, 1.0000001e200, 0.0, 1e200], [0, 1, 0, 1, 0, 1]
+    )
+    with pytest.raises(NonFiniteValue, match="^first-stage variance is not finite: inf$"):
+        first_stage_f(summaries)
+    assert type(iv.first_stage_fs([summaries])[0]) is NonFiniteValue
+    assert dgp.screen_block([summaries]) == [False]
+    # A finite variance whose F passes the largest float reads as an exact fit.
+    strong = summaries_from_arrays(np.zeros(5), [1e160, 1.0, 0.0, 0.0, 0.0], [1, 0, 0, 0, 0])
+    assert first_stage_f(strong) == math.inf
+
+
+_HUGE = st.floats(min_value=-1e308, max_value=1e308)
+EVERY_OPTIONS = [replace(o, adjust_w=a) for o in ALL_OPTION_COMBOS for a in (False, True)]
+
+
+@st.composite
+def extreme_summaries(draw):
+    """Summaries of 2 to 8 clusters of 1 to 50 records, with finite columns
+    up to the float limit: d_bar in [0, 1] or up to +-1e308, y_bar and a
+    J x q w (q from 0 to 2) up to +-1e308.  Either arm may be empty."""
+    j, q = draw(st.integers(2, 8)), draw(st.integers(0, 2))
+
+    def column(values, size=j):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+    return Summaries(
+        ids=tuple(f"c{i}" for i in range(j)),
+        n=column(st.integers(1, 50)),
+        z=column(st.sampled_from([0.0, 1.0])),
+        d_bar=column(draw(st.sampled_from([st.floats(0.0, 1.0), _HUGE]))),
+        y_bar=column(_HUGE),
+        w=column(_HUGE, j * q).reshape(j, q).astype(float),
+    )
+
+
+def _answer_or_typed_error(call, *args):
+    """``call(*args)``, or the package error it raised."""
+    try:
+        return call(*args)
+    except CrtivError as exc:
+        return exc
+
+
+# The suite runs with warnings as errors: an overflow on the way to an
+# answer or a typed error must stay silent, in the library as on the
+# command line.
+@settings(max_examples=200, deadline=None)
+@given(
+    summaries=extreme_summaries(),
+    icc=st.none() | st.floats(0.0, 1.0),
+    options=st.sampled_from(EVERY_OPTIONS),
+)
+def test_extreme_summaries_end_in_an_answer_or_a_typed_error_per_cell(summaries, icc, options):
+    plan = GridPlan([(0, o) for o in EVERY_OPTIONS])
+    for estimator in ("late", "itt"):
+        for cell in plan.fit({0: summaries}, {0: icc}, estimator):
+            assert isinstance(cell, CrtivError) or (
+                math.isfinite(cell.estimate) and math.isfinite(cell.se)
+            )
+    (f_stat,) = iv.first_stage_fs([summaries])
+    assert isinstance(f_stat, CrtivError) or f_stat >= 0.0
+    assert isinstance(_answer_or_typed_error(wald_late, summaries), (float, CrtivError))
+    for fitter in (tsls, itt):
+        fit = _answer_or_typed_error(fitter, summaries, options, icc)
+        assert isinstance(fit, (LateFit, CrtivError))

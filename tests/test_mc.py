@@ -102,6 +102,20 @@ def test_bias_permutation_invariance_bitwise():
     assert bias_and_mce(estimates, 0.2) == bias_and_mce(shuffled, 0.2)
 
 
+def test_an_mce_whose_sum_of_squares_overflows_is_finite():
+    # 187 estimates of scale 1e153: each squared deviation is finite, their
+    # sum is not.
+    estimates = np.random.default_rng(4).normal(0.0, 1e153, 187)
+    deviations = np.sort(estimates) - np.sort(estimates).mean()
+    with np.errstate(over="ignore"):
+        assert np.isinf((deviations**2).sum())
+    bias, mce = bias_and_mce(estimates, 0.4)
+    assert bias == float(np.sort(estimates).mean()) - 0.4
+    assert mce == math.hypot(*deviations.tolist()) / math.sqrt(187 * 186)
+    scaled = np.std(estimates / 1e153, ddof=1) / math.sqrt(187)
+    assert mce == pytest.approx(scaled * 1e153, rel=1e-12)
+
+
 def test_coverage_extremes_and_mce():
     ses = np.ones(4)
     crits = np.full(4, 2.0)
@@ -212,12 +226,15 @@ def test_full_grid_study_same_for_one_and_two_workers():
     assert sequential == threaded
 
 
-def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Worker pools that map in this process, on a host of 3 CPUs: returns
+    the lists of the worker counts asked for and of the tasks evaluated."""
     created, tasks = [], []
 
     class SerialPool:
-        """Records the worker count asked for and the tasks it maps, and maps
-        in this process; each worker would start with one BLAS thread."""
+        """Records the worker count asked for and each task as it evaluates
+        it, in this process; each worker would start with one BLAS thread."""
 
         def __init__(self, max_workers, initializer):
             assert initializer is mc._one_blas_thread
@@ -230,12 +247,19 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, args, chunksize=1):
-            args = list(args)
-            tasks.extend(args)
-            return map(fn, args)
+            def evaluate(task):
+                tasks.append(task)
+                return fn(task)
+
+            return map(evaluate, list(args))
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    return created, tasks
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, serial_pool):
+    created, tasks = serial_pool
     serial = run_study(FAST_CONFIG, n_replicates=4, variants=ONE_VARIANT, master_seed=9)
     assert created == []
     for threads, workers in [(2, 2), (3, 3), (1000, 3)]:
@@ -253,6 +277,19 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
         FAST_CONFIG, n_replicates=4, variants=ONE_VARIANT, master_seed=9, threads=8
     )
     assert unknown == serial and created == []
+
+
+def test_pool_attempts_past_the_last_retained_one_are_discarded(serial_pool):
+    # Two workers share an odd number of replicates, so a round's blocks
+    # hold an attempt more than are still needed; at this seed the first
+    # three attempts pass, so the fourth is evaluated and discarded.
+    _, tasks = serial_pool
+    serial = run_study(FAST_CONFIG, n_replicates=3, variants=ONE_VARIANT, master_seed=10)
+    pooled = run_study(
+        FAST_CONFIG, n_replicates=3, variants=ONE_VARIANT, master_seed=10, threads=2
+    )
+    assert pooled == serial
+    assert sum(map(len, tasks)) > pooled.attempts
 
 
 def blas_threads():

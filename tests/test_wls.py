@@ -106,6 +106,8 @@ def test_rank_deficient_design_rejected():
         fit_wls(design, np.zeros(n))
     with pytest.raises(RankDeficient):
         fit_wls(np.ones((2, 3)), np.zeros(2))  # n < p
+    with pytest.raises(RankDeficient, match="^design matrix is rank deficient$"):
+        fit_wls(np.empty((4, 0)), np.zeros(4))  # no columns
 
 
 def test_nonpositive_weights_rejected():
