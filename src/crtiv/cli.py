@@ -17,12 +17,13 @@ decimals.
 
 The input is read in one pass, so it may be a pipe or a FIFO.  A plain
 block of lines, one without quotes or the ASCII information separators,
-has its numeric cells read by numpy's C reader
-(``np.loadtxt``).  A block it cannot read, and every block from the first
-one that is not plain on, falls back to :mod:`csv` with a numpy conversion
-per column, and a block that fails that too is read cell by cell for its
-first error.  The two paths give the same dataset and the same errors;
-:func:`ingest_csv` says why.
+is scanned as one array of code points for its commas and cluster ids,
+with no Python work per row, and has its numeric cells read by numpy's C
+reader (``np.loadtxt``).  A block it cannot read, and every block from the
+first one that is not plain on, falls back to :mod:`csv` with a numpy
+conversion per column, and a block that fails that too is read cell by
+cell for its first error.  The two paths give the same dataset and the
+same errors; :func:`ingest_csv` says why.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure.  An error goes
 to stderr as one line, ``crtiv-error kind=K type=T msg="M"``: ``K`` is
@@ -41,7 +42,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import asdict, fields
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -112,21 +113,29 @@ def ingest_csv(
     :meth:`Columns.from_codes` puts in code-point order at the end), and
     the ``w_*`` values of each row checked against the first row of its
     cluster.  The file is read in one pass, a block of lines at a time.  A
-    plain block (see :func:`_is_plain`) is read by :func:`numpy.loadtxt`,
-    after a check that every line has one comma fewer than the header has
-    columns.  A block that fails there is tokenised by :mod:`csv`, and so
-    is the rest of the file from the first block that is not plain (or
-    from a header line that is not): a quoted cell can span lines, so the
-    switch is one-way.  csv rows are read one numeric column at a time by
-    numpy, and a block that fails that too is read again cell by cell, so
-    the error reported is the first in file order, with its line number.
+    plain block (see :func:`_is_plain`) is scanned as one array: its commas
+    show that every line has one comma fewer than the header has columns
+    and where each row's id lies, and its ids are encoded once per run of
+    rows of one cluster (see :func:`_plain_values`).  Its numeric cells
+    are read by :func:`numpy.loadtxt`.  A block that fails there is
+    tokenised by :mod:`csv`, and so is the rest of the file from the first
+    block that is not plain (or from a header line that is not): a quoted
+    cell can span lines, so the switch is one-way.  csv rows are read one
+    numeric column at a time by numpy, and a block that fails that too is
+    read again cell by cell, so the error reported is the first in file
+    order, with its line number.
 
     loadtxt reads a cell as ``float`` does, or not at all: both strip the
     same whitespace, except the information separators 0x1c-0x1f that a
     plain file cannot hold, and then call ``PyOS_string_to_double``.  What
     ``float`` reads beyond that, such as ``1_0`` or non-ASCII digits,
     loadtxt rejects, and the block falls back.  ``comments=None`` keeps it
-    from reading ``1#x`` as 1.
+    from reading ``1#x`` as 1.  So loadtxt stays the one float parser of
+    plain blocks, and the scan only finds commas and ids.  The lines still
+    come from the text handle, not from one decode of the whole input: the
+    handle decodes 8 KiB at a time, so a byte that is not UTF-8 is found
+    only when reading reaches it, and its :class:`UnicodeDecodeError`
+    reports its position within that chunk.
 
     Raises :class:`SchemaMismatch` for header problems,
     :class:`ParseError` (with the file line number) for malformed or
@@ -165,15 +174,17 @@ def ingest_csv(
         first_w = np.empty((0, n_w))  # w of each cluster's first row, by code
         first_line: list[int] = []  # file line of each cluster's first row, by code
 
-        def encode(ids, values, n_known: int, lines):
+        def encode(ids, values, runs, n_known: int, lines):
             """The codes of a block's rows, its new clusters' first ``w`` and
-            line recorded, given the file line of each row; ``None`` if a
-            row's ``w`` differs from its cluster's first.  Recording from
-            ``n_known`` on, a block read a second time is recorded once."""
+            line recorded, given one id per run of rows and the runs'
+            lengths, and the file line of each row; ``None`` if a row's ``w``
+            differs from its cluster's first.  Recording from ``n_known``
+            on, a block read a second time is recorded once."""
             nonlocal first_w
             for cid in dict.fromkeys(ids):
                 code_of.setdefault(cid, len(code_of))
             codes = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
+            codes = np.repeat(codes, runs)
             w = values[len(numeric) - n_w :].T
             seen, first_rows = np.unique(codes, return_index=True)
             fresh = first_rows[seen >= n_known]
@@ -185,12 +196,15 @@ def ingest_csv(
         line = 2  # file line of a plain block's first row
         # A plain block is lines of text; a csv block is (file line, row) pairs.
         while block := list(islice(handle if plain else reader, _BLOCK_ROWS)):
-            if plain and not _is_plain("".join(block)):
+            text = "".join(block) if plain else None
+            if plain and not _is_plain(text):
                 plain = False  # for good: a quoted cell can run on past the block
                 reader = _csv_rows(chain(block, handle), line)
                 block = list(islice(reader, _BLOCK_ROWS))
             n_known = len(first_line)  # clusters seen in earlier blocks
-            parsed = _plain_values(block, len(header), id_position, positions) if plain else None
+            parsed = (
+                _plain_values(block, text, len(header), id_position, positions) if plain else None
+            )
             codes = encode(*parsed, n_known, range(line, line + len(block))) if parsed else None
             if codes is None:
                 lines, rows = zip(*(_csv_rows(block, line) if plain else block))
@@ -249,13 +263,36 @@ def _is_plain(text: str) -> bool:
     return not any(map(text.__contains__, _NOT_PLAIN))
 
 
-def _plain_values(lines, n_fields: int, id_position: int, positions: list[int]):
-    """:func:`_bulk_values` of a block of lines of a plain file, read by
-    loadtxt: ``None`` when a line is ragged or longer than :mod:`csv` takes
-    a field, or loadtxt does not read every cell as a finite number."""
-    if set(map(str.count, lines, repeat(","))) != {n_fields - 1}:
+def _plain_values(lines, text: str, n_fields: int, id_position: int, positions: list[int]):
+    """:func:`_bulk_values` of a block of lines of a plain file, ``text``
+    being the lines joined: ``None`` when a line is ragged or longer than
+    :mod:`csv` takes a field, or loadtxt does not read every cell as a
+    finite number.
+
+    The block is scanned as one array of its code points (bytes when it is
+    ASCII, UTF-32 otherwise).  There are ``n_fields - 1`` commas in every
+    line exactly when there are that many per line in all and row i's
+    share of them lies inside line i.  Each id is the span between its
+    commas, less the line end when it is the last column.  Consecutive
+    rows of one cluster are one run: ``encode`` gets one id string per
+    run, so no Python work is done per row.  The numeric cells are left to
+    loadtxt, for the reasons :func:`ingest_csv` gives.
+    """
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    if lengths.max() > csv.field_size_limit():
         return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    if text.isascii():
+        raw, unit = text.encode("ascii"), 1
+    else:
+        raw, unit = text.encode("utf-32-le"), 4
+    chars = np.frombuffer(raw, f"<u{unit}")
+    ends = np.cumsum(lengths)  # one past each line's last character
+    begins = ends - lengths
+    commas = np.flatnonzero(chars == ord(","))
+    if len(commas) != (n_fields - 1) * len(lines):
+        return None
+    commas = commas.reshape(len(lines), n_fields - 1)  # row i: line i's share, in order
+    if (commas[:, 0] < begins).any() or (commas[:, -1] >= ends).any():
         return None
     try:
         values = np.loadtxt(lines, delimiter=",", usecols=positions, comments=None, ndmin=2)
@@ -263,16 +300,37 @@ def _plain_values(lines, n_fields: int, id_position: int, positions: list[int]):
         return None
     if not np.isfinite(values).all():
         return None
-    ids = [line.split(",", id_position + 1)[id_position] for line in lines]
-    if id_position == n_fields - 1:
-        ids = [cid.rstrip("\r\n") for cid in ids]
-    return ids, np.ascontiguousarray(values.T)  # laid out as _bulk_values lays it
+
+    first = begins if id_position == 0 else commas[:, id_position - 1] + 1
+    if id_position < n_fields - 1:
+        last = commas[:, id_position]
+    else:  # the handle ends a line at "\n", "\r\n" or "\r": rstrip("\r\n")
+        last = ends - (chars[ends - 1] == ord("\n"))
+        last = last - (chars[last - 1] == ord("\r"))
+    # A row starts a run unless its id has the previous row's width and
+    # bytes.  Ids of one width are compared as byte strings of that width,
+    # taken from a view of every such window of the encoded text: the work
+    # and memory go with the ids, not with rows x the longest id.  numpy
+    # ignores trailing NULs when it compares them, which between byte
+    # strings of equal width changes nothing.
+    width = last - first
+    same = np.zeros(len(lines), bool)
+    same[1:] = width[1:] == width[:-1]
+    rows = np.flatnonzero(same & (width > 0))  # an empty id matches an empty one
+    for w in np.unique(width[rows]).tolist():
+        at = rows[width[rows] == w]
+        spans = np.ndarray(len(raw) - unit * w + 1, f"S{unit * w}", raw, strides=(1,))
+        same[at] = spans[unit * first[at]] == spans[unit * first[at - 1]]
+    starts = np.flatnonzero(~same)
+    ids = [text[a:b] for a, b in zip(first[starts].tolist(), last[starts].tolist())]
+    runs = np.diff(starts, append=len(lines))
+    return ids, np.ascontiguousarray(values.T), runs  # laid out as _bulk_values lays it
 
 
 def _bulk_values(block, n_fields: int, id_position: int, positions: list[int]):
-    """The cluster ids of a block and its numeric cells as a (columns x
-    rows) float array, or ``None`` when a row is ragged or a cell is not a
-    finite number."""
+    """The cluster ids of a block, its numeric cells as a (columns x rows)
+    float array and the rows per id (1), or ``None`` when a row is ragged
+    or a cell is not a finite number."""
     if set(map(len, block)) != {n_fields}:
         return None
     try:
@@ -281,7 +339,7 @@ def _bulk_values(block, n_fields: int, id_position: int, positions: list[int]):
         return None
     if not np.isfinite(values).all():
         return None
-    return [row[id_position] for row in block], values
+    return [row[id_position] for row in block], values, 1
 
 
 def _raise_first_fault(block, lines, n_fields, id_position, numeric, n_w, known):
@@ -579,7 +637,7 @@ def _cmd_analyze(args) -> int:
     rows = _analysis_rows(dataset, args)
     table = _format_table(rows)
     sys.stdout.write(table)
-    if args.output_dir:
+    if args.output_dir is not None:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "analysis.csv", list(rows[0]), (row.values() for row in rows))
@@ -727,6 +785,9 @@ def main(argv=None) -> int:
         return 2
     if getattr(args, "seed", 0) < 0:
         _fail("validation", "BadFlag", f"--seed must be nonnegative, got {args.seed}")
+        return 2
+    if args.output_dir == "":  # an empty value is a bad request, not an absent flag
+        _fail("validation", "BadFlag", "--output-dir must name a directory, got ''")
         return 2
     # An unreadable or unwritable path and a file that is not UTF-8 are bad
     # input as much as a malformed cell is.  The command runs in numpy's own

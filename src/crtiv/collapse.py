@@ -108,9 +108,13 @@ def _cluster_means_of(values, cols):
     # under any permutation of the input records: sort the values, then
     # stably by cluster.  That is the order of lexsort((values, codes)) up
     # to ties, which are equal values (0.0 and -0.0 add to the same bits
-    # in either order), at about half its cost.
+    # in either order), at about half its cost.  numpy's stable sort is a
+    # radix sort for 16-bit integers and a timsort for int64, so codes that
+    # fit in 16 bits (J <= 65,536) are sorted as such; a stable sort's
+    # result is unique, so the order is the same either way.
+    codes = cols.codes if len(cols.cluster_ids) > 1 << 16 else cols.codes.astype(np.uint16)
     order = np.argsort(values)
-    order = order[np.argsort(cols.codes[order], kind="stable")]
+    order = order[np.argsort(codes[order], kind="stable")]
     starts = np.searchsorted(cols.codes[order], np.arange(len(cols.cluster_ids)))
     return np.add.reduceat(values[order], starts) / cols.sizes
 

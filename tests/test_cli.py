@@ -982,6 +982,32 @@ def ingest_outcome(path):
 @example(data=b"cluster_id,z,d,y\na,0,0,1#x\n", block_rows=cli._BLOCK_ROWS)
 @example(data=b"cluster_id,z,d,y\na,0,0,nan\n", block_rows=cli._BLOCK_ROWS)
 @example(data=b"cluster_id,z,d,y\r\na,0,0,1,2\r\n", block_rows=cli._BLOCK_ROWS)
+# Edges of the plain parser's id scan: ids that are prefixes of each other,
+# that differ by a trailing NUL, that are empty or not ASCII (an astral
+# character among them), ids in the last column before CRLF or no line end,
+# clusters that take turns, within one block and across blocks, a long row
+# beside a short one, with as many commas in all as two good rows, and long
+# ids of one width that differ only in their last character.
+@example(
+    data=b"cluster_id,z,d,y\na,0,0,1\nab,1,1,2\nab,1,1,3\na,0,0,4\n", block_rows=cli._BLOCK_ROWS
+)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\na\x00,1,1,2\na,0,0,3\n", block_rows=cli._BLOCK_ROWS)
+@example(data=b"cluster_id,z,d,y\n,0,0,1\n,0,0,2\na,1,1,3\n,0,0,4", block_rows=cli._BLOCK_ROWS)
+@example(
+    data="cluster_id,z,d,y\n\xe9,0,0,1\ne,1,1,2\n\U0001d11e,1,1,3\n\xe9,0,0,4\n".encode(),
+    block_rows=cli._BLOCK_ROWS,
+)
+@example(data=b"z,d,y,cluster_id\r\n0,0,1,a\r\n1,1,2,ab\r\n0,0,3,\r\n1,1,4,ab", block_rows=3)
+@example(data=b"z,d,y,cluster_id\n0,0,1,a\n1,1,2,\n1,1,3,", block_rows=cli._BLOCK_ROWS)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\na,0,0,3\nb,1,1,4\na,0,0,5\n", block_rows=1)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\na,0,0,3\nb,1,1,4\na,0,0,5\n", block_rows=3)
+@example(data=b"z,d,y,cluster_id\n0,0,1,a,2\n0,0,1\n", block_rows=cli._BLOCK_ROWS)
+@example(
+    data=b"cluster_id,z,d,y\n" + b"".join(
+        cid + b",0,0,1\n" for cid in [b"x" * 300, b"x" * 299 + b"y", b"x" * 299 + b"y", b"x" * 301]
+    ),
+    block_rows=cli._BLOCK_ROWS,
+)
 def test_plain_and_csv_parsers_read_a_file_alike(tmp_path_factory, data, block_rows):
     path = tmp_path_factory.mktemp("parsers") / "trial.csv"
     path.write_bytes(data)
@@ -1014,14 +1040,30 @@ def test_routing_each_block_by_its_text_reads_a_file_as_csv_alone_does(
         assert ingest_outcome(path) == routed
 
 
-@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
-def test_a_plain_file_is_read_without_the_csv_module(tmp_path, monkeypatch, eol):
-    rows = many_rows(3 * cli._BLOCK_ROWS)
+PLAIN_LAYOUTS = {
+    f"{prefix}{eol_name}": (layout, eol)
+    for layout, prefix in [
+        ("ascii", ""), ("non-ascii", "non-ASCII ids, "), ("id last", "id last, ")
+    ]
+    for eol_name, eol in [("LF", "\n"), ("CRLF", "\r\n")]
+}
+
+
+@pytest.mark.parametrize(("layout", "eol"), PLAIN_LAYOUTS.values(), ids=PLAIN_LAYOUTS.keys())
+def test_a_plain_file_is_read_without_the_csv_module(tmp_path, monkeypatch, layout, eol):
+    header, rows = BASIC_HEADER + ["w_1", "x_1"], many_rows(3 * cli._BLOCK_ROWS)
+    if layout == "non-ascii":
+        rows = [[f"\xe9\U0001d11e{r[0]}", *r[1:]] for r in rows]
+    elif layout == "id last":
+        header, rows = header[1:] + header[:1], [r[1:] + r[:1] for r in rows]
     path = tmp_path / "t.csv"
-    lines = [",".join(BASIC_HEADER + ["w_1", "x_1"])] + [",".join(map(str, r)) for r in rows]
+    lines = [",".join(header)] + [",".join(map(str, r)) for r in rows]
     path.write_text(eol.join(lines) + eol, encoding="utf-8", newline="")
     bulk = counting(monkeypatch, cli, "_bulk_values")
-    assert cli.ingest_csv(path)[0].n_records == len(rows)
+    cols = cli.ingest_csv(path)[0].columns()
+    at = header.index("cluster_id")
+    assert list(cols.cluster_ids) == sorted({r[at] for r in rows})
+    assert [cols.cluster_ids[c] for c in cols.codes.tolist()] == [r[at] for r in rows]
     assert bulk == []
 
 

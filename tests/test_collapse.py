@@ -426,3 +426,21 @@ def test_cluster_means_equal_the_lexsort_order_bit_for_bit(seed):
     zeros = TrialDataset(cols._replace(y=np.where(rng.random(len(cols.y)) < 0.5, -0.0, 0.0)))
     means = cluster_means(zeros).y_bar
     assert means.tobytes() == lexsorted_means(zeros.columns().y, cols).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_clusters", [1 << 16, (1 << 16) + 1], ids=["uint16 codes", "int64 codes"]
+)
+def test_cluster_means_on_both_sides_of_the_16_bit_cut(n_clusters):
+    rng = np.random.default_rng(n_clusters)
+    ids = [f"c{j:05d}" for j in range(n_clusters)]
+    codes = rng.permutation(np.repeat(np.arange(n_clusters), rng.integers(1, 4, n_clusters)))
+    ties = rng.choice([-0.0, 0.0, 0.1, -2.5, 3.0], size=len(codes))
+    values = np.where(rng.random(len(codes)) < 0.5, ties, rng.normal(size=len(codes)))
+    cols = Columns.from_codes(ids, codes, np.zeros(len(codes)), np.zeros(len(codes)), values)
+    # The int64 stable sort the 16-bit radix sort stands in for.
+    order = np.argsort(values)
+    order = order[np.argsort(cols.codes[order].astype(np.int64), kind="stable")]
+    starts = np.searchsorted(cols.codes[order], np.arange(n_clusters))
+    expected = np.add.reduceat(values[order], starts) / cols.sizes
+    assert collapse._cluster_means_of(values, cols).tobytes() == expected.tobytes()

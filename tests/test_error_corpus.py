@@ -385,6 +385,17 @@ CASES: dict[str, Case] = {
     "no subcommand": Case(
         [], None, 2, bad_flag("the following arguments are required: command"), argparse=True
     ),
+    **{
+        f"empty output dir, {command}": Case(
+            [command, flag, "{path}", *more, "--output-dir", ""], data, 2,
+            bad_flag("--output-dir must name a directory, got ''"),
+        )
+        for command, flag, data, more in [
+            ("analyze", "--input", SMALL, []),
+            ("simulate", "--scenario", "", ["--replicates", "2"]),
+            ("generate", "--scenario", "", []),
+        ]
+    },
     # --- paths ---
     "path holding a quote and a backslash": analyze(
         "", 2, schema("{path}: empty file"), file='in"put\\'
