@@ -16,14 +16,14 @@ separated, ``.`` decimal point.  Machine-readable outputs print floats with
 decimals.
 
 The input is read in one pass, so it may be a pipe or a FIFO.  A plain
-block of lines, one without quotes or the ASCII information separators,
-is scanned as one array of code points for its commas and cluster ids,
-with no Python work per row, and has its numeric cells read by numpy's C
-reader (``np.loadtxt``).  A block it cannot read, and every block from the
-first one that is not plain on, falls back to :mod:`csv` with a numpy
-conversion per column, and a block that fails that too is read cell by
-cell for its first error.  The two paths give the same dataset and the
-same errors; :func:`ingest_csv` says why.
+block of lines, one without quotes, NULs or the ASCII information
+separators, is read whole by numpy's C reader (``np.loadtxt``), cluster
+ids and numeric cells alike, with no Python work per row.  A block it
+cannot read, and every block from the first one that is not plain on,
+falls back to :mod:`csv` with a numpy conversion per column, and a block
+that fails that too is read cell by cell for its first error.  The two
+paths give the same dataset and the same errors; :func:`ingest_csv` says
+why.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure.  An error goes
 to stderr as one line, ``crtiv-error kind=K type=T msg="M"``: ``K`` is
@@ -95,9 +95,16 @@ def _pretty(x: float) -> str:
 _BLOCK_ROWS = 4096
 
 # Characters that keep a block off the plain-file parser: a quote can join
-# lines into one row or hide a comma, and the four information separators
-# (0x1c-0x1f) are whitespace that loadtxt strips and ``float`` does not.
-_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+# lines into one row or hide a comma, the four information separators
+# (0x1c-0x1f) are whitespace that loadtxt strips and ``float`` does not,
+# and numpy drops an id's trailing NULs, which would make ``a`` and
+# ``a\x00`` one cluster.
+_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f", "\x00")
+
+# The most characters a plain block's id table holds (rows x the longest
+# line): 64 MiB of UCS-4, and at most as much again for the copy of each
+# run's first id.  A block of longer lines is read by csv.
+_MAX_ID_CHARS = 2**24
 
 
 def ingest_csv(
@@ -113,11 +120,10 @@ def ingest_csv(
     :meth:`Columns.from_codes` puts in code-point order at the end), and
     the ``w_*`` values of each row checked against the first row of its
     cluster.  The file is read in one pass, a block of lines at a time.  A
-    plain block (see :func:`_is_plain`) is scanned as one array: its commas
-    show that every line has one comma fewer than the header has columns
-    and where each row's id lies, and its ids are encoded once per run of
-    rows of one cluster (see :func:`_plain_values`).  Its numeric cells
-    are read by :func:`numpy.loadtxt`.  A block that fails there is
+    plain block (see :func:`_is_plain`) is read whole by
+    :func:`numpy.loadtxt`, which checks that every line has as many cells
+    as the header, and its ids are encoded once per run of rows of one
+    cluster (see :func:`_plain_values`).  A block that fails there is
     tokenised by :mod:`csv`, and so is the rest of the file from the first
     block that is not plain (or from a header line that is not): a quoted
     cell can span lines, so the switch is one-way.  csv rows are read one
@@ -130,8 +136,8 @@ def ingest_csv(
     plain file cannot hold, and then call ``PyOS_string_to_double``.  What
     ``float`` reads beyond that, such as ``1_0`` or non-ASCII digits,
     loadtxt rejects, and the block falls back.  ``comments=None`` keeps it
-    from reading ``1#x`` as 1.  So loadtxt stays the one float parser of
-    plain blocks, and the scan only finds commas and ids.  The lines still
+    from reading ``1#x`` as 1.  So loadtxt is the one float parser of plain
+    blocks, and reads their ids as :mod:`csv` does.  The lines still
     come from the text handle, not from one decode of the whole input: the
     handle decodes 8 KiB at a time, so a byte that is not UTF-8 is found
     only when reading reaches it, and its :class:`UnicodeDecodeError`
@@ -196,15 +202,12 @@ def ingest_csv(
         line = 2  # file line of a plain block's first row
         # A plain block is lines of text; a csv block is (file line, row) pairs.
         while block := list(islice(handle if plain else reader, _BLOCK_ROWS)):
-            text = "".join(block) if plain else None
-            if plain and not _is_plain(text):
+            if plain and not _is_plain("".join(block)):
                 plain = False  # for good: a quoted cell can run on past the block
                 reader = _csv_rows(chain(block, handle), line)
                 block = list(islice(reader, _BLOCK_ROWS))
             n_known = len(first_line)  # clusters seen in earlier blocks
-            parsed = (
-                _plain_values(block, text, len(header), id_position, positions) if plain else None
-            )
+            parsed = _plain_values(block, len(header), id_position, positions) if plain else None
             codes = encode(*parsed, n_known, range(line, line + len(block))) if parsed else None
             if codes is None:
                 lines, rows = zip(*(_csv_rows(block, line) if plain else block))
@@ -257,74 +260,43 @@ def _is_plain(text: str) -> bool:
 
     A carriage return needs no check.  The text handle ends a line at every
     one (keeping a CRLF end in one line), so it can stand only at the end of
-    a line, where loadtxt, ``float`` and :mod:`csv` all drop it, and the
-    last column's ids are stripped of it; a line of a lone CR is ragged and
-    goes to :mod:`csv` with its block."""
+    a line, where loadtxt and :mod:`csv` both end the row; a line of a lone
+    CR is blank and goes to :mod:`csv` with its block."""
     return not any(map(text.__contains__, _NOT_PLAIN))
 
 
-def _plain_values(lines, text: str, n_fields: int, id_position: int, positions: list[int]):
-    """:func:`_bulk_values` of a block of lines of a plain file, ``text``
-    being the lines joined: ``None`` when a line is ragged or longer than
-    :mod:`csv` takes a field, or loadtxt does not read every cell as a
-    finite number.
+def _plain_values(lines, n_fields: int, id_position: int, positions: list[int]):
+    """:func:`_bulk_values` of a block of lines of a plain file: ``None``
+    when a line is ragged, blank or longer than :mod:`csv` takes a field,
+    when the block's id table would pass ``_MAX_ID_CHARS``, or when loadtxt
+    does not read every cell as a finite number.
 
-    The block is scanned as one array of its code points (bytes when it is
-    ASCII, UTF-32 otherwise).  There are ``n_fields - 1`` commas in every
-    line exactly when there are that many per line in all and row i's
-    share of them lies inside line i.  Each id is the span between its
-    commas, less the line end when it is the last column.  Consecutive
-    rows of one cluster are one run: ``encode`` gets one id string per
-    run, so no Python work is done per row.  The numeric cells are left to
-    loadtxt, for the reasons :func:`ingest_csv` gives.
+    loadtxt reads the whole block, the id column as strings as wide as the
+    longest line and every other column as floats.  It reads a string cell
+    as :mod:`csv` does, whitespace and all, and without ``usecols`` it
+    rejects every line whose cell count is not ``n_fields``.  It skips a
+    blank line, where :mod:`csv` reads an empty row, but such a line is too
+    short to hold a row's commas.  Consecutive rows of one cluster are one
+    run: ``encode`` gets one id per run, so no Python work is done per row.
     """
-    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
-    if lengths.max() > csv.field_size_limit():
+    width = max(map(len, lines))
+    if width > csv.field_size_limit() or len(lines) * width > _MAX_ID_CHARS:
         return None
-    if text.isascii():
-        raw, unit = text.encode("ascii"), 1
-    else:
-        raw, unit = text.encode("utf-32-le"), 4
-    chars = np.frombuffer(raw, f"<u{unit}")
-    ends = np.cumsum(lengths)  # one past each line's last character
-    begins = ends - lengths
-    commas = np.flatnonzero(chars == ord(","))
-    if len(commas) != (n_fields - 1) * len(lines):
+    if min(map(len, lines)) < n_fields - 1:
         return None
-    commas = commas.reshape(len(lines), n_fields - 1)  # row i: line i's share, in order
-    if (commas[:, 0] < begins).any() or (commas[:, -1] >= ends).any():
-        return None
-    try:
-        values = np.loadtxt(lines, delimiter=",", usecols=positions, comments=None, ndmin=2)
+    dtype = [(f"f{p}", f"<U{width}" if p == id_position else "f8") for p in range(n_fields)]
+    try:  # max_rows: the table is allocated once, not grown
+        table = np.loadtxt(
+            lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=len(lines)
+        )
     except ValueError:
         return None
+    values = np.array([table[f"f{p}"] for p in positions])  # laid out as _bulk_values lays it
     if not np.isfinite(values).all():
         return None
-
-    first = begins if id_position == 0 else commas[:, id_position - 1] + 1
-    if id_position < n_fields - 1:
-        last = commas[:, id_position]
-    else:  # the handle ends a line at "\n", "\r\n" or "\r": rstrip("\r\n")
-        last = ends - (chars[ends - 1] == ord("\n"))
-        last = last - (chars[last - 1] == ord("\r"))
-    # A row starts a run unless its id has the previous row's width and
-    # bytes.  Ids of one width are compared as byte strings of that width,
-    # taken from a view of every such window of the encoded text: the work
-    # and memory go with the ids, not with rows x the longest id.  numpy
-    # ignores trailing NULs when it compares them, which between byte
-    # strings of equal width changes nothing.
-    width = last - first
-    same = np.zeros(len(lines), bool)
-    same[1:] = width[1:] == width[:-1]
-    rows = np.flatnonzero(same & (width > 0))  # an empty id matches an empty one
-    for w in np.unique(width[rows]).tolist():
-        at = rows[width[rows] == w]
-        spans = np.ndarray(len(raw) - unit * w + 1, f"S{unit * w}", raw, strides=(1,))
-        same[at] = spans[unit * first[at]] == spans[unit * first[at - 1]]
-    starts = np.flatnonzero(~same)
-    ids = [text[a:b] for a, b in zip(first[starts].tolist(), last[starts].tolist())]
-    runs = np.diff(starts, append=len(lines))
-    return ids, np.ascontiguousarray(values.T), runs  # laid out as _bulk_values lays it
+    ids = table[f"f{id_position}"]
+    starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
+    return ids[starts].tolist(), values, np.diff(starts, append=len(lines))
 
 
 def _bulk_values(block, n_fields: int, id_position: int, positions: list[int]):
@@ -526,7 +498,6 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
     x_columns = None if args.adjust_x is None else _resolve_names(args.adjust_x, args.x_names, "x")
     w_columns = None if args.adjust_w is None else _resolve_names(args.adjust_w, args.w_names, "w")
     cl_outcome = ClOutcome.UNADJUSTED if x_columns is None else ClOutcome.ADJUSTED_FOR_X
-    fixed_icc = None if args.icc == "auto" else float(args.icc)
 
     # The cells of the grid, in its order, at the level each given flag names.
     flags = {"weights": args.weights, "se_mode": args.se, "df_mode": args.df}
@@ -537,7 +508,7 @@ def _analysis_rows(dataset: TrialDataset, args) -> list[dict]:
         and (w_columns is not None or not key.options.adjust_w)
         and all(flag in (None, getattr(key.options, name).value) for name, flag in flags.items())
     )
-    outcomes, icc = plan.summarise(dataset, x_columns, icc=fixed_icc)
+    outcomes, icc = plan.summarise(dataset, x_columns, icc=args.icc)
     summaries = outcomes[cl_outcome]
     if w_columns is not None:
         summaries = outcomes[cl_outcome] = summaries._replace(w=summaries.w[:, list(w_columns)])
@@ -768,14 +739,16 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:
         _fail("validation", "BadFlag", str(exc))
         return 2
-    if getattr(args, "icc", None) not in (None, "auto"):
+    if getattr(args, "icc", None) == "auto":
+        args.icc = None  # estimated from the data
+    elif getattr(args, "icc", None) is not None:
         try:
-            value = float(args.icc)
+            args.icc = float(args.icc)
         except ValueError:
             _fail("validation", "BadFlag", f"--icc must be 'auto' or a number, got {args.icc!r}")
             return 2
-        if not 0.0 <= value <= 1.0:
-            _fail("validation", "BadFlag", f"--icc must be in [0, 1], got {value}")
+        if not 0.0 <= args.icc <= 1.0:
+            _fail("validation", "BadFlag", f"--icc must be in [0, 1], got {args.icc}")
             return 2
     if getattr(args, "replicates", 1) < 1:
         _fail("validation", "BadFlag", f"--replicates must be at least 1, got {args.replicates}")

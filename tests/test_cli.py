@@ -982,7 +982,7 @@ def ingest_outcome(path):
 @example(data=b"cluster_id,z,d,y\na,0,0,1#x\n", block_rows=cli._BLOCK_ROWS)
 @example(data=b"cluster_id,z,d,y\na,0,0,nan\n", block_rows=cli._BLOCK_ROWS)
 @example(data=b"cluster_id,z,d,y\r\na,0,0,1,2\r\n", block_rows=cli._BLOCK_ROWS)
-# Edges of the plain parser's id scan: ids that are prefixes of each other,
+# Edges of the plain parser's ids: ids that are prefixes of each other,
 # that differ by a trailing NUL, that are empty or not ASCII (an astral
 # character among them), ids in the last column before CRLF or no line end,
 # clusters that take turns, within one block and across blocks, a long row
@@ -1002,6 +1002,25 @@ def ingest_outcome(path):
 @example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\na,0,0,3\nb,1,1,4\na,0,0,5\n", block_rows=1)
 @example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\na,0,0,3\nb,1,1,4\na,0,0,5\n", block_rows=3)
 @example(data=b"z,d,y,cluster_id\n0,0,1,a,2\n0,0,1\n", block_rows=cli._BLOCK_ROWS)
+# Edges of loadtxt's reading of ids: blank lines, which it skips and csv
+# reads as empty rows, ids with edge whitespace it must not strip, line
+# breaks to str.splitlines that the text handle reads as part of a line,
+# and an inner NUL beside the id without it.
+@example(
+    data=b"cluster_id,z,d,y\na,0,0,1\n\nb,1,1,2\r\n\r\nc,0,0,3\n", block_rows=cli._BLOCK_ROWS
+)
+@example(data=b"cluster_id,z,d,y\r\na,0,0,1\r\n\r\nb,1,1,2\r\n", block_rows=3)
+@example(
+    data=b"cluster_id,z,d,y\n a,0,0,1\na,1,1,2\na ,0,0,3\na\t,1,1,4\n\ta\t,0,0,5\na,1,1,6\n",
+    block_rows=cli._BLOCK_ROWS,
+)
+@example(data=b"z,d,y,cluster_id\r\n0,0,1, a\t\r\n1,1,2,a \r\n0,0,3,\ta", block_rows=3)
+@example(
+    data="cluster_id,z,d,y\na\x0bb,0,0,1\na\x0cb,1,1,2\na\x85b,0,0,3\na\u2028b,1,1,4\na,0,0,5\n"
+    .encode(),
+    block_rows=cli._BLOCK_ROWS,
+)
+@example(data=b"cluster_id,z,d,y\na,0,0,1\na\x00b,1,1,2\na,0,0,3\n", block_rows=cli._BLOCK_ROWS)
 @example(
     data=b"cluster_id,z,d,y\n" + b"".join(
         cid + b",0,0,1\n" for cid in [b"x" * 300, b"x" * 299 + b"y", b"x" * 299 + b"y", b"x" * 301]
@@ -1043,7 +1062,11 @@ def test_routing_each_block_by_its_text_reads_a_file_as_csv_alone_does(
 PLAIN_LAYOUTS = {
     f"{prefix}{eol_name}": (layout, eol)
     for layout, prefix in [
-        ("ascii", ""), ("non-ascii", "non-ASCII ids, "), ("id last", "id last, ")
+        ("ascii", ""),
+        ("non-ascii", "non-ASCII ids, "),
+        ("id last", "id last, "),
+        ("spaced", "ids with inner and edge spaces, "),
+        ("long", "1,000-char ids, "),
     ]
     for eol_name, eol in [("LF", "\n"), ("CRLF", "\r\n")]
 }
@@ -1054,6 +1077,10 @@ def test_a_plain_file_is_read_without_the_csv_module(tmp_path, monkeypatch, layo
     header, rows = BASIC_HEADER + ["w_1", "x_1"], many_rows(3 * cli._BLOCK_ROWS)
     if layout == "non-ascii":
         rows = [[f"\xe9\U0001d11e{r[0]}", *r[1:]] for r in rows]
+    elif layout == "spaced":
+        rows = [[f" \t{r[0]} {r[0]}\t ", *r[1:]] for r in rows]
+    elif layout == "long":
+        rows = [[r[0].rjust(1000, "x"), *r[1:]] for r in rows]
     elif layout == "id last":
         header, rows = header[1:] + header[:1], [r[1:] + r[:1] for r in rows]
     path = tmp_path / "t.csv"
@@ -1075,6 +1102,21 @@ def test_loadtxt_reads_only_the_blocks_before_the_first_quoted_row(tmp_path, mon
     loadtxt = counting(monkeypatch, np, "loadtxt")
     assert "s, quoted" in cli.ingest_csv(path)[0].columns().cluster_ids
     assert len(loadtxt) == 2
+
+
+def test_a_block_past_the_id_table_bound_is_read_by_csv_alone(tmp_path, monkeypatch):
+    rows = many_rows(4 * cli._BLOCK_ROWS)
+    rows[2 * cli._BLOCK_ROWS + 5][0] = "s" * 100  # a long id in the third block
+    path = tmp_path / "t.csv"
+    write_csv(path, BASIC_HEADER + ["w_1", "x_1"], rows)
+    monkeypatch.setattr(cli, "_MAX_ID_CHARS", 50 * cli._BLOCK_ROWS)
+    loadtxt = counting(monkeypatch, np, "loadtxt")
+    read = ingest_outcome(path)
+    assert "s" * 100 in read[0]
+    assert len(loadtxt) == 3  # every block but the third
+    assert not any("s" * 100 in "".join(lines) for lines, *_ in loadtxt)
+    monkeypatch.setattr(cli, "_plain_values", lambda *args: None)  # every block through csv
+    assert ingest_outcome(path) == read
 
 
 @pytest.mark.parametrize("seed", [1, 2])

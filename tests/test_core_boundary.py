@@ -8,7 +8,8 @@ structural-residual fit (``iv._late``), and a per-problem ``ProblemFit``
 view only by ``wls.fit_wls``, so the grid reads whole stacks.  Floating
 point errors are silenced only at the ``np.errstate`` sites listed here,
 each of which ends every non-finite value in a typed error or a finite
-answer; the command line adds none of its own.  The source is parsed, not
+answer; the command line adds none of its own.  And ``np.loadtxt`` reads
+only plain CSV blocks, in ``cli._plain_values``.  The source is parsed, not
 imported.
 """
 
@@ -35,13 +36,15 @@ def _is_linalg(name):
 
 class _Sites(ast.NodeVisitor):
     """Records ``(module, enclosing function)`` of each linear-algebra use
-    and each ``DesignFit(...)``, ``ProblemFit(...)`` and ``errstate(...)``
-    call."""
+    and each ``DesignFit(...)``, ``ProblemFit(...)``, ``errstate(...)`` and
+    ``loadtxt(...)`` call."""
+
+    CALLEES = ("DesignFit", "ProblemFit", "errstate", "loadtxt")
 
     def __init__(self, module):
         self.module, self.scope = module, []
         self.linalg, self.lapack_names = set(), set()
-        self.calls = {"DesignFit": set(), "ProblemFit": set(), "errstate": set()}
+        self.calls = {name: set() for name in self.CALLEES}
 
     def _site(self):
         return (self.module, ".".join(self.scope))
@@ -80,19 +83,19 @@ class _Sites(ast.NodeVisitor):
 
 
 def package_sites():
-    linalg, design_fits, problem_fits, errstates = set(), set(), set(), set()
+    """The package's linear-algebra sites, and its call sites by callee."""
+    linalg, calls = set(), {name: set() for name in _Sites.CALLEES}
     for path in sorted(PACKAGE.glob("*.py")):
         sites = _Sites(path.stem)
         sites.visit(ast.parse(path.read_text(encoding="utf-8")))
         linalg |= sites.linalg
-        design_fits |= sites.calls["DesignFit"]
-        problem_fits |= sites.calls["ProblemFit"]
-        errstates |= sites.calls["errstate"]
-    return linalg, design_fits, problem_fits, errstates
+        for name, found in sites.calls.items():
+            calls[name] |= found
+    return linalg, calls
 
 
 def test_linear_algebra_is_called_only_in_the_core_and_the_logistic_fit():
-    linalg, *_ = package_sites()
+    linalg, _ = package_sites()
     outside = {site for site in linalg if site[0] != "wls"}
     assert outside == {("collapse", "_fit_logistic")}
     # The core itself is seen: its imports, its QR and its LAPACK call.
@@ -100,18 +103,18 @@ def test_linear_algebra_is_called_only_in_the_core_and_the_logistic_fit():
 
 
 def test_fits_are_built_only_by_the_core_and_the_structural_residual_fit():
-    _, design_fits, *_ = package_sites()
-    assert design_fits == {("wls", "solve"), ("iv", "_late")}
+    _, calls = package_sites()
+    assert calls["DesignFit"] == {("wls", "solve"), ("iv", "_late")}
 
 
 def test_per_problem_views_are_built_only_by_the_one_problem_fit():
-    _, _, problem_fits, _ = package_sites()
-    assert problem_fits == {("wls", "fit_wls")}
+    _, calls = package_sites()
+    assert calls["ProblemFit"] == {("wls", "fit_wls")}
 
 
 def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors():
-    *_, errstates = package_sites()
-    assert errstates == {
+    _, calls = package_sites()
+    assert calls["errstate"] == {
         ("dgp", "generate"),
         ("iv", "GridPlan.fit_block"),
         ("iv", "GridPlan.summarise"),
@@ -120,3 +123,8 @@ def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors(
         ("mc", "_evaluate_block"),
         ("mc", "bias_and_mce"),
     }
+
+
+def test_loadtxt_is_called_only_by_the_plain_block_reader():
+    _, calls = package_sites()
+    assert calls["loadtxt"] == {("cli", "_plain_values")}
