@@ -15,15 +15,14 @@ separated, ``.`` decimal point.  Machine-readable outputs print floats with
 17 significant digits so they round-trip exactly; pretty tables use 3
 decimals.
 
-The input is read in one pass, so it may be a pipe or a FIFO.  A plain
-block of lines, one without quotes, NULs or the ASCII information
-separators, is read whole by numpy's C reader (``np.loadtxt``), cluster
-ids and numeric cells alike, with no Python work per row.  A block it
-cannot read, and every block from the first one that is not plain on,
-falls back to :mod:`csv` with a numpy conversion per column, and a block
-that fails that too is read cell by cell for its first error.  The two
-paths give the same dataset and the same errors; :func:`ingest_csv` says
-why.
+The input is read in one pass, so it may be a pipe or a FIFO.  Each block
+of lines is read whole by numpy's C reader (``np.loadtxt``), quoted cells,
+cluster ids and numeric cells alike, with no Python work per row.  A block
+that it cannot be shown to read as :mod:`csv` and ``float`` do (a quoted
+line break, an information separator, a number only ``float`` reads, or a
+fault) is read again row by row by :mod:`csv`, which reports the first
+fault.  The two readers give the same dataset and the same errors;
+:func:`ingest_csv` says why.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure.  An error goes
 to stderr as one line, ``crtiv-error kind=K type=T msg="M"``: ``K`` is
@@ -94,17 +93,10 @@ def _pretty(x: float) -> str:
 # per-cell work, few enough that only one block of raw text is held.
 _BLOCK_ROWS = 4096
 
-# Characters that keep a block off the plain-file parser: a quote can join
-# lines into one row or hide a comma, the four information separators
-# (0x1c-0x1f) are whitespace that loadtxt strips and ``float`` does not,
-# and numpy drops an id's trailing NULs, which would make ``a`` and
-# ``a\x00`` one cluster.
-_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f", "\x00")
-
-# The most characters a plain block's id table holds (rows x the longest
-# line): 64 MiB of UCS-4, and at most as much again for the copy of each
-# run's first id.  A block of longer lines is read by csv.
-_MAX_ID_CHARS = 2**24
+# The four ASCII information separators (0x1c-0x1f): whitespace that
+# loadtxt strips from a number and ``float`` does not, so a block holding
+# one is read by csv.
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def ingest_csv(
@@ -119,29 +111,21 @@ def ingest_csv(
     columns: cluster ids to integer codes in first-seen order (which
     :meth:`Columns.from_codes` puts in code-point order at the end), and
     the ``w_*`` values of each row checked against the first row of its
-    cluster.  The file is read in one pass, a block of lines at a time.  A
-    plain block (see :func:`_is_plain`) is read whole by
-    :func:`numpy.loadtxt`, which checks that every line has as many cells
-    as the header, and its ids are encoded once per run of rows of one
-    cluster (see :func:`_plain_values`).  A block that fails there is
-    tokenised by :mod:`csv`, and so is the rest of the file from the first
-    block that is not plain (or from a header line that is not): a quoted
-    cell can span lines, so the switch is one-way.  csv rows are read one
-    numeric column at a time by numpy, and a block that fails that too is
-    read again cell by cell, so the error reported is the first in file
-    order, with its line number.
+    cluster.  The file is read in one pass: :mod:`csv` reads the header,
+    and then each block of ``_BLOCK_ROWS`` lines is read whole by
+    :func:`numpy.loadtxt` (see :func:`_table_values`), quoted cells
+    included, with its ids encoded once per run of rows of one cluster.  A
+    block that loadtxt cannot be shown to read as :mod:`csv` and ``float``
+    do is read again from its first line by :mod:`csv`, up to as many
+    rows, and converted cell by cell (see :func:`_row_values`), which
+    raises the first fault in file order, with its line number.  Each
+    block starts where the rows before it end, so a quoted cell may span
+    lines and blocks.
 
-    loadtxt reads a cell as ``float`` does, or not at all: both strip the
-    same whitespace, except the information separators 0x1c-0x1f that a
-    plain file cannot hold, and then call ``PyOS_string_to_double``.  What
-    ``float`` reads beyond that, such as ``1_0`` or non-ASCII digits,
-    loadtxt rejects, and the block falls back.  ``comments=None`` keeps it
-    from reading ``1#x`` as 1.  So loadtxt is the one float parser of plain
-    blocks, and reads their ids as :mod:`csv` does.  The lines still
-    come from the text handle, not from one decode of the whole input: the
-    handle decodes 8 KiB at a time, so a byte that is not UTF-8 is found
-    only when reading reaches it, and its :class:`UnicodeDecodeError`
-    reports its position within that chunk.
+    The lines come from the text handle, not from one decode of the whole
+    input: the handle decodes 8 KiB at a time, so a byte that is not UTF-8
+    is found only when reading reaches it, and its
+    :class:`UnicodeDecodeError` reports its position within that chunk.
 
     Raises :class:`SchemaMismatch` for header problems,
     :class:`ParseError` (with the file line number) for malformed or
@@ -151,12 +135,10 @@ def ingest_csv(
     """
     # utf-8-sig also accepts spreadsheet exports that lead with a BOM
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        head = list(islice(handle, 1))  # the header line, if any
-        plain = _is_plain("".join(head))
-        reader = _csv_rows(head if plain else chain(head, handle))
-        _, header = next(reader, (1, None))
-        if header is None:
+        _, rows, line = _csv_rows(handle, 1, 1)  # csv takes exactly the header's lines
+        if not rows:
             raise SchemaMismatch(f"{path}: empty file")
+        header = rows[0]
         for required in _REQUIRED_COLUMNS:
             if required not in header:
                 raise SchemaMismatch(f"{path}: missing column {required!r}")
@@ -199,29 +181,23 @@ def ingest_csv(
             return None if n_w and (w != first_w[codes]).any() else codes
 
         code_blocks, value_blocks = [], []
-        line = 2  # file line of a plain block's first row
-        # A plain block is lines of text; a csv block is (file line, row) pairs.
-        while block := list(islice(handle if plain else reader, _BLOCK_ROWS)):
-            if plain and not _is_plain("".join(block)):
-                plain = False  # for good: a quoted cell can run on past the block
-                reader = _csv_rows(chain(block, handle), line)
-                block = list(islice(reader, _BLOCK_ROWS))
+        # ``line`` is the file line of the block's first line, where a row starts.
+        while block := list(islice(handle, _BLOCK_ROWS)):
             n_known = len(first_line)  # clusters seen in earlier blocks
-            parsed = _plain_values(block, len(header), id_position, positions) if plain else None
-            codes = encode(*parsed, n_known, range(line, line + len(block))) if parsed else None
-            if codes is None:
-                lines, rows = zip(*(_csv_rows(block, line) if plain else block))
-                parsed = _bulk_values(rows, len(header), id_position, positions)
-                codes = encode(*parsed, n_known, lines) if parsed else None
-            if codes is None:
+            end = line + len(block)
+            parsed = _table_values(block, len(header), id_position, positions)
+            codes = encode(*parsed, n_known, range(line, end)) if parsed else None
+            if codes is None:  # csv reads as many rows again, from the block's first line
+                lines, rows, end = _csv_rows(chain(block, handle), line, _BLOCK_ROWS)
                 earlier = zip(code_of, first_w[:n_known].tolist(), first_line[:n_known])
-                _raise_first_fault(
+                parsed = _row_values(
                     rows, lines, len(header), id_position, numeric, n_w,
                     {cid: (tuple(w_first), first) for cid, w_first, first in earlier},
                 )
+                codes = encode(*parsed, n_known, lines)
             code_blocks.append(codes)
             value_blocks.append(parsed[1])
-            line += len(block)
+            line = end
 
     if not code_of:
         raise SchemaMismatch(f"{path}: no data rows")
@@ -236,62 +212,66 @@ def ingest_csv(
     return TrialDataset(columns, outcome_kind), x_names, w_names
 
 
-def _csv_rows(lines, first_line: int = 1):
-    """The rows :mod:`csv` reads from ``lines``, whose first is file line
-    ``first_line``, each as a pair (file line where the row starts, row):
-    a quoted cell can hold line breaks, so a row can span lines.  A
-    :class:`csv.Error` (a cell longer than :func:`csv.field_size_limit`)
-    is raised as a :class:`ParseError` at the file line where it
-    occurred."""
+def _csv_rows(lines, first_line: int, n_rows: int):
+    """Up to ``n_rows`` rows that :mod:`csv` reads from ``lines``, whose
+    first is file line ``first_line``: the file line where each row starts
+    (a quoted cell can hold line breaks, so a row can span lines), the
+    rows, and the file line after them.  csv takes from ``lines`` only the
+    lines of the rows it returns.  A :class:`csv.Error` (a cell longer than
+    :func:`csv.field_size_limit`) is raised as a :class:`ParseError` at the
+    file line where it occurred."""
     reader = csv.reader(lines)
     offset = first_line - 1  # file lines before the first of ``lines``
+    starts, rows = [], []
     try:
-        for row in reader:
-            yield first_line, row
+        for row in islice(reader, n_rows):
+            starts.append(first_line)
+            rows.append(row)
             first_line = offset + reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(str(exc), line=offset + reader.line_num) from None
+    return starts, rows, first_line
 
 
-def _is_plain(text: str) -> bool:
-    """Whether each line of ``text``, whole lines of a text handle, is one
-    row to :mod:`csv`, split at every comma, with cells that loadtxt and
-    ``float`` strip alike: it holds none of ``_NOT_PLAIN``.
+def _table_values(lines, n_fields: int, id_position: int, positions: list[int]):
+    """The cluster ids of a block of lines, one per run of consecutive rows
+    of one cluster, its numeric cells as a (columns x rows) float array and
+    the runs' lengths; ``None`` unless loadtxt reads the block as
+    :mod:`csv` and ``float`` would, every cell a finite number.
 
-    A carriage return needs no check.  The text handle ends a line at every
-    one (keeping a CRLF end in one line), so it can stand only at the end of
-    a line, where loadtxt and :mod:`csv` both end the row; a line of a lone
-    CR is blank and goes to :mod:`csv` with its block."""
-    return not any(map(text.__contains__, _NOT_PLAIN))
-
-
-def _plain_values(lines, n_fields: int, id_position: int, positions: list[int]):
-    """:func:`_bulk_values` of a block of lines of a plain file: ``None``
-    when a line is ragged, blank or longer than :mod:`csv` takes a field,
-    when the block's id table would pass ``_MAX_ID_CHARS``, or when loadtxt
-    does not read every cell as a finite number.
-
-    loadtxt reads the whole block, the id column as strings as wide as the
-    longest line and every other column as floats.  It reads a string cell
-    as :mod:`csv` does, whitespace and all, and without ``usecols`` it
-    rejects every line whose cell count is not ``n_fields``.  It skips a
-    blank line, where :mod:`csv` reads an empty row, but such a line is too
-    short to hold a row's commas.  Consecutive rows of one cluster are one
-    run: ``encode`` gets one id per run, so no Python work is done per row.
+    loadtxt reads quoted cells as :mod:`csv` does, the id column as Python
+    strings (whitespace and trailing NULs kept) and every other column as
+    floats.  It reads a number as ``float`` does, or not at all: both strip
+    the same whitespace, except the information separators, and call
+    ``PyOS_string_to_double``.  What ``float`` reads beyond that, such as
+    ``1_0`` or non-ASCII digits, loadtxt rejects, and ``comments=None``
+    keeps it from reading ``1#x`` as 1.  Without ``usecols`` it rejects
+    every row whose cell count is not ``n_fields``.  The block is declined
+    before loadtxt when a line is longer than csv takes a field, or too
+    short to hold a row's commas (loadtxt skips a blank line, where csv
+    reads an empty row, and warns); when it holds an information
+    separator; or when csv would read on past its last line
+    (:func:`_quote_left_open`), where loadtxt ends the cell.  After
+    loadtxt, it is declined when a quoted line break joined two lines into
+    one row.  The text handle ends a line at every carriage return, so one
+    stands only at the end of a line, where loadtxt and csv both end the
+    row.
     """
-    width = max(map(len, lines))
-    if width > csv.field_size_limit() or len(lines) * width > _MAX_ID_CHARS:
+    if max(map(len, lines)) > csv.field_size_limit() or min(map(len, lines)) < n_fields - 1:
         return None
-    if min(map(len, lines)) < n_fields - 1:
+    if any(map("".join(lines).__contains__, _SEPARATORS)) or _quote_left_open(lines[-1]):
         return None
-    dtype = [(f"f{p}", f"<U{width}" if p == id_position else "f8") for p in range(n_fields)]
+    dtype = [(f"f{p}", object if p == id_position else "f8") for p in range(n_fields)]
     try:  # max_rows: the table is allocated once, not grown
         table = np.loadtxt(
-            lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=len(lines)
+            lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
+            max_rows=len(lines),
         )
     except ValueError:
         return None
-    values = np.array([table[f"f{p}"] for p in positions])  # laid out as _bulk_values lays it
+    if len(table) != len(lines):
+        return None
+    values = np.array([table[f"f{p}"] for p in positions])  # C order, as _row_values lays it
     if not np.isfinite(values).all():
         return None
     ids = table[f"f{id_position}"]
@@ -299,30 +279,25 @@ def _plain_values(lines, n_fields: int, id_position: int, positions: list[int]):
     return ids[starts].tolist(), values, np.diff(starts, append=len(lines))
 
 
-def _bulk_values(block, n_fields: int, id_position: int, positions: list[int]):
-    """The cluster ids of a block, its numeric cells as a (columns x rows)
-    float array and the rows per id (1), or ``None`` when a row is ragged
-    or a cell is not a finite number."""
-    if set(map(len, block)) != {n_fields}:
-        return None
-    try:
-        values = np.array([[row[p] for row in block] for p in positions], dtype=float)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return [row[id_position] for row in block], values, 1
+def _quote_left_open(line: str) -> bool:
+    """Whether :mod:`csv`, reading ``line`` from the start of a row, ends it
+    inside a quoted cell, and so reads the next line into the same row,
+    whatever that line holds (here an empty one)."""
+    return '"' in line and len(_csv_rows([line, "\n"], 1, 2)[1]) == 1
 
 
-def _raise_first_fault(block, lines, n_fields, id_position, numeric, n_w, known):
-    """Read a faulty block row by row and raise its first fault.
+def _row_values(rows, lines, n_fields, id_position, numeric, n_w, known):
+    """The cluster ids of :mod:`csv` rows, their numeric cells read by
+    ``float`` as a (columns x rows) float array and the rows per id (1);
+    raises the rows' first fault instead, if they have one.
 
     ``lines`` holds the file line where each row starts, ``numeric`` the
     (name, position) of each numeric column in checking order, and
     ``known`` maps the clusters of earlier blocks to their first ``w``
     values and line.
     """
-    for line, row in zip(lines, block):
+    table = []
+    for line, row in zip(lines, rows):
         if len(row) != n_fields:
             raise ParseError(f"expected {n_fields} fields, found {len(row)}", line=line)
         values = [_parse_float(row[position], name, line) for name, position in numeric]
@@ -332,7 +307,8 @@ def _raise_first_fault(block, lines, n_fields, id_position, numeric, n_w, known)
             raise NonConstantClusterCovariate(
                 f"cluster {cid}: w columns differ between line {first_line} and line {line}"
             )
-    raise AssertionError("a block failed the bulk parse but has no faulty row")
+        table.append(values)
+    return [row[id_position] for row in rows], np.ascontiguousarray(np.array(table).T), 1
 
 
 def _parse_float(text: str, column: str, line: int) -> float:

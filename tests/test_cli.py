@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -905,7 +906,7 @@ def test_ingest_error_lines_count_file_lines_past_a_quoted_line_break(
         cli.ingest_csv(bad_w)
 
 
-# --- the plain-file parser and the csv path read every file alike ----------
+# --- loadtxt and the csv path read every file alike ------------------------
 
 # Cells float() and loadtxt may read differently: underscores, non-ASCII
 # digits, Unicode and separator whitespace, NUL, comments, non-finite and
@@ -926,11 +927,20 @@ PLAIN_IDS = st.text(
 )
 
 
+# The ways a cell may be quoted, each to be read as csv reads it: closed,
+# with an escaped quote or a comma inside, a quote that does not open a
+# quoted cell, text after the closing quote, an open quote that runs on into
+# later lines, and a quoted LF or CRLF.
+QUOTE_FORMS = [
+    '"{}"', '"{}"""', '"{},"', '{}"', '"{}"x', ' "{}"', '"{}', '"{}\n"', '"{}\r\n"',
+]
+
+
 @st.composite
 def trial_files(draw):
-    """The bytes of a trial CSV, mostly plain, with a few faults worked in:
-    among them a quoted id and a lone carriage return, either of which
-    sends the rest of the file to csv from its block on."""
+    """The bytes of a trial CSV, mostly valid, with a few faults worked in,
+    and perhaps written as R writes it, with the header and ids quoted.
+    Any cell, header cells too, may be quoted in one of ``QUOTE_FORMS``."""
     header = draw(st.permutations(["cluster_id", "z", "d", "y", "w_1", "x_1"]))
     ids = draw(st.lists(PLAIN_IDS, min_size=1, max_size=4, unique=True))
     w_of = {cid: draw(NICE_CELLS) for cid in ids}
@@ -939,28 +949,34 @@ def trial_files(draw):
         cid = draw(st.sampled_from(ids))
         cells = {"cluster_id": cid, "w_1": w_of[cid]}
         rows.append([cells[name] if name in cells else draw(NICE_CELLS) for name in header])
+    at_id, at_w = header.index("cluster_id"), header.index("w_1")
+    if draw(st.booleans()):  # R's write.csv quotes every string
+        header = [f'"{name}"' for name in header]
+        for row in rows:
+            row[at_id] = f'"{row[at_id]}"'
     for _ in range(draw(st.integers(0, 2))):
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        fault = draw(
-            st.sampled_from(["odd", "bad", "w", "blank", "short", "long", "quote", "cr"])
-        )
+        fault = draw(st.sampled_from(["odd", "bad", "w", "blank", "short", "long", "cr"]))
         if fault in ("odd", "bad") and row:
             odd = draw(st.sampled_from(ODD_CELLS if fault == "odd" else BAD_NUMBERS))
             row[draw(st.integers(0, len(row) - 1))] = odd
-        elif fault == "w" and len(row) > header.index("w_1"):
-            row[header.index("w_1")] = draw(NICE_CELLS)
+        elif fault == "w" and len(row) > at_w:
+            row[at_w] = draw(NICE_CELLS)
         elif fault == "blank":
             row.clear()
         elif fault == "short":
             del row[-1:]
         elif fault == "long":
             row.append("1")
-        elif fault == "quote" and len(row) > header.index("cluster_id"):
-            at = header.index("cluster_id")  # the id gains a comma, a line break or a quote
-            row[at] = '"' + row[at] + draw(st.sampled_from([",", "\n", '""'])) + '"'
         elif fault == "cr" and row:
             row[draw(st.integers(0, len(row) - 1))] += "\r"
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+    table = [header, *rows]
+    for _ in range(draw(st.integers(0, 2))):
+        row = table[draw(st.integers(0, len(table) - 1))]
+        if row:
+            at = draw(st.integers(0, len(row) - 1))
+            row[at] = draw(st.sampled_from(QUOTE_FORMS)).format(row[at])
+    lines = [",".join(row) for row in table]
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
     return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
@@ -977,12 +993,12 @@ def ingest_outcome(path):
     return cols.cluster_ids, [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays]
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=trial_files(), block_rows=st.sampled_from([1, 3, cli._BLOCK_ROWS]))
+@settings(max_examples=400, deadline=None)
+@given(data=trial_files(), block_rows=st.sampled_from([1, 2, 3, cli._BLOCK_ROWS]))
 @example(data=b"cluster_id,z,d,y\na,0,0,1#x\n", block_rows=cli._BLOCK_ROWS)
 @example(data=b"cluster_id,z,d,y\na,0,0,nan\n", block_rows=cli._BLOCK_ROWS)
 @example(data=b"cluster_id,z,d,y\r\na,0,0,1,2\r\n", block_rows=cli._BLOCK_ROWS)
-# Edges of the plain parser's ids: ids that are prefixes of each other,
+# Edges of the loadtxt reader's ids: ids that are prefixes of each other,
 # that differ by a trailing NUL, that are empty or not ASCII (an astral
 # character among them), ids in the last column before CRLF or no line end,
 # clusters that take turns, within one block and across blocks, a long row
@@ -1027,18 +1043,9 @@ def ingest_outcome(path):
     ),
     block_rows=cli._BLOCK_ROWS,
 )
-def test_plain_and_csv_parsers_read_a_file_alike(tmp_path_factory, data, block_rows):
-    path = tmp_path_factory.mktemp("parsers") / "trial.csv"
-    path.write_bytes(data)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_BLOCK_ROWS", block_rows)
-        plain = ingest_outcome(path)
-        patch.setattr(cli, "_plain_values", lambda *args: None)  # defer every block to csv
-        assert ingest_outcome(path) == plain
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=trial_files(), block_rows=st.sampled_from([1, 3, cli._BLOCK_ROWS]))
+# Lines that csv joins into one row: a quoted line break, lone carriage
+# returns, ending a block or not, and a quote left open on a block's last
+# line, which loadtxt would end there and csv reads on past.
 @example(data=b'cluster_id,z,d,y\na,0,0,1\n"b\nc",1,1,2\n', block_rows=1)
 @example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\r\rc,1,1,3\n", block_rows=1)
 @example(data=b"cluster_id,z,d,y\na,0,0,1\rb,1,1,2\n", block_rows=1)
@@ -1047,16 +1054,19 @@ def test_plain_and_csv_parsers_read_a_file_alike(tmp_path_factory, data, block_r
 @example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1,1,2\r\r", block_rows=3)
 @example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1\r,1,2\n", block_rows=1)
 @example(data=b"cluster_id,z,d,y\na,0,0,1\nb,1\r,1,2\n", block_rows=3)
-def test_routing_each_block_by_its_text_reads_a_file_as_csv_alone_does(
-    tmp_path_factory, data, block_rows
-):
-    path = tmp_path_factory.mktemp("routing") / "trial.csv"
+@example(data=b'cluster_id,z,d,y\na,0,0,"1\n2",\n', block_rows=1)
+# A file as R's write.csv writes it: the header and the ids quoted.
+@example(
+    data=b'"cluster_id","z","d","y","w_1"\n"a",0,0,1,2\n"b",1,1,2,3\n"a",0,0,3,2\n', block_rows=2
+)
+def test_plain_and_csv_parsers_read_a_file_alike(tmp_path_factory, data, block_rows):
+    path = tmp_path_factory.mktemp("parsers") / "trial.csv"
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_BLOCK_ROWS", block_rows)
-        routed = ingest_outcome(path)
-        patch.setattr(cli, "_is_plain", lambda text: False)  # the whole file through csv
-        assert ingest_outcome(path) == routed
+        read = ingest_outcome(path)
+        patch.setattr(cli, "_table_values", lambda *args: None)  # every block through csv
+        assert ingest_outcome(path) == read
 
 
 PLAIN_LAYOUTS = {
@@ -1067,6 +1077,7 @@ PLAIN_LAYOUTS = {
         ("id last", "id last, "),
         ("spaced", "ids with inner and edge spaces, "),
         ("long", "1,000-char ids, "),
+        ("r", "quoted header and ids, "),
     ]
     for eol_name, eol in [("LF", "\n"), ("CRLF", "\r\n")]
 }
@@ -1083,40 +1094,42 @@ def test_a_plain_file_is_read_without_the_csv_module(tmp_path, monkeypatch, layo
         rows = [[r[0].rjust(1000, "x"), *r[1:]] for r in rows]
     elif layout == "id last":
         header, rows = header[1:] + header[:1], [r[1:] + r[:1] for r in rows]
+    quote = (lambda cell: f'"{cell}"') if layout == "r" else str  # as R's write.csv writes
     path = tmp_path / "t.csv"
-    lines = [",".join(header)] + [",".join(map(str, r)) for r in rows]
+    lines = [",".join(map(quote, header))]
+    lines += [",".join([quote(r[0]), *map(str, r[1:])]) for r in rows]
     path.write_text(eol.join(lines) + eol, encoding="utf-8", newline="")
-    bulk = counting(monkeypatch, cli, "_bulk_values")
+    row_reads = counting(monkeypatch, cli, "_row_values")
     cols = cli.ingest_csv(path)[0].columns()
     at = header.index("cluster_id")
     assert list(cols.cluster_ids) == sorted({r[at] for r in rows})
     assert [cols.cluster_ids[c] for c in cols.codes.tolist()] == [r[at] for r in rows]
-    assert bulk == []
+    assert row_reads == []
 
 
-def test_loadtxt_reads_only_the_blocks_before_the_first_quoted_row(tmp_path, monkeypatch):
+def test_loadtxt_reads_every_block_of_a_file_with_a_quoted_row(tmp_path, monkeypatch):
     rows = many_rows(3 * cli._BLOCK_ROWS)
     rows[-1][0] = "s, quoted"
     path = tmp_path / "t.csv"
     write_csv(path, BASIC_HEADER + ["w_1", "x_1"], rows)
     loadtxt = counting(monkeypatch, np, "loadtxt")
+    row_reads = counting(monkeypatch, cli, "_row_values")
     assert "s, quoted" in cli.ingest_csv(path)[0].columns().cluster_ids
-    assert len(loadtxt) == 2
+    assert len(loadtxt) == 3 and row_reads == []
 
 
-def test_a_block_past_the_id_table_bound_is_read_by_csv_alone(tmp_path, monkeypatch):
-    rows = many_rows(4 * cli._BLOCK_ROWS)
-    rows[2 * cli._BLOCK_ROWS + 5][0] = "s" * 100  # a long id in the third block
+def test_a_block_with_one_long_id_is_read_in_bounded_memory(tmp_path):
+    rows = many_rows(cli._BLOCK_ROWS)
+    rows[5][0] = "s" * 4000  # one long line among 4,095 short ones
     path = tmp_path / "t.csv"
     write_csv(path, BASIC_HEADER + ["w_1", "x_1"], rows)
-    monkeypatch.setattr(cli, "_MAX_ID_CHARS", 50 * cli._BLOCK_ROWS)
-    loadtxt = counting(monkeypatch, np, "loadtxt")
-    read = ingest_outcome(path)
-    assert "s" * 100 in read[0]
-    assert len(loadtxt) == 3  # every block but the third
-    assert not any("s" * 100 in "".join(lines) for lines, *_ in loadtxt)
-    monkeypatch.setattr(cli, "_plain_values", lambda *args: None)  # every block through csv
-    assert ingest_outcome(path) == read
+    tracemalloc.start()
+    try:
+        cli.ingest_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -8,8 +8,10 @@ structural-residual fit (``iv._late``), and a per-problem ``ProblemFit``
 view only by ``wls.fit_wls``, so the grid reads whole stacks.  Floating
 point errors are silenced only at the ``np.errstate`` sites listed here,
 each of which ends every non-finite value in a typed error or a finite
-answer; the command line adds none of its own.  And ``np.loadtxt`` reads
-only plain CSV blocks, in ``cli._plain_values``.  The source is parsed, not
+answer; the command line adds none of its own.  And CSV input has two
+readers: ``np.loadtxt`` is called only in ``cli._table_values``, which reads
+a whole block, and ``csv.reader`` only in ``cli._csv_rows``, which reads the
+header and the blocks loadtxt declines.  The source is parsed, not
 imported.
 """
 
@@ -36,10 +38,10 @@ def _is_linalg(name):
 
 class _Sites(ast.NodeVisitor):
     """Records ``(module, enclosing function)`` of each linear-algebra use
-    and each ``DesignFit(...)``, ``ProblemFit(...)``, ``errstate(...)`` and
-    ``loadtxt(...)`` call."""
+    and each ``DesignFit(...)``, ``ProblemFit(...)``, ``errstate(...)``,
+    ``loadtxt(...)`` and ``reader(...)`` call."""
 
-    CALLEES = ("DesignFit", "ProblemFit", "errstate", "loadtxt")
+    CALLEES = ("DesignFit", "ProblemFit", "errstate", "loadtxt", "reader")
 
     def __init__(self, module):
         self.module, self.scope = module, []
@@ -127,4 +129,9 @@ def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors(
 
 def test_loadtxt_is_called_only_by_the_plain_block_reader():
     _, calls = package_sites()
-    assert calls["loadtxt"] == {("cli", "_plain_values")}
+    assert calls["loadtxt"] == {("cli", "_table_values")}
+
+
+def test_csv_reader_is_called_only_by_the_csv_row_reader():
+    _, calls = package_sites()
+    assert calls["reader"] == {("cli", "_csv_rows")}
