@@ -35,8 +35,9 @@ groups) arrays.  The cells are one gather of those arrays through the plan's
 per-cell group and SE mode, and come back as a :class:`GridFit` of (items x
 cells) arrays, each failed cell holding the index of its package error.
 Critical values are formed where intervals are, by :func:`late_fit` and the
-Monte Carlo runner.  Stacked numpy and LAPACK calls give each problem the
-bits of its own call, so a block fit equals its one-item fits bit for bit.
+Monte Carlo runner.  The core's stacked QR, matmuls and back-substitution
+give each problem the bits of its own one-problem stack, so a block fit
+equals its one-item fits bit for bit.
 :func:`tsls` and :func:`itt` are the grid's one-cell case.  From a dataset,
 the command line, the Monte Carlo runner and :func:`late_from_dataset` all
 reach the grid through :meth:`GridPlan.summarise`, which estimates an ICC

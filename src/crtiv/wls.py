@@ -4,9 +4,9 @@ This is the one least-squares core: the continuous covariate adjustment,
 the screen and every fit of the estimation grid go through :func:`solve`.
 :func:`solve` takes a batch of stacks of weighted problems, one design shape
 per stack, as arrays with a first, problem axis, and for each stack runs one
-stacked ``np.linalg.qr`` of the sqrt-weight-scaled designs and one stacked
-``Q^T b`` matmul; each problem is then back-substituted on its own R factor,
-and the residuals of the stack are one stacked matmul.  The fitted problems
+stacked ``np.linalg.qr`` of the sqrt-weight-scaled designs, one stacked
+``Q^T b`` matmul, one stacked back-substitution and one stacked matmul for
+the residuals, with no loop over the problems.  The fitted problems
 of a stack come back as one :class:`DesignFit` with their positions in the
 stack, so a caller reads rows per stack.  The caller builds the stacks: a
 list of per-problem arrays would cost one copy per problem to restack (about
@@ -27,26 +27,28 @@ logistic fit from 0.08 s to 0.18 s.  It also turns separation into
 ``p (1 - p)`` fall below 1e-12 before a coefficient passes the separation
 bound.
 
-The back-substitution calls LAPACK directly:
-``dtrtrs(r.T, b, lower=1, trans=1)`` is exactly the call
-``scipy.linalg.solve_triangular(r, b)`` makes for the C-ordered ``r`` of
-``np.linalg.qr``, without the wrapper's argument handling, so results are
-bit-identical to it.  A stacked QR and a stacked matmul give the bits of the
-per-matrix calls too, so a problem's fit does not depend on which problems
-share its batch.  (A numpy back-substitution or an ``einsum`` for ``Q^T b``
-would differ in the last bits.)  ``solve_triangular`` also checked
-that ``r`` and ``b`` are finite; that check is made here explicitly and
-raises :class:`~crtiv.errors.NonFiniteValue`.
+The back-substitution is elementwise numpy over the whole stack, one row
+at a time from the last: row ``i`` is ``(b_i - sum_{j>i} r_ij x_j) /
+r_ii`` with the sum taken in increasing ``j`` (Golub & Van Loan, *Matrix
+Computations*, 4th ed., section 3.1).  So no problem's solution depends on
+which problems share its stack, and since a stacked QR and a stacked matmul
+give the bits of the per-matrix calls, no problem's fit depends on its
+batch.  The tests hold it against SciPy's BLAS-backed triangular solve.
+The coefficients are bit-identical at p <= 2.  At p >= 3, where OpenBLAS
+sums each row's dot product with fused multiply-adds, and in ``R^-1``, they
+may differ at rounding level.  The inputs are checked to be finite
+first, each failure a :class:`~crtiv.errors.NonFiniteValue`; a coefficient
+that overflows on the way stays in the fit, and :func:`fit_wls` raises it.
 
 A fit holds coefficients, residuals and R factors; its covariances are
 formed only when a caller asks, by :meth:`DesignFit.covariances`, for every
-problem of the stack at once with stacked matmuls (the bread ``R^-1
-R^-T``, ``sum(w r^2)`` and the sandwich), after one back-substitution per
-problem for ``R^-1``.  So a fit whose covariances nobody reads (a first
-stage) never forms them.  The model-based covariance uses ``sigma2 = sum(w
-r^2) / (n - p)`` so results line up with conventional GLS output, and the
-robust one is the plain HC0 sandwich with no small-sample residual
-inflation (small-sample behaviour is handled separately through the
+problem of the stack at once: one back-substitution for ``R^-1``, then
+stacked matmuls for the bread ``R^-1 R^-T``, ``sum(w r^2)`` and the
+sandwich.  So a fit whose covariances nobody reads (a first stage) never
+forms them.  The model-based covariance uses ``sigma2 = sum(w r^2) / (n -
+p)`` so results line up with conventional GLS output, and the robust one is
+the plain HC0 sandwich with no small-sample residual inflation
+(small-sample behaviour is handled separately through the
 degrees-of-freedom mode at inference time).  Both are symmetrised as ``(c +
 c') / 2``, so a diagonal entry past half the float maximum overflows to
 ``inf`` rather than passing as a finite number.
@@ -66,7 +68,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .errors import CrtivError, DfNonPositive, NonFiniteValue, NonPositiveWeight, RankDeficient
@@ -100,11 +101,10 @@ class DesignFit:
     def covariances(self, robust: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """The model-based and the HC0 covariance of every problem, each
         k x p x p and symmetrised as ``(c + c') / 2``; ``None`` for the HC0
-        one unless ``robust``."""
+        one unless ``robust``.  ``R^-1`` is one back-substitution of the
+        stack against the identity, the rest stacked matmuls."""
         k, n, p = self.design.shape
-        # (X'WX)^-1 from each R factor; one back-substitution per problem.
-        eye = np.eye(p)
-        r_inv = np.array([_back_substitute(r, eye) for r in self.r])
+        r_inv = _back_substitute(self.r, np.broadcast_to(np.eye(p), self.r.shape))
         bread = r_inv @ r_inv.transpose(0, 2, 1)
         w, res = self.weights_used, self.residuals
         if n > p:
@@ -166,7 +166,7 @@ def fit_wls(design, response, weights=None) -> ProblemFit:
     NonPositiveWeight
         any weight at or below 1e-12.
     NonFiniteValue
-        the scaled design or response is not finite.
+        the scaled design or response, or a coefficient, is not finite.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -184,6 +184,8 @@ def fit_wls(design, response, weights=None) -> ProblemFit:
     ((_, fit, errors),) = solve([design[None]], [response[None]], [weights[None]])
     if errors:
         raise errors[0]
+    if not np.isfinite(fit.coefficients).all():
+        raise NonFiniteValue("regression coefficients are not finite")
     return ProblemFit(fit)
 
 
@@ -212,58 +214,77 @@ def solve(
     ``designs[s][i]``.  Returns one :class:`Solved` per stack, factored by
     one stacked QR.  A problem's :class:`NonPositiveWeight`,
     :class:`RankDeficient` or :class:`NonFiniteValue` belongs to it alone.
+    No numpy warning is raised: a coefficient that overflows stays in the
+    fit, not finite, for the caller to end in a typed error.
     """
-    out = []
-    for x, y, w in zip(designs, responses, weights):
-        errors: dict[int, CrtivError] = {}
-        k, n, p = x.shape
-        rows = np.arange(k)
-        light = (w < _MIN_WEIGHT).any(axis=1)
-        if light.any():
-            for i in np.flatnonzero(light).tolist():
-                errors[i] = NonPositiveWeight(
-                    f"weights must exceed {_MIN_WEIGHT}; minimum was {w[i].min()!r}"
-                )
-            rows, x, y, w = rows[~light], x[~light], y[~light], w[~light]
-        if len(rows) and (n < p or p == 0):
-            message = (
-                f"{n} observations cannot identify {p} parameters"
-                if n < p
-                else "design matrix is rank deficient"
+    return [_solve_stack(x, y, w) for x, y, w in zip(designs, responses, weights)]
+
+
+# Every non-finite value here ends in a typed error: a factor's or an
+# input's in the NonFiniteValue below, a coefficient's past the float range
+# in fit_wls and in each caller of a stack.
+@np.errstate(over="ignore", invalid="ignore")
+def _solve_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> Solved:
+    """:func:`solve` for one stack."""
+    errors: dict[int, CrtivError] = {}
+    k, n, p = x.shape
+    rows = np.arange(k)
+    light = (w < _MIN_WEIGHT).any(axis=1)
+    if light.any():
+        for i in np.flatnonzero(light).tolist():
+            errors[i] = NonPositiveWeight(
+                f"weights must exceed {_MIN_WEIGHT}; minimum was {w[i].min()!r}"
             )
-            errors.update((i, RankDeficient(message)) for i in rows.tolist())
-            rows = rows[:0]
-        if not len(rows):
-            out.append(Solved(rows, None, errors))
-            continue
-        sqrt_w = np.sqrt(w)
-        q, r = np.linalg.qr(sqrt_w[:, :, None] * x)
-        qtb = q.transpose(0, 2, 1) @ (sqrt_w * y)[:, :, None]
-        r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        deficient = r_diag.min(axis=1) <= _RANK_RTOL * r_diag.max(axis=1)
-        finite = np.isfinite(r).all(axis=(1, 2)) & np.isfinite(qtb).all(axis=(1, 2))
-        fitted = ~deficient & finite
-        if not fitted.all():
-            for j in np.flatnonzero(~fitted).tolist():
-                errors[int(rows[j])] = (
-                    RankDeficient("design matrix is rank deficient")
-                    if deficient[j]
-                    else NonFiniteValue("regression inputs are not finite")
-                )
-            rows, x, y, w, r, qtb = (a[fitted] for a in (rows, x, y, w, r, qtb))
-        if not len(rows):
-            out.append(Solved(rows, None, errors))
-            continue
-        coefficients = np.array([_back_substitute(r_k, b[:, 0]) for r_k, b in zip(r, qtb)])
-        residuals = y - (x @ coefficients[:, :, None])[:, :, 0]
-        out.append(Solved(rows, DesignFit(coefficients, residuals, w, x, r), errors))
-    return out
+        rows, x, y, w = rows[~light], x[~light], y[~light], w[~light]
+    if len(rows) and (n < p or p == 0):
+        message = (
+            f"{n} observations cannot identify {p} parameters"
+            if n < p
+            else "design matrix is rank deficient"
+        )
+        errors.update((i, RankDeficient(message)) for i in rows.tolist())
+        rows = rows[:0]
+    if not len(rows):
+        return Solved(rows, None, errors)
+    sqrt_w = np.sqrt(w)
+    q, r = np.linalg.qr(sqrt_w[:, :, None] * x)
+    qtb = q.transpose(0, 2, 1) @ (sqrt_w * y)[:, :, None]
+    r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    deficient = r_diag.min(axis=1) <= _RANK_RTOL * r_diag.max(axis=1)
+    finite = np.isfinite(r).all(axis=(1, 2)) & np.isfinite(qtb).all(axis=(1, 2))
+    fitted = ~deficient & finite
+    if not fitted.all():
+        for j in np.flatnonzero(~fitted).tolist():
+            errors[int(rows[j])] = (
+                RankDeficient("design matrix is rank deficient")
+                if deficient[j]
+                else NonFiniteValue("regression inputs are not finite")
+            )
+        rows, x, y, w, r, qtb = (a[fitted] for a in (rows, x, y, w, r, qtb))
+    if not len(rows):
+        return Solved(rows, None, errors)
+    coefficients = _back_substitute(r, qtb)[:, :, 0]
+    residuals = y - (x @ coefficients[:, :, None])[:, :, 0]
+    return Solved(rows, DesignFit(coefficients, residuals, w, x, r), errors)
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve_triangular(r, b)`` for a C-ordered upper-triangular ``r`` with
-    a nonzero, finite diagonal: the same LAPACK call, made directly."""
-    return dtrtrs(r.T, b, lower=1, trans=1)[0]
+    """Solve ``r x = b`` for every problem of a stack: ``r`` is k x p x p,
+    upper triangular with a nonzero diagonal, and ``b`` is k x p x m.  Row
+    ``i`` of each problem is ``(b_i - sum_{j>i} r_ij x_j) / r_ii``, with the
+    sum taken in increasing ``j``; the loops run over rows, never over
+    problems."""
+    p = r.shape[-1]
+    x = np.empty(b.shape)
+    for i in reversed(range(p)):
+        row = b[:, i]
+        if i + 1 < p:
+            dot = r[:, i, i + 1, None] * x[:, i + 1]
+            for j in range(i + 2, p):
+                dot = dot + r[:, i, j, None] * x[:, j]
+            row = row - dot
+        x[:, i] = row / r[:, i, i, None]
+    return x
 
 
 def mv_weights(cluster_sizes, rho) -> np.ndarray:

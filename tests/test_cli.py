@@ -1381,17 +1381,21 @@ def test_simulate_reports_overflow_in_one_configuration_at_any_thread_count(tmp_
 
 
 # Importing scipy.stats costs about a second per process, more than a whole
-# default `simulate`; the package needs none of it.  The check runs in a
-# fresh interpreter because the test modules import scipy.stats themselves.
+# default `simulate`, and scipy.linalg tens of milliseconds; the package
+# needs neither.  The check runs in a fresh interpreter because the test
+# modules import both themselves.
 _IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
 
-def stats_modules():
-    return sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+def heavy_modules():
+    return sorted(
+        m for m in sys.modules
+        if m in ("scipy.stats", "scipy.linalg") or m.startswith(("scipy.stats.", "scipy.linalg."))
+    )
 
 import crtiv, crtiv.cli
-after_import = stats_modules()
+after_import = heavy_modules()
 Path("scn.txt").write_text("clusters = 12\\npoisson_mean = 6\\npi = 0.6\\n", encoding="utf-8")
 for argv in (
     ["generate", "--scenario", "scn.txt", "--output-dir", "gen", "--seed", "1"],
@@ -1399,7 +1403,7 @@ for argv in (
     ["simulate", "--scenario", "scn.txt", "--output-dir", "sim", "--replicates", "2"],
 ):
     assert crtiv.cli.main(argv) == 0, argv
-print(json.dumps([after_import, stats_modules()]))
+print(json.dumps([after_import, heavy_modules()]))
 """
 
 

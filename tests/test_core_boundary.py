@@ -1,18 +1,19 @@
 """The regression core's boundary, read from the package source.
 
-Every least-squares fit goes through ``wls.solve``.  So linear algebra
-(``np.linalg``, ``scipy.linalg`` and LAPACK) is called only in ``wls`` and
-in ``collapse._fit_logistic``, the one stated exception, a
-``DesignFit`` is built only by ``wls.solve`` and by the two-stage fit's
-structural-residual fit (``iv._late``), and a per-problem ``ProblemFit``
-view only by ``wls.fit_wls``, so the grid reads whole stacks.  Floating
-point errors are silenced only at the ``np.errstate`` sites listed here,
-each of which ends every non-finite value in a typed error or a finite
-answer; the command line adds none of its own.  And CSV input has two
-readers: ``np.loadtxt`` is called only in ``cli._table_values``, which reads
-a whole block, and ``csv.reader`` only in ``cli._csv_rows``, which reads the
-header and the blocks loadtxt declines.  The source is parsed, not
-imported.
+Every least-squares fit goes through ``wls.solve``, whose one-stack body
+is ``wls._solve_stack``.  So linear algebra (``np.linalg``, ``scipy.linalg``
+and LAPACK) is called only in the core, whose one such call is the stacked
+``np.linalg.qr`` (it back-substitutes in elementwise numpy), and in
+``collapse._fit_logistic``, the one stated exception; a ``DesignFit`` is
+built only by the core and by the two-stage fit's structural-residual fit
+(``iv._late``), and a per-problem ``ProblemFit`` view only by
+``wls.fit_wls``, so the grid reads whole stacks.  Floating point errors are
+silenced only at the ``np.errstate`` sites listed here, each of which ends
+every non-finite value in a typed error or a finite answer; the command
+line adds none of its own.  And CSV input has two readers: ``np.loadtxt``
+is called only in ``cli._table_values``, which reads a whole block, and
+``csv.reader`` only in ``cli._csv_rows``, which reads the header and the
+blocks loadtxt declines.  The source is parsed, not imported.
 """
 
 import ast
@@ -37,9 +38,10 @@ def _is_linalg(name):
 
 
 class _Sites(ast.NodeVisitor):
-    """Records ``(module, enclosing function)`` of each linear-algebra use
-    and each ``DesignFit(...)``, ``ProblemFit(...)``, ``errstate(...)``,
-    ``loadtxt(...)`` and ``reader(...)`` call."""
+    """Records ``(module, enclosing function, name)`` of each linear-algebra
+    use, and ``(module, enclosing function)`` of each ``DesignFit(...)``,
+    ``ProblemFit(...)``, ``errstate(...)``, ``loadtxt(...)`` and
+    ``reader(...)`` call."""
 
     CALLEES = ("DesignFit", "ProblemFit", "errstate", "loadtxt", "reader")
 
@@ -59,25 +61,26 @@ class _Sites(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
 
     def visit_Import(self, node):
-        if any(_is_linalg(alias.name) for alias in node.names):
-            self.linalg.add(self._site())
+        for alias in node.names:
+            if _is_linalg(alias.name):
+                self.linalg.add((*self._site(), alias.name))
 
     def visit_ImportFrom(self, node):
         if node.module and _is_linalg(node.module):
-            self.linalg.add(self._site())
+            self.linalg.add((*self._site(), node.module))
             self.lapack_names.update(alias.asname or alias.name for alias in node.names)
 
     def visit_Attribute(self, node):
         name = _dotted(node)
         if name is not None and _is_linalg(name):
-            self.linalg.add(self._site())
+            self.linalg.add((*self._site(), name))
             return
         self.generic_visit(node)
 
     def visit_Call(self, node):
         func = node.func
         if isinstance(func, ast.Name) and func.id in self.lapack_names:
-            self.linalg.add(self._site())
+            self.linalg.add((*self._site(), func.id))
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if name in self.calls:
             self.calls[name].add(self._site())
@@ -98,15 +101,18 @@ def package_sites():
 
 def test_linear_algebra_is_called_only_in_the_core_and_the_logistic_fit():
     linalg, _ = package_sites()
-    outside = {site for site in linalg if site[0] != "wls"}
+    outside = {(module, scope) for module, scope, _ in linalg if module != "wls"}
     assert outside == {("collapse", "_fit_logistic")}
-    # The core itself is seen: its imports, its QR and its LAPACK call.
-    assert {("wls", ""), ("wls", "solve"), ("wls", "_back_substitute")} <= linalg
+    # The core's only linear algebra is its stacked QR: no scipy.linalg
+    # import, no LAPACK call.
+    assert {site for site in linalg if site[0] == "wls"} == {
+        ("wls", "_solve_stack", "np.linalg.qr")
+    }
 
 
 def test_fits_are_built_only_by_the_core_and_the_structural_residual_fit():
     _, calls = package_sites()
-    assert calls["DesignFit"] == {("wls", "solve"), ("iv", "_late")}
+    assert calls["DesignFit"] == {("wls", "_solve_stack"), ("iv", "_late")}
 
 
 def test_per_problem_views_are_built_only_by_the_one_problem_fit():
@@ -124,6 +130,7 @@ def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors(
         ("iv", "first_stage_fs"),
         ("mc", "_evaluate_block"),
         ("mc", "bias_and_mce"),
+        ("wls", "_solve_stack"),
     }
 
 

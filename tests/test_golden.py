@@ -18,7 +18,7 @@ from crtiv import cli
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 GOLDEN = {
     # simulate, default scenario, seed 1, 40 replicates, one or two workers
-    "report.csv": "50eb312216b7b411900826ed1a6d820d3a5b9bee1f30c34ca5378c8fa1959c62",
+    "report.csv": "93f2b7bb937f700ebf08e1af9a353e8542ff28b277b6133b6eee77b496112085",
     # analyze --adjust-x x_1 --adjust-w w_1 on the default scenario's trial for seed 1
     "analysis.csv": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
     # the same, on that trial with a byte order mark and CRLF line ends

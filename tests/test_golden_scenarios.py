@@ -39,7 +39,7 @@ REPORTS = {
         "bd627347d90ee08d75762644ca08ab3b260eb69db26d3256ba8f2744625f3086",
     ),
     "clusters = 3\n": (
-        "53ef7c3df5a133ed5063858c28009235e24b060a1f8b12d018716bb2e674bc6a",
+        "71e742133062918066a937094f168913c8439227786c114a9d1fad9e002aa408",
         "053ad77ea0861d705fbf6e865cd270cb92b5036852abcf4d329d4db83157e778",
     ),
 }

@@ -746,6 +746,18 @@ def _answer_or_typed_error(call, *args):
 # answer or a typed error must stay silent, in the library as on the
 # command line.
 @settings(max_examples=200, deadline=None)
+@example(  # a first-stage slope past the float range
+    summaries=Summaries(
+        ids=("c0", "c1", "c2"),
+        n=np.ones(3),
+        z=np.array([0.0, 0.0, 1.0]),
+        d_bar=np.array([-1e308, -1e308, 1e308]),
+        y_bar=np.zeros(3),
+        w=np.zeros((3, 0)),
+    ),
+    icc=None,
+    options=EVERY_OPTIONS[0],
+)
 @given(
     summaries=extreme_summaries(),
     icc=st.none() | st.floats(0.0, 1.0),
