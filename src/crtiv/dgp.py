@@ -338,7 +338,8 @@ def generate(config: ScenarioConfig, seed) -> GeneratedTrial:
 def screen_block(block: Sequence[Summaries]) -> list[bool]:
     """Whether each trial of ``block``, by its unadjusted summaries, passes
     the weak-instrument screen: its first-stage F reaches 10.  The block's
-    first stages are one solve (:func:`crtiv.iv.first_stage_fs`).
+    first stages are one solve per cluster count
+    (:func:`crtiv.iv.first_stage_fs`).
 
     Degenerate trials (single-arm assignment draw, constant adherence) fail
     the screen rather than raising.

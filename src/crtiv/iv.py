@@ -26,12 +26,12 @@ summaries, ICC or cluster covariates) is decided once per (item, outcome)
 before any stack is built, and the items of one outcome and cluster count
 share one ``[1, z]`` and one ``[1, z, w]`` design.  Each group of the
 outcome is a stack of rows of one of these with its own weights, and the
-stacks of one design shape are concatenated into one.  All first stages of a
-block go to the regression core as one batch and all second stages as
-another, so a block takes one stacked QR per design shape and stage
-(:func:`crtiv.wls.solve`).  So the fitted designs, the structural residuals
-and every problem's variances are read at once per stack, into (items x
-groups) arrays.  The cells are one gather of those arrays through the plan's
+stacks of one design shape are concatenated into one
+(:meth:`GridPlan._stacks`).  Each stack of a stage is one
+:func:`crtiv.wls.solve`, so a block takes one stacked QR per design shape
+and stage.  So the fitted designs, the structural residuals and every
+problem's variances are read at once per stack, into (items x groups)
+arrays.  The cells are one gather of those arrays through the plan's
 per-cell group and SE mode, and come back as a :class:`GridFit` of (items x
 cells) arrays, each failed cell holding the index of its package error.
 Critical values are formed where intervals are, by :func:`late_fit` and the
@@ -45,8 +45,10 @@ only where a cell reads one and none is fixed, and reuses a caller's summaries.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.  :func:`first_stage_fs`
-screens a block of trials with one solve, a stack per cluster count, and
-:func:`first_stage_f` is its one-trial case.
+screens a block of trials as a one-cell grid with that first stage: the
+same stacks, one solve per cluster count, and the same error bookkeeping,
+with each stack's Fs formed at once.  :func:`first_stage_f` is its
+one-trial case.
 """
 
 from __future__ import annotations
@@ -166,11 +168,11 @@ class _Results:
 
 
 def _solve(stacks: list[_Stack], responses: list, results: _Results):
-    """Solve ``stacks`` against ``responses`` (one per stack) in one batch:
-    each failed problem's error goes to ``results``, and each stack with a
-    fitted problem comes back as ``(stack, rows, fit)``."""
-    solved = wls.solve([s.design for s in stacks], responses, [s.weights for s in stacks])
-    for stack, (rows, fit, errors) in zip(stacks, solved):
+    """Solve each of ``stacks`` against its response in ``responses``: each
+    failed problem's error goes to ``results``, and each stack with a fitted
+    problem comes back as ``(stack, rows, fit)``."""
+    for stack, response in zip(stacks, responses):
+        rows, fit, errors = wls.solve(stack.design, response, stack.weights)
         for row, error in errors.items():
             results.fail(stack.problems[row], error)
         if fit is not None:
@@ -186,9 +188,9 @@ def _assignment(stacks: list[_Stack], results: _Results) -> None:
 def _late(stacks: list[_Stack], results: _Results) -> None:
     """The two-stage estimate of every problem, into ``results``.
 
-    Every first stage goes to the regression core as one batch and, after
-    each problem's relevance check, every second stage as another.  The
-    fitted adherence is one stacked product per first-stage stack, and the
+    Every first-stage stack goes to the regression core and, after each
+    problem's relevance check, every second-stage stack.  The fitted
+    adherence is one stacked product per first-stage stack, and the
     structural residuals, formed with the actual adherence fractions, one
     per second-stage stack, which then gives every problem's variances.
     """
@@ -374,14 +376,25 @@ class GridPlan:
         Each item is a ``(summaries, icc)`` pair as :meth:`fit` takes, and
         item ``i`` of the result is :meth:`fit`'s list for it, bit for bit.
         The problems of all items are built as stacked arrays, one stack per
-        design shape, and go to the regression core together, so each stage
-        takes one stacked QR per design shape for the whole block; a failure
-        stays in its own item and cell.
+        design shape (:meth:`_stacks`), and each stack goes to the
+        regression core once per stage, so each stage takes one stacked QR
+        per design shape for the whole block; a failure stays in its own
+        item and cell.
         """
         if estimator not in ("late", "itt"):
             raise ValueError(f"estimator must be 'late' or 'itt', got {estimator!r}")
+        results = _Results(len(items), len(self.groups))
+        stacks = self._stacks(items, results)
+        # Every non-finite value here ends in a typed error, in solve or _cells.
+        with np.errstate(over="ignore", invalid="ignore"):
+            (_assignment if estimator == "itt" else _late)(stacks, results)
+        return self._cells(results)
+
+    def _stacks(self, items: Sequence, results: _Results) -> list[_Stack]:
+        """The stage-one problems of every item of a block, one
+        :class:`_Stack` per design shape, for :meth:`fit_block` and the
+        screen; each failure of an item short of a fit goes to ``results``."""
         n_groups = len(self.groups)
-        results = _Results(len(items), n_groups)
         # One source per (item, outcome) whose summaries pass their checks,
         # by outcome, cluster count, count of cluster covariates (0 if its
         # w-adjusted groups failed theirs) and whether it has an ICC (not if
@@ -412,14 +425,10 @@ class GridPlan:
         for (outcome, *_), same in sources.items():
             for stack in self._problems(outcome, same):
                 by_shape.setdefault(stack.design.shape[1:], []).append(stack)
-        stacks = [
+        return [
             parts[0] if len(parts) == 1 else _Stack(*map(np.concatenate, zip(*parts)))
             for parts in by_shape.values()
         ]
-        # Every non-finite value here ends in a typed error, in solve or _cells.
-        with np.errstate(over="ignore", invalid="ignore"):
-            (_assignment if estimator == "itt" else _late)(stacks, results)
-        return self._cells(results)
 
     def _problems(self, outcome: Hashable, sources: list):
         """The stage-one problems of ``outcome`` on ``sources``, the ``(item,
@@ -428,15 +437,16 @@ class GridPlan:
         per group of the outcome that they can fit, on the ``[1, z]`` or
         ``[1, z, w]`` design of the sources, which all the groups share, with
         the group's weights."""
-        offset = np.array([k for k, *_ in sources]) * len(self.groups)
+        items, summaries, w_mats, iccs = zip(*sources)
+        offset = np.array(items) * len(self.groups)
         n, z, d_bar, y_bar = (
-            np.array([getattr(s, column) for _, s, *_ in sources], dtype=float)
+            np.array([getattr(s, column) for s in summaries], dtype=float)
             for column in ("n", "z", "d_bar", "y_bar")
         )
         designs = {False: _design(z)}
-        if sources[0][2] is not None:
-            designs[True] = _design(z, np.array([w_mat for _, _, w_mat, _ in sources]))
-        rho = None if sources[0][3] is None else np.array([icc for *_, icc in sources])[:, None]
+        if w_mats[0] is not None:
+            designs[True] = _design(z, np.array(w_mats))
+        rho = None if iccs[0] is None else np.array(iccs)[:, None]
         for g in self._outcome_groups[outcome].tolist():
             _, adjust_w, scheme = self.groups[g]
             if adjust_w not in designs:
@@ -502,51 +512,45 @@ def wald_late(summaries: Summaries) -> float:
     return ratio
 
 
+# The screen's first stage: the unadjusted outcome with no weights and no w.
+_SCREEN = GridPlan([(None, AnalysisOptions())])
+
+
 def first_stage_fs(block: Sequence[Summaries]) -> list[float | CrtivError]:
     """The screening F of each summaries of ``block``, as
     :func:`first_stage_f` gives it, or the package error its first stage
-    raised.  The first stages of the block are one
-    :func:`crtiv.wls.solve`, a stack per cluster count, and its covariances
-    one stacked pass per stack; a variance that overflows is that item's
-    :class:`~crtiv.errors.NonFiniteValue`, and raises no warning."""
-    out: list[float | CrtivError] = [math.nan] * len(block)
-    members: dict[int, list[int]] = {}
-    for i, summaries in enumerate(block):
-        try:
-            members.setdefault(_checked(summaries), []).append(i)
-        except CrtivError as exc:
-            out[i] = exc.with_traceback(None)
-    z = [np.array([block[i].z for i in m], dtype=float) for m in members.values()]
-    solved = wls.solve(
-        [_design(z_rows) for z_rows in z],
-        [np.array([block[i].d_bar for i in m], dtype=float) for m in members.values()],
-        [np.ones(z_rows.shape) for z_rows in z],
-    )
-    for m, (rows, fit, errors) in zip(members.values(), solved):
-        for row, error in errors.items():
-            out[m[row]] = error
-        if fit is None:
-            continue
-        # Treat residuals at rounding-noise level as identically zero;
-        # adherence fractions live in [0, 1] so an absolute threshold is safe.
-        exact = np.max(np.abs(fit.residuals), axis=1, initial=0.0) <= 1e-12
-        # With no residual degrees of freedom (J = 2) the fit is exact too.
-        exact |= fit.design.shape[1] <= fit.design.shape[2]
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite: NonFiniteValue below
+    raised.  The block is a grid's block on the one-cell plan ``_SCREEN``:
+    one :func:`crtiv.wls.solve` per cluster count, and one stacked pass per
+    stack for its covariances and Fs.  A slope or a variance that is not
+    finite is that item's :class:`~crtiv.errors.NonFiniteValue`, and raises
+    no warning."""
+    results = _Results(len(block), 1)
+    stacks = _SCREEN._stacks([({None: summaries}, {}) for summaries in block], results)
+    # Every non-finite slope or variance ends in a NonFiniteValue below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stack, rows, fit in _solve(stacks, [s.d_bar for s in stacks], results):
+            problems, gamma_z = stack.problems[rows], fit.coefficients[:, 1]
             variance = fit.covariances(robust=False)[0][:, 1, 1]
-        for row, gamma_z, flat, var in zip(
-            rows.tolist(), fit.coefficients[:, 1].tolist(), exact.tolist(), variance.tolist()
-        ):
-            if flat:
-                out[m[row]] = math.inf if abs(gamma_z) > _RELEVANCE_TOL else 0.0
-            elif not math.isfinite(var):
-                out[m[row]] = NonFiniteValue(f"first-stage variance is not finite: {var}")
-            else:
-                try:
-                    out[m[row]] = (gamma_z / math.sqrt(var)) ** 2
-                except OverflowError:  # an F past the largest float reads as an exact fit's
-                    out[m[row]] = math.inf
-    return out
+            # Treat residuals at rounding-noise level as identically zero;
+            # adherence fractions live in [0, 1] so an absolute threshold is
+            # safe.  With no residual degrees of freedom (J = 2) the fit is
+            # exact too, and its F is inf, or 0 for a flat slope.
+            exact = np.max(np.abs(fit.residuals), axis=1, initial=0.0) <= 1e-12
+            exact |= fit.design.shape[1] <= fit.design.shape[2]
+            f_stat = np.where(np.abs(gamma_z) > _RELEVANCE_TOL, math.inf, 0.0)
+            t_ratio = gamma_z[~exact] / np.sqrt(variance[~exact])
+            f_stat[~exact] = t_ratio * t_ratio  # past the largest float: inf
+            results.estimate.flat[problems] = f_stat
+            slope = np.isfinite(gamma_z)
+            for name, bad, values in (
+                ("slope", ~slope, gamma_z),
+                ("variance", slope & ~exact & ~np.isfinite(variance), variance),
+            ):
+                for problem, value in zip(problems[bad].tolist(), values[bad].tolist()):
+                    message = f"first-stage {name} is not finite: {value}"
+                    results.fail(problem, NonFiniteValue(message))
+    codes, f_stats = results.code[:, 0].tolist(), results.estimate[:, 0].tolist()
+    return [results.errors[code] if code else f for code, f in zip(codes, f_stats)]
 
 
 def first_stage_f(summaries: Summaries) -> float:
@@ -554,9 +558,9 @@ def first_stage_f(summaries: Summaries) -> float:
     unweighted first stage, with model-based SE and (1, J-2) degrees of
     freedom.  An exact fit, from deterministic adherence (zero residuals)
     or from J = 2, returns ``inf``, or 0 when the slope is flat; an F past
-    the largest float is ``inf`` too, and a variance that overflows raises
-    :class:`~crtiv.errors.NonFiniteValue`.  The one-trial case of
-    :func:`first_stage_fs`."""
+    the largest float is ``inf`` too.  A slope or a variance that is not
+    finite raises :class:`~crtiv.errors.NonFiniteValue`.  The one-trial
+    case of :func:`first_stage_fs`."""
     (f_stat,) = first_stage_fs([summaries])
     if isinstance(f_stat, CrtivError):
         raise f_stat

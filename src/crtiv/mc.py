@@ -8,7 +8,7 @@ empirical bias and 95% interval coverage with their Monte Carlo errors.
 Replicates are seeded independently from (master_seed, attempt_index), and a
 rejected attempt still consumes its index.  The unit of work is a block of
 consecutive attempts: each attempt is generated and collapsed on its own,
-the block's screens are one stacked first-stage solve
+the block's screens are one stacked first-stage solve per cluster count
 (:func:`crtiv.dgp.screen_block`), and the retained replicates are summarised
 and fitted in one stacked pass through the grid
 (:meth:`crtiv.iv.GridPlan.fit_block`).  Both give each attempt the bits of

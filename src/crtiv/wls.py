@@ -2,19 +2,20 @@
 
 This is the one least-squares core: the continuous covariate adjustment,
 the screen and every fit of the estimation grid go through :func:`solve`.
-:func:`solve` takes a batch of stacks of weighted problems, one design shape
-per stack, as arrays with a first, problem axis, and for each stack runs one
-stacked ``np.linalg.qr`` of the sqrt-weight-scaled designs, one stacked
-``Q^T b`` matmul, one stacked back-substitution and one stacked matmul for
-the residuals, with no loop over the problems.  The fitted problems
-of a stack come back as one :class:`DesignFit` with their positions in the
-stack, so a caller reads rows per stack.  The caller builds the stacks: a
-list of per-problem arrays would cost one copy per problem to restack (about
-0.4 ms for 384 small problems, 2-vCPU host), more than the grid's Python
-around them.  Rank is judged per problem from its own R diagonal at a
-relative threshold of 1e-10, and any failure (rank, weights, a non-finite
-factor) belongs to that problem alone.  :func:`fit_wls` is the one-problem
-case behind a checked public edge.
+:func:`solve` takes one stack of weighted problems of one design shape, as
+arrays with a first, problem axis, and runs one stacked ``np.linalg.qr`` of
+the sqrt-weight-scaled designs, one stacked ``Q^T b`` matmul, one stacked
+back-substitution and one stacked matmul for the residuals, with no loop
+over the problems.  The fitted problems come back as one
+:class:`DesignFit` with their positions in the stack, so a caller reads
+rows per stack.  The caller builds the stacks (the grid and the screen
+share one builder, ``iv.GridPlan._stacks``): a list of per-problem arrays
+would cost one copy per problem to restack (about 0.4 ms for 384 small
+problems, 2-vCPU host), more than the grid's Python around them.  Rank is
+judged per problem from its own R diagonal at a relative threshold of
+1e-10, and any failure (rank, weights, a non-finite factor) belongs to that
+problem alone.  :func:`fit_wls` is the one-problem case behind a checked
+public edge.
 
 The one fit outside the core is the logistic fit of the binary covariate
 adjustment, ``collapse._fit_logistic``, which forms and solves its p x p
@@ -33,7 +34,7 @@ r_ii`` with the sum taken in increasing ``j`` (Golub & Van Loan, *Matrix
 Computations*, 4th ed., section 3.1).  So no problem's solution depends on
 which problems share its stack, and since a stacked QR and a stacked matmul
 give the bits of the per-matrix calls, no problem's fit depends on its
-batch.  The tests hold it against SciPy's BLAS-backed triangular solve.
+stack.  The tests hold it against SciPy's BLAS-backed triangular solve.
 The coefficients are bit-identical at p <= 2.  At p >= 3, where OpenBLAS
 sums each row's dot product with fused multiply-adds, and in ``R^-1``, they
 may differ at rounding level.  The inputs are checked to be finite
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
@@ -80,7 +81,7 @@ _MIN_WEIGHT = 1e-12
 @dataclass(frozen=True, eq=False)
 class DesignFit:
     """Weighted least squares fits of a stack of problems sharing one design
-    shape: what :func:`solve` returns for each shape.
+    shape: what :func:`solve` returns for a stack.
 
     Every array holds the problems along its first axis: ``coefficients``
     is k x p, ``residuals`` and ``weights_used`` are k x n, ``design`` is
@@ -181,7 +182,7 @@ def fit_wls(design, response, weights=None) -> ProblemFit:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError("one weight per observation required")
-    ((_, fit, errors),) = solve([design[None]], [response[None]], [weights[None]])
+    _, fit, errors = solve(design[None], response[None], weights[None])
     if errors:
         raise errors[0]
     if not np.isfinite(fit.coefficients).all():
@@ -200,32 +201,22 @@ class Solved(NamedTuple):
     errors: dict[int, CrtivError]
 
 
-def solve(
-    designs: Sequence[np.ndarray],
-    responses: Sequence[np.ndarray],
-    weights: Sequence[np.ndarray],
-) -> list[Solved]:
-    """Weighted least squares for a batch of stacks of problems: the
-    regression core.
-
-    Each stack holds problems of one design shape along a first axis:
-    ``designs[s]`` is k x n x p, ``responses[s]`` and the positive
-    ``weights[s]`` are k x n, and row ``i`` regresses ``responses[s][i]`` on
-    ``designs[s][i]``.  Returns one :class:`Solved` per stack, factored by
-    one stacked QR.  A problem's :class:`NonPositiveWeight`,
-    :class:`RankDeficient` or :class:`NonFiniteValue` belongs to it alone.
-    No numpy warning is raised: a coefficient that overflows stays in the
-    fit, not finite, for the caller to end in a typed error.
-    """
-    return [_solve_stack(x, y, w) for x, y, w in zip(designs, responses, weights)]
-
-
 # Every non-finite value here ends in a typed error: a factor's or an
 # input's in the NonFiniteValue below, a coefficient's past the float range
 # in fit_wls and in each caller of a stack.
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> Solved:
-    """:func:`solve` for one stack."""
+def solve(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> Solved:
+    """Weighted least squares for a stack of problems: the regression core.
+
+    The stack holds problems of one design shape along a first axis: ``x``
+    is k x n x p, the response ``y`` and the positive weights ``w`` are
+    k x n, and row ``i`` regresses ``y[i]`` on ``x[i]``.  Returns the
+    stack's :class:`Solved`, factored by one stacked QR.  A problem's
+    :class:`NonPositiveWeight`, :class:`RankDeficient` or
+    :class:`NonFiniteValue` belongs to it alone.  No numpy warning is
+    raised: a coefficient that overflows stays in the fit, not finite, for
+    the caller to end in a typed error.
+    """
     errors: dict[int, CrtivError] = {}
     k, n, p = x.shape
     rows = np.arange(k)
@@ -233,7 +224,7 @@ def _solve_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> Solved:
     if light.any():
         for i in np.flatnonzero(light).tolist():
             errors[i] = NonPositiveWeight(
-                f"weights must exceed {_MIN_WEIGHT}; minimum was {w[i].min()!r}"
+                f"weights must exceed {_MIN_WEIGHT}; minimum was {float(w[i].min())}"
             )
         rows, x, y, w = rows[~light], x[~light], y[~light], w[~light]
     if len(rows) and (n < p or p == 0):

@@ -693,6 +693,12 @@ def test_a_first_stage_without_residual_df_is_an_exact_fit():
     assert first_stage_f(flat) == 0.0
     assert iv.first_stage_fs([steep, flat]) == [math.inf, 0.0]
     assert dgp.screen_block([steep, flat]) == [True, False]
+    # A slope past the float range is no exact fit's: a typed error.
+    overflowed = summaries_from_arrays(np.zeros(2), [-1e308, 1e308], z)
+    with pytest.raises(NonFiniteValue, match="^first-stage slope is not finite: inf$"):
+        first_stage_f(overflowed)
+    assert type(iv.first_stage_fs([overflowed])[0]) is NonFiniteValue
+    assert dgp.screen_block([overflowed]) == [False]
 
 
 def test_a_first_stage_variance_that_overflows_is_a_typed_error():
@@ -746,6 +752,18 @@ def _answer_or_typed_error(call, *args):
 # answer or a typed error must stay silent, in the library as on the
 # command line.
 @settings(max_examples=200, deadline=None)
+@example(  # a first-stage slope past the float range, with no residual df
+    summaries=Summaries(
+        ids=("c0", "c1"),
+        n=np.ones(2),
+        z=np.array([0.0, 1.0]),
+        d_bar=np.array([-1e308, 1e308]),
+        y_bar=np.zeros(2),
+        w=np.zeros((2, 0)),
+    ),
+    icc=None,
+    options=EVERY_OPTIONS[0],
+)
 @example(  # a first-stage slope past the float range
     summaries=Summaries(
         ids=("c0", "c1", "c2"),
@@ -772,6 +790,8 @@ def test_extreme_summaries_end_in_an_answer_or_a_typed_error_per_cell(summaries,
             )
     (f_stat,) = iv.first_stage_fs([summaries])
     assert isinstance(f_stat, CrtivError) or f_stat >= 0.0
+    if f_stat == math.inf:  # an exact fit or a huge F, of a finite slope
+        wls.fit_wls(np.column_stack([np.ones(len(summaries.z)), summaries.z]), summaries.d_bar)
     assert isinstance(_answer_or_typed_error(wald_late, summaries), (float, CrtivError))
     for fitter in (tsls, itt):
         fit = _answer_or_typed_error(fitter, summaries, options, icc)

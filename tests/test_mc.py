@@ -620,23 +620,19 @@ def summarised(plan, trials):
 def test_full_grid_on_a_default_trial_solves_25_regressions(monkeypatch):
     trials = [generate(ScenarioConfig(), seed) for seed in range(8, 13)]
     plan = iv.GridPlan(variant_grid())
-    original, batches = wls.solve, []
-
-    def counted(designs, responses, weights):
-        batches.append(sum(map(len, designs)))  # problems, over the batch's stacks
-        return original(designs, responses, weights)
-
-    monkeypatch.setattr(wls, "solve", counted)
+    # Each wls.solve call is recorded by the problems of its stack.
+    stacks = recording(monkeypatch, wls, "solve", lambda design, *_: len(design))
     fits = fit_variants(trials[0], variant_grid())
     assert not any(isinstance(fit, CrtivError) for fit in fits)
     # One residual fit, then one first stage and one second stage per
-    # (outcome, w-adjust, weights) group: 2 outcomes x 2 x 3 = 12 groups.
-    assert batches == [1, 12, 12]
+    # (outcome, w-adjust, weights) group: 2 outcomes x 2 x 3 = 12 groups, in
+    # a stack without w and a stack with w per stage, 6 groups each.
+    assert stacks == [1, 6, 6, 6, 6]
     items = summarised(plan, trials)
-    batches.clear()
-    # A block sends the groups of all its trials in the same two batches.
+    stacks.clear()
+    # A block sends the groups of all its trials in the same four stacks.
     assert all(not isinstance(f, CrtivError) for fits in plan.fit_block(items) for f in fits)
-    assert batches == [12 * 5, 12 * 5]
+    assert stacks == [6 * 5] * 4
 
 
 def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
@@ -925,21 +921,23 @@ def test_a_block_screen_equals_each_attempts_screen_alone(block):
             assert f_stat == math.inf
 
 
-def test_a_simulate_block_makes_one_screen_solve_and_two_grid_solves(monkeypatch):
-    # Each wls.solve call is recorded by the problems it holds.  A block's
-    # screens are one call, its grid one per stage, and the only other call
-    # is each retained replicate's residual fit for the x-adjusted outcome.
-    solves = recording(monkeypatch, wls, "solve", lambda designs, *_: sum(map(len, designs)))
+def test_a_simulate_block_makes_one_screen_solve_and_four_grid_solves(monkeypatch):
+    # Each wls.solve call is recorded by the problems of its stack.  A
+    # block's screens are one call (its attempts share one cluster count),
+    # its grid one per design shape (without and with w) and stage, and the
+    # only other call is each retained replicate's residual fit for the
+    # x-adjusted outcome.
+    solves = recording(monkeypatch, wls, "solve", lambda design, *_: len(design))
     plan = iv.GridPlan(variant_grid())
     retained, cells = mc._evaluate_block(ScenarioConfig(), 1, plan, range(mc._BLOCK))
     kept = sum(retained)
     assert kept > 0 and all(fitted.all() for fitted in cells[3])
-    assert solves == [mc._BLOCK] + [1] * kept + [12 * kept, 12 * kept]
-    # So a study makes three solves per block and one per replicate.
+    assert solves == [mc._BLOCK] + [1] * kept + [6 * kept] * 4
+    # So a study makes five solves per block and one per replicate.
     blocks = counting_block_fits(monkeypatch)
     solves.clear()
     report = run_study(ScenarioConfig(), 40, master_seed=502)
-    assert len(solves) == 3 * len(blocks) + report.n_replicates
+    assert len(solves) == 5 * len(blocks) + report.n_replicates
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -113,7 +113,9 @@ def test_nonpositive_weights_rejected():
     design = np.column_stack([np.ones(4), np.arange(4.0)])
     y = np.zeros(4)
     for bad in (0.0, -1.0, 1e-13):
-        with pytest.raises(NonPositiveWeight):
+        # The minimum prints as a Python float, not as numpy's repr.
+        message = rf"^weights must exceed 1e-12; minimum was {bad}$"
+        with pytest.raises(NonPositiveWeight, match=message):
             fit_wls(design, y, np.array([1.0, 1.0, 1.0, bad]))
 
 
@@ -316,7 +318,8 @@ def test_solve_keeps_each_problems_failure_to_itself():
     responses[0][3] = np.inf
     weights = [np.ones(x.shape[:2]) for x in designs]
     weights[0][4] = 0.0
-    solved = solve(designs, responses, weights)
+    # One solve per stack.
+    solved = [solve(x, y, w) for x, y, w in zip(designs, responses, weights)]
     errors = [{row: type(err) for row, err in s.errors.items()} for s in solved]
     assert errors == [
         {1: RankDeficient, 3: NonFiniteValue, 4: NonPositiveWeight},
