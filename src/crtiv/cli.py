@@ -40,7 +40,7 @@ import csv
 import math
 import sys
 from contextlib import suppress
-from dataclasses import asdict, fields
+from dataclasses import fields
 from itertools import chain, islice
 from pathlib import Path
 
@@ -593,10 +593,11 @@ def _cmd_analyze(args) -> int:
 
 
 def write_report_csv(report: mc.McReport, path) -> None:
+    names = [field.name for field in fields(mc.VariantResult)]
     rows = [
         {
             **_cell_columns(*key),
-            **asdict(res),
+            **{name: getattr(res, name) for name in names},
             "n_replicates": report.n_replicates,
             "rejected_weak": report.rejected_weak,
             "attempts": report.attempts,

@@ -19,11 +19,23 @@ the dataset's arrays, and every collapse is a pure function of its
 arguments.  :func:`cluster_means` computes the unadjusted ones on each call;
 :func:`summaries_from_values` gives an adjusted variant, which shares every
 column except ``y_bar`` with the unadjusted summaries it is handed.
+
+A block of trials is collapsed at once (``_Block``, which
+:meth:`crtiv.iv.GridPlan.summarise_block` drives): its columns are
+concatenated once, each trial's cluster codes offset by the clusters before
+it, so the cluster sums, means and ICC moments of the whole block are one
+array operation each.  Only what sets a trial's own bits stays per trial:
+the sort of its records, and the mean, dot product and sums of its ICC.
+Each cluster's and trial's reductions see the same values in the same order
+as alone, so a block gives each trial the bits of its own call;
+:func:`cluster_means`, :func:`summaries_from_values` and :func:`anova_icc`
+are the one-trial case, and copy no array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +49,7 @@ from .errors import (
     RankDeficientDesign,
     SeparationDetected,
 )
-from .model import Summaries, TrialDataset
+from .model import Columns, Summaries, TrialDataset
 
 _SCORE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
@@ -64,9 +76,12 @@ def cluster_means(dataset: TrialDataset) -> Summaries:
     Output is ordered lexicographically by cluster id and, for a dataset
     that passes ``validate`` (0/1 ``d``), bit-identical under any order of
     the input records.  Each call collapses afresh; ``n`` and ``w`` are the
-    dataset's own arrays, so do not modify them.
+    dataset's own arrays, so do not modify them.  The one-trial case of a
+    block's collapse.
     """
-    return _collapse(dataset, dataset.columns().y)
+    block = _Block.of([dataset.columns()])
+    (summaries,) = block.summaries(block.column("y"))
+    return summaries
 
 
 def summaries_from_values(
@@ -82,41 +97,129 @@ def summaries_from_values(
     values = np.asarray(values, dtype=float)
     if values.shape != dataset.columns().y.shape:
         raise ValueError(f"need one value per record, got shape {values.shape}")
-    return _collapse(dataset, values, unadjusted)
+    block = _Block.of([dataset.columns()])
+    (summaries,) = block.summaries(values, None if unadjusted is None else [unadjusted])
+    return summaries
 
 
-def _collapse(dataset, values, unadjusted=None) -> Summaries:
-    cols = dataset.columns()
-    y_bar = _cluster_means_of(values, cols)
-    if unadjusted is not None:
-        return unadjusted._replace(y_bar=y_bar)
-    z_sums = np.bincount(cols.codes, weights=cols.z, minlength=len(cols.cluster_ids))
-    # d is 0/1, so its sums are exact in any order and need no sort.
-    d_sums = np.bincount(cols.codes, weights=cols.d, minlength=len(cols.cluster_ids))
-    return Summaries(
-        ids=cols.cluster_ids,
-        n=cols.sizes,
-        z=(z_sums > 0).astype(float),
-        d_bar=d_sums / cols.sizes,
-        y_bar=y_bar,
-        w=cols.w,
-    )
+class _Block:
+    """The records of a block of trials as one set of columns, which a
+    collapse and an ICC read at once.
 
+    ``codes`` and ``sizes`` hold every trial's cluster codes and cluster
+    sizes in trial order, each trial's codes raised by the cluster count of
+    the trials before it, so that they number every cluster of the block.
+    ``clusters`` and ``records`` bound each trial's clusters and records.
+    A block of one trial holds that trial's own arrays, uncopied.  Built
+    :meth:`of` the trials' :class:`~crtiv.model.Columns`, it also forms
+    their summaries; built from codes alone, as by :func:`anova_icc`, it
+    estimates ICCs only.
+    """
 
-def _cluster_means_of(values, cols):
-    # Sum each cluster in sorted-value order so the means are bit-identical
-    # under any permutation of the input records: sort the values, then
-    # stably by cluster.  That is the order of lexsort((values, codes)) up
-    # to ties, which are equal values (0.0 and -0.0 add to the same bits
-    # in either order), at about half its cost.  numpy's stable sort is a
-    # radix sort for 16-bit integers and a timsort for int64, so codes that
-    # fit in 16 bits (J <= 65,536) are sorted as such; a stable sort's
-    # result is unique, so the order is the same either way.
-    codes = cols.codes if len(cols.cluster_ids) > 1 << 16 else cols.codes.astype(np.uint16)
-    order = np.argsort(values)
-    order = order[np.argsort(codes[order], kind="stable")]
-    starts = np.searchsorted(cols.codes[order], np.arange(len(cols.cluster_ids)))
-    return np.add.reduceat(values[order], starts) / cols.sizes
+    def __init__(self, codes: Sequence[np.ndarray], sizes: Sequence[np.ndarray], columns=()):
+        self.columns = columns
+        self.clusters = [0, *accumulate(map(len, sizes))]
+        self.records = [0, *accumulate(map(len, codes))]
+        self._codes = codes
+        self.codes = self.gather(codes, self.clusters)
+        self.sizes = self.gather(sizes)
+
+    @classmethod
+    def of(cls, columns: Sequence[Columns]) -> _Block:
+        return cls([c.codes for c in columns], [c.sizes for c in columns], columns)
+
+    def gather(self, arrays: Sequence[np.ndarray], offsets=None) -> np.ndarray:
+        """One array of ``arrays``, one per trial, in trial order; with
+        ``offsets``, each trial's records raised by its entry."""
+        if len(arrays) == 1:
+            return arrays[0]
+        block = np.concatenate(arrays)
+        if offsets is not None:
+            block += np.repeat(offsets[:-1], np.diff(self.records))
+        return block
+
+    def column(self, name: str) -> np.ndarray:
+        """The trials' column ``name`` of :class:`~crtiv.model.Columns` as one array."""
+        return self.gather([getattr(c, name) for c in self.columns])
+
+    def summaries(self, values: np.ndarray, unadjusted=None) -> list[Summaries]:
+        """Each trial's summaries whose outcome column is the cluster mean of
+        ``values``, one per record of the block.  Given the trials'
+        ``unadjusted`` summaries, every other column is theirs; otherwise
+        the z and d sums are one ``bincount`` each, in record order."""
+        y_bar = self._means(values)
+        bounds = list(pairwise(self.clusters))
+        if unadjusted is not None:
+            return [s._replace(y_bar=y_bar[a:b]) for s, (a, b) in zip(unadjusted, bounds)]
+        z_sums = np.bincount(self.codes, weights=self.column("z"), minlength=len(self.sizes))
+        # d is 0/1, so its sums are exact in any order and need no sort.
+        d_sums = np.bincount(self.codes, weights=self.column("d"), minlength=len(self.sizes))
+        z, d_bar = (z_sums > 0).astype(float), d_sums / self.sizes
+        return [
+            Summaries(c.cluster_ids, c.sizes, z[a:b], d_bar[a:b], y_bar[a:b], c.w)
+            for c, (a, b) in zip(self.columns, bounds)
+        ]
+
+    def _means(self, values: np.ndarray) -> np.ndarray:
+        # Sum each cluster in sorted-value order so the means are
+        # bit-identical under any permutation of a trial's records: sort
+        # the trial's values, then stably by cluster.  That is the order of
+        # lexsort((values, codes)) up to ties, which are equal values (0.0
+        # and -0.0 add to the same bits in either order), at about half its
+        # cost.  numpy's stable sort is a radix sort for 16-bit integers and
+        # a timsort for int64, so codes that fit in 16 bits (J <= 65,536)
+        # are sorted as such; a stable sort's result is unique, so the order
+        # is the same either way.  Each trial sorts its own records, as one
+        # sort of a whole block costs more than its trials' sorts; the
+        # sorted values of every cluster of the block are then one reduceat,
+        # and each cluster's sum depends only on its own values in order.
+        orders = []
+        for codes, (a, b), (start, end) in zip(
+            self._codes, pairwise(self.clusters), pairwise(self.records)
+        ):
+            if b - a <= 1 << 16:
+                codes = codes.astype(np.uint16)
+            order = np.argsort(values[start:end])
+            orders.append(order[np.argsort(codes[order], kind="stable")])
+        order = self.gather(orders, self.records)
+        return np.add.reduceat(values[order], np.cumsum(self.sizes) - self.sizes) / self.sizes
+
+    def icc(self, values: np.ndarray) -> list[IccEstimate]:
+        """The one-way ANOVA ICC of each trial's ``values``, one per record
+        of the block, as :func:`anova_icc` defines it.
+
+        The cluster means are one weighted ``bincount`` in record order, and
+        every other step but a trial's grand mean and its two sums of squares
+        is one elementwise pass over the block.  Those three each trial
+        reduces from its own slices, whose sums depend only on their length
+        and order.  A trial with fewer than 2 clusters, or with an empty
+        one, raises :class:`ValueError`.
+        """
+        n_clusters = np.diff(self.clusters)
+        if n_clusters.min() < 2:
+            raise ValueError("ICC estimation needs at least 2 clusters")
+        if not self.sizes.all():
+            trial = np.searchsorted(self.clusters, self.sizes.argmin(), side="right") - 1
+            raise ValueError(f"codes must use every cluster index 0..{n_clusters[trial] - 1}")
+        sizes = self.sizes.astype(float)
+        means = np.bincount(self.codes, weights=values, minlength=len(sizes)) / sizes
+        squares = (values - means[self.codes]) ** 2
+        grand = np.array([values[start:end].mean() for start, end in pairwise(self.records)])
+        deviations = (means - grand.repeat(n_clusters)) ** 2
+        ss_between = np.array([sizes[a:b] @ deviations[a:b] for a, b in pairwise(self.clusters)])
+        ss_within = np.array([squares[start:end].sum() for start, end in pairwise(self.records)])
+        total = np.diff(self.records).astype(float)
+        ms_between = ss_between / (n_clusters - 1)
+        ms_within = np.divide(
+            ss_within, total - n_clusters, out=np.zeros(len(total)), where=total > n_clusters
+        )
+        # Sums of squared integer sizes are exact in any order.
+        n0 = (total - np.add.reduceat(sizes * sizes, self.clusters[:-1]) / total) / (n_clusters - 1)
+        between = (ms_between - ms_within) / n0
+        between = np.where(between > 0.0, between, 0.0)  # also where nan, as max(0.0, nan)
+        denom = between + ms_within
+        rho = np.divide(between, denom, out=np.zeros(len(denom)), where=denom > 0.0)
+        return list(map(IccEstimate, rho.tolist(), between.tolist(), ms_within.tolist()))
 
 
 def _adjustment_design(dataset, x_columns, allow_empty):
@@ -216,30 +319,11 @@ def anova_icc(values, codes) -> IccEstimate:
     The between-cluster variance component is ``(MSB - MSW) / n0`` with
     ``n0 = (N - sum(n_j^2)/N) / (J - 1)``, truncated at zero; ``rho`` is the
     between share of the total.  Identical values everywhere give ``rho = 0``.
+    The one-trial case of a block's ICCs.
     """
     values = np.asarray(values, dtype=float)
     codes = np.asarray(codes)
     if codes.dtype.kind not in "iu":
         raise ValueError(f"codes must be integers, not {codes.dtype}")
-    sizes = np.bincount(codes).astype(float)
-    n_clusters = len(sizes)
-    if n_clusters < 2:
-        raise ValueError("ICC estimation needs at least 2 clusters")
-    if not sizes.all():
-        raise ValueError(f"codes must use every cluster index 0..{n_clusters - 1}")
-
-    total = float(sizes.sum())
-    means = np.bincount(codes, weights=values) / sizes
-    grand = float(values.mean())
-
-    ss_between = float(sizes @ (means - grand) ** 2)
-    ss_within = float(((values - means[codes]) ** 2).sum())
-    ms_between = ss_between / (n_clusters - 1)
-    ms_within = ss_within / (total - n_clusters) if total > n_clusters else 0.0
-
-    n0 = (total - float(sizes @ sizes) / total) / (n_clusters - 1)
-    sigma2_between = max(0.0, (ms_between - ms_within) / n0)
-    sigma2_within = ms_within
-    denom = sigma2_between + sigma2_within
-    rho = sigma2_between / denom if denom > 0.0 else 0.0
-    return IccEstimate(rho=rho, sigma2_between=sigma2_between, sigma2_within=sigma2_within)
+    (estimate,) = _Block([codes], [np.bincount(codes)]).icc(values)
+    return estimate

@@ -40,8 +40,12 @@ give each problem the bits of its own one-problem stack, so a block fit
 equals its one-item fits bit for bit.
 :func:`tsls` and :func:`itt` are the grid's one-cell case.  From a dataset,
 the command line, the Monte Carlo runner and :func:`late_from_dataset` all
-reach the grid through :meth:`GridPlan.summarise`, which estimates an ICC
-only where a cell reads one and none is fixed, and reuses a caller's summaries.
+reach the grid through :meth:`GridPlan.summarise_block`, whose one-item case
+is :meth:`GridPlan.summarise`.  It collapses each outcome of a block of
+datasets, and estimates their ICCs, in one pass over the block's
+concatenated columns (:mod:`crtiv.collapse`), with each dataset's covariate
+adjustment its own fit; it estimates an ICC only where a cell reads one and
+none is fixed, and reuses a caller's summaries.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.  :func:`first_stage_fs`
@@ -217,6 +221,13 @@ def _late(stacks: list[_Stack], results: _Results) -> None:
         results.read(stack.problems[rows], structural)
 
 
+def _residuals(dataset: TrialDataset, x_columns: Sequence[int]) -> np.ndarray:
+    """The per-record residuals of ``dataset``'s covariate adjustment."""
+    if dataset.outcome_kind is OutcomeKind.BINARY:
+        return collapse.binary_residuals(dataset, x_columns)
+    return collapse.continuous_residuals(dataset, x_columns)
+
+
 class CellFit(NamedTuple):
     """One grid cell: estimate, standard error, and the parameter count
     behind the small-sample degrees of freedom."""
@@ -292,9 +303,6 @@ class GridPlan:
             self._icc_groups[outcome] = np.array(mv, dtype=np.intp)
         self.needs_icc = {outcome: len(g) > 0 for outcome, g in self._icc_groups.items()}
 
-    # An overflowed cluster mean ends in the grid's NonFiniteValue, an ICC in
-    # _usable_icc's and a covariate adjustment in that of wls.solve.
-    @np.errstate(over="ignore", invalid="ignore")
     def summarise(
         self,
         dataset: TrialDataset,
@@ -303,7 +311,8 @@ class GridPlan:
         icc: float | None = None,
     ) -> tuple[dict[ClOutcome, Summaries], dict[ClOutcome, float | None]]:
         """The summaries of each outcome of the grid, and the ICC behind its
-        minimum-variance weights: the two mappings :meth:`fit` takes.
+        minimum-variance weights: the two mappings :meth:`fit` takes.  The
+        one-item case of :meth:`summarise_block`.
 
         The outcomes are :class:`~crtiv.model.ClOutcome` members;
         ``x_columns`` selects the individual-level covariates of the
@@ -318,27 +327,52 @@ class GridPlan:
         overflow warnings: every value an overflow spoils here ends in a
         :class:`~crtiv.errors.NonFiniteValue`, raised or held by a cell.
         """
+        handed = None if unadjusted is None else [unadjusted]
+        (item,) = self.summarise_block([dataset], x_columns, handed, icc)
+        return item
+
+    # An overflowed cluster mean ends in the grid's NonFiniteValue, an ICC in
+    # _usable_icc's and a covariate adjustment in that of wls.solve.
+    @np.errstate(over="ignore", invalid="ignore")
+    def summarise_block(
+        self,
+        datasets: Sequence[TrialDataset],
+        x_columns: Sequence[int] | None = None,
+        unadjusted: Sequence[Summaries] | None = None,
+        icc: float | None = None,
+    ) -> list[tuple[dict[ClOutcome, Summaries], dict[ClOutcome, float | None]]]:
+        """:meth:`summarise` of each dataset of a block, as the items
+        :meth:`fit_block` takes; ``unadjusted``, if given, holds each
+        dataset's unadjusted summaries.  Item ``i`` is :meth:`summarise` of
+        dataset ``i``, bit for bit.
+
+        Each outcome's block is collapsed, and its ICCs estimated, at once
+        (``collapse._Block``); each dataset's covariate adjustment is its
+        own fit, as datasets differ in their record counts.
+        """
         if ClOutcome.ADJUSTED_FOR_X in self.needs_icc and x_columns is None:
             raise NoCovariatesSelected("covariate-adjusted cells need x_columns")
-        summaries, rho = {}, {}
-        cols = dataset.columns()
+        if not datasets:
+            return []
+        items = [({}, {}) for _ in datasets]
+        block = collapse._Block.of([dataset.columns() for dataset in datasets])
         for outcome in ClOutcome:
             if outcome not in self.needs_icc:
                 continue
             if outcome is ClOutcome.UNADJUSTED:
+                values = block.column("y")
                 if unadjusted is None:
-                    unadjusted = collapse.cluster_means(dataset)
-                summaries[outcome], values = unadjusted, cols.y
+                    unadjusted = block.summaries(values)
+                summaries = unadjusted
             else:
-                if dataset.outcome_kind is OutcomeKind.BINARY:
-                    values = collapse.binary_residuals(dataset, x_columns)
-                else:
-                    values = collapse.continuous_residuals(dataset, x_columns)
-                summaries[outcome] = collapse.summaries_from_values(dataset, values, unadjusted)
-            rho[outcome] = icc
+                values = block.gather([_residuals(dataset, x_columns) for dataset in datasets])
+                summaries = block.summaries(values, unadjusted)
+            rho = [icc] * len(datasets)
             if icc is None and self.needs_icc[outcome]:
-                rho[outcome] = collapse.anova_icc(values, cols.codes).rho
-        return summaries, rho
+                rho = [estimate.rho for estimate in block.icc(values)]
+            for (outcome_summaries, outcome_icc), s, r in zip(items, summaries, rho):
+                outcome_summaries[outcome], outcome_icc[outcome] = s, r
+        return items
 
     def fit(
         self,

@@ -7,19 +7,24 @@ empirical bias and 95% interval coverage with their Monte Carlo errors.
 
 Replicates are seeded independently from (master_seed, attempt_index), and a
 rejected attempt still consumes its index.  The unit of work is a block of
-consecutive attempts: each attempt is generated and collapsed on its own,
-the block's screens are one stacked first-stage solve per cluster count
-(:func:`crtiv.dgp.screen_block`), and the retained replicates are summarised
-and fitted in one stacked pass through the grid
-(:meth:`crtiv.iv.GridPlan.fit_block`).  Both give each attempt the bits of
+consecutive attempts: each attempt is generated on its own, the block's
+unadjusted summaries are one block collapse
+(:meth:`crtiv.iv.GridPlan.summarise_block`), its screens one stacked
+first-stage solve per cluster count (:func:`crtiv.dgp.screen_block`), and
+the retained replicates are summarised, with their ICCs, in one more block
+collapse and fitted in one stacked pass through the grid
+(:meth:`crtiv.iv.GridPlan.fit_block`).  Each gives each attempt the bits of
 its own call, so results are bit-identical for a given master seed
 regardless of block size, thread count or scheduling; a task is just a
 range of attempt indices.  A block hands back which attempts it kept and
 the (replicates x cells) arrays of estimate, SE, parameter count and whether
-each cell was fitted; cell ``i`` is aggregated from column ``i`` of the
-study's rows, sorting its inputs first, so that is invariant to replicate
-order.  Its critical values are formed there too, and a cell with no
-residual degrees of freedom counts as a failed fit.
+each cell was fitted.  The study aggregates its rows in one pass: the
+critical values are one (replicates x cells) array, coverage is one count,
+and each cell's estimates and SEs are sorted as one row, so a cell is
+invariant to replicate order.  The cells with the same count of fits are
+reduced together, row by row, each to the bits :func:`bias_and_mce` and
+:func:`coverage_and_mce` give it alone.  A cell with no residual degrees of
+freedom counts as a failed fit.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import functools
 import importlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +41,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import collapse, iv, wls
+from . import iv, wls
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_block
 from .errors import CrtivError, DfNonPositive, ScreenExhausted
 from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, VariantKey, Weights
@@ -53,6 +57,10 @@ _BLOCK = 32
 # The generator writes one individual-level covariate, and the adjusted
 # outcome is adjusted for it.
 _X_COLUMNS = (0,)
+
+# The summaries the weak-instrument screen reads: the unadjusted outcome's,
+# with no ICC.
+_UNADJUSTED = iv.GridPlan([(ClOutcome.UNADJUSTED, AnalysisOptions())])
 
 # The OpenBLAS that the numpy and scipy wheels bundle, as (package, library
 # file in <package>.libs, the call that sets its thread count).
@@ -110,20 +118,32 @@ def bias_and_mce(estimates, truth: float) -> tuple[float, float]:
     estimates).  Where the sum of squared deviations overflows, the MCE is
     their :func:`math.hypot` over ``sqrt(L * (L - 1))``, which stays finite.
     Inputs are sorted before reduction so any permutation of the same
-    replicates gives bit-identical output.
+    replicates gives bit-identical output.  The one-row case of a study's
+    aggregation.
     """
     values = np.sort(np.asarray(estimates, dtype=float))
     if values.size == 0:
         return math.nan, math.nan
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean - truth, math.nan
-    pairs = values.size * (values.size - 1)
+    (bias,), (mce,) = _bias_and_mce(values[None, :], truth)
+    return float(bias), float(mce)
+
+
+def _bias_and_mce(rows: np.ndarray, truth: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bias_and_mce` of each row of ``rows``, which hold the sorted
+    estimates of one cell each, of one count.  Each row's mean and sum of
+    squares are numpy's pairwise sums of that row, as of the row alone."""
+    count = rows.shape[1]
+    means = rows.mean(axis=1)
+    if count < 2:
+        return means - truth, np.full(len(rows), math.nan)
+    pairs = count * (count - 1)
     with np.errstate(over="ignore"):  # an overflowed sum takes the finite hypot below
-        squares = float(((values - mean) ** 2).sum())
-    if math.isfinite(squares):
-        return mean - truth, math.sqrt(squares / pairs)
-    return mean - truth, math.hypot(*(values - mean).tolist()) / math.sqrt(pairs)
+        deviations = rows - means[:, None]
+        squares = np.square(deviations, out=deviations).sum(axis=1)
+    mce = np.sqrt(squares / pairs)
+    for row in np.flatnonzero(~np.isfinite(squares)).tolist():
+        mce[row] = math.hypot(*(rows[row] - means[row]).tolist()) / math.sqrt(pairs)
+    return means - truth, mce
 
 
 def coverage_and_mce(estimates, ses, crit_values, truth: float) -> tuple[float, float]:
@@ -132,6 +152,7 @@ def coverage_and_mce(estimates, ses, crit_values, truth: float) -> tuple[float, 
     Each replicate uses its own critical value, so normal and small-sample
     variants are scored against the intervals they actually report.  The MCE
     is the binomial value ``sqrt(0.95 * 0.05 / L)`` at the nominal level.
+    The one-row case of a study's aggregation.
     """
     estimates = np.asarray(estimates, dtype=float)
     ses = np.asarray(ses, dtype=float)
@@ -140,9 +161,79 @@ def coverage_and_mce(estimates, ses, crit_values, truth: float) -> tuple[float, 
         raise ValueError("estimates, ses, and crit_values must have equal length")
     if estimates.size == 0:
         return math.nan, math.nan
-    covered = np.abs(estimates - truth) < crit_values * ses
-    coverage = float(int(covered.sum())) / estimates.size
-    return coverage, math.sqrt(0.95 * 0.05 / estimates.size)
+    coverage, mce = _coverage_and_mce(estimates, ses, crit_values, truth, estimates.size)
+    return float(coverage), float(mce)
+
+
+def _coverage_and_mce(estimates, ses, crit_values, truth: float, n_fits):
+    """:func:`coverage_and_mce` of each column of (replicates x cells)
+    arrays, or of 1-D ones, over its ``n_fits`` replicates: one count of the
+    covered intervals.  A replicate whose critical value is ``nan`` covers
+    nothing; a cell whose ``n_fits`` is ``nan`` reads ``nan``."""
+    covered = np.count_nonzero(np.abs(estimates - truth) < crit_values * ses, axis=0)
+    return covered / n_fits, np.sqrt(0.95 * 0.05 / n_fits)
+
+
+def _critical_values(variants, n_params, fitted, n_clusters: int) -> np.ndarray:
+    """The critical value of each cell of (replicates x cells) arrays of
+    parameter counts and fitted flags, by its variant's df mode: ``nan`` for
+    an unfitted cell and for one without residual df, a failed fit.  Every
+    trial has ``n_clusters`` clusters, so each (parameter count, df mode)
+    that a fitted cell has is formed once."""
+    modes = tuple(DfMode)
+    code = n_params * len(modes)
+    code += [modes.index(options.df_mode) for _, options in variants]
+    code[~fitted] = -1
+    # Indexed by code; the last entry, which -1 reads, stays nan.
+    values = np.full(code.max() + 2, math.nan)
+    for c in np.unique(code[fitted]).tolist():
+        p, m = divmod(c, len(modes))
+        try:
+            values[c] = wls.critical_value(modes[m], n_clusters, p)[0]
+        except DfNonPositive:
+            pass
+    return values[code]
+
+
+def _aggregate(estimate, se, crit, truth: float) -> list[VariantResult]:
+    """Every cell's :class:`VariantResult` from the (replicates x cells)
+    estimates, SEs and critical values of a study, scoring each replicate
+    whose critical value is not ``nan``.
+
+    Coverage is one count.  Each cell's scored estimates, and then its SEs,
+    are sorted as one row, and the cells with the same count of scored
+    replicates are reduced together, row by row, so each cell reads the
+    bits :func:`bias_and_mce` and :func:`coverage_and_mce` give it alone.
+    """
+    scored = ~np.isnan(crit)
+    n_fits = np.count_nonzero(scored, axis=0)
+    coverage, mce_coverage = _coverage_and_mce(
+        estimate, se, crit, truth, np.where(n_fits > 0, n_fits, np.nan)
+    )
+    bias, mce_bias, mean_se = (np.full(len(n_fits), math.nan) for _ in range(3))
+    for cells, rows in _scored_rows(estimate, scored, n_fits):
+        bias[cells], mce_bias[cells] = _bias_and_mce(rows, truth)
+    for cells, rows in _scored_rows(se, scored, n_fits):
+        mean_se[cells] = rows.mean(axis=1)
+    n_replicates = len(crit)
+    return [
+        VariantResult(*values, n_fit_failures=n_replicates - values[-1])
+        for values in zip(
+            *(a.tolist() for a in (bias, mce_bias, coverage, mce_coverage, mean_se, n_fits))
+        )
+    ]
+
+
+def _scored_rows(values, scored, n_fits):
+    """Each group of cells whose count of scored replicates is the same,
+    above zero, as ``(cells, rows)``: row ``k`` holds the sorted scored
+    values of cell ``cells[k]``."""
+    rows = values.T.copy()
+    rows[~scored.T] = np.nan  # sorted after every scored value
+    rows.sort(axis=1)
+    for count in np.unique(n_fits[n_fits > 0]).tolist():
+        cells = np.flatnonzero(n_fits == count)
+        yield cells, rows[:, :count] if len(cells) == len(rows) else rows[cells, :count]
 
 
 def _replicate_seed(master_seed: int, attempt: int) -> np.random.SeedSequence:
@@ -176,23 +267,22 @@ def _evaluate_block(config, master_seed, plan, attempts: range) -> tuple[list[bo
     ones: their (replicates x cells) estimate, SE, parameter count and
     whether each cell was fitted.
 
-    Each attempt is generated and collapsed on its own; the block's screens
-    are one :func:`crtiv.dgp.screen_block`, and the kept attempts are
-    summarised and then fitted together by one
-    :meth:`crtiv.iv.GridPlan.fit_block`.
+    Each attempt is generated on its own.  The block's unadjusted summaries
+    are one :meth:`crtiv.iv.GridPlan.summarise_block`, its screens one
+    :func:`crtiv.dgp.screen_block`, and the kept attempts' summaries and
+    ICCs one more block summary, which one
+    :meth:`crtiv.iv.GridPlan.fit_block` then fits.
     """
-    trials = [generate(config, _replicate_seed(master_seed, attempt)) for attempt in attempts]
-    # An overflowed cluster mean ends in the grid's NonFiniteValue.
-    with np.errstate(over="ignore", invalid="ignore"):
-        unadjusted = [collapse.cluster_means(trial.dataset) for trial in trials]
+    datasets = [generate(config, _replicate_seed(master_seed, a)).dataset for a in attempts]
+    unadjusted = [
+        summaries[ClOutcome.UNADJUSTED] for summaries, _ in _UNADJUSTED.summarise_block(datasets)
+    ]
     retained = screen_block(unadjusted)
-    fit = plan.fit_block(
-        [
-            plan.summarise(trial.dataset, _X_COLUMNS, summaries)
-            for trial, summaries, kept in zip(trials, unadjusted, retained)
-            if kept
-        ]
+    kept = [i for i, passed in enumerate(retained) if passed]
+    items = plan.summarise_block(
+        [datasets[i] for i in kept], _X_COLUMNS, [unadjusted[i] for i in kept]
     )
+    fit = plan.fit_block(items)
     return retained, (fit.estimate, fit.se, fit.n_params, fit.error == 0)
 
 
@@ -234,7 +324,13 @@ def run_study(
     max_attempts = _MAX_ATTEMPTS_PER_REPLICATE * n_replicates
     workers = min(threads, os.cpu_count() or 1)
     evaluate = functools.partial(_evaluate_block, config, master_seed, plan)
-    pool = ProcessPoolExecutor(workers, initializer=_one_blas_thread) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # Imported only here: the pool loads multiprocessing, which a
+        # one-worker study never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, initializer=_one_blas_thread)
     with pool or nullcontext():
         mapper = map if pool is None else pool.map
         while retained < n_replicates and attempt < max_attempts:
@@ -266,33 +362,11 @@ def run_study(
 
     truth = config.beta_cz
     estimate, se, n_params, fitted = (np.concatenate(column) for column in zip(*blocks_kept))
-    # One critical value per (df mode, parameter count), as every trial has
-    # config.n_clusters clusters; nan, a failed fit, without residual df.
-    values: dict[tuple[DfMode, int], float] = {}
-    aggregated = {}
-    for i, variant in enumerate(variants):
-        crit = np.full(len(estimate), np.nan)
-        for p in np.unique(n_params[fitted[:, i], i]).tolist():
-            if (key := (variant[1].df_mode, p)) not in values:
-                try:
-                    values[key] = wls.critical_value(key[0], config.n_clusters, p)[0]
-                except DfNonPositive:
-                    values[key] = math.nan
-            crit[fitted[:, i] & (n_params[:, i] == p)] = values[key]
-        rows = ~np.isnan(crit)
-        estimates, ses, crits = estimate[rows, i], se[rows, i], crit[rows]
-        bias, mce_bias = bias_and_mce(estimates, truth)
-        coverage, mce_coverage = coverage_and_mce(estimates, ses, crits, truth)
-        n_fits = len(estimates)
-        aggregated[variant] = VariantResult(
-            bias=bias,
-            mce_bias=mce_bias,
-            coverage=coverage,
-            mce_coverage=mce_coverage,
-            mean_se=float(np.sort(ses).mean()) if n_fits else math.nan,
-            n_fits=n_fits,
-            n_fit_failures=n_replicates - n_fits,
-        )
+    # Each array is held once from here: a long study's memory is these rows.
+    del blocks_kept
+    crit = _critical_values(variants, n_params, fitted, config.n_clusters)
+    del n_params, fitted
+    aggregated = dict(zip(variants, _aggregate(estimate, se, crit, truth)))
     return McReport(
         variants=aggregated,
         n_replicates=n_replicates,

@@ -244,13 +244,7 @@ def test_analyze_estimates_the_icc_only_when_a_cell_reads_it(
     trial = generate(ScenarioConfig(n_clusters=20, pi=0.7), seed=31)
     data = tmp_path / "trial.csv"
     cli.write_dataset_csv(trial.dataset, data)
-    original, calls = collapse.anova_icc, []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(collapse, "anova_icc", counted)
+    calls = counting(monkeypatch, collapse._Block, "icc")
     assert cli.main(["analyze", "--input", str(data), *flags]) == 0
     assert len(calls) == n_estimates
 
@@ -267,7 +261,7 @@ def test_a_fixed_icc_is_every_cells_and_none_is_estimated(tmp_path, monkeypatch,
     def refused(*args):
         raise AssertionError("a fixed ICC is not estimated")
 
-    monkeypatch.setattr(collapse, "anova_icc", refused)
+    monkeypatch.setattr(collapse._Block, "icc", refused)
     argv = ["analyze", "--input", str(data), "--output-dir", str(out), "--icc", "0.1", *flags]
     assert cli.main(argv) == 0
     fixed = read_rows(out / "analysis.csv")
@@ -423,7 +417,7 @@ def test_a_bad_adjust_w_name_fails_before_any_adjustment(tmp_path, monkeypatch, 
     data = tmp_path / "trial.csv"
     cli.write_dataset_csv(trial.dataset, data)
     residuals = counting(monkeypatch, collapse, "continuous_residuals")
-    estimates = counting(monkeypatch, collapse, "anova_icc")
+    estimates = counting(monkeypatch, collapse._Block, "icc")
     capsys.readouterr()
     argv = ["analyze", "--input", str(data), "--adjust-x", "x_1", "--adjust-w", "w_9"]
     assert cli.main(argv) == 2
@@ -1382,28 +1376,34 @@ def test_simulate_reports_overflow_in_one_configuration_at_any_thread_count(tmp_
 
 # Importing scipy.stats costs about a second per process, more than a whole
 # default `simulate`, and scipy.linalg tens of milliseconds; the package
-# needs neither.  The check runs in a fresh interpreter because the test
-# modules import both themselves.
+# needs neither.  The process pool (concurrent.futures.process, which loads
+# multiprocessing) costs a few milliseconds more, and only a study with
+# more than one worker uses it.  The check runs in a fresh interpreter
+# because the test modules import all of them themselves.
 _IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
 
-def heavy_modules():
-    return sorted(
+def loaded():
+    heavy = sorted(
         m for m in sys.modules
         if m in ("scipy.stats", "scipy.linalg") or m.startswith(("scipy.stats.", "scipy.linalg."))
     )
+    return heavy, "concurrent.futures.process" in sys.modules
 
 import crtiv, crtiv.cli
-after_import = heavy_modules()
+seen = {"import": loaded()}
 Path("scn.txt").write_text("clusters = 12\\npoisson_mean = 6\\npi = 0.6\\n", encoding="utf-8")
-for argv in (
-    ["generate", "--scenario", "scn.txt", "--output-dir", "gen", "--seed", "1"],
-    ["analyze", "--input", "gen/trial.csv", "--adjust-x", "x_1", "--adjust-w", "w_1"],
-    ["simulate", "--scenario", "scn.txt", "--output-dir", "sim", "--replicates", "2"],
+simulate = ["simulate", "--scenario", "scn.txt", "--output-dir", "sim", "--replicates", "2"]
+for name, argv in (
+    ("generate", ["generate", "--scenario", "scn.txt", "--output-dir", "gen", "--seed", "1"]),
+    ("analyze", ["analyze", "--input", "gen/trial.csv", "--adjust-x", "x_1", "--adjust-w", "w_1"]),
+    ("simulate", simulate + ["--threads", "1"]),
+    ("two workers", simulate + ["--threads", "2"]),
 ):
     assert crtiv.cli.main(argv) == 0, argv
-print(json.dumps([after_import, heavy_modules()]))
+    seen[name] = loaded()
+print(json.dumps(seen))
 """
 
 
@@ -1415,5 +1415,10 @@ def test_cli_never_imports_scipy_stats(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    after_import, after_main = json.loads(done.stdout.splitlines()[-1])
-    assert after_import == [] and after_main == []
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert list(seen) == ["import", "generate", "analyze", "simulate", "two workers"]
+    # No scipy.stats or scipy.linalg anywhere, and no process pool until a
+    # study runs two workers (where the host has two CPUs to run them).
+    pooled = (os.cpu_count() or 1) > 1
+    assert seen.pop("two workers") == [[], pooled]
+    assert all(after == [[], False] for after in seen.values()), seen

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -346,6 +348,52 @@ def test_icc_takes_cluster_indices_not_labels(codes, message):
         anova_icc([1.0, 2.0, 3.0, 5.0], np.array(codes))
 
 
+def scalar_icc(values, codes):
+    """The moment estimator of one trial in scalar arithmetic: rho and the
+    two variance components."""
+    sizes = np.bincount(codes).astype(float)
+    n_clusters, total = len(sizes), float(sizes.sum())
+    means = np.bincount(codes, weights=values) / sizes
+    grand = float(values.mean())
+    ss_between = float(sizes @ (means - grand) ** 2)
+    ss_within = float(((values - means[codes]) ** 2).sum())
+    ms_between = ss_between / (n_clusters - 1)
+    ms_within = ss_within / (total - n_clusters) if total > n_clusters else 0.0
+    n0 = (total - float(sizes @ sizes) / total) / (n_clusters - 1)
+    between = max(0.0, (ms_between - ms_within) / n0)
+    denom = between + ms_within
+    return between / denom if denom > 0.0 else 0.0, between, ms_within
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_icc_equals_the_scalar_moment_formulas_bit_for_bit(seed):
+    from crtiv.dgp import ScenarioConfig, generate
+
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n_clusters in (2, 5, 20, 40):
+        seed = int(rng.integers(1 << 30))
+        cols = generate(ScenarioConfig(n_clusters=n_clusters), seed).dataset.columns()
+        cases.append((cols.y, cols.codes))
+    # One record per cluster (no within df), constant values (no variance),
+    # a between component that the truncation zeroes, and squares that
+    # overflow, where the truncation reads a nan component as zero.
+    cases += [
+        (rng.normal(size=5), np.arange(5)),
+        (np.full(6, 2.5), np.repeat(np.arange(3), 2)),
+        (np.array([0.0, 2.0, 0.0, 2.0, 0.0, 2.0]), np.repeat(np.arange(3), 2)),
+        (np.array([1e307, -1e307, 1e307, -1e307, 3e307, 1e307]), np.repeat(np.arange(3), 2)),
+        (np.array([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0, 2.0]), np.repeat(np.arange(3), 2)),
+    ]
+    block = collapse._Block([codes for _, codes in cases], [np.bincount(c) for _, c in cases])
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_block = block.icc(np.concatenate([values for values, _ in cases]))
+        for (values, codes), estimate in zip(cases, in_block, strict=True):
+            expected = np.array(scalar_icc(values, codes)).tobytes()
+            assert np.array(astuple(anova_icc(values, codes))).tobytes() == expected
+            assert np.array(astuple(estimate)).tobytes() == expected
+
+
 def test_continuous_residuals_shape_check(make_dataset):
     ds = make_dataset({"a": (0, [(0, 1.0, 0.1)]), "b": (1, [(1, 2.0, 0.2)])})
     with pytest.raises(ValueError):
@@ -358,13 +406,13 @@ def test_summaries_from_values_share_the_unadjusted_columns_and_skip_the_raw_mea
     make_dataset, monkeypatch
 ):
     ds = make_dataset({"a": (0, [(0, 1.0), (0, 2.0)]), "b": (1, [(1, 3.0), (0, 5.0)])})
-    original, averaged = collapse._cluster_means_of, []
+    original, averaged = collapse._Block._means, []
 
-    def counted(values, cols):
+    def counted(block, values):
         averaged.append(values)
-        return original(values, cols)
+        return original(block, values)
 
-    monkeypatch.setattr(collapse, "_cluster_means_of", counted)
+    monkeypatch.setattr(collapse._Block, "_means", counted)
     values = np.array([0.5, -0.5, 1.5, 2.5])
     adjusted = summaries_from_values(ds, values)
     # The values alone (d_bar is a bincount), never the raw outcome: no
@@ -422,7 +470,7 @@ def test_cluster_means_equal_the_lexsort_order_bit_for_bit(seed):
         cols = ds.columns()
         for values in (cols.y, continuous_residuals(ds, (0,)), ties):
             expected = lexsorted_means(values, cols)
-            assert collapse._cluster_means_of(values, cols).tobytes() == expected.tobytes()
+            assert summaries_from_values(ds, values).y_bar.tobytes() == expected.tobytes()
     zeros = TrialDataset(cols._replace(y=np.where(rng.random(len(cols.y)) < 0.5, -0.0, 0.0)))
     means = cluster_means(zeros).y_bar
     assert means.tobytes() == lexsorted_means(zeros.columns().y, cols).tobytes()
@@ -443,4 +491,4 @@ def test_cluster_means_on_both_sides_of_the_16_bit_cut(n_clusters):
     order = order[np.argsort(cols.codes[order].astype(np.int64), kind="stable")]
     starts = np.searchsorted(cols.codes[order], np.arange(n_clusters))
     expected = np.add.reduceat(values[order], starts) / cols.sizes
-    assert collapse._cluster_means_of(values, cols).tobytes() == expected.tobytes()
+    assert cluster_means(TrialDataset(cols)).y_bar.tobytes() == expected.tobytes()

@@ -160,11 +160,10 @@ def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors(
     assert calls["errstate"] == {
         ("dgp", "generate"),
         ("iv", "GridPlan.fit_block"),
-        ("iv", "GridPlan.summarise"),
+        ("iv", "GridPlan.summarise_block"),
         ("iv", "wald_late"),
         ("iv", "first_stage_fs"),
-        ("mc", "_evaluate_block"),
-        ("mc", "bias_and_mce"),
+        ("mc", "_bias_and_mce"),
         ("wls", "solve"),
     }
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import functools
 import importlib
@@ -16,6 +17,7 @@ from crtiv import collapse, dgp, iv, mc, wls
 from crtiv.dgp import (
     AdherenceLevel,
     GeneratedTrial,
+    ParetoSizes,
     PoissonSizes,
     ScenarioConfig,
     generate,
@@ -35,6 +37,7 @@ from crtiv.errors import (
 from crtiv.mc import (
     ClOutcome,
     VariantKey,
+    VariantResult,
     bias_and_mce,
     coverage_and_mce,
     fit_variants,
@@ -253,7 +256,8 @@ def serial_pool(monkeypatch):
 
             return map(evaluate, list(args))
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    # The study imports the pool where it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
     return created, tasks
 
@@ -459,20 +463,28 @@ def test_a_study_scores_each_cell_with_the_critical_value_of_its_df(monkeypatch,
     # scenario's cluster count and each cell's parameter count, bit for bit
     # as wls.critical_value gives them, and counts a cell with as many
     # clusters as parameters as a failed fit.
-    scored = recording(monkeypatch, mc, "coverage_and_mce", lambda *args: args[2])
+    scored = recording(monkeypatch, mc, "_coverage_and_mce", lambda *args: args[2])
     config = ScenarioConfig(n_clusters=n_clusters, sizes=PoissonSizes(6.0))
     report = run_study(config, n_replicates=3, master_seed=3)
-    for variant, crits in zip(variant_grid(), scored):
+    # Coverage is one count over the study's (replicates x cells) critical
+    # values, nan where a replicate is not scored.
+    (crits,) = scored
+    assert crits.shape == (3, len(variant_grid()))
+    checked = 0
+    for variant, column in zip(variant_grid(), crits.T):
         result = report.variants[variant]
         n_params = 3 if variant.options.adjust_w else 2
+        checked += 1
         if n_clusters <= n_params:
             with pytest.raises(DfNonPositive):
                 wls.critical_value(variant.options.df_mode, n_clusters, n_params)
-            assert (result.n_fits, result.n_fit_failures, len(crits)) == (0, 3, 0)
+            assert (result.n_fits, result.n_fit_failures) == (0, 3), variant.label()
+            assert np.isnan(column).all(), variant.label()
             continue
         crit, _ = wls.critical_value(variant.options.df_mode, n_clusters, n_params)
-        assert result.n_fits == len(crits) == 3, variant.label()
-        assert crits.tobytes() == np.full(3, crit).tobytes(), variant.label()
+        assert result.n_fits == 3, variant.label()
+        assert column.tobytes() == np.full(3, crit).tobytes(), variant.label()
+    assert checked == 48
 
 
 def test_a_default_study_forms_each_critical_value_once(monkeypatch):
@@ -563,16 +575,26 @@ def recording(monkeypatch, module, name, record):
 def test_retained_replicate_is_screened_once_and_collapsed_once_per_outcome(monkeypatch):
     # The screens of a block are one call, over all of its attempts.
     screens = recording(monkeypatch, iv, "first_stage_fs", len)
-    collapses = counting(monkeypatch, collapse, "_collapse")
+    original, collapses = collapse._Block.summaries, []
+
+    def counted(block, values, unadjusted=None):
+        collapses.append((len(block.columns), unadjusted is None))
+        return original(block, values, unadjusted)
+
+    monkeypatch.setattr(collapse._Block, "summaries", counted)
+    estimates = recording(monkeypatch, collapse._Block, "icc", lambda block, _: len(block.columns))
     plan = iv.GridPlan(variant_grid())
     # Attempts 7, 12 and 14 of this scenario pass the screen.
     retained, _ = mc._evaluate_block(SMALL_TRIALS, 5, plan, range(5, 15))
     kept = [a for a, passed in zip(range(5, 15), retained) if passed]
     assert kept == [7, 12, 14]
     assert screens == [10]
-    # Per attempt one unadjusted collapse, shared by the screen and the grid;
-    # per retained attempt one adjusted.
-    assert len(collapses) == 10 + 3
+    # The block's unadjusted collapse holds each attempt once, and the
+    # screen and the grid share it; the adjusted collapse holds each
+    # retained attempt once, on the unadjusted summaries' columns.
+    assert collapses == [(10, True), (3, False)]
+    # One ICC per outcome of each retained attempt.
+    assert estimates == [3, 3]
 
 
 @pytest.mark.parametrize("kind", list(OutcomeKind))
@@ -602,7 +624,7 @@ def test_the_screens_summaries_give_the_grid_what_it_collapses_itself(seed):
 
 def test_grid_without_mv_cells_estimates_no_icc(monkeypatch):
     trial = generate(ScenarioConfig(), 8)
-    estimates = counting(monkeypatch, collapse, "anova_icc")
+    estimates = counting(monkeypatch, collapse._Block, "icc")
     variants = [v for v in variant_grid() if v.options.weights is not Weights.MIN_VARIANCE]
     fits = fit_variants(trial, variants)
     assert not any(isinstance(fit, CrtivError) for fit in fits)
@@ -938,6 +960,144 @@ def test_a_simulate_block_makes_one_screen_solve_and_four_grid_solves(monkeypatc
     solves.clear()
     report = run_study(ScenarioConfig(), 40, master_seed=502)
     assert len(solves) == 5 * len(blocks) + report.n_replicates
+
+
+# The scenarios of the block-summary check: the default, individual-level
+# adherence, and a few heavy-tailed clusters.
+SUMMARY_SCENARIOS = {
+    "default": ScenarioConfig(),
+    "individual": ScenarioConfig(adherence=AdherenceLevel.INDIVIDUAL),
+    "pareto_8": ScenarioConfig(n_clusters=8, sizes=ParetoSizes()),
+}
+
+
+def summary_bits(summaries):
+    """The ids and the bytes of every column of ``summaries``."""
+    return summaries.ids, *(np.asarray(column).tobytes() for column in summaries[1:])
+
+
+def icc_bits(estimate):
+    return np.array([estimate.rho, estimate.sigma2_between, estimate.sigma2_within]).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", list(SUMMARY_SCENARIOS))
+def test_a_block_summary_equals_each_trials_own_calls_bit_for_bit(scenario, seed):
+    # The blocks a study summarises: every attempt's unadjusted summaries,
+    # for the screen, then the retained attempts' summaries and ICCs.
+    config = SUMMARY_SCENARIOS[scenario]
+    datasets = [generate(config, mc._replicate_seed(seed, a)).dataset for a in range(mc._BLOCK)]
+    # The default scenarios' screens reject few attempts, so every fifth
+    # attempt adheres nowhere: its first stage is flat, and the screen
+    # rejects it.
+    for a in range(0, mc._BLOCK, 5):
+        cols = datasets[a].columns()
+        datasets[a] = TrialDataset(cols._replace(d=np.zeros_like(cols.d)))
+    unadjusted = [s[ClOutcome.UNADJUSTED] for s, _ in mc._UNADJUSTED.summarise_block(datasets)]
+    for dataset, summaries in zip(datasets, unadjusted):
+        assert summary_bits(summaries) == summary_bits(collapse.cluster_means(dataset))
+    retained = dgp.screen_block(unadjusted)
+    assert any(retained) and not all(retained)
+    kept = [dataset for dataset, passed in zip(datasets, retained) if passed]
+    plan = iv.GridPlan(variant_grid())
+    items = plan.summarise_block(kept, (0,), [s for s, p in zip(unadjusted, retained) if p])
+    residuals = [collapse.continuous_residuals(dataset, (0,)) for dataset in kept]
+    block = collapse._Block.of([dataset.columns() for dataset in kept])
+    block_iccs = [block.icc(block.column("y")), block.icc(np.concatenate(residuals))]
+    for k, (dataset, (summaries, icc)) in enumerate(zip(kept, items)):
+        cols = dataset.columns()
+        own = {
+            ClOutcome.UNADJUSTED: (collapse.cluster_means(dataset), cols.y),
+            ClOutcome.ADJUSTED_FOR_X: (
+                collapse.summaries_from_values(dataset, residuals[k]),
+                residuals[k],
+            ),
+        }
+        for (outcome, (alone, values)), estimates in zip(own.items(), block_iccs):
+            assert summary_bits(summaries[outcome]) == summary_bits(alone), outcome
+            estimate = collapse.anova_icc(values, cols.codes)
+            assert icc_bits(estimates[k]) == icc_bits(estimate), outcome
+            assert np.float64(icc[outcome]).tobytes() == np.float64(estimate.rho).tobytes()
+        # And the one-item block is the same as a block of many.
+        alone_summaries, alone_icc = plan.summarise(dataset, (0,))
+        assert alone_icc == icc
+        assert list(map(summary_bits, alone_summaries.values())) == list(
+            map(summary_bits, summaries.values())
+        )
+
+
+def same_bits(a, b):
+    """Equal floats bit for bit, or both nan."""
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_one_row_results(results, estimate, se, crit, truth):
+    """Each cell's result is that of the one-row functions on the column of
+    its scored replicates, those whose critical value is not nan; returns
+    how many cells' sums of squares overflow."""
+    overflowed = 0
+    for i, result in enumerate(results):
+        scored = ~np.isnan(crit[:, i])
+        estimates, ses, crits = estimate[scored, i], se[scored, i], crit[scored, i]
+        n_fits = len(estimates)
+        expected = VariantResult(
+            *bias_and_mce(estimates, truth),
+            *coverage_and_mce(estimates, ses, crits, truth),
+            mean_se=float(np.sort(ses).mean()) if n_fits else math.nan,
+            n_fits=n_fits,
+            n_fit_failures=len(crit) - n_fits,
+        )
+        for name in VariantResult.__dataclass_fields__:
+            assert same_bits(getattr(result, name), getattr(expected, name)), (i, name)
+        if n_fits > 1:
+            with np.errstate(over="ignore"):
+                deviations = np.sort(estimates) - np.sort(estimates).mean()
+                overflowed += bool(np.isinf(np.square(deviations).sum()))
+    return overflowed
+
+
+@pytest.mark.parametrize(
+    "config, n_replicates",
+    [
+        (ScenarioConfig(n_clusters=3, sizes=PoissonSizes(6.0)), 40),
+        (ScenarioConfig(n_clusters=12, beta_0=1e307), 20),
+        (ScenarioConfig(n_clusters=12), 1),
+        (SMALL_TRIALS, 60),
+    ],
+    ids=["failing cells", "overflowing squares", "one replicate", "small trials"],
+)
+def test_a_studys_aggregation_equals_the_one_row_functions_for_each_cell(
+    monkeypatch, config, n_replicates
+):
+    inputs = recording(monkeypatch, mc, "_aggregate", lambda *args: args)
+    report = run_study(config, n_replicates, master_seed=6)
+    ((estimate, se, crit, truth),) = inputs
+    assert crit.shape == (n_replicates, 48)
+    results = [report.variants[variant] for variant in variant_grid()]
+    overflowed = assert_one_row_results(results, estimate, se, crit, truth)
+    if config.n_clusters == 3:
+        # The cluster-covariate cells have no residual df.
+        assert sum(result.n_fits == 0 for result in results) == 24
+    if config.beta_0 == 1e307:
+        # Some fits fail, and some cells take the hypot path.
+        assert overflowed and any(result.n_fit_failures for result in results)
+
+
+@pytest.mark.parametrize("n_replicates", [1, 2, 9, 130, 9000])
+def test_the_aggregation_equals_the_one_row_functions_at_any_length(n_replicates):
+    # Lengths past numpy's pairwise-sum unrolling (8) and blocking (128).
+    rng = np.random.default_rng(n_replicates)
+    estimate = rng.normal(0.4, 1.0, (n_replicates, 6))
+    se = rng.uniform(0.1, 2.0, (n_replicates, 6))
+    crit = np.where(rng.random((n_replicates, 6)) < 0.2, np.nan, 1.96)
+    crit[:, 0] = np.nan  # a cell never scored
+    crit[:, 1] = 2.2  # a cell always scored
+    estimate[:, 2] *= 1e153  # squares that overflow past a few hundred rows
+    results = mc._aggregate(estimate, se, crit, 0.4)
+    overflowed = assert_one_row_results(results, estimate, se, crit, 0.4)
+    assert overflowed == (n_replicates > 130)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
