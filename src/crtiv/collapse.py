@@ -20,23 +20,25 @@ arguments.  :func:`cluster_means` computes the unadjusted ones on each call;
 :func:`summaries_from_values` gives an adjusted variant, which shares every
 column except ``y_bar`` with the unadjusted summaries it is handed.
 
-A block of trials is collapsed at once (``_Block``, which
-:meth:`crtiv.iv.GridPlan.summarise_block` drives): its columns are
-concatenated once, each trial's cluster codes offset by the clusters before
-it, so the cluster sums, means and ICC moments of the whole block are one
-array operation each.  Only what sets a trial's own bits stays per trial:
-the sort of its records, and the mean, dot product and sums of its ICC.
-Each cluster's and trial's reductions see the same values in the same order
-as alone, so a block gives each trial the bits of its own call;
-:func:`cluster_means`, :func:`summaries_from_values` and :func:`anova_icc`
-are the one-trial case, and copy no array.
+:func:`summarise_block` is the one way from datasets to the grid's
+summaries and ICCs (:meth:`crtiv.iv.GridPlan.summarise` is its one-item
+case).  It collapses a block of trials at once: their columns are
+concatenated once (``_Block``, used only here), each trial's cluster codes
+offset by the clusters before it, so the cluster sums, means and ICC
+moments of the whole block are one array operation each.  Only what sets a
+trial's own bits stays per trial: its covariate adjustment, the sort of its
+records, and the mean, dot product and sums of its ICC.  Each cluster's and
+trial's reductions see the same values in the same order as alone, so a
+block gives each trial the bits of its own call; :func:`cluster_means`,
+:func:`summaries_from_values` and :func:`anova_icc` are the one-trial case,
+and copy no array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -49,7 +51,7 @@ from .errors import (
     RankDeficientDesign,
     SeparationDetected,
 )
-from .model import Columns, Summaries, TrialDataset
+from .model import ClOutcome, Columns, OutcomeKind, Summaries, TrialDataset
 
 _SCORE_TOL = 1e-10
 _MAX_NEWTON_ITER = 100
@@ -100,6 +102,60 @@ def summaries_from_values(
     block = _Block.of([dataset.columns()])
     (summaries,) = block.summaries(values, None if unadjusted is None else [unadjusted])
     return summaries
+
+
+# An overflowed cluster mean ends in the grid's NonFiniteValue, an ICC in
+# that of iv._usable_icc and a covariate adjustment in that of wls.solve.
+@np.errstate(over="ignore", invalid="ignore")
+def summarise_block(
+    datasets: Sequence[TrialDataset],
+    outcomes: Mapping[ClOutcome, bool],
+    x_columns: Sequence[int] | None = None,
+    unadjusted: Sequence[Summaries] | None = None,
+    icc: float | None = None,
+) -> list[tuple[dict[ClOutcome, Summaries], dict[ClOutcome, float | None]]]:
+    """The summaries of each outcome of each dataset of a block, and the ICC
+    behind its minimum-variance weights: for each dataset, the two mappings
+    :meth:`crtiv.iv.GridPlan.fit` takes, so the list is the items of
+    :meth:`~crtiv.iv.GridPlan.fit_block`.
+
+    ``outcomes`` maps each :class:`~crtiv.model.ClOutcome` to collapse to
+    whether an ICC is read for it, as a plan's ``needs_icc`` does; other
+    keys are ignored.  ``x_columns`` selects the individual-level
+    covariates of the adjusted outcome.  ``unadjusted``, if given, holds
+    each dataset's unadjusted summaries, and they are otherwise collapsed
+    here if read; the adjusted summaries share their columns.  A number
+    ``icc`` becomes every outcome's ICC; otherwise one is estimated for each
+    outcome that reads one, from the values its summaries average: the raw
+    outcomes or the adjustment residuals.  An adjusted outcome and no
+    ``x_columns`` raise :class:`~crtiv.errors.NoCovariatesSelected`.  It
+    runs without numpy's overflow warnings: every value an overflow spoils
+    here ends in a :class:`~crtiv.errors.NonFiniteValue`, raised or held by
+    a cell.  Item ``i`` is the one-item block of dataset ``i``, bit for bit.
+    """
+    if ClOutcome.ADJUSTED_FOR_X in outcomes and x_columns is None:
+        raise NoCovariatesSelected("covariate-adjusted cells need x_columns")
+    if not datasets:
+        return []
+    items = [({}, {}) for _ in datasets]
+    block = _Block.of([dataset.columns() for dataset in datasets])
+    for outcome in ClOutcome:
+        if outcome not in outcomes:
+            continue
+        if outcome is ClOutcome.UNADJUSTED:
+            values = block.column("y")
+            if unadjusted is None:
+                unadjusted = block.summaries(values)
+            summaries = unadjusted
+        else:
+            values = block.gather([_residuals(dataset, x_columns) for dataset in datasets])
+            summaries = block.summaries(values, unadjusted)
+        rho = [icc] * len(datasets)
+        if icc is None and outcomes[outcome]:
+            rho = [estimate.rho for estimate in block.icc(values)]
+        for (outcome_summaries, outcome_icc), s, r in zip(items, summaries, rho):
+            outcome_summaries[outcome], outcome_icc[outcome] = s, r
+    return items
 
 
 class _Block:
@@ -235,6 +291,13 @@ def _adjustment_design(dataset, x_columns, allow_empty):
     return design, cols
 
 
+def _residuals(dataset: TrialDataset, x_columns: Sequence[int]) -> np.ndarray:
+    """The per-record residuals of ``dataset``'s covariate adjustment."""
+    if dataset.outcome_kind is OutcomeKind.BINARY:
+        return binary_residuals(dataset, x_columns)
+    return continuous_residuals(dataset, x_columns)
+
+
 def continuous_residuals(dataset: TrialDataset, x_columns: Sequence[int]) -> np.ndarray:
     """Per-record residuals of OLS of the outcome on intercept + selected x."""
     design, cols = _adjustment_design(dataset, x_columns, allow_empty=False)
@@ -258,14 +321,18 @@ def binary_residuals(dataset: TrialDataset, x_columns: Sequence[int] = ()) -> np
 def _fit_logistic(design, y):
     """Maximum-likelihood logistic coefficients via damped Newton steps.
 
-    Converges when the largest absolute score falls below 1e-10; declares
-    separation when any coefficient exceeds 30 on the logit scale.  The one
-    fit outside the regression core, for the measured reasons given in
+    Converges when the largest score falls below 1e-10; declares separation
+    when any coefficient exceeds 30 on the logit scale.  Both are read in
+    units of the linear predictor, scaled by their column's root mean square
+    (1 for the intercept), so the units of a covariate do not matter.  The
+    one fit outside the regression core, for the measured reasons given in
     :mod:`crtiv.wls`.
     """
     n, p = design.shape
     if np.linalg.matrix_rank(design, tol=1e-10 * max(1.0, float(np.abs(design).max()))) < p:
         raise RankDeficientDesign("logistic design is collinear")
+    # Nonzero: a column of zeros fails the rank check.
+    units = np.sqrt(np.mean(design * design, axis=0))
 
     beta = np.zeros(p)
     ll = _log_likelihood(design, y, beta)
@@ -273,7 +340,7 @@ def _fit_logistic(design, y):
         eta = design @ beta
         probs = expit(eta)
         score = design.T @ (y - probs)
-        if np.max(np.abs(score)) < _SCORE_TOL:
+        if np.max(np.abs(score / units)) < _SCORE_TOL:
             return beta
         info = design.T @ (design * (probs * (1.0 - probs))[:, None])
         try:
@@ -295,7 +362,7 @@ def _fit_logistic(design, y):
         else:
             raise NonConvergence("step halving stalled")
         beta, ll = candidate, ll_new
-        if np.max(np.abs(beta)) > _SEPARATION_BOUND:
+        if np.max(np.abs(beta * units)) > _SEPARATION_BOUND:
             raise SeparationDetected(
                 f"coefficient magnitude exceeded {_SEPARATION_BOUND} on the logit scale"
             )

@@ -40,12 +40,11 @@ give each problem the bits of its own one-problem stack, so a block fit
 equals its one-item fits bit for bit.
 :func:`tsls` and :func:`itt` are the grid's one-cell case.  From a dataset,
 the command line, the Monte Carlo runner and :func:`late_from_dataset` all
-reach the grid through :meth:`GridPlan.summarise_block`, whose one-item case
-is :meth:`GridPlan.summarise`.  It collapses each outcome of a block of
-datasets, and estimates their ICCs, in one pass over the block's
-concatenated columns (:mod:`crtiv.collapse`), with each dataset's covariate
-adjustment its own fit; it estimates an ICC only where a cell reads one and
-none is fixed, and reuses a caller's summaries.
+reach the grid through :func:`crtiv.collapse.summarise_block`, which owns
+the collapse of a block of datasets, their covariate adjustment and their
+ICCs; :meth:`GridPlan.summarise` is its one-item case on the plan's
+outcomes.  It estimates an ICC only where a cell reads one and none is
+fixed, and reuses a caller's summaries.
 
 The weak-instrument screen uses the unadjusted, unweighted first stage even
 when the analysis itself is adjusted or weighted.  :func:`first_stage_fs`
@@ -68,7 +67,6 @@ from .errors import (
     CrtivError,
     EmptyArm,
     MissingIcc,
-    NoCovariatesSelected,
     NonFiniteValue,
     WeakDenominator,
     ZeroDenominator,
@@ -77,7 +75,6 @@ from .model import (
     AnalysisOptions,
     ClOutcome,
     LateFit,
-    OutcomeKind,
     SeMode,
     Summaries,
     TrialDataset,
@@ -221,13 +218,6 @@ def _late(stacks: list[_Stack], results: _Results) -> None:
         results.read(stack.problems[rows], structural)
 
 
-def _residuals(dataset: TrialDataset, x_columns: Sequence[int]) -> np.ndarray:
-    """The per-record residuals of ``dataset``'s covariate adjustment."""
-    if dataset.outcome_kind is OutcomeKind.BINARY:
-        return collapse.binary_residuals(dataset, x_columns)
-    return collapse.continuous_residuals(dataset, x_columns)
-
-
 class CellFit(NamedTuple):
     """One grid cell: estimate, standard error, and the parameter count
     behind the small-sample degrees of freedom."""
@@ -307,72 +297,16 @@ class GridPlan:
         self,
         dataset: TrialDataset,
         x_columns: Sequence[int] | None = None,
-        unadjusted: Summaries | None = None,
         icc: float | None = None,
     ) -> tuple[dict[ClOutcome, Summaries], dict[ClOutcome, float | None]]:
         """The summaries of each outcome of the grid, and the ICC behind its
         minimum-variance weights: the two mappings :meth:`fit` takes.  The
-        one-item case of :meth:`summarise_block`.
-
-        The outcomes are :class:`~crtiv.model.ClOutcome` members;
-        ``x_columns`` selects the individual-level covariates of the
-        adjusted one.  ``unadjusted`` are the dataset's unadjusted summaries
-        if the caller has them, and are otherwise collapsed here if read; the
-        adjusted summaries share their columns.  A number ``icc`` becomes
-        every outcome's ICC; otherwise one is estimated for each outcome
-        whose cells read one (``needs_icc``), from the values its summaries
-        average: the raw outcomes or the adjustment residuals.
-        A grid with adjusted cells and no ``x_columns`` raises
-        :class:`~crtiv.errors.NoCovariatesSelected`.  It runs without numpy's
-        overflow warnings: every value an overflow spoils here ends in a
-        :class:`~crtiv.errors.NonFiniteValue`, raised or held by a cell.
+        one-item case of :func:`crtiv.collapse.summarise_block` on the
+        plan's outcomes (``needs_icc``), which ``x_columns`` and ``icc``
+        are handed to.
         """
-        handed = None if unadjusted is None else [unadjusted]
-        (item,) = self.summarise_block([dataset], x_columns, handed, icc)
+        (item,) = collapse.summarise_block([dataset], self.needs_icc, x_columns, icc=icc)
         return item
-
-    # An overflowed cluster mean ends in the grid's NonFiniteValue, an ICC in
-    # _usable_icc's and a covariate adjustment in that of wls.solve.
-    @np.errstate(over="ignore", invalid="ignore")
-    def summarise_block(
-        self,
-        datasets: Sequence[TrialDataset],
-        x_columns: Sequence[int] | None = None,
-        unadjusted: Sequence[Summaries] | None = None,
-        icc: float | None = None,
-    ) -> list[tuple[dict[ClOutcome, Summaries], dict[ClOutcome, float | None]]]:
-        """:meth:`summarise` of each dataset of a block, as the items
-        :meth:`fit_block` takes; ``unadjusted``, if given, holds each
-        dataset's unadjusted summaries.  Item ``i`` is :meth:`summarise` of
-        dataset ``i``, bit for bit.
-
-        Each outcome's block is collapsed, and its ICCs estimated, at once
-        (``collapse._Block``); each dataset's covariate adjustment is its
-        own fit, as datasets differ in their record counts.
-        """
-        if ClOutcome.ADJUSTED_FOR_X in self.needs_icc and x_columns is None:
-            raise NoCovariatesSelected("covariate-adjusted cells need x_columns")
-        if not datasets:
-            return []
-        items = [({}, {}) for _ in datasets]
-        block = collapse._Block.of([dataset.columns() for dataset in datasets])
-        for outcome in ClOutcome:
-            if outcome not in self.needs_icc:
-                continue
-            if outcome is ClOutcome.UNADJUSTED:
-                values = block.column("y")
-                if unadjusted is None:
-                    unadjusted = block.summaries(values)
-                summaries = unadjusted
-            else:
-                values = block.gather([_residuals(dataset, x_columns) for dataset in datasets])
-                summaries = block.summaries(values, unadjusted)
-            rho = [icc] * len(datasets)
-            if icc is None and self.needs_icc[outcome]:
-                rho = [estimate.rho for estimate in block.icc(values)]
-            for (outcome_summaries, outcome_icc), s, r in zip(items, summaries, rho):
-                outcome_summaries[outcome], outcome_icc[outcome] = s, r
-        return items
 
     def fit(
         self,

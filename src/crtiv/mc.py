@@ -9,7 +9,7 @@ Replicates are seeded independently from (master_seed, attempt_index), and a
 rejected attempt still consumes its index.  The unit of work is a block of
 consecutive attempts: each attempt is generated on its own, the block's
 unadjusted summaries are one block collapse
-(:meth:`crtiv.iv.GridPlan.summarise_block`), its screens one stacked
+(:func:`crtiv.collapse.summarise_block`), its screens one stacked
 first-stage solve per cluster count (:func:`crtiv.dgp.screen_block`), and
 the retained replicates are summarised, with their ICCs, in one more block
 collapse and fitted in one stacked pass through the grid
@@ -41,7 +41,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import iv, wls
+from . import collapse, iv, wls
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_block
 from .errors import CrtivError, DfNonPositive, ScreenExhausted
 from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, VariantKey, Weights
@@ -57,10 +57,6 @@ _BLOCK = 32
 # The generator writes one individual-level covariate, and the adjusted
 # outcome is adjusted for it.
 _X_COLUMNS = (0,)
-
-# The summaries the weak-instrument screen reads: the unadjusted outcome's,
-# with no ICC.
-_UNADJUSTED = iv.GridPlan([(ClOutcome.UNADJUSTED, AnalysisOptions())])
 
 # The OpenBLAS that the numpy and scipy wheels bundle, as (package, library
 # file in <package>.libs, the call that sets its thread count).
@@ -268,19 +264,18 @@ def _evaluate_block(config, master_seed, plan, attempts: range) -> tuple[list[bo
     whether each cell was fitted.
 
     Each attempt is generated on its own.  The block's unadjusted summaries
-    are one :meth:`crtiv.iv.GridPlan.summarise_block`, its screens one
+    are one :func:`crtiv.collapse.summarise_block`, its screens one
     :func:`crtiv.dgp.screen_block`, and the kept attempts' summaries and
-    ICCs one more block summary, which one
+    ICCs, on the plan's outcomes, one more block summary, which one
     :meth:`crtiv.iv.GridPlan.fit_block` then fits.
     """
     datasets = [generate(config, _replicate_seed(master_seed, a)).dataset for a in attempts]
-    unadjusted = [
-        summaries[ClOutcome.UNADJUSTED] for summaries, _ in _UNADJUSTED.summarise_block(datasets)
-    ]
+    screened = collapse.summarise_block(datasets, {ClOutcome.UNADJUSTED: False})
+    unadjusted = [summaries[ClOutcome.UNADJUSTED] for summaries, _ in screened]
     retained = screen_block(unadjusted)
     kept = [i for i, passed in enumerate(retained) if passed]
-    items = plan.summarise_block(
-        [datasets[i] for i in kept], _X_COLUMNS, [unadjusted[i] for i in kept]
+    items = collapse.summarise_block(
+        [datasets[i] for i in kept], plan.needs_icc, _X_COLUMNS, [unadjusted[i] for i in kept]
     )
     fit = plan.fit_block(items)
     return retained, (fit.estimate, fit.se, fit.n_params, fit.error == 0)

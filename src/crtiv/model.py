@@ -214,8 +214,9 @@ class AnalysisOptions:
 
     The ICC behind minimum-variance weights belongs to the trial and
     outcome, not to a cell: :func:`crtiv.iv.tsls` and :func:`crtiv.iv.itt`
-    take it as ``icc``, and :meth:`crtiv.iv.GridPlan.summarise` estimates it
-    or fixes it for every outcome.
+    take it as ``icc``, and :func:`crtiv.collapse.summarise_block`, whose
+    one-item case is :meth:`crtiv.iv.GridPlan.summarise`, estimates it or
+    fixes it for every outcome.
     """
 
     weights: Weights = Weights.NONE

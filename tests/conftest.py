@@ -1,6 +1,10 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from crtiv import mc
 from crtiv.model import Columns, OutcomeKind, Summaries, TrialDataset
 
 
@@ -52,3 +56,24 @@ def make_dataset():
 @pytest.fixture
 def make_summaries():
     return random_summaries
+
+
+def openblas_core():
+    """The name of the OpenBLAS kernel that numpy's bundled library runs on,
+    such as ``SkylakeX`` or ``Haswell``, read from the library that
+    :func:`crtiv.mc._one_blas_thread` finds; ``None`` without one."""
+    package, pattern, _ = mc._OPENBLAS[0]
+    for library in (Path(np.__file__).parent.parent / f"{package}.libs").glob(pattern):
+        corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def golden(digests):
+    """The entry of ``digests``, keyed by OpenBLAS kernel, for the kernel
+    this process runs on; a kernel with none recorded fails, naming it."""
+    core = openblas_core()
+    if core not in digests:
+        pytest.fail(f"no golden digests recorded for the OpenBLAS kernel {core}")
+    return digests[core]

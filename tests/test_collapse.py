@@ -17,7 +17,7 @@ from crtiv.errors import (
     RankDeficientDesign,
     SeparationDetected,
 )
-from crtiv.iv import tsls
+from crtiv.iv import late_from_dataset, tsls
 from crtiv.model import AnalysisOptions, Columns, OutcomeKind, TrialDataset, validate
 
 
@@ -200,17 +200,59 @@ def test_perfect_prediction_limit_gives_zero_residual_means(make_dataset):
     assert (summaries_from_values(ds, y - y).y_bar == 0.0).all()
 
 
-def test_separation_detected(make_dataset):
+def separated_dataset(make_dataset, units=1.0):
     # x sign perfectly predicts y: the MLE runs off to infinity.
-    ds = make_dataset(
+    return make_dataset(
         {
-            "a": (0, [(0, 0.0, -2.0), (0, 0.0, -1.0), (0, 0.0, -0.5)]),
-            "b": (1, [(1, 1.0, 0.5), (1, 1.0, 1.0), (1, 1.0, 2.0)]),
+            "a": (0, [(0, 0.0, -2.0 * units), (0, 0.0, -1.0 * units), (0, 0.0, -0.5 * units)]),
+            "b": (1, [(1, 1.0, 0.5 * units), (1, 1.0, 1.0 * units), (1, 1.0, 2.0 * units)]),
         },
         outcome_kind=OutcomeKind.BINARY,
     )
+
+
+def test_separation_detected(make_dataset):
+    ds = separated_dataset(make_dataset)
     with pytest.raises(SeparationDetected):
         summaries_from_values(ds, binary_residuals(ds, (0,)))
+
+
+# Separation is judged in units of the linear predictor, whatever x's units.
+@pytest.mark.parametrize("units", [1e-3, 1e3])
+def test_separation_detected_whatever_the_units_of_x(make_dataset, units):
+    ds = separated_dataset(make_dataset, units)
+    with pytest.raises(SeparationDetected):
+        summaries_from_values(ds, binary_residuals(ds, (0,)))
+
+
+def binary_trial(x_units=1.0):
+    """A 30-cluster trial of 40 records each whose binary outcome depends on
+    one covariate, given in ``x_units``: ``y ~ Bernoulli(expit(0.2 + 0.5 x))``
+    for the unit-scale ``x ~ N(0, 1)``."""
+    rng = np.random.default_rng(7)
+    n_clusters, size = 30, 40
+    codes = np.repeat(np.arange(n_clusters), size)
+    z = (np.arange(n_clusters) % 2)[codes]
+    d = (rng.random(len(codes)) < 0.3 + 0.5 * z).astype(int)
+    x = rng.normal(size=len(codes))
+    y = (rng.random(len(codes)) < expit(0.2 + 0.5 * x)).astype(float)
+    ids = [f"c{j:02d}" for j in range(n_clusters)]
+    columns = Columns.from_codes(ids, codes, z, d, y, (x * x_units)[:, None])
+    return TrialDataset(columns, OutcomeKind.BINARY)
+
+
+# Convergence and separation are judged in units of the linear predictor, so
+# a covariate's units do not decide whether the fit answers, nor its answer.
+@pytest.mark.parametrize("power", range(-3, 7))
+def test_the_logistic_adjustment_does_not_depend_on_the_units_of_x(power):
+    unit, scaled = binary_trial(), binary_trial(10.0**power)
+    residuals = binary_residuals(scaled, (0,))
+    assert np.allclose(residuals, binary_residuals(unit, (0,)), rtol=0, atol=1e-13)
+    options = AnalysisOptions()
+    expected = late_from_dataset(unit, options, (0,))
+    fit = late_from_dataset(scaled, options, (0,))
+    assert fit.estimate == pytest.approx(expected.estimate, rel=1e-12)
+    assert fit.se == pytest.approx(expected.se, rel=1e-12)
 
 
 def irls_logistic(design, y, tol=1e-12, max_iter=200):

@@ -12,7 +12,10 @@ built only by the core and by the two-stage fit's structural-residual fit
 ``wls.fit_wls``, so the grid reads whole stacks.  Floating point errors are
 silenced only at the ``np.errstate`` sites listed here, each of which ends
 every non-finite value in a typed error or a finite answer; the command
-line adds none of its own.  And CSV input has two readers: ``np.loadtxt``
+line adds none of its own.  A block of trials becomes its cluster summaries
+and ICCs in one place: ``collapse._Block`` is named only in ``collapse``,
+whose ``summarise_block`` the grid's ``GridPlan.summarise`` and the Monte
+Carlo block call.  And CSV input has two readers: ``np.loadtxt``
 is called only in ``cli._table_values``, which reads a whole block, and
 ``csv.reader`` only in ``cli._csv_rows``, which reads the header and the
 blocks loadtxt declines.  The source is parsed, not imported.
@@ -160,11 +163,35 @@ def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors(
     assert calls["errstate"] == {
         ("dgp", "generate"),
         ("iv", "GridPlan.fit_block"),
-        ("iv", "GridPlan.summarise_block"),
+        ("collapse", "summarise_block"),
         ("iv", "wald_late"),
         ("iv", "first_stage_fs"),
         ("mc", "_bias_and_mce"),
         ("wls", "solve"),
+    }
+
+
+def modules_naming(name):
+    """The package modules whose source names ``name``: as a name, an
+    attribute or an imported name."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+            ):
+                found.add(path.stem)
+    return found
+
+
+def test_the_block_collapse_has_one_owner():
+    assert modules_naming("_Block") == {"collapse"}
+    _, _, callees = package_sites()
+    assert _sites_of(callees, "summarise_block") == {
+        ("iv", "GridPlan.summarise"),
+        ("mc", "_evaluate_block"),
     }
 
 

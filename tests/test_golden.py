@@ -1,35 +1,72 @@
 """Golden outputs: the reproducibility contract, byte for byte.
 
-For a given seed ``report.csv``, ``analysis.csv`` and the files of
-``generate`` must not change by a single byte unless a change to the numbers is intended and stated.  The
-digests below were recorded with the numpy and scipy versions named next to
-them; other versions may legitimately round differently, so the test skips
-there, saying why, instead of failing.
+For a given seed and BLAS kernel ``report.csv``, ``analysis.csv`` and the
+files of ``generate`` must not change by a single byte unless a change to
+the numbers is intended and stated.  The digests below were recorded with
+the numpy and scipy versions named next to them; other versions may
+legitimately round differently, so the test skips there, saying why,
+instead of failing.  The kernel that numpy's bundled OpenBLAS picks for the
+CPU moves the rounding of ``simulate`` and ``analyze``, so their digests
+are keyed by its name: a kernel with none recorded fails, naming it.  The
+Haswell digests are also checked in a subprocess that forces that kernel,
+where the CPU can run it.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy
 import pytest
 import scipy
 
+from conftest import golden
 from crtiv import cli
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+# By OpenBLAS kernel: the kernel the CPU picks, or OPENBLAS_CORETYPE sets.
 GOLDEN = {
-    # simulate, default scenario, seed 1, 40 replicates, one or two workers
-    "report.csv": "93f2b7bb937f700ebf08e1af9a353e8542ff28b277b6133b6eee77b496112085",
-    # analyze --adjust-x x_1 --adjust-w w_1 on the default scenario's trial for seed 1
-    "analysis.csv": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
-    # the same, on that trial with a byte order mark and CRLF line ends
-    "analysis.csv bom crlf": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
-    # the same, on that trial with its first cluster id quoted and holding a comma
-    "analysis.csv quoted id": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
-    # the same, on that trial with its last cluster's rows moved to the top:
-    # cluster order then differs from first-seen order, and the x adjustment,
-    # a fit over rows, sees them in a new order
-    "analysis.csv last cluster first": "003fb79ea52b1a8663be02a607c567124654e73907bd56b6693dc46f11ff7474",
-    # generate, default scenario, seed 1
+    "SkylakeX": {
+        # simulate, default scenario, seed 1, 40 replicates, one or two workers
+        "report.csv": "93f2b7bb937f700ebf08e1af9a353e8542ff28b277b6133b6eee77b496112085",
+        # analyze --adjust-x x_1 --adjust-w w_1 on the default scenario's trial for seed 1
+        "analysis.csv": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
+        # the same, on that trial with a byte order mark and CRLF line ends
+        "analysis.csv bom crlf": (
+            "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa"
+        ),
+        # the same, on that trial with its first cluster id quoted and holding a comma
+        "analysis.csv quoted id": (
+            "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa"
+        ),
+        # the same, on that trial with its last cluster's rows moved to the top:
+        # cluster order then differs from first-seen order, and the x adjustment,
+        # a fit over rows, sees them in a new order
+        "analysis.csv last cluster first": (
+            "003fb79ea52b1a8663be02a607c567124654e73907bd56b6693dc46f11ff7474"
+        ),
+    },
+    # The same runs under OpenBLAS's AVX2 kernels.
+    "Haswell": {
+        "report.csv": "ff5781baf828f6c28127962cc837207f810441fa4ae76678411c649d94108e8a",
+        "analysis.csv": "7392f9c577945a06730d64e6230d426199130a7781274bdcaf9dbb986da35981",
+        "analysis.csv bom crlf": (
+            "7392f9c577945a06730d64e6230d426199130a7781274bdcaf9dbb986da35981"
+        ),
+        "analysis.csv quoted id": (
+            "7392f9c577945a06730d64e6230d426199130a7781274bdcaf9dbb986da35981"
+        ),
+        "analysis.csv last cluster first": (
+            "387656b64575f21ad843c2c8336f46a7981986187e0ca38a3023f77b68a4a71a"
+        ),
+    },
+}
+# generate, default scenario, seed 1: the same on every kernel tried
+# (SkylakeX, Haswell, Nehalem, Prescott), so not keyed by one
+GENERATED = {
     "trial.csv": "abb6b2321d35b8d0d2c23e01d8d586af47293975df04c8576edfa7979bd22f53",
     "truth_clusters.csv": "8d4d452b6dc0f6e25ad15a4462e6a71af74b5b982a512b9fa444b9216f43e7a6",
     "truth_individuals.csv": "27de0b55d9d7355b1e83b5b70fa619cad83a207dd92db604317f38ad80da824e",
@@ -62,15 +99,14 @@ def test_simulate_report_is_byte_identical_to_the_recorded_one(
     out = tmp_path / "sim"
     argv = ["simulate", "--scenario", str(default_scenario), "--output-dir", str(out)]
     assert cli.main(argv + ["--replicates", "40", "--seed", "1", "--threads", threads]) == 0
-    assert sha256(out / "report.csv") == GOLDEN["report.csv"]
+    assert sha256(out / "report.csv") == golden(GOLDEN)["report.csv"]
 
 
 def test_generate_outputs_are_byte_identical_to_the_recorded_ones(tmp_path, default_scenario):
     out = tmp_path / "gen"
     argv = ["generate", "--scenario", str(default_scenario), "--output-dir", str(out)]
     assert cli.main(argv + ["--seed", "1"]) == 0
-    names = ("trial.csv", "truth_clusters.csv", "truth_individuals.csv")
-    assert {name: sha256(out / name) for name in names} == {name: GOLDEN[name] for name in names}
+    assert {name: sha256(out / name) for name in GENERATED} == GENERATED
 
 
 def analyze_digest(tmp_path, scenario, edit=None) -> str:
@@ -89,7 +125,7 @@ def analyze_digest(tmp_path, scenario, edit=None) -> str:
 
 
 def test_analyze_output_is_byte_identical_to_the_recorded_one(tmp_path, default_scenario):
-    assert analyze_digest(tmp_path, default_scenario) == GOLDEN["analysis.csv"]
+    assert analyze_digest(tmp_path, default_scenario) == golden(GOLDEN)["analysis.csv"]
 
 
 def bom_crlf(data: bytes) -> bytes:
@@ -119,4 +155,46 @@ def test_analyze_output_of_an_edited_trial_is_byte_identical_to_the_recorded_one
     tmp_path, default_scenario, variant, edit
 ):
     digest = analyze_digest(tmp_path, default_scenario, edit)
-    assert digest == GOLDEN[f"analysis.csv {variant}"]
+    assert digest == golden(GOLDEN)[f"analysis.csv {variant}"]
+
+
+# Runs the command line on each argv of its first argument, after printing
+# the OpenBLAS kernel it runs on.
+UNDER_KERNEL = """
+import json, sys
+from conftest import openblas_core
+from crtiv import cli
+print(openblas_core(), flush=True)
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0
+"""
+
+
+def cpu_has_avx2() -> bool:
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text(encoding="utf-8").split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not cpu_has_avx2(), reason="the Haswell kernels need AVX2")
+def test_the_haswell_kernel_gives_its_recorded_simulate_and_analyze(tmp_path, default_scenario):
+    gen, sim, analysis = tmp_path / "gen", tmp_path / "sim", tmp_path / "analysis"
+    argv = ["generate", "--scenario", str(default_scenario), "--output-dir", str(gen)]
+    assert cli.main(argv + ["--seed", "1"]) == 0
+    runs = [
+        ["simulate", "--scenario", str(default_scenario), "--output-dir", str(sim)]
+        + ["--replicates", "40", "--seed", "1", "--threads", "1"],
+        ["analyze", "--input", str(gen / "trial.csv"), "--output-dir", str(analysis)]
+        + ["--adjust-x", "x_1", "--adjust-w", "w_1"],
+    ]
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, paths))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
+    command = [sys.executable, "-c", UNDER_KERNEL, json.dumps(runs)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[0] == "Haswell"
+    recorded = GOLDEN["Haswell"]
+    assert sha256(sim / "report.csv") == recorded["report.csv"]
+    assert sha256(analysis / "analysis.csv") == recorded["analysis.csv"]

@@ -617,7 +617,10 @@ def test_the_screens_summaries_give_the_grid_what_it_collapses_itself(seed):
     dataset = generate(ScenarioConfig(), seed).dataset
     plan = iv.GridPlan(variant_grid())
     own = plan.fit(*plan.summarise(dataset, (0,)))
-    handed = plan.fit(*plan.summarise(dataset, (0,), collapse.cluster_means(dataset)))
+    (item,) = collapse.summarise_block(
+        [dataset], plan.needs_icc, (0,), [collapse.cluster_means(dataset)]
+    )
+    handed = plan.fit(*item)
     assert [values_of(fit) for fit in handed] == [values_of(fit) for fit in own]
     assert [type(fit) for fit in handed] == [type(fit) for fit in own]
 
@@ -993,14 +996,17 @@ def test_a_block_summary_equals_each_trials_own_calls_bit_for_bit(scenario, seed
     for a in range(0, mc._BLOCK, 5):
         cols = datasets[a].columns()
         datasets[a] = TrialDataset(cols._replace(d=np.zeros_like(cols.d)))
-    unadjusted = [s[ClOutcome.UNADJUSTED] for s, _ in mc._UNADJUSTED.summarise_block(datasets)]
+    screened = collapse.summarise_block(datasets, {ClOutcome.UNADJUSTED: False})
+    assert all(icc == {ClOutcome.UNADJUSTED: None} for _, icc in screened)
+    unadjusted = [s[ClOutcome.UNADJUSTED] for s, _ in screened]
     for dataset, summaries in zip(datasets, unadjusted):
         assert summary_bits(summaries) == summary_bits(collapse.cluster_means(dataset))
     retained = dgp.screen_block(unadjusted)
     assert any(retained) and not all(retained)
     kept = [dataset for dataset, passed in zip(datasets, retained) if passed]
     plan = iv.GridPlan(variant_grid())
-    items = plan.summarise_block(kept, (0,), [s for s, p in zip(unadjusted, retained) if p])
+    kept_unadjusted = [s for s, p in zip(unadjusted, retained) if p]
+    items = collapse.summarise_block(kept, plan.needs_icc, (0,), kept_unadjusted)
     residuals = [collapse.continuous_residuals(dataset, (0,)) for dataset in kept]
     block = collapse._Block.of([dataset.columns() for dataset in kept])
     block_iccs = [block.icc(block.column("y")), block.icc(np.concatenate(residuals))]
