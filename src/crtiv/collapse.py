@@ -25,13 +25,19 @@ summaries and ICCs (:meth:`crtiv.iv.GridPlan.summarise` is its one-item
 case).  It collapses a block of trials at once: their columns are
 concatenated once (``_Block``, used only here), each trial's cluster codes
 offset by the clusters before it, so the cluster sums, means and ICC
-moments of the whole block are one array operation each.  Only what sets a
-trial's own bits stays per trial: its covariate adjustment, the sort of its
-records, and the mean, dot product and sums of its ICC.  Each cluster's and
-trial's reductions see the same values in the same order as alone, so a
-block gives each trial the bits of its own call; :func:`cluster_means`,
-:func:`summaries_from_values` and :func:`anova_icc` are the one-trial case,
-and copy no array.
+moments of the whole block are one array operation each.  The continuous
+covariate adjustment of a block is one :func:`crtiv.wls.segment_residuals`
+over its records, each trial a segment: every inner product of its
+Gram-Schmidt pass is one ``np.add.reduceat`` over the trials' starts,
+which sums a trial's terms as its first plus numpy's pairwise sum of the
+rest.  Only what sets a trial's own bits stays per trial: a binary
+outcome's logistic fit, the sort of its records, and the mean, dot product
+and sums of its ICC.  Each cluster's and trial's reductions see the same
+values in the same order as alone, so a block gives each trial the bits of
+its own call; :func:`cluster_means`, :func:`summaries_from_values`,
+:func:`continuous_residuals` and :func:`anova_icc` are the one-trial case,
+and all but :func:`continuous_residuals`, which gathers the selected x
+columns, copy no array.
 """
 
 from __future__ import annotations
@@ -105,7 +111,8 @@ def summaries_from_values(
 
 
 # An overflowed cluster mean ends in the grid's NonFiniteValue, an ICC in
-# that of iv._usable_icc and a covariate adjustment in that of wls.solve.
+# that of iv._usable_icc and a covariate adjustment in that of
+# wls.segment_residuals or of the logistic fit.
 @np.errstate(over="ignore", invalid="ignore")
 def summarise_block(
     datasets: Sequence[TrialDataset],
@@ -148,7 +155,7 @@ def summarise_block(
                 unadjusted = block.summaries(values)
             summaries = unadjusted
         else:
-            values = block.gather([_residuals(dataset, x_columns) for dataset in datasets])
+            values = _residuals(block, datasets, x_columns)
             summaries = block.summaries(values, unadjusted)
         rho = [icc] * len(datasets)
         if icc is None and outcomes[outcome]:
@@ -278,34 +285,54 @@ class _Block:
         return list(map(IccEstimate, rho.tolist(), between.tolist(), ms_within.tolist()))
 
 
-def _adjustment_design(dataset, x_columns, allow_empty):
-    cols = dataset.columns()
-    x_columns = tuple(int(c) for c in x_columns)
+def _selected(columns: Columns, x_columns, allow_empty) -> list[int]:
+    """``x_columns`` as indices of ``columns.x``, checked against its width."""
+    x_columns = [int(c) for c in x_columns]
     if not x_columns and not allow_empty:
         raise NoCovariatesSelected("select at least one individual-level covariate")
-    k = cols.x.shape[1]
+    k = columns.x.shape[1]
     for c in x_columns:
         if not 0 <= c < k:
             raise NoCovariatesSelected(f"covariate index {c} out of range for {k} columns")
-    design = np.column_stack([np.ones(len(cols.y))] + [cols.x[:, c] for c in x_columns])
-    return design, cols
+    return x_columns
 
 
-def _residuals(dataset: TrialDataset, x_columns: Sequence[int]) -> np.ndarray:
-    """The per-record residuals of ``dataset``'s covariate adjustment."""
-    if dataset.outcome_kind is OutcomeKind.BINARY:
-        return binary_residuals(dataset, x_columns)
-    return continuous_residuals(dataset, x_columns)
+def _residuals(block: _Block, datasets: Sequence[TrialDataset], x_columns) -> np.ndarray:
+    """The per-record residuals of each dataset's covariate adjustment, one
+    per record of the block: one segmented fit for a block of continuous
+    trials, and trial by trial otherwise."""
+    if all(dataset.outcome_kind is OutcomeKind.CONTINUOUS for dataset in datasets):
+        return _continuous(block, x_columns)
+    return block.gather(
+        [
+            binary_residuals(dataset, x_columns)
+            if dataset.outcome_kind is OutcomeKind.BINARY
+            else continuous_residuals(dataset, x_columns)
+            for dataset in datasets
+        ]
+    )
+
+
+def _continuous(block: _Block, x_columns) -> np.ndarray:
+    """The OLS residuals of each trial of ``block`` on its intercept and
+    selected x, by one :func:`crtiv.wls.segment_residuals` over the block's
+    records, once the selection is checked against every trial.  The first
+    trial to fail, in trial order, raises."""
+    selections = [_selected(columns, x_columns, allow_empty=False) for columns in block.columns]
+    x = block.gather([columns.x[:, s] for columns, s in zip(block.columns, selections)])
+    residuals, errors = wls.segment_residuals(x, block.column("y"), block.records)
+    if errors:
+        exc = errors[min(errors)]
+        if isinstance(exc, RankDeficient):
+            raise RankDeficientDesign(str(exc)) from exc
+        raise exc
+    return residuals
 
 
 def continuous_residuals(dataset: TrialDataset, x_columns: Sequence[int]) -> np.ndarray:
-    """Per-record residuals of OLS of the outcome on intercept + selected x."""
-    design, cols = _adjustment_design(dataset, x_columns, allow_empty=False)
-    try:
-        fit = wls.fit_wls(design, cols.y)
-    except RankDeficient as exc:
-        raise RankDeficientDesign(str(exc)) from exc
-    return fit.residuals
+    """Per-record residuals of OLS of the outcome on intercept + selected x:
+    the one-trial case of a block's adjustment, bit for bit."""
+    return _continuous(_Block.of([dataset.columns()]), x_columns)
 
 
 def binary_residuals(dataset: TrialDataset, x_columns: Sequence[int] = ()) -> np.ndarray:
@@ -313,7 +340,9 @@ def binary_residuals(dataset: TrialDataset, x_columns: Sequence[int] = ()) -> np
 
     An empty selection fits the intercept-only model.
     """
-    design, cols = _adjustment_design(dataset, x_columns, allow_empty=True)
+    cols = dataset.columns()
+    x_columns = _selected(cols, x_columns, allow_empty=True)
+    design = np.column_stack([np.ones(len(cols.y)), cols.x[:, x_columns]])
     coef = _fit_logistic(design, cols.y)
     return cols.y - expit(design @ coef)
 

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.special import betainccinv
 
 from . import collapse, iv, wls
 from .dgp import GeneratedTrial, ScenarioConfig, generate, screen_block
@@ -49,6 +50,14 @@ from .model import AnalysisOptions, ClOutcome, DfMode, SeMode, VariantKey, Weigh
 # Attempts allowed per requested replicate before a study gives up on a
 # scenario whose weak-instrument screen (almost) never passes.
 _MAX_ATTEMPTS_PER_REPLICATE = 1000
+
+# A study gives up before its budget once the one-sided Clopper-Pearson
+# upper bound on the acceptance rate, at this level, would keep fewer
+# replicates in the attempts left than are still needed; never before
+# _MIN_GIVE_UP attempts.  With none kept that is about 20,700 attempts,
+# whatever the replicates wanted.
+_GIVE_UP_LEVEL = 1e-9
+_MIN_GIVE_UP = 1000
 
 # Attempts per block: a block's retained replicates are fitted in one
 # stacked pass through the grid, whose per-problem overhead this amortises.
@@ -232,6 +241,21 @@ def _scored_rows(values, scored, n_fits):
         yield cells, rows[:, :count] if len(cells) == len(rows) else rows[cells, :count]
 
 
+def _hopeless(retained: int, attempt: int, needed: int, left: int) -> bool:
+    """Whether ``left`` more attempts are past hope of keeping ``needed``
+    more replicates, ``retained`` of ``attempt`` having been kept: at the
+    one-sided Clopper-Pearson upper bound on the acceptance rate at level
+    ``_GIVE_UP_LEVEL``, they keep fewer than ``needed`` on average.  Never
+    before ``_MIN_GIVE_UP`` attempts.  The bound is at least the observed
+    rate, so a study keeping enough at that rate never computes it."""
+    if attempt < _MIN_GIVE_UP or retained * left >= needed * attempt:
+        return False
+    upper = 1.0
+    if retained < attempt:
+        upper = float(betainccinv(retained + 1, attempt - retained, _GIVE_UP_LEVEL))
+    return upper * left < needed
+
+
 def _replicate_seed(master_seed: int, attempt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(attempt)))
 
@@ -301,7 +325,11 @@ def run_study(
     ``n_fit_failures`` counts the replicates whose cell failed or has no
     residual degrees of freedom.  A scenario whose screen keeps fewer than
     ``n_replicates`` datasets in ``1000 * n_replicates`` attempts raises
-    :class:`~crtiv.errors.ScreenExhausted` rather than running on.
+    :class:`~crtiv.errors.ScreenExhausted` rather than running on, and so
+    does one whose acceptance rate, after at least 1000 attempts, leaves
+    that budget past hope (:func:`_hopeless`).  Both are judged after each
+    attempt, so the attempt a study stops at does not depend on the block
+    size or the workers.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
@@ -340,13 +368,15 @@ def run_study(
             for kept, cells in mapper(evaluate, blocks):
                 counted = 0
                 for passed in kept:
-                    if retained == n_replicates:
-                        break
                     attempt += 1
                     counted += passed
                     retained += passed
+                    needed = n_replicates - retained
+                    if not needed or _hopeless(retained, attempt, needed, max_attempts - attempt):
+                        max_attempts = attempt  # the study ends at this attempt
+                        break
                 blocks_kept.append(tuple(column[:counted] for column in cells))
-                if retained == n_replicates:
+                if attempt == max_attempts:
                     break
 
     if retained < n_replicates:

@@ -1,4 +1,5 @@
 import ctypes
+import os
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,28 @@ def openblas_core():
         corename.restype = ctypes.c_char_p
         return corename().decode()
     return None
+
+
+def cpu_has(flag) -> bool:
+    """Whether ``/proc/cpuinfo`` lists the CPU flag ``flag``, such as
+    ``avx2``; ``False`` where it cannot be read."""
+    try:
+        return flag in Path("/proc/cpuinfo").read_text(encoding="utf-8").split()
+    except OSError:
+        return False
+
+
+# The CPU flag each OpenBLAS kernel that the tests force needs.
+KERNEL_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Nehalem": "sse4_2"}
+
+
+def kernel_env(kernel):
+    """The environment of a fresh process that forces the OpenBLAS kernel
+    ``kernel`` and imports the package and this directory's modules."""
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, paths))
+    return {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
 
 
 def golden(digests):

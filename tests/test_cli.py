@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crtiv import cli, collapse
+from crtiv import cli, collapse, wls
 from crtiv.collapse import (
     anova_icc,
     cluster_means,
@@ -416,7 +416,7 @@ def test_a_bad_adjust_w_name_fails_before_any_adjustment(tmp_path, monkeypatch, 
     trial = generate(ScenarioConfig(n_clusters=20, pi=0.7), seed=31)
     data = tmp_path / "trial.csv"
     cli.write_dataset_csv(trial.dataset, data)
-    residuals = counting(monkeypatch, collapse, "continuous_residuals")
+    residuals = counting(monkeypatch, wls, "segment_residuals")
     estimates = counting(monkeypatch, collapse._Block, "icc")
     capsys.readouterr()
     argv = ["analyze", "--input", str(data), "--adjust-x", "x_1", "--adjust-w", "w_9"]
@@ -1357,10 +1357,18 @@ def test_simulate_reports_overflow_in_one_configuration_at_any_thread_count(tmp_
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     failed = 'crtiv-error kind=numeric type=NonFiniteValue msg="regression inputs are not finite"\n'
-    for beta_0, code, err in [("1e307", 0, ""), ("1e308", 3, failed)]:
-        scenario = tmp_path / f"{beta_0}.txt"
-        scenario.write_text(f"clusters = 12\nbeta_0 = {beta_0}\n", encoding="utf-8")
-        out = tmp_path / beta_0
+    # Outcomes near 1e308 overflow the adjustment's sums, which are redone
+    # in power-of-two units; outcomes near 1.7e308 on both sides of 0 leave
+    # residuals past the float range, which stop the study.
+    spread = "beta_0 = -1.7e308\nbeta_c = 1.7e308\nbeta_cz = 1.7e308\n"
+    for name, text, code, err in [
+        ("1e307", "beta_0 = 1e307\n", 0, ""),
+        ("1e308", "beta_0 = 1e308\n", 0, ""),
+        ("spread", spread, 3, failed),
+    ]:
+        scenario = tmp_path / f"{name}.txt"
+        scenario.write_text(f"clusters = 12\n{text}", encoding="utf-8")
+        out = tmp_path / name
         argv = ["simulate", "--scenario", str(scenario), "--output-dir", str(out)]
         done = subprocess.run(
             [sys.executable, "-m", "crtiv.cli", *argv, "--replicates", "20", "--threads", threads],

@@ -1,9 +1,12 @@
+import subprocess
+import sys
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from conftest import KERNEL_FLAGS, cpu_has, kernel_env
 from crtiv import collapse
 from crtiv.collapse import (
     anova_icc,
@@ -534,3 +537,34 @@ def test_cluster_means_on_both_sides_of_the_16_bit_cut(n_clusters):
     starts = np.searchsorted(cols.codes[order], np.arange(n_clusters))
     expected = np.add.reduceat(values[order], starts) / cols.sizes
     assert cluster_means(TrialDataset(cols)).y_bar.tobytes() == expected.tobytes()
+
+
+# Prints the OpenBLAS kernel it runs on, then the digest of the x-adjusted
+# residuals of 64 default trials.
+RESIDUAL_DIGEST = """
+import hashlib
+from conftest import openblas_core
+from crtiv import collapse, mc
+from crtiv.dgp import ScenarioConfig, generate
+digest = hashlib.sha256()
+for attempt in range(64):
+    dataset = generate(ScenarioConfig(), mc._replicate_seed(1, attempt)).dataset
+    digest.update(collapse.continuous_residuals(dataset, (0,)).tobytes())
+print(openblas_core(), digest.hexdigest())
+"""
+
+
+def test_the_adjustment_residuals_do_not_depend_on_the_blas_kernel():
+    # Each kernel is forced in a fresh process, where the CPU can run it.
+    kernels = [kernel for kernel, flag in KERNEL_FLAGS.items() if cpu_has(flag)]
+    if not kernels:
+        pytest.skip("the CPU runs none of the kernels tried")
+    digests = {}
+    for kernel in kernels:
+        command = [sys.executable, "-c", RESIDUAL_DIGEST]
+        done = subprocess.run(
+            command, env=kernel_env(kernel), capture_output=True, text=True, check=True
+        )
+        core, digests[kernel] = done.stdout.split()
+        assert core == kernel
+    assert len(set(digests.values())) == 1, digests

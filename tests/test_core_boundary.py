@@ -1,12 +1,16 @@
 """The regression core's boundary, read from the package source.
 
-Every least-squares fit goes through ``wls.solve``, which fits one stack
-and is called only by the stacked callers' ``iv._solve`` and the one-problem
-``wls.fit_wls``; the grid and the screen build their stacks with one
-builder, ``iv.GridPlan._stacks``.  So linear algebra (``np.linalg``,
-``scipy.linalg`` and LAPACK) is called only in the core, whose one such
-call is the stacked ``np.linalg.qr`` (it back-substitutes in elementwise
-numpy), and in ``collapse._fit_logistic``, the one stated exception; a ``DesignFit`` is
+Every least-squares fit of the grid and the screen goes through
+``wls.solve``, which fits one stack and is called only by the stacked
+callers' ``iv._solve`` and the one-problem ``wls.fit_wls``, which no
+package path calls; the grid and the screen build their stacks with one
+builder, ``iv.GridPlan._stacks``.  The continuous covariate adjustment goes
+through ``wls.segment_residuals``, called only by ``collapse._continuous``,
+which orthogonalises a block's records in elementwise numpy.  So linear
+algebra (``np.linalg``, ``scipy.linalg`` and LAPACK) is called only in the
+core, whose one such call is the stacked ``np.linalg.qr`` (it
+back-substitutes in elementwise numpy), and in ``collapse._fit_logistic``,
+the one stated exception; a ``DesignFit`` is
 built only by the core and by the two-stage fit's structural-residual fit
 (``iv._late``), and a per-problem ``ProblemFit`` view only by
 ``wls.fit_wls``, so the grid reads whole stacks.  Floating point errors are
@@ -146,6 +150,8 @@ def test_the_core_and_the_stack_builder_have_one_caller_per_path():
         ("iv", "_solve"),
         ("wls", "fit_wls"),
     }
+    # No package path fits through the one-problem fit.
+    assert _sites_of(callees, "fit_wls") == set()
     # One builder of a block's stacks, for the grid and for the screen.
     assert _sites_of(callees, "_stacks") == {
         ("iv", "GridPlan.fit_block"),
@@ -168,6 +174,7 @@ def test_floating_point_errors_are_silenced_only_where_they_end_in_typed_errors(
         ("iv", "first_stage_fs"),
         ("mc", "_bias_and_mce"),
         ("wls", "solve"),
+        ("wls", "segment_residuals"),
     }
 
 
@@ -193,6 +200,18 @@ def test_the_block_collapse_has_one_owner():
         ("iv", "GridPlan.summarise"),
         ("mc", "_evaluate_block"),
     }
+
+
+def test_the_continuous_adjustment_fits_only_by_segmented_gram_schmidt():
+    _, _, callees = package_sites()
+    # One call per block of trials, of which continuous_residuals is the
+    # one-trial case; its inner products are reduceat sums, not LAPACK.
+    assert _sites_of(callees, "segment_residuals") == {("collapse", "_continuous")}
+    assert _sites_of(callees, "_continuous") == {
+        ("collapse", "_residuals"),
+        ("collapse", "continuous_residuals"),
+    }
+    assert _sites_of(callees, "continuous_residuals") == {("collapse", "_residuals")}
 
 
 def test_loadtxt_is_called_only_by_the_plain_block_reader():

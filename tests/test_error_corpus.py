@@ -337,10 +337,11 @@ CASES: dict[str, Case] = {
         )
         for command, flags in [(generate, ()), (simulate, ("--replicates", "5"))]
     },
-    # Finite outcomes whose x-adjustment regression overflows stop the study.
+    # Finite outcomes whose x-adjustment residuals overflow stop the study:
+    # outcomes near 1.7e308 on both sides of 0.
     "simulate, overflowing x-adjustment": simulate(
-        "beta_0 = 1e308\n", 3, numeric("NonFiniteValue", "regression inputs are not finite"),
-        "--replicates", "5",
+        "beta_0 = -1.7e308\nbeta_c = 1.7e308\nbeta_cz = 1.7e308\n", 3,
+        numeric("NonFiniteValue", "regression inputs are not finite"), "--replicates", "5",
     ),
     **{
         f"simulate, {name}": simulate(

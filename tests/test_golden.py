@@ -8,22 +8,20 @@ legitimately round differently, so the test skips there, saying why,
 instead of failing.  The kernel that numpy's bundled OpenBLAS picks for the
 CPU moves the rounding of ``simulate`` and ``analyze``, so their digests
 are keyed by its name: a kernel with none recorded fails, naming it.  The
-Haswell digests are also checked in a subprocess that forces that kernel,
-where the CPU can run it.
+Haswell and SkylakeX digests are also checked in a subprocess that forces
+that kernel, where the CPU can run it.
 """
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy
 import pytest
 import scipy
 
-from conftest import golden
+from conftest import KERNEL_FLAGS, cpu_has, golden, kernel_env
 from crtiv import cli
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -31,36 +29,36 @@ RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 GOLDEN = {
     "SkylakeX": {
         # simulate, default scenario, seed 1, 40 replicates, one or two workers
-        "report.csv": "93f2b7bb937f700ebf08e1af9a353e8542ff28b277b6133b6eee77b496112085",
+        "report.csv": "1e6d76a3b83a25a8a35d78e31676090fb7e6ea031749262dbdb41359ea6ea849",
         # analyze --adjust-x x_1 --adjust-w w_1 on the default scenario's trial for seed 1
-        "analysis.csv": "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa",
+        "analysis.csv": "499c0b94a283efaecab830285d9f2edc769bf1decbe0fb1171b2f840d12c46d1",
         # the same, on that trial with a byte order mark and CRLF line ends
         "analysis.csv bom crlf": (
-            "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa"
+            "499c0b94a283efaecab830285d9f2edc769bf1decbe0fb1171b2f840d12c46d1"
         ),
         # the same, on that trial with its first cluster id quoted and holding a comma
         "analysis.csv quoted id": (
-            "c5e7a31d3b2af34d492cd4efa8da94206ac2ba8ef9a1bce3fefa3fac1873efaa"
+            "499c0b94a283efaecab830285d9f2edc769bf1decbe0fb1171b2f840d12c46d1"
         ),
         # the same, on that trial with its last cluster's rows moved to the top:
         # cluster order then differs from first-seen order, and the x adjustment,
         # a fit over rows, sees them in a new order
         "analysis.csv last cluster first": (
-            "003fb79ea52b1a8663be02a607c567124654e73907bd56b6693dc46f11ff7474"
+            "bd704132b7c75bb8646517b7d8d2ac29dfb11c6755c412853d49d9c1edea6de3"
         ),
     },
     # The same runs under OpenBLAS's AVX2 kernels.
     "Haswell": {
-        "report.csv": "ff5781baf828f6c28127962cc837207f810441fa4ae76678411c649d94108e8a",
-        "analysis.csv": "7392f9c577945a06730d64e6230d426199130a7781274bdcaf9dbb986da35981",
+        "report.csv": "0f277b9155fa7fe109f568462d6036370cbcf55a488f40f51b52adaa6910b259",
+        "analysis.csv": "069d8bdbc5f82258488354aabe17109a1d2fc5be336f958a3bcee98a40c86be5",
         "analysis.csv bom crlf": (
-            "7392f9c577945a06730d64e6230d426199130a7781274bdcaf9dbb986da35981"
+            "069d8bdbc5f82258488354aabe17109a1d2fc5be336f958a3bcee98a40c86be5"
         ),
         "analysis.csv quoted id": (
-            "7392f9c577945a06730d64e6230d426199130a7781274bdcaf9dbb986da35981"
+            "069d8bdbc5f82258488354aabe17109a1d2fc5be336f958a3bcee98a40c86be5"
         ),
         "analysis.csv last cluster first": (
-            "387656b64575f21ad843c2c8336f46a7981986187e0ca38a3023f77b68a4a71a"
+            "a3929a90296c64a373559350b0d2e2ba8c8039b8421daffbd744c1d0a37f3430"
         ),
     },
 }
@@ -170,15 +168,9 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def cpu_has_avx2() -> bool:
-    try:
-        return "avx2" in Path("/proc/cpuinfo").read_text(encoding="utf-8").split()
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not cpu_has_avx2(), reason="the Haswell kernels need AVX2")
-def test_the_haswell_kernel_gives_its_recorded_simulate_and_analyze(tmp_path, default_scenario):
+def assert_recorded_under(kernel, tmp_path, default_scenario):
+    """The golden simulate and analyze, run in a fresh process that forces
+    the OpenBLAS kernel ``kernel``, give its recorded digests."""
     gen, sim, analysis = tmp_path / "gen", tmp_path / "sim", tmp_path / "analysis"
     argv = ["generate", "--scenario", str(default_scenario), "--output-dir", str(gen)]
     assert cli.main(argv + ["--seed", "1"]) == 0
@@ -188,13 +180,23 @@ def test_the_haswell_kernel_gives_its_recorded_simulate_and_analyze(tmp_path, de
         ["analyze", "--input", str(gen / "trial.csv"), "--output-dir", str(analysis)]
         + ["--adjust-x", "x_1", "--adjust-w", "w_1"],
     ]
-    here = Path(__file__).resolve().parent
-    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
-    path = os.pathsep.join(filter(None, paths))
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
     command = [sys.executable, "-c", UNDER_KERNEL, json.dumps(runs)]
-    done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[0] == "Haswell"
-    recorded = GOLDEN["Haswell"]
+    done = subprocess.run(
+        command, env=kernel_env(kernel), capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[0] == kernel
+    recorded = GOLDEN[kernel]
     assert sha256(sim / "report.csv") == recorded["report.csv"]
     assert sha256(analysis / "analysis.csv") == recorded["analysis.csv"]
+
+
+@pytest.mark.skipif(not cpu_has(KERNEL_FLAGS["Haswell"]), reason="the Haswell kernels need AVX2")
+def test_the_haswell_kernel_gives_its_recorded_simulate_and_analyze(tmp_path, default_scenario):
+    assert_recorded_under("Haswell", tmp_path, default_scenario)
+
+
+@pytest.mark.skipif(
+    not cpu_has(KERNEL_FLAGS["SkylakeX"]), reason="the SkylakeX kernels need AVX-512"
+)
+def test_the_skylakex_kernel_gives_its_recorded_simulate_and_analyze(tmp_path, default_scenario):
+    assert_recorded_under("SkylakeX", tmp_path, default_scenario)

@@ -43,7 +43,7 @@ REPORTS = {
             "bd627347d90ee08d75762644ca08ab3b260eb69db26d3256ba8f2744625f3086",
         ),
         "clusters = 3\n": (
-            "71e742133062918066a937094f168913c8439227786c114a9d1fad9e002aa408",
+            "c5c4eb5083cad3657772bfc805421b85427bfb8df5f294d0a6c780499d4aced7",
             "053ad77ea0861d705fbf6e865cd270cb92b5036852abcf4d329d4db83157e778",
         ),
     },
@@ -53,7 +53,7 @@ REPORTS = {
             "bd627347d90ee08d75762644ca08ab3b260eb69db26d3256ba8f2744625f3086",
         ),
         "clusters = 3\n": (
-            "9e5834a150d5c51080d924c0c67cd3cad356177c9165ce46e01756d1e38da634",
+            "becfd207ff8757c7fac75791ee685d6551ac24a75844a4552074a70b71ae3ccc",
             "053ad77ea0861d705fbf6e865cd270cb92b5036852abcf4d329d4db83157e778",
         ),
     },

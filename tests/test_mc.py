@@ -340,6 +340,54 @@ def test_run_study_gives_up_when_the_screen_never_passes(monkeypatch, threads):
         run_study(NEVER_ADHERES, n_replicates=3, variants=ONE_VARIANT, threads=threads)
 
 
+def test_a_hopeless_screen_gives_up_whatever_the_replicates_wanted(tmp_path, capsys):
+    # This scenario's screen keeps no attempt at pi = 0.001.  Its budget of
+    # 10^7 attempts would take about 20 minutes; the Clopper-Pearson rule
+    # stops it after 20,671, and after at most about 20,720 at any number.
+    from crtiv import cli
+
+    scenario = tmp_path / "scn.txt"
+    scenario.write_text("clusters = 30\npoisson_mean = 2\npi = 0.001\n", encoding="utf-8")
+    argv = ["simulate", "--scenario", str(scenario), "--output-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert cli.main(argv + ["--replicates", "10000"]) == 3
+    assert capsys.readouterr().err == (
+        "crtiv-error kind=numeric type=ScreenExhausted msg=\"weak-instrument screen kept 0 of "
+        "20671 attempts (acceptance rate 0), 10000 replicates wanted\"\n"
+    )
+
+
+def test_the_give_up_rule_reads_the_clopper_pearson_upper_bound():
+    budget = 1000 * 10000
+    # With none kept, 1 - 1e-9 ** (1 / n) is the bound: 20,671 attempts are
+    # the first whose bound keeps fewer than 10,000 in the rest of the budget.
+    for attempt, hopeless in [(20670, False), (20671, True)]:
+        upper = 1.0 - mc._GIVE_UP_LEVEL ** (1.0 / attempt)
+        assert (upper * (budget - attempt) < 10000) is hopeless
+        assert mc._hopeless(0, attempt, 10000, budget - attempt) is hopeless
+    # Never before 1000 attempts, even with no attempt left.
+    assert not mc._hopeless(0, 999, 1, 0)
+    assert mc._hopeless(0, 1000, 1, 0)
+    # A rate that keeps enough on average never gives up; one whose upper
+    # bound keeps too few does.
+    assert not mc._hopeless(1, 2000, 10000, budget - 2000)
+    assert mc._hopeless(100, 10**6, 10**6, 10**6)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_give_up_attempt_does_not_depend_on_the_blocks_or_workers(monkeypatch, threads):
+    # A looser rule that stops the never-adhering study inside its budget of
+    # 50: at 1 - 0.01 ** (1 / n) it keeps fewer than 5 of the 50 - n left
+    # first at n = 23, inside a block of each size (2, 3 or 5) run here.
+    monkeypatch.setattr(mc, "_MAX_ATTEMPTS_PER_REPLICATE", 10)
+    monkeypatch.setattr(mc, "_GIVE_UP_LEVEL", 0.01)
+    monkeypatch.setattr(mc, "_MIN_GIVE_UP", 5)
+    for block in (2, 32):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        with pytest.raises(ScreenExhausted, match=r"kept 0 of 23 attempts \(acceptance rate 0\)"):
+            run_study(NEVER_ADHERES, n_replicates=5, variants=ONE_VARIANT, threads=threads)
+
+
 def test_simulate_cli_exits_3_when_the_screen_never_passes(monkeypatch, tmp_path, capsys):
     from crtiv import cli
 
@@ -642,17 +690,18 @@ def summarised(plan, trials):
     return [plan.summarise(trial.dataset, (0,)) for trial in trials]
 
 
-def test_full_grid_on_a_default_trial_solves_25_regressions(monkeypatch):
+def test_full_grid_on_a_default_trial_solves_24_regressions(monkeypatch):
     trials = [generate(ScenarioConfig(), seed) for seed in range(8, 13)]
     plan = iv.GridPlan(variant_grid())
     # Each wls.solve call is recorded by the problems of its stack.
     stacks = recording(monkeypatch, wls, "solve", lambda design, *_: len(design))
     fits = fit_variants(trials[0], variant_grid())
     assert not any(isinstance(fit, CrtivError) for fit in fits)
-    # One residual fit, then one first stage and one second stage per
-    # (outcome, w-adjust, weights) group: 2 outcomes x 2 x 3 = 12 groups, in
-    # a stack without w and a stack with w per stage, 6 groups each.
-    assert stacks == [1, 6, 6, 6, 6]
+    # One first stage and one second stage per (outcome, w-adjust, weights)
+    # group: 2 outcomes x 2 x 3 = 12 groups, in a stack without w and a
+    # stack with w per stage, 6 groups each.  The x-adjustment's residuals
+    # are no solve: wls.segment_residuals orthogonalises them.
+    assert stacks == [6, 6, 6, 6]
     items = summarised(plan, trials)
     stacks.clear()
     # A block sends the groups of all its trials in the same four stacks.
@@ -666,9 +715,9 @@ def test_full_grid_factors_each_design_shape_once_per_stage(monkeypatch):
     calls = counting(monkeypatch, np.linalg, "qr")
     fits = fit_variants(trials[0], variant_grid())
     assert not any(isinstance(fit, CrtivError) for fit in fits)
-    # The residual fit, then one stacked factorisation per design shape
-    # (without and with w) for each of the two stages.
-    assert len(calls) == 1 + 2 + 2
+    # One stacked factorisation per design shape (without and with w) for
+    # each of the two stages; the x-adjustment factors nothing.
+    assert len(calls) == 2 + 2
     items = summarised(plan, trials)
     calls.clear()
     # A block of five trials sharing J: still one per design shape and stage.
@@ -949,20 +998,19 @@ def test_a_block_screen_equals_each_attempts_screen_alone(block):
 def test_a_simulate_block_makes_one_screen_solve_and_four_grid_solves(monkeypatch):
     # Each wls.solve call is recorded by the problems of its stack.  A
     # block's screens are one call (its attempts share one cluster count),
-    # its grid one per design shape (without and with w) and stage, and the
-    # only other call is each retained replicate's residual fit for the
-    # x-adjusted outcome.
+    # and its grid one per design shape (without and with w) and stage; the
+    # x-adjusted outcome's residuals take none.
     solves = recording(monkeypatch, wls, "solve", lambda design, *_: len(design))
     plan = iv.GridPlan(variant_grid())
     retained, cells = mc._evaluate_block(ScenarioConfig(), 1, plan, range(mc._BLOCK))
     kept = sum(retained)
     assert kept > 0 and all(fitted.all() for fitted in cells[3])
-    assert solves == [mc._BLOCK] + [1] * kept + [6 * kept] * 4
-    # So a study makes five solves per block and one per replicate.
+    assert solves == [mc._BLOCK] + [6 * kept] * 4
+    # So a study makes five solves per block.
     blocks = counting_block_fits(monkeypatch)
     solves.clear()
     report = run_study(ScenarioConfig(), 40, master_seed=502)
-    assert len(solves) == 5 * len(blocks) + report.n_replicates
+    assert len(solves) == 5 * len(blocks)
 
 
 # The scenarios of the block-summary check: the default, individual-level

@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_triangular
 
 from crtiv.errors import DfNonPositive, NonFiniteValue, NonPositiveWeight, RankDeficient
 from crtiv.model import DfMode
-from crtiv.wls import _back_substitute, critical_value, fit_wls, inference, mv_weights, solve
+from crtiv.wls import (
+    _back_substitute,
+    critical_value,
+    fit_wls,
+    inference,
+    mv_weights,
+    segment_residuals,
+    solve,
+)
 
 
 def oracle_wls(design, response, weights):
@@ -349,3 +359,179 @@ def test_non_finite_inputs_raise_a_typed_error():
     # Finite inputs whose slope overflows: no warning, then a typed error.
     with pytest.raises(NonFiniteValue, match="^regression coefficients are not finite$"):
         fit_wls([[1, 0], [1, 0], [1, 1]], [-1e308, -1e308, 1e308])
+
+
+# --- the segmented fit of the covariate adjustment -----------------------------
+
+
+def segment_sum(values) -> float:
+    """A segment's sum as ``np.add.reduceat`` forms it: its first term plus
+    numpy's pairwise sum of the rest."""
+    return values[0] + float(np.sum(values[1:]))
+
+
+def textbook_segment_residuals(x, y):
+    """Modified Gram-Schmidt residuals of one segment in Python floats,
+    every sum a :func:`segment_sum`: the mean is subtracted, each centred x
+    column orthogonalised against the unit columns before it and
+    normalised, and y orthogonalised last."""
+    n = len(y)
+
+    def centred(v):
+        mean = segment_sum(v) / n
+        return [value - mean for value in v]
+
+    def orthogonalised(v, units):
+        for u in units:
+            dot = segment_sum([a * b for a, b in zip(u, v)])
+            v = [b - dot * a for a, b in zip(u, v)]
+        return v
+
+    units = []
+    for column in np.asarray(x).T.tolist():
+        v = orthogonalised(centred(column), units)
+        norm = math.sqrt(segment_sum([value * value for value in v]))
+        units.append([value / norm for value in v])
+    return orthogonalised(centred(list(y)), units)
+
+
+def segment_block(seed, sizes, p):
+    """Seeded x (n x p) and y for segments of ``sizes`` records: x columns
+    with their own centre and scale, y a noisy offset, in very different
+    units."""
+    rng = np.random.default_rng(seed)
+    n = int(sum(sizes))
+    scale = 10.0 ** rng.uniform(-3, 3, p)
+    x = (rng.uniform(-10, 10, p) + rng.normal(size=(n, p))) * scale
+    y = rng.uniform(-100, 100) + rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    return x, y, np.concatenate([[0], np.cumsum(sizes)])
+
+
+def test_segment_sums_are_the_first_term_plus_the_pairwise_sum_of_the_rest():
+    # Segments long enough for numpy's pairwise sum to unroll (8) and split
+    # (128), where the order of the sum shows in its bits.
+    rng = np.random.default_rng(21)
+    sizes = [9, 130, 1000, 3, 20000]
+    values = rng.normal(size=sum(sizes)) * 10.0 ** rng.uniform(-6, 6, sum(sizes))
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    segments = [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    sums = np.add.reduceat(values, bounds[:-1])
+    assert sums.tolist() == [segment_sum(segment) for segment in segments]
+    # Not np.sum's order: on these segments the two differ in the last bits.
+    assert sums.tolist() != [float(np.sum(segment)) for segment in segments]
+    # The fit sums in that order: with no x column, its residuals are the
+    # values less their segment's segment_sum mean.
+    residuals, errors = segment_residuals(np.empty((len(values), 0)), values, bounds)
+    assert errors == {}
+    expected = np.concatenate([s - segment_sum(s) / len(s) for s in segments])
+    assert residuals.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_segment_residuals_are_the_textbook_gram_schmidt_bit_for_bit(p):
+    sizes = [5, 40, 300, 9]
+    x, y, bounds = segment_block(p, sizes, p)
+    residuals, errors = segment_residuals(x, y, bounds)
+    assert errors == {}
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        assert residuals[a:b].tolist() == textbook_segment_residuals(x[a:b], y[a:b])
+
+
+# Bound on |MGS - lstsq| per residual: 64 eps times the condition number of
+# the segment's design with unit-norm columns, times ||y||_inf.  The worst
+# of 3,000 seeded draws of this strategy read 2.3e-15 (about 10 eps) of
+# cond * ||y||_inf.  lstsq is given that equilibrated design: on the raw one
+# it is itself off by up to 6.7e-11 of ||y||_inf, through its coefficients.
+SEGMENT_RTOL = 64 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(3, 300), min_size=1, max_size=8),
+    p=st.integers(1, 3),
+    powers=st.lists(st.integers(-40, 40), min_size=4, max_size=4),
+)
+def test_segment_residuals_match_each_segments_lstsq(seed, sizes, p, powers):
+    x, y, bounds = segment_block(seed, sizes, p)
+    residuals, errors = segment_residuals(x, y, bounds)
+    # A segment with fewer records than parameters fails alone.
+    assert {t: str(e) for t, e in errors.items()} == {
+        t: f"{n} observations cannot identify {p + 1} parameters"
+        for t, n in enumerate(sizes)
+        if n < p + 1
+    }
+    assert all(type(e) is RankDeficient for e in errors.values())
+    for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if t in errors:
+            continue
+        design = np.column_stack([np.ones(b - a), x[a:b]])
+        design /= np.linalg.norm(design, axis=0)
+        oracle = y[a:b] - design @ np.linalg.lstsq(design, y[a:b], rcond=None)[0]
+        bound = SEGMENT_RTOL * np.linalg.cond(design) * np.abs(y[a:b]).max()
+        assert np.abs(residuals[a:b] - oracle).max() <= bound
+        # Each segment's bits are those of its own one-segment call.
+        alone, _ = segment_residuals(x[a:b], y[a:b], [0, b - a])
+        assert residuals[a:b].tobytes() == alone.tobytes()
+    # A power of two on any x column leaves every bit of every segment with
+    # enough records; on y it scales them.  (Which segments the rank rule
+    # refuses may change: it compares each column's norm with sqrt(n).)
+    for j in range(p):
+        scaled = x.copy()
+        scaled[:, j] = np.ldexp(scaled[:, j], powers[j])
+        again, _ = segment_residuals(scaled, y, bounds)
+        assert fitted_bits(again, bounds, p) == fitted_bits(residuals, bounds, p)
+    again, _ = segment_residuals(x, np.ldexp(y, powers[3]), bounds)
+    expected = np.ldexp(residuals, powers[3])
+    assert fitted_bits(again, bounds, p) == fitted_bits(expected, bounds, p)
+
+
+def fitted_bits(residuals, bounds, p):
+    """The bytes of the residuals of each segment with at least p + 1 records."""
+    return [residuals[a:b].tobytes() for a, b in zip(bounds[:-1], bounds[1:]) if b - a > p]
+
+
+def test_segment_residuals_keep_each_segments_failure_to_itself():
+    x, y, bounds = segment_block(8, [20] * 7, 2)
+    x[20:40, 1] = 3.0 * x[20:40, 0] - 1.0  # collinear with the first column
+    x[45, 0] = np.nan
+    y[70] = np.inf
+    x[80:100, 1] = 2.5  # constant: collinear with the intercept
+    residuals, errors = segment_residuals(x, y, bounds)
+    assert {t: (type(e), str(e)) for t, e in errors.items()} == {
+        1: (RankDeficient, "design matrix is rank deficient"),
+        2: (NonFiniteValue, "regression inputs are not finite"),
+        3: (NonFiniteValue, "regression inputs are not finite"),
+        4: (RankDeficient, "design matrix is rank deficient"),
+    }
+    for t in (0, 5, 6):
+        a, b = bounds[t], bounds[t + 1]
+        alone, _ = segment_residuals(x[a:b], y[a:b], [0, b - a])
+        assert residuals[a:b].tobytes() == alone.tobytes()
+
+
+def test_an_empty_segment_fails_alone():
+    x, y, _ = segment_block(9, [10, 10], 1)
+    residuals, errors = segment_residuals(x, y, [0, 10, 10, 20])
+    assert list(errors) == [1]
+    assert str(errors[1]) == "0 observations cannot identify 2 parameters"
+    whole, _ = segment_residuals(x, y, [0, 10, 20])
+    assert residuals.tobytes() == whole.tobytes()
+
+
+def test_residuals_that_overflow_are_redone_in_power_of_two_units():
+    # Outcomes near 1e307: the segment's sums overflow, its residuals do not.
+    x, y, bounds = segment_block(10, [30, 1000, 30], 1)
+    huge = y.copy()
+    huge[30:1030] = 1e307 * (1.0 + 1e-3 * np.random.default_rng(10).normal(size=1000))
+    residuals, errors = segment_residuals(x, huge, bounds)
+    assert errors == {} and np.isfinite(residuals).all()
+    scaled, _ = segment_residuals(x, np.ldexp(huge, -20), bounds)
+    assert residuals.tobytes() == np.ldexp(scaled, 20).tobytes()
+    # Outcomes near 1.7e308 on both sides of 0 leave residuals past the
+    # float range: a typed error, for that segment alone.
+    spread = y.copy()
+    spread[30:1030] = np.where(np.arange(1000) % 10, -1.7e308, 1.7e308)
+    residuals, errors = segment_residuals(x, spread, bounds)
+    assert {t: str(e) for t, e in errors.items()} == {1: "regression inputs are not finite"}
+    assert np.isfinite(residuals[:30]).all() and np.isfinite(residuals[1030:]).all()
